@@ -60,16 +60,8 @@ func runIngest(args []string) error {
 		}
 		sink = c
 	} else {
-		opts := ingest.Options{Spec: *spec, CommitFrames: *commitEvery, CommitBytes: *commitBytes}
-		var s *ingest.Store
-		if _, serr := os.Stat(target); errors.Is(serr, os.ErrNotExist) {
-			if *spec == "" {
-				return fmt.Errorf("creating %s needs -spec", target)
-			}
-			s, err = ingest.Create(target, opts)
-		} else {
-			s, err = ingest.Open(target, opts)
-		}
+		s, err := openAppendable(target, "-spec",
+			ingest.Options{Spec: *spec, CommitFrames: *commitEvery, CommitBytes: *commitBytes})
 		if err != nil {
 			return err
 		}
@@ -124,6 +116,24 @@ func runIngest(args []string) error {
 	fmt.Printf("ingested %d frame(s) in %s (%.1f frames/s), labels %d..%d\n",
 		sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds(), next-sent, next-1)
 	return nil
+}
+
+// openAppendable opens the store file at path for writing, creating it
+// when missing — which needs opts.Spec, set by the flag specFlag names.
+// Manifests and topologies are read-only views over files ingest must
+// not append to, so they are refused by name instead of being handed to
+// the store parser.
+func openAppendable(path, specFlag string, opts ingest.Options) (*ingest.Store, error) {
+	if kind := classify(path); kind != kindStore {
+		return nil, fmt.Errorf("%s is a %s, which is read-only: ingest writes to a store file or to a serving URL's ingest route", path, kind)
+	}
+	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+		if opts.Spec == "" {
+			return nil, fmt.Errorf("creating %s needs %s", path, specFlag)
+		}
+		return ingest.Create(path, opts)
+	}
+	return ingest.Open(path, opts)
 }
 
 // nextLabel picks the label after the target's current maximum, so

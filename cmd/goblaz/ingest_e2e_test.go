@@ -165,6 +165,19 @@ func TestIngestCLILocalStore(t *testing.T) {
 			t.Errorf("store is missing label %d after two CLI runs (have %v)", l, labels)
 		}
 	}
+
+	// A manifest or topology is not a store: the refusal names what the
+	// file is instead of failing inside the store parser.
+	manifest, _ := packShardedDataset(t, 4, 2)
+	for _, tc := range []struct{ target, kind string }{
+		{manifest, string(kindManifest)},
+		{clusterTopologyFile(t, manifest, "runs"), string(kindTopology)},
+	} {
+		err := runIngest([]string{"-shape", "4,6", tc.target, files[0]})
+		if err == nil || !strings.Contains(err.Error(), "is a "+tc.kind) || !strings.Contains(err.Error(), "read-only") {
+			t.Errorf("ingest into a %s: got %v, want a refusal naming it", tc.kind, err)
+		}
+	}
 }
 
 func TestLoadtestIngestMix(t *testing.T) {

@@ -29,11 +29,9 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/cluster"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/shard"
 )
 
 // opKind is one of the traffic classes in the mix.
@@ -290,9 +288,8 @@ func runLoadtest(args []string) error {
 	var (
 		b      api.Backend
 		closeB func() error
-		ing    api.Ingestor
 	)
-	if weights[opIngest] > 0 && !isServiceURL(target) && !cluster.IsTopology(target) && !shard.IsManifest(target) {
+	if weights[opIngest] > 0 && classify(target) == kindStore {
 		// A plain store path with ingest in the mix opens appendable, so
 		// writes land in the WAL beside the file instead of being refused
 		// by the read-only backend.
@@ -300,22 +297,15 @@ func runLoadtest(args []string) error {
 		if err != nil {
 			return err
 		}
-		b, closeB, ing = s, s.Close, s
-	} else {
-		var err error
-		b, closeB, err = openBackend(target, query.Options{CacheBytes: *cacheBytes}, *timeout)
-		if err != nil {
-			return err
-		}
-		if weights[opIngest] > 0 {
-			var ok bool
-			if ing, ok = b.(api.Ingestor); !ok {
-				closeB()
-				return fmt.Errorf("mix includes ingest but %s does not accept it", target)
-			}
-		}
+		b, closeB = s, s.Close
+	} else if _, b, closeB, err = open(target, query.Options{CacheBytes: *cacheBytes}, *timeout); err != nil {
+		return err
 	}
 	defer closeB()
+	ing, ok := b.(api.Ingestor)
+	if weights[opIngest] > 0 && !ok {
+		return fmt.Errorf("mix includes ingest but %s does not accept it", target)
+	}
 	ctx := context.Background()
 	infos, err := b.Frames(ctx)
 	if err != nil {

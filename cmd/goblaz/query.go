@@ -118,7 +118,7 @@ func runQuery(args []string) error {
 	// No per-attempt client timeout: the run's deadline (ctx above) is
 	// the only bound, so a long query behaves identically over a URL
 	// and over a path.
-	b, closeB, err := openBackend(fs.Arg(0), query.Options{CacheBytes: *cacheBytes}, 0)
+	_, b, closeB, err := open(fs.Arg(0), query.Options{CacheBytes: *cacheBytes}, 0)
 	if err != nil {
 		return err
 	}

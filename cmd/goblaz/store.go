@@ -26,7 +26,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -267,7 +266,7 @@ func runInspect(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("inspect needs one store path or URL")
 	}
-	b, closeB, err := openBackend(args[0], query.Options{}, 30*time.Second)
+	_, b, closeB, err := open(args[0], query.Options{}, 30*time.Second)
 	if err != nil {
 		return err
 	}
@@ -325,67 +324,51 @@ func mountName(arg string) (name, path string, explicit bool) {
 	return strings.TrimSuffix(base, filepath.Ext(base)), arg, false
 }
 
-// openMounts opens every [name=]path argument — a store file as a
-// Local backend, a dataset manifest as a Sharded one, a cluster
-// topology as a remote Coordinator — and names its mount. The first
-// argument doubles as the default (unprefixed) /v1 mount, preserving
-// the single-store API.
+// openMounts opens every [name=]path argument — a store file or a
+// dataset manifest as a Local backend, a cluster topology as a remote
+// Coordinator — and names its mount. The first argument doubles as the
+// default (unprefixed) /v1 mount, preserving the single-store API.
 func openMounts(args []string, cacheBytes int64) (def api.Backend, stores, datasets map[string]api.Backend, closeAll func(), err error) {
 	stores = map[string]api.Backend{}
 	datasets = map[string]api.Backend{}
-	var opened []io.Closer
+	var closers []func() error
 	closeAll = func() {
-		for _, c := range opened {
-			c.Close()
+		for _, c := range closers {
+			c()
 		}
+	}
+	fail := func(err error) (api.Backend, map[string]api.Backend, map[string]api.Backend, func(), error) {
+		closeAll()
+		return nil, nil, nil, nil, err
 	}
 	for _, arg := range args {
 		name, path, explicit := mountName(arg)
+		if isServiceURL(path) {
+			return fail(fmt.Errorf("store %s: serve mounts files, not serving URLs", path))
+		}
+		kind, b, closeB, err := open(path, query.Options{CacheBytes: cacheBytes}, 0)
+		if err != nil {
+			return fail(fmt.Errorf("%s %s: %w", kind, path, err))
+		}
+		closers = append(closers, closeB)
 		// A topology mount prefers the dataset name the file declares —
 		// "serve -topology cluster.json" mounts /v1/datasets/{dataset} —
 		// unless the argument named it explicitly.
-		if !explicit && cluster.IsTopology(path) {
-			if t, err := cluster.LoadTopology(path); err == nil && t.Dataset != "" {
-				name = t.Dataset
-			}
+		if co, ok := b.(*cluster.Coordinator); ok && !explicit && co.Topology().Dataset != "" {
+			name = co.Topology().Dataset
 		}
 		if _, dup := stores[name]; dup {
-			closeAll()
-			return nil, nil, nil, nil, fmt.Errorf("duplicate store mount %q (disambiguate with name=path)", name)
+			return fail(fmt.Errorf("duplicate store mount %q (disambiguate with name=path)", name))
 		}
 		if _, dup := datasets[name]; dup {
-			closeAll()
-			return nil, nil, nil, nil, fmt.Errorf("duplicate dataset mount %q (disambiguate with name=path)", name)
+			return fail(fmt.Errorf("duplicate dataset mount %q (disambiguate with name=path)", name))
 		}
-		var b api.Backend
-		mount := "/v1/stores/"
-		if cluster.IsTopology(path) {
-			co, err := cluster.Open(path, cluster.Options{})
-			if err != nil {
-				closeAll()
-				return nil, nil, nil, nil, fmt.Errorf("topology %s: %w", path, err)
-			}
-			opened = append(opened, co)
-			datasets[name] = co
-			b, mount = co, "/v1/datasets/"
-		} else if shard.IsManifest(path) {
-			s, err := api.OpenSharded(path, query.Options{CacheBytes: cacheBytes})
-			if err != nil {
-				closeAll()
-				return nil, nil, nil, nil, fmt.Errorf("dataset %s: %w", path, err)
-			}
-			opened = append(opened, s)
-			datasets[name] = s
-			b, mount = s, "/v1/datasets/"
+		mount := "/v1/datasets/"
+		if kind == kindStore {
+			mount = "/v1/stores/"
+			stores[name] = b
 		} else {
-			l, err := api.OpenLocal(path, query.Options{CacheBytes: cacheBytes})
-			if err != nil {
-				closeAll()
-				return nil, nil, nil, nil, fmt.Errorf("store %s: %w", path, err)
-			}
-			opened = append(opened, l)
-			stores[name] = l
-			b = l
+			datasets[name] = b
 		}
 		if def == nil {
 			def = b
@@ -493,19 +476,10 @@ func runServe(args []string) error {
 		if _, dup := datasets[name]; dup {
 			return fmt.Errorf("duplicate dataset mount %q (disambiguate with name=path)", name)
 		}
-		iopts := ingest.Options{
+		is, err := openAppendable(path, "-ingest-spec", ingest.Options{
 			Spec: *ingestSpec, CommitFrames: *commitEvery, CommitBytes: *commitBytes,
 			CommitInterval: *commitInterval, CompactBytes: *compactBytes, CacheBytes: *cacheBytes,
-		}
-		var is *ingest.Store
-		if _, serr := os.Stat(path); errors.Is(serr, os.ErrNotExist) {
-			if *ingestSpec == "" {
-				return fmt.Errorf("-ingest: creating %s needs -ingest-spec", path)
-			}
-			is, err = ingest.Create(path, iopts)
-		} else {
-			is, err = ingest.Open(path, iopts)
-		}
+		})
 		if err != nil {
 			return fmt.Errorf("ingest store %s: %w", path, err)
 		}

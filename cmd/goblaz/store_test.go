@@ -338,7 +338,7 @@ func TestServeHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	srv := httptest.NewServer(httpapi.New(api.NewLocal(r, query.New(r, query.Options{})), nil, httpapi.Options{}))
+	srv := httptest.NewServer(httpapi.New(api.NewLocal(r, query.New(r, query.Options{}).Run), nil, httpapi.Options{}))
 	defer srv.Close()
 
 	get := func(path string, wantStatus int) []byte {
@@ -424,7 +424,7 @@ func serveStore(t *testing.T, spec string, n, rows, cols int) (*httptest.Server,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	srv := httptest.NewServer(httpapi.New(api.NewLocal(r, query.New(r, query.Options{CacheBytes: 1 << 20})), nil, httpapi.Options{}))
+	srv := httptest.NewServer(httpapi.New(api.NewLocal(r, query.New(r, query.Options{CacheBytes: 1 << 20}).Run), nil, httpapi.Options{}))
 	t.Cleanup(srv.Close)
 	return srv, frames
 }

@@ -2,15 +2,20 @@
 // contract that both the HTTP server (internal/api/httpapi) and every
 // consumer — the goblaz CLI, tests, dashboards — program against.
 //
-// The contract has three parts. Backend is the service interface, with
-// two interchangeable implementations: Local, wrapping a store.Reader
-// and a query.Engine in process, and Client, the HTTP SDK — so a tool
-// written against Backend works identically on a store path and on a
-// serving URL. Error is the typed, versioned error model: every failure
-// carries a stable string Code that survives transport (rendered as a
-// JSON envelope over HTTP) and maps deterministically to an HTTP
-// status. All methods take a context.Context; cancellation propagates
-// into compressed-domain work instead of letting it run for nobody.
+// The contract has three parts. Backend is the service interface. Two
+// implementations answer it directly: Local, the one in-process
+// backend, over any Source (a store.Reader, a shard.Dataset) plus the
+// function that runs its queries, and Client, the HTTP SDK — so a tool
+// written against Backend works identically on a store path, a dataset
+// manifest and a serving URL. The rest wrap those: Limit adds admission
+// control around any Backend, ingest.Store pins a Local per committed
+// generation of an appendable store, and cluster.Coordinator routes to
+// one Client per shard server. Error is the typed, versioned error
+// model: every failure carries a stable string Code that survives
+// transport (rendered as a JSON envelope over HTTP) and maps
+// deterministically to an HTTP status. All methods take a
+// context.Context; cancellation propagates into compressed-domain work
+// instead of letting it run for nobody.
 package api
 
 import (

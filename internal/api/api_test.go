@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/query"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -58,7 +60,7 @@ func buildLocal(t testing.TB, spec string, n, rows, cols int) (*Local, []*tensor
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLocal(r, query.New(r, query.Options{})), frames
+	return NewLocal(r, query.New(r, query.Options{}).Run), frames
 }
 
 const goblazSpec = "goblaz:block=4x4,float=float64,index=int16"
@@ -125,7 +127,7 @@ func TestLocalBackend(t *testing.T) {
 	ctx := context.Background()
 
 	info, err := l.Spec(ctx)
-	if err != nil || info.Spec != l.Reader().Spec() || info.Frames != 3 {
+	if err != nil || info.Spec != l.src.Spec() || info.Frames != 3 {
 		t.Fatalf("Spec = %+v, %v", info, err)
 	}
 
@@ -184,6 +186,38 @@ func TestLocalBackend(t *testing.T) {
 	res, err := l.Query(ctx, &query.Request{Aggregates: []string{query.AggMean}})
 	if err != nil || len(res.Frames) != 3 {
 		t.Fatalf("Query = %v, %v", res, err)
+	}
+}
+
+// TestLocalFromBothConstructors: OpenLocal and OpenSharded return the
+// same type; only the source's shard count tells them apart.
+func TestLocalFromBothConstructors(t *testing.T) {
+	cd, err := codec.Lookup(goblazSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(t.TempDir(), "ds.json")
+	man, err := shard.WriteDataset(manifest, cd.(codec.Coder), []int{0, 1, 2, 3, 4, 5}, 3, 1,
+		func(i int) (*tensor.Tensor, error) { return tensor.New(8, 8), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		open       func(string, query.Options) (*Local, error)
+		path       string
+		wantShards int
+	}{
+		{OpenLocal, filepath.Join(filepath.Dir(manifest), man.Shards[0].Path), 0},
+		{OpenSharded, manifest, 3},
+	} {
+		l, err := tc.open(tc.path, query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err := l.Spec(context.Background()); err != nil || info.Shards != tc.wantShards {
+			t.Errorf("%s: Spec = %+v, %v; want %d shards", tc.path, info, err, tc.wantShards)
+		}
+		l.Close()
 	}
 }
 

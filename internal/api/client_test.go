@@ -62,7 +62,7 @@ func buildLocal(t testing.TB, spec string, n, rows, cols int) *api.Local {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return api.NewLocal(r, query.New(r, query.Options{}))
+	return api.NewLocal(r, query.New(r, query.Options{}).Run)
 }
 
 // newPair serves a Local backend over httptest and returns both sides.

@@ -76,7 +76,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Datasets names sharded-dataset mounts, served under
 	// /v1/datasets/{name}/ with the full resource set. A dataset
-	// backend (api.Sharded) may also be passed as def or among the
+	// backend (api.OpenSharded) may also be passed as def or among the
 	// stores — the contract is the same Backend either way; this mount
 	// family only keeps datasets addressable as what they are.
 	Datasets map[string]api.Backend

@@ -58,7 +58,7 @@ func buildLocal(t testing.TB, n, rows, cols int) *api.Local {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return api.NewLocal(r, query.New(r, query.Options{}))
+	return api.NewLocal(r, query.New(r, query.Options{}).Run)
 }
 
 // decodeEnvelope asserts resp is a JSON error envelope and returns it.

@@ -40,11 +40,11 @@ const DefaultQueueWait = time.Second
 // rejections with bounded latency rather than collapsing into timeouts.
 //
 // Decorating the Backend rather than the HTTP handler keeps the
-// behavior transport-agnostic: an in-process Local, a Sharded dataset,
-// and a remote Client all shed identically, and the conformance suite
-// exercises the 429 path against each. Cheap index reads (Spec, Frames,
-// FrameInfo) bypass the limiter — only routes that decode or read
-// payloads compete for slots.
+// behavior transport-agnostic: an in-process Local, over a store or a
+// sharded dataset, and a remote Client all shed identically, and the
+// conformance suite exercises the 429 path against each. Cheap index
+// reads (Spec, Frames, FrameInfo) bypass the limiter — only routes that
+// decode or read payloads compete for slots.
 type Limited struct {
 	b     Backend
 	slots chan struct{}

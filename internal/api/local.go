@@ -7,23 +7,55 @@ import (
 	"strconv"
 
 	"repro/internal/query"
+	"repro/internal/shard"
 	"repro/internal/store"
 )
 
-// Local is the in-process Backend: a store.Reader for frame access and
-// a query.Engine for compressed-domain work. Every error it returns is
-// already classified (*Error), so the HTTP layer and CLI render it
-// without re-inspecting causes; the original error stays reachable
-// through Unwrap.
-type Local struct {
-	r   *store.Reader
-	eng *query.Engine
+// Source is the frame collection a Local serves: what the query engine
+// reads plus payload access. *store.Reader and *shard.Dataset both
+// satisfy it. A source that also offers Shards() int reports its shard
+// count in StoreInfo.
+type Source interface {
+	query.Source
+	query.FrameSpeccer
+	MixedCodec() bool
+	Payload(i int) ([]byte, error)
+	PayloadReader(i int) (*io.SectionReader, error)
+	Close() error
 }
 
-// NewLocal wraps an open store reader and its query engine. The caller
-// keeps ownership of r (and closes it).
-func NewLocal(r *store.Reader, eng *query.Engine) *Local {
-	return &Local{r: r, eng: eng}
+// Local serves the full optional capability set.
+var _ interface {
+	Backend
+	FrameResolver
+	Payloads
+	PayloadStreamer
+} = (*Local)(nil)
+
+// Local is the in-process Backend: a Source for frame access and the
+// function that answers queries over it — a query.Engine's Run for one
+// store file, a shard.Dataset's scatter-gather Query for a sharded
+// dataset, which is how /v1/datasets/{name}/query works and why the CLI
+// accepts a manifest path wherever it accepts a store path. Positions
+// are the source's (global, manifest order, for a dataset; FrameInfo
+// offsets are then relative to the owning shard's file). Every error it
+// returns is already classified (*Error), so the HTTP layer and CLI
+// render it without re-inspecting causes; the original error stays
+// reachable through Unwrap.
+type Local struct {
+	src    Source
+	run    func(context.Context, *query.Request) (*query.Result, error)
+	shards int
+}
+
+// NewLocal wraps an open source and the function that runs a request
+// over it. The caller keeps ownership of src (and closes it).
+func NewLocal(src Source, run func(context.Context, *query.Request) (*query.Result, error)) *Local {
+	l := &Local{src: src, run: run}
+	if s, ok := src.(interface{ Shards() int }); ok {
+		l.shards = s.Shards()
+	}
+	return l
 }
 
 // OpenLocal opens the store at path with a fresh engine, memory-mapped
@@ -35,24 +67,30 @@ func OpenLocal(path string, opts query.Options) (*Local, error) {
 	if err != nil {
 		return nil, FromError(err)
 	}
-	return NewLocal(r, query.New(r, opts)), nil
+	return NewLocal(r, query.New(r, opts).Run), nil
 }
 
-// Close releases the store file handle when the Local owns one (built
-// by OpenLocal or over a reader from store.Open).
-func (l *Local) Close() error { return l.r.Close() }
+// OpenSharded opens the dataset described by the manifest at path.
+// Close releases the shard file handles.
+func OpenSharded(path string, opts query.Options) (*Local, error) {
+	ds, err := shard.Open(path, opts)
+	if err != nil {
+		return nil, FromError(err)
+	}
+	return NewLocal(ds, ds.Query), nil
+}
 
-// Reader exposes the underlying store reader, for callers that need
-// store-level access (e.g. the inspect CLI's byte accounting).
-func (l *Local) Reader() *store.Reader { return l.r }
+// Close releases the source's file handles when the Local owns them
+// (built by OpenLocal or OpenSharded).
+func (l *Local) Close() error { return l.src.Close() }
 
 func (l *Local) Spec(ctx context.Context) (StoreInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return StoreInfo{}, FromError(err)
 	}
-	info := StoreInfo{Spec: l.r.Spec(), Frames: l.r.Len()}
-	if l.r.MixedCodec() {
-		info.Specs = l.r.Specs()
+	info := StoreInfo{Spec: l.src.Spec(), Frames: l.src.Len(), Shards: l.shards}
+	if l.src.MixedCodec() {
+		info.Specs = l.src.Specs()
 	}
 	return info, nil
 }
@@ -61,16 +99,16 @@ func (l *Local) Frames(ctx context.Context) ([]FrameInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, FromError(err)
 	}
-	infos := make([]FrameInfo, l.r.Len())
+	infos := make([]FrameInfo, l.src.Len())
 	for i := range infos {
 		infos[i] = l.frameInfoAt(i)
 	}
 	return infos, nil
 }
 
-// frameInfoAt converts the index entry at store position i.
+// frameInfoAt converts the index entry at source position i.
 func (l *Local) frameInfoAt(i int) FrameInfo {
-	e := l.r.Info(i)
+	e := l.src.Info(i)
 	info := FrameInfo{
 		Index:  i,
 		Label:  e.Label,
@@ -78,22 +116,22 @@ func (l *Local) frameInfoAt(i int) FrameInfo {
 		Length: e.Length,
 		CRC32:  fmt.Sprintf("%08x", e.CRC32),
 	}
-	if spec := l.r.FrameSpec(i); spec != l.r.Spec() {
+	if spec := l.src.FrameSpec(i); spec != l.src.Spec() {
 		info.Spec = spec
 	}
 	return info
 }
 
-// indexOf resolves a label to its store position.
+// indexOf resolves a label to its source position.
 func (l *Local) indexOf(label int) (int, error) {
-	i, ok := l.r.IndexOf(label)
+	i, ok := l.src.IndexOf(label)
 	if !ok {
 		return 0, &Error{Code: CodeNotFound, Message: fmt.Sprintf("no frame with label %d", label), err: ErrNotFound}
 	}
 	return i, nil
 }
 
-// FrameInfo resolves one label through the store's label index — the
+// FrameInfo resolves one label through the source's label index — the
 // O(1) FrameResolver capability behind the per-frame HTTP routes.
 func (l *Local) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
 	if err := ctx.Err(); err != nil {
@@ -114,7 +152,7 @@ func (l *Local) Frame(ctx context.Context, label int) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := l.r.Decompress(i)
+	t, err := l.src.Decompress(i)
 	if err != nil {
 		return nil, FromError(err)
 	}
@@ -129,7 +167,7 @@ func (l *Local) Payload(ctx context.Context, label int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := l.r.Payload(i)
+	payload, err := l.src.Payload(i)
 	if err != nil {
 		return nil, FromError(err)
 	}
@@ -137,7 +175,7 @@ func (l *Local) Payload(ctx context.Context, label int) ([]byte, error) {
 }
 
 // PayloadReader is the PayloadStreamer capability: a positioned reader
-// over the verified payload, zero-copy from the store's memory mapping
+// over the verified payload, zero-copy from the source's memory mapping
 // when it has one.
 func (l *Local) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
 	if err := ctx.Err(); err != nil {
@@ -147,7 +185,7 @@ func (l *Local) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, er
 	if err != nil {
 		return nil, err
 	}
-	rs, err := l.r.PayloadReader(i)
+	rs, err := l.src.PayloadReader(i)
 	if err != nil {
 		return nil, FromError(err)
 	}
@@ -183,7 +221,7 @@ func (l *Local) Region(ctx context.Context, label int, offset, shape []int) (*qu
 }
 
 func (l *Local) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
-	res, err := l.eng.Run(ctx, req)
+	res, err := l.run(ctx, req)
 	if err != nil {
 		return nil, FromError(err)
 	}

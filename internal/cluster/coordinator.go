@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/codec"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -41,31 +39,23 @@ type Options struct {
 	DisableProbes bool
 }
 
-// ref locates a global frame position on its shard.
-type ref struct {
-	group int // index into Coordinator.groups
-	local int // frame position within the shard
-}
-
 // Coordinator turns the shard servers of a Topology into one logical
 // dataset: an api.Backend whose answers are bit-compatible with a
 // Local over the concatenated data. At open it discovers every shard's
 // frame inventory over the wire and freezes the global frame order
 // (topology order, shard-local commit order within); queries compile
 // against that view, scatter to the owning shards concurrently on the
-// shared tensor pool, and gather with the same merge rules
+// shared tensor pool, and gather through the same query.Scatter
 // internal/shard uses in process.
 type Coordinator struct {
 	topo   *Topology
 	ring   *Ring
 	groups []*group
 
-	spec   string
-	specs  []string
-	infos  []api.FrameInfo   // global commit order, Index remapped
-	finfos []store.FrameInfo // same entries for query.Compile
-	labels map[int]int       // label → global position
-	refs   []ref
+	infos   []api.FrameInfo // global commit order, Index remapped
+	labels  map[int]int     // label → global position
+	owners  []int           // global position → index into groups
+	scatter query.Scatter   // holds the agreed Spec(s) and each shard's base
 
 	probeHC  *http.Client
 	stop     chan struct{}
@@ -106,10 +96,9 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	if c.probeHC == nil {
 		c.probeHC = http.DefaultClient
 	}
-	for s, sh := range topo.Shards {
+	for _, sh := range topo.Shards {
 		g := &group{
 			name:      sh.Name,
-			index:     s,
 			cooldown:  topo.Probe.cooldown(),
 			downAfter: topo.Probe.downAfter(),
 		}
@@ -159,17 +148,12 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		wg.Add(1)
 		go func(s int, g *group) {
 			defer wg.Done()
-			errs[s] = g.call(ctx, uint64(s), func(cl *api.Client) error {
-				info, err := cl.Spec(ctx)
-				if err != nil {
-					return err
+			invs[s], errs[s] = callOwner(ctx, g, uint64(s), func(cl *api.Client) (inv inventory, err error) {
+				if inv.info, err = cl.Spec(ctx); err != nil {
+					return inv, err
 				}
-				index, err := cl.Frames(ctx)
-				if err != nil {
-					return err
-				}
-				invs[s] = inventory{info: info, index: index}
-				return nil
+				inv.index, err = cl.Frames(ctx)
+				return inv, err
 			})
 		}(s, g)
 	}
@@ -178,83 +162,62 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		return api.FromError(err)
 	}
 
+	c.scatter = query.Scatter{
+		Span: "cluster.scatter", Bases: make([]int, len(invs)), Spec: invs[0].info.Spec,
+		Parts: clusterParts, Seconds: clusterScatterSeconds, Run: c.runPart,
+	}
+	specs := []string{c.scatter.Spec}
 	for s, inv := range invs {
 		g := c.groups[s]
-		if s == 0 {
-			c.spec = inv.info.Spec
-			c.specs = []string{inv.info.Spec}
-		} else if inv.info.Spec != c.spec {
+		if inv.info.Spec != c.scatter.Spec {
 			return api.Errorf(api.CodeInternal, "shard %s default spec %q disagrees with %s's %q",
-				g.name, inv.info.Spec, c.groups[0].name, c.spec)
+				g.name, inv.info.Spec, c.groups[0].name, c.scatter.Spec)
 		}
 		for _, spec := range inv.info.Specs {
-			if !containsString(c.specs, spec) {
-				c.specs = append(c.specs, spec)
+			if !slices.Contains(specs, spec) {
+				specs = append(specs, spec)
 			}
 		}
-		g.base = len(c.refs)
-		g.count = len(inv.index)
-		for local, e := range inv.index {
+		c.scatter.Bases[s] = len(c.infos)
+		for _, e := range inv.index {
 			if prev, dup := c.labels[e.Label]; dup {
 				return api.Errorf(api.CodeInternal, "label %d on shard %s duplicates global frame %d",
 					e.Label, g.name, prev)
 			}
-			global := len(c.refs)
-			c.labels[e.Label] = global
-			c.refs = append(c.refs, ref{group: s, local: local})
-			e.Index = global
+			e.Index = len(c.infos)
+			c.labels[e.Label] = e.Index
+			c.owners = append(c.owners, s)
 			c.infos = append(c.infos, e)
-			crc, _ := strconv.ParseUint(e.CRC32, 16, 32)
-			c.finfos = append(c.finfos, store.FrameInfo{
-				Label:  e.Label,
-				Offset: e.Offset,
-				Length: e.Length,
-				CRC32:  uint32(crc),
-			})
 		}
 	}
 	if c.topo.Placement == PlacementHash {
-		for global, r := range c.refs {
-			if want := c.ring.Shard(c.infos[global].Label); want != r.group {
+		for global, owner := range c.owners {
+			if want := c.ring.Shard(c.infos[global].Label); want != owner {
 				return api.Errorf(api.CodeInternal,
 					"label %d lives on shard %s but the ring places it on %s",
-					c.infos[global].Label, c.groups[r.group].name, c.groups[want].name)
+					c.infos[global].Label, c.groups[owner].name, c.groups[want].name)
 			}
 		}
+	}
+	if len(specs) > 1 {
+		c.scatter.Specs = specs
 	}
 	return nil
 }
 
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
+// ---- query.Index over the discovered inventory -----------------------
 
-// ---- query.Source over the discovered inventory ----------------------
+// coordIndex is what query.Compile resolves selections against: frame
+// count, labels, and label lookup.
+type coordIndex struct{ c *Coordinator }
 
-// coordSource is the minimal query.Source query.Compile needs: frame
-// count, labels, and label lookup. The data-access methods are never
-// reached — compilation only resolves selections — and answer with
-// errors rather than panics if a future engine change tries.
-type coordSource struct{ c *Coordinator }
+func (s coordIndex) Len() int                      { return len(s.c.infos) }
+func (s coordIndex) IndexOf(label int) (int, bool) { i, ok := s.c.labels[label]; return i, ok }
 
-func (s coordSource) Spec() string                  { return s.c.spec }
-func (s coordSource) Len() int                      { return len(s.c.refs) }
-func (s coordSource) Info(i int) store.FrameInfo    { return s.c.finfos[i] }
-func (s coordSource) IndexOf(label int) (int, bool) { i, ok := s.c.labels[label]; return i, ok }
-
-func (s coordSource) Coder() (codec.Coder, error) {
-	return nil, fmt.Errorf("cluster: coordinator has no local codec")
-}
-func (s coordSource) Frame(i int) (codec.Compressed, error) {
-	return nil, fmt.Errorf("cluster: coordinator holds no local frames")
-}
-func (s coordSource) Decompress(i int) (*tensor.Tensor, error) {
-	return nil, fmt.Errorf("cluster: coordinator holds no local frames")
+// Info carries the label only: selection is all Compile reads, and the
+// byte-level fields belong to the owning shard's file.
+func (s coordIndex) Info(i int) store.FrameInfo {
+	return store.FrameInfo{Label: s.c.infos[i].Label}
 }
 
 // ---- Backend ---------------------------------------------------------
@@ -263,11 +226,10 @@ func (c *Coordinator) Spec(ctx context.Context) (api.StoreInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return api.StoreInfo{}, api.FromError(err)
 	}
-	info := api.StoreInfo{Spec: c.spec, Frames: len(c.refs), Shards: len(c.groups)}
-	if len(c.specs) > 1 {
-		info.Specs = append([]string(nil), c.specs...)
-	}
-	return info, nil
+	return api.StoreInfo{
+		Spec: c.scatter.Spec, Specs: append([]string(nil), c.scatter.Specs...),
+		Frames: len(c.infos), Shards: len(c.groups),
+	}, nil
 }
 
 func (c *Coordinator) Frames(ctx context.Context) ([]api.FrameInfo, error) {
@@ -277,22 +239,37 @@ func (c *Coordinator) Frames(ctx context.Context) ([]api.FrameInfo, error) {
 	return append([]api.FrameInfo(nil), c.infos...), nil
 }
 
-// indexOf resolves a label to its global position.
-func (c *Coordinator) indexOf(label int) (int, error) {
+// owner resolves a label to its global position and owning shard.
+func (c *Coordinator) owner(ctx context.Context, label int) (int, *group, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, nil, api.FromError(err)
+	}
 	i, ok := c.labels[label]
 	if !ok {
-		return 0, api.FromError(fmt.Errorf("no frame with label %d: %w", label, api.ErrNotFound))
+		return 0, nil, api.FromError(fmt.Errorf("no frame with label %d: %w", label, api.ErrNotFound))
 	}
-	return i, nil
+	return i, c.groups[c.owners[i]], nil
+}
+
+// callOwner is group.call for a request that returns a value: fn runs
+// against g's replicas in health order, and the first success is the
+// answer.
+func callOwner[T any](ctx context.Context, g *group, affinity uint64, fn func(*api.Client) (T, error)) (T, error) {
+	var out T
+	err := g.call(ctx, affinity, func(cl *api.Client) error {
+		v, err := fn(cl)
+		if err == nil {
+			out = v
+		}
+		return err
+	})
+	return out, err
 }
 
 // FrameInfo resolves one label from the discovered inventory — the
 // O(1) FrameResolver capability, answered without a network hop.
 func (c *Coordinator) FrameInfo(ctx context.Context, label int) (api.FrameInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return api.FrameInfo{}, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
+	i, _, err := c.owner(ctx, label)
 	if err != nil {
 		return api.FrameInfo{}, err
 	}
@@ -300,72 +277,35 @@ func (c *Coordinator) FrameInfo(ctx context.Context, label int) (api.FrameInfo, 
 }
 
 func (c *Coordinator) Frame(ctx context.Context, label int) (*api.Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
+	_, g, err := c.owner(ctx, label)
 	if err != nil {
 		return nil, err
 	}
-	g := c.groups[c.refs[i].group]
-	var out *api.Frame
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		f, err := cl.Frame(ctx, label)
-		if err != nil {
-			return err
-		}
-		out = f
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return callOwner(ctx, g, c.ring.affinity(label), func(cl *api.Client) (*api.Frame, error) {
+		return cl.Frame(ctx, label)
+	})
 }
 
 // Payload proxies the raw compressed bytes from the owning shard.
 func (c *Coordinator) Payload(ctx context.Context, label int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
+	_, g, err := c.owner(ctx, label)
 	if err != nil {
 		return nil, err
 	}
-	g := c.groups[c.refs[i].group]
-	var out []byte
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		p, err := cl.Payload(ctx, label)
-		if err != nil {
-			return err
-		}
-		out = p
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return callOwner(ctx, g, c.ring.affinity(label), func(cl *api.Client) ([]byte, error) {
+		return cl.Payload(ctx, label)
+	})
 }
 
 // frameCall routes a per-frame request to the owning shard and remaps
 // the answer's index to the global position.
 func (c *Coordinator) frameCall(ctx context.Context, label int, fn func(*api.Client) (*query.FrameResult, error)) (*query.FrameResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
+	i, g, err := c.owner(ctx, label)
 	if err != nil {
 		return nil, err
 	}
-	g := c.groups[c.refs[i].group]
-	var out *query.FrameResult
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		fr, err := fn(cl)
-		if err != nil {
-			return err
-		}
-		out = fr
-		return nil
-	}); err != nil {
+	out, err := callOwner(ctx, g, c.ring.affinity(label), fn)
+	if err != nil {
 		return nil, err
 	}
 	out.Index = i
@@ -402,7 +342,7 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 	// Compile against the global view: validation errors surface
 	// identically to a single store's, whatever shard the frames live
 	// on — and the resolved selection is what the scatter routes.
-	p, err := query.Compile(coordSource{c}, req)
+	p, err := query.Compile(coordIndex{c}, req)
 	if err != nil {
 		return nil, api.FromError(err)
 	}
@@ -410,104 +350,25 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 	if req.Metric != nil {
 		return c.metricQuery(ctx, req, p)
 	}
-	return c.scatter(ctx, req, p.Frames(), p.Reduce())
+	return c.scatterQuery(ctx, req, p.Frames(), p.Reduce())
 }
 
-// part is one shard's contiguous share of a resolved selection.
-type part struct {
-	g        *group
-	from, to int // local positions, half-open
-}
-
-// partsOf routes resolved global positions (ascending) to shards,
-// merging consecutive same-shard frames into one part — shards cover
-// contiguous global ranges, so each touched shard yields exactly one
-// sub-query.
-func (c *Coordinator) partsOf(frames []int) []part {
-	var parts []part
-	for _, global := range frames {
-		r := c.refs[global]
-		if n := len(parts); n > 0 && parts[n-1].g.index == r.group {
-			parts[n-1].to = r.local + 1
-			continue
-		}
-		parts = append(parts, part{g: c.groups[r.group], from: r.local, to: r.local + 1})
-	}
-	return parts
-}
-
-// subRequest scopes req to one part: same work, selection translated
-// to the shard's local index range. The window's endpoints are
-// themselves selected frames, so the label glob plus the local range
-// resolves to exactly the part's frames on the remote side.
-func subRequest(req *query.Request, p part) *query.Request {
-	sub := *req
-	from, to := p.from, p.to
-	sub.Select = query.Selector{Labels: req.Select.Labels, From: &from, To: &to}
-	return &sub
-}
-
-// scatter fans req out to the owning shards and gathers the partial
-// results in global order.
-func (c *Coordinator) scatter(ctx context.Context, req *query.Request, frames []int, reduce []string) (*query.Result, error) {
-	parts := c.partsOf(frames)
-	clusterParts.Add(uint64(len(parts)))
-	ctx, span := obs.DefaultTracer.Start(ctx, "cluster.scatter")
-	span.SetDetail("parts=%d/%d", len(parts), len(c.groups))
-	defer span.End()
-
-	results := make([]*query.Result, len(parts))
-	errs := make([]error, len(parts))
-	if err := tensor.ParallelForCoarseCtx(ctx, len(parts), func(j int) {
-		start := time.Now()
-		sub := subRequest(req, parts[j])
-		errs[j] = parts[j].g.call(ctx, uint64(parts[j].from), func(cl *api.Client) error {
-			res, err := cl.Query(ctx, sub)
-			if err != nil {
-				return err
-			}
-			results[j] = res
-			return nil
-		})
-		clusterScatterSeconds.ObserveDuration(time.Since(start))
-	}); err != nil {
+// scatterQuery fans req out to the shards owning the resolved selection
+// and gathers the partial results in global order.
+func (c *Coordinator) scatterQuery(ctx context.Context, req *query.Request, frames []int, reduce []string) (*query.Result, error) {
+	res, err := c.scatter.Do(ctx, req, c.scatter.Route(frames), reduce)
+	if err != nil {
 		return nil, api.FromError(err)
 	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, api.FromError(err)
-	}
-	return c.gather(reduce, parts, results)
+	return res, nil
 }
 
-// gather merges per-shard results into one cluster answer: frame
-// results concatenate in global order with indices remapped, the
-// compressed-space flag ANDs, and reduction partials fold through
-// query.Moments into the plan's normalized kind list.
-func (c *Coordinator) gather(reduce []string, parts []part, results []*query.Result) (*query.Result, error) {
-	out := &query.Result{Spec: c.spec, ExecutedInCompressedSpace: true}
-	if len(c.specs) > 1 {
-		out.Specs = append([]string(nil), c.specs...)
-	}
-	total := query.EmptyMoments()
-	for j, r := range results {
-		base := parts[j].g.base
-		for _, fr := range r.Frames {
-			fr.Index += base
-			out.Frames = append(out.Frames, fr)
-		}
-		out.ExecutedInCompressedSpace = out.ExecutedInCompressedSpace && r.ExecutedInCompressedSpace
-		if r.Reduced != nil {
-			total.Merge(r.Reduced.Moments)
-		}
-	}
-	if len(reduce) > 0 {
-		reduced, err := total.Reduced(reduce)
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-		out.Reduced = reduced
-	}
-	return out, nil
+// runPart sends a sub-request to the shard it was routed to, with
+// replica failover.
+func (c *Coordinator) runPart(ctx context.Context, p query.Part, sub *query.Request) (*query.Result, error) {
+	return callOwner(ctx, c.groups[p.Shard], uint64(p.From), func(cl *api.Client) (*query.Result, error) {
+		return cl.Query(ctx, sub)
+	})
 }
 
 // metricQuery answers a metric request. When every coupled frame — the
@@ -521,21 +382,17 @@ func (c *Coordinator) gather(reduce []string, parts []part, results []*query.Res
 func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *query.Plan) (*query.Result, error) {
 	sel := p.Frames()
 	m := *req.Metric
-	owner := c.refs[sel[0]].group
-	oneShard := true
-	for _, i := range sel {
-		if c.refs[i].group != owner {
-			oneShard = false
-			break
-		}
-	}
+	// The selection ascends and shards own contiguous ranges, so its
+	// ends decide whether it spans shards.
+	owner := c.owners[sel[0]]
+	oneShard := c.owners[sel[len(sel)-1]] == owner
 	refGlobal := -1
 	if m.Against != nil {
-		refGlobal, _ = c.indexOf(*m.Against) // existence validated by Compile
-		oneShard = oneShard && c.refs[refGlobal].group == owner
+		refGlobal = c.labels[*m.Against] // existence validated by Compile
+		oneShard = oneShard && c.owners[refGlobal] == owner
 	}
 	if oneShard {
-		return c.forwardMetric(ctx, req, sel, c.groups[owner])
+		return c.forwardMetric(ctx, req, sel)
 	}
 
 	// The non-metric work of the request still merges exactly.
@@ -544,7 +401,7 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 	var res *query.Result
 	if len(stripped.Aggregates) > 0 || stripped.Region != nil || len(stripped.Point) > 0 || len(stripped.Reduce) > 0 {
 		var err error
-		if res, err = c.scatter(ctx, &stripped, sel, p.Reduce()); err != nil {
+		if res, err = c.scatterQuery(ctx, &stripped, sel, p.Reduce()); err != nil {
 			return nil, err
 		}
 	} else {
@@ -603,32 +460,17 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 // on one shard to that shard whole, preserving its engine's
 // compressed-space execution, and remaps the answer to the global
 // view.
-func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel []int, g *group) (*query.Result, error) {
-	from := c.refs[sel[0]].local
-	to := c.refs[sel[len(sel)-1]].local + 1
-	sub := *req
-	sub.Select = query.Selector{Labels: req.Select.Labels, From: &from, To: &to}
+func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel []int) (*query.Result, error) {
+	part := c.scatter.Route(sel)[0] // one shard owns all of sel
 	clusterParts.Inc()
-	var res *query.Result
-	if err := g.call(ctx, uint64(from), func(cl *api.Client) error {
-		r, err := cl.Query(ctx, &sub)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	}); err != nil {
+	res, err := c.runPart(ctx, part, part.Sub(req))
+	if err != nil {
 		return nil, err
 	}
 	for i := range res.Frames {
-		res.Frames[i].Index += g.base
+		res.Frames[i].Index += c.scatter.Bases[part.Shard]
 	}
-	res.Spec = c.spec
-	if len(c.specs) > 1 {
-		res.Specs = append([]string(nil), c.specs...)
-	} else {
-		res.Specs = nil
-	}
+	res.Spec, res.Specs = c.scatter.Spec, append([]string(nil), c.scatter.Specs...)
 	return res, nil
 }
 
@@ -636,10 +478,7 @@ func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel
 // carries: one entry per selected frame in global order, to hang
 // metric values off.
 func (c *Coordinator) skeleton(sel []int) *query.Result {
-	out := &query.Result{Spec: c.spec}
-	if len(c.specs) > 1 {
-		out.Specs = append([]string(nil), c.specs...)
-	}
+	out := &query.Result{Spec: c.scatter.Spec, Specs: append([]string(nil), c.scatter.Specs...)}
 	for _, i := range sel {
 		info := c.infos[i]
 		out.Frames = append(out.Frames, query.FrameResult{Index: i, Label: info.Label, Spec: info.Spec})
@@ -650,21 +489,12 @@ func (c *Coordinator) skeleton(sel []int) *query.Result {
 // fetchDecoded pulls one frame fully decompressed from its owning
 // shard, with replica failover.
 func (c *Coordinator) fetchDecoded(ctx context.Context, global int) (*tensor.Tensor, error) {
-	label := c.infos[global].Label
-	g := c.groups[c.refs[global].group]
-	var t *tensor.Tensor
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		f, err := cl.Frame(ctx, label)
-		if err != nil {
-			return err
-		}
-		t = tensor.FromSlice(f.Data, f.Shape...)
-		return nil
-	}); err != nil {
+	f, err := c.Frame(ctx, c.infos[global].Label)
+	if err != nil {
 		return nil, err
 	}
 	clusterRemoteFrames.Inc()
-	return t, nil
+	return tensor.FromSlice(f.Data, f.Shape...), nil
 }
 
 // ---- health probes ---------------------------------------------------

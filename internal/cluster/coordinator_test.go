@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -532,26 +533,27 @@ func TestDiscoveryRejectsInconsistentShards(t *testing.T) {
 	}
 	srvB := serveStore(t, filepath.Join(dirB, manB.Shards[0].Path))
 
-	mismatched := &Topology{
-		Version: TopologyVersion,
-		Shards: []ShardSpec{
-			{Name: "a", Replicas: []string{srvA.URL}},
-			{Name: "b", Replicas: []string{srvB.URL}},
-		},
-	}
-	if _, err := New(mismatched, Options{DisableProbes: true}); err == nil {
-		t.Error("shards with different default specs must not open")
-	}
-
-	duplicated := &Topology{
-		Version: TopologyVersion,
-		Shards: []ShardSpec{
-			{Name: "a", Replicas: []string{srvA.URL}},
-			{Name: "b", Replicas: []string{srvA.URL}},
-		},
-	}
-	if _, err := New(duplicated, Options{DisableProbes: true}); err == nil {
-		t.Error("two shards serving the same labels must not open")
+	// Both rejections are discovery's own verdict (internal, naming the
+	// offending shard) — not a dial or transport failure that happens to
+	// be non-nil.
+	for _, tc := range []struct {
+		why     string
+		replica string // shard b's; shard a always serves store A
+	}{
+		{"shards with different default specs", srvB.URL},
+		{"two shards serving the same labels", srvA.URL},
+	} {
+		topo := &Topology{
+			Version: TopologyVersion,
+			Shards: []ShardSpec{
+				{Name: "a", Replicas: []string{srvA.URL}},
+				{Name: "b", Replicas: []string{tc.replica}},
+			},
+		}
+		_, err := New(topo, Options{DisableProbes: true})
+		if api.CodeOf(err) != api.CodeInternal || !strings.Contains(err.Error(), "shard b") {
+			t.Errorf("%s must not open: got %v, want %s naming shard b", tc.why, err, api.CodeInternal)
+		}
 	}
 }
 

@@ -146,14 +146,10 @@ func (e *endpoint) probeBase() string {
 	return u.Scheme + "://" + u.Host
 }
 
-// group is one shard's replica set plus its slice of the global frame
-// range.
+// group is one shard's replica set.
 type group struct {
 	name      string
-	index     int // shard position in the topology
 	endpoints []*endpoint
-	base      int // global position of the shard's first frame
-	count     int // frames on this shard
 	cooldown  time.Duration
 	downAfter int
 }

@@ -98,7 +98,6 @@ type Options struct {
 // is still decoding from.
 type view struct {
 	refs  atomic.Int64
-	r     *store.Reader
 	local *api.Local
 }
 
@@ -116,7 +115,7 @@ func (v *view) acquire() bool {
 
 func (v *view) release() {
 	if v.refs.Add(-1) == 0 {
-		v.r.Close()
+		v.local.Close()
 	}
 }
 
@@ -676,7 +675,7 @@ func (s *Store) swapViewLocked() error {
 	if err != nil {
 		return fmt.Errorf("ingest: reopening store after commit: %w", err)
 	}
-	v := &view{r: r, local: api.NewLocal(r, query.New(r, query.Options{Cache: s.cache}))}
+	v := &view{local: api.NewLocal(r, query.New(r, query.Options{Cache: s.cache}).Run)}
 	v.refs.Store(1)
 	if old := s.cur.Swap(v); old != nil {
 		old.release()

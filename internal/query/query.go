@@ -34,14 +34,9 @@ import (
 // shard) with exactly single-store semantics. Implementations must be
 // safe for concurrent use; Info's positions are commit order.
 type Source interface {
+	Index
 	// Spec returns the codec spec every frame was written with.
 	Spec() string
-	// Len returns the number of frames.
-	Len() int
-	// Info returns the index entry of frame i.
-	Info(i int) store.FrameInfo
-	// IndexOf returns the position of the frame with the given label.
-	IndexOf(label int) (int, bool)
 	// Coder returns the codec that wrote the frames.
 	Coder() (codec.Coder, error)
 	// Frame reads and decodes frame i into the codec's compressed
@@ -49,6 +44,19 @@ type Source interface {
 	Frame(i int) (codec.Compressed, error)
 	// Decompress reads, decodes, and fully decompresses frame i.
 	Decompress(i int) (*tensor.Tensor, error)
+}
+
+// Index is the part of a Source that Compile reads: resolving a
+// selection needs the frame count, labels and label lookup, never frame
+// data — so a tier that holds no frames locally (cluster.Coordinator)
+// compiles against its discovered inventory.
+type Index interface {
+	// Len returns the number of frames.
+	Len() int
+	// Info returns the index entry of frame i.
+	Info(i int) store.FrameInfo
+	// IndexOf returns the position of the frame with the given label.
+	IndexOf(label int) (int, bool)
 }
 
 // FrameKeyer is an optional Source capability: a stable, process-wide
@@ -308,7 +316,7 @@ type Plan struct {
 
 // Compile validates req against the source and resolves the selection
 // into a Plan. All failures wrap ErrBadRequest.
-func Compile(src Source, req *Request) (*Plan, error) {
+func Compile(src Index, req *Request) (*Plan, error) {
 	if req == nil {
 		return nil, badf("nil request")
 	}
@@ -318,6 +326,10 @@ func Compile(src Source, req *Request) (*Plan, error) {
 		return nil, badf("empty query: request aggregates, a metric, a region, a point, or a reduction")
 	}
 
+	// Both kind lists are sized up front: grown one append at a time, a
+	// three-aggregate request paid three allocations for its list.
+	p.aggs = make([]string, 0, len(req.Aggregates))
+	p.reduce = make([]string, 0, len(req.Reduce))
 	seen := map[string]bool{}
 	for _, kind := range req.Aggregates {
 		compressible, ok := aggCompressible[kind]
@@ -397,7 +409,7 @@ func (p *Plan) Frames() []int { return append([]int(nil), p.frames...) }
 func (p *Plan) Reduce() []string { return append([]string(nil), p.reduce...) }
 
 // selectFrames resolves a Selector to store positions.
-func selectFrames(src Source, sel Selector) ([]int, error) {
+func selectFrames(src Index, sel Selector) ([]int, error) {
 	if sel.Labels != "" {
 		// Surface glob syntax errors before, not during, the scan.
 		if _, err := path.Match(sel.Labels, "0"); err != nil {

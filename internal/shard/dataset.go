@@ -29,13 +29,13 @@ type frameRef struct {
 type Dataset struct {
 	man     *Manifest
 	readers []*store.Reader
-	bases   []int // global position of each shard's first frame
 	total   int
 	refs    []frameRef  // global position → shard location
 	labels  map[int]int // label → global position
 	cache   *query.Cache
 	engines []*query.Engine // one per shard, sharing cache
 	unified *query.Engine   // over the concatenated view, for cross-shard plans
+	scatter query.Scatter   // over engines, for shard-local plans
 }
 
 // Open opens the dataset described by the manifest at path. Shard paths
@@ -53,7 +53,6 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 	dir := filepath.Dir(path)
 	d := &Dataset{
 		man:    man,
-		bases:  make([]int, len(man.Shards)),
 		labels: make(map[int]int),
 	}
 	ok := false
@@ -62,6 +61,7 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 			d.Close()
 		}
 	}()
+	bases := make([]int, len(man.Shards)) // global position of each shard's first frame
 	for s, sh := range man.Shards {
 		// Mapped where supported: payload reads across every shard serve
 		// zero-copy, same as a single mmap-opened store.
@@ -96,7 +96,7 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 					sh.Path, got, sh.CRC32)
 			}
 		}
-		d.bases[s] = d.total
+		bases[s] = d.total
 		for i := 0; i < r.Len(); i++ {
 			label := r.Info(i).Label
 			if label != sh.Labels[i] {
@@ -118,6 +118,13 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 		d.engines = append(d.engines, query.New(r, shardOpts))
 	}
 	d.unified = query.New(d, shardOpts)
+	d.scatter = query.Scatter{
+		Span: "shard.scatter", Bases: bases, Spec: d.Spec(),
+		Parts: shardParts, Seconds: shardScatterSeconds, Run: d.runPart,
+	}
+	if specs := d.Specs(); len(specs) > 1 {
+		d.scatter.Specs = specs
+	}
 	ok = true
 	return d, nil
 }
@@ -141,12 +148,6 @@ func (d *Dataset) Shards() int { return len(d.readers) }
 
 // Cache exposes the shared decoded-frame cache (for stats endpoints).
 func (d *Dataset) Cache() *query.Cache { return d.cache }
-
-// Locate maps a global frame position to its shard and local position.
-func (d *Dataset) Locate(i int) (shard, local int) {
-	ref := d.refs[i]
-	return ref.shard, ref.local
-}
 
 // Spec returns the codec spec shared by every shard.
 func (d *Dataset) Spec() string { return d.man.Spec }
