@@ -58,3 +58,18 @@ func ObserveOp(spec, op string, bytes int, d time.Duration) {
 		m.bytes.Add(uint64(bytes))
 	}
 }
+
+// TimedDecode decodes data with coder and records it as one "decode"
+// operation under spec — on success only. A payload that failed to decode
+// produced nothing, so it contributes neither a timing nor a byte count
+// to the goblaz_codec_* families; the caller's error path accounts for it.
+// Every layer that times a Decode (store.Reader.Frame on both its
+// branches, query.Engine.loadFrame) goes through here.
+func TimedDecode(coder Coder, spec string, data []byte) (Compressed, error) {
+	start := time.Now()
+	c, err := coder.Decode(data)
+	if err == nil {
+		ObserveOp(spec, "decode", len(data), time.Since(start))
+	}
+	return c, err
+}

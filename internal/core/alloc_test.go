@@ -1,0 +1,182 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/scalar"
+)
+
+// analyticsFrames builds two frames of the benchmark's analytics corpus
+// shape: 256×256, block=8x8, float=float32, index=int8 — 1024 blocks,
+// a 69.7 KB payload.
+func analyticsFrames(tb testing.TB) (*Compressor, *CompressedArray, *CompressedArray) {
+	tb.Helper()
+	s := DefaultSettings(8, 8)
+	s.IndexType = scalar.Int8
+	c, err := NewCompressor(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := c.Compress(smoothTensor(1, 256, 256))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := c.Compress(smoothTensor(2, 256, 256))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, a, b
+}
+
+type namedKernel struct {
+	name string
+	run  func() (float64, error)
+}
+
+// scalarKernels lists the eleven scalar-valued operations by name.
+func scalarKernels(c *Compressor, a, b *CompressedArray) []namedKernel {
+	return []namedKernel{
+		{"dot", func() (float64, error) { return c.Dot(a, b) }},
+		{"l2norm", func() (float64, error) { return c.L2Norm(a) }},
+		{"mean", func() (float64, error) { return c.Mean(a) }},
+		{"covariance", func() (float64, error) { return c.Covariance(a, b) }},
+		{"variance", func() (float64, error) { return c.Variance(a) }},
+		{"stddev", func() (float64, error) { return c.StdDev(a) }},
+		{"cosine", func() (float64, error) { return c.CosineSimilarity(a, b) }},
+		{"l2distance", func() (float64, error) { return c.L2Distance(a, b) }},
+		{"mse", func() (float64, error) { return c.MSE(a, b) }},
+		{"psnr", func() (float64, error) { return c.PSNR(a, b, 1) }},
+		{"nrmse", func() (float64, error) { return c.NormalizedRMSE(a, b, 1) }},
+	}
+}
+
+var sinkFloat float64
+
+// The guards below run in plain `go test`: they are what keeps the
+// compressed form from being inflated again one temporary at a time.
+
+func TestScalarKernelsDoNotAllocate(t *testing.T) {
+	c, a, b := analyticsFrames(t)
+	for _, k := range scalarKernels(c, a, b) {
+		allocs := testing.AllocsPerRun(5, func() {
+			v, err := k.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinkFloat = v
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", k.name, allocs)
+		}
+	}
+	ssim := testing.AllocsPerRun(5, func() {
+		v, err := c.StructuralSimilarity(a, b, DefaultSSIMOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkFloat = v
+	})
+	if ssim != 0 {
+		t.Errorf("StructuralSimilarity allocates %v objects per call, want 0", ssim)
+	}
+}
+
+func TestDecodeAllocatesNoMoreThanThePayload(t *testing.T) {
+	_, a, _ := analyticsFrames(t)
+	payload := mustEncode(t, a)
+	objects := testing.AllocsPerRun(10, func() {
+		if _, err := Decode(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if objects > 8 {
+		t.Errorf("Decode allocates %v objects, want ≤ 8", objects)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Decode(payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// F at its own width is what the payload holds; N widens f-bit floats
+	// to float64, 8 bytes a block.
+	limit := int64(1.1*float64(len(payload))) + 8*int64(a.NumBlocks())
+	if got := res.AllocedBytesPerOp(); got > limit {
+		t.Errorf("Decode allocates %d B for a %d B payload, want ≤ %d", got, len(payload), limit)
+	}
+}
+
+func TestEncodeAllocatesOnlyThePayload(t *testing.T) {
+	_, a, _ := analyticsFrames(t)
+	payload := mustEncode(t, a)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Encode(a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// One allocation, the stream itself. The runtime charges a large
+	// object by whole 8 KiB pages (this 69 682 B payload counts as
+	// 73 728), so the bound is the payload rounded up to a page rather
+	// than a percentage of it.
+	const page = 8192
+	if got, limit := res.AllocedBytesPerOp(), int64((len(payload)+page-1)/page*page); got > limit {
+		t.Errorf("Encode allocates %d B for a %d B payload, want ≤ %d", got, len(payload), limit)
+	}
+	if got := res.AllocsPerOp(); got > 1 {
+		t.Errorf("Encode allocates %d objects, want 1 (the pre-sized stream)", got)
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	_, a, _ := analyticsFrames(b)
+	payload, err := Encode(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncode(b *testing.B) {
+	_, a, _ := analyticsFrames(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payload, err := Encode(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(payload)))
+	}
+}
+
+func BenchmarkKernels(b *testing.B) {
+	c, x, y := analyticsFrames(b)
+	want := map[string]bool{"dot": true, "l2norm": true, "variance": true, "mse": true, "cosine": true}
+	for _, k := range scalarKernels(c, x, y) {
+		if !want[k.name] {
+			continue
+		}
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := k.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkFloat = v
+			}
+		})
+	}
+}

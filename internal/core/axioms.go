@@ -73,8 +73,8 @@ func (c *Compressor) CheckAxioms(rng *rand.Rand, shape []int, trials int) ([]Axi
 				return 0, err
 			}
 			worst := 0.0
-			for i := range a.F {
-				if d := math.Abs(float64(a.F[i] - nna.F[i])); d > worst {
+			for i := 0; i < a.F.Len(); i++ {
+				if d := math.Abs(float64(a.F.At(i) - nna.F.At(i))); d > worst {
 					worst = d
 				}
 			}
@@ -86,10 +86,8 @@ func (c *Compressor) CheckAxioms(rng *rand.Rand, shape []int, trials int) ([]Axi
 				return 0, err
 			}
 			worst := 0.0
-			for i := range a.F {
-				if a.F[i] != m.F[i] {
-					worst = 1
-				}
+			if !a.F.Equal(m.F) {
+				worst = 1
 			}
 			for k := range a.N {
 				if d := math.Abs(a.N[k] - m.N[k]); d > worst {
@@ -229,10 +227,8 @@ func (c *Compressor) CheckAxioms(rng *rand.Rand, shape []int, trials int) ([]Axi
 			if err != nil {
 				return 0, err
 			}
-			for i := range a.F {
-				if a.F[i] != back.F[i] {
-					return 1, nil
-				}
+			if !a.F.Equal(back.F) {
+				return 1, nil
 			}
 			for k := range a.N {
 				if a.N[k] != back.N[k] && !(math.IsNaN(a.N[k]) && math.IsNaN(back.N[k])) {

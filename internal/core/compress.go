@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bits"
 	"repro/internal/tensor"
 )
 
@@ -30,24 +31,34 @@ func (c *Compressor) Compress(t *tensor.Tensor) (*CompressedArray, error) {
 	// Step 2: blocking (zero-padded to block-shape multiples).
 	blocked := tensor.BlockTensor(conv, c.settings.BlockShape)
 
-	numBlocks := blocked.NumBlocks()
-	blockVol := blocked.BlockVol()
-	K := len(c.keep)
+	out := c.newArray(t.Shape(), blocked.Blocks)
+	c.k.compressBlocks(c, blocked, out)
+	return out, nil
+}
+
+// newArray returns a zeroed compressed array of the given geometry under
+// c's settings, with N and F allocated (F at the index width).
+func (c *Compressor) newArray(shape, blocks []int) *CompressedArray {
+	numBlocks := tensor.Prod(blocks)
 	out := &CompressedArray{
-		Shape:    append([]int(nil), t.Shape()...),
-		Blocks:   append([]int(nil), blocked.Blocks...),
+		Shape:    append([]int(nil), shape...),
+		Blocks:   append([]int(nil), blocks...),
 		N:        make([]float64, numBlocks),
-		F:        make([]int64, numBlocks*K),
 		Settings: c.Settings(),
 	}
+	c.k.alloc(&out.F, numBlocks*len(c.keep))
+	return out
+}
 
+// compressBlocks runs steps 3–5 on every block: orthonormal transform,
+// binning, pruning.
+func (w width[T]) compressBlocks(c *Compressor, blocked *tensor.Blocked, out *CompressedArray) {
+	K := len(c.keep)
 	ft := c.settings.FloatType
-	it := c.settings.IndexType
-	r := c.radius
-
-	// Steps 3–5 per block: orthonormal transform, binning, pruning.
-	tensor.ParallelFor(numBlocks, func(start, end int) {
-		scratch := make([]float64, blockVol)
+	f := w.of(out)
+	tensor.ParallelFor(blocked.NumBlocks(), func(start, end int) {
+		scratch := make([]float64, blocked.BlockVol())
+		kept := make([]float64, K)
 		for k := start; k < end; k++ {
 			block := blocked.Block(k)
 			c.tr.ForwardBlock(block, c.settings.BlockShape, scratch)
@@ -57,37 +68,48 @@ func (c *Compressor) Compress(t *tensor.Tensor) (*CompressedArray, error) {
 					block[i] = ft.Round(v)
 				}
 			}
-			// Binning: N_k = ‖C_k‖∞ over the whole block (§III-A(d)).
-			nk := 0.0
-			for _, v := range block {
-				if a := math.Abs(v); a > nk || math.IsNaN(a) {
-					nk = a
-				}
-			}
-			nk = ft.Round(nk)
+			// Binning: N_k = ‖C_k‖∞ over the whole block (§III-A(d)),
+			// pruned positions included.
+			nk := ft.Round(maxAbs(block))
 			out.N[k] = nk
-			// I = int(round(r·C ⊘ N)), kept positions only (pruning).
-			dst := out.F[k*K : (k+1)*K]
-			if nk == 0 {
-				for i := range dst {
-					dst[i] = 0
-				}
-				continue
-			}
 			for i, pos := range c.keep {
-				q := math.RoundToEven(r * block[pos] / nk)
-				if math.IsNaN(q) {
-					// N_k overflowed to Inf in reduced precision; the
-					// index is unrecoverable, store 0 (decompression will
-					// reproduce the NaN/Inf through N).
-					dst[i] = 0
-					continue
-				}
-				dst[i] = it.Clamp(int64(q))
+				kept[i] = block[pos]
 			}
+			bin(c, f[k*K:(k+1)*K], kept, nk)
 		}
 	})
-	return out, nil
+}
+
+// maxAbs returns ‖v‖∞, NaN if any element is.
+func maxAbs(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		if a := math.Abs(x); a > m || math.IsNaN(a) {
+			m = a
+		}
+	}
+	return m
+}
+
+// bin writes I = int(round(r·C ⊘ N)) for one block's kept coefficients,
+// clamped to [−r, r].
+func bin[T bits.Signed](c *Compressor, dst []T, coeffs []float64, nk float64) {
+	if nk == 0 {
+		clear(dst)
+		return
+	}
+	it := c.settings.IndexType
+	for i, v := range coeffs {
+		q := math.RoundToEven(c.radius * v / nk)
+		if math.IsNaN(q) {
+			// N_k overflowed to Inf in reduced precision; the index is
+			// unrecoverable, store 0 (decompression will reproduce the
+			// NaN/Inf through N).
+			dst[i] = 0
+			continue
+		}
+		dst[i] = T(it.Clamp(int64(q)))
+	}
 }
 
 // Decompress inverts the pipeline: scale F by N, inverse transform,
@@ -96,49 +118,58 @@ func (c *Compressor) Decompress(a *CompressedArray) (*tensor.Tensor, error) {
 	if err := c.checkOwned(a); err != nil {
 		return nil, err
 	}
-	blockVol := tensor.Prod(c.settings.BlockShape)
-	numBlocks := a.NumBlocks()
-	K := len(c.keep)
 	blocked := &tensor.Blocked{
 		Shape:      append([]int(nil), a.Shape...),
 		BlockShape: append([]int(nil), c.settings.BlockShape...),
 		Blocks:     append([]int(nil), a.Blocks...),
-		Data:       make([]float64, numBlocks*blockVol),
+		Data:       make([]float64, a.NumBlocks()*tensor.Prod(c.settings.BlockShape)),
 	}
-	ft := c.settings.FloatType
-	r := c.radius
-	tensor.ParallelFor(numBlocks, func(start, end int) {
-		scratch := make([]float64, blockVol)
+	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
+		scratch := make([]float64, blocked.BlockVol())
 		for k := start; k < end; k++ {
-			block := blocked.Block(k)
-			nk := a.N[k]
-			src := a.F[k*K : (k+1)*K]
-			for i, pos := range c.keep {
-				block[pos] = ft.Round(nk * float64(src[i]) / r)
-			}
-			c.tr.InverseBlock(block, c.settings.BlockShape, scratch)
+			c.k.inverseBlock(c, a, k, blocked.Block(k), scratch)
 		}
 	})
 	return blocked.Unblock(), nil
 }
 
+// inverseBlock reconstructs block k of a in place: scale its indices by
+// N_k (Algorithm 3), then invert the transform. Positions the mask pruned
+// must already be zero.
+func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, k int, block, scratch []float64) {
+	K := len(c.keep)
+	ft, r, nk := c.settings.FloatType, c.radius, a.N[k]
+	f := w.of(a)[k*K : (k+1)*K]
+	for i, pos := range c.keep {
+		block[pos] = ft.Round(nk * float64(f[i]) / r)
+	}
+	c.tr.InverseBlock(block, c.settings.BlockShape, scratch)
+}
+
 // specifiedCoefficients implements Algorithm 3: Ĉ = N ⊙ F ⊘ r, the kept
 // transform coefficients recovered from the compressed form. The result is
-// block-major with K entries per block, matching the layout of F.
+// block-major with K entries per block, matching the layout of F. It is
+// for callers whose result is the vector; reductions fuse the expression
+// into their own pass (ops.go).
 func (c *Compressor) specifiedCoefficients(a *CompressedArray) []float64 {
 	K := len(c.keep)
-	out := make([]float64, len(a.F))
-	r := c.radius
-	ft := c.settings.FloatType
+	out := make([]float64, a.F.Len())
 	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
 		for k := start; k < end; k++ {
-			nk := a.N[k]
-			for i := 0; i < K; i++ {
-				out[k*K+i] = ft.Round(nk * float64(a.F[k*K+i]) / r)
-			}
+			c.k.blockCoefficients(c, a, k, out[k*K:(k+1)*K])
 		}
 	})
 	return out
+}
+
+// blockCoefficients is Algorithm 3 for block k: its K specified
+// coefficients into dst.
+func (w width[T]) blockCoefficients(c *Compressor, a *CompressedArray, k int, dst []float64) {
+	K := len(c.keep)
+	ft, r, nk := c.settings.FloatType, c.radius, a.N[k]
+	for i, v := range w.of(a)[k*K : (k+1)*K] {
+		dst[i] = ft.Round(nk * float64(v) / r)
+	}
 }
 
 // rebin converts specified coefficients back to {N, F}: the shared tail of
@@ -147,39 +178,25 @@ func (c *Compressor) specifiedCoefficients(a *CompressedArray) []float64 {
 // block and is not retained.
 func (c *Compressor) rebin(a *CompressedArray, coeffs []float64) *CompressedArray {
 	K := len(c.keep)
-	out := &CompressedArray{
-		Shape:    append([]int(nil), a.Shape...),
-		Blocks:   append([]int(nil), a.Blocks...),
-		N:        make([]float64, a.NumBlocks()),
-		F:        make([]int64, len(a.F)),
-		Settings: c.Settings(),
-	}
-	r := c.radius
-	ft := c.settings.FloatType
-	it := c.settings.IndexType
-	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
+	out := c.newArray(a.Shape, a.Blocks)
+	c.k.rebinBlocks(c, out, func(k int, _ []float64) []float64 { return coeffs[k*K : (k+1)*K] })
+	return out
+}
+
+// rebinBlocks fills out's N and F from per-block specified coefficients.
+// coeffsOf returns block k's K coefficients; it may build them in the
+// scratch it is handed, which is private to the calling worker, so an
+// operation that produces an array needs O(K) scratch, not a second array.
+func (w width[T]) rebinBlocks(c *Compressor, out *CompressedArray, coeffsOf func(k int, scratch []float64) []float64) {
+	K := len(c.keep)
+	f := w.of(out)
+	tensor.ParallelFor(len(out.N), func(start, end int) {
+		scratch := make([]float64, K)
 		for k := start; k < end; k++ {
-			nk := 0.0
-			for i := 0; i < K; i++ {
-				if v := math.Abs(coeffs[k*K+i]); v > nk || math.IsNaN(v) {
-					nk = v
-				}
-			}
-			nk = ft.Round(nk)
+			coeffs := coeffsOf(k, scratch)
+			nk := c.settings.FloatType.Round(maxAbs(coeffs))
 			out.N[k] = nk
-			dst := out.F[k*K : (k+1)*K]
-			if nk == 0 {
-				continue
-			}
-			for i := 0; i < K; i++ {
-				q := math.RoundToEven(r * coeffs[k*K+i] / nk)
-				if math.IsNaN(q) {
-					dst[i] = 0
-					continue
-				}
-				dst[i] = it.Clamp(int64(q))
-			}
+			bin(c, f[k*K:(k+1)*K], coeffs, nk)
 		}
 	})
-	return out
 }

@@ -343,9 +343,9 @@ func TestCompressedArrayAccessors(t *testing.T) {
 		t.Errorf("PaddedLen=%d OriginalLen=%d", a.PaddedLen(), a.OriginalLen())
 	}
 	cl := a.Clone()
-	cl.F[0] = 99
+	cl.F.i16[0] = 99
 	cl.N[0] = 99
-	if a.F[0] == 99 || a.N[0] == 99 {
+	if a.F.At(0) == 99 || a.N[0] == 99 {
 		t.Error("Clone must deep-copy")
 	}
 }
@@ -361,9 +361,7 @@ func TestDecompressionDeterministic(t *testing.T) {
 		t.Error("decompression not deterministic")
 	}
 	a2 := compress(t, c, x)
-	for i := range a.F {
-		if a.F[i] != a2.F[i] {
-			t.Fatal("compression not deterministic")
-		}
+	if !a.F.Equal(a2.F) {
+		t.Fatal("compression not deterministic")
 	}
 }

@@ -14,18 +14,10 @@ import (
 // subtract-then-norm evaluation would add, so like Dot it introduces no
 // error beyond compression.
 func (c *Compressor) L2Distance(a, b *CompressedArray) (float64, error) {
-	aa, err := c.Dot(a, a)
-	if err != nil {
+	if err := c.checkPair(a, b); err != nil {
 		return 0, err
 	}
-	bb, err := c.Dot(b, b)
-	if err != nil {
-		return 0, err
-	}
-	ab, err := c.Dot(a, b)
-	if err != nil {
-		return 0, err
-	}
+	ab, aa, bb := c.k.dot3(c, a, b)
 	return math.Sqrt(math.Max(aa-2*ab+bb, 0)), nil
 }
 

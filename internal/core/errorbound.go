@@ -90,23 +90,37 @@ func (c *Compressor) BlockCovariances(a, b *CompressedArray) (*tensor.Tensor, er
 	if c.firstKept() < 0 {
 		return nil, errFirstPruned
 	}
-	K := len(c.keep)
-	ca := c.specifiedCoefficients(a)
-	cb := c.specifiedCoefficients(b)
-	vol := float64(tensor.Prod(c.settings.BlockShape))
 	out := tensor.New(a.Blocks...)
-	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
+	c.k.blockCovariances(c, a, b, out.Data())
+	return out, nil
+}
+
+// blockCovariances stores per block ⟨Ĉa,Ĉb⟩/∏i − mean(a)·mean(b) in dst.
+// With a == b (BlockVariances) each coefficient is recovered once.
+func (w width[T]) blockCovariances(c *Compressor, a, b *CompressedArray, dst []float64) {
+	K := len(c.keep)
+	ft, r := c.settings.FloatType, c.radius
+	fa, fb := w.of(a), w.of(b)
+	vol := float64(tensor.Prod(c.settings.BlockShape))
+	same := a == b
+	tensor.ParallelFor(len(dst), func(start, end int) {
 		for k := start; k < end; k++ {
+			na, nb := a.N[k], b.N[k]
+			ia, ib := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
 			dot := 0.0
-			for i := 0; i < K; i++ {
-				dot += ca[k*K+i] * cb[k*K+i]
+			for i, v := range ia {
+				ca := ft.Round(na * float64(v) / r)
+				cb := ca
+				if !same {
+					cb = ft.Round(nb * float64(ib[i]) / r)
+				}
+				dot += ca * cb
 			}
-			meanA := ca[k*K] / c.sqrtVol
-			meanB := cb[k*K] / c.sqrtVol
-			out.Data()[k] = dot/vol - meanA*meanB
+			meanA := ft.Round(na*float64(ia[0])/r) / c.sqrtVol
+			meanB := ft.Round(nb*float64(ib[0])/r) / c.sqrtVol
+			dst[k] = dot/vol - meanA*meanB
 		}
 	})
-	return out, nil
 }
 
 // BlockStdDevs returns the block-wise standard deviation (§IV-A8).

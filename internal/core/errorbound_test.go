@@ -215,7 +215,7 @@ func TestDecodeCorruptionRobustnessProperty(t *testing.T) {
 		if dec.Kept() < 0 || dec.Kept() > tensor.Prod(dec.Settings.BlockShape) {
 			return false
 		}
-		return len(dec.F) == dec.NumBlocks()*dec.Kept()
+		return dec.F.Len() == dec.NumBlocks()*dec.Kept()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -266,7 +266,7 @@ func TestHighDimensionalArrays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(back.F) != len(a.F) {
+		if back.F.Len() != a.F.Len() {
 			t.Errorf("%d-D: serialization changed F length", len(shape))
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/bits"
@@ -36,15 +38,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{magicByte})
 	f.Add([]byte{})
 	f.Add(blockVolOverflowStream())
+	f.Add(lowestIndexStream())
+	f.Add(payloadBitsOverflowStream())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)
 		if err != nil {
 			return
 		}
-		if dec.NumBlocks() <= 0 || len(dec.F) != dec.NumBlocks()*dec.Kept() {
+		if dec.NumBlocks() <= 0 || dec.F.Len() != dec.NumBlocks()*dec.Kept() {
 			t.Fatalf("inconsistent decode: blocks %d, F %d, kept %d",
-				dec.NumBlocks(), len(dec.F), dec.Kept())
+				dec.NumBlocks(), dec.F.Len(), dec.Kept())
 		}
 		// A decodable array must also be decompressible by a compressor
 		// built from its own settings.
@@ -83,6 +87,98 @@ func blockVolOverflowStream() []byte {
 func TestDecodeRejectsBlockVolumeOverflow(t *testing.T) {
 	if _, err := Decode(blockVolOverflowStream()); err == nil {
 		t.Fatal("header with 2^63 block volume must be rejected")
+	}
+}
+
+// payloadBitsOverflowStream crafts a 16 KiB header whose N and F would
+// need 2^40·(64 + 2^17·64) ≈ 2^63 bits: each factor passes its own bound,
+// and a product taken in int64 wraps negative and passes "have ≥ need".
+func payloadBitsOverflowStream() []byte {
+	var w bits.Writer
+	w.WriteBits(magicByte, 8)
+	w.WriteBits(0, 2) // transform: dct
+	w.WriteBits(uint64(scalar.Float64), 2)
+	w.WriteBits(uint64(scalar.Int64), 2)
+	w.WriteBits(1<<40, 64) // shape 2^40 × 1
+	w.WriteBits(1, 64)
+	w.WriteBits(shapeEnd, 64)
+	w.WriteBits(1, 64) // blocks of 1 × 2^17, all kept
+	w.WriteBits(1<<17, 64)
+	for i := 0; i < 1<<17; i += 64 {
+		w.WriteBits(^uint64(0), 64)
+	}
+	return w.Bytes()
+}
+
+// TestDecodeRejectsPayloadBitsOverflow: the header above must be refused
+// before Decode sizes an allocation by it.
+func TestDecodeRejectsPayloadBitsOverflow(t *testing.T) {
+	if _, err := Decode(payloadBitsOverflowStream()); err == nil {
+		t.Fatal("header needing 2^63 payload bits must be rejected")
+	}
+}
+
+// lowestIndexStream crafts an otherwise valid 2×2 int8 stream whose third
+// index is the bit pattern 0x80 = −2^(b−1). Binning clamps to [−r, r] and
+// never emits it; accepting it let Negate turn it into +2^(b−1), which
+// does not fit the index type, so −A kept that element's sign.
+func lowestIndexStream() []byte { return indexStream(math.MinInt8) }
+
+// indexStream writes a one-block 2×2 float32/int8 stream by hand, with
+// the given value as its third index.
+func indexStream(third int8) []byte {
+	var w bits.Writer
+	w.WriteBits(magicByte, 8)
+	w.WriteBits(0, 2) // transform: dct
+	w.WriteBits(uint64(scalar.Float32), 2)
+	w.WriteBits(uint64(scalar.Int8), 2)
+	w.WriteBits(2, 64) // shape 2×2
+	w.WriteBits(2, 64)
+	w.WriteBits(shapeEnd, 64)
+	w.WriteBits(2, 64) // one 2×2 block
+	w.WriteBits(2, 64)
+	w.WriteBits(0b1111, 4) // keep everything
+	w.WriteBits(uint64(math.Float32bits(1)), 32)
+	for _, idx := range []int8{127, 0, third, 5} {
+		w.WriteBits(uint64(idx), 8)
+	}
+	return w.Bytes()
+}
+
+// TestDecodeRejectsLowestIndex pins the range check outside the fuzz
+// harness, and that Encode refuses the same value: the only way to hold
+// it is to build the array by hand.
+func TestDecodeRejectsLowestIndex(t *testing.T) {
+	if _, err := Decode(lowestIndexStream()); !errors.Is(err, errIndexRange) {
+		t.Fatalf("stream holding index −128: %v, want %v", err, errIndexRange)
+	}
+	// The same stream with the index in range decodes, so it is the
+	// index that was refused and not the crafting.
+	a, err := Decode(indexStream(-127))
+	if err != nil {
+		t.Fatalf("stream holding index −127: %v", err)
+	}
+	if got := a.F.At(2); got != -127 {
+		t.Fatalf("decoded index = %d, want −127", got)
+	}
+	for it := scalar.Int8; it <= scalar.Int64; it++ {
+		s := DefaultSettings(2, 2)
+		s.IndexType = it
+		c := mustCompressor(t, s)
+		b := compress(t, c, tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2))
+		switch it {
+		case scalar.Int8:
+			b.F.i8[1] = math.MinInt8
+		case scalar.Int16:
+			b.F.i16[1] = math.MinInt16
+		case scalar.Int32:
+			b.F.i32[1] = math.MinInt32
+		default:
+			b.F.i64[1] = math.MinInt64
+		}
+		if _, err := Encode(b); !errors.Is(err, errIndexRange) {
+			t.Errorf("%v: Encode of index −2^(b−1): %v, want %v", it, err, errIndexRange)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ func (c *Compressor) FromCoefficients(template *CompressedArray, coeffs []float6
 	if err := c.checkOwned(template); err != nil {
 		return nil, err
 	}
-	if len(coeffs) != len(template.F) {
-		return nil, fmt.Errorf("core: coefficient vector length %d, want %d", len(coeffs), len(template.F))
+	if len(coeffs) != template.F.Len() {
+		return nil, fmt.Errorf("core: coefficient vector length %d, want %d", len(coeffs), template.F.Len())
 	}
 	return c.rebin(template, coeffs), nil
 }
@@ -136,7 +136,7 @@ func (c *Compressor) MeanValueGrad(a *CompressedArray) (float64, []float64, erro
 		return 0, nil, err
 	}
 	K := len(c.keep)
-	grad := make([]float64, len(a.F))
+	grad := make([]float64, a.F.Len())
 	w := c.sqrtVol / float64(a.OriginalLen())
 	for k := 0; k < a.NumBlocks(); k++ {
 		grad[k*K] = w
@@ -183,13 +183,7 @@ func (c *Compressor) FitScale(a, b *CompressedArray, steps int, learningRate flo
 	if err := c.checkPair(a, b); err != nil {
 		return 0, 0, err
 	}
-	ca := c.specifiedCoefficients(a)
-	cb := c.specifiedCoefficients(b)
-	aa, ab := 0.0, 0.0
-	for i := range ca {
-		aa += ca[i] * ca[i]
-		ab += ca[i] * cb[i]
-	}
+	ab, aa, bb := c.k.dot3(c, a, b)
 	if aa == 0 {
 		return 0, 0, fmt.Errorf("core: cannot fit against the zero array")
 	}
@@ -198,10 +192,6 @@ func (c *Compressor) FitScale(a, b *CompressedArray, steps int, learningRate flo
 		// d/dα ‖αA − B‖² = 2(α⟨A,A⟩ − ⟨A,B⟩).
 		g := 2 * (alpha*aa - ab)
 		alpha -= learningRate * g
-	}
-	bb := 0.0
-	for i := range cb {
-		bb += cb[i] * cb[i]
 	}
 	// The expansion cancels to ~0 for perfect fits; clamp the float dust.
 	loss = math.Max(alpha*alpha*aa-2*alpha*ab+bb, 0)

@@ -14,9 +14,7 @@ func (c *Compressor) Negate(a *CompressedArray) (*CompressedArray, error) {
 		return nil, err
 	}
 	out := a.Clone()
-	for i, v := range out.F {
-		out.F[i] = -v
-	}
+	out.F.negate()
 	return out, nil
 }
 
@@ -28,22 +26,35 @@ func (c *Compressor) Add(a, b *CompressedArray) (*CompressedArray, error) {
 	if err := c.checkPair(a, b); err != nil {
 		return nil, err
 	}
-	ca := c.specifiedCoefficients(a)
-	cb := c.specifiedCoefficients(b)
-	for i := range ca {
-		ca[i] += cb[i]
-	}
-	return c.rebin(a, ca), nil
+	return c.k.combine(c, a, b, 1), nil
 }
 
 // Subtract returns a − b as Add(a, Negate(b)), the compressed-space
-// difference used in the shallow-water experiment (§V-A).
+// difference used in the shallow-water experiment (§V-A). Negating an
+// index negates its coefficient exactly, so the negation is folded into
+// the addition instead of cloning b.
 func (c *Compressor) Subtract(a, b *CompressedArray) (*CompressedArray, error) {
-	nb, err := c.Negate(b)
-	if err != nil {
+	if err := c.checkPair(a, b); err != nil {
 		return nil, err
 	}
-	return c.Add(a, nb)
+	return c.k.combine(c, a, b, -1), nil
+}
+
+// combine rebins Ĉa + sign·Ĉb block by block; sign is ±1.
+func (w width[T]) combine(c *Compressor, a, b *CompressedArray, sign float64) *CompressedArray {
+	K := len(c.keep)
+	ft, r := c.settings.FloatType, c.radius
+	fa, fb := w.of(a), w.of(b)
+	out := c.newArray(a.Shape, a.Blocks)
+	w.rebinBlocks(c, out, func(k int, sum []float64) []float64 {
+		na, nb := a.N[k], b.N[k]
+		ba, bb := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
+		for i := range sum {
+			sum[i] = ft.Round(na*float64(ba[i])/r) + sign*ft.Round(nb*float64(bb[i])/r)
+		}
+		return sum
+	})
+	return out
 }
 
 // AddScalar implements Algorithm 4: adds x to every element by adding
@@ -58,13 +69,14 @@ func (c *Compressor) AddScalar(a *CompressedArray, x float64) (*CompressedArray,
 	if c.firstKept() < 0 {
 		return nil, errFirstPruned
 	}
-	K := len(c.keep)
-	coeffs := c.specifiedCoefficients(a)
 	delta := x * c.sqrtVol
-	for k := 0; k < a.NumBlocks(); k++ {
-		coeffs[k*K] += delta
-	}
-	return c.rebin(a, coeffs), nil
+	out := c.newArray(a.Shape, a.Blocks)
+	c.k.rebinBlocks(c, out, func(k int, coeffs []float64) []float64 {
+		c.k.blockCoefficients(c, a, k, coeffs)
+		coeffs[0] += delta
+		return coeffs
+	})
+	return out, nil
 }
 
 // MulScalar implements Algorithm 5: {s, i, N ⊙ |x|, F ⊙ sign(x)}.
@@ -80,12 +92,15 @@ func (c *Compressor) MulScalar(a *CompressedArray, x float64) (*CompressedArray,
 		out.N[k] = ft.Round(out.N[k] * ax)
 	}
 	if math.Signbit(x) {
-		for i, v := range out.F {
-			out.F[i] = -v
-		}
+		out.F.negate()
 	}
 	return out, nil
 }
+
+// The reductions below are single serial passes over N and F: each
+// element's coefficient is recovered with Algorithm 3's expression and
+// consumed at once, in block-major order, so nothing is materialised and
+// the summation order — which the answers' last bits depend on — is fixed.
 
 // Dot implements Algorithm 6: Σ(Ĉ1 ⊙ Ĉ2). Orthonormal transforms preserve
 // dot products, so this equals the dot product of the decompressed arrays
@@ -94,28 +109,64 @@ func (c *Compressor) Dot(a, b *CompressedArray) (float64, error) {
 	if err := c.checkPair(a, b); err != nil {
 		return 0, err
 	}
-	ca := c.specifiedCoefficients(a)
-	cb := c.specifiedCoefficients(b)
-	s := 0.0
-	for i := range ca {
-		s += ca[i] * cb[i]
-	}
-	return s, nil
+	ab, _, _ := c.k.dot3(c, a, b)
+	return ab, nil
 }
 
-// blockSums returns the per-block sums of the decompressed array: the
-// first coefficient of block k is its mean × √(∏i), so the block sum is
-// firstCoeff × √(∏i).
-func (c *Compressor) blockSums(a *CompressedArray) []float64 {
+// dot3 returns ⟨a,b⟩, ⟨a,a⟩ and ⟨b,b⟩ from one pass over both arrays.
+// The pass is bound by recovering the two coefficients, so the extra
+// sums ride free and Dot, Covariance, CosineSimilarity and L2Distance
+// share it.
+func (w width[T]) dot3(c *Compressor, a, b *CompressedArray) (ab, aa, bb float64) {
 	K := len(c.keep)
-	r := c.radius
-	ft := c.settings.FloatType
-	sums := make([]float64, a.NumBlocks())
-	for k := range sums {
-		first := ft.Round(a.N[k] * float64(a.F[k*K]) / r)
-		sums[k] = first * c.sqrtVol
+	ft, r := c.settings.FloatType, c.radius
+	fa, fb := w.of(a), w.of(b)
+	for k, na := range a.N {
+		nb := b.N[k]
+		ia, ib := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
+		for i, v := range ia {
+			ca, cb := ft.Round(na*float64(v)/r), ft.Round(nb*float64(ib[i])/r)
+			ab += ca * cb
+			aa += ca * ca
+			bb += cb * cb
+		}
 	}
-	return sums
+	return ab, aa, bb
+}
+
+// sumSquares returns ⟨a,a⟩ = Σ Ĉ², recovering each coefficient once.
+func (w width[T]) sumSquares(c *Compressor, a *CompressedArray) float64 {
+	K := len(c.keep)
+	ft, r := c.settings.FloatType, c.radius
+	f := w.of(a)
+	s := 0.0
+	for k, nk := range a.N {
+		for _, v := range f[k*K : (k+1)*K] {
+			ca := ft.Round(nk * float64(v) / r)
+			s += ca * ca
+		}
+	}
+	return s
+}
+
+// blockSums returns the sum of the decompressed array's elements, and
+// when dst is non-nil also stores each block's share in it: the first
+// coefficient of block k is its mean × √(∏i), so the block sum is
+// firstCoeff × √(∏i).
+func (w width[T]) blockSums(c *Compressor, a *CompressedArray, dst []float64) float64 {
+	K := len(c.keep)
+	ft, r := c.settings.FloatType, c.radius
+	f := w.of(a)
+	total := 0.0
+	for k, nk := range a.N {
+		// The conversion keeps the product from fusing into the sum.
+		s := float64(ft.Round(nk*float64(f[k*K])/r) * c.sqrtVol)
+		if dst != nil {
+			dst[k] = s
+		}
+		total += s
+	}
+	return total
 }
 
 // Mean implements Algorithm 7 with an exact padding correction. The
@@ -131,11 +182,7 @@ func (c *Compressor) Mean(a *CompressedArray) (float64, error) {
 	if c.firstKept() < 0 {
 		return 0, errFirstPruned
 	}
-	total := 0.0
-	for _, s := range c.blockSums(a) {
-		total += s
-	}
-	return total / float64(a.OriginalLen()), nil
+	return c.k.blockSums(c, a, nil) / float64(a.OriginalLen()), nil
 }
 
 // Covariance implements Algorithm 8 (population covariance), again with
@@ -149,17 +196,13 @@ func (c *Compressor) Covariance(a, b *CompressedArray) (float64, error) {
 	if c.firstKept() < 0 {
 		return 0, errFirstPruned
 	}
-	dot, err := c.Dot(a, b)
-	if err != nil {
-		return 0, err
+	var dot float64
+	if a == b {
+		dot = c.k.sumSquares(c, a)
+	} else {
+		dot, _, _ = c.k.dot3(c, a, b)
 	}
-	sumA, sumB := 0.0, 0.0
-	for _, s := range c.blockSums(a) {
-		sumA += s
-	}
-	for _, s := range c.blockSums(b) {
-		sumB += s
-	}
+	sumA, sumB := c.k.blockSums(c, a, nil), c.k.blockSums(c, b, nil)
 	n := float64(a.OriginalLen())
 	return (dot - sumA*sumB/n) / n, nil
 }
@@ -181,28 +224,19 @@ func (c *Compressor) StdDev(a *CompressedArray) (float64, error) {
 // L2Norm implements Algorithm 10: ‖Ĉ‖₂. Orthonormality makes this the L2
 // norm of the decompressed array. No additional error.
 func (c *Compressor) L2Norm(a *CompressedArray) (float64, error) {
-	d, err := c.Dot(a, a)
-	if err != nil {
+	if err := c.checkOwned(a); err != nil {
 		return 0, err
 	}
-	return math.Sqrt(d), nil
+	return math.Sqrt(c.k.sumSquares(c, a)), nil
 }
 
 // CosineSimilarity implements Algorithm 11: Dot(A,B) / (‖A‖₂·‖B‖₂).
 func (c *Compressor) CosineSimilarity(a, b *CompressedArray) (float64, error) {
-	p, err := c.Dot(a, b)
-	if err != nil {
+	if err := c.checkPair(a, b); err != nil {
 		return 0, err
 	}
-	na, err := c.L2Norm(a)
-	if err != nil {
-		return 0, err
-	}
-	nb, err := c.L2Norm(b)
-	if err != nil {
-		return 0, err
-	}
-	return p / (na * nb), nil
+	ab, aa, bb := c.k.dot3(c, a, b)
+	return ab / (math.Sqrt(aa) * math.Sqrt(bb)), nil
 }
 
 // BlockMeans returns the block-wise mean (§IV-A6): Ĉ...1 ⊘ √(∏i), shaped
@@ -215,10 +249,11 @@ func (c *Compressor) BlockMeans(a *CompressedArray) (*tensor.Tensor, error) {
 		return nil, errFirstPruned
 	}
 	vol := float64(tensor.Prod(c.settings.BlockShape))
-	sums := c.blockSums(a)
 	out := tensor.New(a.Blocks...)
-	for k, s := range sums {
-		out.Data()[k] = s / vol
+	means := out.Data()
+	c.k.blockSums(c, a, means)
+	for k := range means {
+		means[k] /= vol
 	}
 	return out, nil
 }
@@ -227,28 +262,7 @@ func (c *Compressor) BlockMeans(a *CompressedArray) (*tensor.Tensor, error) {
 // each block, mean of squared coefficients minus squared block mean,
 // over the block's ∏i (padded) elements.
 func (c *Compressor) BlockVariances(a *CompressedArray) (*tensor.Tensor, error) {
-	if err := c.checkOwned(a); err != nil {
-		return nil, err
-	}
-	if c.firstKept() < 0 {
-		return nil, errFirstPruned
-	}
-	K := len(c.keep)
-	coeffs := c.specifiedCoefficients(a)
-	vol := float64(tensor.Prod(c.settings.BlockShape))
-	out := tensor.New(a.Blocks...)
-	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
-		for k := start; k < end; k++ {
-			energy := 0.0
-			for i := 0; i < K; i++ {
-				v := coeffs[k*K+i]
-				energy += v * v
-			}
-			mean := coeffs[k*K] / c.sqrtVol // first coeff / √vol
-			out.Data()[k] = energy/vol - mean*mean
-		}
-	})
-	return out, nil
+	return c.BlockCovariances(a, a)
 }
 
 // SSIMOptions configures StructuralSimilarity (Algorithm 12).

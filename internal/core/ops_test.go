@@ -41,10 +41,8 @@ func TestTableINegationExact(t *testing.T) {
 	}
 	// Negation twice is the identity on the compressed form.
 	nna, _ := c.Negate(na)
-	for i := range a.F {
-		if nna.F[i] != a.F[i] {
-			t.Fatal("negate∘negate should be the identity on F")
-		}
+	if !nna.F.Equal(a.F) {
+		t.Fatal("negate∘negate should be the identity on F")
 	}
 }
 

@@ -92,12 +92,7 @@ func TestNegationInvolutionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range a.F {
-			if a.F[i] != nna.F[i] {
-				return false
-			}
-		}
-		return true
+		return a.F.Equal(nna.F)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -306,13 +301,8 @@ func TestSerializationRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(back.F) != len(a.F) {
+		if !back.F.Equal(a.F) {
 			return false
-		}
-		for i := range a.F {
-			if back.F[i] != a.F[i] {
-				return false
-			}
 		}
 		for i := range a.N {
 			if back.N[i] != a.N[i] {

@@ -42,9 +42,6 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 
 	out := tensor.New(shape...)
 	blockVol := tensor.Prod(bs)
-	K := len(c.keep)
-	r := c.radius
-	ft := c.settings.FloatType
 
 	// Iterate over overlapped blocks; decompress each into a scratch
 	// buffer and scatter the in-region cells.
@@ -61,15 +58,8 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 			k = k*a.Blocks[i] + blockIdx[i]
 		}
 		// Decompress block k (same math as Decompress, one block).
-		for i := range block {
-			block[i] = 0
-		}
-		nk := a.N[k]
-		fs := a.F[k*K : (k+1)*K]
-		for i, pos := range c.keep {
-			block[pos] = ft.Round(nk * float64(fs[i]) / r)
-		}
-		c.tr.InverseBlock(block, bs, scratch)
+		clear(block)
+		c.k.inverseBlock(c, a, k, block, scratch)
 
 		// Scatter the cells that fall inside the region.
 		for i := range inner {

@@ -22,12 +22,19 @@ const magicByte = 0xB7
 // end of s"); no real extent is 2^64−1.
 const shapeEnd = ^uint64(0)
 
+// errIndexRange rejects the one index bit pattern binning never produces,
+// −2^(b−1) (scalar.IndexType.Clamp): bins are symmetric about zero, and
+// negating that index would wrap.
+var errIndexRange = errors.New("core: index outside [-r, r]")
+
 // Encode serializes a into the paper's compressed form.
 func Encode(a *CompressedArray) ([]byte, error) {
-	if err := a.Settings.Validate(); err != nil {
+	size, err := CompressedSizeBits(a.Settings, a.Shape)
+	if err != nil {
 		return nil, err
 	}
 	var w bits.Writer
+	w.Grow(int(size) + 10) // the §IV-C inventory plus magic and transform
 	w.WriteBits(magicByte, 8)
 	w.WriteBits(uint64(a.Settings.Transform), 2)
 	// The paper's 4 bits of type information: 2 for the float type, 2 for
@@ -59,15 +66,38 @@ func Encode(a *CompressedArray) ([]byte, error) {
 	for _, n := range a.N {
 		w.WriteBits(floatToBits(n, a.Settings.FloatType), fbits)
 	}
-	// F, i bits per kept index.
-	if want := a.NumBlocks() * kept; len(a.F) != want {
-		return nil, fmt.Errorf("core: F length %d does not match blocks×kept = %d", len(a.F), want)
+	// F, i bits per kept index. The switch calls the generic body
+	// directly rather than through kernels so w stays on the stack.
+	want, it := a.NumBlocks()*kept, a.Settings.IndexType
+	switch it {
+	case scalar.Int8:
+		err = packIndices(&w, a.F.i8, want, it)
+	case scalar.Int16:
+		err = packIndices(&w, a.F.i16, want, it)
+	case scalar.Int32:
+		err = packIndices(&w, a.F.i32, want, it)
+	default:
+		err = packIndices(&w, a.F.i64, want, it)
 	}
-	ibits := uint(a.Settings.IndexType.Bits())
-	for _, v := range a.F {
-		w.WriteBits(uint64(v), ibits)
+	if err != nil {
+		return nil, err
 	}
 	return w.Bytes(), nil
+}
+
+func packIndices[T bits.Signed](w *bits.Writer, f []T, want int, it scalar.IndexType) error {
+	if len(f) != want {
+		return fmt.Errorf("core: F length %d does not match blocks×kept = %d", len(f), want)
+	}
+	ibits := uint(it.Bits())
+	lowest := T(-it.Radius() - 1)
+	for _, v := range f {
+		if v == lowest {
+			return errIndexRange
+		}
+		w.WriteBits(uint64(v), ibits)
+	}
+	return nil
 }
 
 // Decode parses a compressed stream back into a CompressedArray.
@@ -169,17 +199,18 @@ func Decode(data []byte) (*CompressedArray, error) {
 		numBlocks *= blocks[d]
 	}
 	// The remaining stream must hold exactly N and F; reject corrupted
-	// headers before allocating anything sized by them.
-	needBits := int64(numBlocks)*int64(s.FloatType.Bits()) +
-		int64(numBlocks)*int64(kept)*int64(s.IndexType.Bits())
-	if int64(r.Remaining()) < needBits {
-		return nil, fmt.Errorf("core: stream too short: need %d bits, have %d", needBits, r.Remaining())
+	// headers before allocating anything sized by them. numBlocks ≤ 2^40
+	// and kept ≤ 2^40 bound each factor but not the product, so compare
+	// by division: a header claiming 2^63 bits must not wrap into range.
+	blockBits := s.FloatType.Bits() + kept*s.IndexType.Bits()
+	if numBlocks > r.Remaining()/blockBits {
+		return nil, fmt.Errorf("core: stream too short: need %d blocks of %d bits, have %d bits",
+			numBlocks, blockBits, r.Remaining())
 	}
 	a := &CompressedArray{
 		Shape:    shape,
 		Blocks:   blocks,
 		N:        make([]float64, numBlocks),
-		F:        make([]int64, numBlocks*kept),
 		Settings: s,
 	}
 	fbits := uint(s.FloatType.Bits())
@@ -190,15 +221,36 @@ func Decode(data []byte) (*CompressedArray, error) {
 		}
 		a.N[k] = floatFromBits(v, s.FloatType)
 	}
-	ibits := uint(s.IndexType.Bits())
-	for i := range a.F {
-		v, err := r.ReadBits(ibits)
-		if err != nil {
-			return nil, err
-		}
-		a.F[i] = bits.SignExtend(v, ibits)
+	// F is bulk-unpacked at its own width, so the decoded array holds no
+	// more than the payload did. As in Encode, the switch keeps r on the
+	// stack.
+	n := numBlocks * kept
+	switch s.IndexType {
+	case scalar.Int8:
+		a.F.i8, err = unpackIndices[int8](r, n, s.IndexType)
+	case scalar.Int16:
+		a.F.i16, err = unpackIndices[int16](r, n, s.IndexType)
+	case scalar.Int32:
+		a.F.i32, err = unpackIndices[int32](r, n, s.IndexType)
+	default:
+		a.F.i64, err = unpackIndices[int64](r, n, s.IndexType)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
+}
+
+func unpackIndices[T bits.Signed](r *bits.Reader, n int, it scalar.IndexType) ([]T, error) {
+	f := make([]T, n)
+	sawLowest, err := bits.UnpackSigned(r, f, uint(it.Bits()))
+	if err != nil {
+		return nil, err
+	}
+	if sawLowest {
+		return nil, errIndexRange
+	}
+	return f, nil
 }
 
 func floatToBits(x float64, ft scalar.FloatType) uint64 {

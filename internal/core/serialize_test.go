@@ -139,12 +139,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if !back.Settings.equal(a.Settings) {
 			t.Fatalf("config %d: settings round trip failed", i)
 		}
-		if len(back.F) != len(a.F) {
-			t.Fatalf("config %d: F length %d vs %d", i, len(back.F), len(a.F))
+		if back.F.Len() != a.F.Len() {
+			t.Fatalf("config %d: F length %d vs %d", i, back.F.Len(), a.F.Len())
 		}
-		for j := range a.F {
-			if back.F[j] != a.F[j] {
-				t.Fatalf("config %d: F[%d] = %d vs %d", i, j, back.F[j], a.F[j])
+		for j := 0; j < a.F.Len(); j++ {
+			if back.F.At(j) != a.F.At(j) {
+				t.Fatalf("config %d: F[%d] = %d vs %d", i, j, back.F.At(j), a.F.At(j))
 			}
 		}
 		for j := range a.N {
@@ -197,7 +197,7 @@ func TestEncodeValidatesSettings(t *testing.T) {
 		Shape:    []int{4},
 		Blocks:   []int{1},
 		N:        []float64{1},
-		F:        []int64{1},
+		F:        Indices{i16: []int16{1}},
 		Settings: Settings{BlockShape: []int{3}},
 	}
 	if _, err := Encode(a); err == nil {
@@ -207,7 +207,7 @@ func TestEncodeValidatesSettings(t *testing.T) {
 		Shape:    []int{4},
 		Blocks:   []int{1},
 		N:        []float64{1},
-		F:        []int64{1, 2, 3}, // wrong length
+		F:        Indices{i16: []int16{1, 2, 3}}, // wrong length
 		Settings: DefaultSettings(4),
 	}
 	if _, err := Encode(b); err == nil {

@@ -5,9 +5,18 @@
 //
 // Compression follows the five-step pipeline of §III-A: data type
 // conversion, blocking, orthonormal transform, binning, pruning.
-// Decompression runs the steps in reverse. Block loops are parallelized
-// with tensor.ParallelFor, this repository's stand-in for the CUDA
-// threads PyBlaz gets from PyTorch.
+// Decompression runs the steps in reverse. The loops whose blocks are
+// independent — compression, decompression, and the operations that
+// produce an array or a per-block tensor — are parallelized with
+// tensor.ParallelFor, this repository's stand-in for the CUDA threads
+// PyBlaz gets from PyTorch. The scalar reductions (Dot, L2Norm, Mean,
+// Covariance and everything built on them) are single serial passes over
+// N and F that allocate nothing: the summation order is part of the
+// answer.
+//
+// F is held in memory at the width of the index type (an int8 stream is
+// a []int8), so a decoded array is no larger than its payload. Every loop
+// over F has one generic body on width[T], picked once per call.
 package core
 
 import (
@@ -109,7 +118,8 @@ func (s Settings) equal(o Settings) bool {
 type Compressor struct {
 	settings Settings
 	tr       *transform.Transform
-	keep     []int // intrablock positions kept by the mask, ascending
+	keep     []int   // intrablock positions kept by the mask, ascending
+	k        kernels // the F-touching loops at settings.IndexType's width
 	radius   float64
 	// sqrtVol is c = √(∏i), the scale between a block's first coefficient
 	// and its mean (§IV-A3).
@@ -136,6 +146,7 @@ func NewCompressor(s Settings) (*Compressor, error) {
 		settings: s,
 		tr:       transform.New(s.Transform),
 		keep:     keep,
+		k:        byIndexType[s.IndexType],
 		radius:   float64(s.IndexType.Radius()),
 		sqrtVol:  math.Sqrt(float64(vol)),
 	}, nil

@@ -156,11 +156,7 @@ func (e *Engine) loadFrame(i int) (codec.Compressed, error) {
 		return nil, err
 	}
 	*bp = data // keep the grown capacity for the next lease
-	start := time.Now()
-	c, err := coder.Decode(data)
-	if err == nil {
-		codec.ObserveOp(caps.spec, "decode", len(data), time.Since(start))
-	}
+	c, err := codec.TimedDecode(coder, caps.spec, data)
 	putPayloadBuf(bp)
 	return c, err
 }

@@ -76,17 +76,22 @@ func (t FloatType) Bits() int {
 // Round rounds x to the nearest value representable in type t, using
 // round-to-nearest-even, and returns it widened back to float64.
 func (t FloatType) Round(x float64) float64 {
-	switch t {
-	case BFloat16:
-		return FromBFloat16Bits(ToBFloat16Bits(x))
-	case Float16:
-		return FromFloat16Bits(ToFloat16Bits(x))
-	case Float32:
+	// The hardware types are answered here so the call inlines into the
+	// per-coefficient loops of internal/core; the emulated ones are not.
+	if t == Float32 {
 		return float64(float32(x))
-	case Float64:
-		return x
+	}
+	if t < Float32 {
+		return t.roundHalf(x)
 	}
 	return x
+}
+
+func (t FloatType) roundHalf(x float64) float64 {
+	if t == BFloat16 {
+		return FromBFloat16Bits(ToBFloat16Bits(x))
+	}
+	return FromFloat16Bits(ToFloat16Bits(x))
 }
 
 // RoundSlice rounds every element of xs in place through type t and

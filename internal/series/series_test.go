@@ -208,10 +208,8 @@ func TestPipelinePreservesOrder(t *testing.T) {
 			t.Fatalf("order broken: label at %d is %d", i, piped.Label(i))
 		}
 		a, b := piped.Frame(i), serial.Frame(i)
-		for j := range a.F {
-			if a.F[j] != b.F[j] {
-				t.Fatalf("frame %d differs between pipeline and serial append", i)
-			}
+		if !a.F.Equal(b.F) {
+			t.Fatalf("frame %d differs between pipeline and serial append", i)
 		}
 	}
 }

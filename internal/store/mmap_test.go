@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // writeStoreFile materializes a buildStore image on disk.
@@ -228,4 +231,67 @@ func (b bytesReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// TestFailedDecodeIsNotObservedAsDecode stores one good frame and one
+// whose payload is garbage with a valid CRC: the store serves it, the
+// codec refuses it. On both open paths the refused frame must not be
+// counted — or timed, or sized — as a decode in goblaz_codec_*.
+func TestFailedDecodeIsNotObservedAsDecode(t *testing.T) {
+	// A spec no other test in this package decodes, so the cells are ours.
+	coder := mustCoder(t, "goblaz:block=2x2,float=float64,index=int32")
+	c, err := coder.Compress(testFrame(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := coder.Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, coder.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, good); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(1, []byte("not a goblaz stream")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := writeStoreFile(t, buf.Bytes())
+
+	labels := "{op=decode,spec=" + coder.Spec() + "}"
+	read := func() (total, count, bytes float64) {
+		flat := obs.Default.Snapshot().Flatten()
+		return flat["goblaz_codec_op_total"+labels],
+			flat["goblaz_codec_op_seconds"+labels+"_count"],
+			flat["goblaz_codec_op_bytes_total"+labels]
+	}
+	for name, open := range map[string]func(string) (*Reader, error){"readat": Open, "mmap": OpenReaderMmap} {
+		r, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		total0, count0, bytes0 := read()
+		if _, err := r.Frame(0); err != nil {
+			t.Fatalf("%s: good frame: %v", name, err)
+		}
+		total1, count1, bytes1 := read()
+		if total1 != total0+1 || count1 != count0+1 || bytes1 != bytes0+float64(len(good)) {
+			t.Errorf("%s: a good decode moved (total, timings, bytes) by (%g, %g, %g), want (1, 1, %d)",
+				name, total1-total0, count1-count0, bytes1-bytes0, len(good))
+		}
+		if _, err := r.Frame(1); err == nil {
+			t.Fatalf("%s: garbage frame decoded", name)
+		}
+		if total2, count2, bytes2 := read(); total2 != total1 || count2 != count1 || bytes2 != bytes1 {
+			t.Errorf("%s: a failed decode moved (total, timings, bytes) by (%g, %g, %g), want none",
+				name, total2-total1, count2-count1, bytes2-bytes1)
+		}
+		r.Close()
+	}
 }

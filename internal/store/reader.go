@@ -483,19 +483,13 @@ func (r *Reader) Frame(i int) (codec.Compressed, error) {
 		}
 		payloadReadsMmap.Inc()
 		payloadBytesMmap.Add(uint64(len(view)))
-		start := time.Now()
-		c, err := coder.Decode(view)
-		codec.ObserveOp(r.FrameSpec(i), "decode", len(view), time.Since(start))
-		return c, err
+		return codec.TimedDecode(coder, r.FrameSpec(i), view)
 	}
 	payload, err := r.Payload(i)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	c, err := coder.Decode(payload)
-	codec.ObserveOp(r.FrameSpec(i), "decode", len(payload), time.Since(start))
-	return c, err
+	return codec.TimedDecode(coder, r.FrameSpec(i), payload)
 }
 
 // Decompress reads, decodes, and fully decompresses frame i with the

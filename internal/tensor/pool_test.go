@@ -67,7 +67,6 @@ func TestParallelForNested(t *testing.T) {
 	defer SetParallelThreshold(old)
 	ParallelFor(outer, func(start, end int) {
 		for i := start; i < end; i++ {
-			total += 0 // keep loop shape obvious
 			ParallelFor(inner, func(s, e int) {
 				atomic.AddInt64(&total, int64(e-s))
 			})
