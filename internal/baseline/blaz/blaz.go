@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/tensor"
 	"repro/internal/transform"
 )
 
@@ -55,7 +56,8 @@ type Compressed struct {
 	Indices []int8
 }
 
-var dct = transform.New(transform.DCT)
+// dct is the 8×8 DCT resolved once; its axes need no scratch.
+var dct = transform.New(transform.DCT).Plan([]int{BlockSide, BlockSide})
 
 // keepPositions lists the intrablock positions kept by the pruning mask:
 // everything except the 6×6 square at the high corner.
@@ -90,22 +92,21 @@ func Compress(data []float64, rows, cols int) (*Compressed, error) {
 		Indices:  make([]int8, br*bc*keptPerBlock),
 	}
 	block := make([]float64, blockVol)
-	scratch := make([]float64, blockVol)
+	cur := tensor.NewBlockCursor([]int{br, bc}, []int{BlockSide, BlockSide}, nil, []int{rows, cols})
 	for by := 0; by < br; by++ {
 		for bx := 0; bx < bc; bx++ {
 			k := by*bc + bx
-			// Gather, padding partial blocks by edge replication.
-			for r := 0; r < BlockSide; r++ {
-				for c := 0; c < BlockSide; c++ {
-					sr, sc := by*BlockSide+r, bx*BlockSide+c
-					if sr >= rows {
-						sr = rows - 1
-					}
-					if sc >= cols {
-						sc = cols - 1
-					}
-					block[r*BlockSide+c] = data[sr*cols+sc]
+			// Gather, then pad partial blocks by edge replication: the
+			// last valid column across, the last valid row down.
+			cur.Gather(block, data, k)
+			nr, nc := min(BlockSide, rows-by*BlockSide), min(BlockSide, cols-bx*BlockSide)
+			for r := 0; r < nr; r++ {
+				for c := nc; c < BlockSide; c++ {
+					block[r*BlockSide+c] = block[r*BlockSide+nc-1]
 				}
+			}
+			for r := nr; r < BlockSide; r++ {
+				copy(block[r*BlockSide:(r+1)*BlockSide], block[(nr-1)*BlockSide:nr*BlockSide])
 			}
 			out.First[k] = block[0]
 			// 2-D differentiation: rows from the left neighbour (bottom-up
@@ -120,7 +121,7 @@ func Compress(data []float64, rows, cols int) (*Compressed, error) {
 			}
 			block[0] = 0
 			// Block-wise DCT.
-			dct.ForwardBlock(block, []int{BlockSide, BlockSide}, scratch)
+			dct.Forward(block, nil)
 			// Biggest coefficient and binning.
 			maxC := 0.0
 			for _, v := range block {
@@ -154,7 +155,7 @@ func Compress(data []float64, rows, cols int) (*Compressed, error) {
 func Decompress(a *Compressed) []float64 {
 	out := make([]float64, a.Rows*a.Cols)
 	block := make([]float64, blockVol)
-	scratch := make([]float64, blockVol)
+	cur := tensor.NewBlockCursor([]int{a.BlockRows, a.BlockCols}, []int{BlockSide, BlockSide}, nil, []int{a.Rows, a.Cols})
 	for by := 0; by < a.BlockRows; by++ {
 		for bx := 0; bx < a.BlockCols; bx++ {
 			k := by*a.BlockCols + bx
@@ -165,7 +166,7 @@ func Decompress(a *Compressed) []float64 {
 			for j, pos := range keepPositions {
 				block[pos] = a.MaxCoeff[k] * float64(src[j]) / radius
 			}
-			dct.InverseBlock(block, []int{BlockSide, BlockSide}, scratch)
+			dct.Inverse(block, nil)
 			// Integrate: first column cumulatively from the stored first
 			// element, then each row left to right.
 			block[0] = a.First[k]
@@ -177,14 +178,7 @@ func Decompress(a *Compressed) []float64 {
 					block[r*BlockSide+c] += block[r*BlockSide+c-1]
 				}
 			}
-			for r := 0; r < BlockSide; r++ {
-				for c := 0; c < BlockSide; c++ {
-					dr, dc := by*BlockSide+r, bx*BlockSide+c
-					if dr < a.Rows && dc < a.Cols {
-						out[dr*a.Cols+dc] = block[r*BlockSide+c]
-					}
-				}
-			}
+			cur.Scatter(out, block, k)
 		}
 	}
 	return out

@@ -41,7 +41,7 @@ func Decode(data []byte) (*Compressed, error) {
 	}
 	bpv := int(data[2])
 	d := int(data[3])
-	if d < 1 || d > 3 || bpv < 1 || bpv > 64 {
+	if d < 1 || d > 3 {
 		return nil, fmt.Errorf("zfpsim: bad header (bpv %d, dims %d)", bpv, d)
 	}
 	pos := 4
@@ -62,6 +62,12 @@ func Decode(data []byte) (*Compressed, error) {
 	for i := 0; i < d; i++ {
 		blockVol *= BlockSide
 	}
+	// A rate Compress refuses never comes from Encode; accepting it here
+	// would hand readBlock a budget smaller than its own header.
+	settings := Settings{BitsPerValue: bpv}
+	if err := settings.checkRate(blockVol); err != nil {
+		return nil, err
+	}
 	wantBits := numBlocks * bpv * blockVol
 	wantBytes := (wantBits + 7) / 8
 	if len(data)-pos != wantBytes {
@@ -69,7 +75,7 @@ func Decode(data []byte) (*Compressed, error) {
 	}
 	return &Compressed{
 		Shape:    shape,
-		Settings: Settings{BitsPerValue: bpv},
+		Settings: settings,
 		Payload:  append([]byte(nil), data[pos:]...),
 	}, nil
 }

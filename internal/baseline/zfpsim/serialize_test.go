@@ -69,3 +69,31 @@ func TestEncodeValidates(t *testing.T) {
 		t.Error("4-D should fail")
 	}
 }
+
+// Compress refuses a rate whose block budget is smaller than the 22-bit
+// header plus one payload bit; Decode must too. This 1-D rate-5 stream
+// (two 20-bit blocks) used to decode, and readBlock then read 22 bits of
+// a 20-bit block and parsed every following block from the wrong offset.
+func TestDecodeRejectsRateBelowHeader(t *testing.T) {
+	stream := []byte{0x50, 0x2F, 0x05, 0x01, 0x08, 0x00, 0x00, 0x00, 0xC0, 0x0F, 0xFF, 0xFF, 0xFF}
+	if a, err := Decode(stream); err == nil {
+		t.Errorf("Decode accepted rate %d for a 4-value block (budget %d bits < header %d+1)",
+			a.Settings.BitsPerValue, a.Settings.blockBudgetBits(4), headerBits)
+	}
+	// The same shape at the lowest rate Compress accepts still decodes.
+	a, err := Compress(gradientTensor(8), Settings{BitsPerValue: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(blob); err != nil {
+		t.Errorf("rate 6 should decode: %v", err)
+	}
+	// A hand-built array cannot smuggle the rate past Decompress either.
+	if _, err := Decompress(&Compressed{Shape: []int{8}, Settings: Settings{BitsPerValue: 5}, Payload: stream[8:]}); err == nil {
+		t.Error("Decompress accepted a rate below the header size")
+	}
+}

@@ -20,6 +20,9 @@ package zfpsim
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
+	"sort"
+	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/tensor"
@@ -58,44 +61,74 @@ func (s Settings) Ratio() float64 { return 64 / float64(s.BitsPerValue) }
 // blockBudgetBits returns the fixed total bits per block.
 func (s Settings) blockBudgetBits(blockVol int) int { return s.BitsPerValue * blockVol }
 
+// checkRate rejects a rate outside 1..64 or one whose block budget cannot
+// hold the header and one payload bit. Compress, Decompress and Decode all
+// apply it: writeBlock and readBlock rely on budget ≥ headerBits+1.
+func (s Settings) checkRate(blockVol int) error {
+	if s.BitsPerValue < 1 || s.BitsPerValue > 64 {
+		return fmt.Errorf("zfpsim: bits per value %d out of range", s.BitsPerValue)
+	}
+	if s.blockBudgetBits(blockVol) < headerBits+1 {
+		return fmt.Errorf("zfpsim: rate %d too low for the %d-bit header", s.BitsPerValue, headerBits)
+	}
+	return nil
+}
+
+// cubeShape returns the d-dimensional block shape, BlockSide per axis.
+func cubeShape(d int) []int {
+	blockShape := make([]int, d)
+	for i := range blockShape {
+		blockShape[i] = BlockSide
+	}
+	return blockShape
+}
+
 // Compress compresses t at the fixed rate.
 func Compress(t *tensor.Tensor, s Settings) (*Compressed, error) {
 	d := t.Dims()
 	if d < 1 || d > 3 {
 		return nil, fmt.Errorf("zfpsim: %d-dimensional arrays unsupported (1..3)", d)
 	}
-	if s.BitsPerValue < 1 || s.BitsPerValue > 64 {
-		return nil, fmt.Errorf("zfpsim: bits per value %d out of range", s.BitsPerValue)
-	}
-	blockShape := make([]int, d)
-	for i := range blockShape {
-		blockShape[i] = BlockSide
-	}
+	blockShape := cubeShape(d)
 	blockVol := tensor.Prod(blockShape)
-	if s.blockBudgetBits(blockVol) < headerBits+1 {
-		return nil, fmt.Errorf("zfpsim: rate %d too low for the %d-bit header", s.BitsPerValue, headerBits)
+	if err := s.checkRate(blockVol); err != nil {
+		return nil, err
 	}
-	blocked := tensor.BlockTensor(t, blockShape)
-	numBlocks := blocked.NumBlocks()
+	blocks := tensor.CeilDiv(t.Shape(), blockShape)
+	numBlocks := tensor.Prod(blocks)
 
 	// Fixed rate is what makes ZFP parallelizable (and is the only CUDA
-	// mode, per the paper's Fig. 3 caption): every block's output length
-	// is known in advance, so blocks are encoded concurrently into
-	// per-block buffers and concatenated afterwards.
+	// mode, per the paper's Fig. 3 caption): every block's bit offset is
+	// known in advance, so each ParallelFor chunk encodes its blocks into
+	// one pre-sized stream and the chunks are joined in block order.
 	budget := s.blockBudgetBits(blockVol)
-	blockStreams := make([][]byte, numBlocks)
+	type chunk struct {
+		start int
+		w     bits.Writer
+	}
+	var (
+		mu     sync.Mutex
+		chunks []*chunk
+	)
 	tensor.ParallelFor(numBlocks, func(start, end int) {
+		c := &chunk{start: start}
+		c.w.Grow((end - start) * budget)
+		block := make([]float64, blockVol)
 		ints := make([]int64, blockVol)
-		neg := make([]uint64, blockVol)
+		cur := tensor.NewBlockCursor(blocks, blockShape, nil, t.Shape())
 		for k := start; k < end; k++ {
-			var bw bits.Writer
-			writeBlock(&bw, blocked.Block(k), blockShape, ints, neg, budget)
-			blockStreams[k] = bw.Bytes()
+			cur.Gather(block, t.Data(), k)
+			writeBlock(&c.w, block, blockShape, ints, budget)
 		}
+		mu.Lock()
+		chunks = append(chunks, c)
+		mu.Unlock()
 	})
-	var w bits.Writer
-	for _, bs := range blockStreams {
-		w.AppendBits(bs, budget)
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i].start < chunks[j].start })
+	w := &chunks[0].w
+	w.Grow(numBlocks*budget - w.Len())
+	for _, c := range chunks[1:] {
+		w.AppendBits(c.w.Bytes(), c.w.Len())
 	}
 	return &Compressed{
 		Shape:    append([]int(nil), t.Shape()...),
@@ -104,7 +137,9 @@ func Compress(t *tensor.Tensor, s Settings) (*Compressed, error) {
 	}, nil
 }
 
-func writeBlock(w *bits.Writer, block []float64, blockShape []int, ints []int64, neg []uint64, budget int) {
+// writeBlock appends exactly budget bits for one block. ints is scratch
+// of the block's volume; budget must be at least headerBits+1.
+func writeBlock(w *bits.Writer, block []float64, blockShape []int, ints []int64, budget int) {
 	// Block floating point: shared exponent of the biggest element.
 	maxAbs := 0.0
 	for _, v := range block {
@@ -112,33 +147,29 @@ func writeBlock(w *bits.Writer, block []float64, blockShape []int, ints []int64,
 			maxAbs = a
 		}
 	}
-	used := 0
 	if maxAbs == 0 || math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
 		// Zero (or non-finite, which we degrade to zero) block: a zero
-		// exponent field means "empty block"; pad to the fixed rate.
-		w.WriteBits(0, 16)
-		used = 16
-		for ; used < budget; used++ {
-			w.WriteBit(0)
-		}
+		// exponent field means "empty block"; the rest of the fixed rate
+		// is padding.
+		pad(w, budget)
 		return
 	}
 	_, e := math.Frexp(maxAbs) // maxAbs = f·2^e, f ∈ [0.5, 1)
 	// e+16384 fits in 15 bits; bit 15 is set to distinguish the header
 	// from the zero-block sentinel.
 	w.WriteBits(uint64(e+16384)|(1<<15), 16)
-	used = 16
 	scale := math.Ldexp(1, fixedPointBits-e)
 	for i, v := range block {
 		ints[i] = int64(math.RoundToEven(v * scale))
 	}
 	// Reversible lifting along each axis.
 	forwardLift(ints, blockShape)
-	// Negabinary and top-plane location.
+	// Negabinary, in place, and top-plane location.
 	top := 0
 	for i, v := range ints {
-		neg[i] = bits.ToNegabinary(v)
-		if b := bitLen(neg[i]); b > top {
+		nb := bits.ToNegabinary(v)
+		ints[i] = int64(nb)
+		if b := mathbits.Len64(nb); b > top {
 			top = b
 		}
 	}
@@ -146,20 +177,31 @@ func writeBlock(w *bits.Writer, block []float64, blockShape []int, ints []int64,
 		top = 1
 	}
 	w.WriteBits(uint64(top), 6)
-	used += 6
-	// Bit planes, most significant first, truncated at the fixed budget.
-	for plane := top - 1; plane >= 0 && used < budget; plane-- {
-		for i := range neg {
-			if used >= budget {
-				break
-			}
-			w.WriteBit(uint8(neg[i] >> uint(plane) & 1))
-			used++
+	// Bit planes, most significant first, one word each (a block has at
+	// most 4³ = 64 values), the last one truncated at the fixed budget.
+	left := budget - headerBits
+	for plane := top - 1; plane >= 0 && left > 0; plane-- {
+		var word uint64
+		for _, v := range ints {
+			word = word<<1 | uint64(v)>>uint(plane)&1
 		}
+		n := len(ints)
+		if n > left {
+			word >>= uint(n - left)
+			n = left
+		}
+		w.WriteBits(word, uint(n))
+		left -= n
 	}
-	for ; used < budget; used++ {
-		w.WriteBit(0)
+	pad(w, left)
+}
+
+// pad appends n zero bits.
+func pad(w *bits.Writer, n int) {
+	for ; n >= 64; n -= 64 {
+		w.WriteBits(0, 64)
 	}
+	w.WriteBits(0, uint(n))
 }
 
 // Decompress reconstructs the array.
@@ -168,75 +210,68 @@ func Decompress(a *Compressed) (*tensor.Tensor, error) {
 	if d < 1 || d > 3 {
 		return nil, fmt.Errorf("zfpsim: bad shape %v", a.Shape)
 	}
-	blockShape := make([]int, d)
-	for i := range blockShape {
-		blockShape[i] = BlockSide
-	}
+	blockShape := cubeShape(d)
 	blockVol := tensor.Prod(blockShape)
-	blocked := &tensor.Blocked{
-		Shape:      append([]int(nil), a.Shape...),
-		BlockShape: blockShape,
-		Blocks:     tensor.CeilDiv(a.Shape, blockShape),
-		Data:       make([]float64, 0),
+	if err := a.Settings.checkRate(blockVol); err != nil {
+		return nil, err
 	}
-	numBlocks := tensor.Prod(blocked.Blocks)
-	blocked.Data = make([]float64, numBlocks*blockVol)
-
+	blocks := tensor.CeilDiv(a.Shape, blockShape)
 	budget := a.Settings.blockBudgetBits(blockVol)
+
+	// One block at a time through a block buffer, scattered straight into
+	// the result.
+	out := tensor.New(a.Shape...)
 	r := bits.NewReader(a.Payload)
-	neg := make([]uint64, blockVol)
+	block := make([]float64, blockVol)
 	ints := make([]int64, blockVol)
-	for k := 0; k < numBlocks; k++ {
-		if err := readBlock(r, blocked.Block(k), blockShape, ints, neg, budget); err != nil {
+	cur := tensor.NewBlockCursor(blocks, blockShape, nil, a.Shape)
+	for k := 0; k < tensor.Prod(blocks); k++ {
+		if err := readBlock(r, block, blockShape, ints, budget); err != nil {
 			return nil, err
 		}
+		cur.Scatter(out.Data(), block, k)
 	}
-	return blocked.Unblock(), nil
+	return out, nil
 }
 
-func readBlock(r *bits.Reader, block []float64, blockShape []int, ints []int64, neg []uint64, budget int) error {
+// readBlock consumes exactly budget bits and rebuilds one block. ints is
+// scratch of the block's volume; budget must be at least headerBits+1.
+func readBlock(r *bits.Reader, block []float64, blockShape []int, ints []int64, budget int) error {
 	head, err := r.ReadBits(16)
 	if err != nil {
 		return err
 	}
-	used := 16
 	if head == 0 {
-		if err := skip(r, budget-used); err != nil {
-			return err
-		}
-		for i := range block {
-			block[i] = 0
-		}
-		return nil
+		clear(block)
+		return skip(r, budget-16)
 	}
 	e := int(head&0x7FFF) - 16384
 	topBits, err := r.ReadBits(6)
 	if err != nil {
 		return err
 	}
-	used += 6
-	top := int(topBits)
-	for i := range neg {
-		neg[i] = 0
-	}
-	for plane := top - 1; plane >= 0 && used < budget; plane-- {
-		for i := range neg {
-			if used >= budget {
-				break
-			}
-			b, err := r.ReadBit()
-			if err != nil {
-				return err
-			}
-			neg[i] |= uint64(b) << uint(plane)
-			used++
+	// Each plane arrives as one word and is peeled from its top bit; the
+	// negabinary words build up in ints.
+	clear(ints)
+	left := budget - headerBits
+	for plane := int(topBits) - 1; plane >= 0 && left > 0; plane-- {
+		n := min(len(ints), left)
+		word, err := r.ReadBits(uint(n))
+		if err != nil {
+			return err
 		}
+		word <<= uint(64 - n)
+		for i := 0; i < n; i++ {
+			ints[i] |= int64(word >> 63 << uint(plane))
+			word <<= 1
+		}
+		left -= n
 	}
-	if err := skip(r, budget-used); err != nil {
+	if err := skip(r, left); err != nil {
 		return err
 	}
-	for i := range neg {
-		ints[i] = bits.FromNegabinary(neg[i])
+	for i, v := range ints {
+		ints[i] = bits.FromNegabinary(uint64(v))
 	}
 	inverseLift(ints, blockShape)
 	scale := math.Ldexp(1, e-fixedPointBits)
@@ -246,22 +281,15 @@ func readBlock(r *bits.Reader, block []float64, blockShape []int, ints []int64, 
 	return nil
 }
 
+// skip consumes n bits.
 func skip(r *bits.Reader, n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := r.ReadBit(); err != nil {
+	for ; n > 64; n -= 64 {
+		if _, err := r.ReadBits(64); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
+	_, err := r.ReadBits(uint(n))
+	return err
 }
 
 // --- reversible integer lifting (two-level S-transform per axis) ---

@@ -56,6 +56,9 @@ var sinkFloat float64
 // compressed form from being inflated again one temporary at a time.
 
 func TestScalarKernelsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	c, a, b := analyticsFrames(t)
 	for _, k := range scalarKernels(c, a, b) {
 		allocs := testing.AllocsPerRun(5, func() {
@@ -82,6 +85,9 @@ func TestScalarKernelsDoNotAllocate(t *testing.T) {
 }
 
 func TestDecodeAllocatesNoMoreThanThePayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	_, a, _ := analyticsFrames(t)
 	payload := mustEncode(t, a)
 	objects := testing.AllocsPerRun(10, func() {
@@ -109,6 +115,9 @@ func TestDecodeAllocatesNoMoreThanThePayload(t *testing.T) {
 }
 
 func TestEncodeAllocatesOnlyThePayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	_, a, _ := analyticsFrames(t)
 	payload := mustEncode(t, a)
 	res := testing.Benchmark(func(b *testing.B) {

@@ -129,7 +129,7 @@ func negate[T bits.Signed](f []T) {
 // themselves — see serialize.go.)
 type kernels interface {
 	alloc(f *Indices, n int)
-	compressBlocks(c *Compressor, blocked *tensor.Blocked, out *CompressedArray)
+	compressBlocks(c *Compressor, t *tensor.Tensor, out *CompressedArray)
 	inverseBlock(c *Compressor, a *CompressedArray, k int, block, scratch []float64)
 	blockCoefficients(c *Compressor, a *CompressedArray, k int, dst []float64)
 	rebinBlocks(c *Compressor, out *CompressedArray, coeffsOf func(k int, scratch []float64) []float64)

@@ -9,10 +9,12 @@ import (
 )
 
 // Compress runs the five-step pipeline of §III-A on t and returns the
-// compressed array {s, i, N, F}.
+// compressed array {s, i, N, F}. Each worker gathers one block at a time
+// straight from t into its own block buffer, transforms and bins it: no
+// converted copy of t and no blocked copy of t is ever held.
 //
 // Reduced precision is emulated bit-exactly: the input is rounded through
-// the configured float type before blocking, and each block's transform
+// the configured float type as it is blocked, and each block's transform
 // coefficients and biggest coefficient N are rounded through it again, so
 // the overflow-to-Inf and NaN behaviour the paper observes for float16 and
 // bfloat16 (Fig. 5) is reproduced in software.
@@ -21,18 +23,8 @@ func (c *Compressor) Compress(t *tensor.Tensor) (*CompressedArray, error) {
 		return nil, fmt.Errorf("core: tensor has %d dims, block shape %v has %d",
 			t.Dims(), c.settings.BlockShape, len(c.settings.BlockShape))
 	}
-
-	// Step 1: data type conversion.
-	conv := t
-	if ft := c.settings.FloatType; ft.Bits() < 64 {
-		conv = t.Map(ft.Round)
-	}
-
-	// Step 2: blocking (zero-padded to block-shape multiples).
-	blocked := tensor.BlockTensor(conv, c.settings.BlockShape)
-
-	out := c.newArray(t.Shape(), blocked.Blocks)
-	c.k.compressBlocks(c, blocked, out)
+	out := c.newArray(t.Shape(), tensor.CeilDiv(t.Shape(), c.settings.BlockShape))
+	c.k.compressBlocks(c, t, out)
 	return out, nil
 }
 
@@ -50,32 +42,42 @@ func (c *Compressor) newArray(shape, blocks []int) *CompressedArray {
 	return out
 }
 
-// compressBlocks runs steps 3–5 on every block: orthonormal transform,
-// binning, pruning.
-func (w width[T]) compressBlocks(c *Compressor, blocked *tensor.Blocked, out *CompressedArray) {
+// blockBuffer returns one worker's scratch: a block, then whatever the
+// transform plan needs beside it.
+func (c *Compressor) blockBuffer() (block, scratch []float64) {
+	vol := c.plan.Vol()
+	buf := make([]float64, vol+c.plan.Scratch())
+	return buf[:vol:vol], buf[vol:]
+}
+
+// compressBlocks runs the pipeline on every block of t: conversion and
+// blocking (zero-padded to block-shape multiples) in the gather, then the
+// orthonormal transform, binning and pruning.
+func (w width[T]) compressBlocks(c *Compressor, t *tensor.Tensor, out *CompressedArray) {
 	K := len(c.keep)
 	ft := c.settings.FloatType
 	f := w.of(out)
-	tensor.ParallelFor(blocked.NumBlocks(), func(start, end int) {
-		scratch := make([]float64, blocked.BlockVol())
-		kept := make([]float64, K)
+	tensor.ParallelFor(len(out.N), func(start, end int) {
+		block, scratch := c.blockBuffer()
+		cur := tensor.NewBlockCursor(out.Blocks, c.settings.BlockShape, nil, out.Shape)
 		for k := start; k < end; k++ {
-			block := blocked.Block(k)
-			c.tr.ForwardBlock(block, c.settings.BlockShape, scratch)
+			cur.Gather(block, t.Data(), k)
+			ft.RoundSlice(block)
+			c.plan.Forward(block, scratch)
 			// Emulate computing the transform in the reduced precision.
-			if ft.Bits() < 64 {
-				for i, v := range block {
-					block[i] = ft.Round(v)
-				}
-			}
+			ft.RoundSlice(block)
 			// Binning: N_k = ‖C_k‖∞ over the whole block (§III-A(d)),
 			// pruned positions included.
 			nk := ft.Round(maxAbs(block))
 			out.N[k] = nk
-			for i, pos := range c.keep {
-				kept[i] = block[pos]
+			// Pruning, in place: keep is ascending, so position i is read
+			// before it is overwritten.
+			if K < len(block) {
+				for i, pos := range c.keep {
+					block[i] = block[pos]
+				}
 			}
-			bin(c, f[k*K:(k+1)*K], kept, nk)
+			bin(c, f[k*K:(k+1)*K], block[:K], nk)
 		}
 	})
 }
@@ -113,37 +115,40 @@ func bin[T bits.Signed](c *Compressor, dst []T, coeffs []float64, nk float64) {
 }
 
 // Decompress inverts the pipeline: scale F by N, inverse transform,
-// unblock, crop to the original shape (§III-B).
+// unblock, crop to the original shape (§III-B). Each worker rebuilds one
+// block at a time in its own block buffer and scatters it into the result,
+// which is the only array-sized allocation.
 func (c *Compressor) Decompress(a *CompressedArray) (*tensor.Tensor, error) {
 	if err := c.checkOwned(a); err != nil {
 		return nil, err
 	}
-	blocked := &tensor.Blocked{
-		Shape:      append([]int(nil), a.Shape...),
-		BlockShape: append([]int(nil), c.settings.BlockShape...),
-		Blocks:     append([]int(nil), a.Blocks...),
-		Data:       make([]float64, a.NumBlocks()*tensor.Prod(c.settings.BlockShape)),
-	}
+	out := tensor.New(a.Shape...)
+	// Blocks are disjoint in out, so workers share it without locking.
 	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
-		scratch := make([]float64, blocked.BlockVol())
+		block, scratch := c.blockBuffer()
+		cur := tensor.NewBlockCursor(a.Blocks, c.settings.BlockShape, nil, a.Shape)
 		for k := start; k < end; k++ {
-			c.k.inverseBlock(c, a, k, blocked.Block(k), scratch)
+			c.k.inverseBlock(c, a, k, block, scratch)
+			cur.Scatter(out.Data(), block, k)
 		}
 	})
-	return blocked.Unblock(), nil
+	return out, nil
 }
 
-// inverseBlock reconstructs block k of a in place: scale its indices by
-// N_k (Algorithm 3), then invert the transform. Positions the mask pruned
-// must already be zero.
+// inverseBlock reconstructs block k of a in block: scale its indices by
+// N_k (Algorithm 3), then invert the transform. block may hold anything;
+// the positions the mask pruned are zeroed here.
 func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, k int, block, scratch []float64) {
 	K := len(c.keep)
 	ft, r, nk := c.settings.FloatType, c.radius, a.N[k]
 	f := w.of(a)[k*K : (k+1)*K]
+	if K < len(block) {
+		clear(block)
+	}
 	for i, pos := range c.keep {
 		block[pos] = ft.Round(nk * float64(f[i]) / r)
 	}
-	c.tr.InverseBlock(block, c.settings.BlockShape, scratch)
+	c.plan.Inverse(block, scratch)
 }
 
 // specifiedCoefficients implements Algorithm 3: Ĉ = N ⊙ F ⊘ r, the kept

@@ -32,58 +32,29 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 	}
 	bs := c.settings.BlockShape
 
-	// Block-index range overlapped by the region in each dimension.
-	lo := make([]int, d)
-	hi := make([]int, d) // exclusive
+	// Block-index range overlapped by the region in each dimension, and
+	// the odometer that walks it.
+	ints := make([]int, 3*d)
+	lo, hi, blockIdx := ints[:d], ints[d:2*d], ints[2*d:]
 	for i := 0; i < d; i++ {
 		lo[i] = offset[i] / bs[i]
-		hi[i] = (offset[i] + shape[i] + bs[i] - 1) / bs[i]
+		hi[i] = (offset[i] + shape[i] + bs[i] - 1) / bs[i] // exclusive
 	}
+	copy(blockIdx, lo)
 
+	// The loop of Decompress over the overlapped blocks only, with the
+	// scatter cropped to the region.
 	out := tensor.New(shape...)
-	blockVol := tensor.Prod(bs)
-
-	// Iterate over overlapped blocks; decompress each into a scratch
-	// buffer and scatter the in-region cells.
-	blockIdx := append([]int(nil), lo...)
-	block := make([]float64, blockVol)
-	scratch := make([]float64, blockVol)
-	inner := make([]int, d)
-	src := make([]int, d)
-	dst := make([]int, d)
+	block, scratch := c.blockBuffer()
+	cur := tensor.NewBlockCursor(a.Blocks, bs, offset, shape)
 	for {
 		// Flat block number in the block-major layout.
 		k := 0
 		for i := 0; i < d; i++ {
 			k = k*a.Blocks[i] + blockIdx[i]
 		}
-		// Decompress block k (same math as Decompress, one block).
-		clear(block)
 		c.k.inverseBlock(c, a, k, block, scratch)
-
-		// Scatter the cells that fall inside the region.
-		for i := range inner {
-			inner[i] = 0
-		}
-		pos := 0
-		for {
-			in := true
-			for i := 0; i < d; i++ {
-				src[i] = blockIdx[i]*bs[i] + inner[i]
-				dst[i] = src[i] - offset[i]
-				if dst[i] < 0 || dst[i] >= shape[i] {
-					in = false
-					break
-				}
-			}
-			if in {
-				out.Data()[out.Offset(dst)] = block[pos]
-			}
-			pos++
-			if !tensor.NextIndex(inner, bs) {
-				break
-			}
-		}
+		cur.Scatter(out.Data(), block, k)
 
 		// Advance blockIdx within [lo, hi).
 		adv := d - 1

@@ -17,6 +17,14 @@
 // F is held in memory at the width of the index type (an int8 stream is
 // a []int8), so a decoded array is no larger than its payload. Every loop
 // over F has one generic body on width[T], picked once per call.
+//
+// The dense path — Compress, Decompress, DecompressRegion — is one fused
+// pass per block and holds no frame-sized intermediate: a worker owns one
+// block buffer and one tensor.BlockCursor, gathers block k straight from
+// the input (or scales its indices into the buffer), applies the
+// compressor's transform.Plan — the transform resolved once for the block
+// shape — and bins into F (or scatters into the result). Compress
+// allocates N and F; Decompress allocates the tensor it returns.
 package core
 
 import (
@@ -117,9 +125,9 @@ func (s Settings) equal(o Settings) bool {
 // compressed-space operations. It is safe for concurrent use.
 type Compressor struct {
 	settings Settings
-	tr       *transform.Transform
-	keep     []int   // intrablock positions kept by the mask, ascending
-	k        kernels // the F-touching loops at settings.IndexType's width
+	plan     *transform.Plan // the transform resolved for settings.BlockShape
+	keep     []int           // intrablock positions kept by the mask, ascending
+	k        kernels         // the F-touching loops at settings.IndexType's width
 	radius   float64
 	// sqrtVol is c = √(∏i), the scale between a block's first coefficient
 	// and its mean (§IV-A3).
@@ -144,7 +152,7 @@ func NewCompressor(s Settings) (*Compressor, error) {
 	}
 	return &Compressor{
 		settings: s,
-		tr:       transform.New(s.Transform),
+		plan:     transform.New(s.Transform).Plan(s.BlockShape),
 		keep:     keep,
 		k:        byIndexType[s.IndexType],
 		radius:   float64(s.IndexType.Radius()),

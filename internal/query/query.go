@@ -21,6 +21,7 @@ import (
 	"math"
 	"path"
 	"strconv"
+	"strings"
 
 	"repro/internal/codec"
 	"repro/internal/store"
@@ -408,6 +409,17 @@ func (p *Plan) Frames() []int { return append([]int(nil), p.frames...) }
 // scatter-gather merger reduces exactly the kinds the plan did.
 func (p *Plan) Reduce() []string { return append([]string(nil), p.reduce...) }
 
+// literalLabel reports whether glob can only match one label's decimal
+// spelling — no metacharacter, and exactly what strconv.Itoa prints, so
+// "007" and "+5" keep matching nothing — and returns that label.
+func literalLabel(glob string) (int, bool) {
+	if glob == "" || strings.ContainsAny(glob, `*?[\`) {
+		return 0, false
+	}
+	n, err := strconv.Atoi(glob)
+	return n, err == nil && strconv.Itoa(n) == glob
+}
+
 // selectFrames resolves a Selector to store positions.
 func selectFrames(src Index, sel Selector) ([]int, error) {
 	if sel.Labels != "" {
@@ -424,14 +436,22 @@ func selectFrames(src Index, sel Selector) ([]int, error) {
 		to = min(*sel.To, src.Len())
 	}
 	var frames []int
-	for i := from; i < to; i++ {
-		if sel.Labels != "" {
-			ok, _ := path.Match(sel.Labels, strconv.Itoa(src.Info(i).Label))
-			if !ok {
-				continue
-			}
+	if label, ok := literalLabel(sel.Labels); ok {
+		// One label names at most one frame (labels are unique): look it
+		// up instead of spelling every stored label to match it.
+		if i, found := src.IndexOf(label); found && i >= from && i < to {
+			frames = []int{i}
 		}
-		frames = append(frames, i)
+	} else {
+		for i := from; i < to; i++ {
+			if sel.Labels != "" {
+				ok, _ := path.Match(sel.Labels, strconv.Itoa(src.Info(i).Label))
+				if !ok {
+					continue
+				}
+			}
+			frames = append(frames, i)
+		}
 	}
 	if len(frames) == 0 {
 		return nil, badf("selection (labels %q, range [%d, %d)) matches no frames", sel.Labels, from, to)

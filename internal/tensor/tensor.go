@@ -3,6 +3,13 @@
 // row-major float64 tensors with element-wise arithmetic, reductions,
 // zero-padding, cropping, and the block/unblock reshapes used by
 // block-based compression. Bulk kernels fan out over goroutines.
+//
+// Blocking has one implementation of each direction: BlockCursor (block.go)
+// gathers block k out of a dense array, zero-padded, and scatters it back,
+// cropped — to the whole array or to a sub-region of it — as runs along the
+// last axis moved with copy. The compressors hold a cursor and one block
+// buffer per worker; BlockTensor and Unblock, which materialise every block
+// at once, are loops over the same cursor.
 package tensor
 
 import (

@@ -12,6 +12,12 @@
 // first coefficient of a block is the block mean scaled by √(∏i) — the
 // property the compressed-space mean, covariance and Wasserstein
 // operations rely on.
+//
+// The per-block loops of the compressors do not go through the Transform's
+// locked matrix cache: they resolve it once into a Plan for their block
+// shape (plan.go) — the per-axis matrices in the orientation each direction
+// reads with unit stride, and axis kernels unrolled for lengths 4 and 8 that
+// keep the summation order of the plain loop, so results are bit-identical.
 package transform
 
 import (
@@ -201,68 +207,21 @@ func identityMatrix(s int) []float64 {
 
 // ForwardBlock transforms one block (row-major, given shape) in place,
 // applying the 1-D transform separably along every axis. scratch must be
-// at least as long as the block; it is used to avoid allocation.
+// at least as long as the block. It builds a Plan per call; loops over
+// blocks build the Plan once and call its Forward.
 func (t *Transform) ForwardBlock(block []float64, shape []int, scratch []float64) {
-	t.applyBlock(block, shape, scratch, false)
+	t.Plan(shape).Forward(block, blockScratch(block, scratch))
 }
 
 // InverseBlock inverts ForwardBlock in place (up to floating-point
 // rounding), using the transpose of the orthonormal matrix.
 func (t *Transform) InverseBlock(block []float64, shape []int, scratch []float64) {
-	t.applyBlock(block, shape, scratch, true)
+	t.Plan(shape).Inverse(block, blockScratch(block, scratch))
 }
 
-func (t *Transform) applyBlock(block []float64, shape []int, scratch []float64, inverse bool) {
-	vol := 1
-	for _, e := range shape {
-		vol *= e
-	}
-	if len(block) != vol {
-		panic(fmt.Sprintf("transform: block length %d does not match shape %v", len(block), shape))
-	}
-	if len(scratch) < vol {
+func blockScratch(block, scratch []float64) []float64 {
+	if len(scratch) < len(block) {
 		panic("transform: scratch too small")
 	}
-	stride := vol
-	for d := 0; d < len(shape); d++ {
-		L := shape[d]
-		stride /= L
-		if L == 1 {
-			continue
-		}
-		H := t.Matrix(L)
-		applyAxis(block, scratch, vol, L, stride, H, inverse)
-	}
-}
-
-// applyAxis applies the transform along one axis. The block is row-major;
-// for an axis of length L and (inner) stride st, the lines start at offsets
-// o = outer*L*st + inner for outer ∈ [0, vol/(L·st)) and inner ∈ [0, st).
-func applyAxis(block, scratch []float64, vol, L, st int, H []float64, inverse bool) {
-	outerCount := vol / (L * st)
-	for outer := 0; outer < outerCount; outer++ {
-		base := outer * L * st
-		for inner := 0; inner < st; inner++ {
-			o := base + inner
-			// Gather, transform, scatter.
-			for gamma := 0; gamma < L; gamma++ {
-				acc := 0.0
-				if inverse {
-					// x[α] = Σ_γ c[γ]·H[α][γ]: here gamma plays α.
-					for alpha := 0; alpha < L; alpha++ {
-						acc += block[o+alpha*st] * H[gamma*L+alpha]
-					}
-				} else {
-					// c[γ] = Σ_α x[α]·H[α][γ].
-					for alpha := 0; alpha < L; alpha++ {
-						acc += block[o+alpha*st] * H[alpha*L+gamma]
-					}
-				}
-				scratch[gamma] = acc
-			}
-			for gamma := 0; gamma < L; gamma++ {
-				block[o+gamma*st] = scratch[gamma]
-			}
-		}
-	}
+	return scratch
 }
