@@ -19,6 +19,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -488,11 +489,9 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	s := core.DefaultSettings(8, 8)
 	for _, mode := range []string{"parallel", "serial"} {
 		b.Run(mode, func(b *testing.B) {
-			old := tensor.ParallelThreshold()
 			if mode == "serial" {
-				tensor.SetParallelThreshold(1 << 30)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			}
-			defer tensor.SetParallelThreshold(old)
 			c := mustC(b, s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

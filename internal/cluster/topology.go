@@ -4,8 +4,8 @@
 // shards, their replica endpoints, and the hash-ring seed; a
 // Coordinator loads it, discovers every shard's frame inventory through
 // the v1 HTTP SDK, and implements api.Backend by scatter-gathering
-// queries to the shards' api.Client transports concurrently on the
-// shared tensor worker pool.
+// queries to the shards' api.Client transports concurrently, on at
+// most GOMAXPROCS goroutines the query starts and waits for.
 //
 // The merge rules are the same ones internal/shard uses in process:
 // per-frame results concatenate in global (topology) order with indices

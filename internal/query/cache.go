@@ -2,6 +2,7 @@ package query
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +44,8 @@ type Cache struct {
 	flights   map[cacheKey]*flight
 	coalesced atomic.Int64
 }
+
+var errDecodePanicked = errors.New("query: the decode this request waited on panicked")
 
 // flight is one in-progress decode; waiters block on done and read the
 // result fields after it closes.
@@ -142,7 +145,9 @@ func (c *Cache) Put(ns uint64, key int, t *tensor.Tensor) {
 // the decode completes — the flight is forgotten before its waiters
 // wake, so a later miss (after eviction, or with caching disabled by a
 // ≤ 0 budget) starts a fresh decode rather than reusing a stale flight.
-// Errors are never cached: each new generation retries.
+// Errors are never cached: each new generation retries. If decode
+// panics, the panic reaches the caller that ran it and its waiters get
+// an error.
 //
 // Decode works on a nil or disabled Cache too — coalescing does not
 // depend on the byte budget, only result retention does.
@@ -172,14 +177,20 @@ func (c *Cache) Decode(ns uint64, key int, decode func() (*tensor.Tensor, error)
 	c.flights[k] = f
 	c.fmu.Unlock()
 
+	// Deferred, so a panicking decode ends its generation too: waiters
+	// get errDecodePanicked (f.err is never overwritten), the next miss
+	// decodes afresh, and the panic continues up the owner's stack.
+	f.err = errDecodePanicked
+	defer func() {
+		c.fmu.Lock()
+		delete(c.flights, k)
+		c.fmu.Unlock()
+		close(f.done)
+	}()
 	f.t, f.err = decode()
 	if f.err == nil {
 		c.Put(ns, key, f.t)
 	}
-	c.fmu.Lock()
-	delete(c.flights, k)
-	c.fmu.Unlock()
-	close(f.done)
 	return f.t, f.err
 }
 

@@ -171,8 +171,8 @@ func (e *Engine) Run(ctx context.Context, req *Request) (*Result, error) {
 	return e.Execute(ctx, p)
 }
 
-// Execute runs a compiled plan, fanning per-frame work across the
-// shared tensor worker pool. ctx is re-checked before every frame's
+// Execute runs a compiled plan, fanning per-frame work out over at most
+// GOMAXPROCS goroutines of its own. ctx is re-checked before every frame's
 // work, so a dropped connection or an expired CLI deadline abandons the
 // remaining frames instead of decompressing them for nobody.
 func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {

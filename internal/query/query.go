@@ -7,11 +7,11 @@
 //
 // A Request selects frames by label glob and/or index range and names
 // the work; Compile validates it against a store into a Plan; an Engine
-// executes the plan, fanning per-frame work across the shared tensor
-// worker pool. Results carry an executedInCompressedSpace flag per
-// frame (true iff answering never fully decompressed that frame) so
-// callers and benchmarks can prove where the compressed-space paths
-// paid off.
+// executes the plan, fanning per-frame work out over goroutines the
+// request starts and waits for itself. Results carry an
+// executedInCompressedSpace flag per frame (true iff answering never
+// fully decompressed that frame) so callers and benchmarks can prove
+// where the compressed-space paths paid off.
 package query
 
 import (

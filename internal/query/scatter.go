@@ -29,8 +29,8 @@ func (p Part) Sub(req *Request) *Request {
 // Scatter is the scatter-gather executor every partitioned source
 // shares — shard.Dataset over its in-process engines, cluster.Coordinator
 // over the wire. The source supplies the partition (Bases), the answer
-// header, the instruments to report into, and Run; routing, fan-out on
-// the shared worker pool, and the merge live here once.
+// header, the instruments to report into, and Run; routing, the fan-out
+// (goroutines started and awaited per query) and the merge live here once.
 type Scatter struct {
 	// Span names the trace span around the fan-out.
 	Span string

@@ -160,6 +160,55 @@ func TestCacheDecodeCoalesces(t *testing.T) {
 	if _, err := c.Decode(2, 7, func() (*tensor.Tensor, error) { return frameOf(4), nil }); err != nil {
 		t.Fatal(err)
 	}
+
+	// A decode that panics ends its flight: the owner sees the panic,
+	// its waiter an error, and the next caller decodes afresh instead of
+	// parking on the dead flight forever.
+	before := c.Stats().Coalesced
+	hold := make(chan struct{})
+	waiterErr := make(chan error, 1)
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		c.Decode(3, 7, func() (*tensor.Tensor, error) {
+			go func() {
+				_, err := c.Decode(3, 7, func() (*tensor.Tensor, error) { return frameOf(4), nil })
+				waiterErr <- err
+			}()
+			<-hold
+			panic("decode blew up")
+		})
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never joined the flight")
+		}
+	}
+	close(hold)
+	if r := <-ownerPanic; r != "decode blew up" {
+		t.Fatalf("owner recovered %v, want the decode's panic", r)
+	}
+	select {
+	case err := <-waiterErr:
+		if err == nil {
+			t.Fatal("waiter on a panicked decode got no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter still parked on the panicked flight")
+	}
+	retried := make(chan error, 1)
+	go func() {
+		_, err := c.Decode(3, 7, func() (*tensor.Tensor, error) { return frameOf(4), nil })
+		retried <- err
+	}()
+	select {
+	case err := <-retried:
+		if err != nil {
+			t.Fatalf("decode after a panicked generation: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("decode after a panicked generation parked on the leaked flight")
+	}
 }
 
 // TestCacheDecodeErrorNotCached: a failed decode must not poison later

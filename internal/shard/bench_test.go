@@ -4,9 +4,9 @@ package shard
 // ("serial") is what sharded data costs without the executor: query
 // each shard's engine in a loop and concatenate, which leaves cores
 // idle whenever one shard's frame count is below the worker width. The
-// "scatter" variant is Dataset.Query fanning every shard concurrently
-// over the shared pool, and "single" is the same frames in one store —
-// the upper bound the executor is expected to match. Run at 8 workers
+// "scatter" variant is Dataset.Query fanning every shard out
+// concurrently, and "single" is the same frames in one store — the
+// upper bound the executor is expected to match. Run at 8 workers
 // (the acceptance configuration): on a ≥4-shard dataset the scatter
 // path overlaps shards and beats the serial loop by well over 1.5×
 // once cores are available.

@@ -14,13 +14,13 @@ var _ query.Source = (*Dataset)(nil)
 //
 // Shard-local work — per-frame aggregates, regions, points, and
 // dataset-level reductions — scatters: the router picks the shards the
-// selection can touch, their engines run concurrently on the shared
-// worker pool, and the partial results gather in manifest order
-// (per-frame results remap to global positions; reductions merge their
-// moment state exactly). Metric requests couple frames across shards —
+// selection can touch, their engines run concurrently on goroutines the
+// query starts and waits for, and the partial results gather in manifest
+// order (per-frame results remap to global positions; reductions merge
+// their moment state exactly). Metric requests couple frames across shards —
 // a pairwise metric's two frames or a reference frame may live anywhere
 // — so they run on the unified engine over the concatenated view
-// instead, which fans out per frame across the same pool.
+// instead, which fans out per frame the same way.
 func (d *Dataset) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
 	if req == nil {
 		return nil, fmt.Errorf("%w: nil request", query.ErrBadRequest)

@@ -8,9 +8,9 @@
 // and index range to the shards that can possibly answer (the manifest
 // carries each shard's label list, so non-matching shards are skipped
 // without opening a frame), per-shard query engines run concurrently on
-// the shared tensor worker pool, and partial results merge — per-frame
-// results by concatenation in global order, dataset-level reductions by
-// exact moment merging (query.Moments). Requests that couple frames
+// goroutines the query starts and waits for, and partial results merge —
+// per-frame results by concatenation in global order, dataset-level
+// reductions by exact moment merging (query.Moments). Requests that couple frames
 // across shards (pairwise metrics, a reference frame in another shard)
 // run on a unified engine over the dataset's concatenated view
 // (query.Source), so their semantics match a single store by

@@ -2,140 +2,89 @@ package tensor
 
 import (
 	"context"
+	"fmt"
 	"runtime"
-	"sync/atomic"
+	"runtime/debug"
+	"sync"
 )
 
-// parallelThreshold is the minimum number of work items below which
-// ParallelFor runs serially; fan-out costs more than it saves for tiny
-// inputs. Atomic so benchmarks can ablate it while other goroutines are
-// inside ParallelFor without a data race.
-var parallelThreshold atomic.Int64
+// serialBelow is the item count under which ParallelFor runs on the
+// caller: starting goroutines costs more than it saves for tiny inputs.
+const serialBelow = 256
 
-func init() { parallelThreshold.Store(256) }
-
-// ParallelThreshold returns the current serial/parallel cutoff.
-func ParallelThreshold() int { return int(parallelThreshold.Load()) }
-
-// SetParallelThreshold sets the serial/parallel cutoff and returns the
-// previous value so benchmarks can restore it. Values ≤ 0 are treated
-// as 1 (always parallel above a single item).
-func SetParallelThreshold(n int) int {
-	if n <= 0 {
-		n = 1
-	}
-	return int(parallelThreshold.Swap(int64(n)))
-}
-
-// ParallelFor partitions [0, n) into contiguous chunks and runs fn on
-// each chunk across the shared worker pool. fn must be safe to call
-// concurrently on disjoint ranges. Small n runs serially. The fan-out
-// width follows the current GOMAXPROCS, so -cpu benchmark passes and the
-// serial ablation behave as if the goroutines were spawned per call.
+// ParallelFor partitions [0, n) into at most GOMAXPROCS contiguous
+// chunks and runs fn once per chunk, concurrently. fn must be safe to
+// call concurrently on disjoint ranges. n < 256 runs serially.
 //
 // This is the repository's CUDA stand-in: compression, decompression and
 // every block-wise compressed-space operation distribute their block loop
-// through ParallelFor. The calling goroutine executes the final chunk
-// itself, chunks that do not fit in the pool queue run inline on the
-// caller, and while waiting the caller helps drain the shared queue —
-// so submission never blocks and nesting cannot deadlock (see pool.go).
+// through it. Each call starts its own goroutines and waits only for
+// those (see fanOut), so calls may nest and may run under a lock or a
+// singleflight without ever waiting on another call's work.
 func ParallelFor(n int, fn func(start, end int)) {
-	if n <= 0 {
-		return
-	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if n < ParallelThreshold() || workers <= 1 {
-		fn(0, n)
-		return
+	if n < serialBelow {
+		workers = 1
 	}
 	fanOut(n, workers, fn)
 }
 
-// ParallelForCoarse is ParallelFor without the small-n serial cutoff,
-// for coarse-grained items — whole query frames, not block cells —
-// whose per-item cost dwarfs the fan-out overhead, so even two items
-// are worth distributing. Nested ParallelFor calls inside fn are safe:
-// the pool's help-while-waiting drain (see pool.go) is what makes
-// per-frame work that itself fans out per block deadlock-free.
-func ParallelForCoarse(n int, fn func(start, end int)) {
-	if n <= 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	fanOut(n, workers, fn)
-}
-
-// ParallelForCoarseCtx distributes the items of [0, n) like
-// ParallelForCoarse — one fn call per item — but re-checks ctx between
-// items: items whose turn comes after ctx is done are skipped, and the
-// ctx error (context.Canceled or context.DeadlineExceeded) is returned.
-// Items already inside fn when ctx fires run to completion, so
-// cancellation latency is bounded by one item's work, never the whole
-// fan-out. A nil error means every item ran.
+// ParallelForCoarseCtx runs fn(i) for every i in [0, n) like ParallelFor
+// but without the small-n cutoff — the items are coarse (whole query
+// frames, shard parts), so even two are worth distributing — and
+// re-checks ctx between items: items whose turn comes after ctx is done
+// are skipped and the ctx error is returned. Items already inside fn run
+// to completion, so cancellation latency is bounded by one item's work.
+// A nil error means every item ran.
 func ParallelForCoarseCtx(ctx context.Context, n int, fn func(i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ParallelForCoarse(n, func(start, end int) {
-		for i := start; i < end; i++ {
-			if ctx.Err() != nil {
-				return
-			}
+	fanOut(n, runtime.GOMAXPROCS(0), func(start, end int) {
+		for i := start; i < end && ctx.Err() == nil; i++ {
 			fn(i)
 		}
 	})
 	return ctx.Err()
 }
 
-// fanOut distributes [0, n) over the shared pool in contiguous chunks,
-// workers ∈ [2, n].
+// fanOut splits [0, n) into min(n, workers) chunks of ceil(n/workers)
+// items, runs the last chunk on the caller and every other on a goroutine
+// of its own, and returns when all have finished. A chunk's panic is
+// re-raised on the caller (the first one, with the stack it came from)
+// after the other chunks have run, so a recover above the call sees it.
 func fanOut(n, workers int, fn func(start, end int)) {
-	ensurePool()
+	if workers = min(n, workers); workers <= 1 { // before st is allocated: serial costs nothing
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
 	chunk := (n + workers - 1) / workers
-	// workers ∈ [2, n] so chunk < n: at least one chunk precedes the
-	// final one and remaining below starts ≥ 1.
-	var remaining atomic.Int64
-	done := make(chan struct{})
-	remaining.Store(int64((n - 1) / chunk)) // chunks submitted below
+	var st struct { // one allocation for everything the goroutines share
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked any
+	}
 	start := 0
 	for ; start+chunk < n; start += chunk {
-		t := task{fn: fn, start: start, end: start + chunk, remaining: &remaining, done: done}
-		select {
-		case poolTasks <- t:
-		default:
-			t.run()
-		}
+		s, e := start, start+chunk // captured, not passed as arguments: one closure per chunk
+		st.wg.Add(1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					st.once.Do(func() { st.panicked = fmt.Errorf("%v\n\n%s", r, debug.Stack()) })
+				}
+				st.wg.Done()
+			}()
+			fn(s, e)
+		}()
 	}
+	defer func() {
+		st.wg.Wait()
+		if st.panicked != nil {
+			panic(st.panicked)
+		}
+	}()
 	fn(start, n)
-	// Help drain the queue until this call's chunks have all finished.
-	// Pulled tasks may belong to other ParallelFor calls; running them is
-	// what keeps nested fan-out from deadlocking when every pool worker
-	// is occupied by an outer chunk.
-	for {
-		select {
-		case <-done:
-			return
-		case t := <-poolTasks:
-			t.run()
-		}
-	}
-}
-
-// ParallelBlocks applies fn to every block index of b in parallel.
-func ParallelBlocks(b *Blocked, fn func(k int)) {
-	ParallelFor(b.NumBlocks(), func(start, end int) {
-		for k := start; k < end; k++ {
-			fn(k)
-		}
-	})
 }

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -382,29 +384,36 @@ func TestBlockReshapeExample(t *testing.T) {
 }
 
 func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 10, 255, 256, 1000, 4096} {
-		seen := make([]int32, n)
-		ParallelFor(n, func(start, end int) {
-			for i := start; i < end; i++ {
-				seen[i]++
+	// Every index once, in min(n, GOMAXPROCS) contiguous chunks of
+	// ceil(n/workers) — the layout zfp's per-chunk streams depend on —
+	// and one chunk below the serial cutoff.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 10, 255, 256, 257, 1000, 4096} {
+			seen := make([]int32, n)
+			var chunks atomic.Int32
+			ParallelFor(n, func(start, end int) {
+				chunks.Add(1)
+				if want := (n + procs - 1) / procs; n >= 256 && end-start != want && end != n {
+					t.Errorf("procs=%d n=%d: chunk [%d,%d), want length %d", procs, n, start, end, want)
+				}
+				for i := start; i < end; i++ {
+					seen[i]++
+				}
+			})
+			want := min(n, 1)
+			if n >= 256 {
+				want = min(n, procs) // every n here splits into exactly that many
 			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+			if got := int(chunks.Load()); got != want {
+				t.Errorf("procs=%d n=%d: %d chunks, want %d", procs, n, got, want)
 			}
-		}
-	}
-}
-
-func TestParallelBlocks(t *testing.T) {
-	x := New(16, 16)
-	b := BlockTensor(x, []int{4, 4})
-	visited := make([]int32, b.NumBlocks())
-	ParallelBlocks(b, func(k int) { visited[k]++ })
-	for k, c := range visited {
-		if c != 1 {
-			t.Fatalf("block %d visited %d times", k, c)
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("procs=%d n=%d: index %d visited %d times", procs, n, i, c)
+				}
+			}
 		}
 	}
 }

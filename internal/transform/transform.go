@@ -204,24 +204,3 @@ func identityMatrix(s int) []float64 {
 	}
 	return m
 }
-
-// ForwardBlock transforms one block (row-major, given shape) in place,
-// applying the 1-D transform separably along every axis. scratch must be
-// at least as long as the block. It builds a Plan per call; loops over
-// blocks build the Plan once and call its Forward.
-func (t *Transform) ForwardBlock(block []float64, shape []int, scratch []float64) {
-	t.Plan(shape).Forward(block, blockScratch(block, scratch))
-}
-
-// InverseBlock inverts ForwardBlock in place (up to floating-point
-// rounding), using the transpose of the orthonormal matrix.
-func (t *Transform) InverseBlock(block []float64, shape []int, scratch []float64) {
-	t.Plan(shape).Inverse(block, blockScratch(block, scratch))
-}
-
-func blockScratch(block, scratch []float64) []float64 {
-	if len(scratch) < len(block) {
-		panic("transform: scratch too small")
-	}
-	return scratch
-}

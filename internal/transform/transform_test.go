@@ -186,8 +186,8 @@ func roundTrip1D(t *testing.T, k Kind, n int) {
 	}
 	orig := append([]float64(nil), x...)
 	scratch := make([]float64, n)
-	tr.ForwardBlock(x, []int{n}, scratch)
-	tr.InverseBlock(x, []int{n}, scratch)
+	tr.Plan([]int{n}).Forward(x, scratch)
+	tr.Plan([]int{n}).Inverse(x, scratch)
 	for i := range x {
 		if math.Abs(x[i]-orig[i]) > 1e-10 {
 			t.Fatalf("%v size %d: round trip error %g at %d", k, n, x[i]-orig[i], i)
@@ -219,8 +219,8 @@ func TestRoundTripND(t *testing.T) {
 			}
 			orig := append([]float64(nil), x...)
 			scratch := make([]float64, vol)
-			tr.ForwardBlock(x, shape, scratch)
-			tr.InverseBlock(x, shape, scratch)
+			tr.Plan(shape).Forward(x, scratch)
+			tr.Plan(shape).Inverse(x, scratch)
 			for i := range x {
 				if math.Abs(x[i]-orig[i]) > 1e-8 {
 					t.Fatalf("%v shape %v: round trip error %g", k, shape, x[i]-orig[i])
@@ -250,8 +250,8 @@ func TestForwardPreservesDotProduct(t *testing.T) {
 			dotBefore += a[i] * b[i]
 		}
 		scratch := make([]float64, vol)
-		tr.ForwardBlock(a, shape, scratch)
-		tr.ForwardBlock(b, shape, scratch)
+		tr.Plan(shape).Forward(a, scratch)
+		tr.Plan(shape).Forward(b, scratch)
 		dotAfter := 0.0
 		for i := range a {
 			dotAfter += a[i] * b[i]
@@ -278,7 +278,7 @@ func TestFirstCoefficientIsScaledMean(t *testing.T) {
 	for _, k := range []Kind{DCT, Haar} {
 		y := append([]float64(nil), x...)
 		scratch := make([]float64, vol)
-		New(k).ForwardBlock(y, shape, scratch)
+		New(k).Plan(shape).Forward(y, scratch)
 		want := mean * math.Sqrt(float64(vol))
 		if math.Abs(y[0]-want) > 1e-10 {
 			t.Errorf("%v: first coefficient %g, want %g", k, y[0], want)
@@ -290,7 +290,7 @@ func TestDCTConstantBlockEnergy(t *testing.T) {
 	// A constant block has all energy in the first coefficient.
 	x := []float64{5, 5, 5, 5, 5, 5, 5, 5}
 	scratch := make([]float64, 8)
-	New(DCT).ForwardBlock(x, []int{8}, scratch)
+	New(DCT).Plan([]int{8}).Forward(x, scratch)
 	if math.Abs(x[0]-5*math.Sqrt(8)) > eps {
 		t.Errorf("DC coefficient = %g, want %g", x[0], 5*math.Sqrt(8))
 	}
@@ -309,7 +309,7 @@ func TestApplyBlockValidation(t *testing.T) {
 				t.Error("length mismatch should panic")
 			}
 		}()
-		tr.ForwardBlock(make([]float64, 5), []int{4}, make([]float64, 8))
+		tr.Plan([]int{4}).Forward(make([]float64, 5), make([]float64, 8))
 	}()
 	func() {
 		defer func() {
@@ -317,7 +317,8 @@ func TestApplyBlockValidation(t *testing.T) {
 				t.Error("small scratch should panic")
 			}
 		}()
-		tr.ForwardBlock(make([]float64, 8), []int{8}, make([]float64, 2))
+		// Axis 16 has no unrolled kernel, so the plan needs 16 floats.
+		tr.Plan([]int{16}).Forward(make([]float64, 16), make([]float64, 2))
 	}()
 }
 
@@ -358,7 +359,7 @@ func TestParsevalProperty(t *testing.T) {
 			x[i] = rng.NormFloat64() * 10
 			normBefore += x[i] * x[i]
 		}
-		New(DCT).ForwardBlock(x, shape, make([]float64, vol))
+		New(DCT).Plan(shape).Forward(x, make([]float64, vol))
 		normAfter := 0.0
 		for _, v := range x {
 			normAfter += v * v
@@ -390,9 +391,9 @@ func TestLinearityProperty(t *testing.T) {
 		}
 		tr := New(DCT)
 		scratch := make([]float64, n)
-		tr.ForwardBlock(x, []int{n}, scratch)
-		tr.ForwardBlock(y, []int{n}, scratch)
-		tr.ForwardBlock(comb, []int{n}, scratch)
+		tr.Plan([]int{n}).Forward(x, scratch)
+		tr.Plan([]int{n}).Forward(y, scratch)
+		tr.Plan([]int{n}).Forward(comb, scratch)
 		for i := range comb {
 			want := a*x[i] + b*y[i]
 			if math.Abs(comb[i]-want) > 1e-8*(1+math.Abs(want)) {

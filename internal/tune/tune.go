@@ -179,7 +179,7 @@ func Run(ctx context.Context, labels []int, frame FrameFunc, opts Options) (*Rep
 		Frames:     make([]FrameDecision, len(labels)),
 	}
 
-	// Trial the sampled frames in parallel across the shared pool; the
+	// Trial the sampled frames in parallel; the
 	// last-winner inheritance for skipped frames is resolved afterwards,
 	// sequentially.
 	sampled := make([]int, 0, (len(labels)+every-1)/every)
