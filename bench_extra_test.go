@@ -1,47 +1,18 @@
 package repro
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/baseline/blaz"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/scalar"
-	"repro/internal/series"
-	"repro/internal/tensor"
 	"repro/internal/transform"
 )
 
-// Supplementary benchmark families: serialization, the compressed
-// time-series pipeline, reduced-precision conversion, and the derived
-// distance metrics.
-
-func BenchmarkSerializeEncode(b *testing.B) {
-	c := mustC(b, core.DefaultSettings(4, 4))
-	a := mustA(b, c, data.Gradient(256, 256))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Encode(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerializeDecode(b *testing.B) {
-	c := mustC(b, core.DefaultSettings(4, 4))
-	a := mustA(b, c, data.Gradient(256, 256))
-	blob, err := core.Encode(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Decode(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Supplementary benchmark families: the blaz baseline's serialization,
+// reduced-precision conversion, the derived distance metrics and their
+// gradients, and the transform-quality ablation.
 
 func BenchmarkBlazSerialize(b *testing.B) {
 	x := data.Gradient(256, 256)
@@ -72,29 +43,6 @@ func BenchmarkScalarRounding(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, x := range xs {
 					_ = ft.Round(x)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSeriesPipeline(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := mustC(b, core.DefaultSettings(8, 8))
-			frames := make([]*tensor.Tensor, 8)
-			for i := range frames {
-				frames[i] = data.Gradient(128, 128)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := series.New(c)
-				p := series.NewPipeline(s, workers)
-				for j, f := range frames {
-					p.Submit(j, f)
-				}
-				if err := p.Wait(); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})
@@ -163,24 +111,4 @@ func BenchmarkAblationTransformQuality(b *testing.B) {
 			b.ReportMetric(rmse, "rmse")
 		})
 	}
-}
-
-// Region decompression cost scales with the region, not the array.
-func BenchmarkRegionDecompress(b *testing.B) {
-	c := mustC(b, core.DefaultSettings(4, 4))
-	a := mustA(b, c, data.Gradient(512, 512))
-	b.Run("region=32x32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.DecompressRegion(a, []int{100, 100}, []int{32, 32}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full=512x512", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Decompress(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

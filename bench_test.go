@@ -14,7 +14,6 @@
 //	BenchmarkFig7*  — per-operation times, 3-D arrays, block 4 (Fig. 7)
 //	BenchmarkTableI* — every Table I operation at a fixed size
 //	BenchmarkAblation* — DCT vs Haar, pruning fraction, parallel vs serial
-//	BenchmarkStore* — durable multi-frame store I/O (bench_store_test.go)
 package repro
 
 import (

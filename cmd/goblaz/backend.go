@@ -5,7 +5,7 @@ package main
 // an http(s):// URL, resolved to the matching api.Backend — Local over
 // an opened store file or dataset manifest, a cluster Coordinator over
 // a topology file, the HTTP Client SDK otherwise. Subcommands written
-// against api.Backend (query, inspect, loadtest) work identically on
+// against api.Backend (query, inspect) work identically on
 // all four.
 
 import (

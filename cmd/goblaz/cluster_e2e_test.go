@@ -2,15 +2,14 @@ package main
 
 // Distributed-tier end-to-end checks: a cluster topology over real
 // shard servers must be interchangeable with the manifest on disk —
-// as a `goblaz query` argument, as a `goblaz serve -topology` mount,
-// and as a loadtest target. The final test does it with real
+// as a `goblaz query` argument and as a `goblaz serve -topology`
+// mount. The final test does it with real
 // processes: two `goblaz serve` shard children plus a coordinator
 // child, spawned by re-executing this test binary, gated on /readyz.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -113,45 +112,6 @@ func TestClusterServeTopology(t *testing.T) {
 		if !bytes.Equal(viaURL, viaManifest) {
 			t.Errorf("%s and manifest results differ:\n--- url ---\n%s\n--- manifest ---\n%s", target, viaURL, viaManifest)
 		}
-	}
-}
-
-func TestLoadtestClusterTopology(t *testing.T) {
-	// The loadtest generator pointed at a topology drives the whole
-	// distributed hot path — coordinator scatter, per-shard SDK
-	// transports, merge — and must finish a short run with zero errors.
-	// GOBLAZ_BENCH_OUT lets CI keep the artifact (BENCH_9.json).
-	manifest, _ := packShardedDataset(t, 6, 2)
-	topoPath := clusterTopologyFile(t, manifest, "runs")
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if p := os.Getenv("GOBLAZ_BENCH_OUT"); p != "" {
-		out = p
-	}
-	if _, err := captureStdout(t, func() error {
-		return runLoadtest([]string{
-			"-duration", "300ms", "-workers", "2",
-			"-mix", "query=1,frame=1,region=1",
-			"-out", out, topoPath,
-		})
-	}); err != nil {
-		t.Fatalf("loadtest over topology: %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep loadReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, blob)
-	}
-	if rep.Bench != "loadtest" || rep.Requests <= 0 || rep.Workers != 2 {
-		t.Errorf("artifact looks wrong: %+v", rep)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("cluster loadtest had %d errors", rep.Errors)
-	}
-	if rep.LatencyMS.P50 <= 0 || rep.LatencyMS.P99 < rep.LatencyMS.P50 {
-		t.Errorf("percentiles not ordered: %+v", rep.LatencyMS)
 	}
 }
 

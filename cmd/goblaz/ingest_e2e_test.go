@@ -2,17 +2,14 @@ package main
 
 // End-to-end coverage for streaming ingest: the HTTP route through the
 // SDK client against a live appendable store behind admission control,
-// the `goblaz ingest` subcommand against a local store path, and the
-// loadtest generator's ingest mix producing the benchmark artifact.
+// and the `goblaz ingest` subcommand against a local store path.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -177,75 +174,5 @@ func TestIngestCLILocalStore(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "is a "+tc.kind) || !strings.Contains(err.Error(), "read-only") {
 			t.Errorf("ingest into a %s: got %v, want a refusal naming it", tc.kind, err)
 		}
-	}
-}
-
-func TestLoadtestIngestMix(t *testing.T) {
-	// The loadtest generator with ingest in the mix drives reads and
-	// writes through the same appendable store and reports write
-	// throughput plus the WAL fsync tail in the benchmark artifact.
-	// GOBLAZ_BENCH_OUT lets CI keep the artifact (BENCH_10.json).
-	dir := t.TempDir()
-	storePath := filepath.Join(dir, "live.gbz")
-	s, err := ingest.Create(storePath, ingest.Options{Spec: ingestTestSpec, CommitFrames: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seed []api.IngestFrame
-	for i := 0; i < 4; i++ {
-		seed = append(seed, ingestTestFrame(i, 8, 8))
-	}
-	if _, err := s.Ingest(context.Background(), seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if p := os.Getenv("GOBLAZ_BENCH_OUT"); p != "" {
-		out = p
-	}
-	if _, err := captureStdout(t, func() error {
-		return runLoadtest([]string{
-			"-duration", "300ms", "-workers", "2",
-			"-mix", "query=1,frame=1,ingest=2",
-			"-out", out, storePath,
-		})
-	}); err != nil {
-		t.Fatalf("loadtest with ingest mix: %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep loadReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, blob)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("ingest-mix loadtest had %d errors", rep.Errors)
-	}
-	if rep.Ingest == nil {
-		t.Fatalf("artifact has no ingest section: %+v", rep)
-	}
-	if rep.Ingest.Frames <= 0 || rep.Ingest.ThroughputFPS <= 0 {
-		t.Errorf("ingest throughput not reported: %+v", rep.Ingest)
-	}
-	if rep.Ingest.WALFsyncCount == 0 {
-		t.Errorf("WAL fsync histogram was never observed: %+v", rep.Ingest)
-	}
-	if rep.Mix["ingest"] == 0 {
-		t.Errorf("mix counted no ingest requests: %+v", rep.Mix)
-	}
-
-	// The run's writes are committed by Close and survive reopening.
-	r, err := store.Open(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() <= 4 {
-		t.Errorf("store holds %d frames after ingest loadtest, want > 4 seeded", r.Len())
 	}
 }

@@ -60,8 +60,6 @@ func main() {
 		err = runIngest(args)
 	case "query":
 		err = runQuery(args)
-	case "loadtest":
-		err = runLoadtest(args)
 	case "metrics":
 		err = runMetrics(args)
 	default:
@@ -94,9 +92,6 @@ func usage() {
                     [NAME=]IN|MANIFEST|TOPOLOGY ...
   goblaz ingest     -shape N,M[,K] [-spec SPEC] [-label-start N] [-batch N]
                     [-commit-every N] [-commit-bytes B] [-timeout D] STORE|URL FRAME...
-  goblaz loadtest   [-duration D] [-rps N] [-workers N] [-mix query=W,frame=W,region=W]
-                    [-out BENCH.json] [-error-budget F] [-metrics-url URL]
-                    [-cpuprofile F] [-memprofile F] IN|MANIFEST|TOPOLOGY|URL
   goblaz metrics    [-json] [-timeout D] URL
   goblaz query      [-labels GLOB] [-from I] [-to I] [-aggs LIST] [-reduce LIST]
                     [-metric KIND [-against LABEL] [-peak P]] [-region OFF:SHAPE] [-point IDX]

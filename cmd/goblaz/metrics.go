@@ -96,21 +96,3 @@ func scrape(target string, timeout time.Duration) ([]byte, error) {
 	}
 	return body, nil
 }
-
-// scrapeSnapshot fetches and decodes a /v1/debug/metrics document;
-// loadtest diffs two of these to report the server-side view of a run.
-func scrapeSnapshot(base string, timeout time.Duration) (obs.Snapshot, error) {
-	target, err := metricsURL(base, true)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	body, err := scrape(target, timeout)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return obs.Snapshot{}, fmt.Errorf("%s: %w", target, err)
-	}
-	return snap, nil
-}

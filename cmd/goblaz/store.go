@@ -46,7 +46,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -104,56 +103,25 @@ func runPack(args []string) error {
 		}
 		assign = fn
 	}
+	labels := make([]int, len(frames)) // labels are positions
+	for i := range labels {
+		labels[i] = i
+	}
+	frame := func(i int) (*tensor.Tensor, error) {
+		t, err := readTensor(frames[i], o.shape)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", frames[i], err)
+		}
+		return t, nil
+	}
 	// -shards 1 is a valid (single-shard) dataset: the flag decides the
 	// output format, manifest vs bare store, not just the split.
 	if o.shards > 0 {
-		return packSharded(o, coder, assign, out, frames)
+		return packSharded(o, coder, assign, out, labels, frame)
 	}
-	// Build in a temp file and rename on success, so a mid-pack failure
-	// neither leaves a truncated store nor clobbers an existing one.
-	f, err := os.CreateTemp(filepath.Dir(out), ".goblaz-pack-*")
-	if err != nil {
+	if err := shard.WriteStore(out, coder, assign, labels, o.workers, frame); err != nil {
 		return err
 	}
-	tmp := f.Name()
-	defer func() {
-		if tmp != "" {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	w, err := store.NewWriter(f, coder.Spec())
-	if err != nil {
-		return err
-	}
-	var p *series.Pipeline
-	if assign == nil {
-		p = series.NewCodecPipeline(coder, w.Sink(coder), o.workers)
-	} else {
-		p = series.NewAssignedPipeline(assign, w.SinkAssigned(), o.workers)
-	}
-	for label, path := range frames {
-		t, err := readTensor(path, o.shape)
-		if err != nil {
-			// Surface the bad input now; the pipeline still owns earlier
-			// frames, so drain it — and report its failure too, if any.
-			return errors.Join(fmt.Errorf("frame %d (%s): %w", label, path, err), p.Wait())
-		}
-		p.Submit(label, t)
-	}
-	if err := p.Wait(); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, out); err != nil {
-		return err
-	}
-	tmp = ""
 	st, err := os.Stat(out)
 	if err != nil {
 		return err
@@ -169,21 +137,9 @@ func runPack(args []string) error {
 }
 
 // packSharded writes a sharded dataset: OUT is the manifest path, the
-// shard stores land next to it (see shard.WriteDataset). Frame labels
-// are global positions, exactly like single-store pack. A non-nil
+// shard stores land next to it (see shard.WriteDataset). A non-nil
 // assign (pack -auto) compresses each frame under its assigned codec.
-func packSharded(o *options, coder codec.Coder, assign shard.AssignFunc, out string, frames []string) error {
-	labels := make([]int, len(frames))
-	for i := range labels {
-		labels[i] = i
-	}
-	frame := func(i int) (*tensor.Tensor, error) {
-		t, err := readTensor(frames[i], o.shape)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", frames[i], err)
-		}
-		return t, nil
-	}
+func packSharded(o *options, coder codec.Coder, assign shard.AssignFunc, out string, labels []int, frame shard.FrameFunc) error {
 	var man *shard.Manifest
 	var err error
 	if assign == nil {
@@ -202,9 +158,9 @@ func packSharded(o *options, coder codec.Coder, assign shard.AssignFunc, out str
 		}
 		packed += st.Size()
 	}
-	raw := int64(len(frames)) * int64(tensor8Bytes(o.shape))
+	raw := int64(len(labels)) * int64(tensor8Bytes(o.shape))
 	fmt.Printf("packed %d frames into %d shards, %d → %d bytes with %s (ratio %.2f)\n",
-		len(frames), len(man.Shards), raw, packed, coder.Spec(), float64(raw)/float64(packed))
+		len(labels), len(man.Shards), raw, packed, coder.Spec(), float64(raw)/float64(packed))
 	return nil
 }
 

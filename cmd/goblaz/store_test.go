@@ -408,6 +408,35 @@ func TestServeHandler(t *testing.T) {
 	get("/v1/frames/banana", 400)
 }
 
+func TestLimitMountsSharesDefaultLimiter(t *testing.T) {
+	path := packQueryStore(t)
+	var (
+		def              api.Backend
+		stores, datasets map[string]api.Backend
+	)
+	if _, err := captureStdout(t, func() error {
+		var closeAll func()
+		var err error
+		def, stores, datasets, closeAll, err = openMounts([]string{path}, 0)
+		if err == nil {
+			t.Cleanup(closeAll)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wrappedDef := limitMounts(def, stores, datasets, api.LimitOptions{MaxConcurrent: 4})
+	if wrappedDef == def {
+		t.Fatal("default mount was not wrapped")
+	}
+	if stores["q"] != wrappedDef { // packQueryStore writes q.gbz
+		t.Error("default and named mounts must share one limiter instance")
+	}
+	if limitMounts(def, stores, datasets, api.LimitOptions{}) != def {
+		t.Error("MaxConcurrent 0 must leave the default unwrapped")
+	}
+}
+
 // serveStore packs a store with the given spec and serves it with a
 // query engine attached.
 func serveStore(t *testing.T, spec string, n, rows, cols int) (*httptest.Server, []*tensor.Tensor) {

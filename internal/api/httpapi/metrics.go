@@ -192,8 +192,7 @@ func MetricsProm(reg *obs.Registry) http.Handler {
 }
 
 // MetricsJSON serves a registry snapshot as JSON — mounted at
-// GET /v1/debug/metrics; goblaz loadtest diffs two of these to report
-// server-side deltas.
+// GET /v1/debug/metrics; goblaz metrics -json fetches and prints it.
 func MetricsJSON(reg *obs.Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, reg.Snapshot())

@@ -38,6 +38,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -50,25 +51,15 @@ import (
 	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/series"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
-
-// AssignFunc picks the codec a frame compresses under when the frame
-// itself names no spec — the live counterpart of shard.AssignFunc, so
-// a tune report's per-label table plugs in unchanged. Pipeline workers
-// call it concurrently.
-type AssignFunc func(label int, frame *tensor.Tensor) (codec.Coder, error)
 
 // Options configures an appendable store.
 type Options struct {
 	// Spec is the store's default codec spec. Create requires it; Open
 	// verifies it against the file header when set.
 	Spec string
-	// Assign, when non-nil, picks a codec per frame (frames naming
-	// their own spec bypass it). Nil means the default codec.
-	Assign AssignFunc
 	// CommitFrames commits once this many frames are pending; ≤ 0
 	// disables the frame-count trigger.
 	CommitFrames int
@@ -83,9 +74,6 @@ type Options struct {
 	// this many dead bytes; ≤ 0 disables auto-compaction (Compact
 	// still works).
 	CompactBytes int64
-	// Workers sizes each batch's compression pipeline; ≤ 0 means
-	// GOMAXPROCS.
-	Workers int
 	// CacheBytes budgets the decoded-frame cache shared across view
 	// generations; ≤ 0 disables caching.
 	CacheBytes int64
@@ -137,7 +125,6 @@ type Store struct {
 	wal           *wal
 	committedSize int64             // bytes of the current commit's image
 	footerOff     int64             // where the current footer starts
-	headerEnd     int64             // first payload byte
 	entries       []store.FrameInfo // committed index, commit order
 	extraSpecs    []string          // interned non-default specs, ids 1..n
 	specIDs       map[string]int    // canonical spec → id (0 = default)
@@ -263,8 +250,8 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 	}
 	// Canonicalize from the constructed coder, not the header string:
 	// the coder's Spec() carries every parameter (defaults included), so
-	// it matches what assigned-pipeline sinks will hand back for frames
-	// compressed under the default codec.
+	// it matches what compressFrame canonicalizes for frames compressed
+	// under the default codec.
 	canon, err := codec.Canonical(coder.Spec())
 	if err != nil {
 		return nil, err
@@ -279,32 +266,15 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 		cache:         query.NewCache(opts.CacheBytes),
 		f:             f,
 		committedSize: committed,
-		headerEnd:     int64(4 + 1 + 2 + len(specs[0])), // magic+version+len+spec
-		entries:       r.Frames(),
-		specIDs:       map[string]int{canon: 0},
 		labels:        map[int]struct{}{},
 		stop:          make(chan struct{}),
 	}
-	for id, spec := range specs[1:] {
-		c, err := codec.Canonical(spec)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %s spec table entry %d: %w", path, id+1, err)
-		}
-		s.extraSpecs = append(s.extraSpecs, spec)
-		s.specIDs[c] = id + 1
+	if err := s.adoptIndexLocked(r); err != nil {
+		return nil, fmt.Errorf("ingest: %s %w", path, err)
 	}
-	var live int64
-	s.footerOff = s.headerEnd
 	for _, e := range s.entries {
 		s.labels[e.Label] = struct{}{}
-		live += e.Length
-		if end := e.Offset + e.Length; end > s.footerOff {
-			s.footerOff = end
-		}
 	}
-	// Dead bytes are the gaps between payloads — superseded footers
-	// from earlier commits.
-	s.deadBytes = s.footerOff - s.headerEnd - live
 
 	// Replay the WAL's intact prefix. Records whose label the store
 	// already holds were committed by a footer whose WAL truncate never
@@ -366,6 +336,33 @@ func lookupCoder(spec string) (codec.Coder, error) {
 	return coder, nil
 }
 
+// adoptIndexLocked takes the store's index — frames, interned specs,
+// footer position, dead bytes — from a reader over the committed image.
+// Dead bytes are what the data region holds beyond live payloads:
+// footers superseded by earlier commits (none after a compaction).
+func (s *Store) adoptIndexLocked(r *store.Reader) error {
+	specs := r.Specs()
+	extraSpecs := specs[1:]
+	specIDs := map[string]int{s.defaultCanon: 0}
+	for i, spec := range extraSpecs {
+		canon, err := codec.Canonical(spec)
+		if err != nil {
+			return fmt.Errorf("spec table entry %d: %w", i+1, err)
+		}
+		specIDs[canon] = i + 1
+	}
+	entries := r.Frames()
+	var live int64
+	for _, e := range entries {
+		live += e.Length
+	}
+	start, end := r.DataRegion()
+	s.entries, s.extraSpecs, s.specIDs = entries, extraSpecs, specIDs
+	s.footerOff = end
+	s.deadBytes = end - start - live
+	return nil
+}
+
 // background drives the commit timer and the compaction threshold.
 func (s *Store) background() {
 	defer s.bg.Done()
@@ -401,11 +398,11 @@ func (s *Store) background() {
 	}
 }
 
-// Ingest accepts a batch of frames: compresses them through the
-// parallel pipeline, appends them to the WAL with one fsync, and
-// commits if the batch crosses the commit policy. On return the batch
-// is durable; frames become queryable at the commit the result
-// reports or a later one. Implements api.Ingestor.
+// Ingest accepts a batch of frames: compresses them concurrently,
+// appends them to the WAL with one fsync, and commits if the batch
+// crosses the commit policy. On return the batch is durable; frames
+// become queryable at the commit the result reports or a later one.
+// Implements api.Ingestor.
 func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.IngestResult, error) {
 	ctx, span := obs.DefaultTracer.Start(ctx, "ingest.append")
 	defer span.End()
@@ -413,7 +410,6 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	if len(frames) == 0 {
 		return nil, api.Errorf(api.CodeBadRequest, "empty ingest batch")
 	}
-	specByLabel := make(map[int]string)
 	for i, f := range frames {
 		n := 1
 		for _, e := range f.Shape {
@@ -430,7 +426,6 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 			if _, err := lookupCoder(f.Spec); err != nil {
 				return nil, api.Errorf(api.CodeBadRequest, "frame %d (label %d): %v", i, f.Label, err)
 			}
-			specByLabel[f.Label] = f.Spec
 		}
 	}
 
@@ -460,45 +455,20 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 		s.mu.Unlock()
 	}
 
-	// Compress outside the lock: concurrent batches overlap here, and
-	// the per-frame assigner keeps tune-style spec tables live.
-	recs := make([]walRecord, 0, len(frames))
-	assign := func(label int, frame *tensor.Tensor) (codec.Coder, error) {
-		if spec, ok := specByLabel[label]; ok {
-			return lookupCoder(spec)
+	// Compress outside the lock: concurrent batches overlap here. Each
+	// frame fills its own slot, so the WAL keeps the batch's order.
+	recs := make([]walRecord, len(frames))
+	errs := make([]error, len(frames))
+	err := tensor.ParallelForCoarseCtx(ctx, len(frames), func(i int) {
+		var cerr error
+		if recs[i], cerr = s.compressFrame(frames[i]); cerr != nil {
+			errs[i] = fmt.Errorf("ingest: frame %d (label %d): %w", i, frames[i].Label, cerr)
 		}
-		if s.opts.Assign != nil {
-			return s.opts.Assign(label, frame)
-		}
-		return s.defaultCoder, nil
+	})
+	if err == nil {
+		err = errors.Join(errs...)
 	}
-	sink := func(label int, coder codec.Coder, c codec.Compressed) error {
-		payload, err := coder.Encode(c)
-		if err != nil {
-			return err
-		}
-		spec := coder.Spec()
-		canon, err := codec.Canonical(spec)
-		if err != nil {
-			return err
-		}
-		if canon == s.defaultCanon {
-			spec = "" // default codec: spec id 0, nothing to intern
-		}
-		recs = append(recs, walRecord{label: label, spec: spec, payload: payload})
-		return nil
-	}
-	p := series.NewAssignedPipeline(assign, sink, s.opts.Workers)
-	for _, f := range frames {
-		t := tensor.New(f.Shape...)
-		copy(t.Data(), f.Data)
-		p.Submit(f.Label, t)
-	}
-	if err := p.Wait(); err != nil {
-		unreserve()
-		return nil, api.FromError(err)
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		unreserve()
 		return nil, api.FromError(err)
 	}
@@ -544,6 +514,40 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	res.Pending = len(s.pending)
 	res.Frames = len(s.entries)
 	return res, nil
+}
+
+// compressFrame turns one validated frame into its WAL record: compress
+// under the frame's own spec or the store default, then encode. The
+// tensor wraps f.Data without copying — Ingest has checked the shape
+// against the length, and nothing keeps the tensor past this call.
+func (s *Store) compressFrame(f api.IngestFrame) (walRecord, error) {
+	coder := s.defaultCoder
+	if f.Spec != "" {
+		var err error
+		if coder, err = lookupCoder(f.Spec); err != nil {
+			return walRecord{}, err
+		}
+	}
+	t := tensor.FromSlice(f.Data, f.Shape...)
+	start := time.Now()
+	c, err := coder.Compress(t)
+	if err != nil {
+		return walRecord{}, err
+	}
+	spec := coder.Spec()
+	codec.ObserveOp(spec, "compress", t.Len()*8, time.Since(start))
+	payload, err := coder.Encode(c)
+	if err != nil {
+		return walRecord{}, err
+	}
+	canon, err := codec.Canonical(spec)
+	if err != nil {
+		return walRecord{}, err
+	}
+	if canon == s.defaultCanon {
+		spec = "" // default codec: spec id 0, nothing to intern
+	}
+	return walRecord{label: f.Label, spec: spec, payload: payload}, nil
 }
 
 func walPayloadBytes(recs []walRecord) int64 {
@@ -788,25 +792,9 @@ func (s *Store) compactLocked() error {
 	s.f.Close()
 	s.f = nf
 	s.committedSize = st.Size()
-	s.entries = r.Frames()
-	specs := r.Specs()
-	s.extraSpecs = nil
-	s.specIDs = map[string]int{s.defaultCanon: 0}
-	for id, spec := range specs[1:] {
-		canon, err := codec.Canonical(spec)
-		if err != nil {
-			return s.failLocked(err)
-		}
-		s.extraSpecs = append(s.extraSpecs, spec)
-		s.specIDs[canon] = id + 1
+	if err := s.adoptIndexLocked(r); err != nil {
+		return s.failLocked(err)
 	}
-	s.footerOff = s.headerEnd
-	for _, e := range s.entries {
-		if end := e.Offset + e.Length; end > s.footerOff {
-			s.footerOff = end
-		}
-	}
-	s.deadBytes = 0
 	compactionsTotal.Inc()
 	if err := s.swapViewLocked(); err != nil {
 		// The rewrite stands and s.f serves the new inode; queries stay

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/api/conformance"
 	"repro/internal/store"
+	"repro/internal/tensor"
 )
 
 const testSpec = "goblaz:block=4x4,float=float64,index=int16"
@@ -154,6 +156,91 @@ func TestIngestPerFrameSpecAndCompaction(t *testing.T) {
 	defer r.Close()
 	if !r.MixedCodec() || r.Len() != 3 {
 		t.Fatalf("compacted store: mixed=%v len=%d", r.MixedCodec(), r.Len())
+	}
+}
+
+func TestIngestBatchMatchesCodecAlone(t *testing.T) {
+	// One batch, one frame per codec the package's tests ingest under
+	// (plus one on the store default): Ingest compresses straight from
+	// the caller's slices, so they must come back bit-identical, and
+	// what the store serves must be exactly the codec's own round trip.
+	path := filepath.Join(t.TempDir(), "batch.gbz")
+	s, err := Create(path, Options{Spec: testSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	specs := []string{"", testSpec, "goblaz:block=8x8,float=float32,index=int16", conformance.MixedSpec}
+	batch := make([]api.IngestFrame, len(specs))
+	orig := make([][]float64, len(specs))
+	for i, spec := range specs {
+		batch[i] = testFrame(i, 16, 16)
+		batch[i].Spec = spec
+		orig[i] = append([]float64(nil), batch[i].Data...)
+	}
+	if _, err := s.Ingest(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		for j, v := range batch[i].Data {
+			if math.Float64bits(v) != math.Float64bits(orig[i][j]) {
+				t.Fatalf("spec %q: Ingest changed the caller's sample %d: %g → %g", spec, j, orig[i][j], v)
+			}
+		}
+		if spec == "" {
+			spec = testSpec
+		}
+		coder, err := lookupCoder(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := coder.Compress(tensor.FromSlice(orig[i], 16, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coder.Decompress(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Frame(ctx, i)
+		if err != nil {
+			t.Fatalf("spec %q: Frame(%d): %v", spec, i, err)
+		}
+		for j, v := range want.Data() {
+			if math.Float64bits(got.Data[j]) != math.Float64bits(v) {
+				t.Fatalf("spec %q: stored sample %d = %g, codec alone gives %g", spec, j, got.Data[j], v)
+			}
+		}
+	}
+}
+
+func TestIngestCancelledBatchLeavesNoTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cancel.gbz")
+	s, err := Create(path, Options{Spec: testSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	batch := []api.IngestFrame{testFrame(0, 16, 16), testFrame(1, 16, 16), testFrame(2, 16, 16)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Ingest(ctx, batch); api.CodeOf(err) != api.CodeCanceled {
+		t.Fatalf("Ingest under a cancelled context = %v (%s), want %s", err, api.CodeOf(err), api.CodeCanceled)
+	}
+	if st, err := os.Stat(path + ".wal"); err != nil || st.Size() != 0 {
+		t.Fatalf("cancelled batch reached the WAL: %v, %v", st, err)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("cancelled batch left %d frames pending", s.Pending())
+	}
+	// The reserved labels were released: the same batch is accepted now.
+	res, err := s.Ingest(context.Background(), batch)
+	if err != nil || res.Accepted != len(batch) {
+		t.Fatalf("re-ingest after cancel = %+v, %v", res, err)
 	}
 }
 

@@ -44,7 +44,7 @@ func buildCrashState(t *testing.T) *crashState {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.gbz")
 
-	s, err := Create(path, Options{Spec: testSpec, Workers: 2})
+	s, err := Create(path, Options{Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func buildCrashState(t *testing.T) *crashState {
 	cdir := t.TempDir()
 	cpath := filepath.Join(cdir, "live.gbz")
 	writeImage(t, cpath, cs.store, cs.wal)
-	c, err := Open(cpath, Options{Workers: 2})
+	c, err := Open(cpath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCrashRecoveryTornWAL(t *testing.T) {
 	path := filepath.Join(dir, "live.gbz")
 	for _, wk := range cutPoints(0, int64(len(cs.wal)), nil) {
 		writeImage(t, path, cs.store, cs.wal[:wk])
-		s, err := Open(path, Options{Workers: 2})
+		s, err := Open(path, Options{})
 		if err != nil {
 			t.Fatalf("wal[:%d]: open: %v", wk, err)
 		}
@@ -251,7 +251,7 @@ func TestCrashRecoveryTornCommit(t *testing.T) {
 	path := filepath.Join(dir, "live.gbz")
 	for _, k := range cutPoints(int64(len(cs.store)), int64(len(cs.full)), cs.cuts) {
 		writeImage(t, path, cs.full[:k], cs.wal)
-		s, err := Open(path, Options{Workers: 2})
+		s, err := Open(path, Options{})
 		if err != nil {
 			t.Fatalf("full[:%d]: open: %v", k, err)
 		}
@@ -275,13 +275,13 @@ func TestIngestQueryHammer(t *testing.T) {
 		CommitFrames:   16,
 		CommitInterval: 2 * time.Millisecond,
 		CompactBytes:   256,
-		Workers:        2,
 		CacheBytes:     1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	fsyncs0, batches0 := walFsyncSeconds.Count(), batchesTotal.Value()
 
 	const producers, perProducer = 4, 24
 	var next atomic.Int64
@@ -360,6 +360,11 @@ func TestIngestQueryHammer(t *testing.T) {
 	}
 	if err := readErr.Load(); err != nil {
 		t.Fatalf("reader: %v", err)
+	}
+	// Every acknowledged batch paid exactly one timed WAL fsync.
+	fsyncs, batches := walFsyncSeconds.Count()-fsyncs0, batchesTotal.Value()-batches0
+	if batches == 0 || fsyncs != batches {
+		t.Errorf("goblaz_ingest_wal_fsync_seconds observed %d fsyncs for %d acknowledged batches", fsyncs, batches)
 	}
 	if err := s.Commit(ctx); err != nil {
 		t.Fatal(err)

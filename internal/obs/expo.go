@@ -214,7 +214,7 @@ func sampleOf(child any, labelNames, values []string) SampleSnapshot {
 
 // Flatten collapses a snapshot to "name{k=v,...}" → value, histograms
 // contributing name_count and name_sum entries. This is the shape
-// loadtest diffs to compute a server-side delta across a run.
+// bench diffs to compute the per-layer deltas of a run.
 func (s Snapshot) Flatten() map[string]float64 {
 	out := make(map[string]float64)
 	for _, m := range s.Metrics {

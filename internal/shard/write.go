@@ -76,12 +76,11 @@ func writeDataset(path string, coder codec.Coder, assign AssignFunc, labels []in
 
 	man := &Manifest{Version: ManifestVersion, Spec: coder.Spec()}
 	var tmps []string
-	cleanup := func() {
+	defer func() {
 		for _, tmp := range tmps {
 			os.Remove(tmp)
 		}
-	}
-	defer func() { cleanup() }()
+	}()
 
 	var finals []string
 	next := 0
@@ -112,19 +111,13 @@ func writeDataset(path string, coder codec.Coder, assign AssignFunc, labels []in
 	}
 
 	// Every shard compressed cleanly; move them into place, then commit
-	// the manifest. The directory fsync after the renames makes the new
-	// names durable before the manifest references them — otherwise a
-	// crash could persist a manifest pointing at shard files whose
-	// directory entries were lost (Manifest.Write syncs the directory
-	// again for its own rename).
-	for i, tmp := range tmps {
-		if err := os.Rename(tmp, finals[i]); err != nil {
-			return nil, err
-		}
-		tmps[i] = ""
-	}
+	// the manifest. The shard names are durable before the manifest
+	// references them — otherwise a crash could persist a manifest
+	// pointing at shard files whose directory entries were lost
+	// (Manifest.Write syncs the directory again for its own rename).
+	committing := tmps
 	tmps = nil
-	if err := store.FsyncDir(dir); err != nil {
+	if err := commitStores(dir, committing, finals); err != nil {
 		return nil, err
 	}
 	if err := man.Write(path); err != nil {
@@ -133,15 +126,46 @@ func writeDataset(path string, coder codec.Coder, assign AssignFunc, labels []in
 	return man, nil
 }
 
-// writeShard packs one shard into a temp file in dir and returns the
-// temp path, the store's footer CRC, and its spec list (all recorded in
-// the manifest); the caller renames it into place once every shard
-// succeeds. A nil assign compresses every frame with coder; otherwise
-// each frame compresses under its assigned codec. The finished file is
-// re-opened to read the CRC and specs, which doubles as a check that
-// what was written parses.
+// WriteStore packs frames into one bare store file at path — the
+// single-file counterpart of WriteDataset, through the same temp file,
+// reopen-and-parse check, rename and directory fsync a dataset's shards
+// get, so a failed pack neither leaves a truncated store nor clobbers
+// an existing one and a finished one survives a crash. A nil assign
+// compresses every frame with coder; otherwise each frame compresses
+// under its assigned codec and coder names the store's default spec.
+func WriteStore(path string, coder codec.Coder, assign AssignFunc, labels []int, workers int, frame FrameFunc) error {
+	dir := filepath.Dir(path)
+	tmp, _, _, err := writeShard(dir, coder, assign, labels, 0, workers, frame)
+	if err != nil {
+		return err
+	}
+	return commitStores(dir, []string{tmp}, []string{path})
+}
+
+// commitStores renames finished temp stores to their final names and
+// fsyncs the directory, which is what makes a rename survive a crash
+// (see store.FsyncDir). Temp files it could not move are removed.
+func commitStores(dir string, tmps, finals []string) error {
+	for i, tmp := range tmps {
+		if err := os.Rename(tmp, finals[i]); err != nil {
+			for _, rest := range tmps[i:] {
+				os.Remove(rest)
+			}
+			return err
+		}
+	}
+	return store.FsyncDir(dir)
+}
+
+// writeShard packs one store into a temp file in dir and returns the
+// temp path, the store's footer CRC, and its spec list (a dataset
+// records the last two in its manifest); the caller renames it into
+// place — a dataset once every shard succeeds. A nil assign compresses
+// every frame with coder; otherwise each frame compresses under its
+// assigned codec. The finished file is re-opened to read the CRC and
+// specs, which doubles as a check that what was written parses.
 func writeShard(dir string, coder codec.Coder, assign AssignFunc, labels []int, first, workers int, frame FrameFunc) (string, uint32, []string, error) {
-	f, err := os.CreateTemp(dir, ".goblaz-shard-*")
+	f, err := os.CreateTemp(dir, ".goblaz-pack-*")
 	if err != nil {
 		return "", 0, nil, err
 	}

@@ -37,6 +37,8 @@ type Reader struct {
 	version   int
 	specs     []string // specs[0] = default (header), 1.. = footer table
 	footerCRC uint32
+	headerEnd int64 // first byte after the header
+	footerOff int64 // first byte of the footer
 	frames    []FrameInfo
 	index     map[int]int // label → frame position
 
@@ -224,6 +226,7 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	}
 	return &Reader{
 		r: r, id: readerID.Add(1), version: v, specs: specs, footerCRC: footerCRC,
+		headerEnd: headerEnd, footerOff: footerOff,
 		frames: frames, index: index,
 		verified: make([]atomic.Uint32, (count+31)/32),
 		coders:   make([]coderCell, len(specs)),
@@ -235,6 +238,12 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 // v2 the spec table). Dataset manifests record it per shard to detect
 // swapped or stale shard files at open.
 func (r *Reader) FooterCRC() uint32 { return r.footerCRC }
+
+// DataRegion returns the byte range [start, end) between the header and
+// the footer. Every frame payload lies inside it; bytes of the region no
+// frame covers are dead (footers superseded by later commits of an
+// appendable store).
+func (r *Reader) DataRegion() (start, end int64) { return r.headerEnd, r.footerOff }
 
 // FrameKey returns a stable, process-unique identity for frame i: this
 // reader instance plus the frame position. Consumers key shared caches
