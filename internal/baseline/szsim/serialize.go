@@ -37,8 +37,15 @@ func Encode(a *Compressed) ([]byte, error) {
 	return append(out, a.Stream...), nil
 }
 
-// Decode parses bytes produced by Encode.
-func Decode(data []byte) (*Compressed, error) {
+// Decode parses bytes produced by Encode. The result owns its stream.
+func Decode(data []byte) (*Compressed, error) { return decode(data, false) }
+
+// DecodeView is Decode whose Stream is data's own bytes, capacity-limited
+// so an append cannot write past them. data must outlive the result and
+// must not be written while it is in use.
+func DecodeView(data []byte) (*Compressed, error) { return decode(data, true) }
+
+func decode(data []byte, view bool) (*Compressed, error) {
 	if len(data) < 2+8+1 {
 		return nil, errors.New("szsim: stream too short")
 	}
@@ -65,9 +72,9 @@ func Decode(data []byte) (*Compressed, error) {
 			return nil, fmt.Errorf("szsim: implausible extent %d", shape[i])
 		}
 	}
-	return &Compressed{
-		Shape:      shape,
-		ErrorBound: eb,
-		Stream:     append([]byte(nil), data[pos:]...),
-	}, nil
+	stream := data[pos:len(data):len(data)]
+	if !view {
+		stream = append([]byte(nil), stream...)
+	}
+	return &Compressed{Shape: shape, ErrorBound: eb, Stream: stream}, nil
 }

@@ -31,8 +31,15 @@ func Encode(a *Compressed) ([]byte, error) {
 }
 
 // Decode parses bytes produced by Encode, validating the payload length
-// against the fixed rate.
-func Decode(data []byte) (*Compressed, error) {
+// against the fixed rate. The result owns its payload.
+func Decode(data []byte) (*Compressed, error) { return decode(data, false) }
+
+// DecodeView is Decode whose Payload is data's own bytes, capacity-limited
+// so an append cannot write past them. data must outlive the result and
+// must not be written while it is in use.
+func DecodeView(data []byte) (*Compressed, error) { return decode(data, true) }
+
+func decode(data []byte, view bool) (*Compressed, error) {
 	if len(data) < 4 {
 		return nil, errors.New("zfpsim: stream too short")
 	}
@@ -73,9 +80,9 @@ func Decode(data []byte) (*Compressed, error) {
 	if len(data)-pos != wantBytes {
 		return nil, fmt.Errorf("zfpsim: payload %d bytes, want %d", len(data)-pos, wantBytes)
 	}
-	return &Compressed{
-		Shape:    shape,
-		Settings: settings,
-		Payload:  append([]byte(nil), data[pos:]...),
-	}, nil
+	payload := data[pos:len(data):len(data)]
+	if !view {
+		payload = append([]byte(nil), payload...)
+	}
+	return &Compressed{Shape: shape, Settings: settings, Payload: payload}, nil
 }

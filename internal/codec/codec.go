@@ -123,7 +123,19 @@ type Coder interface {
 	Encode(c Compressed) ([]byte, error)
 	// Decode reverses Encode. Implementations must not retain data or
 	// alias it from the returned Compressed: callers decode straight
-	// from pooled scratch buffers and memory-mapped store images, and
-	// reuse or unmap the bytes once Decode returns.
+	// from pooled scratch buffers and reuse them once Decode returns.
 	Decode(data []byte) (Compressed, error)
+}
+
+// ViewDecoder is the optional zero-copy decode sub-interface (goblaz,
+// sz, zfp): Decode whose result may alias data instead of copying it. It
+// is for callers whose bytes outlive the result and are never written
+// while it is in use — a read-only store mapping, or a payload read for
+// this one decode — never for pooled scratch. Operations on the result
+// only read the aliased bytes, and what they return owns its memory.
+// TimedDecodeView falls back to Decode for a Coder without it.
+type ViewDecoder interface {
+	Coder
+	// DecodeView is Decode, except that the result may alias data.
+	DecodeView(data []byte) (Compressed, error)
 }

@@ -14,8 +14,8 @@ func init() {
 }
 
 // goblazCodec adapts internal/core — the paper's compressor — to the
-// Codec interface. It implements Ops (full compressed-space arithmetic)
-// and Coder.
+// Codec interface. It implements Ops (full compressed-space arithmetic),
+// Coder and ViewDecoder.
 type goblazCodec struct {
 	c    *core.Compressor
 	spec string
@@ -274,4 +274,8 @@ func (g *goblazCodec) Encode(c Compressed) ([]byte, error) {
 
 func (g *goblazCodec) Decode(data []byte) (Compressed, error) {
 	return core.Decode(data)
+}
+
+func (g *goblazCodec) DecodeView(data []byte) (Compressed, error) {
+	return core.DecodeView(data)
 }

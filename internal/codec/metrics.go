@@ -63,11 +63,26 @@ func ObserveOp(spec, op string, bytes int, d time.Duration) {
 // operation under spec — on success only. A payload that failed to decode
 // produced nothing, so it contributes neither a timing nor a byte count
 // to the goblaz_codec_* families; the caller's error path accounts for it.
-// Every layer that times a Decode (store.Reader.Frame on both its
-// branches, query.Engine.loadFrame) goes through here.
+// Every layer that times a decode (query.Engine.loadFrame, and through
+// TimedDecodeView store.Reader.Frame) goes through here.
 func TimedDecode(coder Coder, spec string, data []byte) (Compressed, error) {
+	return timedDecode(coder.Decode, spec, data)
+}
+
+// TimedDecodeView is TimedDecode through ViewDecoder.DecodeView when the
+// coder has it, so the result may alias data; it records under the same
+// "decode" series. The caller promises what ViewDecoder asks: data
+// outlives the result and is never written.
+func TimedDecodeView(coder Coder, spec string, data []byte) (Compressed, error) {
+	if vd, ok := coder.(ViewDecoder); ok {
+		return timedDecode(vd.DecodeView, spec, data)
+	}
+	return TimedDecode(coder, spec, data)
+}
+
+func timedDecode(decode func([]byte) (Compressed, error), spec string, data []byte) (Compressed, error) {
 	start := time.Now()
-	c, err := coder.Decode(data)
+	c, err := decode(data)
 	if err == nil {
 		ObserveOp(spec, "decode", len(data), time.Since(start))
 	}

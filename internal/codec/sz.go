@@ -110,3 +110,7 @@ func (s szCodec) Encode(c Compressed) ([]byte, error) {
 func (szCodec) Decode(data []byte) (Compressed, error) {
 	return szsim.Decode(data)
 }
+
+func (szCodec) DecodeView(data []byte) (Compressed, error) {
+	return szsim.DecodeView(data)
+}

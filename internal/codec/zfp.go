@@ -86,3 +86,7 @@ func (z zfpCodec) Encode(c Compressed) ([]byte, error) {
 func (zfpCodec) Decode(data []byte) (Compressed, error) {
 	return zfpsim.Decode(data)
 }
+
+func (zfpCodec) DecodeView(data []byte) (Compressed, error) {
+	return zfpsim.DecodeView(data)
+}

@@ -52,6 +52,13 @@ func scalarKernels(c *Compressor, a, b *CompressedArray) []namedKernel {
 
 var sinkFloat float64
 
+// decoders are the two ways to decode a stream: Decode copies F, and
+// DecodeView reads a v2 int8 F in place.
+var decoders = []struct {
+	name   string
+	decode func([]byte) (*CompressedArray, error)
+}{{"copy", Decode}, {"view", DecodeView}}
+
 // The guards below run in plain `go test`: they are what keeps the
 // compressed form from being inflated again one temporary at a time.
 
@@ -90,27 +97,40 @@ func TestDecodeAllocatesNoMoreThanThePayload(t *testing.T) {
 	}
 	_, a, _ := analyticsFrames(t)
 	payload := mustEncode(t, a)
-	objects := testing.AllocsPerRun(10, func() {
-		if _, err := Decode(payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if objects > 8 {
-		t.Errorf("Decode allocates %v objects, want ≤ 8", objects)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Decode(payload); err != nil {
-				b.Fatal(err)
+	// The array, one []int backing Shape, BlockShape and Blocks, N, and —
+	// for the copy — F. The mask is nil: nothing is pruned.
+	want := map[string]float64{"copy": 4, "view": 3}
+	for _, d := range decoders {
+		objects := testing.AllocsPerRun(10, func() {
+			if _, err := d.decode(payload); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if objects > want[d.name] {
+			t.Errorf("%s decode allocates %v objects, want ≤ %v", d.name, objects, want[d.name])
 		}
-	})
+	}
+	bytesPerOp := func(decode func([]byte) (*CompressedArray, error)) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decode(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}).AllocedBytesPerOp()
+	}
 	// F at its own width is what the payload holds; N widens f-bit floats
 	// to float64, 8 bytes a block.
 	limit := int64(1.1*float64(len(payload))) + 8*int64(a.NumBlocks())
-	if got := res.AllocedBytesPerOp(); got > limit {
+	if got := bytesPerOp(Decode); got > limit {
 		t.Errorf("Decode allocates %d B for a %d B payload, want ≤ %d", got, len(payload), limit)
+	}
+	// The view's F is the payload, so no object is F-sized: N and the
+	// header are all it allocates.
+	limit = 8*int64(a.NumBlocks()) + 512
+	if got := bytesPerOp(DecodeView); got > limit {
+		t.Errorf("DecodeView allocates %d B for a %d B payload, want ≤ %d", got, len(payload), limit)
 	}
 }
 
@@ -141,19 +161,24 @@ func TestEncodeAllocatesOnlyThePayload(t *testing.T) {
 	}
 }
 
+// BenchmarkDecode/copy unpacks F into a fresh slice; /view reads the
+// int8 F of the v2 payload in place.
 func BenchmarkDecode(b *testing.B) {
 	_, a, _ := analyticsFrames(b)
 	payload, err := Encode(a)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(payload); err != nil {
-			b.Fatal(err)
-		}
+	for _, d := range decoders {
+		b.Run(d.name, func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.decode(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -170,22 +195,34 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkKernels runs the scalar kernels over a heap F (copy) and over
+// an F that is the v2 payload's own bytes (view).
 func BenchmarkKernels(b *testing.B) {
 	c, x, y := analyticsFrames(b)
 	want := map[string]bool{"dot": true, "l2norm": true, "variance": true, "mse": true, "cosine": true}
-	for _, k := range scalarKernels(c, x, y) {
-		if !want[k.name] {
-			continue
+	for _, d := range decoders {
+		xd, err := d.decode(mustEncode(b, x))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v, err := k.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				sinkFloat = v
+		yd, err := d.decode(mustEncode(b, y))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range scalarKernels(c, xd, yd) {
+			if !want[k.name] {
+				continue
 			}
-		})
+			b.Run(d.name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v, err := k.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkFloat = v
+				}
+			})
+		}
 	}
 }

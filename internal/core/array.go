@@ -25,7 +25,8 @@ type CompressedArray struct {
 	// F holds the kept bin indices, block-major then kept-position order;
 	// length ∏b · K where K is the number of kept coefficients per block.
 	// It is held at the width of Settings.IndexType, so the in-memory form
-	// is no larger than the stored one.
+	// is no larger than the stored one. In an array from DecodeView it may
+	// be the stream's own bytes, so it is never written in place.
 	F Indices
 	// Settings records the compression settings used.
 	Settings Settings
@@ -106,8 +107,9 @@ func (f Indices) clone() Indices {
 	return Indices{slices.Clone(f.i8), slices.Clone(f.i16), slices.Clone(f.i32), slices.Clone(f.i64)}
 }
 
-// negate flips every index in place. Decode, Compress and rebin never
-// admit −2^(b−1), so no index wraps.
+// negate flips every index in place, so it runs only on a clone: F may be
+// a read-only view (DecodeView). Decode, Compress and rebin never admit
+// −2^(b−1), so no index wraps.
 func (f Indices) negate() {
 	negate(f.i8)
 	negate(f.i16)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -35,16 +36,38 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte{magicByte})
+	f.Add([]byte{magicV1})
 	f.Add([]byte{})
 	f.Add(blockVolOverflowStream())
 	f.Add(lowestIndexStream())
 	f.Add(payloadBitsOverflowStream())
+	// v2 edge cases; the int8 ones take DecodeView's aliasing path.
+	i8 := indexStream(magicV2, 5)
+	padBit := append([]byte(nil), i8...)
+	padBit[len(padBit)-5] |= 1 // the last pad bit, just before the 4-byte F
+	f.Add(i8)
+	f.Add(padBit)
+	f.Add(indexStream(magicV2, math.MinInt8))
+	f.Add(append(append([]byte(nil), i8...), 0))
+	f.Add(i8[:len(i8)-2])
+	f.Add(blob[:len(blob)-1])
+	f.Add(indexStream(magicV1, 5)) // a valid v1 stream
 
+	// Decode and DecodeView must agree on every input: both fail, or both
+	// return the same array.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)
+		view, verr := DecodeView(data)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("Decode error %v, DecodeView error %v", err, verr)
+		}
 		if err != nil {
 			return
+		}
+		if !view.F.Equal(dec.F) || !slices.EqualFunc(view.N, dec.N, sameBits) ||
+			!tensor.EqualShape(view.Shape, dec.Shape) || !tensor.EqualShape(view.Blocks, dec.Blocks) ||
+			!view.Settings.equal(dec.Settings) {
+			t.Fatal("DecodeView and Decode returned different arrays")
 		}
 		if dec.NumBlocks() <= 0 || dec.F.Len() != dec.NumBlocks()*dec.Kept() {
 			t.Fatalf("inconsistent decode: blocks %d, F %d, kept %d",
@@ -68,7 +91,7 @@ func FuzzDecode(f *testing.F) {
 // Remaining() bounds check, and panics allocating the mask.
 func blockVolOverflowStream() []byte {
 	var w bits.Writer
-	w.WriteBits(magicByte, 8)
+	w.WriteBits(magicV1, 8)
 	w.WriteBits(0, 2) // transform: dct
 	w.WriteBits(uint64(scalar.Float32), 2)
 	w.WriteBits(uint64(scalar.Int8), 2)
@@ -95,7 +118,7 @@ func TestDecodeRejectsBlockVolumeOverflow(t *testing.T) {
 // and a product taken in int64 wraps negative and passes "have ≥ need".
 func payloadBitsOverflowStream() []byte {
 	var w bits.Writer
-	w.WriteBits(magicByte, 8)
+	w.WriteBits(magicV1, 8)
 	w.WriteBits(0, 2) // transform: dct
 	w.WriteBits(uint64(scalar.Float64), 2)
 	w.WriteBits(uint64(scalar.Int64), 2)
@@ -122,13 +145,13 @@ func TestDecodeRejectsPayloadBitsOverflow(t *testing.T) {
 // index is the bit pattern 0x80 = −2^(b−1). Binning clamps to [−r, r] and
 // never emits it; accepting it let Negate turn it into +2^(b−1), which
 // does not fit the index type, so −A kept that element's sign.
-func lowestIndexStream() []byte { return indexStream(math.MinInt8) }
+func lowestIndexStream() []byte { return indexStream(magicV1, math.MinInt8) }
 
-// indexStream writes a one-block 2×2 float32/int8 stream by hand, with
-// the given value as its third index.
-func indexStream(third int8) []byte {
+// indexStream writes a one-block 2×2 float32/int8 stream by hand in the
+// version magic names, with the given value as its third index.
+func indexStream(magic uint64, third int8) []byte {
 	var w bits.Writer
-	w.WriteBits(magicByte, 8)
+	w.WriteBits(magic, 8)
 	w.WriteBits(0, 2) // transform: dct
 	w.WriteBits(uint64(scalar.Float32), 2)
 	w.WriteBits(uint64(scalar.Int8), 2)
@@ -139,6 +162,9 @@ func indexStream(third int8) []byte {
 	w.WriteBits(2, 64)
 	w.WriteBits(0b1111, 4) // keep everything
 	w.WriteBits(uint64(math.Float32bits(1)), 32)
+	if magic == magicV2 {
+		w.WriteBits(0, 6) // pad: 370 bits so far
+	}
 	for _, idx := range []int8{127, 0, third, 5} {
 		w.WriteBits(uint64(idx), 8)
 	}
@@ -149,17 +175,21 @@ func indexStream(third int8) []byte {
 // harness, and that Encode refuses the same value: the only way to hold
 // it is to build the array by hand.
 func TestDecodeRejectsLowestIndex(t *testing.T) {
-	if _, err := Decode(lowestIndexStream()); !errors.Is(err, errIndexRange) {
-		t.Fatalf("stream holding index −128: %v, want %v", err, errIndexRange)
-	}
-	// The same stream with the index in range decodes, so it is the
-	// index that was refused and not the crafting.
-	a, err := Decode(indexStream(-127))
-	if err != nil {
-		t.Fatalf("stream holding index −127: %v", err)
-	}
-	if got := a.F.At(2); got != -127 {
-		t.Fatalf("decoded index = %d, want −127", got)
+	for _, d := range decoders {
+		for _, magic := range []uint64{magicV1, magicV2} {
+			if _, err := d.decode(indexStream(magic, math.MinInt8)); !errors.Is(err, errIndexRange) {
+				t.Fatalf("%s decode of %#x stream holding index −128: %v, want %v", d.name, magic, err, errIndexRange)
+			}
+			// The same stream with the index in range decodes, so it is
+			// the index that was refused and not the crafting.
+			a, err := d.decode(indexStream(magic, -127))
+			if err != nil {
+				t.Fatalf("%s decode of %#x stream holding index −127: %v", d.name, magic, err)
+			}
+			if got := a.F.At(2); got != -127 {
+				t.Fatalf("%s decode of %#x stream: index = %d, want −127", d.name, magic, got)
+			}
+		}
 	}
 	for it := scalar.Int8; it <= scalar.Int64; it++ {
 		s := DefaultSettings(2, 2)
@@ -178,6 +208,37 @@ func TestDecodeRejectsLowestIndex(t *testing.T) {
 		}
 		if _, err := Encode(b); !errors.Is(err, errIndexRange) {
 			t.Errorf("%v: Encode of index −2^(b−1): %v, want %v", it, err, errIndexRange)
+		}
+	}
+}
+
+// TestDecodeRejectsMalformedV2: a v2 stream is exactly header, N, zero
+// pad and F. A set pad bit, a byte after F, or a cut inside F is refused
+// by both decoders, on the int8 path DecodeView aliases and on the int16
+// path it copies.
+func TestDecodeRejectsMalformedV2(t *testing.T) {
+	c := mustCompressor(t, DefaultSettings(4, 4))
+	wide := mustEncode(t, compress(t, c, smoothTensor(1, 12, 8)))
+	for name, good := range map[string][]byte{"int8": indexStream(magicV2, 5), "int16": wide} {
+		// The pad sits at the low end of the byte before F; int16 F here
+		// is 6 blocks × 16 indices × 2 bytes.
+		fBytes := map[string]int{"int8": 4, "int16": 6 * 16 * 2}[name]
+		padBit := append([]byte(nil), good...)
+		padBit[len(padBit)-fBytes-1] |= 1
+		bad := map[string][]byte{
+			"pad bit set":   padBit,
+			"trailing byte": append(append([]byte(nil), good...), 0),
+			"cut inside F":  good[:len(good)-1],
+		}
+		for _, d := range decoders {
+			if _, err := d.decode(good); err != nil {
+				t.Fatalf("%s decode of %s: intact stream: %v", d.name, name, err)
+			}
+			for what, data := range bad {
+				if _, err := d.decode(data); err == nil {
+					t.Errorf("%s decode of %s: %s accepted", d.name, name, what)
+				}
+			}
 		}
 	}
 }
@@ -207,14 +268,15 @@ func TestGoldenStreamFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Layout: 8-bit magic 0xB7, 2-bit transform (dct=0), 2-bit float type
-	// (float32=2), 2-bit index type (int8=0), two 64-bit extents (2, 2),
-	// 64-bit end marker, two 64-bit block extents (2, 2), 4 mask bits
-	// (all 1), one float32 N, four int8 indices, zero padding to a byte.
-	// (Captured from the implementation; the fields are bit-packed, not
-	// byte-aligned, so the hex is not directly human-readable.)
-	const golden = "b7200000000000000008000000000000000bfffffffffffffffc" +
-		"0000000000000008000000000000000bd02800001ff9f34000"
+	// Layout (v2): 8-bit magic 0xB8, 2-bit transform (dct=0), 2-bit float
+	// type (float32=2), 2-bit index type (int8=0), two 64-bit extents
+	// (2, 2), 64-bit end marker, two 64-bit block extents (2, 2), 4 mask
+	// bits (all 1), one float32 N, zero padding to a byte, four int8
+	// indices — the last four bytes, 7f e7 cd 00. (Captured from the
+	// implementation; the header fields are bit-packed, not byte-aligned,
+	// so the hex before F is not directly human-readable.)
+	const golden = "b8200000000000000008000000000000000bfffffffffffffffc" +
+		"0000000000000008000000000000000bd0280000007fe7cd00"
 	got := hex.EncodeToString(blob)
 	if got != golden {
 		t.Errorf("stream format changed:\n got  %s\n want %s", got, golden)
@@ -233,7 +295,7 @@ func TestGoldenStreamFormat(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, a *CompressedArray) []byte {
+func mustEncode(t testing.TB, a *CompressedArray) []byte {
 	t.Helper()
 	b, err := Encode(a)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -15,8 +16,30 @@ import (
 // marker), the block shape i, the flattened pruning mask P (∏i bits), the
 // flattened N (f bits each), and F (i bits per kept index). A one-byte
 // magic and the transform kind are added so streams are self-describing.
+//
+// Two versions of the stream exist, told apart by the magic byte:
+//
+//	v1 (0xB7): magic, transform, types, s, i, P, N, F, then 0–7 zero bits
+//	           to the next byte.
+//	v2 (0xB8): magic, transform, types, s, i, P, N, then 0–7 zero bits to
+//	           the next byte, then F, ending on F's last byte.
+//
+// The fields and their bits are the same in both; only the pad moves.
+// Every index width is 8, 16, 32 or 64 bits, so F fills whole bytes and
+// moving the pad from after F to before it changes no stream's length,
+// while F then starts on a byte boundary: DecodeView hands an int8 F to
+// the kernels as the stream's own bytes. N is not aligned — it is
+// converted to float64 once per block on every decode anyway. Encode
+// writes v2 only; Decode reads both, because v1 is what stores already
+// on disk hold.
 
-const magicByte = 0xB7
+const (
+	magicV1 = 0xB7
+	magicV2 = 0xB8
+)
+
+// maxDims bounds the number of dimensions a stream may declare.
+const maxDims = 16
 
 // shapeEnd marks the end of the shape list (the paper's "marker for the
 // end of s"); no real extent is 2^64−1.
@@ -27,7 +50,7 @@ const shapeEnd = ^uint64(0)
 // negating that index would wrap.
 var errIndexRange = errors.New("core: index outside [-r, r]")
 
-// Encode serializes a into the paper's compressed form.
+// Encode serializes a into the paper's compressed form, as a v2 stream.
 func Encode(a *CompressedArray) ([]byte, error) {
 	size, err := CompressedSizeBits(a.Settings, a.Shape)
 	if err != nil {
@@ -35,7 +58,7 @@ func Encode(a *CompressedArray) ([]byte, error) {
 	}
 	var w bits.Writer
 	w.Grow(int(size) + 10) // the §IV-C inventory plus magic and transform
-	w.WriteBits(magicByte, 8)
+	w.WriteBits(magicV2, 8)
 	w.WriteBits(uint64(a.Settings.Transform), 2)
 	// The paper's 4 bits of type information: 2 for the float type, 2 for
 	// the index type.
@@ -66,6 +89,8 @@ func Encode(a *CompressedArray) ([]byte, error) {
 	for _, n := range a.N {
 		w.WriteBits(floatToBits(n, a.Settings.FloatType), fbits)
 	}
+	// v2: zero bits up to the byte F starts on.
+	w.WriteBits(0, uint(-w.Len()&7))
 	// F, i bits per kept index. The switch calls the generic body
 	// directly rather than through kernels so w stays on the stack.
 	want, it := a.NumBlocks()*kept, a.Settings.IndexType
@@ -100,11 +125,15 @@ func packIndices[T bits.Signed](w *bits.Writer, f []T, want int, it scalar.Index
 	return nil
 }
 
-// Decode parses a compressed stream back into a CompressedArray.
-func Decode(data []byte) (*CompressedArray, error) {
+// Decode parses a v1 or v2 compressed stream into a CompressedArray that
+// owns all of its memory: nothing in the result aliases data.
+func Decode(data []byte) (*CompressedArray, error) { return decode(data, false) }
+
+// decode is Decode, and DecodeView when view is set.
+func decode(data []byte, view bool) (*CompressedArray, error) {
 	r := bits.NewReader(data)
 	magic, err := r.ReadBits(8)
-	if err != nil || magic != magicByte {
+	if err != nil || (magic != magicV1 && magic != magicV2) {
 		return nil, errors.New("core: not a goblaz compressed stream")
 	}
 	tk, err := r.ReadBits(2)
@@ -124,7 +153,10 @@ func Decode(data []byte) (*CompressedArray, error) {
 		IndexType: scalar.IndexType(itv),
 		Transform: transform.Kind(tk),
 	}
-	var shape []int
+	// The extents are read onto the stack, so that Shape, BlockShape and
+	// Blocks can share one allocation once the dimension count is known.
+	var ext [maxDims]int
+	d := 0
 	for {
 		e, err := r.ReadBits(64)
 		if err != nil {
@@ -136,17 +168,22 @@ func Decode(data []byte) (*CompressedArray, error) {
 		if e == 0 || e > 1<<40 {
 			return nil, fmt.Errorf("core: implausible shape extent %d", e)
 		}
-		shape = append(shape, int(e))
-		if len(shape) > 16 {
+		if d == maxDims {
 			return nil, errors.New("core: too many dimensions")
 		}
+		ext[d] = int(e)
+		d++
 	}
-	if len(shape) == 0 {
+	if d == 0 {
 		return nil, errors.New("core: empty shape")
 	}
-	blockShape := make([]int, len(shape))
+	// Three-index slices: an append to one of them reallocates instead of
+	// writing into its neighbour.
+	dims := make([]int, 3*d)
+	shape, blockShape, blocks := dims[0:d:d], dims[d:2*d:2*d], dims[2*d:]
+	copy(shape, ext[:d])
 	blockVol := 1
-	for d := range blockShape {
+	for i := range blockShape {
 		e, err := r.ReadBits(64)
 		if err != nil {
 			return nil, err
@@ -160,7 +197,7 @@ func Decode(data []byte) (*CompressedArray, error) {
 		if blockVol > (1<<40)/int(e) {
 			return nil, errors.New("core: implausible block volume")
 		}
-		blockShape[d] = int(e)
+		blockShape[i] = int(e)
 		blockVol *= int(e)
 	}
 	s.BlockShape = blockShape
@@ -168,35 +205,37 @@ func Decode(data []byte) (*CompressedArray, error) {
 	if r.Remaining() < blockVol {
 		return nil, fmt.Errorf("core: stream too short for %d mask bits", blockVol)
 	}
-	mask := make([]bool, blockVol)
+	// A mask that keeps everything is nil, so it is allocated only at the
+	// first pruned position, with every position before it kept.
 	kept := 0
-	allKept := true
 	for pos := 0; pos < blockVol; pos++ {
 		b, err := r.ReadBool()
 		if err != nil {
 			return nil, err
 		}
-		mask[pos] = b
+		if !b && s.Mask == nil {
+			s.Mask = make([]bool, blockVol)
+			for i := range s.Mask[:pos] {
+				s.Mask[i] = true
+			}
+		}
+		if s.Mask != nil {
+			s.Mask[pos] = b
+		}
 		if b {
 			kept++
-		} else {
-			allKept = false
 		}
-	}
-	if !allKept {
-		s.Mask = mask
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	blocks := make([]int, len(shape))
 	numBlocks := 1
-	for d := range shape {
-		blocks[d] = (shape[d] + blockShape[d] - 1) / blockShape[d]
-		if numBlocks > (1<<40)/blocks[d] {
+	for i := range shape {
+		blocks[i] = (shape[i] + blockShape[i] - 1) / blockShape[i]
+		if numBlocks > (1<<40)/blocks[i] {
 			return nil, errors.New("core: implausible block count")
 		}
-		numBlocks *= blocks[d]
+		numBlocks *= blocks[i]
 	}
 	// The remaining stream must hold exactly N and F; reject corrupted
 	// headers before allocating anything sized by them. numBlocks ≤ 2^40
@@ -221,10 +260,31 @@ func Decode(data []byte) (*CompressedArray, error) {
 		}
 		a.N[k] = floatFromBits(v, s.FloatType)
 	}
+	n := numBlocks * kept
+	if magic == magicV2 {
+		// The pad runs to the byte boundary, and F fills the rest exactly.
+		pad, err := r.ReadBits(uint(r.Remaining() & 7))
+		if err != nil {
+			return nil, err
+		}
+		if pad != 0 {
+			return nil, errors.New("core: nonzero pad bits before F")
+		}
+		if need := n * s.IndexType.Bits(); r.Remaining() != need {
+			return nil, fmt.Errorf("core: stream holds %d bits after N, F takes %d", r.Remaining(), need)
+		}
+		if view && s.IndexType == scalar.Int8 {
+			f := data[len(data)-n:]
+			if bytes.IndexByte(f, 0x80) >= 0 {
+				return nil, errIndexRange
+			}
+			a.F.i8 = int8s(f)
+			return a, nil
+		}
+	}
 	// F is bulk-unpacked at its own width, so the decoded array holds no
 	// more than the payload did. As in Encode, the switch keeps r on the
 	// stack.
-	n := numBlocks * kept
 	switch s.IndexType {
 	case scalar.Int8:
 		a.F.i8, err = unpackIndices[int8](r, n, s.IndexType)

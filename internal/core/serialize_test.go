@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/scalar"
+	"repro/internal/tensor"
 	"repro/internal/transform"
 )
 
@@ -90,6 +93,56 @@ func TestCompressedSizeBitsMatchesEncodedLength(t *testing.T) {
 		wantBytes := (wantBits + extra + 7) / 8
 		if int64(len(data)) != wantBytes {
 			t.Errorf("shape %v: encoded %d bytes, formula says %d", cfg.shape, len(data), wantBytes)
+		}
+	}
+}
+
+// v1Of rewrites a's v2 stream as v1: the same header and N, F moved back
+// against N, and the pad moved to the end.
+func v1Of(t *testing.T, a *CompressedArray, v2 []byte) []byte {
+	t.Helper()
+	size, err := CompressedSizeBits(a.Settings, a.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fBits := a.F.Len() * a.Settings.IndexType.Bits()
+	var w bits.Writer
+	w.AppendBits(v2, int(size)+10-fBits) // magic through N
+	w.AppendBits(v2[len(v2)-fBits/8:], fBits)
+	v1 := w.Bytes()
+	v1[0] = magicV1
+	return v1
+}
+
+// TestStreamV2IsV1Length: over the dense oracle's matrix (every index ×
+// float type, masked and not, 1-D to 4-D, non-dividing shapes), a v2
+// stream is exactly as long as the v1 stream of the same array and as
+// the §IV-C inventory plus magic and transform rounded up to a byte — the
+// size goblaz's EncodedSize reports — and both streams decode, through
+// either decoder, to the same array.
+func TestStreamV2IsV1Length(t *testing.T) {
+	for _, cfg := range denseConfigs(t) {
+		a := compress(t, mustCompressor(t, cfg.s), cfg.mk(1, cfg.shape...))
+		v2 := mustEncode(t, a)
+		v1 := v1Of(t, a, v2)
+		size, err := CompressedSizeBits(a.Settings, a.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int((size + 10 + 7) / 8); len(v2) != len(v1) || len(v2) != want {
+			t.Errorf("%s: v2 %d bytes, v1 %d, size formula %d", cfg.name, len(v2), len(v1), want)
+		}
+		for _, stream := range [][]byte{v1, v2} {
+			for _, d := range decoders {
+				back, err := d.decode(stream)
+				if err != nil {
+					t.Fatalf("%s: %s decode of %#x stream: %v", cfg.name, d.name, stream[0], err)
+				}
+				if !back.F.Equal(a.F) || !slices.EqualFunc(back.N, a.N, sameBits) ||
+					!tensor.EqualShape(back.Shape, a.Shape) || !back.Settings.equal(a.Settings) {
+					t.Fatalf("%s: %s decode of %#x stream gives a different array", cfg.name, d.name, stream[0])
+				}
+			}
 		}
 	}
 }

@@ -15,8 +15,10 @@
 // answer.
 //
 // F is held in memory at the width of the index type (an int8 stream is
-// a []int8), so a decoded array is no larger than its payload. Every loop
-// over F has one generic body on width[T], picked once per call.
+// a []int8), so a decoded array is no larger than its payload; DecodeView
+// of a v2 int8 stream does not copy F at all, but reads it where it lies.
+// Every loop over F has one generic body on width[T], picked once per
+// call.
 //
 // The dense path — Compress, Decompress, DecompressRegion — is one fused
 // pass per block and holds no frame-sized intermediate: a worker owns one

@@ -8,7 +8,11 @@ import "sync"
 // it — at query fan-out rates that is the dominant per-request garbage.
 // Pooling is safe because codec.Coder.Decode must not retain or alias
 // its input (see the Coder contract): the bytes are dead the moment
-// Decode returns.
+// Decode returns. That is why this path never decodes through
+// codec.ViewDecoder, whose result may alias its input: pooled bytes are
+// rewritten by the next lease. A memory-mapped source skips the arena
+// altogether (Engine.loadFrame), and its store.Reader.Frame views the
+// immutable mapping instead of copying from it.
 //
 // Buffers above maxPooledPayload are not returned to the pool, so one
 // pathological frame cannot pin a giant allocation for the process

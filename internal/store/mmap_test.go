@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/baseline/zfpsim"
+	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 // writeStoreFile materializes a buildStore image on disk.
@@ -293,5 +298,189 @@ func TestFailedDecodeIsNotObservedAsDecode(t *testing.T) {
 				name, total2-total1, count2-count1, bytes2-bytes1)
 		}
 		r.Close()
+	}
+}
+
+// TestMappedFramesAreReadOnlyViews guards Frame's zero-copy decode. A
+// Frame of an mmap-backed reader may alias the PROT_READ mapping, so an
+// operation that wrote into its input would fault the process here
+// (under -race, checkptr also vets the int8 view). Every operation the
+// codecs expose runs on Frame(i) and must give, bit for bit, what it
+// gives on a heap copy of the payload; the arrays it returns must be
+// writable, and writing into them must not change a later Frame(i)'s
+// answers.
+func TestMappedFramesAreReadOnlyViews(t *testing.T) {
+	if !MmapSupported {
+		t.Skip("no mmap on this platform")
+	}
+	for _, spec := range []string{
+		"goblaz:block=4x4,float=float32,index=int8",
+		"goblaz:block=4x4,float=float64,index=int16",
+		"zfp:rate=16",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			r, err := OpenReaderMmap(writeStoreFile(t, buildStore(t, spec, 3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			coder := mustCoder(t, spec)
+			mapped := func(i int) codec.Compressed {
+				c, err := r.Frame(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			heap := func(i int) codec.Compressed {
+				payload, err := r.Payload(i) // a copy
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := coder.Decode(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			if z, ok := mapped(0).(*zfpsim.Compressed); ok {
+				e := r.Info(0)
+				if end := &r.mem[e.Offset+e.Length-1]; &z.Payload[len(z.Payload)-1] != end {
+					t.Fatal("zfp Frame copied its payload instead of viewing the mapping")
+				}
+			}
+			for i := 0; i < r.Len(); i++ {
+				j := (i + 1) % r.Len()
+				want := frameAnswers(t, coder, heap(i), heap(j))
+				got := frameAnswers(t, coder, mapped(i), mapped(j))
+				again := frameAnswers(t, coder, mapped(i), mapped(j))
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) ||
+						math.Float64bits(again[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("frame %d answer %d: mapped %v, again %v, heap %v", i, k, got[k], again[k], want[k])
+					}
+				}
+			}
+		})
+	}
+}
+
+// frameAnswers runs every operation coder exposes on a and b — Ops,
+// RegionReader and, for goblaz, core's Table I set — and returns each
+// answer in a fixed order: scalars as they are, arrays element by
+// element (compressed ones decompressed). It then scribbles over every
+// array it got back.
+func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []float64 {
+	t.Helper()
+	var out []float64
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	scalar := func(v float64, err error) {
+		must(err)
+		out = append(out, v)
+	}
+	array := func(x *tensor.Tensor, err error) {
+		must(err)
+		out = append(out, x.Data()...)
+		x.Fill(math.NaN())
+	}
+	compressed := func(c codec.Compressed, err error) {
+		must(err)
+		array(coder.Decompress(c))
+		if ca, ok := c.(*core.CompressedArray); ok {
+			for k := range ca.N {
+				ca.N[k] = math.NaN()
+			}
+			ca.Shape[0], ca.Blocks[0] = -1, -1
+		}
+	}
+	array(coder.Decompress(a))
+	if ops, ok := coder.(codec.Ops); ok {
+		compressed(ops.Add(a, b))
+		compressed(ops.Negate(a))
+		compressed(ops.MulScalar(a, -2))
+		scalar(ops.Mean(a))
+		scalar(ops.Variance(a))
+		scalar(ops.L2Norm(a))
+		scalar(ops.Dot(a, b))
+		scalar(ops.MSE(a, b))
+		scalar(ops.PSNR(a, b, 1))
+		scalar(ops.CosineSimilarity(a, b))
+	}
+	if rr, ok := coder.(codec.RegionReader); ok {
+		array(rr.DecompressRegion(a, []int{3, 5}, []int{9, 7}))
+		scalar(rr.At(a, 7, 2))
+	}
+	if g, ok := coder.(interface{ Compressor() *core.Compressor }); ok {
+		c := g.Compressor()
+		ca, cb := a.(*core.CompressedArray), b.(*core.CompressedArray)
+		compressed(c.Negate(ca))
+		compressed(c.MulScalar(ca, -2))
+		compressed(c.Add(ca, cb))
+		compressed(c.Subtract(ca, cb))
+		compressed(c.AddScalar(ca, 0.5))
+		scalar(c.Covariance(ca, cb))
+		scalar(c.StructuralSimilarity(ca, cb, core.DefaultSSIMOptions()))
+		array(c.BlockMeans(ca))
+		array(c.BlockVariances(ca))
+		array(c.BlockCovariances(ca, cb))
+		scalar(c.WassersteinDistance(ca, cb, 2))
+		array(c.Decompress(ca))
+		array(c.DecompressRegion(ca, []int{0, 9}, []int{16, 7}))
+		scalar(c.At(ca, 15, 15))
+	}
+	return out
+}
+
+// TestMappedFrameDoesNotCopyIndices: Frame of an mmap'd int8 goblaz store
+// allocates N and the header, not the index array — well under a quarter
+// of the payload for a 256×256 frame in 8×8 blocks.
+func TestMappedFrameDoesNotCopyIndices(t *testing.T) {
+	if !MmapSupported {
+		t.Skip("no mmap on this platform")
+	}
+	coder := mustCoder(t, "goblaz:block=8x8,float=float32,index=int8")
+	frame := tensor.New(256, 256)
+	for i := range frame.Data() {
+		frame.Data()[i] = math.Sin(float64(i) / 300)
+	}
+	c, err := coder.Compress(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := coder.Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, coder.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReaderMmap(writeStoreFile(t, buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Frame(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(len(payload)/4); got >= limit {
+		t.Errorf("Frame allocates %d B for a %d B payload, want < %d", got, len(payload), limit)
 	}
 }

@@ -97,7 +97,9 @@ func Open(path string) (*Reader, error) {
 // straight from the mapping with no intermediate payload allocation. On
 // platforms without mmap it falls back to Open — the Reader API is
 // identical either way; Mapped reports which one was taken. Close
-// releases the mapping (and must not race with in-flight accesses).
+// releases the mapping (and must not race with in-flight accesses):
+// neither raw payload bytes nor a Frame decoded from the mapping may be
+// used after it.
 func OpenReaderMmap(path string) (*Reader, error) {
 	return openReaderMmap(path)
 }
@@ -474,9 +476,13 @@ func (r *Reader) PayloadReader(i int) (*io.SectionReader, error) {
 
 // Frame reads and decodes frame i into its codec's compressed
 // representation, on which compressed-space operations (codec.Ops) can
-// run without full decompression. On an mmap-backed reader the decode
-// runs straight over the mapping — no payload copy, no allocation
-// (registry codecs are documented not to retain their input).
+// run without full decompression. It decodes through codec.ViewDecoder
+// where the codec has it, so the result may alias the bytes it was
+// decoded from: the mapping itself on an mmap-backed reader — a goblaz
+// v2 int8 F, or a zfp/sz payload, is then read where it lies on disk,
+// with no copy — and otherwise a payload slice read for this call alone.
+// A Compressed from an mmap-backed reader therefore follows the rule the
+// raw bytes do (payloadView): it must not be used after Close.
 func (r *Reader) Frame(i int) (codec.Compressed, error) {
 	coder, err := r.FrameCoder(i)
 	if err != nil {
@@ -492,13 +498,13 @@ func (r *Reader) Frame(i int) (codec.Compressed, error) {
 		}
 		payloadReadsMmap.Inc()
 		payloadBytesMmap.Add(uint64(len(view)))
-		return codec.TimedDecode(coder, r.FrameSpec(i), view)
+		return codec.TimedDecodeView(coder, r.FrameSpec(i), view)
 	}
 	payload, err := r.Payload(i)
 	if err != nil {
 		return nil, err
 	}
-	return codec.TimedDecode(coder, r.FrameSpec(i), payload)
+	return codec.TimedDecodeView(coder, r.FrameSpec(i), payload)
 }
 
 // Decompress reads, decodes, and fully decompresses frame i with the
