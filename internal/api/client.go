@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -178,9 +179,9 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 	return resp, err
 }
 
-// doWith is do with an explicit request Content-Type (the ingest route
-// takes NDJSON). The replayed result reports whether any attempt after
-// a transport error was issued: a transport error leaves the server's
+// doWith is do with an explicit request Content-Type (Ingest sends
+// FramesContentType). The replayed result reports whether any attempt
+// after a transport error was issued: a transport error leaves the server's
 // outcome unknown, so a later attempt may be a replay of a request the
 // server already executed — Ingest uses this to tell a replayed
 // duplicate from a genuine one.
@@ -331,8 +332,15 @@ func (c *Client) Frames(ctx context.Context) ([]FrameInfo, error) {
 	return infos, nil
 }
 
+// maxPresize caps what a declared Content-Length may reserve before any
+// byte arrives; a larger (or undeclared) body grows as it is read.
+const maxPresize = 64 << 20
+
 // Frame fetches and reassembles a decompressed frame from the binary
 // route: little-endian float64 bytes plus the X-Goblaz-Shape header.
+// The shape is checked against Content-Length before anything
+// shape-sized is allocated, and the bytes are decoded through a small
+// fixed chunk straight into the frame's data — no raw copy is kept.
 func (c *Client) Frame(ctx context.Context, label int) (*Frame, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label), nil, nil)
 	if err != nil {
@@ -343,22 +351,62 @@ func (c *Client) Frame(ctx context.Context, label int) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("reading frame %d body: %v", label, err), err: err}
-	}
 	n := 1
 	for _, e := range shape {
+		if n > math.MaxInt/8/e {
+			return nil, Errorf(CodeInternal, "frame %d shape %v overflows", label, shape)
+		}
 		n *= e
 	}
-	if len(raw) != n*8 {
-		return nil, Errorf(CodeInternal, "frame %d body is %d bytes, shape %v needs %d", label, len(raw), shape, n*8)
+	if cl := resp.ContentLength; cl >= 0 && cl != int64(n)*8 {
+		return nil, Errorf(CodeInternal, "frame %d body is %d bytes, shape %v needs %d", label, cl, shape, n*8)
 	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	data := make([]float64, 0, min(n, maxPresize/8))
+	var chunk [512]byte
+	for len(data) < n {
+		k, err := io.ReadFull(resp.Body, chunk[:min(len(chunk), 8*(n-len(data)))])
+		if err != nil {
+			return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("frame %d body ended at %d bytes, shape %v needs %d: %v", label, 8*len(data)+k, shape, n*8, err), err: err}
+		}
+		for j := 0; j < k; j += 8 {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[j:])))
+		}
+	}
+	if err := expectEOF(resp.Body, chunk[:1]); err != nil {
+		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("frame %d body: %v", label, err), err: err}
 	}
 	return &Frame{Label: label, Shape: shape, Data: data}, nil
+}
+
+// expectEOF reports a body that runs past its expected length, reading
+// at most len(probe) bytes of it.
+func expectEOF(r io.Reader, probe []byte) error {
+	switch k, err := io.ReadFull(r, probe); {
+	case k > 0:
+		return errors.New("body runs past its declared length")
+	case err != io.EOF:
+		return err
+	}
+	return nil
+}
+
+// readBody reads a response body into one buffer of its declared length
+// when that is known and at most maxPresize; an early end or a longer
+// body is an error either way.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 || declared > maxPresize {
+		blob, err := io.ReadAll(r)
+		if err == nil && declared >= 0 && int64(len(blob)) != declared {
+			err = fmt.Errorf("body is %d bytes, declared %d", len(blob), declared)
+		}
+		return blob, err
+	}
+	// One spare byte probes for a body longer than declared.
+	blob := make([]byte, declared+1)
+	if _, err := io.ReadFull(r, blob[:declared]); err != nil {
+		return nil, err
+	}
+	return blob[:declared], expectEOF(r, blob[declared:])
 }
 
 func parseShapeHeader(h string) ([]int, error) {
@@ -378,14 +426,15 @@ func parseShapeHeader(h string) ([]int, error) {
 }
 
 // Payload fetches a frame's raw compressed bytes, so Client also
-// satisfies the optional Payloads capability.
+// satisfies the optional Payloads capability. The bytes land in one
+// buffer of the declared Content-Length.
 func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label)+"/payload", nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
+	blob, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("reading payload %d: %v", label, err), err: err}
 	}
@@ -430,10 +479,14 @@ func (c *Client) Query(ctx context.Context, req *query.Request) (*query.Result, 
 	return &res, nil
 }
 
-// Ingest streams a batch of frames to the server's ingest route as an
-// NDJSON body, so Client also satisfies the api.Ingestor capability —
-// a producer pointed at a URL ingests exactly like one holding the
-// store. A successful return carries the server's durability promise:
+// Ingest sends a batch of frames to the server's ingest route as one
+// binary body (FramesContentType, built by AppendFrames: the floats
+// travel as their bits, not as decimal text), so Client also satisfies
+// the api.Ingestor capability — a producer pointed at a URL ingests
+// exactly like one holding the store. A frame the body cannot carry
+// (NaN or ±Inf, data that does not match its shape) fails with
+// CodeBadRequest before anything is sent. A successful return carries
+// the server's durability promise:
 // the batch is fsynced in the write-ahead log. Retries are safe for
 // shed requests (429/503: the server never executed them). A transport
 // error leaves the first attempt's outcome unknown, so the retry may
@@ -446,14 +499,11 @@ func (c *Client) Query(ctx context.Context, req *query.Request) (*query.Result, 
 // treat the batch as possibly stored and verify via Frames() before
 // re-sending under fresh labels.
 func (c *Client) Ingest(ctx context.Context, frames []IngestFrame) (*IngestResult, error) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, f := range frames {
-		if err := enc.Encode(f); err != nil {
-			return nil, &Error{Code: CodeBadRequest, Message: fmt.Sprintf("encoding ingest frame %d: %v", f.Label, err), err: err}
-		}
+	body, err := AppendFrames(nil, frames)
+	if err != nil {
+		return nil, &Error{Code: CodeBadRequest, Message: err.Error(), err: err}
 	}
-	resp, replayed, err := c.doWith(ctx, http.MethodPost, "/frames", nil, body.Bytes(), "application/x-ndjson")
+	resp, replayed, err := c.doWith(ctx, http.MethodPost, "/frames", nil, body, FramesContentType)
 	if err != nil {
 		if replayed && CodeOf(err) == CodeConflict {
 			if res, ok := c.confirmIngested(ctx, frames); ok {

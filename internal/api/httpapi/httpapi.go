@@ -21,9 +21,10 @@
 //	GET  /v1/frames/{label}/stats   aggregates (?aggs=mean,...); ETag
 //	GET  /v1/frames/{label}/region  sub-array (?offset=..&shape=..); ETag
 //	POST /v1/query                  compressed-domain query
-//	POST /v1/frames                 streaming ingest: one frame object
-//	                                or an NDJSON batch (backends with
-//	                                the api.Ingestor capability)
+//	POST /v1/frames                 streaming ingest (backends with the
+//	                                api.Ingestor capability): a binary
+//	                                api.FramesContentType batch, or one
+//	                                frame object / an NDJSON batch
 //
 // Every error response is the JSON envelope {"error": {"code", ...}}
 // with a stable api.Code mapped to its HTTP status — no plain-text
@@ -416,29 +417,22 @@ func (h *Handler) handleQuery(b api.Backend, w http.ResponseWriter, req *http.Re
 	return nil
 }
 
-// handleIngest accepts one frame object or an NDJSON batch (a stream
-// of frame objects; a bare newline separator is optional — any
-// concatenated-JSON stream parses) and hands the whole batch to the
-// backend's Ingestor capability, which acknowledges only after the
-// batch is durable.
+// handleIngest hands one batch to the backend's Ingestor capability,
+// which acknowledges only after the batch is durable. The Content-Type
+// picks the parser: api.FramesContentType is the binary body
+// (api.ParseFrames; what the Go SDK sends), read into one buffer;
+// anything else is one frame object or an NDJSON batch (a stream of
+// frame objects; a bare newline separator is optional — any
+// concatenated-JSON stream parses). Either way the backend validates
+// the frames, so both bodies fail a bad frame with the same message.
 func (h *Handler) handleIngest(b api.Backend, w http.ResponseWriter, req *http.Request) error {
 	ing, ok := b.(api.Ingestor)
 	if !ok {
 		return api.Errorf(api.CodeNotSupported, "backend does not accept ingest")
 	}
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	var frames []api.IngestFrame
-	for dec.More() {
-		var f api.IngestFrame
-		if err := dec.Decode(&f); err != nil {
-			var maxBytes *http.MaxBytesError
-			if errors.As(err, &maxBytes) {
-				return err // writeError owns the body-limit classification
-			}
-			return api.Errorf(api.CodeBadRequest, "bad ingest frame JSON: %v", err)
-		}
-		frames = append(frames, f)
+	frames, err := readIngestBody(req, h.opts.MaxRequestBytes)
+	if err != nil {
+		return err
 	}
 	res, err := ing.Ingest(req.Context(), frames)
 	if err != nil {
@@ -446,6 +440,49 @@ func (h *Handler) handleIngest(b api.Backend, w http.ResponseWriter, req *http.R
 	}
 	writeJSON(w, res)
 	return nil
+}
+
+// readIngestBody parses the request body by its media type.
+func readIngestBody(req *http.Request, limit int64) ([]api.IngestFrame, error) {
+	mt, _, _ := strings.Cut(req.Header.Get("Content-Type"), ";")
+	if !strings.EqualFold(strings.TrimSpace(mt), api.FramesContentType) {
+		return readNDJSON(req.Body)
+	}
+	var body []byte
+	var err error
+	if n := req.ContentLength; n >= 0 && n <= limit {
+		body = make([]byte, n)
+		_, err = io.ReadFull(req.Body, body)
+	} else {
+		body, err = io.ReadAll(req.Body) // the body limit still applies
+	}
+	if err != nil {
+		var maxBytes *http.MaxBytesError
+		if errors.As(err, &maxBytes) {
+			return nil, err // writeError owns the body-limit classification
+		}
+		return nil, api.Errorf(api.CodeBadRequest, "reading ingest body: %v", err)
+	}
+	return api.ParseFrames(body)
+}
+
+// readNDJSON decodes a stream of JSON frame objects.
+func readNDJSON(body io.Reader) ([]api.IngestFrame, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var frames []api.IngestFrame
+	for dec.More() {
+		var f api.IngestFrame
+		if err := dec.Decode(&f); err != nil {
+			var maxBytes *http.MaxBytesError
+			if errors.As(err, &maxBytes) {
+				return nil, err // writeError owns the body-limit classification
+			}
+			return nil, api.Errorf(api.CodeBadRequest, "bad ingest frame JSON: %v", err)
+		}
+		frames = append(frames, f)
+	}
+	return frames, nil
 }
 
 func parseInts(s string) ([]int, error) {

@@ -474,7 +474,11 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	}
 
 	// Accept: one WAL write, one fsync, then the batch is durable.
-	var buf []byte
+	size := 0
+	for i := range recs {
+		size += recs[i].encodedLen()
+	}
+	buf := make([]byte, 0, size)
 	for _, rec := range recs {
 		buf = appendWALRecord(buf, rec)
 	}
