@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/codec"
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -40,22 +43,25 @@ type Options struct {
 }
 
 // Coordinator turns the shard servers of a Topology into one logical
-// dataset: an api.Backend whose answers are bit-compatible with a
-// Local over the concatenated data. At open it discovers every shard's
-// frame inventory over the wire and freezes the global frame order
-// (topology order, shard-local commit order within); queries compile
-// against that view, scatter to the owning shards concurrently on the
-// shared tensor pool, and gather through the same query.Scatter
-// internal/shard uses in process.
+// dataset: an api.Backend whose answers are bit-identical to a Local
+// over the concatenated data. At open it discovers every shard's frame
+// inventory over the wire and freezes the global frame order (topology
+// order, shard-local commit order within); queries compile against that
+// view, scatter to the owning shards concurrently, and gather through
+// the same query.Scatter internal/shard uses in process. A metric that
+// couples frames on different shards runs here, on the frames' stored
+// payloads.
 type Coordinator struct {
 	topo   *Topology
 	ring   *Ring
 	groups []*group
 
-	infos   []api.FrameInfo // global commit order, Index remapped
-	labels  map[int]int     // label → global position
-	owners  []int           // global position → index into groups
-	scatter query.Scatter   // holds the agreed Spec(s) and each shard's base
+	infos   []api.FrameInfo        // global commit order, Index remapped
+	crcs    []uint32               // global position → payload CRC32 at discovery
+	labels  map[int]int            // label → global position
+	owners  []int                  // global position → index into groups
+	coders  map[string]codec.Coder // every discovered spec → its codec
+	scatter query.Scatter          // holds the agreed Spec(s) and each shard's base
 
 	probeHC  *http.Client
 	stop     chan struct{}
@@ -134,8 +140,8 @@ func (c *Coordinator) Close() error {
 // names or the dataset name.
 func (c *Coordinator) Topology() *Topology { return c.topo }
 
-// discover fetches every shard's inventory concurrently and freezes
-// the global frame order.
+// discover fetches every shard's inventory concurrently, freezes the
+// global frame order, and resolves a codec for every spec.
 func (c *Coordinator) discover(ctx context.Context) error {
 	type inventory struct {
 		info  api.StoreInfo
@@ -184,11 +190,29 @@ func (c *Coordinator) discover(ctx context.Context) error {
 				return api.Errorf(api.CodeInternal, "label %d on shard %s duplicates global frame %d",
 					e.Label, g.name, prev)
 			}
+			crc, err := strconv.ParseUint(e.CRC32, 16, 32)
+			if err != nil || len(e.CRC32) != 8 {
+				return api.Errorf(api.CodeInternal, "label %d on shard %s has malformed crc32 %q",
+					e.Label, g.name, e.CRC32)
+			}
 			e.Index = len(c.infos)
 			c.labels[e.Label] = e.Index
 			c.owners = append(c.owners, s)
+			c.crcs = append(c.crcs, uint32(crc))
 			c.infos = append(c.infos, e)
 		}
+	}
+	c.coders = make(map[string]codec.Coder, len(specs))
+	for _, spec := range specs {
+		cd, err := codec.Lookup(spec)
+		if err != nil {
+			return api.Errorf(api.CodeInternal, "discovered spec %q: %v", spec, err)
+		}
+		coder, ok := cd.(codec.Coder)
+		if !ok {
+			return api.Errorf(api.CodeInternal, "discovered spec %q does not support byte serialization", spec)
+		}
+		c.coders[spec] = coder
 	}
 	if c.topo.Placement == PlacementHash {
 		for global, owner := range c.owners {
@@ -286,14 +310,34 @@ func (c *Coordinator) Frame(ctx context.Context, label int) (*api.Frame, error) 
 	})
 }
 
-// Payload proxies the raw compressed bytes from the owning shard.
+// Payload proxies the raw compressed bytes from the owning shard,
+// checked against the CRC discovery recorded.
 func (c *Coordinator) Payload(ctx context.Context, label int) ([]byte, error) {
-	_, g, err := c.owner(ctx, label)
+	i, _, err := c.owner(ctx, label)
 	if err != nil {
 		return nil, err
 	}
-	return callOwner(ctx, g, c.ring.affinity(label), func(cl *api.Client) ([]byte, error) {
-		return cl.Payload(ctx, label)
+	return c.payload(ctx, i)
+}
+
+// payload fetches global frame i's stored bytes from its owning shard,
+// with replica failover. Each replica's answer must carry the CRC32
+// discovery recorded for the frame: a replica whose store changed under
+// the same label since then fails with CodeInternal, so it is demoted
+// and the call fails over as from a corrupt store, and nothing is ever
+// computed from bytes of another frame generation or spec.
+func (c *Coordinator) payload(ctx context.Context, i int) ([]byte, error) {
+	label, want := c.infos[i].Label, c.crcs[i]
+	return callOwner(ctx, c.groups[c.owners[i]], c.ring.affinity(label), func(cl *api.Client) ([]byte, error) {
+		data, err := cl.Payload(ctx, label)
+		if err != nil {
+			return nil, err
+		}
+		if got := crc32.ChecksumIEEE(data); got != want {
+			return nil, api.Errorf(api.CodeInternal,
+				"frame %d payload has crc32 %08x, discovery recorded %08x", label, got, want)
+		}
+		return data, nil
 	})
 }
 
@@ -329,9 +373,8 @@ func (c *Coordinator) Region(ctx context.Context, label int, offset, shape []int
 
 // Query answers req over the whole cluster with single-store
 // semantics. Shard-local work scatters to the owning shards'
-// endpoints; metric requests that couple frames across shards fall
-// back to fetching the decoded frames over the wire and computing the
-// metric with the engine's own definitions.
+// endpoints; a metric that couples frames across shards fetches their
+// compressed payloads and evaluates here, by the engine's own rule.
 func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, api.FromError(err)
@@ -373,12 +416,13 @@ func (c *Coordinator) runPart(ctx context.Context, p query.Part, sub *query.Requ
 
 // metricQuery answers a metric request. When every coupled frame — the
 // selection plus any reference — lives on one shard, the whole request
-// forwards there and runs on that shard's engine, compressed space and
-// all. Otherwise no single shard can see both sides, so the
-// coordinator fetches the decoded frames over the wire and computes
-// the metric itself with the engine's decode-fallback definitions,
+// forwards there and runs on that shard's engine. Otherwise no single
+// shard can see both sides, so the coordinator fetches the coupled
+// frames' stored payloads, decodes them, and evaluates the metric with
+// query.PairMetric — in compressed space whenever the engine would —
 // while the request's other work (aggregates, regions, points,
-// reductions) still scatters compressed.
+// reductions) still scatters. Each frame's compressed-space flag is its
+// scatter flag AND the metric path that ran, as on one store.
 func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *query.Plan) (*query.Result, error) {
 	sel := p.Frames()
 	m := *req.Metric
@@ -407,51 +451,57 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 	} else {
 		res = c.skeleton(sel)
 	}
-	res.ExecutedInCompressedSpace = false
 
-	// Fetch every coupled frame decoded, concurrently; the reference
-	// (when any) rides as the extra task.
-	tasks := len(sel)
+	// Fetch and decode every coupled frame's payload, concurrently; the
+	// reference (when any) rides as the extra task.
+	coupled := sel
 	if refGlobal >= 0 {
-		tasks++
+		coupled = append(slices.Clip(sel), refGlobal)
 	}
-	tens := make([]*tensor.Tensor, tasks)
-	errs := make([]error, tasks)
-	if err := tensor.ParallelForCoarseCtx(ctx, tasks, func(j int) {
-		global := refGlobal
-		if j < len(sel) {
-			global = sel[j]
-		}
-		tens[j], errs[j] = c.fetchDecoded(ctx, global)
+	comps := make([]codec.Compressed, len(coupled))
+	errs := make([]error, len(coupled))
+	if err := tensor.ParallelForCoarseCtx(ctx, len(coupled), func(j int) {
+		comps[j], errs[j] = c.fetchCompressed(ctx, coupled[j])
 	}); err != nil {
 		return nil, api.FromError(err)
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, api.FromError(err)
 	}
+	metric := func(a, b int) (query.Float, bool, error) {
+		specA, specB := c.frameSpec(coupled[a]), c.frameSpec(coupled[b])
+		v, compressed, err := query.PairMetric(m.Kind, m.Peak, comps[a], comps[b],
+			specA, specB, c.coders[specA], c.coders[specB])
+		if err != nil {
+			return 0, false, api.FromError(err)
+		}
+		return query.Float(v), compressed, nil
+	}
 
 	if m.Against == nil {
-		v, err := query.DecodedMetric(tens[0], tens[1], m.Kind, m.Peak)
+		v, compressed, err := metric(0, 1)
 		if err != nil {
-			return nil, api.FromError(err)
+			return nil, err
 		}
 		res.Pair = &query.PairResult{
 			A: res.Frames[0].Label, B: res.Frames[1].Label,
-			Kind: m.Kind, Value: query.Float(v),
+			Kind: m.Kind, Value: v, ExecutedInCompressedSpace: compressed,
 		}
-		res.Frames[0].ExecutedInCompressedSpace = false
-		res.Frames[1].ExecutedInCompressedSpace = false
-		return res, nil
+		res.Frames[0].ExecutedInCompressedSpace = res.Frames[0].ExecutedInCompressedSpace && compressed
+		res.Frames[1].ExecutedInCompressedSpace = res.Frames[1].ExecutedInCompressedSpace && compressed
+	} else {
+		for j := range sel {
+			v, compressed, err := metric(j, len(sel))
+			if err != nil {
+				return nil, err
+			}
+			res.Frames[j].Metric = &v
+			res.Frames[j].ExecutedInCompressedSpace = res.Frames[j].ExecutedInCompressedSpace && compressed
+		}
 	}
-	refT := tens[len(sel)]
-	for j := range sel {
-		v, err := query.DecodedMetric(tens[j], refT, m.Kind, m.Peak)
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-		fv := query.Float(v)
-		res.Frames[j].Metric = &fv
-		res.Frames[j].ExecutedInCompressedSpace = false
+	res.ExecutedInCompressedSpace = res.Pair == nil || res.Pair.ExecutedInCompressedSpace
+	for _, fr := range res.Frames {
+		res.ExecutedInCompressedSpace = res.ExecutedInCompressedSpace && fr.ExecutedInCompressedSpace
 	}
 	return res, nil
 }
@@ -476,25 +526,43 @@ func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel
 
 // skeleton builds the per-frame result list a metric-only request
 // carries: one entry per selected frame in global order, to hang
-// metric values off.
+// metric values off, compressed-space until the metric says otherwise.
 func (c *Coordinator) skeleton(sel []int) *query.Result {
 	out := &query.Result{Spec: c.scatter.Spec, Specs: append([]string(nil), c.scatter.Specs...)}
 	for _, i := range sel {
 		info := c.infos[i]
-		out.Frames = append(out.Frames, query.FrameResult{Index: i, Label: info.Label, Spec: info.Spec})
+		out.Frames = append(out.Frames, query.FrameResult{
+			Index: i, Label: info.Label, Spec: info.Spec, ExecutedInCompressedSpace: true,
+		})
 	}
 	return out
 }
 
-// fetchDecoded pulls one frame fully decompressed from its owning
-// shard, with replica failover.
-func (c *Coordinator) fetchDecoded(ctx context.Context, global int) (*tensor.Tensor, error) {
-	f, err := c.Frame(ctx, c.infos[global].Label)
+// frameSpec returns global frame i's codec spec.
+func (c *Coordinator) frameSpec(i int) string {
+	if spec := c.infos[i].Spec; spec != "" {
+		return spec
+	}
+	return c.scatter.Spec
+}
+
+// fetchCompressed reads global frame i's payload through the checked
+// fetch and decodes it under the frame's spec. The payload buffer
+// belongs to this call alone and is never written, so the decode may
+// view it instead of copying.
+func (c *Coordinator) fetchCompressed(ctx context.Context, i int) (codec.Compressed, error) {
+	data, err := c.payload(ctx, i)
 	if err != nil {
 		return nil, err
 	}
 	clusterRemoteFrames.Inc()
-	return tensor.FromSlice(f.Data, f.Shape...), nil
+	clusterRemoteBytes.Add(uint64(len(data)))
+	spec := c.frameSpec(i)
+	comp, err := codec.TimedDecodeView(c.coders[spec], spec, data)
+	if err != nil {
+		return nil, api.Errorf(api.CodeInternal, "decoding frame %d payload: %v", c.infos[i].Label, err)
+	}
+	return comp, nil
 }
 
 // ---- health probes ---------------------------------------------------

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -54,13 +56,9 @@ func clusterOf(t testing.TB, manifestPath string, replicas int) (*Coordinator, [
 		t.Fatal(err)
 	}
 	dir := filepath.Dir(manifestPath)
-	topo := &Topology{
-		Version: TopologyVersion,
-		Probe:   ProbeConfig{Cooldown: Duration(time.Hour)},
-		Client:  ClientConfig{Retries: -1},
-	}
 	var servers [][]*httptest.Server
-	for s, sh := range man.Shards {
+	var urls [][]string
+	for _, sh := range man.Shards {
 		var srvs []*httptest.Server
 		var reps []string
 		for r := 0; r < replicas; r++ {
@@ -69,6 +67,21 @@ func clusterOf(t testing.TB, manifestPath string, replicas int) (*Coordinator, [
 			reps = append(reps, srv.URL)
 		}
 		servers = append(servers, srvs)
+		urls = append(urls, reps)
+	}
+	return coordinatorOver(t, urls), servers
+}
+
+// coordinatorOver opens a coordinator over shards s0, s1, … with the
+// given replica URLs each, probes disabled and a long cooldown.
+func coordinatorOver(t testing.TB, replicas [][]string) *Coordinator {
+	t.Helper()
+	topo := &Topology{
+		Version: TopologyVersion,
+		Probe:   ProbeConfig{Cooldown: Duration(time.Hour)},
+		Client:  ClientConfig{Retries: -1},
+	}
+	for s, reps := range replicas {
 		topo.Shards = append(topo.Shards, ShardSpec{Name: fmt.Sprintf("s%d", s), Replicas: reps})
 	}
 	co, err := New(topo, Options{DisableProbes: true})
@@ -76,7 +89,7 @@ func clusterOf(t testing.TB, manifestPath string, replicas int) (*Coordinator, [
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Close() })
-	return co, servers
+	return co
 }
 
 // TestCoordinatorConformance runs the full v1 Backend contract suite
@@ -218,10 +231,9 @@ func approxEq(a, b float64) bool {
 }
 
 // compareResults asserts the cluster result equals the single-store one
-// within 1e-9. skipFlags drops the compressed-space flag comparison:
-// cross-shard metrics run decoded on the coordinator however the local
-// engine executed them (the values must still agree).
-func compareResults(t *testing.T, want, got *query.Result, skipFlags bool) {
+// within 1e-9, with the same compressed-space flags on the result, on
+// every frame and on the pair.
+func compareResults(t *testing.T, want, got *query.Result) {
 	t.Helper()
 	if got.Spec != want.Spec {
 		t.Errorf("spec %q != %q", got.Spec, want.Spec)
@@ -229,7 +241,7 @@ func compareResults(t *testing.T, want, got *query.Result, skipFlags bool) {
 	if len(got.Specs) != len(want.Specs) {
 		t.Errorf("specs %v != %v", got.Specs, want.Specs)
 	}
-	if !skipFlags && got.ExecutedInCompressedSpace != want.ExecutedInCompressedSpace {
+	if got.ExecutedInCompressedSpace != want.ExecutedInCompressedSpace {
 		t.Errorf("compressed-space flag %v != %v", got.ExecutedInCompressedSpace, want.ExecutedInCompressedSpace)
 	}
 	if len(got.Frames) != len(want.Frames) {
@@ -239,6 +251,9 @@ func compareResults(t *testing.T, want, got *query.Result, skipFlags bool) {
 		w, g := want.Frames[i], got.Frames[i]
 		if g.Index != w.Index || g.Label != w.Label {
 			t.Errorf("frame %d is (index %d, label %d), want (%d, %d)", i, g.Index, g.Label, w.Index, w.Label)
+		}
+		if g.ExecutedInCompressedSpace != w.ExecutedInCompressedSpace {
+			t.Errorf("frame %d compressed-space flag %v != %v", i, g.ExecutedInCompressedSpace, w.ExecutedInCompressedSpace)
 		}
 		if len(g.Aggregates) != len(w.Aggregates) {
 			t.Errorf("frame %d aggregates %v != %v", i, g.Aggregates, w.Aggregates)
@@ -279,6 +294,9 @@ func compareResults(t *testing.T, want, got *query.Result, skipFlags bool) {
 		}
 		if !approxEq(float64(got.Pair.Value), float64(want.Pair.Value)) {
 			t.Errorf("pair value %v, want %v", got.Pair.Value, want.Pair.Value)
+		}
+		if got.Pair.ExecutedInCompressedSpace != want.Pair.ExecutedInCompressedSpace {
+			t.Errorf("pair compressed-space flag %v != %v", got.Pair.ExecutedInCompressedSpace, want.Pair.ExecutedInCompressedSpace)
 		}
 	}
 	if (got.Reduced == nil) != (want.Reduced == nil) {
@@ -339,10 +357,9 @@ func TestCoordinatorMatchesSingleStore(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s shards=%d req=%d remote: %v", spec, shards, ri, err)
 				}
-				skipFlags := req.Metric != nil
 				t.Run("", func(t *testing.T) {
-					compareResults(t, want, local, false)
-					compareResults(t, want, remote, skipFlags)
+					compareResults(t, want, local)
+					compareResults(t, want, remote)
 				})
 			}
 			ds.Close()
@@ -380,7 +397,7 @@ func TestCoordinatorFailoverMidBattery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s req=%d remote: %v", phase, ri, err)
 			}
-			compareResults(t, want, got, req.Metric != nil)
+			compareResults(t, want, got)
 		}
 	}
 
@@ -590,4 +607,252 @@ func TestHashPlacementVerification(t *testing.T) {
 		t.Fatalf("contiguous placement rejected: %v", err)
 	}
 	co.Close()
+}
+
+// sameBits reports whether two answers are the same float64, bit for bit.
+func sameBits(a, b query.Float) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// payloadsFor is how many payloads the coordinator must fetch to answer
+// req, whose single-store answer is want: one per coupled frame when
+// they span shards, none when one shard holds them all.
+func payloadsFor(co *Coordinator, req *query.Request, want *query.Result) uint64 {
+	if req.Metric == nil {
+		return 0
+	}
+	var coupled []int
+	for _, fr := range want.Frames {
+		coupled = append(coupled, fr.Index)
+	}
+	if req.Metric.Against != nil {
+		coupled = append(coupled, co.labels[*req.Metric.Against])
+	}
+	for _, g := range coupled {
+		if co.owners[g] != co.owners[coupled[0]] {
+			return uint64(len(coupled))
+		}
+	}
+	return 0
+}
+
+// TestCrossShardMetricsBitIdentical: a metric coupling frames on
+// different shards runs on the coordinator over the frames' fetched
+// payloads, by the single-store engine's rule. Every metric and pair
+// value therefore equals the single store's to the bit, with the same
+// flags: compressed space for a same-spec goblaz coupling, the decode
+// fallback for a cross-codec pair and for a zfp pair. Such a request
+// fetches one payload per coupled frame; one a shard answers alone
+// fetches none.
+func TestCrossShardMetricsBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	evenRef := 2
+	for _, fx := range []*conformance.Fixture{conformance.NewFixture(t), conformance.NewMixedFixture(t)} {
+		r, err := store.Open(fx.BuildStore(t, t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		eng := query.New(r, query.Options{})
+		for _, shards := range []int{2, 3} {
+			manifest := fx.BuildManifest(t, t.TempDir(), shards)
+			man, err := shard.LoadManifest(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			co, _ := clusterOf(t, manifest, 1)
+
+			// Labels 1 and 3 sit on different shards at both counts and are
+			// zfp frames in the mixed fixture; the battery's last request
+			// pairs the frames either side of the first boundary, one of
+			// each codec there.
+			oddPair := &query.Request{
+				Select: query.Selector{Labels: "[13]"},
+				Metric: &query.MetricRequest{Kind: query.MetricPSNR},
+			}
+			reqs := append(requestBattery(conformance.FrameCount, man.Shards[0].Frames), oddPair,
+				&query.Request{Metric: &query.MetricRequest{Kind: query.MetricCosine, Against: &evenRef}})
+			boundaryPair := reqs[len(reqs)-3]
+			for ri, req := range reqs {
+				name := fmt.Sprintf("mixed=%v/shards=%d/req=%d", fx.Mixed(), shards, ri)
+				want, err := eng.Run(ctx, req)
+				if err != nil {
+					t.Fatalf("%s single: %v", name, err)
+				}
+				before := clusterRemoteFrames.Value()
+				reqCopy := *req
+				got, err := co.Query(ctx, &reqCopy)
+				if err != nil {
+					t.Fatalf("%s remote: %v", name, err)
+				}
+				if fetched, want := clusterRemoteFrames.Value()-before, payloadsFor(co, req, want); fetched != want {
+					t.Errorf("%s fetched %d payloads, want %d", name, fetched, want)
+				}
+				compareResults(t, want, got)
+				for i, w := range want.Frames {
+					if w.Metric != nil && got.Frames[i].Metric != nil && !sameBits(*got.Frames[i].Metric, *w.Metric) {
+						t.Errorf("%s frame %d metric %v, single store %v", name, i, *got.Frames[i].Metric, *w.Metric)
+					}
+				}
+				if want.Pair != nil && got.Pair != nil && !sameBits(got.Pair.Value, want.Pair.Value) {
+					t.Errorf("%s pair %v, single store %v", name, got.Pair.Value, want.Pair.Value)
+				}
+				if (req == oddPair || req == boundaryPair) && got.Pair.ExecutedInCompressedSpace == fx.Mixed() {
+					t.Errorf("%s cross-shard pair compressed-space = %v, want %v",
+						name, got.Pair.ExecutedInCompressedSpace, !fx.Mixed())
+				}
+			}
+		}
+	}
+}
+
+// swapServer is a shard replica whose store can be replaced behind an
+// open coordinator's back.
+type swapServer struct {
+	*httptest.Server
+	h atomic.Pointer[http.Handler]
+}
+
+func serveSwappable(t testing.TB, path string) *swapServer {
+	t.Helper()
+	s := &swapServer{}
+	s.serve(t, path)
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*s.h.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(s.Close)
+	return s
+}
+
+// serve switches the replica to the store file at path.
+func (s *swapServer) serve(t testing.TB, path string) {
+	t.Helper()
+	l, err := api.OpenLocal(path, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	h := httpapi.New(l, nil, httpapi.Options{})
+	s.h.Store(&h)
+}
+
+// TestCrossShardMetricStaleInventory replaces one shard's store, behind
+// an open coordinator's back, with different frames under the same
+// labels. Its payloads no longer carry the CRCs discovery recorded, so
+// no value may be computed from them: with a current sibling replica a
+// cross-shard metric fails over and answers as before; with none, the
+// metric and Payload answer unavailable, naming the label and both CRCs.
+func TestCrossShardMetricStaleInventory(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ctx := context.Background()
+	n := 8
+	current, changed := randomFrames(rng, n, 16, 16), randomFrames(rng, n, 16, 16)
+	eng := openSingle(t, testGoblazSpec, current)
+	shardPaths := func(frames []*tensor.Tensor) []string {
+		dir := t.TempDir()
+		man, err := shard.LoadManifest(buildDataset(t, dir, testGoblazSpec, frames, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []string{filepath.Join(dir, man.Shards[0].Path), filepath.Join(dir, man.Shards[1].Path)}
+	}
+	cur, stale := shardPaths(current), shardPaths(changed)
+	r, err := store.Open(stale[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleCRC := r.Info(0).CRC32
+	r.Close()
+
+	label, ref := 0, n-1 // shard 0 against shard 1
+	req := query.Request{
+		Select: query.Selector{Labels: strconv.Itoa(label)},
+		Metric: &query.MetricRequest{Kind: query.MetricMSE, Against: &ref},
+	}
+	want, err := eng.Run(ctx, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			var reps []*swapServer
+			var urls []string
+			for i := 0; i < replicas; i++ {
+				reps = append(reps, serveSwappable(t, cur[0]))
+				urls = append(urls, reps[i].URL)
+			}
+			co := coordinatorOver(t, [][]string{urls, {serveStore(t, cur[1]).URL}})
+			recorded := co.crcs[co.labels[label]]
+
+			// The replica the label's calls try first goes stale.
+			first := int(co.ring.affinity(label) % uint64(replicas))
+			reps[first].serve(t, stale[0])
+			failovers := clusterFailovers.Value()
+			reqCopy := req
+			got, err := co.Query(ctx, &reqCopy)
+
+			if replicas > 1 {
+				if err != nil {
+					t.Fatalf("with a current sibling: %v", err)
+				}
+				compareResults(t, want, got)
+				if !sameBits(*got.Frames[0].Metric, *want.Frames[0].Metric) {
+					t.Errorf("metric %v, single store %v", *got.Frames[0].Metric, *want.Frames[0].Metric)
+				}
+				if clusterFailovers.Value() <= failovers {
+					t.Error("failover counter did not move")
+				}
+				if s := co.groups[0].endpoints[first].State(); s == StateUp {
+					t.Error("stale replica still reports up")
+				}
+				return
+			}
+			payload, perr := co.Payload(ctx, label)
+			for what, e := range map[string]error{"metric": err, "payload": perr} {
+				if api.CodeOf(e) != api.CodeUnavailable {
+					t.Errorf("%s with no current replica: %v, want %s", what, e, api.CodeUnavailable)
+					continue
+				}
+				for _, part := range []string{
+					fmt.Sprintf("frame %d payload", label), fmt.Sprintf("%08x", staleCRC), fmt.Sprintf("%08x", recorded),
+				} {
+					if !strings.Contains(e.Error(), part) {
+						t.Errorf("%s error %q does not name %q", what, e, part)
+					}
+				}
+			}
+			if got != nil || payload != nil {
+				t.Errorf("stale replica answered: result %v, payload %d bytes", got, len(payload))
+			}
+		})
+	}
+}
+
+// BenchmarkCrossShardMetric times one mse against a reference on the
+// other shard, through a coordinator over two shard servers of 32² int8
+// frames: two payload fetches, two view decodes and the compressed-space
+// kernel.
+func BenchmarkCrossShardMetric(b *testing.B) {
+	const spec = "goblaz:block=8x8,float=float32,index=int8"
+	frames := randomFrames(rand.New(rand.NewSource(1)), 4, 32, 32)
+	co, _ := clusterOf(b, buildDataset(b, b.TempDir(), spec, frames, 2), 1)
+	ref := len(frames) - 1
+	req := query.Request{
+		Select: query.Selector{Labels: "0"},
+		Metric: &query.MetricRequest{Kind: query.MetricMSE, Against: &ref},
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := req
+		res, err := co.Query(ctx, &r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.ExecutedInCompressedSpace {
+			b.Fatal("cross-shard mse left compressed space")
+		}
+	}
 }

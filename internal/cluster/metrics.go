@@ -17,5 +17,7 @@ var (
 	clusterEndpointUp = obs.NewGaugeVec("goblaz_cluster_endpoint_up",
 		"Per-endpoint health: 1 while the endpoint is up, 0 while suspect, probing, or down.", "endpoint")
 	clusterRemoteFrames = obs.NewCounter("goblaz_cluster_remote_frames_total",
-		"Decoded frames fetched over the wire for cross-shard metric evaluation.")
+		"Compressed payloads fetched over the wire for cross-shard metric evaluation.")
+	clusterRemoteBytes = obs.NewCounter("goblaz_cluster_remote_bytes_total",
+		"Payload bytes fetched over the wire for cross-shard metric evaluation.")
 )

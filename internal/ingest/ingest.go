@@ -595,7 +595,7 @@ func (s *Store) commitLocked(ctx context.Context) error {
 		return err
 	}
 	writeOff := s.committedSize
-	var data []byte
+	data := make([]byte, 0, s.pendingBytes) // the exact sum of the payloads
 	newEntries := s.entries
 	for _, rec := range s.pending {
 		id, err := s.internSpecLocked(rec.spec)

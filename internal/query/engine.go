@@ -297,6 +297,8 @@ type refFrame struct {
 	decoded func() (*tensor.Tensor, error)
 }
 
+func (r *refFrame) load() (codec.Compressed, error) { return r.c, nil }
+
 // runFrame answers one frame's share of the plan under the codec that
 // wrote the frame. The compressed representation (payload decode, no
 // inverse transform) and the full decompression are both loaded at most
@@ -498,35 +500,90 @@ func (e *Engine) frameAggs(p *Plan, ops codec.Ops,
 	return decodedAggs(t, p.aggs), nil
 }
 
-// frameMetric computes one frame's metric against the shared reference.
-// The compressed-space path additionally requires the frame and the
-// reference to share a codec spec: compressed arithmetic only composes
-// within one compressed representation, so a mixed-codec pair decodes.
+// frameMetric computes one frame's metric against the shared reference;
+// decode clears the frame's compressed-space flag when the metric falls
+// back. The reference's decompression is memoized: one decode serves
+// every frame task.
 func (e *Engine) frameMetric(p *Plan, caps *frameCaps, ref *refFrame,
 	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (float64, error) {
-	m := p.metric
-	if caps.ops != nil && ref.c != nil && caps.spec == ref.caps.spec {
-		c, err := loadC()
+	v, _, err := metricOf(p.metric.Kind, p.metric.Peak, caps, ref.caps,
+		metricSide{load: loadC, decode: decode}, metricSide{load: ref.load, decode: ref.decoded})
+	return v, err
+}
+
+// metricSide is how to get one frame of a metric evaluation: its
+// compressed form, and its full decompression. It holds no capabilities:
+// escape analysis does not tell struct fields apart, so codec.Ops beside
+// the closures would move every frame task's captured state to the heap.
+type metricSide struct {
+	load   func() (codec.Compressed, error)
+	decode func() (*tensor.Tensor, error)
+}
+
+// metricOf evaluates a pairwise metric by the one rule every executor
+// shares: in compressed space when both frames share a spec whose codec
+// has Ops — compressed arithmetic only composes within one compressed
+// representation — else on the full decompressions (a cross-codec pair,
+// a codec without Ops, or an Ops backend answering ErrNotSupported).
+// compressed reports which path ran.
+func metricOf(kind string, peak float64, capsA, capsB *frameCaps, a, b metricSide) (v float64, compressed bool, err error) {
+	if capsA.ops != nil && capsA.spec == capsB.spec {
+		ca, err := a.load()
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		v, err := compressedMetric(caps.ops, c, ref.c, m.Kind, m.Peak)
+		cb, err := b.load()
+		if err != nil {
+			return 0, false, err
+		}
+		v, err := compressedMetric(capsA.ops, ca, cb, kind, peak)
 		if err == nil {
-			return v, nil
+			return v, true, nil
 		}
 		if !errors.Is(err, codec.ErrNotSupported) {
-			return 0, err
+			return 0, false, err
 		}
 	}
-	t, err := decode()
+	ta, err := a.decode()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	rt, err := ref.decoded() // memoized: one decode shared by all frame tasks
+	tb, err := b.decode()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	return decodedMetric(t, rt, m.Kind, m.Peak)
+	v, err = decodedMetric(ta, tb, kind, peak)
+	return v, false, err
+}
+
+// PairMetric computes a pairwise metric between two frames held in
+// their compressed representation, each under the spec and coder that
+// wrote it, exactly as an Engine over one store would: in compressed
+// space when both share a spec whose codec has Ops, else by fully
+// decompressing both. compressed reports which path ran; peak ≤ 0
+// means 1. It is for executors that hold decoded payloads from
+// elsewhere — the cluster coordinator evaluates cross-shard metrics
+// with it, so a distributed answer is bit-identical to a local one.
+func PairMetric(kind string, peak float64, a, b codec.Compressed, specA, specB string, coderA, coderB codec.Coder) (v float64, compressed bool, err error) {
+	if peak <= 0 {
+		peak = 1
+	}
+	capsA, capsB := heldCaps(specA, coderA), heldCaps(specB, coderB)
+	return metricOf(kind, peak, capsA, capsB, capsA.held(a), capsB.held(b))
+}
+
+func heldCaps(spec string, coder codec.Coder) *frameCaps {
+	ops, _ := coder.(codec.Ops)
+	return &frameCaps{spec: spec, coder: coder, ops: ops}
+}
+
+// held is a metric side over a compressed form the caller already
+// holds; its decompression runs uncached.
+func (c *frameCaps) held(fc codec.Compressed) metricSide {
+	return metricSide{
+		load:   func() (codec.Compressed, error) { return fc, nil },
+		decode: func() (*tensor.Tensor, error) { return c.decompress(fc) },
+	}
 }
 
 func (e *Engine) frameRegion(p *Plan, rr codec.RegionReader,
@@ -590,10 +647,6 @@ func (e *Engine) framePoint(p *Plan, rr codec.RegionReader,
 // frame-task lifecycle.
 func (e *Engine) runPair(ctx context.Context, p *Plan) (*PairResult, error) {
 	ia, ib := p.frames[0], p.frames[1]
-	pr := &PairResult{
-		A: e.src.Info(ia).Label, B: e.src.Info(ib).Label,
-		Kind: p.metric.Kind, ExecutedInCompressedSpace: true,
-	}
 	capsA, err := e.capsFor(ia)
 	if err != nil {
 		return nil, err
@@ -602,40 +655,30 @@ func (e *Engine) runPair(ctx context.Context, p *Plan) (*PairResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ca, cb codec.Compressed
-	// Compressed-space comparison needs both frames in one codec's
-	// compressed representation: same spec, and that codec has Ops.
-	if capsA.ops != nil && capsA.spec == capsB.spec {
-		if ca, err = e.loadFrame(ia); err != nil {
-			return nil, err
-		}
-		if cb, err = e.loadFrame(ib); err != nil {
-			return nil, err
-		}
-		v, err := compressedMetric(capsA.ops, ca, cb, p.metric.Kind, p.metric.Peak)
-		if err == nil {
-			pr.Value = Float(v)
-			return pr, nil
-		}
-		if !errors.Is(err, codec.ErrNotSupported) {
-			return nil, err
-		}
-	}
-	ta, err := e.decodedFrom(ctx, ia, ca)
+	v, compressed, err := metricOf(p.metric.Kind, p.metric.Peak, capsA, capsB,
+		e.pairSide(ctx, ia), e.pairSide(ctx, ib))
 	if err != nil {
 		return nil, err
 	}
-	tb, err := e.decodedFrom(ctx, ib, cb)
-	if err != nil {
-		return nil, err
+	return &PairResult{
+		A: e.src.Info(ia).Label, B: e.src.Info(ib).Label,
+		Kind: p.metric.Kind, Value: Float(v), ExecutedInCompressedSpace: compressed,
+	}, nil
+}
+
+// pairSide is frame i as one side of a pairwise metric: a fallback
+// decompresses, through the cache, the compressed form the
+// compressed-space attempt already read, if it read one.
+func (e *Engine) pairSide(ctx context.Context, i int) metricSide {
+	var fc codec.Compressed
+	return metricSide{
+		load: func() (codec.Compressed, error) {
+			var err error
+			fc, err = e.loadFrame(i)
+			return fc, err
+		},
+		decode: func() (*tensor.Tensor, error) { return e.decodedFrom(ctx, i, fc) },
 	}
-	pr.ExecutedInCompressedSpace = false
-	v, err := decodedMetric(ta, tb, p.metric.Kind, p.metric.Peak)
-	if err != nil {
-		return nil, err
-	}
-	pr.Value = Float(v)
-	return pr, nil
 }
 
 // decoded returns frame i fully decompressed, through the LRU cache.
@@ -668,13 +711,19 @@ func (e *Engine) decodedFrom(ctx context.Context, i int, fc codec.Compressed) (*
 				return nil, err
 			}
 		}
-		start := time.Now()
-		t, err := caps.coder.Decompress(c)
-		if err == nil {
-			codec.ObserveOp(caps.spec, "decompress", t.Len()*8, time.Since(start))
-		}
-		return t, err
+		return caps.decompress(c)
 	})
+}
+
+// decompress fully decompresses c under the caps' codec, recorded as
+// one "decompress" operation under its spec.
+func (c *frameCaps) decompress(fc codec.Compressed) (*tensor.Tensor, error) {
+	start := time.Now()
+	t, err := c.coder.Decompress(fc)
+	if err == nil {
+		codec.ObserveOp(c.spec, "decompress", t.Len()*8, time.Since(start))
+	}
+	return t, err
 }
 
 // compressedAgg dispatches one aggregate to its Ops entry point. stddev
@@ -749,20 +798,8 @@ func decodedAggs(t *tensor.Tensor, kinds []string) map[string]Float {
 	return vals
 }
 
-// DecodedMetric computes a pairwise metric on decompressed frames with
-// the engine's own decode-fallback definitions (population MSE, PSNR
-// +Inf on identical frames, peak ≤ 0 defaulting to 1). Exported for
-// executors that hold decoded frames from elsewhere — the cluster
-// coordinator evaluates cross-shard metrics with it, so a distributed
-// answer cannot drift from a local one.
-func DecodedMetric(a, b *tensor.Tensor, kind string, peak float64) (float64, error) {
-	if peak <= 0 {
-		peak = 1
-	}
-	return decodedMetric(a, b, kind, peak)
-}
-
-// decodedMetric computes a pairwise metric on decompressed frames.
+// decodedMetric computes a pairwise metric on decompressed frames
+// (population MSE, PSNR +Inf on identical frames).
 func decodedMetric(a, b *tensor.Tensor, kind string, peak float64) (float64, error) {
 	if !a.SameShape(b) {
 		return 0, badf("metric frames have different shapes %v and %v", a.Shape(), b.Shape())
