@@ -27,8 +27,8 @@ import (
 )
 
 // Spec is the codec every fixture store is written with. float64 with
-// no pruning keeps values well-conditioned; compressed-space and decode
-// paths still both execute (min/max always decode).
+// no pruning keeps values well-conditioned. Every aggregate of a Spec
+// frame runs in compressed space, min and max included (codec.Extrema).
 const Spec = "goblaz:block=4x4,float=float64,index=int16"
 
 // MixedSpec is the off-default codec of the mixed-codec fixture
@@ -65,6 +65,13 @@ type Fixture struct {
 
 // Mixed reports whether the fixture uses more than one codec.
 func (fx *Fixture) Mixed() bool { return fx.FrameSpecs != nil }
+
+// compressedSpace reports whether frame label's codec answers every
+// aggregate and reduction in compressed space: goblaz does, MixedSpec's
+// zfp decodes.
+func (fx *Fixture) compressedSpace(label int) bool {
+	return !fx.Mixed() || fx.FrameSpecs[label] == fx.Spec
+}
 
 // NewFixture builds the canonical frames and their expected decodes.
 func NewFixture(t testing.TB) *Fixture {
@@ -340,6 +347,22 @@ func testStats(t *testing.T, fx *Fixture, b api.Backend) {
 		t.Errorf("stddev %g inconsistent with variance %g", stddev, variance)
 	}
 
+	// The default set, min and max included, stays in compressed space
+	// exactly on the frames whose codec has the entry points; on the
+	// mixed fixture, label 1 is a zfp frame and decodes.
+	for _, label := range []int{1, 2} {
+		st, err := b.Stats(context.Background(), label, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fx.compressedSpace(label); st.ExecutedInCompressedSpace != want {
+			t.Errorf("stats of frame %d: executedInCompressedSpace %v, want %v", label, st.ExecutedInCompressedSpace, want)
+		}
+		if got, want := float64(st.Aggregates[query.AggMax]), fx.Decoded[label].Max(); !near(got, want) {
+			t.Errorf("stats of frame %d: max %g, want %g", label, got, want)
+		}
+	}
+
 	// A subset request returns exactly that subset.
 	st, err = b.Stats(context.Background(), 2, []string{query.AggMean})
 	if err != nil {
@@ -438,6 +461,11 @@ func testQuery(t *testing.T, fx *Fixture, b api.Backend) {
 	}
 	if res.Reduced.N != int64(n) || res.Reduced.Moments.Frames != FrameCount {
 		t.Errorf("reduced state %+v, want n=%d frames=%d", res.Reduced.Moments, n, FrameCount)
+	}
+	for _, fr := range res.Frames {
+		if want := fx.compressedSpace(fr.Label); fr.ExecutedInCompressedSpace != want {
+			t.Errorf("reduce over frame %d: executedInCompressedSpace %v, want %v", fr.Label, fr.ExecutedInCompressedSpace, want)
+		}
 	}
 	for kind, want := range map[string]float64{
 		query.AggMean:   sum / float64(n),

@@ -104,6 +104,20 @@ type RegionReader interface {
 	At(c Compressed, idx ...int) (float64, error)
 }
 
+// Extrema is the optional compressed-space extrema sub-interface, for
+// backends that can find an array's smallest and largest element without
+// decompressing all of it (goblaz: per-block bounds, then only the blocks
+// that can hold an extreme; see core.Compressor.Extrema). The query
+// engine answers min and max through it when present and decodes when
+// not.
+type Extrema interface {
+	Codec
+	// Extrema returns the smallest and largest element of the array c
+	// decompresses to, bit-identical to a scan of Decompress(c) — or
+	// ErrNotSupported when this frame needs that scan.
+	Extrema(c Compressed) (lo, hi float64, err error)
+}
+
 // Shaper is the optional shape-introspection sub-interface, for
 // backends whose compressed representation records the array shape (all
 // four built-ins). It lets callers — the query engine's reduce path —

@@ -408,6 +408,57 @@ func TestGoblazRegionReader(t *testing.T) {
 	}
 }
 
+func TestGoblazExtrema(t *testing.T) {
+	x := data.Gradient(10, 14).AddScalar(0.5)
+	for _, tc := range []struct {
+		spec    string
+		decides bool
+	}{
+		{"goblaz:block=4x4,float=float64,index=int16", true},
+		{"goblaz:block=4x4,float=float32,index=int8,keep=0.5,transform=haar", true},
+		{"goblaz:block=4x4,transform=identity", false}, // no constant first basis vector
+	} {
+		cd, err := Lookup(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, ok := cd.(Extrema)
+		if !ok {
+			t.Fatalf("%s must implement Extrema", tc.spec)
+		}
+		c, err := cd.Compress(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := cd.Decompress(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, err := ext.Extrema(c)
+		if !tc.decides {
+			if !errors.Is(err, ErrNotSupported) {
+				t.Errorf("%s: Extrema error %v, want ErrNotSupported", tc.spec, err)
+			}
+			continue
+		}
+		if err != nil || lo != full.Min() || hi != full.Max() {
+			t.Errorf("%s: Extrema = %g, %g, %v; decoded scan %g, %g", tc.spec, lo, hi, err, full.Min(), full.Max())
+		}
+		if _, _, err := ext.Extrema(struct{}{}); err == nil || errors.Is(err, ErrNotSupported) {
+			t.Errorf("foreign compressed type: %v, want a plain error", err)
+		}
+	}
+	for _, spec := range []string{"blaz", "sz:tol=1e-4", "zfp:rate=16"} {
+		other, err := Lookup(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := other.(Extrema); ok {
+			t.Errorf("codec %q should not implement Extrema", spec)
+		}
+	}
+}
+
 func TestSZHonorsErrorBoundOnRoughData(t *testing.T) {
 	// Pseudo-random rough data: the bound must hold point-wise anyway.
 	x := tensor.New(40, 40)

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -15,7 +16,7 @@ func init() {
 
 // goblazCodec adapts internal/core — the paper's compressor — to the
 // Codec interface. It implements Ops (full compressed-space arithmetic),
-// Coder and ViewDecoder.
+// Extrema, Coder and ViewDecoder.
 type goblazCodec struct {
 	c    *core.Compressor
 	spec string
@@ -254,6 +255,18 @@ func (g *goblazCodec) At(c Compressed, idx ...int) (float64, error) {
 		return 0, err
 	}
 	return g.c.At(a, idx...)
+}
+
+func (g *goblazCodec) Extrema(c Compressed) (lo, hi float64, err error) {
+	a, err := g.arr(c)
+	if err != nil {
+		return 0, 0, err
+	}
+	lo, hi, err = g.c.Extrema(a)
+	if errors.Is(err, core.ErrExtremaUndecided) {
+		return 0, 0, fmt.Errorf("goblaz extrema: %w: %v", ErrNotSupported, err)
+	}
+	return lo, hi, err
 }
 
 func (g *goblazCodec) Shape(c Compressed) ([]int, error) {

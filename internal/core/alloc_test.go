@@ -196,10 +196,12 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkKernels runs the scalar kernels over a heap F (copy) and over
-// an F that is the v2 payload's own bytes (view).
+// an F that is the v2 payload's own bytes (view), and extrema against the
+// decode-then-scan it replaces.
 func BenchmarkKernels(b *testing.B) {
 	c, x, y := analyticsFrames(b)
-	want := map[string]bool{"dot": true, "l2norm": true, "variance": true, "mse": true, "cosine": true}
+	want := map[string]bool{"dot": true, "l2norm": true, "variance": true, "mse": true, "cosine": true,
+		"extrema": true, "decompress+minmax": true}
 	for _, d := range decoders {
 		xd, err := d.decode(mustEncode(b, x))
 		if err != nil {
@@ -209,7 +211,19 @@ func BenchmarkKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range scalarKernels(c, xd, yd) {
+		kernels := append(scalarKernels(c, xd, yd),
+			namedKernel{"extrema", func() (float64, error) {
+				lo, hi, err := c.Extrema(xd)
+				return lo + hi, err
+			}},
+			namedKernel{"decompress+minmax", func() (float64, error) {
+				t, err := c.Decompress(xd)
+				if err != nil {
+					return 0, err
+				}
+				return t.Min() + t.Max(), nil
+			}})
+		for _, k := range kernels {
 			if !want[k.name] {
 				continue
 			}

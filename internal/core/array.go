@@ -137,6 +137,7 @@ type kernels interface {
 	rebinBlocks(c *Compressor, out *CompressedArray, coeffsOf func(k int, scratch []float64) []float64)
 	combine(c *Compressor, a, b *CompressedArray, sign float64) *CompressedArray
 	blockSums(c *Compressor, a *CompressedArray, dst []float64) float64
+	blockBounds(c *Compressor, a *CompressedArray, dst []float64) (top, bot int, ok bool)
 	sumSquares(c *Compressor, a *CompressedArray) float64
 	dot3(c *Compressor, a, b *CompressedArray) (ab, aa, bb float64)
 	blockCovariances(c *Compressor, a, b *CompressedArray, dst []float64)

@@ -27,6 +27,11 @@
 // compressor's transform.Plan — the transform resolved once for the block
 // shape — and bins into F (or scatters into the result). Compress
 // allocates N and F; Decompress allocates the tensor it returns.
+//
+// Extrema sits between the two: one walk of F bounds every block, and
+// only the blocks whose bound can hold the minimum or maximum go through
+// Decompress's per-block code (extrema.go). It allocates the bounds and
+// one block buffer.
 package core
 
 import (
@@ -129,6 +134,7 @@ type Compressor struct {
 	settings Settings
 	plan     *transform.Plan // the transform resolved for settings.BlockShape
 	keep     []int           // intrablock positions kept by the mask, ascending
+	peak     []float64       // max |basis function| of each kept position (extrema.go)
 	k        kernels         // the F-touching loops at settings.IndexType's width
 	radius   float64
 	// sqrtVol is c = √(∏i), the scale between a block's first coefficient
@@ -152,10 +158,12 @@ func NewCompressor(s Settings) (*Compressor, error) {
 			keep = append(keep, pos)
 		}
 	}
+	tr := transform.New(s.Transform)
 	return &Compressor{
 		settings: s,
-		plan:     transform.New(s.Transform).Plan(s.BlockShape),
+		plan:     tr.Plan(s.BlockShape),
 		keep:     keep,
+		peak:     basisPeaks(tr, s.BlockShape, keep),
 		k:        byIndexType[s.IndexType],
 		radius:   float64(s.IndexType.Radius()),
 		sqrtVol:  math.Sqrt(float64(vol)),

@@ -53,12 +53,13 @@ type Engine struct {
 }
 
 // frameCaps is one codec spec's resolved execution capabilities. ops,
-// rr, and shaper are nil when the codec lacks the interface or the
+// ext, rr, and shaper are nil when the codec lacks the interface or the
 // engine forces decode.
 type frameCaps struct {
 	spec   string
 	coder  codec.Coder
 	ops    codec.Ops
+	ext    codec.Extrema
 	rr     codec.RegionReader
 	shaper codec.Shaper
 }
@@ -112,6 +113,7 @@ func (e *Engine) capsFor(i int) (*frameCaps, error) {
 	c := &frameCaps{spec: spec, coder: coder}
 	if !e.forceDecode {
 		c.ops, _ = coder.(codec.Ops)
+		c.ext, _ = coder.(codec.Extrema)
 		c.rr, _ = coder.(codec.RegionReader)
 		c.shaper, _ = coder.(codec.Shaper)
 	}
@@ -317,7 +319,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	if caps.spec != e.src.Spec() {
 		out.Spec = caps.spec
 	}
-	ops, rr, shaper := caps.ops, caps.rr, caps.shaper
+	ops, ext, rr, shaper := caps.ops, caps.ext, caps.rr, caps.shaper
 
 	var fc codec.Compressed
 	loadC := func() (codec.Compressed, error) {
@@ -342,7 +344,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	}
 
 	if len(p.aggs) > 0 {
-		vals, err := e.frameAggs(p, ops, loadC, decode)
+		vals, err := e.frameAggs(p, ops, ext, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) aggregates: %w", i, out.Label, err)
 		}
@@ -377,7 +379,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	}
 
 	if mom != nil {
-		m, err := e.frameMoments(p, ops, shaper, loadC, decode)
+		m, err := e.frameMoments(p, ops, ext, shaper, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) reduce: %w", i, out.Label, err)
 		}
@@ -387,19 +389,21 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 }
 
 // frameMoments computes one frame's share of a dataset-level reduction.
-// When the reduction needs no extrema and the codec exposes both the
-// moment entry points (Ops) and the compressed shape (Shaper), the
-// partial state comes straight from compressed space: Σx = n·mean and
-// Σx² = ‖x‖₂²; otherwise the frame decodes (through the LRU cache) and
-// one pass accumulates everything.
-func (e *Engine) frameMoments(p *Plan, ops codec.Ops, shaper codec.Shaper,
+// When the codec exposes the moment entry points (Ops), the compressed
+// shape (Shaper) and, if the reduction asks for extrema, Extrema, the
+// partial state comes straight from compressed space: Σx = n·mean,
+// Σx² = ‖x‖₂², min and max from the block bounds. Otherwise, or when
+// the backend answers ErrNotSupported, the frame decodes (through the
+// LRU cache) and one pass accumulates everything. ext is a parameter, not
+// a closure capture, so runFrame's state stays on the stack.
+func (e *Engine) frameMoments(p *Plan, ops codec.Ops, ext codec.Extrema, shaper codec.Shaper,
 	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (Moments, error) {
-	if ops != nil && shaper != nil && !p.reduceMinMax {
+	if ops != nil && shaper != nil && (ext != nil || !p.reduceMinMax) {
 		c, err := loadC()
 		if err != nil {
 			return Moments{}, err
 		}
-		m, err := compressedMoments(ops, shaper, c)
+		m, err := compressedMoments(ops, ext, shaper, c, p.reduceMinMax)
 		if err == nil {
 			return m, nil
 		}
@@ -415,8 +419,18 @@ func (e *Engine) frameMoments(p *Plan, ops codec.Ops, shaper codec.Shaper,
 }
 
 // compressedMoments derives a frame's moment state from the Ops entry
-// points without decompression.
-func compressedMoments(ops codec.Ops, shaper codec.Shaper, c codec.Compressed) (Moments, error) {
+// points, and its extrema from Extrema when minMax is set, without
+// decompression.
+func compressedMoments(ops codec.Ops, ext codec.Extrema, shaper codec.Shaper, c codec.Compressed, minMax bool) (Moments, error) {
+	m := EmptyMoments()
+	if minMax {
+		// First: it is the entry point that may answer ErrNotSupported.
+		lo, hi, err := ext.Extrema(c)
+		if err != nil {
+			return Moments{}, err
+		}
+		m.Min, m.Max = Float(lo), Float(hi)
+	}
 	shape, err := shaper.Shape(c)
 	if err != nil {
 		return Moments{}, err
@@ -433,7 +447,6 @@ func compressedMoments(ops codec.Ops, shaper codec.Shaper, c codec.Compressed) (
 	if err != nil {
 		return Moments{}, err
 	}
-	m := EmptyMoments()
 	m.Frames = 1
 	m.N = int64(n)
 	m.Sum = Float(mean * float64(n))
@@ -466,31 +479,24 @@ func decodedMoments(t *tensor.Tensor, minMax bool) Moments {
 	return m
 }
 
-// frameAggs computes the requested aggregates, compressed-space when
-// every kind has an Ops entry point and the backend serves them, else
-// decode-then-compute.
-func (e *Engine) frameAggs(p *Plan, ops codec.Ops,
+// frameAggs computes the requested aggregates in compressed space when
+// the frame's codec has an entry point for every kind — Ops for the
+// moments, Extrema for min and max — and serves them all, else
+// decode-then-compute. ext is a parameter for the reason frameMoments'
+// is.
+func (e *Engine) frameAggs(p *Plan, ops codec.Ops, ext codec.Extrema,
 	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (map[string]Float, error) {
-	if ops != nil && p.aggsCompressible {
+	if ops != nil && (ext != nil || !p.aggsMinMax) {
 		c, err := loadC()
 		if err != nil {
 			return nil, err
 		}
-		vals := make(map[string]Float, len(p.aggs))
-		supported := true
-		for _, kind := range p.aggs {
-			v, err := compressedAgg(ops, c, kind)
-			if errors.Is(err, codec.ErrNotSupported) {
-				supported = false
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			vals[kind] = Float(v)
-		}
-		if supported {
+		vals, err := compressedAggs(ops, ext, c, p.aggs, p.aggsMinMax)
+		if err == nil {
 			return vals, nil
+		}
+		if !errors.Is(err, codec.ErrNotSupported) {
+			return nil, err
 		}
 	}
 	t, err := decode()
@@ -726,8 +732,39 @@ func (c *frameCaps) decompress(fc codec.Compressed) (*tensor.Tensor, error) {
 	return t, err
 }
 
-// compressedAgg dispatches one aggregate to its Ops entry point. stddev
-// is derived from Variance here — not in the backend — so both
+// compressedAggs answers every kind in compressed space: min and max
+// from one Extrema call (made first, when minMax is set, since it is the
+// entry point that may answer ErrNotSupported), the rest from Ops.
+func compressedAggs(ops codec.Ops, ext codec.Extrema, c codec.Compressed, kinds []string, minMax bool) (map[string]Float, error) {
+	var lo, hi float64
+	if minMax {
+		var err error
+		if lo, hi, err = ext.Extrema(c); err != nil {
+			return nil, err
+		}
+	}
+	vals := make(map[string]Float, len(kinds))
+	for _, kind := range kinds {
+		var v float64
+		var err error
+		switch kind {
+		case AggMin:
+			v = lo
+		case AggMax:
+			v = hi
+		default:
+			v, err = compressedAgg(ops, c, kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		vals[kind] = Float(v)
+	}
+	return vals, nil
+}
+
+// compressedAgg dispatches one moment aggregate to its Ops entry point.
+// stddev is derived from Variance here — not in the backend — so both
 // execution paths share the same sqrt(max(var, 0)) clamping.
 func compressedAgg(ops codec.Ops, c codec.Compressed, kind string) (float64, error) {
 	switch kind {
@@ -763,36 +800,39 @@ func compressedMetric(ops codec.Ops, a, b codec.Compressed, kind string, peak fl
 
 // decodedAggs computes aggregates on a decompressed frame, mirroring
 // the compressed-space definitions (population variance, L2 over all
-// elements).
+// elements). One pass accumulates what every kind needs, each in the
+// order and with the comparison of the Tensor method it replaces — Sum,
+// Dot(t), Min, Max — so every answer is bit-identical to calling them.
 func decodedAggs(t *tensor.Tensor, kinds []string) map[string]Float {
-	vals := make(map[string]Float, len(kinds))
-	var mean, variance float64
-	var haveMoments bool
-	moments := func() (float64, float64) {
-		if !haveMoments {
-			mean = t.Mean()
-			variance = t.Dot(t)/float64(t.Len()) - mean*mean
-			haveMoments = true
+	var sum, sumSq float64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range t.Data() {
+		sum += v
+		sumSq += v * v
+		if v < lo {
+			lo = v
 		}
-		return mean, variance
+		if v > hi {
+			hi = v
+		}
 	}
+	mean := sum / float64(t.Len())
+	variance := sumSq/float64(t.Len()) - mean*mean
+	vals := make(map[string]Float, len(kinds))
 	for _, kind := range kinds {
 		switch kind {
 		case AggMean:
-			m, _ := moments()
-			vals[kind] = Float(m)
+			vals[kind] = Float(mean)
 		case AggVariance:
-			_, v := moments()
-			vals[kind] = Float(v)
+			vals[kind] = Float(variance)
 		case AggStdDev:
-			_, v := moments()
-			vals[kind] = Float(math.Sqrt(math.Max(v, 0)))
+			vals[kind] = Float(math.Sqrt(math.Max(variance, 0)))
 		case AggMin:
-			vals[kind] = Float(t.Min())
+			vals[kind] = Float(lo)
 		case AggMax:
-			vals[kind] = Float(t.Max())
+			vals[kind] = Float(hi)
 		case AggL2Norm:
-			vals[kind] = Float(t.Norm2())
+			vals[kind] = Float(math.Sqrt(sumSq))
 		}
 	}
 	return vals

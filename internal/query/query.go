@@ -1,7 +1,7 @@
 // Package query is the compressed-domain query engine: it answers
 // aggregate, pairwise-metric, region, and point questions over the
 // frames of a store.Reader, preferring compressed-space execution
-// (codec.Ops / codec.RegionReader) and falling back to
+// (codec.Ops / codec.Extrema / codec.RegionReader) and falling back to
 // decode-then-compute — through a shared byte-budgeted LRU cache of
 // decoded frames — for codecs that cannot.
 //
@@ -110,9 +110,10 @@ func badf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 }
 
-// The aggregate kinds. Mean, variance, stddev, and l2norm have
-// compressed-space entry points (codec.Ops); min and max always
-// decode — extrema are not recoverable from transform coefficients.
+// The aggregate kinds. Every kind has a compressed-space entry point:
+// mean, variance, stddev and l2norm in codec.Ops, min and max in
+// codec.Extrema. Which one runs is decided per frame, by what the
+// frame's codec implements and serves.
 const (
 	AggMean     = "mean"
 	AggVariance = "variance"
@@ -131,9 +132,8 @@ const (
 	MetricCosine = "cosine"
 )
 
-var aggCompressible = map[string]bool{
-	AggMean: true, AggVariance: true, AggStdDev: true, AggL2Norm: true,
-	AggMin: false, AggMax: false,
+var aggKinds = map[string]bool{
+	AggMean: true, AggVariance: true, AggStdDev: true, AggMin: true, AggMax: true, AggL2Norm: true,
 }
 
 var metricKinds = map[string]bool{
@@ -311,8 +311,8 @@ type Plan struct {
 	point    []int
 	reduce   []string
 
-	aggsCompressible bool // every requested aggregate has an Ops entry point
-	reduceMinMax     bool // the reduction needs extrema, which always decode
+	aggsMinMax   bool // the aggregates include min or max (codec.Extrema)
+	reduceMinMax bool // the reduction needs extrema (codec.Extrema)
 }
 
 // Compile validates req against the source and resolves the selection
@@ -321,7 +321,7 @@ func Compile(src Index, req *Request) (*Plan, error) {
 	if req == nil {
 		return nil, badf("nil request")
 	}
-	p := &Plan{refIndex: -1, aggsCompressible: true}
+	p := &Plan{refIndex: -1}
 
 	if len(req.Aggregates) == 0 && req.Metric == nil && req.Region == nil && len(req.Point) == 0 && len(req.Reduce) == 0 {
 		return nil, badf("empty query: request aggregates, a metric, a region, a point, or a reduction")
@@ -333,8 +333,7 @@ func Compile(src Index, req *Request) (*Plan, error) {
 	p.reduce = make([]string, 0, len(req.Reduce))
 	seen := map[string]bool{}
 	for _, kind := range req.Aggregates {
-		compressible, ok := aggCompressible[kind]
-		if !ok {
+		if !aggKinds[kind] {
 			return nil, badf("unknown aggregate %q (have mean|variance|stddev|min|max|l2norm)", kind)
 		}
 		if seen[kind] {
@@ -342,12 +341,12 @@ func Compile(src Index, req *Request) (*Plan, error) {
 		}
 		seen[kind] = true
 		p.aggs = append(p.aggs, kind)
-		p.aggsCompressible = p.aggsCompressible && compressible
+		p.aggsMinMax = p.aggsMinMax || kind == AggMin || kind == AggMax
 	}
 
 	seenReduce := map[string]bool{}
 	for _, kind := range req.Reduce {
-		if _, ok := aggCompressible[kind]; !ok {
+		if !aggKinds[kind] {
 			return nil, badf("unknown reduce aggregate %q (have mean|variance|stddev|min|max|l2norm)", kind)
 		}
 		if seenReduce[kind] {

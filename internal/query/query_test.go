@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
@@ -116,18 +117,92 @@ func TestAggregatesCompressedMatchesDecoded(t *testing.T) {
 	}
 }
 
+// TestMinMaxForceDecodeFallback: goblaz answers min and max — per frame
+// and in a reduction — through codec.Extrema, in compressed space and bit
+// for bit what ForceDecode's decode-then-scan answers.
 func TestMinMaxForceDecodeFallback(t *testing.T) {
-	r := buildStore(t, goblazSpec, seqLabels(2), testFrames(2, 12, 12))
-	res, err := New(r, Options{}).Run(context.Background(), &Request{Aggregates: []string{AggMean, AggMin, AggMax}})
+	r := buildStore(t, goblazSpec, seqLabels(3), testFrames(3, 13, 11))
+	req := &Request{Aggregates: []string{AggMean, AggMin, AggMax}, Reduce: []string{AggMin, AggMax}}
+	fast, err := New(r, Options{}).Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExecutedInCompressedSpace {
-		t.Error("min/max have no compressed-space path; flag must be false")
+	if !fast.ExecutedInCompressedSpace {
+		t.Error("goblaz min/max should run in compressed space")
 	}
-	f := res.Frames[0]
-	if f.Aggregates[AggMin] >= f.Aggregates[AggMax] {
-		t.Errorf("min %g should be below max %g", f.Aggregates[AggMin], f.Aggregates[AggMax])
+	slow, err := New(r, Options{ForceDecode: true}).Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.ExecutedInCompressedSpace {
+		t.Error("ForceDecode result should not claim compressed space")
+	}
+	same := func(what string, a, b Float) {
+		t.Helper()
+		if math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+			t.Errorf("%s: compressed %v, ForceDecode %v", what, a, b)
+		}
+	}
+	for i, f := range fast.Frames {
+		if !f.ExecutedInCompressedSpace || slow.Frames[i].ExecutedInCompressedSpace {
+			t.Errorf("frame %d flags: compressed %v, ForceDecode %v", i, f.ExecutedInCompressedSpace, slow.Frames[i].ExecutedInCompressedSpace)
+		}
+		same(fmt.Sprintf("frame %d min", i), f.Aggregates[AggMin], slow.Frames[i].Aggregates[AggMin])
+		same(fmt.Sprintf("frame %d max", i), f.Aggregates[AggMax], slow.Frames[i].Aggregates[AggMax])
+		if f.Aggregates[AggMin] >= f.Aggregates[AggMax] {
+			t.Errorf("frame %d: min %g should be below max %g", i, f.Aggregates[AggMin], f.Aggregates[AggMax])
+		}
+	}
+	same("reduced min", fast.Reduced.Values[AggMin], slow.Reduced.Values[AggMin])
+	same("reduced max", fast.Reduced.Values[AggMax], slow.Reduced.Values[AggMax])
+}
+
+// TestUndecidedExtremaDecode: a goblaz frame whose block bounds cannot
+// settle min and max (here: the identity transform) decodes, for every
+// aggregate of the request, with the flag cleared.
+func TestUndecidedExtremaDecode(t *testing.T) {
+	r := buildStore(t, goblazSpec+",transform=identity", seqLabels(2), testFrames(2, 9, 9))
+	req := &Request{Aggregates: []string{AggMean, AggMax}, Reduce: []string{AggMin}}
+	got, err := New(r, Options{}).Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(r, Options{ForceDecode: true}).Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ExecutedInCompressedSpace {
+		t.Error("undecided extrema must decode; flag must be false")
+	}
+	for i, f := range got.Frames {
+		for kind, v := range f.Aggregates {
+			if v != want.Frames[i].Aggregates[kind] {
+				t.Errorf("frame %d %s = %v, ForceDecode %v", i, kind, v, want.Frames[i].Aggregates[kind])
+			}
+		}
+	}
+	if got.Reduced.Values[AggMin] != want.Reduced.Values[AggMin] {
+		t.Errorf("reduced min = %v, ForceDecode %v", got.Reduced.Values[AggMin], want.Reduced.Values[AggMin])
+	}
+}
+
+// TestDecodedAggsOnePass: the one-pass decode fallback answers every
+// aggregate bit for bit as the Tensor methods it replaced.
+func TestDecodedAggsOnePass(t *testing.T) {
+	x := testFrames(1, 17, 9)[0]
+	want := map[string]float64{
+		AggMean:     x.Mean(),
+		AggVariance: x.Dot(x)/float64(x.Len()) - x.Mean()*x.Mean(),
+		AggMin:      x.Min(),
+		AggMax:      x.Max(),
+		AggL2Norm:   x.Norm2(),
+	}
+	want[AggStdDev] = math.Sqrt(math.Max(want[AggVariance], 0))
+	got := decodedAggs(x, []string{AggMean, AggVariance, AggStdDev, AggMin, AggMax, AggL2Norm})
+	for kind, w := range want {
+		if math.Float64bits(float64(got[kind])) != math.Float64bits(w) {
+			t.Errorf("%s = %v, Tensor methods %v", kind, got[kind], w)
+		}
 	}
 }
 

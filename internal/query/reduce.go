@@ -14,9 +14,8 @@ import (
 // why differential tests compare within a tolerance, not bit-exactly).
 //
 // Min and Max are only meaningful when the reduction asked for them
-// (extrema are not recoverable from transform coefficients, so tracking
-// them forces a decode); untracked parts carry +Inf/−Inf, the identity
-// elements of the merge.
+// (tracking them takes codec.Extrema or a decode); untracked parts carry
+// +Inf/−Inf, the identity elements of the merge.
 type Moments struct {
 	// Frames counts the frames folded into this state.
 	Frames int `json:"frames"`

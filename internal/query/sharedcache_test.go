@@ -65,15 +65,15 @@ func buildOffsetStore(tb testing.TB, n int, base float64) *store.Reader {
 
 func TestEngineSharedCacheRace(t *testing.T) {
 	// A budget that holds 6 of the working set's 8 distinct 8×8 frames
-	// (2 engines × 4 frames), so concurrent decode fallbacks (min
-	// forces decoding) both hit and evict while the engines hammer
+	// (2 engines × 4 frames), so concurrent decodes (ForceDecode: every
+	// aggregate decodes) both hit and evict while the engines hammer
 	// Get/Put.
 	const frames = 4
 	cache := query.NewCache(6 * 64 * 8)
 	engines := make([]*query.Engine, 2)
 	bases := []float64{0, 1000}
 	for i, base := range bases {
-		engines[i] = query.New(buildOffsetStore(t, frames, base), query.Options{Cache: cache})
+		engines[i] = query.New(buildOffsetStore(t, frames, base), query.Options{Cache: cache, ForceDecode: true})
 	}
 	req := &query.Request{Aggregates: []string{query.AggMin, query.AggMean}}
 

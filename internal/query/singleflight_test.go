@@ -52,7 +52,7 @@ func TestSingleflightHammer(t *testing.T) {
 	src := &countingSource{r: buildStore(t, "zfp:rate=16", seqLabels(1), testFrames(1, 16, 16))}
 	cache := NewCache(0)
 	e := New(src, Options{Cache: cache})
-	req := &Request{Aggregates: []string{AggMin, AggMax}} // extrema always decode
+	req := &Request{Aggregates: []string{AggMin, AggMax}} // zfp has no Extrema: min and max decode
 
 	const herd = 32
 	runWave := func(wave int) {

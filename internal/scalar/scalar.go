@@ -314,6 +314,23 @@ func (t FloatType) MaxFinite() float64 {
 	return 0
 }
 
+// SmallestSubnormal returns the smallest positive value representable in
+// type t, which bounds the absolute error of rounding to t below its
+// normal range.
+func (t FloatType) SmallestSubnormal() float64 {
+	switch t {
+	case BFloat16:
+		return 0x1p-133
+	case Float16:
+		return 0x1p-24
+	case Float32:
+		return 0x1p-149
+	case Float64:
+		return 0x1p-1074
+	}
+	return 0
+}
+
 // MachineEpsilon returns the distance between 1 and the next representable
 // value in type t.
 func (t FloatType) MachineEpsilon() float64 {

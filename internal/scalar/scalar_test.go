@@ -322,6 +322,14 @@ func TestMaxFiniteAndEpsilon(t *testing.T) {
 	if FloatType(99).MaxFinite() != 0 || FloatType(99).MachineEpsilon() != 0 {
 		t.Error("unknown type MaxFinite/MachineEpsilon should be 0")
 	}
+	// The smallest subnormal survives rounding; less than half of it
+	// rounds to zero.
+	for _, ft := range []FloatType{BFloat16, Float16, Float32, Float64} {
+		s := ft.SmallestSubnormal()
+		if ft.Round(s) != s || (ft != Float64 && ft.Round(0.49*s) != 0) {
+			t.Errorf("%v.SmallestSubnormal = %g does not round like one", ft, s)
+		}
+	}
 }
 
 // Property: rounding is idempotent for all types.

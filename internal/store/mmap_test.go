@@ -366,8 +366,8 @@ func TestMappedFramesAreReadOnlyViews(t *testing.T) {
 }
 
 // frameAnswers runs every operation coder exposes on a and b — Ops,
-// RegionReader and, for goblaz, core's Table I set — and returns each
-// answer in a fixed order: scalars as they are, arrays element by
+// RegionReader, Extrema and, for goblaz, core's Table I set — and returns
+// each answer in a fixed order: scalars as they are, arrays element by
 // element (compressed ones decompressed). It then scribbles over every
 // array it got back.
 func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []float64 {
@@ -414,6 +414,11 @@ func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []floa
 	if rr, ok := coder.(codec.RegionReader); ok {
 		array(rr.DecompressRegion(a, []int{3, 5}, []int{9, 7}))
 		scalar(rr.At(a, 7, 2))
+	}
+	if ext, ok := coder.(codec.Extrema); ok {
+		lo, hi, err := ext.Extrema(a)
+		scalar(lo, err)
+		scalar(hi, nil)
 	}
 	if g, ok := coder.(interface{ Compressor() *core.Compressor }); ok {
 		c := g.Compressor()
