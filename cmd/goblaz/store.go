@@ -53,9 +53,8 @@ import (
 
 // packCoder resolves the -codec spec, or the goblaz flag set when no
 // spec was given, to a serializing codec. The flag path goes through the
-// registry too — the store header must embed a spec that reconstructs
-// the exact codec, and a registry spec (unlike codec.FromCompressor's
-// approximate one) round-trips the keep= pruning fraction.
+// registry too: the store header must embed a spec that reconstructs
+// the exact codec, keep= pruning fraction included.
 func packCoder(o *options) (codec.Coder, error) {
 	spec := o.codecSpec
 	if spec == "" {
@@ -137,16 +136,11 @@ func runPack(args []string) error {
 }
 
 // packSharded writes a sharded dataset: OUT is the manifest path, the
-// shard stores land next to it (see shard.WriteDataset). A non-nil
-// assign (pack -auto) compresses each frame under its assigned codec.
+// shard stores land next to it (see shard.WriteDatasetAssigned). A
+// non-nil assign (pack -auto) compresses each frame under its assigned
+// codec.
 func packSharded(o *options, coder codec.Coder, assign shard.AssignFunc, out string, labels []int, frame shard.FrameFunc) error {
-	var man *shard.Manifest
-	var err error
-	if assign == nil {
-		man, err = shard.WriteDataset(out, coder, labels, o.shards, o.workers, frame)
-	} else {
-		man, err = shard.WriteDatasetAssigned(out, coder, assign, labels, o.shards, o.workers, frame)
-	}
+	man, err := shard.WriteDatasetAssigned(out, coder, assign, labels, o.shards, o.workers, frame)
 	if err != nil {
 		return err
 	}

@@ -127,7 +127,9 @@ func TestPackFlagCodecWithPruning(t *testing.T) {
 	if want := "keep=0.5"; !strings.Contains(r.Spec(), want) {
 		t.Errorf("spec %q should contain %q", r.Spec(), want)
 	}
-	if _, err := r.DecompressLabel(1); err != nil {
+	if i, ok := r.IndexOf(1); !ok {
+		t.Error("store packed with pruning lost label 1")
+	} else if _, err := r.Decompress(i); err != nil {
 		t.Errorf("store packed with pruning does not decode itself: %v", err)
 	}
 }

@@ -38,17 +38,15 @@ func main() {
 		log.Fatal(err)
 	}
 	ens := series.New(comp)
-	pipe := series.NewPipeline(ens, 0)
 	for i, m := range members {
 		sim, err := shallowwater.New(m.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sim.Run(2500)
-		pipe.Submit(i, sim.Height())
-	}
-	if err := pipe.Wait(); err != nil {
-		log.Fatal(err)
+		if err := ens.Append(i, sim.Height()); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	bytes, err := ens.CompressedBytes()

@@ -197,7 +197,7 @@ func TestLocalFromBothConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(t.TempDir(), "ds.json")
-	man, err := shard.WriteDataset(manifest, cd.(codec.Coder), []int{0, 1, 2, 3, 4, 5}, 3, 1,
+	man, err := shard.WriteDatasetAssigned(manifest, cd.(codec.Coder), nil, []int{0, 1, 2, 3, 4, 5}, 3, 1,
 		func(i int) (*tensor.Tensor, error) { return tensor.New(8, 8), nil })
 	if err != nil {
 		t.Fatal(err)

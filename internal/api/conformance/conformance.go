@@ -164,20 +164,16 @@ func (fx *Fixture) buildManifest(t testing.TB, dir string, nShards int) *shard.M
 	coder := mustCoder(Spec)
 	path := filepath.Join(dir, "fixture.json")
 	frame := func(i int) (*tensor.Tensor, error) { return fx.Frames[i], nil }
-	var man *shard.Manifest
-	var err error
+	var assign shard.AssignFunc
 	if fx.Mixed() {
 		coders := make([]codec.Coder, len(fx.FrameSpecs))
 		for i, spec := range fx.FrameSpecs {
 			coders[i] = mustCoder(spec)
 		}
 		// Labels are positions, so the assignment indexes by label.
-		man, err = shard.WriteDatasetAssigned(path, coder,
-			func(label int, _ *tensor.Tensor) (codec.Coder, error) { return coders[label], nil },
-			fx.labels(), nShards, 0, frame)
-	} else {
-		man, err = shard.WriteDataset(path, coder, fx.labels(), nShards, 0, frame)
+		assign = func(label int, _ *tensor.Tensor) (codec.Coder, error) { return coders[label], nil }
 	}
+	man, err := shard.WriteDatasetAssigned(path, coder, assign, fx.labels(), nShards, 0, frame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ type Options struct {
 // payloads.
 type Coordinator struct {
 	topo   *Topology
-	ring   *Ring
 	groups []*group
 
 	infos   []api.FrameInfo        // global commit order, Index remapped
@@ -75,10 +74,15 @@ type Coordinator struct {
 func Open(path string, opts Options) (*Coordinator, error) {
 	topo, err := LoadTopology(path)
 	if err != nil {
-		return nil, api.FromError(err)
+		return nil, badTopology(err)
 	}
 	return New(topo, opts)
 }
+
+// badTopology classifies an unreadable or invalid topology as the
+// caller's error, so its message (which names the offending field)
+// reaches the operator instead of a constant internal-error text.
+func badTopology(err error) error { return api.Errorf(api.CodeBadRequest, "%v", err) }
 
 // New connects an already-loaded topology. Discovery runs once, here:
 // every shard's Spec and Frames are fetched (through replica failover,
@@ -86,7 +90,7 @@ func Open(path string, opts Options) (*Coordinator, error) {
 // agreement, and the global frame order is frozen.
 func New(topo *Topology, opts Options) (*Coordinator, error) {
 	if err := topo.Validate(); err != nil {
-		return nil, api.FromError(err)
+		return nil, badTopology(err)
 	}
 	timeout := time.Duration(topo.Client.Timeout)
 	if opts.ClientTimeout > 0 {
@@ -94,7 +98,6 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		topo:    topo,
-		ring:    topo.Ring(),
 		labels:  map[int]int{},
 		probeHC: opts.HTTPClient,
 		stop:    make(chan struct{}),
@@ -214,15 +217,6 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		}
 		c.coders[spec] = coder
 	}
-	if c.topo.Placement == PlacementHash {
-		for global, owner := range c.owners {
-			if want := c.ring.Shard(c.infos[global].Label); want != owner {
-				return api.Errorf(api.CodeInternal,
-					"label %d lives on shard %s but the ring places it on %s",
-					c.infos[global].Label, c.groups[owner].name, c.groups[want].name)
-			}
-		}
-	}
 	if len(specs) > 1 {
 		c.scatter.Specs = specs
 	}
@@ -305,7 +299,7 @@ func (c *Coordinator) Frame(ctx context.Context, label int) (*api.Frame, error) 
 	if err != nil {
 		return nil, err
 	}
-	return callOwner(ctx, g, c.ring.affinity(label), func(cl *api.Client) (*api.Frame, error) {
+	return callOwner(ctx, g, affinity(label), func(cl *api.Client) (*api.Frame, error) {
 		return cl.Frame(ctx, label)
 	})
 }
@@ -328,7 +322,7 @@ func (c *Coordinator) Payload(ctx context.Context, label int) ([]byte, error) {
 // computed from bytes of another frame generation or spec.
 func (c *Coordinator) payload(ctx context.Context, i int) ([]byte, error) {
 	label, want := c.infos[i].Label, c.crcs[i]
-	return callOwner(ctx, c.groups[c.owners[i]], c.ring.affinity(label), func(cl *api.Client) ([]byte, error) {
+	return callOwner(ctx, c.groups[c.owners[i]], affinity(label), func(cl *api.Client) ([]byte, error) {
 		data, err := cl.Payload(ctx, label)
 		if err != nil {
 			return nil, err
@@ -348,7 +342,7 @@ func (c *Coordinator) frameCall(ctx context.Context, label int, fn func(*api.Cli
 	if err != nil {
 		return nil, err
 	}
-	out, err := callOwner(ctx, g, c.ring.affinity(label), fn)
+	out, err := callOwner(ctx, g, affinity(label), fn)
 	if err != nil {
 		return nil, err
 	}

@@ -152,7 +152,7 @@ func buildDataset(t testing.TB, dir, spec string, frames []*tensor.Tensor, nShar
 		labels[i] = i
 	}
 	path := filepath.Join(dir, "ds.json")
-	_, err := shard.WriteDataset(path, mustCoder(t, spec), labels, nShards, 0,
+	_, err := shard.WriteDatasetAssigned(path, mustCoder(t, spec), nil, labels, nShards, 0,
 		func(i int) (*tensor.Tensor, error) { return frames[i], nil })
 	if err != nil {
 		t.Fatal(err)
@@ -574,41 +574,6 @@ func TestDiscoveryRejectsInconsistentShards(t *testing.T) {
 	}
 }
 
-// TestHashPlacementVerification: a topology claiming hash placement
-// opens only when the discovered inventory matches the seeded ring.
-func TestHashPlacementVerification(t *testing.T) {
-	fx := conformance.NewFixture(t)
-	manifest := fx.BuildManifest(t, t.TempDir(), 2)
-	man, err := shard.LoadManifest(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Dir(manifest)
-	var reps []string
-	for _, sh := range man.Shards {
-		reps = append(reps, serveStore(t, filepath.Join(dir, sh.Path)).URL)
-	}
-	topo := &Topology{
-		Version:   TopologyVersion,
-		Placement: PlacementHash,
-		Shards: []ShardSpec{
-			{Name: "s0", Replicas: []string{reps[0]}},
-			{Name: "s1", Replicas: []string{reps[1]}},
-		},
-	}
-	// The fixture was split contiguously, which no ring seed reproduces
-	// for every label — verification must reject some label's placement.
-	if _, err := New(topo, Options{DisableProbes: true}); err == nil {
-		t.Skip("contiguous split happens to match the ring; nothing to verify")
-	}
-	topo.Placement = PlacementContiguous
-	co, err := New(topo, Options{DisableProbes: true})
-	if err != nil {
-		t.Fatalf("contiguous placement rejected: %v", err)
-	}
-	co.Close()
-}
-
 // sameBits reports whether two answers are the same float64, bit for bit.
 func sameBits(a, b query.Float) bool {
 	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
@@ -786,7 +751,7 @@ func TestCrossShardMetricStaleInventory(t *testing.T) {
 			recorded := co.crcs[co.labels[label]]
 
 			// The replica the label's calls try first goes stale.
-			first := int(co.ring.affinity(label) % uint64(replicas))
+			first := int(affinity(label) % uint64(replicas))
 			reps[first].serve(t, stale[0])
 			failovers := clusterFailovers.Value()
 			reqCopy := req

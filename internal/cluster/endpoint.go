@@ -154,6 +154,16 @@ type group struct {
 	downAfter int
 }
 
+// affinity hashes a label for replica rotation with the splitmix64
+// finalizer: deterministic, stateless and avalanching, so replicas share
+// reads evenly and every coordinator rotates the same way.
+func affinity(label int) uint64 {
+	x := uint64(int64(label)) ^ 0x43dd1f5f24f021ba
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // order ranks the group's endpoints for one call: healthy first, then
 // cooldown-expired, then still-cooling, with the affinity rotating the
 // start so replicas share read load deterministically.

@@ -1,9 +1,9 @@
 // Package cluster is the distributed query tier: it turns N shard
 // servers — each a plain `goblaz serve` over its slice of a dataset —
 // into one logical dataset over the wire. A Topology file names the
-// shards, their replica endpoints, and the hash-ring seed; a
-// Coordinator loads it, discovers every shard's frame inventory through
-// the v1 HTTP SDK, and implements api.Backend by scatter-gathering
+// shards and their replica endpoints; a Coordinator loads it, discovers
+// every shard's frame inventory (which is where each label lives)
+// through the v1 HTTP SDK, and implements api.Backend by scatter-gathering
 // queries to the shards' api.Client transports concurrently, on at
 // most GOMAXPROCS goroutines the query starts and waits for.
 //
@@ -40,15 +40,10 @@ import (
 // reads and writes.
 const TopologyVersion = 1
 
-// Placement names how labels were assigned to shards when the dataset
-// was packed. "contiguous" (the default) is shard.WriteDataset's
-// order-preserving split; "hash" asserts that every label lives on the
-// shard the seeded consistent-hash ring assigns it to, which Open
-// verifies against the discovered inventories.
-const (
-	PlacementContiguous = "contiguous"
-	PlacementHash       = "hash"
-)
+// PlacementContiguous names shard.WriteDatasetAssigned's order-preserving
+// split, the only placement a topology may declare. The coordinator
+// routes by the inventory it discovers, not by the declared placement.
+const PlacementContiguous = "contiguous"
 
 // Duration is a time.Duration that reads naturally in a topology file:
 // it unmarshals from a Go duration string ("2s", "150ms") or a number
@@ -144,12 +139,7 @@ type Topology struct {
 	// mounts the coordinator under /v1/datasets/{Dataset} when no
 	// explicit mount name is given.
 	Dataset string `json:"dataset,omitempty"`
-	// HashSeed seeds the consistent-hash ring (placement verification
-	// and replica affinity). Any value works; it must only be shared by
-	// everyone addressing the same dataset.
-	HashSeed uint64 `json:"hashSeed,omitempty"`
-	// Placement is "contiguous" (default) or "hash"; see the Placement
-	// constants.
+	// Placement is empty or "contiguous"; see PlacementContiguous.
 	Placement string `json:"placement,omitempty"`
 	// Shards lists the shard servers in global frame order.
 	Shards []ShardSpec  `json:"shards"`
@@ -165,11 +155,9 @@ func (t *Topology) Validate() error {
 	if len(t.Shards) == 0 {
 		return fmt.Errorf("cluster: topology lists no shards")
 	}
-	switch t.Placement {
-	case "", PlacementContiguous, PlacementHash:
-	default:
-		return fmt.Errorf("cluster: unknown placement %q (have %q and %q)",
-			t.Placement, PlacementContiguous, PlacementHash)
+	if t.Placement != "" && t.Placement != PlacementContiguous {
+		return fmt.Errorf("cluster: placement %q not supported: the coordinator discovers which shard holds each label (have %q)",
+			t.Placement, PlacementContiguous)
 	}
 	names := map[string]bool{}
 	for s, sh := range t.Shards {
@@ -197,10 +185,6 @@ func (t *Topology) Validate() error {
 	}
 	return nil
 }
-
-// Ring builds the topology's consistent-hash ring: one node per shard,
-// seeded by HashSeed.
-func (t *Topology) Ring() *Ring { return NewRing(t.HashSeed, len(t.Shards)) }
 
 // LoadTopology reads and validates a topology file.
 func LoadTopology(path string) (*Topology, error) {

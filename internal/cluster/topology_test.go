@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/shard"
 )
 
@@ -29,6 +31,7 @@ func TestTopologyValidate(t *testing.T) {
 		func(tp *Topology) { tp.Version = 9 },
 		func(tp *Topology) { tp.Shards = nil },
 		func(tp *Topology) { tp.Placement = "striped" },
+		func(tp *Topology) { tp.Placement = "hash" },
 		func(tp *Topology) { tp.Shards[0].Name = "" },
 		func(tp *Topology) { tp.Shards[1].Name = "a" },
 		func(tp *Topology) { tp.Shards[0].Replicas = nil },
@@ -47,7 +50,6 @@ func TestTopologyValidate(t *testing.T) {
 
 func TestTopologyRoundTrip(t *testing.T) {
 	tp := validTopology()
-	tp.HashSeed = 42
 	tp.Placement = PlacementContiguous
 	tp.Probe = ProbeConfig{Interval: Duration(time.Second), Cooldown: Duration(250 * time.Millisecond), DownAfter: 2}
 	tp.Client = ClientConfig{Timeout: Duration(3 * time.Second), Retries: -1}
@@ -59,7 +61,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dataset != tp.Dataset || got.HashSeed != tp.HashSeed || len(got.Shards) != len(tp.Shards) {
+	if got.Dataset != tp.Dataset || got.Placement != tp.Placement || len(got.Shards) != len(tp.Shards) {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
 	if got.Probe.interval() != time.Second || got.Probe.cooldown() != 250*time.Millisecond || got.Probe.downAfter() != 2 {
@@ -91,12 +93,18 @@ func TestDurationForms(t *testing.T) {
 
 func TestLoadTopologyRejectsUnknownFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cluster.json")
-	blob := `{"version":1,"shards":[{"name":"a","replicas":["http://x"]}],"coordinator":"nope"}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTopology(path); err == nil {
-		t.Error("unknown field should fail to load")
+	for _, blob := range []string{
+		`{"version":1,"shards":[{"name":"a","replicas":["http://x"]}],"coordinator":"nope"}`,
+		// hashSeed is not a topology field: a file naming it must fail,
+		// not load with the seed silently ignored.
+		`{"version":1,"hashSeed":42,"shards":[{"name":"a","replicas":["http://x"]}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTopology(path); err == nil {
+			t.Errorf("unknown field should fail to load: %s", blob)
+		}
 	}
 }
 
@@ -135,60 +143,41 @@ func TestIsTopologyDiscriminatesManifest(t *testing.T) {
 	}
 }
 
-func TestRingDeterministicAndComplete(t *testing.T) {
-	labels := make([]int, 1000)
-	for i := range labels {
-		labels[i] = i
+// TestHashPlacementRejected: the coordinator discovers which shard holds
+// each label, so a topology asserting hash placement fails to load and
+// fails to connect instead of opening as if it had been checked.
+func TestHashPlacementRejected(t *testing.T) {
+	tp := validTopology()
+	tp.Placement = "hash"
+	blob, err := json.Marshal(tp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r1 := NewRing(7, 4)
-	r2 := NewRing(7, 4)
-	if r1.Nodes() != 4 {
-		t.Fatalf("nodes %d", r1.Nodes())
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	assigned := 0
-	for _, l := range labels {
-		n := r1.Shard(l)
-		if n < 0 || n >= 4 {
-			t.Fatalf("label %d assigned to shard %d", l, n)
+	if _, err := LoadTopology(path); err == nil || !strings.Contains(err.Error(), "discovers") {
+		t.Errorf("LoadTopology = %v, want an error naming discovery", err)
+	}
+	_, err = New(tp, Options{DisableProbes: true})
+	if api.CodeOf(err) != api.CodeBadRequest || !strings.Contains(err.Error(), "discovers") {
+		t.Errorf("New = %v, want a bad request naming discovery", err)
+	}
+}
+
+// TestReplicaAffinityPinned pins the label hash that picks which replica
+// a call tries first, so no existing topology's read rotation moves.
+func TestReplicaAffinityPinned(t *testing.T) {
+	for label, want := range map[int]uint64{
+		-1:      0x0e31e0890b4e0374,
+		0:       0xe2aac06220126021,
+		1:       0x527d234715de24d7,
+		41:      0x2d0d158e23936379,
+		1 << 40: 0x37eb0fa27fd7e509,
+	} {
+		if got := affinity(label); got != want {
+			t.Errorf("affinity(%d) = %#016x, want %#016x", label, got, want)
 		}
-		if n != r2.Shard(l) {
-			t.Fatalf("same seed disagrees on label %d", l)
-		}
-		assigned++
-	}
-	if assigned != len(labels) {
-		t.Fatalf("assigned %d labels", assigned)
-	}
-	// Assign covers every label exactly once, preserving order within
-	// each bucket.
-	buckets := r1.Assign(labels)
-	total := 0
-	for n, bucket := range buckets {
-		for i := 1; i < len(bucket); i++ {
-			if bucket[i-1] >= bucket[i] {
-				t.Fatalf("shard %d bucket out of input order", n)
-			}
-		}
-		total += len(bucket)
-	}
-	if total != len(labels) {
-		t.Fatalf("buckets cover %d of %d labels", total, len(labels))
-	}
-	// The spread stays usable: no shard is empty or holds a majority.
-	for n, bucket := range buckets {
-		if len(bucket) == 0 || len(bucket) > len(labels)/2 {
-			t.Errorf("shard %d holds %d of %d labels", n, len(bucket), len(labels))
-		}
-	}
-	// A different seed yields a different placement.
-	other := NewRing(8, 4)
-	moved := 0
-	for _, l := range labels {
-		if other.Shard(l) != r1.Shard(l) {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Error("changing the seed moved no labels")
 	}
 }

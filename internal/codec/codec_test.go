@@ -612,12 +612,15 @@ func TestBlazRequires2D(t *testing.T) {
 	}
 }
 
-func TestFromCompressorInteroperates(t *testing.T) {
+func TestCoreCompressorInteroperates(t *testing.T) {
 	c, err := core.NewCompressor(core.DefaultSettings(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd := FromCompressor(c)
+	cd, err := Lookup("goblaz:block=4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := data.Gradient(20, 20)
 	a, err := c.Compress(x) // compressed by the raw compressor...
 	if err != nil {
@@ -628,9 +631,13 @@ func TestFromCompressorInteroperates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e := x.MaxAbsDiff(back); e > 1e-3 {
-		t.Errorf("FromCompressor round trip error %g", e)
+		t.Errorf("core compressor → registry codec round trip error %g", e)
 	}
-	if _, err := Lookup(cd.Spec()); err != nil {
-		t.Errorf("Lookup(FromCompressor Spec %q): %v", cd.Spec(), err)
+	want, err := c.Decompress(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.MaxAbsDiff(want) != 0 {
+		t.Error("registry codec decompresses a core array differently from the core compressor")
 	}
 }

@@ -72,15 +72,13 @@ func newGoblaz(p Params) (Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &goblazCodec{c: c, spec: goblazSpecKeep(s, keep)}, nil
+	return &goblazCodec{c: c, spec: goblazSpec(s, keep)}, nil
 }
 
-func goblazSpec(s core.Settings) string { return goblazSpecKeep(s, 1) }
-
-// goblazSpecKeep emits the canonical spec: parameters in sorted key
+// goblazSpec emits the canonical spec: parameters in sorted key
 // order (block, float, index, keep, transform), so codec.Canonical is
 // the identity on every Spec() this adapter returns.
-func goblazSpecKeep(s core.Settings, keep float64) string {
+func goblazSpec(s core.Settings, keep float64) string {
 	block := ""
 	for i, e := range s.BlockShape {
 		if i > 0 {
@@ -94,14 +92,6 @@ func goblazSpecKeep(s core.Settings, keep float64) string {
 	}
 	return fmt.Sprintf("goblaz:block=%s,float=%v,index=%v,%stransform=%v",
 		block, s.FloatType, s.IndexType, kp, s.Transform)
-}
-
-// FromCompressor wraps an existing core.Compressor as a Codec, for callers
-// (like internal/series) that already hold one. A pruning mask that did
-// not come from a keep= fraction is not representable in the returned
-// Spec, which is then only approximate.
-func FromCompressor(c *core.Compressor) Codec {
-	return &goblazCodec{c: c, spec: goblazSpec(c.Settings())}
 }
 
 // Compressor exposes the wrapped core.Compressor for callers that need

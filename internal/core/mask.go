@@ -11,17 +11,7 @@ import (
 // array shaped like the block: true keeps the coefficient at that
 // intrablock position. Because the transform consolidates low spatial
 // frequencies into low coordinates, masks that keep the low-coordinate
-// corner act as low-pass filters.
-
-// KeepAll returns a mask that keeps every coefficient (equivalent to a
-// nil mask, but explicit).
-func KeepAll(blockShape []int) []bool {
-	m := make([]bool, tensor.Prod(blockShape))
-	for i := range m {
-		m[i] = true
-	}
-	return m
-}
+// corner act as low-pass filters. A nil mask keeps every coefficient.
 
 // KeepLowFrequency returns a mask keeping the `fraction` of coefficients
 // with the smallest coordinate sum (lowest combined spatial frequency),
@@ -65,40 +55,6 @@ func KeepLowFrequency(blockShape []int, fraction float64) ([]bool, error) {
 		m[pf[i].pos] = true
 	}
 	m[0] = true
-	return m, nil
-}
-
-// DropHighCorner returns a mask that prunes the hypercubic corner of the
-// given side length at the highest coordinates of each dimension — the
-// Blaz-style pruning of §II-A(c) (Blaz drops the 6×6 square in the
-// higher-index corner of its 8×8 blocks).
-func DropHighCorner(blockShape []int, side int) ([]bool, error) {
-	for _, e := range blockShape {
-		if side > e {
-			return nil, fmt.Errorf("core: corner side %d exceeds block extent %d", side, e)
-		}
-	}
-	if side < 0 {
-		return nil, fmt.Errorf("core: negative corner side %d", side)
-	}
-	vol := tensor.Prod(blockShape)
-	m := make([]bool, vol)
-	idx := make([]int, len(blockShape))
-	pos := 0
-	for {
-		inCorner := true
-		for d, c := range idx {
-			if c < blockShape[d]-side {
-				inCorner = false
-				break
-			}
-		}
-		m[pos] = !inCorner
-		pos++
-		if !tensor.NextIndex(idx, blockShape) {
-			break
-		}
-	}
 	return m, nil
 }
 

@@ -1,25 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/scalar"
-)
-
-func TestKeepAll(t *testing.T) {
-	m := KeepAll([]int{4, 4})
-	if len(m) != 16 {
-		t.Fatalf("len = %d", len(m))
-	}
-	for _, k := range m {
-		if !k {
-			t.Fatal("KeepAll should keep everything")
-		}
-	}
-	if KeptFraction(m) != 1 {
-		t.Error("KeptFraction of KeepAll should be 1")
-	}
-}
+import "testing"
 
 func TestKeepLowFrequency(t *testing.T) {
 	m, err := KeepLowFrequency([]int{4, 4}, 0.5)
@@ -59,102 +40,8 @@ func TestKeepLowFrequencyBounds(t *testing.T) {
 	}
 }
 
-func TestDropHighCorner(t *testing.T) {
-	// Blaz's 8×8 block with 6×6 high corner dropped keeps 64−36 = 28.
-	m, err := DropHighCorner([]int{8, 8}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := 0
-	for _, k := range m {
-		if k {
-			kept++
-		}
-	}
-	if kept != 28 {
-		t.Errorf("kept %d, want 28", kept)
-	}
-	if !m[0] {
-		t.Error("(0,0) must be kept")
-	}
-	if m[63] {
-		t.Error("(7,7) must be pruned")
-	}
-	// (1,7): row 1 < 8−6 = 2, so kept.
-	if !m[1*8+7] {
-		t.Error("(1,7) should be kept (outside the corner)")
-	}
-	// (2,2): both coords ≥ 2, inside corner → pruned.
-	if m[2*8+2] {
-		t.Error("(2,2) should be pruned")
-	}
-}
-
-func TestDropHighCornerValidation(t *testing.T) {
-	if _, err := DropHighCorner([]int{4, 4}, 5); err == nil {
-		t.Error("side larger than block should fail")
-	}
-	if _, err := DropHighCorner([]int{4, 4}, -1); err == nil {
-		t.Error("negative side should fail")
-	}
-	m, err := DropHighCorner([]int{4, 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if KeptFraction(m) != 1 {
-		t.Error("side 0 should keep everything")
-	}
-}
-
 func TestKeptFractionEmpty(t *testing.T) {
 	if KeptFraction(nil) != 1 {
 		t.Error("nil mask keeps everything")
-	}
-}
-
-func TestTuneForErrorBound(t *testing.T) {
-	x := smoothTensor(1, 64, 64)
-	s, linf, err := TuneForErrorBound(x, 0.01, scalar.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linf > 0.01 {
-		t.Errorf("achieved L∞ %g exceeds bound", linf)
-	}
-	// The winner must actually satisfy the bound when re-run.
-	c, err := NewCompressor(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := c.Compress(x)
-	y, _ := c.Decompress(a)
-	if e := x.MaxAbsDiff(y); e > 0.01 {
-		t.Errorf("re-run error %g exceeds bound", e)
-	}
-}
-
-func TestTuneForErrorBoundInfeasible(t *testing.T) {
-	x := randomTensor(2, 32, 32)
-	if _, _, err := TuneForErrorBound(x, 1e-12, scalar.Float32); err == nil {
-		t.Error("impossible bound should fail")
-	}
-	if _, _, err := TuneForErrorBound(x, -1, scalar.Float32); err == nil {
-		t.Error("negative bound should fail")
-	}
-}
-
-func TestTunePrefersHigherRatioWhenLoose(t *testing.T) {
-	x := smoothTensor(3, 64, 64)
-	s, _, err := TuneForErrorBound(x, 10, scalar.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A loose bound should select int8 (higher ratio than int16/int32).
-	if s.IndexType != scalar.Int8 {
-		t.Errorf("loose bound selected %v, expected int8", s.IndexType)
-	}
-	ratio, _ := CompressionRatio(s, x.Shape(), 64)
-	if ratio < 7 {
-		t.Errorf("loose-bound ratio %g unexpectedly low", ratio)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -20,21 +19,21 @@ import (
 //
 // The pipeline is codec-generic: any backend constructible through the
 // codec registry (goblaz, blaz, sz, zfp, or a future addition) can feed
-// any sink, not just a Series of core arrays.
+// any sink, and every frame may compress under a different one.
 //
 // The number of frames in flight (queued, compressing, or awaiting
 // in-order commit) is bounded: when a worker stalls or the sink is slow,
 // Submit blocks instead of buffering every completed frame in memory.
 type Pipeline struct {
-	compress func(label int, frame *tensor.Tensor) result
-	sink     func(r result) error
-	jobs     chan job
-	inFly    chan struct{} // in-flight window; bounds the reorder buffer
-	wg       sync.WaitGroup
-	results  chan result
-	done     chan struct{}
-	err      error // written only by commit, read after done closes
-	next     int   // sequence number to hand out
+	assign  func(label int, frame *tensor.Tensor) (codec.Coder, error)
+	sink    func(label int, coder codec.Coder, c codec.Compressed) error
+	jobs    chan job
+	inFly   chan struct{} // in-flight window; bounds the reorder buffer
+	wg      sync.WaitGroup
+	results chan result
+	done    chan struct{}
+	err     error // written only by commit, read after done closes
+	next    int   // sequence number to hand out
 }
 
 type job struct {
@@ -46,84 +45,40 @@ type job struct {
 type result struct {
 	seq   int
 	label int
-	coder codec.Coder // assigned pipelines only: the codec that compressed c
+	coder codec.Coder // the codec that compressed c
 	c     codec.Compressed
 	err   error
 }
 
-// NewPipeline starts workers goroutines compressing into s with the
-// series' own compressor. Close with Wait. A non-positive workers count
-// uses GOMAXPROCS.
-func NewPipeline(s *Series, workers int) *Pipeline {
-	return NewCodecPipeline(codec.FromCompressor(s.comp), func(label int, c codec.Compressed) error {
-		a, ok := c.(*core.CompressedArray)
-		if !ok {
-			return fmt.Errorf("series: codec produced %T, want *core.CompressedArray", c)
-		}
-		return s.appendCompressed(label, a)
-	}, workers)
+// NewCodecPipeline is NewAssignedPipeline with every frame assigned
+// coder; sink receives only the label and the compressed frame.
+func NewCodecPipeline(coder codec.Coder, sink func(label int, c codec.Compressed) error, workers int) *Pipeline {
+	return NewAssignedPipeline(func(int, *tensor.Tensor) (codec.Coder, error) { return coder, nil },
+		func(label int, _ codec.Coder, c codec.Compressed) error { return sink(label, c) }, workers)
 }
 
-// NewCodecPipeline starts workers goroutines compressing frames with cd
-// and committing them to sink in submission order. sink is called from a
-// single goroutine; after the first compression or sink error it is never
+// NewAssignedPipeline starts workers goroutines compressing frames and
+// committing them to sink in submission order. assign picks a coder per
+// frame (workers call it concurrently, so it must be safe for concurrent
+// use — e.g. select from a fixed table by label, or from a tune report),
+// and the sink receives the winning coder alongside the compressed frame
+// so it can record the frame under that coder's spec (see
+// store.Writer.SinkAssigned). sink is called from a single goroutine;
+// after the first assignment, compression or sink error it is never
 // called again. Close with Wait. A non-positive workers count uses
 // GOMAXPROCS.
-func NewCodecPipeline(cd codec.Codec, sink func(label int, c codec.Compressed) error, workers int) *Pipeline {
-	return newPipeline(
-		func(label int, frame *tensor.Tensor) result {
-			start := time.Now()
-			c, err := cd.Compress(frame)
-			if err == nil {
-				codec.ObserveOp(cd.Spec(), "compress", frame.Len()*8, time.Since(start))
-			}
-			return result{label: label, c: c, err: err}
-		},
-		func(r result) error { return sink(r.label, r.c) },
-		workers,
-	)
-}
-
-// NewAssignedPipeline starts a pipeline in which every frame may
-// compress under a different codec: assign picks a coder per frame
-// (workers call it concurrently, so it must be safe for concurrent use —
-// e.g. select from a fixed table by label, or from a tune report), and
-// the sink receives the winning coder alongside the compressed frame so
-// it can record the frame under that coder's spec (see
-// store.Writer.SinkAssigned). Ordering and error semantics match
-// NewCodecPipeline.
 func NewAssignedPipeline(assign func(label int, frame *tensor.Tensor) (codec.Coder, error),
 	sink func(label int, coder codec.Coder, c codec.Compressed) error, workers int) *Pipeline {
-	return newPipeline(
-		func(label int, frame *tensor.Tensor) result {
-			coder, err := assign(label, frame)
-			if err != nil {
-				return result{label: label, err: fmt.Errorf("assigning codec: %w", err)}
-			}
-			start := time.Now()
-			c, err := coder.Compress(frame)
-			if err == nil {
-				codec.ObserveOp(coder.Spec(), "compress", frame.Len()*8, time.Since(start))
-			}
-			return result{label: label, coder: coder, c: c, err: err}
-		},
-		func(r result) error { return sink(r.label, r.coder, r.c) },
-		workers,
-	)
-}
-
-func newPipeline(compress func(label int, frame *tensor.Tensor) result,
-	sink func(r result) error, workers int) *Pipeline {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pipeline{
-		compress: compress,
-		sink:     sink,
-		jobs:     make(chan job, workers),
-		inFly:    make(chan struct{}, 2*workers),
-		results:  make(chan result, workers),
-		done:     make(chan struct{}),
+		assign:  assign,
+		sink:    sink,
+		jobs:    make(chan job, workers),
+		inFly:   make(chan struct{}, 2*workers),
+		results: make(chan result, workers),
+		done:    make(chan struct{}),
 	}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
@@ -138,6 +93,20 @@ func newPipeline(compress func(label int, frame *tensor.Tensor) result,
 	}
 	go p.commit()
 	return p
+}
+
+// compress runs one frame through the coder assign picks for it.
+func (p *Pipeline) compress(label int, frame *tensor.Tensor) result {
+	coder, err := p.assign(label, frame)
+	if err != nil {
+		return result{label: label, err: fmt.Errorf("assigning codec: %w", err)}
+	}
+	start := time.Now()
+	c, err := coder.Compress(frame)
+	if err == nil {
+		codec.ObserveOp(coder.Spec(), "compress", frame.Len()*8, time.Since(start))
+	}
+	return result{label: label, coder: coder, c: c, err: err}
 }
 
 // commit hands results to the sink in sequence order. After the first
@@ -165,7 +134,7 @@ func (p *Pipeline) commit() {
 				p.err = fmt.Errorf("series: compressing frame %d (label %d): %w", c.seq, c.label, c.err)
 				continue
 			}
-			if err := p.sink(c); err != nil {
+			if err := p.sink(c.label, c.coder, c.c); err != nil {
 				p.err = fmt.Errorf("series: committing frame %d (label %d): %w", c.seq, c.label, err)
 			}
 		}

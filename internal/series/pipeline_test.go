@@ -36,6 +36,11 @@ func (f failingCodec) Decompress(c codec.Compressed) (*tensor.Tensor, error) {
 
 func (f failingCodec) EncodedSize(c codec.Compressed) int { return 8 }
 
+func (f failingCodec) Encode(c codec.Compressed) ([]byte, error) { return nil, errors.ErrUnsupported }
+func (f failingCodec) Decode(data []byte) (codec.Compressed, error) {
+	return nil, errors.ErrUnsupported
+}
+
 func labeledFrame(label int) *tensor.Tensor {
 	t := tensor.New(2, 2)
 	t.Data()[0] = float64(label)
@@ -95,6 +100,44 @@ func TestPipelineStopsCommittingAfterSinkError(t *testing.T) {
 	}
 	if len(committed) != 3 {
 		t.Fatalf("committed %v, want exactly frames 0..2", committed)
+	}
+}
+
+func TestPipelineErrorPropagates(t *testing.T) {
+	// An assign that fails on one label stops the commit there, like a
+	// codec error: nothing at or after it reaches the sink, and Wait names
+	// the frame and wraps the assign's error.
+	errAssign := errors.New("synthetic assign failure")
+	var committed []int
+	p := NewAssignedPipeline(func(label int, _ *tensor.Tensor) (codec.Coder, error) {
+		if label == 104 {
+			return nil, errAssign
+		}
+		return failingCodec{failAt: -1}, nil
+	}, func(label int, coder codec.Coder, c codec.Compressed) error {
+		if coder.Spec() != "failing" {
+			t.Errorf("sink got coder %q, want the assigned one", coder.Spec())
+		}
+		committed = append(committed, label)
+		return nil
+	}, 3)
+	for i := 0; i < 10; i++ {
+		p.Submit(100+i, labeledFrame(100+i))
+	}
+	err := p.Wait()
+	if !errors.Is(err, errAssign) {
+		t.Fatalf("Wait = %v, want the assign error", err)
+	}
+	if !strings.Contains(err.Error(), "frame 4") || !strings.Contains(err.Error(), "label 104") {
+		t.Errorf("error should name sequence and label, got %q", err)
+	}
+	if len(committed) != 4 {
+		t.Fatalf("committed %v, want exactly labels 100..103", committed)
+	}
+	for i, label := range committed {
+		if label != 100+i {
+			t.Errorf("committed[%d] = %d, want %d", i, label, 100+i)
+		}
 	}
 }
 

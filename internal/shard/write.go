@@ -18,40 +18,30 @@ import (
 // from disk instead of holding the whole dataset in memory.
 type FrameFunc func(i int) (*tensor.Tensor, error)
 
-// WriteDataset packs frames into a sharded dataset: nShards store files
-// next to the manifest at path, split into contiguous runs so global
-// frame order equals input order, plus the manifest itself. labels
-// assigns each frame's label (they must be unique). Each shard
-// compresses through its own parallel pipeline; shard files land via
-// temp-file-and-rename and the manifest is written last, so a mid-pack
-// failure leaves no readable-but-wrong dataset behind.
-//
-// Shard files are named after the manifest: "data.json" yields
-// "data-000.gbz", "data-001.gbz", ...; the manifest records the names
-// relative to its own directory.
-func WriteDataset(path string, coder codec.Coder, labels []int, nShards, workers int, frame FrameFunc) (*Manifest, error) {
-	return writeDataset(path, coder, nil, labels, nShards, workers, frame)
-}
-
 // AssignFunc picks the codec a frame should compress under. Pipeline
 // workers call it concurrently; implementations must be safe for
 // concurrent use (e.g. a fixed label → coder table from a tune report).
 type AssignFunc func(label int, frame *tensor.Tensor) (codec.Coder, error)
 
-// WriteDatasetAssigned is WriteDataset with per-frame codec assignment:
-// each frame compresses under the codec assign picks for it, and shard
-// stores record each frame's spec (store format v2). coder remains the
-// dataset's default spec — frames assigned exactly that codec intern no
-// extra spec. Shards holding any off-default frame list their spec
+// WriteDatasetAssigned packs frames into a sharded dataset: nShards
+// store files next to the manifest at path, split into contiguous runs
+// so global frame order equals input order, plus the manifest itself.
+// labels assigns each frame's label (they must be unique). Each shard
+// compresses through its own parallel pipeline; shard files land via
+// temp-file-and-rename and the manifest is written last, so a mid-pack
+// failure leaves no readable-but-wrong dataset behind.
+//
+// A nil assign compresses every frame with coder. Otherwise each frame
+// compresses under the codec assign picks for it, and shard stores
+// record each frame's spec (store format v2); coder remains the
+// dataset's default spec, and frames assigned exactly that codec intern
+// no extra spec. Shards holding any off-default frame list their spec
 // tables in the manifest, which is then written at version 2.
+//
+// Shard files are named after the manifest: "data.json" yields
+// "data-000.gbz", "data-001.gbz", ...; the manifest records the names
+// relative to its own directory.
 func WriteDatasetAssigned(path string, coder codec.Coder, assign AssignFunc, labels []int, nShards, workers int, frame FrameFunc) (*Manifest, error) {
-	if assign == nil {
-		return nil, fmt.Errorf("shard: nil assign func")
-	}
-	return writeDataset(path, coder, assign, labels, nShards, workers, frame)
-}
-
-func writeDataset(path string, coder codec.Coder, assign AssignFunc, labels []int, nShards, workers int, frame FrameFunc) (*Manifest, error) {
 	total := len(labels)
 	if total == 0 {
 		return nil, fmt.Errorf("shard: dataset needs at least one frame")
@@ -127,10 +117,11 @@ func writeDataset(path string, coder codec.Coder, assign AssignFunc, labels []in
 }
 
 // WriteStore packs frames into one bare store file at path — the
-// single-file counterpart of WriteDataset, through the same temp file,
-// reopen-and-parse check, rename and directory fsync a dataset's shards
-// get, so a failed pack neither leaves a truncated store nor clobbers
-// an existing one and a finished one survives a crash. A nil assign
+// single-file counterpart of WriteDatasetAssigned, through the same
+// temp file, reopen-and-parse check, rename and directory fsync a
+// dataset's shards get, so a failed pack neither leaves a truncated
+// store nor clobbers an existing one and a finished one survives a
+// crash. A nil assign
 // compresses every frame with coder; otherwise each frame compresses
 // under its assigned codec and coder names the store's default spec.
 func WriteStore(path string, coder codec.Coder, assign AssignFunc, labels []int, workers int, frame FrameFunc) error {
@@ -179,12 +170,10 @@ func writeShard(dir string, coder codec.Coder, assign AssignFunc, labels []int, 
 	if err != nil {
 		return fail(err)
 	}
-	var p *series.Pipeline
 	if assign == nil {
-		p = series.NewCodecPipeline(coder, w.Sink(coder), workers)
-	} else {
-		p = series.NewAssignedPipeline(assign, w.SinkAssigned(), workers)
+		assign = func(int, *tensor.Tensor) (codec.Coder, error) { return coder, nil }
 	}
+	p := series.NewAssignedPipeline(assign, w.SinkAssigned(), workers)
 	for i, label := range labels {
 		t, err := frame(first + i)
 		if err != nil {

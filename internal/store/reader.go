@@ -525,12 +525,3 @@ func (r *Reader) Decompress(i int) (*tensor.Tensor, error) {
 	}
 	return t, err
 }
-
-// DecompressLabel is Decompress keyed by frame label.
-func (r *Reader) DecompressLabel(label int) (*tensor.Tensor, error) {
-	i, ok := r.IndexOf(label)
-	if !ok {
-		return nil, fmt.Errorf("store: no frame with label %d", label)
-	}
-	return r.Decompress(i)
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -113,12 +114,8 @@ func TestRoundTripEveryCodec(t *testing.T) {
 					t.Errorf("frame %d: store path differs from direct path", i)
 				}
 				// And by label.
-				byLabel, err := r.DecompressLabel(label)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.MaxAbsDiff(byLabel) != 0 {
-					t.Errorf("frame %d: by-label read differs from by-index read", i)
+				if j, ok := r.IndexOf(label); !ok || j != i {
+					t.Errorf("frame %d: IndexOf(%d) = %d, %v", i, label, j, ok)
 				}
 			}
 		})
@@ -175,7 +172,12 @@ func TestPipelineToStore(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				got, err := r.DecompressLabel(i)
+				j, ok := r.IndexOf(i)
+				if !ok {
+					errs <- fmt.Errorf("no frame with label %d", i)
+					return
+				}
+				got, err := r.Decompress(j)
 				if err != nil {
 					errs <- err
 					return
@@ -215,8 +217,11 @@ func TestEmptyStore(t *testing.T) {
 	if _, err := r.Payload(0); err == nil {
 		t.Error("Payload(0) on empty store should fail")
 	}
-	if _, err := r.DecompressLabel(0); err == nil {
-		t.Error("DecompressLabel on empty store should fail")
+	if _, ok := r.IndexOf(0); ok {
+		t.Error("IndexOf on empty store should find nothing")
+	}
+	if _, err := r.Decompress(0); err == nil {
+		t.Error("Decompress(0) on empty store should fail")
 	}
 }
 

@@ -167,10 +167,11 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Sink adapts the Writer into a series pipeline sink: each committed
+// Sink adapts the Writer into a uniform pipeline sink: each committed
 // frame is serialized with coder and appended under the store's default
 // spec. The store's spec must match the coder's so the file decodes
-// with the codec that wrote it.
+// with the codec that wrote it; the bytes then equal SinkAssigned's
+// under a constant assignment of coder, the path shard.WriteStore takes.
 //
 //	w, _ := store.NewWriter(f, coder.Spec())
 //	p := series.NewCodecPipeline(coder, w.Sink(coder), workers)
@@ -186,10 +187,11 @@ func (w *Writer) Sink(coder codec.Coder) func(label int, c codec.Compressed) err
 	}
 }
 
-// SinkAssigned adapts the Writer into an assigned-pipeline sink
-// (series.NewAssignedPipeline): each committed frame is serialized with
-// the coder the assigner chose for it and recorded under that coder's
-// spec, so one store commits frames from many codecs.
+// SinkAssigned adapts the Writer into a series.NewAssignedPipeline sink:
+// each committed frame is serialized with the coder the assigner chose
+// for it and recorded under that coder's spec, so one store commits
+// frames from many codecs. A frame under the default spec interns
+// nothing: it is recorded exactly as Append records it.
 //
 //	w, _ := store.NewWriter(f, defaultCoder.Spec())
 //	p := series.NewAssignedPipeline(assign, w.SinkAssigned(), workers)

@@ -325,36 +325,7 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 // Norm2 returns the Euclidean (L2) norm of the flattened tensor.
 func (t *Tensor) Norm2() float64 { return math.Sqrt(t.Dot(t)) }
 
-// --- padding, cropping ---
-
-// PadTo returns a copy of t zero-padded at the high end of each dimension
-// to the given shape, which must be at least as large in every dimension.
-func (t *Tensor) PadTo(shape []int) *Tensor {
-	if len(shape) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: PadTo dims mismatch %v vs %v", shape, t.shape))
-	}
-	same := true
-	for d := range shape {
-		if shape[d] < t.shape[d] {
-			panic(fmt.Sprintf("tensor: PadTo target %v smaller than %v", shape, t.shape))
-		}
-		if shape[d] != t.shape[d] {
-			same = false
-		}
-	}
-	if same {
-		return t.Clone()
-	}
-	out := New(shape...)
-	idx := make([]int, len(t.shape))
-	for {
-		out.data[out.Offset(idx)] = t.data[t.Offset(idx)]
-		if !NextIndex(idx, t.shape) {
-			break
-		}
-	}
-	return out
-}
+// --- cropping ---
 
 // CropTo returns a copy of t truncated at the high end of each dimension
 // to the given shape, which must be at most as large in every dimension.
