@@ -263,7 +263,6 @@ func TestE2EMetricsScrape(t *testing.T) {
 		"goblaz_http_requests_total",       // httpapi middleware
 		"goblaz_limit_admitted_total",      // admission control
 		"goblaz_query_requests_total",      // query engine
-		"goblaz_shard_queries_total",       // scatter-gather
 		"goblaz_codec_op_total",            // codec ops
 		"goblaz_store_payload_reads_total", // store read path
 		"goblaz_trace_span_seconds",        // span recording

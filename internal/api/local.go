@@ -34,9 +34,10 @@ var _ interface {
 
 // Local is the in-process Backend: a Source for frame access and the
 // function that answers queries over it — a query.Engine's Run for one
-// store file, a shard.Dataset's scatter-gather Query for a sharded
-// dataset, which is how /v1/datasets/{name}/query works and why the CLI
-// accepts a manifest path wherever it accepts a store path. Positions
+// store file, a shard.Dataset's Query (the same engine over its
+// concatenated view) for a sharded dataset, which is how
+// /v1/datasets/{name}/query works and why the CLI accepts a manifest
+// path wherever it accepts a store path. Positions
 // are the source's (global, manifest order, for a dataset; FrameInfo
 // offsets are then relative to the owning shard's file). Every error it
 // returns is already classified (*Error), so the HTTP layer and CLI

@@ -43,14 +43,16 @@ type Options struct {
 }
 
 // Coordinator turns the shard servers of a Topology into one logical
-// dataset: an api.Backend whose answers are bit-identical to a Local
-// over the concatenated data. At open it discovers every shard's frame
-// inventory over the wire and freezes the global frame order (topology
-// order, shard-local commit order within); queries compile against that
-// view, scatter to the owning shards concurrently, and gather through
-// the same query.Scatter internal/shard uses in process. A metric that
-// couples frames on different shards runs here, on the frames' stored
-// payloads.
+// dataset: an api.Backend that answers like a Local over the
+// concatenated data. At open it discovers every shard's frame inventory
+// over the wire and freezes the global frame order (topology order,
+// shard-local commit order within); queries compile against that view,
+// scatter to the owning shards concurrently, and gather by folding the
+// shards' partial results (scatter.go). A metric that couples frames on
+// different shards runs here, on the frames' stored payloads. Every
+// answer is bit-identical to a Local's except a reduction's sums: they
+// fold per-shard moment partials, which can move them by an ulp
+// (query.Moments).
 type Coordinator struct {
 	topo   *Topology
 	groups []*group
@@ -60,7 +62,7 @@ type Coordinator struct {
 	labels  map[int]int            // label → global position
 	owners  []int                  // global position → index into groups
 	coders  map[string]codec.Coder // every discovered spec → its codec
-	scatter query.Scatter          // holds the agreed Spec(s) and each shard's base
+	scatter scatter                // holds the agreed spec(s) and each shard's base
 
 	probeHC  *http.Client
 	stop     chan struct{}
@@ -171,23 +173,20 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		return api.FromError(err)
 	}
 
-	c.scatter = query.Scatter{
-		Span: "cluster.scatter", Bases: make([]int, len(invs)), Spec: invs[0].info.Spec,
-		Parts: clusterParts, Seconds: clusterScatterSeconds, Run: c.runPart,
-	}
-	specs := []string{c.scatter.Spec}
+	c.scatter = scatter{bases: make([]int, len(invs)), spec: invs[0].info.Spec, run: c.runPart}
+	specs := []string{c.scatter.spec}
 	for s, inv := range invs {
 		g := c.groups[s]
-		if inv.info.Spec != c.scatter.Spec {
+		if inv.info.Spec != c.scatter.spec {
 			return api.Errorf(api.CodeInternal, "shard %s default spec %q disagrees with %s's %q",
-				g.name, inv.info.Spec, c.groups[0].name, c.scatter.Spec)
+				g.name, inv.info.Spec, c.groups[0].name, c.scatter.spec)
 		}
 		for _, spec := range inv.info.Specs {
 			if !slices.Contains(specs, spec) {
 				specs = append(specs, spec)
 			}
 		}
-		c.scatter.Bases[s] = len(c.infos)
+		c.scatter.bases[s] = len(c.infos)
 		for _, e := range inv.index {
 			if prev, dup := c.labels[e.Label]; dup {
 				return api.Errorf(api.CodeInternal, "label %d on shard %s duplicates global frame %d",
@@ -218,7 +217,7 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		c.coders[spec] = coder
 	}
 	if len(specs) > 1 {
-		c.scatter.Specs = specs
+		c.scatter.specs = specs
 	}
 	return nil
 }
@@ -245,7 +244,7 @@ func (c *Coordinator) Spec(ctx context.Context) (api.StoreInfo, error) {
 		return api.StoreInfo{}, api.FromError(err)
 	}
 	return api.StoreInfo{
-		Spec: c.scatter.Spec, Specs: append([]string(nil), c.scatter.Specs...),
+		Spec: c.scatter.spec, Specs: append([]string(nil), c.scatter.specs...),
 		Frames: len(c.infos), Shards: len(c.groups),
 	}, nil
 }
@@ -393,7 +392,7 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 // scatterQuery fans req out to the shards owning the resolved selection
 // and gathers the partial results in global order.
 func (c *Coordinator) scatterQuery(ctx context.Context, req *query.Request, frames []int, reduce []string) (*query.Result, error) {
-	res, err := c.scatter.Do(ctx, req, c.scatter.Route(frames), reduce)
+	res, err := c.scatter.do(ctx, req, c.scatter.route(frames), reduce)
 	if err != nil {
 		return nil, api.FromError(err)
 	}
@@ -402,8 +401,8 @@ func (c *Coordinator) scatterQuery(ctx context.Context, req *query.Request, fram
 
 // runPart sends a sub-request to the shard it was routed to, with
 // replica failover.
-func (c *Coordinator) runPart(ctx context.Context, p query.Part, sub *query.Request) (*query.Result, error) {
-	return callOwner(ctx, c.groups[p.Shard], uint64(p.From), func(cl *api.Client) (*query.Result, error) {
+func (c *Coordinator) runPart(ctx context.Context, p part, sub *query.Request) (*query.Result, error) {
+	return callOwner(ctx, c.groups[p.shard], uint64(p.from), func(cl *api.Client) (*query.Result, error) {
 		return cl.Query(ctx, sub)
 	})
 }
@@ -505,16 +504,16 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 // compressed-space execution, and remaps the answer to the global
 // view.
 func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel []int) (*query.Result, error) {
-	part := c.scatter.Route(sel)[0] // one shard owns all of sel
+	p := c.scatter.route(sel)[0] // one shard owns all of sel
 	clusterParts.Inc()
-	res, err := c.runPart(ctx, part, part.Sub(req))
+	res, err := c.runPart(ctx, p, p.sub(req))
 	if err != nil {
 		return nil, err
 	}
 	for i := range res.Frames {
-		res.Frames[i].Index += c.scatter.Bases[part.Shard]
+		res.Frames[i].Index += c.scatter.bases[p.shard]
 	}
-	res.Spec, res.Specs = c.scatter.Spec, append([]string(nil), c.scatter.Specs...)
+	res.Spec, res.Specs = c.scatter.spec, append([]string(nil), c.scatter.specs...)
 	return res, nil
 }
 
@@ -522,7 +521,7 @@ func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel
 // carries: one entry per selected frame in global order, to hang
 // metric values off, compressed-space until the metric says otherwise.
 func (c *Coordinator) skeleton(sel []int) *query.Result {
-	out := &query.Result{Spec: c.scatter.Spec, Specs: append([]string(nil), c.scatter.Specs...)}
+	out := &query.Result{Spec: c.scatter.spec, Specs: append([]string(nil), c.scatter.specs...)}
 	for _, i := range sel {
 		info := c.infos[i]
 		out.Frames = append(out.Frames, query.FrameResult{
@@ -537,7 +536,7 @@ func (c *Coordinator) frameSpec(i int) string {
 	if spec := c.infos[i].Spec; spec != "" {
 		return spec
 	}
-	return c.scatter.Spec
+	return c.scatter.spec
 }
 
 // fetchCompressed reads global frame i's payload through the checked

@@ -136,8 +136,9 @@ type Coder interface {
 	// Encode serializes c.
 	Encode(c Compressed) ([]byte, error)
 	// Decode reverses Encode. Implementations must not retain data or
-	// alias it from the returned Compressed: callers decode straight
-	// from pooled scratch buffers and reuse them once Decode returns.
+	// alias it from the returned Compressed, so callers may reuse data
+	// once Decode returns (bench/'s kernel level decodes pooled scratch).
+	// Served paths decode through TimedDecodeView instead.
 	Decode(data []byte) (Compressed, error)
 }
 

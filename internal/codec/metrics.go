@@ -59,30 +59,24 @@ func ObserveOp(spec, op string, bytes int, d time.Duration) {
 	}
 }
 
-// TimedDecode decodes data with coder and records it as one "decode"
-// operation under spec — on success only. A payload that failed to decode
-// produced nothing, so it contributes neither a timing nor a byte count
-// to the goblaz_codec_* families; the caller's error path accounts for it.
-// Every layer that times a decode (query.Engine.loadFrame, and through
-// TimedDecodeView store.Reader.Frame) goes through here.
-func TimedDecode(coder Coder, spec string, data []byte) (Compressed, error) {
-	return timedDecode(coder.Decode, spec, data)
-}
-
-// TimedDecodeView is TimedDecode through ViewDecoder.DecodeView when the
-// coder has it, so the result may alias data; it records under the same
-// "decode" series. The caller promises what ViewDecoder asks: data
-// outlives the result and is never written.
+// TimedDecodeView decodes data with coder — through ViewDecoder.DecodeView
+// when the coder has it, so the result may alias data — and records it as
+// one "decode" operation under spec, on success only. A payload that
+// failed to decode produced nothing, so it contributes neither a timing
+// nor a byte count to the goblaz_codec_* families; the caller's error path
+// accounts for it. The caller promises what ViewDecoder asks: data
+// outlives the result and is never written. Every layer that times a
+// decode (store.Reader.Frame, the cluster coordinator's payload fetch)
+// goes through here.
 func TimedDecodeView(coder Coder, spec string, data []byte) (Compressed, error) {
-	if vd, ok := coder.(ViewDecoder); ok {
-		return timedDecode(vd.DecodeView, spec, data)
-	}
-	return TimedDecode(coder, spec, data)
-}
-
-func timedDecode(decode func([]byte) (Compressed, error), spec string, data []byte) (Compressed, error) {
 	start := time.Now()
-	c, err := decode(data)
+	var c Compressed
+	var err error
+	if vd, ok := coder.(ViewDecoder); ok {
+		c, err = vd.DecodeView(data)
+	} else {
+		c, err = coder.Decode(data)
+	}
 	if err == nil {
 		ObserveOp(spec, "decode", len(data), time.Since(start))
 	}

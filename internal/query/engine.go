@@ -20,12 +20,11 @@ type Options struct {
 	// Ignored when Cache is set.
 	CacheBytes int64
 	// Cache, when non-nil, is used instead of a private cache, sharing
-	// one byte budget across every engine built over it (the sharded
-	// executor budgets a whole dataset this way). Entries key by the
+	// one byte budget across every engine built over it (an ingest store
+	// budgets all its generations' engines this way). Entries key by the
 	// source's stable frame identity (FrameKeyer), so sharing never
-	// aliases frames of different stores, while different views of the
-	// same store — a shard engine and a dataset-wide engine — share
-	// decodes.
+	// aliases frames of different stores, while engines over the same
+	// store file share decodes.
 	Cache *Cache
 	// ForceDecode disables the compressed-space and partial-decode
 	// paths, so every frame is answered decode-then-compute. For
@@ -41,6 +40,7 @@ type Engine struct {
 	src         Source
 	keyer       FrameKeyer   // nil when src has no stable frame identity
 	speccer     FrameSpeccer // nil when src is codec-uniform by contract
+	specs       []string     // every spec src uses when more than one, else nil
 	cache       *Cache
 	ns          uint64 // fallback cache namespace for keyerless sources
 	forceDecode bool
@@ -68,7 +68,8 @@ type frameCaps struct {
 var engineNS atomic.Uint64
 
 // New returns an engine over src — a *store.Reader, or any other
-// Source implementation (a sharded dataset's concatenated view).
+// Source implementation (a sharded dataset's concatenated view). Sources
+// are immutable, so src's spec list is resolved here, once.
 func New(src Source, opts Options) *Engine {
 	cache := opts.Cache
 	if cache == nil {
@@ -76,10 +77,17 @@ func New(src Source, opts Options) *Engine {
 	}
 	keyer, _ := src.(FrameKeyer)
 	speccer, _ := src.(FrameSpeccer)
+	var specs []string
+	if speccer != nil {
+		if specs = speccer.Specs(); len(specs) < 2 {
+			specs = nil
+		}
+	}
 	return &Engine{
 		src:         src,
 		keyer:       keyer,
 		speccer:     speccer,
+		specs:       specs,
 		cache:       cache,
 		ns:          engineNS.Add(1),
 		forceDecode: opts.ForceDecode,
@@ -133,34 +141,9 @@ func (e *Engine) cacheKeyOf(i int) (uint64, int) {
 // Cache exposes the engine's decoded-frame cache (for stats endpoints).
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// loadFrame reads and decodes frame i's compressed representation,
-// recycling payload scratch through the arena when the source supports
-// caller-supplied buffers. A memory-mapped source decodes straight from
-// its image via Frame — copying the mapped bytes into scratch first
-// would only add a memmove.
+// loadFrame reads and decodes frame i's compressed representation.
 func (e *Engine) loadFrame(i int) (codec.Compressed, error) {
-	if m, ok := e.src.(interface{ Mapped() bool }); ok && m.Mapped() {
-		return e.src.Frame(i)
-	}
-	pa, ok := e.src.(PayloadAppender)
-	if !ok {
-		return e.src.Frame(i)
-	}
-	caps, err := e.capsFor(i)
-	if err != nil {
-		return nil, err
-	}
-	coder := caps.coder
-	bp := getPayloadBuf()
-	data, err := pa.PayloadAppend((*bp)[:0], i)
-	if err != nil {
-		putPayloadBuf(bp)
-		return nil, err
-	}
-	*bp = data // keep the grown capacity for the next lease
-	c, err := codec.TimedDecode(coder, caps.spec, data)
-	putPayloadBuf(bp)
-	return c, err
+	return e.src.Frame(i)
 }
 
 // Run compiles and executes req. Canceling ctx stops the plan between
@@ -236,12 +219,7 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Spec: e.src.Spec(), Frames: frames, ExecutedInCompressedSpace: true}
-	if e.speccer != nil {
-		if specs := e.speccer.Specs(); len(specs) > 1 {
-			res.Specs = specs
-		}
-	}
+	res := &Result{Spec: e.src.Spec(), Specs: e.specs, Frames: frames, ExecutedInCompressedSpace: true}
 	for i := range frames {
 		res.ExecutedInCompressedSpace = res.ExecutedInCompressedSpace && frames[i].ExecutedInCompressedSpace
 	}
@@ -455,9 +433,13 @@ func compressedMoments(ops codec.Ops, ext codec.Extrema, shaper codec.Shaper, c 
 }
 
 // decodedMoments accumulates a frame's moment state in one pass over
-// the decompressed data. Extrema are tracked only when the reduction
-// asked for them, so both execution paths report the same untracked
-// identity values.
+// the decompressed data — the decode path of both aggregates and
+// reductions. Each quantity is accumulated in the order and with the
+// comparison of the Tensor method it replaces — Sum, Dot(t), Min, Max —
+// so every answer is bit-identical to calling them, and min and max
+// to what codec.Extrema returns, signed zeros and NaNs included.
+// Extrema are tracked only when minMax is set, so both execution paths
+// report the same untracked identity values.
 func decodedMoments(t *tensor.Tensor, minMax bool) Moments {
 	m := EmptyMoments()
 	m.Frames = 1
@@ -467,8 +449,12 @@ func decodedMoments(t *tensor.Tensor, minMax bool) Moments {
 	for _, v := range t.Data() {
 		sum += v
 		sumSq += v * v
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
 	m.Sum = Float(sum)
 	m.SumSq = Float(sumSq)
@@ -503,7 +489,7 @@ func (e *Engine) frameAggs(p *Plan, ops codec.Ops, ext codec.Extrema,
 	if err != nil {
 		return nil, err
 	}
-	return decodedAggs(t, p.aggs), nil
+	return decodedMoments(t, p.aggsMinMax).values(p.aggs)
 }
 
 // frameMetric computes one frame's metric against the shared reference;
@@ -796,46 +782,6 @@ func compressedMetric(ops codec.Ops, a, b codec.Compressed, kind string, peak fl
 		return ops.CosineSimilarity(a, b)
 	}
 	return 0, fmt.Errorf("metric %q has no compressed-space entry point", kind)
-}
-
-// decodedAggs computes aggregates on a decompressed frame, mirroring
-// the compressed-space definitions (population variance, L2 over all
-// elements). One pass accumulates what every kind needs, each in the
-// order and with the comparison of the Tensor method it replaces — Sum,
-// Dot(t), Min, Max — so every answer is bit-identical to calling them.
-func decodedAggs(t *tensor.Tensor, kinds []string) map[string]Float {
-	var sum, sumSq float64
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range t.Data() {
-		sum += v
-		sumSq += v * v
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	mean := sum / float64(t.Len())
-	variance := sumSq/float64(t.Len()) - mean*mean
-	vals := make(map[string]Float, len(kinds))
-	for _, kind := range kinds {
-		switch kind {
-		case AggMean:
-			vals[kind] = Float(mean)
-		case AggVariance:
-			vals[kind] = Float(variance)
-		case AggStdDev:
-			vals[kind] = Float(math.Sqrt(math.Max(variance, 0)))
-		case AggMin:
-			vals[kind] = Float(lo)
-		case AggMax:
-			vals[kind] = Float(hi)
-		case AggL2Norm:
-			vals[kind] = Float(math.Sqrt(sumSq))
-		}
-	}
-	return vals
 }
 
 // decodedMetric computes a pairwise metric on decompressed frames

@@ -62,11 +62,11 @@ type Index interface {
 
 // FrameKeyer is an optional Source capability: a stable, process-wide
 // identity for frame i, shared by every view of the same underlying
-// frame. Engines use it to key the decoded-frame cache, so a shard
-// engine and a dataset-wide engine over the same store file hit each
-// other's entries instead of decoding (and holding) the frame twice.
-// store.Reader and shard.Dataset both implement it; sources without it
-// cache under a private per-engine namespace.
+// frame. Engines use it to key the decoded-frame cache, so engines
+// sharing one Cache over the same store file hit each other's entries
+// instead of decoding (and holding) the frame twice. store.Reader and
+// shard.Dataset both implement it; sources without it cache under a
+// private per-engine namespace.
 type FrameKeyer interface {
 	FrameKey(i int) (source uint64, frame int)
 }
@@ -89,14 +89,12 @@ type FrameSpeccer interface {
 	Specs() []string
 }
 
-// PayloadAppender is an optional Source capability: read frame i's raw
-// compressed payload into caller-supplied scratch instead of a fresh
-// allocation. Engines use it to route decodes through a pooled buffer
-// arena — the payload bytes live only for the duration of the decode
-// (codec.Coder.Decode must not retain its input), so recycling them
-// removes the dominant per-miss allocation. store.Reader and
-// shard.Dataset both implement it; sources without it decode through
-// Frame as before.
+// PayloadAppender reads frame i's raw compressed payload into
+// caller-supplied scratch instead of a fresh allocation. The engine
+// does not use it — it always loads through Source.Frame — and it is
+// kept for bench/, which decodes pooled scratch through it, until the
+// benchmark moves onto Frame. store.Reader and shard.Dataset both
+// implement it.
 type PayloadAppender interface {
 	PayloadAppend(dst []byte, i int) ([]byte, error)
 }
@@ -160,9 +158,9 @@ type Request struct {
 	Point []int `json:"point,omitempty"`
 	// Reduce lists dataset-level aggregates (same kinds as Aggregates)
 	// computed over the elements of every selected frame together, as if
-	// the selection were one virtual array. Partial per-frame moments
-	// merge exactly (see Moments), which is what lets a sharded dataset
-	// answer the same reduction by combining per-shard partials.
+	// the selection were one virtual array. Partial moments merge (see
+	// Moments), which is what lets a cluster coordinator answer the same
+	// reduction by combining per-shard partials.
 	Reduce []string `json:"reduce,omitempty"`
 }
 
@@ -246,7 +244,8 @@ type Result struct {
 	// Spec is the store's default codec spec.
 	Spec string `json:"spec"`
 	// Specs lists every codec spec the source uses, default first —
-	// present only for mixed-codec sources (more than one spec).
+	// present only for mixed-codec sources (more than one spec). The
+	// engine resolves it once and shares it across results: read-only.
 	Specs []string `json:"specs,omitempty"`
 	// Frames holds one entry per selected frame, in commit order.
 	Frames []FrameResult `json:"frames"`

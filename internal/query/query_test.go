@@ -198,7 +198,10 @@ func TestDecodedAggsOnePass(t *testing.T) {
 		AggL2Norm:   x.Norm2(),
 	}
 	want[AggStdDev] = math.Sqrt(math.Max(want[AggVariance], 0))
-	got := decodedAggs(x, []string{AggMean, AggVariance, AggStdDev, AggMin, AggMax, AggL2Norm})
+	got, err := decodedMoments(x, true).values([]string{AggMean, AggVariance, AggStdDev, AggMin, AggMax, AggL2Norm})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for kind, w := range want {
 		if math.Float64bits(float64(got[kind])) != math.Float64bits(w) {
 			t.Errorf("%s = %v, Tensor methods %v", kind, got[kind], w)

@@ -8,10 +8,10 @@ import (
 // enough per-selection statistics to reconstruct every reduce aggregate
 // exactly after combining disjoint parts. Mean merges as Σx / Σn,
 // variance as Σx²/Σn − (Σx/Σn)², l2norm as sqrt(Σx²), and extrema by
-// comparison — so a sharded dataset can compute per-shard moments
-// independently and fold them into the same answer a single store
-// produces (associativity of floating-point addition aside, which is
-// why differential tests compare within a tolerance, not bit-exactly).
+// comparison. An engine folds one state per frame, in frame order. A
+// cluster coordinator folds per-shard partials instead, which
+// associates the floating-point sums differently: its reductions match
+// a single store's within a tolerance, not bit for bit.
 //
 // Min and Max are only meaningful when the reduction asked for them
 // (tracking them takes codec.Extrema or a decode); untracked parts carry
@@ -76,6 +76,16 @@ func (m Moments) Value(kind string) (float64, error) {
 
 // Reduced renders the merged state as a result for the requested kinds.
 func (m Moments) Reduced(kinds []string) (*ReducedResult, error) {
+	vals, err := m.values(kinds)
+	if err != nil {
+		return nil, err
+	}
+	return &ReducedResult{Moments: m, Values: vals}, nil
+}
+
+// values maps each of kinds to its Value — a reduction's values, or one
+// decoded frame's aggregates.
+func (m Moments) values(kinds []string) (map[string]Float, error) {
 	vals := make(map[string]Float, len(kinds))
 	for _, kind := range kinds {
 		v, err := m.Value(kind)
@@ -84,7 +94,7 @@ func (m Moments) Reduced(kinds []string) (*ReducedResult, error) {
 		}
 		vals[kind] = Float(v)
 	}
-	return &ReducedResult{Moments: m, Values: vals}, nil
+	return vals, nil
 }
 
 // ReducedResult is the dataset-level reduction of a query answer: the

@@ -1,9 +1,14 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/store"
+	"repro/internal/tensor"
 )
 
 func TestMomentsMergeMatchesDirect(t *testing.T) {
@@ -86,5 +91,60 @@ func TestReducedResultJSONRoundTrip(t *testing.T) {
 	}
 	if back.N != 8 || back.Values[AggMean] != red.Values[AggMean] {
 		t.Errorf("round trip %+v != %+v", back, red)
+	}
+}
+
+// identityCoder "compresses" a tensor to itself: a codec without Ops
+// or Extrema, so every aggregate and reduction takes the decode path on
+// exactly the values it was given — signed zeros and NaNs included.
+type identityCoder struct{}
+
+func (identityCoder) Name() string                                        { return "identity" }
+func (identityCoder) Spec() string                                        { return "identity" }
+func (identityCoder) Compress(t *tensor.Tensor) (codec.Compressed, error) { return t, nil }
+func (identityCoder) Decompress(c codec.Compressed) (*tensor.Tensor, error) {
+	return c.(*tensor.Tensor), nil
+}
+func (identityCoder) EncodedSize(codec.Compressed) int        { return 0 }
+func (identityCoder) Encode(codec.Compressed) ([]byte, error) { return nil, codec.ErrNotSupported }
+func (identityCoder) Decode([]byte) (codec.Compressed, error) { return nil, codec.ErrNotSupported }
+
+// tensorSource serves in-memory frames under identityCoder, labeled by
+// position.
+type tensorSource []*tensor.Tensor
+
+func (s tensorSource) Len() int                              { return len(s) }
+func (s tensorSource) Info(i int) store.FrameInfo            { return store.FrameInfo{Label: i} }
+func (s tensorSource) IndexOf(label int) (int, bool)         { return label, label >= 0 && label < len(s) }
+func (s tensorSource) Spec() string                          { return identityCoder{}.Spec() }
+func (s tensorSource) Coder() (codec.Coder, error)           { return identityCoder{}, nil }
+func (s tensorSource) Frame(i int) (codec.Compressed, error) { return s[i], nil }
+func (s tensorSource) Decompress(i int) (*tensor.Tensor, error) {
+	return s[i], nil
+}
+
+// TestDecodedStatsMatchOneFrameReduce: on the decode path, a frame's
+// min and max aggregates and a one-frame reduction's come from the same
+// accumulation, with Tensor.Min/Max's comparisons, so they agree bit for
+// bit — also where math.Min/Max would part ways with them: on signed
+// zeros and on NaN.
+func TestDecodedStatsMatchOneFrameReduce(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, data := range [][]float64{{0, negZero, 1}, {1, math.NaN(), 0.5}, {-1, negZero, 0}, {0.5, math.NaN(), 1}} {
+		x := tensor.FromSlice(data, len(data))
+		e := New(tensorSource{x}, Options{})
+		kinds := []string{AggMin, AggMax}
+		res, err := e.Run(context.Background(), &Request{Aggregates: kinds, Reduce: kinds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]float64{AggMin: x.Min(), AggMax: x.Max()}
+		for _, kind := range kinds {
+			stats, reduced := float64(res.Frames[0].Aggregates[kind]), float64(res.Reduced.Values[kind])
+			if math.Float64bits(stats) != math.Float64bits(reduced) || math.Float64bits(stats) != math.Float64bits(want[kind]) {
+				t.Errorf("%v: %s reads %v in stats and %v in a one-frame reduce, Tensor method %v",
+					data, kind, stats, reduced, want[kind])
+			}
+		}
 	}
 }

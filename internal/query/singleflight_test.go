@@ -13,9 +13,9 @@ import (
 )
 
 // countingSource wraps a store reader behind the plain Source interface
-// — deliberately hiding PayloadAppender, FrameKeyer, and Mapped — so
-// every engine decode funnels through the counted Frame method, and a
-// gate can hold the in-flight decode open while a herd piles up.
+// — deliberately hiding FrameKeyer and FrameSpeccer — so every engine
+// decode funnels through the counted Frame method, and a gate can hold
+// the in-flight decode open while a herd piles up.
 type countingSource struct {
 	r          *store.Reader
 	frameCalls atomic.Int64

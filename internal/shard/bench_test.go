@@ -1,15 +1,12 @@
 package shard
 
-// BenchmarkShardedQuery — the scatter-gather payoff. The baseline
-// ("serial") is what sharded data costs without the executor: query
-// each shard's engine in a loop and concatenate, which leaves cores
-// idle whenever one shard's frame count is below the worker width. The
-// "scatter" variant is Dataset.Query fanning every shard out
-// concurrently, and "single" is the same frames in one store — the
-// upper bound the executor is expected to match. Run at 8 workers
-// (the acceptance configuration): on a ≥4-shard dataset the scatter
-// path overlaps shards and beats the serial loop by well over 1.5×
-// once cores are available.
+// BenchmarkShardedQuery — what sharding costs a query. "dataset" is
+// Dataset.Query: one engine over the concatenated view, fanning every
+// frame of every shard out at once. "single" is the same frames in one
+// memory-mapped store, the bound the dataset is expected to match, and
+// "serial" is what sharded data costs without a dataset: each shard's
+// engine queried in a loop, which leaves cores idle whenever a shard
+// holds fewer frames than the worker width. Run at 8 workers.
 
 import (
 	"context"
@@ -31,31 +28,54 @@ var benchRequest = &query.Request{
 	Reduce:     []string{query.AggMean, query.AggVariance},
 }
 
+// benchDataset writes BenchmarkShardedQuery's frames as a 4-shard
+// dataset and as one store, and opens both, memory-mapped.
+func benchDataset(tb testing.TB, dir string) (*Dataset, *store.Reader) {
+	const shards, framesPerShard, size = 4, 2, 256
+	frames := randomFrames(rand.New(rand.NewSource(9)), shards*framesPerShard, size, size)
+	ds, err := Open(buildDataset(tb, dir, benchSpec, frames, shards), query.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ds.Close() })
+	single, err := store.OpenReaderMmap(buildStore(tb, dir, benchSpec, frames))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { single.Close() })
+	return ds, single
+}
+
+// TestDatasetQueryAllocs: a dataset query allocates within 10 % of the
+// same query on one store's engine — sharding adds no executor of its
+// own.
+func TestDatasetQueryAllocs(t *testing.T) {
+	ds, single := benchDataset(t, t.TempDir())
+	singleEng := query.New(single, query.Options{})
+	ctx := context.Background()
+	run := func(q func(context.Context, *query.Request) (*query.Result, error)) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := q(ctx, benchRequest); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	got, want := run(ds.Query), run(singleEng.Run)
+	if got > 1.1*want {
+		t.Errorf("Dataset.Query makes %.0f allocations, one store's engine %.0f", got, want)
+	}
+}
+
 func BenchmarkShardedQuery(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	const shards, framesPerShard, size = 4, 2, 256
 	dir := b.TempDir()
-	rng := rand.New(rand.NewSource(9))
-	frames := randomFrames(rng, shards*framesPerShard, size, size)
-
-	manifest := buildDataset(b, dir, benchSpec, frames, shards)
-	ds, err := Open(manifest, query.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ds.Close()
-
-	single, err := store.Open(buildStore(b, dir, benchSpec, frames))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer single.Close()
+	ds, single := benchDataset(b, dir)
 	singleEng := query.New(single, query.Options{})
 
 	man := ds.Manifest()
 	shardEngines := make([]*query.Engine, len(man.Shards))
 	for s, sh := range man.Shards {
-		r, err := store.Open(filepath.Join(dir, sh.Path))
+		r, err := store.OpenReaderMmap(filepath.Join(dir, sh.Path))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,10 +83,10 @@ func BenchmarkShardedQuery(b *testing.B) {
 		shardEngines[s] = query.New(r, query.Options{})
 	}
 
-	bytes := int64(len(frames)) * size * size * 8
+	bytes := int64(ds.Len()) * 256 * 256 * 8
 	ctx := context.Background()
 
-	b.Run("scatter", func(b *testing.B) {
+	b.Run("dataset", func(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
 			if _, err := ds.Query(ctx, benchRequest); err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,9 @@ import (
 	"repro/internal/tensor"
 )
 
+// Dataset is a query.Source, which is what backs its engine.
+var _ query.Source = (*Dataset)(nil)
+
 // frameRef locates a global frame position inside its shard.
 type frameRef struct {
 	shard, local int
@@ -20,31 +24,26 @@ type frameRef struct {
 // Dataset is an open sharded dataset: one store.Reader per shard plus
 // the global index over all of them. It implements query.Source as the
 // concatenation of its shards in manifest order — global frame i lives
-// in the shard covering i, at position i minus that shard's base — so a
-// query.Engine built over a Dataset behaves exactly like one over a
-// single store holding the same frames in the same order.
+// in the shard covering i, at position i minus that shard's base — and
+// answers every request through one query.Engine over that view, so it
+// behaves exactly like an engine over a single store holding the same
+// frames in the same order.
 //
 // A Dataset is safe for concurrent use: readers are concurrency-safe
 // and the index is immutable after Open.
 type Dataset struct {
 	man     *Manifest
 	readers []*store.Reader
-	total   int
 	refs    []frameRef  // global position → shard location
 	labels  map[int]int // label → global position
-	cache   *query.Cache
-	engines []*query.Engine // one per shard, sharing cache
-	unified *query.Engine   // over the concatenated view, for cross-shard plans
-	scatter query.Scatter   // over engines, for shard-local plans
+	engine  *query.Engine
 }
 
 // Open opens the dataset described by the manifest at path. Shard paths
 // resolve relative to the manifest's directory. Every shard must carry
 // the manifest's codec spec and match its label list — a manifest that
 // drifted from its stores fails here, not mid-query. opts configures
-// the query engines; the decoded-frame cache budget (opts.CacheBytes,
-// or opts.Cache) is shared across all shards. Close releases the file
-// handles.
+// the dataset's query engine. Close releases the file handles.
 func Open(path string, opts query.Options) (*Dataset, error) {
 	man, err := LoadManifest(path)
 	if err != nil {
@@ -61,7 +60,6 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 			d.Close()
 		}
 	}()
-	bases := make([]int, len(man.Shards)) // global position of each shard's first frame
 	for s, sh := range man.Shards {
 		// Mapped where supported: payload reads across every shard serve
 		// zero-copy, same as a single mmap-opened store.
@@ -96,37 +94,27 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 					sh.Path, got, sh.CRC32)
 			}
 		}
-		bases[s] = d.total
 		for i := 0; i < r.Len(); i++ {
 			label := r.Info(i).Label
 			if label != sh.Labels[i] {
 				return nil, fmt.Errorf("shard: %s frame %d has label %d, manifest says %d",
 					sh.Path, i, label, sh.Labels[i])
 			}
-			d.labels[label] = d.total
+			d.labels[label] = len(d.refs)
 			d.refs = append(d.refs, frameRef{shard: s, local: i})
-			d.total++
 		}
 	}
-
-	d.cache = opts.Cache
-	if d.cache == nil {
-		d.cache = query.NewCache(opts.CacheBytes)
-	}
-	shardOpts := query.Options{Cache: d.cache, ForceDecode: opts.ForceDecode}
-	for _, r := range d.readers {
-		d.engines = append(d.engines, query.New(r, shardOpts))
-	}
-	d.unified = query.New(d, shardOpts)
-	d.scatter = query.Scatter{
-		Span: "shard.scatter", Bases: bases, Spec: d.Spec(),
-		Parts: shardParts, Seconds: shardScatterSeconds, Run: d.runPart,
-	}
-	if specs := d.Specs(); len(specs) > 1 {
-		d.scatter.Specs = specs
-	}
+	d.engine = query.New(d, opts)
 	ok = true
 	return d, nil
+}
+
+// Query answers req over the whole dataset with single-store semantics:
+// one engine over the concatenated view runs every frame's work and
+// folds reductions in global frame order, so answers are bit-identical
+// to a single store's.
+func (d *Dataset) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
+	return d.engine.Run(ctx, req)
 }
 
 // Close releases every shard's file handle.
@@ -146,14 +134,11 @@ func (d *Dataset) Manifest() *Manifest { return d.man }
 // Shards returns the number of shards.
 func (d *Dataset) Shards() int { return len(d.readers) }
 
-// Cache exposes the shared decoded-frame cache (for stats endpoints).
-func (d *Dataset) Cache() *query.Cache { return d.cache }
-
 // Spec returns the codec spec shared by every shard.
 func (d *Dataset) Spec() string { return d.man.Spec }
 
 // Len returns the dataset's total frame count.
-func (d *Dataset) Len() int { return d.total }
+func (d *Dataset) Len() int { return len(d.refs) }
 
 // Info returns the index entry of global frame i. Offset and Length
 // are relative to the owning shard's file.
@@ -170,8 +155,7 @@ func (d *Dataset) IndexOf(label int) (int, bool) {
 }
 
 // FrameKey returns the stable identity of global frame i — the owning
-// shard reader's key — so the unified engine and the per-shard engines
-// share decoded-frame cache entries for the same physical frame.
+// shard reader's key (query.FrameKeyer).
 func (d *Dataset) FrameKey(i int) (source uint64, frame int) {
 	ref := d.refs[i]
 	return d.readers[ref.shard].FrameKey(ref.local)
@@ -226,18 +210,6 @@ func (d *Dataset) FrameCoder(i int) (codec.Coder, error) {
 	return d.readers[ref.shard].FrameCoder(ref.local)
 }
 
-// Mapped reports whether every shard reader is memory-mapped; the
-// query engine then decodes frames straight from the mappings instead
-// of staging payloads through pooled scratch.
-func (d *Dataset) Mapped() bool {
-	for _, r := range d.readers {
-		if !r.Mapped() {
-			return false
-		}
-	}
-	return len(d.readers) > 0
-}
-
 // Frame reads and decodes global frame i into the codec's compressed
 // representation.
 func (d *Dataset) Frame(i int) (codec.Compressed, error) {
@@ -259,8 +231,7 @@ func (d *Dataset) Payload(i int) ([]byte, error) {
 }
 
 // PayloadAppend appends the verified encoded bytes of global frame i
-// to dst (query.PayloadAppender — lets engines decode from pooled
-// scratch).
+// to dst (query.PayloadAppender).
 func (d *Dataset) PayloadAppend(dst []byte, i int) ([]byte, error) {
 	ref := d.refs[i]
 	return d.readers[ref.shard].PayloadAppend(dst, ref.local)

@@ -4,17 +4,11 @@
 // concatenation of the shards in manifest order — and a global label
 // index, so a dataset answers every question a single store does.
 //
-// Queries scatter-gather: a router resolves the request's label glob
-// and index range to the shards that can possibly answer (the manifest
-// carries each shard's label list, so non-matching shards are skipped
-// without opening a frame), per-shard query engines run concurrently on
-// goroutines the query starts and waits for, and partial results merge —
-// per-frame results by concatenation in global order, dataset-level
-// reductions by exact moment merging (query.Moments). Requests that couple frames
-// across shards (pairwise metrics, a reference frame in another shard)
-// run on a unified engine over the dataset's concatenated view
-// (query.Source), so their semantics match a single store by
-// construction.
+// Queries run on one query.Engine over the dataset's concatenated view
+// (query.Source): it fans per-frame work out across every shard's frames
+// and folds reductions in global frame order, so every answer — pairwise
+// metrics and references in another shard included — is bit-identical
+// to a single store's by construction.
 package shard
 
 import (

@@ -247,21 +247,11 @@ func TestIsManifest(t *testing.T) {
 	}
 }
 
-// approxEq compares within 1e-9 relative tolerance, treating equal
-// infinities and NaNs as matches.
-func approxEq(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= 1e-9*scale
-}
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // compareResults asserts the sharded result equals the single-store
-// one within 1e-9.
+// one bit for bit.
 func compareResults(t *testing.T, want, got *query.Result) {
 	t.Helper()
 	if got.Spec != want.Spec {
@@ -291,13 +281,13 @@ func compareResults(t *testing.T, want, got *query.Result) {
 			t.Errorf("frame %d aggregates %v != %v", i, g.Aggregates, w.Aggregates)
 		}
 		for kind, wv := range w.Aggregates {
-			if !approxEq(float64(g.Aggregates[kind]), float64(wv)) {
+			if !sameBits(float64(g.Aggregates[kind]), float64(wv)) {
 				t.Errorf("frame %d %s = %v, want %v", i, kind, g.Aggregates[kind], wv)
 			}
 		}
 		if (g.Metric == nil) != (w.Metric == nil) {
 			t.Errorf("frame %d metric presence mismatch", i)
-		} else if w.Metric != nil && !approxEq(float64(*g.Metric), float64(*w.Metric)) {
+		} else if w.Metric != nil && !sameBits(float64(*g.Metric), float64(*w.Metric)) {
 			t.Errorf("frame %d metric = %v, want %v", i, *g.Metric, *w.Metric)
 		}
 		if (g.Region == nil) != (w.Region == nil) {
@@ -307,14 +297,14 @@ func compareResults(t *testing.T, want, got *query.Result) {
 				t.Fatalf("frame %d region size %d != %d", i, len(g.Region.Values), len(w.Region.Values))
 			}
 			for j := range w.Region.Values {
-				if !approxEq(g.Region.Values[j], w.Region.Values[j]) {
+				if !sameBits(g.Region.Values[j], w.Region.Values[j]) {
 					t.Errorf("frame %d region[%d] = %g, want %g", i, j, g.Region.Values[j], w.Region.Values[j])
 				}
 			}
 		}
 		if (g.Point == nil) != (w.Point == nil) {
 			t.Errorf("frame %d point presence mismatch", i)
-		} else if w.Point != nil && !approxEq(float64(*g.Point), float64(*w.Point)) {
+		} else if w.Point != nil && !sameBits(float64(*g.Point), float64(*w.Point)) {
 			t.Errorf("frame %d point = %v, want %v", i, *g.Point, *w.Point)
 		}
 	}
@@ -324,22 +314,23 @@ func compareResults(t *testing.T, want, got *query.Result) {
 		if got.Pair.A != want.Pair.A || got.Pair.B != want.Pair.B || got.Pair.Kind != want.Pair.Kind {
 			t.Errorf("pair %+v, want %+v", got.Pair, want.Pair)
 		}
-		if !approxEq(float64(got.Pair.Value), float64(want.Pair.Value)) {
+		if !sameBits(float64(got.Pair.Value), float64(want.Pair.Value)) {
 			t.Errorf("pair value %v, want %v", got.Pair.Value, want.Pair.Value)
 		}
 	}
 	if (got.Reduced == nil) != (want.Reduced == nil) {
 		t.Errorf("reduced presence mismatch")
 	} else if want.Reduced != nil {
-		if got.Reduced.N != want.Reduced.N || got.Reduced.Frames != want.Reduced.Frames {
-			t.Errorf("reduced state N=%d/frames=%d, want N=%d/frames=%d",
-				got.Reduced.N, got.Reduced.Frames, want.Reduced.N, want.Reduced.Frames)
+		if got.Reduced.N != want.Reduced.N || got.Reduced.Frames != want.Reduced.Frames ||
+			!sameBits(float64(got.Reduced.Sum), float64(want.Reduced.Sum)) ||
+			!sameBits(float64(got.Reduced.SumSq), float64(want.Reduced.SumSq)) {
+			t.Errorf("reduced state %+v, want %+v", got.Reduced.Moments, want.Reduced.Moments)
 		}
 		if len(got.Reduced.Values) != len(want.Reduced.Values) {
 			t.Errorf("reduced values %v != %v", got.Reduced.Values, want.Reduced.Values)
 		}
 		for kind, wv := range want.Reduced.Values {
-			if !approxEq(float64(got.Reduced.Values[kind]), float64(wv)) {
+			if !sameBits(float64(got.Reduced.Values[kind]), float64(wv)) {
 				t.Errorf("reduced %s = %v, want %v", kind, got.Reduced.Values[kind], wv)
 			}
 		}
@@ -382,7 +373,7 @@ func propertyRequests(n int) []*query.Request {
 func TestShardedQueryMatchesSingleStore(t *testing.T) {
 	// The property the whole subsystem stands on: for randomized frame
 	// sets and every shard count 1..8, a sharded dataset answers every
-	// query identically (within 1e-9) to the same frames in one store.
+	// query bit-identically to the same frames in one store.
 	rng := rand.New(rand.NewSource(42))
 	for _, spec := range []string{goblazSpec, zfpSpec} {
 		for shards := 1; shards <= 8; shards++ {
@@ -405,8 +396,8 @@ func TestShardedQueryMatchesSingleStore(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s shards=%d req=%d single: %v", spec, shards, ri, err)
 				}
-				// Re-run on a fresh copy: the scatter path mutates its
-				// sub-request selectors, never the caller's request.
+				// Run on a copy: the dataset must never touch the caller's
+				// request.
 				reqCopy := *req
 				got, err := ds.Query(context.Background(), &reqCopy)
 				if err != nil {
@@ -494,8 +485,8 @@ func buildDatasetAssigned(t testing.TB, dir string, frames []*tensor.Tensor, nSh
 func TestShardedMixedCodecMatchesSingleStore(t *testing.T) {
 	// The differential property again, for mixed-codec datasets: the same
 	// alternating goblaz/zfp frames in one v2 store and split across every
-	// shard count 1..8 answer the whole request battery identically
-	// (within 1e-9) — including the pairwise and vs-reference metrics
+	// shard count 1..8 answer the whole request battery bit-identically
+	// — including the pairwise and vs-reference metrics
 	// that cross codec boundaries and must agree on the decode fallback.
 	rng := rand.New(rand.NewSource(43))
 	for shards := 1; shards <= 8; shards++ {

@@ -362,9 +362,9 @@ func (r *Reader) Payload(i int) ([]byte, error) {
 }
 
 // PayloadAppend appends the raw encoded bytes of frame i to dst
-// (growing it as needed) and verifies their checksum. Serving layers
-// pass pooled scratch as dst, so the per-request payload allocation of
-// Payload becomes buffer reuse on the hot path.
+// (growing it as needed) and verifies their checksum. A caller that
+// passes pooled scratch as dst turns Payload's per-call allocation into
+// buffer reuse.
 func (r *Reader) PayloadAppend(dst []byte, i int) ([]byte, error) {
 	e, err := r.access(i)
 	if err != nil {
