@@ -171,13 +171,22 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 	return base << attempt
 }
 
-// do runs one API call with per-attempt timeout and retry. On success
-// the caller owns resp.Body; on failure the returned error is already
-// classified (*Error).
-func (c *Client) do(ctx context.Context, method, path string, q url.Values, body []byte) (*http.Response, error) {
-	resp, _, err := c.doWith(ctx, method, path, q, body, "application/json")
+// do runs one API call with per-attempt timeout and retry. path is
+// relative to the mount and carries its encoded query string, if any.
+// On success the caller owns resp.Body; on failure the returned error is
+// already classified (*Error).
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	resp, _, err := c.doWith(ctx, method, path, body, jsonContentType)
 	return resp, err
 }
+
+// The request Content-Type values. They are shared by every request: their
+// len equals their cap, so a later Header.Add copies instead of writing
+// into them.
+var (
+	jsonContentType   = []string{"application/json"}
+	framesContentType = []string{FramesContentType}
+)
 
 // doWith is do with an explicit request Content-Type (Ingest sends
 // FramesContentType). The replayed result reports whether any attempt
@@ -185,11 +194,8 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 // outcome unknown, so a later attempt may be a replay of a request the
 // server already executed — Ingest uses this to tell a replayed
 // duplicate from a genuine one.
-func (c *Client) doWith(ctx context.Context, method, path string, q url.Values, body []byte, contentType string) (resp *http.Response, replayed bool, _ error) {
+func (c *Client) doWith(ctx context.Context, method, path string, body []byte, contentType []string) (resp *http.Response, replayed bool, _ error) {
 	u := c.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
 	var lastErr error
 	sawTransportErr := false
 	for attempt := 0; ; attempt++ {
@@ -232,14 +238,12 @@ func (c *Client) doWith(ctx context.Context, method, path string, q url.Values, 
 }
 
 // attempt issues a single HTTP request under the per-attempt timeout,
-// when one is configured.
-func (c *Client) attempt(ctx context.Context, method, u string, body []byte, contentType string) (*http.Response, error) {
-	var actx context.Context
-	var cancel context.CancelFunc
+// when one is configured. Without one the caller's context is the only
+// bound, and the request runs under it directly.
+func (c *Client) attempt(ctx context.Context, method, u string, body []byte, contentType []string) (*http.Response, error) {
+	actx, cancel := ctx, context.CancelFunc(nil)
 	if c.timeout > 0 {
 		actx, cancel = context.WithTimeout(ctx, c.timeout)
-	} else {
-		actx, cancel = context.WithCancel(ctx)
 	}
 	var rd io.Reader
 	if body != nil {
@@ -247,11 +251,13 @@ func (c *Client) attempt(ctx context.Context, method, u string, body []byte, con
 	}
 	req, err := http.NewRequestWithContext(actx, method, u, rd)
 	if err != nil {
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+		req.Header["Content-Type"] = contentType
 	}
 	// Propagate the caller's trace across the wire (minting one when the
 	// context has none), so a query shows up server-side under the trace
@@ -262,15 +268,19 @@ func (c *Client) attempt(ctx context.Context, method, u string, body []byte, con
 	} else {
 		sc = obs.NewSpanContext()
 	}
-	req.Header.Set("traceparent", sc.Traceparent())
+	req.Header["Traceparent"] = []string{sc.Traceparent()}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 		return nil, err
 	}
-	// Tie the timeout to body consumption: canceling at return would
-	// kill the stream the caller is still reading.
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+	if cancel != nil {
+		// Tie the timeout to body consumption: canceling at return would
+		// kill the stream the caller is still reading.
+		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+	}
 	return resp, nil
 }
 
@@ -306,8 +316,8 @@ func decodeErrorResponse(resp *http.Response) *Error {
 }
 
 // getJSON runs a GET and decodes the JSON response into out.
-func (c *Client) getJSON(ctx context.Context, path string, q url.Values, out any) error {
-	resp, err := c.do(ctx, http.MethodGet, path, q, nil)
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	resp, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
@@ -320,13 +330,13 @@ func (c *Client) getJSON(ctx context.Context, path string, q url.Values, out any
 
 func (c *Client) Spec(ctx context.Context) (StoreInfo, error) {
 	var info StoreInfo
-	err := c.getJSON(ctx, "/store", nil, &info)
+	err := c.getJSON(ctx, "/store", &info)
 	return info, err
 }
 
 func (c *Client) Frames(ctx context.Context) ([]FrameInfo, error) {
 	var infos []FrameInfo
-	if err := c.getJSON(ctx, "/frames", nil, &infos); err != nil {
+	if err := c.getJSON(ctx, "/frames", &infos); err != nil {
 		return nil, err
 	}
 	return infos, nil
@@ -342,7 +352,7 @@ const maxPresize = 64 << 20
 // shape-sized is allocated, and the bytes are decoded through a small
 // fixed chunk straight into the frame's data — no raw copy is kept.
 func (c *Client) Frame(ctx context.Context, label int) (*Frame, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label), nil, nil)
+	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +439,7 @@ func parseShapeHeader(h string) ([]int, error) {
 // satisfies the optional Payloads capability. The bytes land in one
 // buffer of the declared Content-Length.
 func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label)+"/payload", nil, nil)
+	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label)+"/payload", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -441,25 +451,62 @@ func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
 	return blob, nil
 }
 
-func (c *Client) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	var q url.Values
-	if len(aggs) > 0 {
-		q = url.Values{"aggs": {strings.Join(aggs, ",")}}
+// decodeResult reads a result body into one buffer (readBody) and
+// decodes it with parse, the result type's hand-written reader. A body
+// parse rejects is decoded once more as a json.Decoder reads it, which
+// also accepts trailing data after the value, so the client accepts
+// exactly the bodies it accepted when it decoded through json.Decoder.
+func decodeResult[T any](resp *http.Response, what string, parse func([]byte) (*T, error)) (*T, error) {
+	defer resp.Body.Close()
+	blob, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("reading %s response: %v", what, err), err: err}
 	}
-	var fr query.FrameResult
-	if err := c.getJSON(ctx, "/frames/"+strconv.Itoa(label)+"/stats", q, &fr); err != nil {
-		return nil, err
+	v, err := parse(blob)
+	if err != nil {
+		v = new(T)
+		if err := json.NewDecoder(bytes.NewReader(blob)).Decode(v); err != nil {
+			return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("decoding %s response: %v", what, err), err: err}
+		}
 	}
-	return &fr, nil
+	return v, nil
 }
 
-func (c *Client) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	q := url.Values{"offset": {joinInts(offset)}, "shape": {joinInts(shape)}}
-	var fr query.FrameResult
-	if err := c.getJSON(ctx, "/frames/"+strconv.Itoa(label)+"/region", q, &fr); err != nil {
+func (c *Client) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
+	path := make([]byte, 0, 64)
+	path = append(path, "/frames/"...)
+	path = strconv.AppendInt(path, int64(label), 10)
+	path = append(path, "/stats"...)
+	for i, kind := range aggs {
+		if i == 0 {
+			path = append(path, "?aggs="...)
+		} else {
+			path = append(path, ',')
+		}
+		path = append(path, url.QueryEscape(kind)...)
+	}
+	resp, err := c.do(ctx, http.MethodGet, string(path), nil)
+	if err != nil {
 		return nil, err
 	}
-	return &fr, nil
+	return decodeResult(resp, "stats", query.ParseFrameResult)
+}
+
+// Region asks for offset=…&shape=… with the integers comma-joined: the
+// server splits raw commas exactly as it splits their %2C escapes.
+func (c *Client) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
+	path := make([]byte, 0, 64)
+	path = append(path, "/frames/"...)
+	path = strconv.AppendInt(path, int64(label), 10)
+	path = append(path, "/region?offset="...)
+	path = appendInts(path, offset)
+	path = append(path, "&shape="...)
+	path = appendInts(path, shape)
+	resp, err := c.do(ctx, http.MethodGet, string(path), nil)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResult(resp, "region", query.ParseFrameResult)
 }
 
 func (c *Client) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
@@ -467,16 +514,11 @@ func (c *Client) Query(ctx context.Context, req *query.Request) (*query.Result, 
 	if err != nil {
 		return nil, &Error{Code: CodeBadRequest, Message: fmt.Sprintf("encoding request: %v", err), err: err}
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/query", nil, body)
+	resp, err := c.do(ctx, http.MethodPost, "/query", body)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	var res query.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("decoding query response: %v", err), err: err}
-	}
-	return &res, nil
+	return decodeResult(resp, "query", query.ParseResult)
 }
 
 // Ingest sends a batch of frames to the server's ingest route as one
@@ -503,7 +545,7 @@ func (c *Client) Ingest(ctx context.Context, frames []IngestFrame) (*IngestResul
 	if err != nil {
 		return nil, &Error{Code: CodeBadRequest, Message: err.Error(), err: err}
 	}
-	resp, replayed, err := c.doWith(ctx, http.MethodPost, "/frames", nil, body, FramesContentType)
+	resp, replayed, err := c.doWith(ctx, http.MethodPost, "/frames", body, framesContentType)
 	if err != nil {
 		if replayed && CodeOf(err) == CodeConflict {
 			if res, ok := c.confirmIngested(ctx, frames); ok {
@@ -542,10 +584,13 @@ func (c *Client) confirmIngested(ctx context.Context, frames []IngestFrame) (*In
 	return &IngestResult{Accepted: len(frames), Committed: true, Frames: len(infos)}, true
 }
 
-func joinInts(vals []int) string {
-	parts := make([]string, len(vals))
+// appendInts appends vals comma-joined.
+func appendInts(dst []byte, vals []int) []byte {
 	for i, v := range vals {
-		parts[i] = strconv.Itoa(v)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }

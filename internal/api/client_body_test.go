@@ -118,3 +118,45 @@ func TestClientPayloadBody(t *testing.T) {
 		}
 	}
 }
+
+// Result bodies are read into one buffer and decoded by the result
+// types' hand-written readers; a body outside their subset decodes as a
+// json.Decoder reads it, so the client accepts what it always accepted
+// — trailing data after the value included — and still refuses what is
+// not a result.
+func TestClientResultBody(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, body string
+		declared   int
+		ok         bool
+	}{
+		{"canonical", `{"index":1,"label":4,"aggregates":{"mean":0.5},"executedInCompressedSpace":true}`, -2, true},
+		{"streamed", `{"index":1,"label":4,"aggregates":{"mean":0.5},"executedInCompressedSpace":true}`, -1, true},
+		{"reordered with unknown keys", ` {"executedInCompressedSpace":true,"x":[1,{"y":null}],"aggregates":{"mean":5e-1},"label":4,"index":1}`, -2, true},
+		{"escaped key", `{"ind\u0065x":1,"label":4,"aggregates":{"mean":0.5},"executedInCompressedSpace":true}`, -2, true},
+		{"case-folded key", `{"INDEX":1,"Label":4,"aggregates":{"mean":0.5},"executedInCompressedSpace":true}`, -2, true},
+		{"trailing data", `{"index":1,"label":4,"aggregates":{"mean":0.5},"executedInCompressedSpace":true} trailing`, -2, true},
+		{"not JSON", `{"index":`, -2, false},
+		{"wrong type", `{"index":"1"}`, -2, false},
+		{"declared longer than sent", `{"index":1}`, 40, false},
+	} {
+		declared := tc.declared
+		if declared == -2 {
+			declared = len(tc.body)
+		}
+		fr, err := bodyServer(t, "1", []byte(tc.body), declared).Stats(ctx, 4, nil)
+		if !tc.ok {
+			if api.CodeOf(err) != api.CodeInternal {
+				t.Errorf("%s: err = %v, want internal", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fr.Index != 1 || fr.Label != 4 || fr.Aggregates["mean"] != 0.5 || !fr.ExecutedInCompressedSpace {
+			t.Errorf("%s: decoded %+v", tc.name, fr)
+		}
+	}
+}

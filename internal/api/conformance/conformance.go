@@ -36,6 +36,11 @@ const Spec = "goblaz:block=4x4,float=float64,index=int16"
 // format v2's per-frame specs through every backend.
 const MixedSpec = "zfp:rate=32"
 
+// NonFiniteSpec is the codec of the non-finite fixture
+// (NewNonFiniteFixture): float16 coefficients overflow on values near
+// 1e6, so its frame decodes to NaN.
+const NonFiniteSpec = "goblaz:block=4x4,float=float16,index=int8"
+
 // FrameCount and the fixture dimensions are part of the expected-value
 // table below; changing them means re-deriving the cases.
 const (
@@ -85,6 +90,30 @@ func NewFixture(t testing.TB) *Fixture {
 // the uniform fixture never exercises.
 func NewMixedFixture(t testing.TB) *Fixture {
 	return newFixture(t, true)
+}
+
+// NewNonFiniteFixture builds one 8×8 frame of values near 1e6 under
+// NonFiniteSpec, whose codec round trip is not finite. It is the input
+// of RunNonFinite, not of Run.
+func NewNonFiniteFixture(t testing.TB) *Fixture {
+	t.Helper()
+	cd, err := codec.Lookup(NonFiniteSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := tensor.New(8, 8)
+	for i := range f.Data() {
+		f.Data()[i] = 1e6 + float64(i)
+	}
+	c, err := cd.Compress(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := cd.Decompress(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Fixture{Spec: cd.Spec(), Frames: []*tensor.Tensor{f}, Decoded: []*tensor.Tensor{dec}}
 }
 
 func newFixture(t testing.TB, mixed bool) *Fixture {
@@ -161,7 +190,7 @@ func (fx *Fixture) buildManifest(t testing.TB, dir string, nShards int) *shard.M
 		}
 		return coder
 	}
-	coder := mustCoder(Spec)
+	coder := mustCoder(fx.Spec)
 	path := filepath.Join(dir, "fixture.json")
 	frame := func(i int) (*tensor.Tensor, error) { return fx.Frames[i], nil }
 	var assign shard.AssignFunc
@@ -192,6 +221,44 @@ func Run(t *testing.T, fx *Fixture, open func(t *testing.T) api.Backend) {
 	t.Run("query", func(t *testing.T) { testQuery(t, fx, open(t)) })
 	t.Run("errors", func(t *testing.T) { testErrorContract(t, open(t)) })
 	t.Run("cancellation", func(t *testing.T) { testCancellation(t, open(t)) })
+}
+
+// RunNonFinite checks a backend serving NewNonFiniteFixture: a region
+// read answers the frame's NaN and ±Inf values as decoded, over every
+// transport — a value encoding/json cannot write as a number must not
+// turn the answer into an error — and a query's region agrees.
+func RunNonFinite(t *testing.T, fx *Fixture, open func(t *testing.T) api.Backend) {
+	b := open(t)
+	ctx := context.Background()
+	offset, shape := []int{0, 0}, []int{2, 2}
+	want := fx.Decoded[0]
+	check := func(what string, reg *query.RegionResult) {
+		t.Helper()
+		if reg == nil || len(reg.Values) != 4 {
+			t.Fatalf("%s: region %+v", what, reg)
+		}
+		nonFinite := false
+		for i, got := range reg.Values {
+			w := want.At(offset[0]+i/shape[1], offset[1]+i%shape[1])
+			if math.Float64bits(got) != math.Float64bits(w) && !(math.IsNaN(got) && math.IsNaN(w)) {
+				t.Errorf("%s: value %d = %g, want %g", what, i, got, w)
+			}
+			nonFinite = nonFinite || math.IsNaN(w) || math.IsInf(w, 0)
+		}
+		if !nonFinite {
+			t.Fatalf("%s: the fixture decodes to finite values %v; it no longer exercises non-finite answers", what, reg.Values)
+		}
+	}
+	fr, err := b.Region(ctx, 0, offset, shape)
+	if err != nil {
+		t.Fatalf("region of a non-finite frame: %v", err)
+	}
+	check("region", fr.Region)
+	res, err := b.Query(ctx, &query.Request{Region: &query.RegionRequest{Offset: offset, Shape: shape}})
+	if err != nil {
+		t.Fatalf("query region of a non-finite frame: %v", err)
+	}
+	check("query region", res.Frames[0].Region)
 }
 
 // tol is the comparison tolerance against expected values. Local reads

@@ -155,6 +155,52 @@ func TestConformanceMixedClientShardedMount(t *testing.T) {
 	})
 }
 
+// A frame whose decode is not finite answers its region on every
+// backend; over HTTP it used to answer 500, because encoding/json cannot
+// write a NaN region value.
+
+func TestConformanceNonFiniteLocal(t *testing.T) {
+	fx := conformance.NewNonFiniteFixture(t)
+	conformance.RunNonFinite(t, fx, func(t *testing.T) api.Backend {
+		l, err := api.OpenLocal(fx.BuildStore(t, t.TempDir()), query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	})
+}
+
+func TestConformanceNonFiniteSharded(t *testing.T) {
+	fx := conformance.NewNonFiniteFixture(t)
+	conformance.RunNonFinite(t, fx, func(t *testing.T) api.Backend {
+		s, err := api.OpenSharded(fx.BuildManifest(t, t.TempDir(), 1), query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	})
+}
+
+func TestConformanceNonFiniteClient(t *testing.T) {
+	fx := conformance.NewNonFiniteFixture(t)
+	conformance.RunNonFinite(t, fx, func(t *testing.T) api.Backend {
+		l, err := api.OpenLocal(fx.BuildStore(t, t.TempDir()), query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		srv := httptest.NewServer(httpapi.New(l, nil, httpapi.Options{}))
+		t.Cleanup(srv.Close)
+		c, err := api.NewClient(srv.URL, api.ClientOptions{HTTPClient: srv.Client()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+}
+
 // limited wraps a backend in admission control generous enough that the
 // whole conformance suite passes through the limiter untouched — the
 // decorator must be contract-transparent when capacity is available.

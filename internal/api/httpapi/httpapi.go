@@ -45,6 +45,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -255,8 +256,10 @@ func (e *apiNotFound) Unwrap() error { return api.ErrNotFound }
 // If-None-Match matches. true means the response is complete.
 func notModified(w http.ResponseWriter, req *http.Request, e api.FrameInfo) bool {
 	etag := `"` + e.CRC32 + `"`
-	w.Header().Set("ETag", etag)
-	for _, tag := range strings.Split(req.Header.Get("If-None-Match"), ",") {
+	w.Header()["Etag"] = []string{etag} // the canonical key, set without canonicalizing
+	for rest := req.Header.Get("If-None-Match"); rest != ""; {
+		var tag string
+		tag, rest, _ = strings.Cut(rest, ",")
 		tag = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(tag), "W/"))
 		if tag == etag || tag == "*" {
 			w.WriteHeader(http.StatusNotModified)
@@ -286,11 +289,15 @@ func (h *Handler) handleFrame(b api.Backend, w http.ResponseWriter, req *http.Re
 	for j, v := range f.Data {
 		binary.LittleEndian.PutUint64(raw[j*8:], math.Float64bits(v))
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = octetContentType
 	w.Header().Set("X-Goblaz-Shape", strings.Join(shape, ","))
 	serveBytes(w, req, bytes.NewReader(raw))
 	return nil
 }
+
+// octetContentType is the shared Content-Type value of the byte routes
+// (see jsonContentType).
+var octetContentType = []string{"application/octet-stream"}
 
 // serveBytes hands a fully-validated body to http.ServeContent, which
 // supplies Content-Length, Accept-Ranges: bytes, and Range (206)
@@ -335,7 +342,7 @@ func (h *Handler) handlePayload(b api.Backend, w http.ResponseWriter, req *http.
 	if c, ok := content.(io.Closer); ok {
 		defer c.Close()
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = octetContentType
 	serveBytes(w, req, content)
 	return nil
 }
@@ -366,7 +373,7 @@ func (h *Handler) handleStats(b api.Backend, w http.ResponseWriter, req *http.Re
 	if err != nil {
 		return err
 	}
-	writeJSON(w, fr)
+	writeResult(w, fr, query.AppendFrameResult)
 	return nil
 }
 
@@ -394,7 +401,7 @@ func (h *Handler) handleRegion(b api.Backend, w http.ResponseWriter, req *http.R
 	if err != nil {
 		return err
 	}
-	writeJSON(w, fr)
+	writeResult(w, fr, query.AppendFrameResult)
 	return nil
 }
 
@@ -413,7 +420,7 @@ func (h *Handler) handleQuery(b api.Backend, w http.ResponseWriter, req *http.Re
 	if err != nil {
 		return err
 	}
-	writeJSON(w, res)
+	writeResult(w, res, query.AppendResult)
 	return nil
 }
 
@@ -499,15 +506,43 @@ func parseInts(s string) ([]int, error) {
 }
 
 // writeJSON encodes v to a buffer first, so an encoding failure becomes
-// a clean error envelope instead of a truncated 200.
+// a clean error envelope instead of a truncated 200. It serves the cold
+// resources (store info, frame index, metrics, ingest results); query
+// results go through writeResult.
 func writeJSON(w http.ResponseWriter, v any) {
 	buf, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, api.FromError(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(append(buf, '\n'))
+}
+
+// jsonContentType is the Content-Type value of every JSON response. It
+// is shared: its len equals its cap, so a later Header.Add copies it
+// instead of writing into it, and Header.Set replaces it.
+var jsonContentType = []string{"application/json"}
+
+// maxPooledBody caps the response buffers bodyPool keeps: a buffer grown
+// past it by one large region is left to the collector instead of
+// pinning its memory in the pool.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeResult writes a query result through its hand-written encoder
+// into a pooled buffer — the same bytes, newline included, as writeJSON
+// would write, without reflection and without a buffer per response.
+func writeResult[T any](w http.ResponseWriter, v *T, appendJSON func([]byte, *T) []byte) {
+	bp := bodyPool.Get().(*[]byte)
+	body := append(appendJSON((*bp)[:0], v), '\n')
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(body)
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
 }
 
 // writeError renders err as the v1 JSON envelope at its mapped status.

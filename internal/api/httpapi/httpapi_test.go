@@ -24,7 +24,13 @@ import (
 
 func buildLocal(t testing.TB, n, rows, cols int) *api.Local {
 	t.Helper()
-	cd, err := codec.Lookup("goblaz:block=4x4,float=float64,index=int16")
+	return buildLocalSpec(t, "goblaz:block=4x4,float=float64,index=int16", n, rows, cols)
+}
+
+// buildLocalSpec serves n frames written with the codec spec names.
+func buildLocalSpec(t testing.TB, spec string, n, rows, cols int) *api.Local {
+	t.Helper()
+	cd, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,8 @@ func statusClass(status int) string {
 }
 
 // TraceIDHeader is the response header echoing the request's trace ID,
-// so a caller can quote it when filing a slow-query report.
+// so a caller can quote it when filing a slow-query report. It is in
+// canonical form.
 const TraceIDHeader = "X-Goblaz-Trace-Id"
 
 // instrument is the outermost middleware: it establishes the request's
@@ -122,12 +123,14 @@ const TraceIDHeader = "X-Goblaz-Trace-Id"
 func instrument(next http.Handler, opts Options) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		var sc obs.SpanContext
-		if parent, ok := obs.ParseTraceparent(req.Header.Get("traceparent")); ok {
+		// Canonical keys: a lowercase one is canonicalized into a fresh
+		// string on every request.
+		if parent, ok := obs.ParseTraceparent(req.Header.Get("Traceparent")); ok {
 			sc = parent.Child() // same trace, new span: the server's own unit of work
 		} else {
 			sc = obs.NewSpanContext()
 		}
-		w.Header().Set(TraceIDHeader, sc.TraceID.String())
+		w.Header()[TraceIDHeader] = []string{sc.TraceID.String()}
 		ctx, span := obs.DefaultTracer.StartRoot(req.Context(), "http.request", sc)
 		span.SetDetail("%s %s", req.Method, req.URL.Path)
 

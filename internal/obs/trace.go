@@ -15,7 +15,12 @@ import (
 // carried through context and the W3C traceparent header.
 type TraceID [16]byte
 
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String returns the 32 lowercase hex digits of the ID.
+func (t TraceID) String() string {
+	var buf [2 * len(TraceID{})]byte
+	hex.Encode(buf[:], t[:])
+	return string(buf[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
@@ -23,7 +28,12 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // SpanID identifies one operation within a trace.
 type SpanID [8]byte
 
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+// String returns the 16 lowercase hex digits of the ID.
+func (s SpanID) String() string {
+	var buf [2 * len(SpanID{})]byte
+	hex.Encode(buf[:], s[:])
+	return string(buf[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
@@ -53,33 +63,43 @@ func (sc SpanContext) Child() SpanContext {
 }
 
 // Traceparent renders the W3C trace-context header value, version 00,
-// sampled flag set.
+// sampled flag set: "00-" + trace ID + "-" + span ID + "-01". The text
+// is built in a fixed array, so the result string is its one allocation.
 func (sc SpanContext) Traceparent() string {
-	return fmt.Sprintf("00-%s-%s-01", sc.TraceID, sc.SpanID)
+	const traceAt, spanAt = 3, 3 + 32 + 1
+	var buf [spanAt + 16 + 3]byte
+	copy(buf[:], "00-")
+	hex.Encode(buf[traceAt:], sc.TraceID[:])
+	buf[spanAt-1] = '-'
+	hex.Encode(buf[spanAt:], sc.SpanID[:])
+	copy(buf[spanAt+16:], "-01")
+	return string(buf[:])
 }
 
 // ParseTraceparent parses a W3C traceparent header value. It accepts
 // any version byte (per spec, future versions are parsed as 00) and
 // rejects malformed fields and all-zero IDs.
 func ParseTraceparent(s string) (SpanContext, bool) {
-	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) < 4 {
+	// The four dash-separated fields sit at fixed offsets: version [0,2),
+	// trace ID [3,35), span ID [36,52), flags [53,55); anything after the
+	// flags must start a further field.
+	s = strings.TrimSpace(s)
+	if len(s) < 55 || s[0] == '-' || s[1] == '-' || s[2] != '-' || s[35] != '-' || s[52] != '-' ||
+		(len(s) > 55 && s[55] != '-') {
 		return SpanContext{}, false
 	}
-	if len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
-		return SpanContext{}, false
-	}
-	if parts[0] == "ff" {
+	if s[:2] == "ff" {
 		return SpanContext{}, false
 	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], []byte(parts[1])); err != nil {
+	var flags [1]byte
+	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
 		return SpanContext{}, false
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(parts[2])); err != nil {
+	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
 		return SpanContext{}, false
 	}
-	if _, err := hex.DecodeString(parts[3]); err != nil {
+	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
 		return SpanContext{}, false
 	}
 	if sc.TraceID.IsZero() || sc.SpanID.IsZero() {

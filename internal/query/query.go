@@ -198,21 +198,18 @@ type RegionRequest struct {
 // the PSNR of identical frames is +Inf, aggregates over NaN data are
 // NaN — encode as the strings "+Inf"/"-Inf"/"NaN" instead of failing
 // encoding/json and turning an otherwise-computed result into a 500.
+// Every other value encodes as the number encoding/json writes for a
+// float64. Region values follow the same rule (RegionResult).
 type Float float64
 
+// MarshalJSON writes f by Float's rule, through the same number writer
+// as AppendResult.
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
+	return appendFloat(make([]byte, 0, 24), float64(f)), nil
 }
 
+// UnmarshalJSON reads a JSON number, one of the strings "+Inf", "-Inf"
+// and "NaN", or null (zero).
 func (f *Float) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
 		var s string
@@ -281,11 +278,49 @@ type FrameResult struct {
 	ExecutedInCompressedSpace bool `json:"executedInCompressedSpace"`
 }
 
-// RegionResult is a decoded sub-array, row-major.
+// RegionResult is a decoded sub-array, row-major. Its values encode by
+// Float's rule: a NaN or ±Inf read from a frame whose coefficients
+// overflowed their float type is the string "NaN", "+Inf" or "-Inf",
+// not an encoding failure.
 type RegionResult struct {
 	Offset []int     `json:"offset"`
 	Shape  []int     `json:"shape"`
 	Values []float64 `json:"values"`
+}
+
+// MarshalJSON writes r as encoding/json writes the struct, with its
+// values by Float's rule.
+func (r RegionResult) MarshalJSON() ([]byte, error) {
+	return appendRegion(nil, &r), nil
+}
+
+// UnmarshalJSON reads r as encoding/json reads the struct, with its
+// values by Float's rule.
+func (r *RegionResult) UnmarshalJSON(b []byte) error {
+	// Decoding over r's current contents keeps encoding/json's semantics
+	// for a key the body leaves out.
+	w := struct {
+		Offset []int   `json:"offset"`
+		Shape  []int   `json:"shape"`
+		Values []Float `json:"values"`
+	}{Offset: r.Offset, Shape: r.Shape}
+	if r.Values != nil {
+		w.Values = make([]Float, len(r.Values))
+		for i, v := range r.Values {
+			w.Values[i] = Float(v)
+		}
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	r.Offset, r.Shape, r.Values = w.Offset, w.Shape, nil
+	if w.Values != nil {
+		r.Values = make([]float64, len(w.Values))
+		for i, v := range w.Values {
+			r.Values[i] = float64(v)
+		}
+	}
+	return nil
 }
 
 // PairResult is the two-frame metric of a pairwise request; A and B are
