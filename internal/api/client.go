@@ -452,10 +452,9 @@ func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
 }
 
 // decodeResult reads a result body into one buffer (readBody) and
-// decodes it with parse, the result type's hand-written reader. A body
-// parse rejects is decoded once more as a json.Decoder reads it, which
-// also accepts trailing data after the value, so the client accepts
-// exactly the bodies it accepted when it decoded through json.Decoder.
+// decodes it with parse, query's reader of the result type, which takes
+// any body a json.Decoder takes — so the client accepts exactly the
+// bodies it accepted when it decoded through json.Decoder.
 func decodeResult[T any](resp *http.Response, what string, parse func([]byte) (*T, error)) (*T, error) {
 	defer resp.Body.Close()
 	blob, err := readBody(resp.Body, resp.ContentLength)
@@ -464,10 +463,7 @@ func decodeResult[T any](resp *http.Response, what string, parse func([]byte) (*
 	}
 	v, err := parse(blob)
 	if err != nil {
-		v = new(T)
-		if err := json.NewDecoder(bytes.NewReader(blob)).Decode(v); err != nil {
-			return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("decoding %s response: %v", what, err), err: err}
-		}
+		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("decoding %s response: %v", what, err), err: err}
 	}
 	return v, nil
 }

@@ -119,11 +119,11 @@ func TestClientPayloadBody(t *testing.T) {
 	}
 }
 
-// Result bodies are read into one buffer and decoded by the result
-// types' hand-written readers; a body outside their subset decodes as a
+// Result bodies are read into one buffer and decoded by query's readers:
+// the server's layout without reflection, any other body as a
 // json.Decoder reads it, so the client accepts what it always accepted
-// — trailing data after the value included — and still refuses what is
-// not a result.
+// — whitespace, reordered, escaped and unknown keys, trailing data after
+// the value — and still refuses what is not a result.
 func TestClientResultBody(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {

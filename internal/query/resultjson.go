@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -13,9 +14,9 @@ import (
 // map keys sorted, numbers by encoding/json's float rule, strings with
 // its escaping (<, > and & as \u003c, \u003e and \u0026, U+2028 and
 // U+2029, control bytes, invalid UTF-8 as \ufffd). The Parse functions
-// read it back without reflection and fall back to encoding/json for any
-// input outside the subset they read themselves, so every valid body
-// decodes to the value json.Unmarshal gives.
+// read exactly that layout back without reflection and hand any other
+// input to encoding/json, so every valid body decodes to the value a
+// json.Decoder gives.
 
 // AppendFrameResult appends the JSON encoding of fr to dst and returns
 // the extended buffer; the bytes equal json.Marshal(fr)'s. It allocates
@@ -269,19 +270,20 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // ParseFrameResult decodes the JSON encoding of a FrameResult — what a
-// stats or region route answers. It reads the bodies AppendFrameResult
-// writes and any variation in whitespace, key order, null values and
-// unknown keys without reflection; any other input (escaped or
-// case-folded keys, a repeated key, an integer written as 1e2, a
-// malformed body) goes to json.Unmarshal, so the value, or the error,
-// is always json.Unmarshal's. Aggregate names come back as the package
-// constants, not fresh strings.
+// stats or region route answers. The body AppendFrameResult writes,
+// optionally ended by the newline a server adds, is read without
+// reflection; any other input (whitespace, another key order, an unknown
+// key, an escaped string, a malformed body) is decoded by a
+// json.Decoder, so the value, or the error, is always json.Decoder's —
+// which, like the client has always read a response, ignores data after
+// the first value. Aggregate names come back as the package constants,
+// not fresh strings.
 func ParseFrameResult(b []byte) (*FrameResult, error) {
 	if fr, ok := parseFrameResult(b); ok {
 		return fr, nil
 	}
 	fr := new(FrameResult)
-	if err := json.Unmarshal(b, fr); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(fr); err != nil {
 		return nil, err
 	}
 	return fr, nil
@@ -294,384 +296,260 @@ func ParseResult(b []byte) (*Result, error) {
 		return r, nil
 	}
 	r := new(Result)
-	if err := json.Unmarshal(b, r); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(r); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // parseFrameResult and parseResult are the reflection-free readers; false
-// means the input is outside their subset, not that it is invalid.
+// means the input is not the encoder's layout, not that it is invalid.
 func parseFrameResult(b []byte) (*FrameResult, bool) {
 	p := parser{b: b}
 	fr := new(FrameResult)
-	return fr, p.frameResult(fr, nil) && p.end()
+	p.frameResult(fr, nil)
+	return fr, p.end()
 }
 
 func parseResult(b []byte) (*Result, bool) {
 	p := parser{b: b}
 	r := new(Result)
-	return r, p.result(r) && p.end()
+	p.result(r)
+	return r, p.end()
 }
 
-// parser reads one JSON document. Every method returns false on input it
-// does not read itself, and the caller then falls back to encoding/json.
+// parser reads the layout the Append functions write and nothing else:
+// no whitespace, the fields in declaration order, each omitempty field
+// present or absent, null only where the encoder writes one. The first
+// byte outside that layout sets bad, after which every read is a no-op.
 type parser struct {
-	b []byte
-	i int
+	b   []byte
+	i   int
+	bad bool
 }
 
-// The keys of each result object, in declaration order; a key's index is
-// its bit in fields' duplicate mask.
-var (
-	resultKeys      = []string{"spec", "specs", "frames", "pair", "reduced", "executedInCompressedSpace"}
-	frameResultKeys = []string{"index", "label", "spec", "aggregates", "metric", "region", "point", "executedInCompressedSpace"}
-	regionKeys      = []string{"offset", "shape", "values"}
-	pairKeys        = []string{"a", "b", "kind", "value", "executedInCompressedSpace"}
-	reducedKeys     = []string{"frames", "n", "sum", "sumSq", "min", "max", "values"}
-	metricNames     = []string{MetricMSE, MetricPSNR, MetricDot, MetricCosine}
-)
+// The methods below mirror AppendResult and AppendFrameResult line for
+// line.
 
-func (p *parser) result(r *Result) bool {
-	if p.null() {
-		return true
+func (p *parser) result(r *Result) {
+	p.expect(`{"spec":`)
+	r.Spec = p.str(nil)
+	if p.lit(`,"specs":`) {
+		intern := []string{r.Spec}
+		r.Specs = array(p, func() string { return p.str(intern) })
 	}
-	return p.fields(resultKeys, func(k int) (ok bool) {
-		switch k {
-		case 0:
-			r.Spec, ok = p.str(nil)
-		case 1:
-			intern := []string{r.Spec}
-			r.Specs, ok = array(p, func() (string, bool) { return p.str(intern) })
-		case 2:
-			r.Frames, ok = p.frames(r.Specs)
-		case 3:
-			r.Pair, ok = p.pair()
-		case 4:
-			r.Reduced, ok = p.reduced()
-		case 5:
-			r.ExecutedInCompressedSpace, ok = p.boolean()
+	p.expect(`,"frames":`)
+	if !p.lit("null") {
+		r.Frames = make([]FrameResult, 0)
+		p.elements(func() {
+			r.Frames = append(r.Frames, FrameResult{})
+			p.frameResult(&r.Frames[len(r.Frames)-1], r.Specs)
+		})
+	}
+	if p.lit(`,"pair":`) {
+		pr := new(PairResult)
+		p.expect(`{"a":`)
+		pr.A = p.integer()
+		p.expect(`,"b":`)
+		pr.B = p.integer()
+		p.expect(`,"kind":`)
+		pr.Kind = p.str(metricNames)
+		p.expect(`,"value":`)
+		pr.Value = Float(p.float())
+		p.expect(`,"executedInCompressedSpace":`)
+		pr.ExecutedInCompressedSpace = p.boolean()
+		p.expect("}")
+		r.Pair = pr
+	}
+	if p.lit(`,"reduced":`) {
+		red := new(ReducedResult)
+		p.expect(`{"frames":`)
+		red.Frames = p.integer()
+		p.expect(`,"n":`)
+		red.N = int64(p.integer())
+		p.expect(`,"sum":`)
+		red.Sum = Float(p.float())
+		p.expect(`,"sumSq":`)
+		red.SumSq = Float(p.float())
+		p.expect(`,"min":`)
+		red.Min = Float(p.float())
+		p.expect(`,"max":`)
+		red.Max = Float(p.float())
+		p.expect(`,"values":`)
+		if !p.lit("null") {
+			red.Values = p.floatMap()
 		}
-		return ok
-	})
+		p.expect("}")
+		r.Reduced = red
+	}
+	p.expect(`,"executedInCompressedSpace":`)
+	r.ExecutedInCompressedSpace = p.boolean()
+	p.expect("}")
 }
+
+var metricNames = []string{MetricMSE, MetricPSNR, MetricDot, MetricCosine}
 
 // frameResult reads one frame's answer into fr; a spec equal to one of
 // specs shares that string.
-func (p *parser) frameResult(fr *FrameResult, specs []string) bool {
-	if p.null() {
-		return true
+func (p *parser) frameResult(fr *FrameResult, specs []string) {
+	p.expect(`{"index":`)
+	fr.Index = p.integer()
+	p.expect(`,"label":`)
+	fr.Label = p.integer()
+	if p.lit(`,"spec":`) {
+		fr.Spec = p.str(specs)
 	}
-	return p.fields(frameResultKeys, func(k int) (ok bool) {
-		switch k {
-		case 0:
-			fr.Index, ok = p.integer()
-		case 1:
-			fr.Label, ok = p.integer()
-		case 2:
-			fr.Spec, ok = p.str(specs)
-		case 3:
-			fr.Aggregates, ok = p.floatMap()
-		case 4:
-			fr.Metric, ok = p.floatPtr()
-		case 5:
-			fr.Region, ok = p.region()
-		case 6:
-			fr.Point, ok = p.floatPtr()
-		case 7:
-			fr.ExecutedInCompressedSpace, ok = p.boolean()
-		}
-		return ok
-	})
-}
-
-func (p *parser) frames(specs []string) ([]FrameResult, bool) {
-	if p.null() {
-		return nil, true
+	if p.lit(`,"aggregates":`) {
+		fr.Aggregates = p.floatMap()
 	}
-	frames := make([]FrameResult, 0)
-	ok := p.elements(func() bool {
-		frames = append(frames, FrameResult{})
-		return p.frameResult(&frames[len(frames)-1], specs)
-	})
-	return frames, ok
-}
-
-func (p *parser) region() (*RegionResult, bool) {
-	if p.null() {
-		return nil, true
+	if p.lit(`,"metric":`) {
+		fr.Metric = p.floatPtr()
 	}
-	r := new(RegionResult)
-	return r, p.fields(regionKeys, func(k int) (ok bool) {
-		switch k {
-		case 0:
-			r.Offset, ok = array(p, p.integer)
-		case 1:
-			r.Shape, ok = array(p, p.integer)
-		case 2:
-			r.Values, ok = array(p, p.float)
-		}
-		return ok
-	})
-}
-
-func (p *parser) pair() (*PairResult, bool) {
-	if p.null() {
-		return nil, true
+	if p.lit(`,"region":`) {
+		r := new(RegionResult)
+		p.expect(`{"offset":`)
+		r.Offset = array(p, p.integer)
+		p.expect(`,"shape":`)
+		r.Shape = array(p, p.integer)
+		p.expect(`,"values":`)
+		r.Values = array(p, p.float)
+		p.expect("}")
+		fr.Region = r
 	}
-	pr := new(PairResult)
-	return pr, p.fields(pairKeys, func(k int) (ok bool) {
-		switch k {
-		case 0:
-			pr.A, ok = p.integer()
-		case 1:
-			pr.B, ok = p.integer()
-		case 2:
-			pr.Kind, ok = p.str(metricNames)
-		case 3:
-			var v float64
-			v, ok = p.float()
-			pr.Value = Float(v)
-		case 4:
-			pr.ExecutedInCompressedSpace, ok = p.boolean()
-		}
-		return ok
-	})
-}
-
-func (p *parser) reduced() (*ReducedResult, bool) {
-	if p.null() {
-		return nil, true
+	if p.lit(`,"point":`) {
+		fr.Point = p.floatPtr()
 	}
-	red := new(ReducedResult)
-	return red, p.fields(reducedKeys, func(k int) (ok bool) {
-		var v float64
-		switch k {
-		case 0:
-			red.Frames, ok = p.integer()
-		case 1:
-			var n int
-			n, ok = p.integer()
-			red.N = int64(n)
-		case 2:
-			v, ok = p.float()
-			red.Sum = Float(v)
-		case 3:
-			v, ok = p.float()
-			red.SumSq = Float(v)
-		case 4:
-			v, ok = p.float()
-			red.Min = Float(v)
-		case 5:
-			v, ok = p.float()
-			red.Max = Float(v)
-		case 6:
-			red.Values, ok = p.floatMap()
-		}
-		return ok
-	})
-}
-
-// fields reads one object whose known keys are names, calling value with
-// a key's index to read its value. The value of any other key is
-// checked and skipped — unless encoding/json would match it to a name
-// case-insensitively. A repeated key falls back too: encoding/json merges
-// repeats into the value the first one built.
-func (p *parser) fields(names []string, value func(k int) bool) bool {
-	var seen uint32
-	return p.object(func(key []byte) bool {
-		k := keyIndex(names, key)
-		if k < 0 {
-			return !foldsToAny(names, key) && p.skip(0)
-		}
-		if seen&(1<<k) != 0 {
-			return false
-		}
-		seen |= 1 << k
-		return value(k)
-	})
-}
-
-// object reads one object, calling member with each key to read its
-// value. A key with an escape falls back.
-func (p *parser) object(member func(key []byte) bool) bool {
-	if !p.eat('{') {
-		return false
-	}
-	if p.eat('}') {
-		return true
-	}
-	for {
-		key, ok := p.rawString()
-		if !ok || !p.eat(':') || !member(key) {
-			return false
-		}
-		if !p.eat(',') {
-			return p.eat('}')
-		}
-	}
-}
-
-// elements reads one array, calling elem to read each entry.
-func (p *parser) elements(elem func() bool) bool {
-	if !p.eat('[') {
-		return false
-	}
-	if p.eat(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if !p.eat(',') {
-			return p.eat(']')
-		}
-	}
-}
-
-// array reads an array of scalars, or null (nil), with elem reading each
-// entry into a slice sized by count.
-func array[T any](p *parser, elem func() (T, bool)) ([]T, bool) {
-	if p.null() {
-		return nil, true
-	}
-	if p.peek() != '[' {
-		return nil, false
-	}
-	out := make([]T, 0, p.count())
-	ok := p.elements(func() bool {
-		v, ok := elem()
-		out = append(out, v)
-		return ok
-	})
-	return out, ok
-}
-
-func keyIndex(names []string, key []byte) int {
-	for k, name := range names {
-		if string(key) == name {
-			return k
-		}
-	}
-	return -1
-}
-
-// foldsToAny reports whether encoding/json could match key to one of
-// names: ASCII case-insensitively, or — conservatively — whenever the
-// key is not ASCII, since Unicode folding maps ſ to s and K to k.
-func foldsToAny(names []string, key []byte) bool {
-	for _, c := range key {
-		if c >= utf8.RuneSelf {
-			return true
-		}
-	}
-	for _, name := range names {
-		if len(name) != len(key) {
-			continue
-		}
-		match := true
-		for i := 0; i < len(key) && match; i++ {
-			match = lowerASCII(key[i]) == lowerASCII(name[i])
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
-
-func lowerASCII(c byte) byte {
-	if 'A' <= c && c <= 'Z' {
-		return c + 'a' - 'A'
-	}
-	return c
-}
-
-// ws skips JSON whitespace.
-func (p *parser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the next byte after whitespace, 0 at the end.
-func (p *parser) peek() byte {
-	p.ws()
-	if p.i < len(p.b) {
-		return p.b[p.i]
-	}
-	return 0
-}
-
-// eat consumes c if it is the next byte after whitespace.
-func (p *parser) eat(c byte) bool {
-	if p.peek() == c {
-		p.i++
-		return true
-	}
-	return false
+	p.expect(`,"executedInCompressedSpace":`)
+	fr.ExecutedInCompressedSpace = p.boolean()
+	p.expect("}")
 }
 
 // lit consumes s if the input continues with it.
 func (p *parser) lit(s string) bool {
-	if len(p.b)-p.i >= len(s) && string(p.b[p.i:p.i+len(s)]) == s {
+	if !p.bad && len(p.b)-p.i >= len(s) && string(p.b[p.i:p.i+len(s)]) == s {
 		p.i += len(s)
 		return true
 	}
 	return false
 }
 
-func (p *parser) null() bool { return p.peek() == 'n' && p.lit("null") }
+// expect consumes s, which the layout requires here.
+func (p *parser) expect(s string) {
+	if !p.lit(s) {
+		p.bad = true
+	}
+}
 
-// end reports whether only whitespace is left.
+// end reports whether the whole input was read, bar one final newline.
 func (p *parser) end() bool {
-	p.ws()
-	return p.i == len(p.b)
+	p.lit("\n")
+	return !p.bad && p.i == len(p.b)
+}
+
+// elements reads one array, calling elem to read each entry.
+func (p *parser) elements(elem func()) {
+	p.expect("[")
+	if p.lit("]") {
+		return
+	}
+	for !p.bad {
+		elem()
+		if !p.lit(",") {
+			p.expect("]")
+			return
+		}
+	}
+}
+
+// array reads an array of scalars, or null (nil), with elem reading each
+// entry into a slice sized by count.
+func array[T any](p *parser, elem func() T) []T {
+	if p.lit("null") {
+		return nil
+	}
+	out := make([]T, 0, p.count())
+	p.elements(func() { out = append(out, elem()) })
+	return out
+}
+
+// count sizes the array whose '[' is at p.i: one more than the commas
+// before the first ']', or 0 when the array is empty. It only sizes an
+// allocation, so a comma inside a string may overcount.
+func (p *parser) count() int {
+	if p.bad || p.i+1 >= len(p.b) || p.b[p.i] != '[' || p.b[p.i+1] == ']' {
+		return 0
+	}
+	n := 1
+	for _, c := range p.b[p.i+1:] {
+		switch c {
+		case ',':
+			n++
+		case ']':
+			return n
+		}
+	}
+	return n
 }
 
 // integer reads an int the way encoding/json does: a JSON integer
-// without fraction or exponent, or null (zero).
-func (p *parser) integer() (int, bool) {
-	if p.null() {
-		return 0, true
+// without fraction or exponent, in int's range.
+func (p *parser) integer() int {
+	if p.bad {
+		return 0
 	}
-	start := p.i
-	if p.i < len(p.b) && p.b[p.i] == '-' {
-		p.i++
-	}
+	neg := p.lit("-")
 	var v uint64
 	digits := p.i
 	for ; p.i < len(p.b) && isDigit(p.b[p.i]); p.i++ {
 		v = v*10 + uint64(p.b[p.i]-'0')
 	}
-	n := p.i - digits
-	// Eighteen digits cannot overflow; longer ones and leading zeros are
+	// Nineteen digits cannot overflow v; longer ones and leading zeros are
 	// encoding/json's to judge, and so is a fraction or an exponent: the
-	// '.' or 'e' after the digits is not the ',' or '}' the caller wants.
-	if n == 0 || n > 18 || (n > 1 && p.b[digits] == '0') {
-		return 0, false
+	// '.' or 'e' after the digits is not the ',' or '}' the layout wants.
+	n, limit := p.i-digits, uint64(math.MaxInt)
+	if neg {
+		limit++
 	}
-	s := int64(v)
-	if p.b[start] == '-' {
-		s = -s
+	if n == 0 || n > 19 || (n > 1 && p.b[digits] == '0') || v > limit {
+		p.bad = true
+		return 0
 	}
-	if int64(int(s)) != s {
-		return 0, false
+	if neg {
+		return -int(v) // v == MaxInt+1 wraps to MinInt, its own negation
 	}
-	return int(s), true
+	return int(v)
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
+// float reads a value by Float's rule: a number, or one of the strings
+// "+Inf", "-Inf" and "NaN". A number out of float64's range is
+// encoding/json's to reject.
+func (p *parser) float() float64 {
+	switch {
+	case p.lit(`"NaN"`):
+		return math.NaN()
+	case p.lit(`"+Inf"`):
+		return math.Inf(1)
+	case p.lit(`"-Inf"`):
+		return math.Inf(-1)
+	}
+	start := p.i
+	if !p.scanNumber() {
+		p.bad = true
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	p.bad = err != nil
+	return v
+}
+
 // scanNumber consumes one number of the JSON grammar.
 func (p *parser) scanNumber() bool {
 	b, i := p.b, p.i
+	if p.bad {
+		return false
+	}
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
@@ -710,128 +588,76 @@ func (p *parser) scanNumber() bool {
 	return true
 }
 
-// float reads a value by Float's rule: a number, one of the strings
-// "+Inf", "-Inf" and "NaN", or null (zero). A number out of float64's
-// range is encoding/json's to reject.
-func (p *parser) float() (float64, bool) {
-	switch p.peek() {
-	case 'n':
-		return 0, p.lit("null")
-	case '"':
-		switch {
-		case p.lit(`"NaN"`):
-			return math.NaN(), true
-		case p.lit(`"+Inf"`):
-			return math.Inf(1), true
-		case p.lit(`"-Inf"`):
-			return math.Inf(-1), true
-		}
-		return 0, false
-	}
-	start := p.i
-	if !p.scanNumber() {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
-	return v, err == nil
+func (p *parser) floatPtr() *Float {
+	f := Float(p.float())
+	return &f
 }
 
-func (p *parser) floatPtr() (*Float, bool) {
-	if p.null() {
-		return nil, true
+func (p *parser) boolean() bool {
+	if p.lit("true") {
+		return true
 	}
-	v, ok := p.float()
-	f := Float(v)
-	return &f, ok
-}
-
-func (p *parser) boolean() (bool, bool) {
-	switch p.peek() {
-	case 't':
-		return true, p.lit("true")
-	case 'f':
-		return false, p.lit("false")
-	case 'n':
-		return false, p.lit("null")
-	}
-	return false, false
+	p.expect("false")
+	return false
 }
 
 // rawString consumes a string without escapes and returns its bytes. A
-// string with an escape, or with invalid UTF-8 (which encoding/json
-// replaces), falls back.
-func (p *parser) rawString() ([]byte, bool) {
-	if p.peek() != '"' {
-		return nil, false
-	}
-	start, ascii := p.i+1, true
-	for i := start; i < len(p.b); i++ {
-		switch c := p.b[i]; {
-		case c == '"':
-			if !ascii && !utf8.Valid(p.b[start:i]) {
-				return nil, false
+// string with an escape, a control byte or invalid UTF-8 (which
+// encoding/json replaces) is outside the layout.
+func (p *parser) rawString() []byte {
+	if p.lit(`"`) {
+		if n := bytes.IndexByte(p.b[p.i:], '"'); n >= 0 {
+			s, plain := p.b[p.i:p.i+n], true
+			for _, c := range s {
+				plain = plain && c != '\\' && c >= 0x20
 			}
-			p.i = i + 1
-			return p.b[start:i], true
-		case c == '\\' || c < 0x20:
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
+			if plain && utf8.Valid(s) {
+				p.i += n + 1
+				return s
+			}
 		}
 	}
-	return nil, false
+	p.bad = true
+	return nil
 }
 
-// str reads a string, or null (empty). A value equal to one of intern
-// shares that string instead of allocating its own.
-func (p *parser) str(intern []string) (string, bool) {
-	if p.null() {
-		return "", true
-	}
-	raw, ok := p.rawString()
-	if !ok {
-		return "", false
+// str reads a string. A value equal to one of intern shares that string
+// instead of allocating its own.
+func (p *parser) str(intern []string) string {
+	raw := p.rawString()
+	if p.bad {
+		return ""
 	}
 	for _, s := range intern {
 		if string(raw) == s {
-			return s, true
+			return s
 		}
 	}
-	return string(raw), true
-}
-
-// count sizes the array whose '[' is at p.i: one more than the commas
-// before the first ']', or 0 when the array is empty. It only sizes an
-// allocation, so a comma inside a string may overcount.
-func (p *parser) count() int {
-	q := parser{b: p.b, i: p.i + 1}
-	if q.peek() == ']' {
-		return 0
-	}
-	n := 1
-	for _, c := range q.b[q.i:] {
-		switch c {
-		case ',':
-			n++
-		case ']':
-			return n
-		}
-	}
-	return n
+	return string(raw)
 }
 
 // floatMap reads a kind → value object by Float's rule. Aggregate kinds
 // come back as the package constants.
-func (p *parser) floatMap() (map[string]Float, bool) {
-	if p.null() {
-		return nil, true
-	}
+func (p *parser) floatMap() map[string]Float {
 	m := make(map[string]Float)
-	return m, p.object(func(key []byte) bool {
-		v, ok := p.float()
+	p.expect("{")
+	if p.lit("}") {
+		return m
+	}
+	for !p.bad {
+		key := p.rawString()
+		p.expect(":")
+		v := p.float()
+		if p.bad {
+			break
+		}
 		m[aggKind(key)] = Float(v)
-		return ok
-	})
+		if !p.lit(",") {
+			p.expect("}")
+			break
+		}
+	}
+	return m
 }
 
 // aggKind returns key as the package constant it spells, or a copy.
@@ -851,66 +677,4 @@ func aggKind(key []byte) string {
 		return AggL2Norm
 	}
 	return string(key)
-}
-
-// maxSkipDepth bounds the nesting an unknown value may have before the
-// reader leaves it to encoding/json.
-const maxSkipDepth = 64
-
-// skip consumes one well-formed JSON value of any type.
-func (p *parser) skip(depth int) bool {
-	if depth > maxSkipDepth {
-		return false
-	}
-	switch p.peek() {
-	case '{':
-		return p.object(func([]byte) bool { return p.skip(depth + 1) })
-	case '[':
-		return p.elements(func() bool { return p.skip(depth + 1) })
-	case '"':
-		return p.skipString()
-	case 't':
-		return p.lit("true")
-	case 'f':
-		return p.lit("false")
-	case 'n':
-		return p.lit("null")
-	}
-	return p.scanNumber()
-}
-
-// skipString consumes one string of the JSON grammar, escapes included.
-func (p *parser) skipString() bool {
-	if p.peek() != '"' {
-		return false
-	}
-	for i := p.i + 1; i < len(p.b); i++ {
-		switch c := p.b[i]; {
-		case c == '"':
-			p.i = i + 1
-			return true
-		case c < 0x20:
-			return false
-		case c == '\\':
-			if i++; i >= len(p.b) {
-				return false
-			}
-			switch p.b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(p.b) {
-					return false
-				}
-				for _, h := range p.b[i+1 : i+5] {
-					if !isDigit(h) && !('a' <= lowerASCII(h) && lowerASCII(h) <= 'f') {
-						return false
-					}
-				}
-				i += 4
-			default:
-				return false
-			}
-		}
-	}
-	return false
 }

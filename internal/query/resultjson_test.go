@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -398,7 +399,11 @@ func checkAppendResult(t *testing.T, r *Result) {
 			t.Fatalf("AppendFrameResult differs from encoding/json:\n got %s\nwant %s", got, want)
 		}
 	}
-	// Every encoding round-trips through the reader.
+	// Every encoding round-trips through the reader, and one without an
+	// escaped string does so on the fast path.
+	if _, ok := parseResult(got); !ok && !bytes.Contains(got, []byte{'\\'}) {
+		t.Fatalf("fast path rejected the encoder's layout %s", got)
+	}
 	back, err := ParseResult(got)
 	if err != nil {
 		t.Fatalf("ParseResult(%s): %v", got, err)
@@ -433,16 +438,22 @@ func TestAppendResultMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// checkParse compares the reflection-free readers with json.Unmarshal on
+// decode is the readers' fallback and oracle: what a json.Decoder reads
+// from data, data after the first value ignored.
+func decode(data []byte, v any) error {
+	return json.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// checkParse compares the reflection-free readers with a json.Decoder on
 // one input: whenever a fast path accepts the input, its value must be
-// json.Unmarshal's, floats compared by their bits; the exported readers
-// must always agree with json.Unmarshal, errors included.
+// the Decoder's, floats compared by their bits; the exported readers
+// must always agree with the Decoder, errors included.
 func checkParse(t *testing.T, data []byte) {
 	var want Result
-	wantErr := json.Unmarshal(data, &want)
+	wantErr := decode(data, &want)
 	if fast, ok := parseResult(data); ok {
 		if wantErr != nil {
-			t.Fatalf("fast path accepted %q, json.Unmarshal: %v", data, wantErr)
+			t.Fatalf("fast path accepted %q, json.Decoder: %v", data, wantErr)
 		}
 		if !bitsEqual(reflect.ValueOf(fast).Elem(), reflect.ValueOf(want)) {
 			t.Fatalf("fast path of %q:\n got %+v\nwant %+v", data, fast, want)
@@ -450,14 +461,14 @@ func checkParse(t *testing.T, data []byte) {
 	}
 	if got, err := ParseResult(data); (err != nil) != (wantErr != nil) ||
 		(err == nil && !bitsEqual(reflect.ValueOf(got).Elem(), reflect.ValueOf(want))) {
-		t.Fatalf("ParseResult(%q) = %+v, %v; json.Unmarshal: %+v, %v", data, got, err, want, wantErr)
+		t.Fatalf("ParseResult(%q) = %+v, %v; json.Decoder: %+v, %v", data, got, err, want, wantErr)
 	}
 
 	var wantFrame FrameResult
-	wantFrameErr := json.Unmarshal(data, &wantFrame)
+	wantFrameErr := decode(data, &wantFrame)
 	if fast, ok := parseFrameResult(data); ok {
 		if wantFrameErr != nil {
-			t.Fatalf("frame fast path accepted %q, json.Unmarshal: %v", data, wantFrameErr)
+			t.Fatalf("frame fast path accepted %q, json.Decoder: %v", data, wantFrameErr)
 		}
 		if !bitsEqual(reflect.ValueOf(fast).Elem(), reflect.ValueOf(wantFrame)) {
 			t.Fatalf("frame fast path of %q:\n got %+v\nwant %+v", data, fast, wantFrame)
@@ -465,28 +476,40 @@ func checkParse(t *testing.T, data []byte) {
 	}
 	if got, err := ParseFrameResult(data); (err != nil) != (wantFrameErr != nil) ||
 		(err == nil && !bitsEqual(reflect.ValueOf(got).Elem(), reflect.ValueOf(wantFrame))) {
-		t.Fatalf("ParseFrameResult(%q) = %+v, %v; json.Unmarshal: %+v, %v", data, got, err, wantFrame, wantFrameErr)
+		t.Fatalf("ParseFrameResult(%q) = %+v, %v; json.Decoder: %+v, %v", data, got, err, wantFrame, wantFrameErr)
 	}
 }
 
-// parseSeeds are bodies inside and just outside the readers' subset.
+const (
+	statsBody = `{"index":3,"label":7,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true}`
+	queryBody = `{"spec":"goblaz:block=4x4","specs":["goblaz:block=4x4","zfp:rate=32"],"frames":[{"index":0,"label":0,"spec":"zfp:rate=32","metric":1e-7,"point":2,"executedInCompressedSpace":false}],"pair":{"a":0,"b":1,"kind":"dot","value":3,"executedInCompressedSpace":true},"reduced":{"frames":2,"n":32,"sum":1,"sumSq":2,"min":"+Inf","max":"-Inf","values":{"mean":0.5}},"executedInCompressedSpace":false}`
+)
+
+// parseSeeds are bodies in the encoder's layout and bodies just outside
+// it, which the fallback reads.
 var parseSeeds = []string{
-	`{"index":3,"label":7,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true}`,
+	statsBody, statsBody + "\n", queryBody, queryBody + "\n",
 	`{"index":0,"label":2,"region":{"offset":[1,2],"shape":[2,2],"values":[1,-0,"+Inf","-Inf"]},"executedInCompressedSpace":true}`,
-	`{"spec":"goblaz:block=4x4","specs":["goblaz:block=4x4","zfp:rate=32"],"frames":[{"index":0,"label":0,"spec":"zfp:rate=32","metric":1e-7,"point":2,"executedInCompressedSpace":false}],"pair":{"a":0,"b":1,"kind":"dot","value":3,"executedInCompressedSpace":true},"reduced":{"frames":2,"n":32,"sum":1,"sumSq":2,"min":"+Inf","max":"-Inf","values":{"mean":0.5}},"executedInCompressedSpace":false}`,
+	`{"index":0,"label":2,"region":{"offset":null,"shape":[],"values":null},"executedInCompressedSpace":true}`,
+	`{"spec":"","frames":null,"reduced":{"frames":0,"n":0,"sum":0,"sumSq":0,"min":0,"max":0,"values":null},"executedInCompressedSpace":false}`,
 	` { "executedInCompressedSpace" : true , "label" : -4 , "index" : 1 } `,
 	`{"index":null,"label":null,"spec":null,"aggregates":null,"metric":null,"region":null,"point":null,"executedInCompressedSpace":null}`,
 	`{"spec":null,"specs":null,"frames":null,"pair":null,"reduced":null}`,
 	`{"frames":[null,{"index":1}],"specs":[null,"a"],"reduced":{"sum":null,"values":{"mean":null}}}`,
-	`{"region":{"offset":[null],"shape":[],"values":[null,1]}}`,
 	`{"index":1,"extra":{"deep":[1,2,{"x":"y\u0041"}],"n":-0.5e+3},"label":2}`,
 	`{"INDEX":5}`, `{"Label":5}`, `{"lab\u0065l":5}`, `{"ſpec":"x"}`, `{"index":1,"index":2}`,
-	`{"aggregates":{"mean":1},"aggregates":{"max":2}}`, `{"region":{"offset":[1]},"region":{"shape":[2]}}`,
-	`{"index":1e2}`, `{"index":1.0}`, `{"index":01}`, `{"index":99999999999999999999}`, `{"metric":1e400}`,
-	`{"metric":"inf"}`, `{"metric":"N\u0061N"}`, `{"spec":"a\u00e9b"}`, `{"spec":"\xff"}`, `{"aggregates":{"\xffmean":1}}`,
-	`{"index":1} trailing`, `{"index":1}}`, `{"index":`, `null`, `[]`, `"x"`, `{}`, ``, ` `, `{"frames":[]}`,
+	`{"index":1e2,"label":0,"executedInCompressedSpace":true}`, `{"index":1.0,"label":0,"executedInCompressedSpace":true}`,
+	`{"index":-9223372036854775808,"label":9223372036854775807,"executedInCompressedSpace":true}`,
+	`{"index":9223372036854775808,"label":0,"executedInCompressedSpace":true}`, `{"index":-0,"label":0,"executedInCompressedSpace":true}`,
+	`{"index":01,"label":0,"executedInCompressedSpace":true}`, `{"index":99999999999999999999,"label":0,"executedInCompressedSpace":true}`,
+	`{"index":0,"label":0,"metric":1e400,"executedInCompressedSpace":true}`, `{"index":0,"label":0,"metric":"inf","executedInCompressedSpace":true}`,
+	`{"index":0,"label":0,"spec":"a\u00e9b","executedInCompressedSpace":true}`, `{"index":0,"label":0,"spec":"\xff","executedInCompressedSpace":true}`,
+	`{"index":0,"label":0,"aggregates":{"\xffmean":1},"executedInCompressedSpace":true}`,
+	`{"index":0,"label":0,"aggregates":{"mean":1,"mean":2},"executedInCompressedSpace":true}`,
+	`{"index":1,"label":0,"executedInCompressedSpace":true} trailing`, `{"index":1,"label":0,"executedInCompressedSpace":true}}`,
+	`{"index":1,"label":0,"executedInCompressedSpace":true}` + "\n\n",
+	`{"index":`, `null`, `[]`, `"x"`, `{}`, ``, ` `, `{"frames":[]}`,
 	`{"executedInCompressedSpace":1}`, `{"pair":{"kind":"mse","Value":1}}`, `{"reduced":{"N":3}}`,
-	`{"x":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
 }
 
 func FuzzParseResult(f *testing.F) {
@@ -502,6 +525,32 @@ func FuzzParseResult(f *testing.F) {
 func TestParseMatchesEncodingJSON(t *testing.T) {
 	for _, seed := range parseSeeds {
 		checkParse(t, []byte(seed))
+	}
+}
+
+// The fast path reads the encoder's layout only; whitespace, another key
+// order, an unknown key or a null the encoder never writes decode through
+// the fallback to the same value.
+func TestParseFallsBackOutsideTheLayout(t *testing.T) {
+	want, err := ParseFrameResult([]byte(statsBody))
+	if _, ok := parseFrameResult([]byte(statsBody)); !ok || err != nil {
+		t.Fatalf("fast path rejected the encoder's layout %s: %v", statsBody, err)
+	}
+	for _, body := range []string{
+		` {"index":3,"label":7,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true}`,
+		`{"index": 3,"label":7,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true}`,
+		`{"label":7,"index":3,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true}`,
+		`{"index":3,"label":7,"x":[1,{"y":null}],"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true}`,
+		`{"index":3,"label":7,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"point":null,"executedInCompressedSpace":true}`,
+		`{"index":3,"label":7,"aggregates":{"max":1.5,"mean":0.25,"min":-1,"stddev":"NaN"},"executedInCompressedSpace":true} `,
+	} {
+		if _, ok := parseFrameResult([]byte(body)); ok {
+			t.Errorf("fast path accepted %s", body)
+		}
+		got, err := ParseFrameResult([]byte(body))
+		if err != nil || !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Errorf("ParseFrameResult(%s) = %+v, %v; want %+v", body, got, err, want)
+		}
 	}
 }
 
