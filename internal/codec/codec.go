@@ -57,12 +57,15 @@ type Codec interface {
 //
 //	if ops, ok := cd.(codec.Ops); ok { ... }
 //
-// Beyond the element-wise arithmetic, Ops carries the aggregate and
-// pairwise-metric entry points the query engine (internal/query) plans
-// against. A backend that implements Ops but cannot serve one of these
-// without decompressing must return ErrNotSupported from it rather than
-// silently decoding, so callers can account full-decompression cost
-// honestly (the executedInCompressedSpace flag in query results).
+// Beyond the element-wise arithmetic, Ops carries the pairwise-metric
+// entry points the query engine (internal/query) plans against, and one
+// entry point per aggregate. The engine answers aggregates through
+// Moments instead; Mean, Variance and L2Norm remain for bench/'s kernel
+// level and the figure drivers. A backend that implements Ops but cannot
+// serve one of these without decompressing must return ErrNotSupported
+// from it rather than silently decoding, so callers can account
+// full-decompression cost honestly (the executedInCompressedSpace flag in
+// query results).
 type Ops interface {
 	Codec
 	// Add returns the compressed element-wise sum a + b.
@@ -118,11 +121,27 @@ type Extrema interface {
 	Extrema(c Compressed) (lo, hi float64, err error)
 }
 
+// Moments is the optional compressed-space moments sub-interface, for
+// backends that can read an array's element count, element sum and sum
+// of squares from one pass over its compressed form (goblaz: block sums
+// from each block's first coefficient, Σ Ĉ² from all of them; see
+// core.Compressor.Moments). Mean, variance, stddev and the L2 norm all
+// derive from these three, as does a frame's share of a dataset-level
+// reduction; the query engine answers them through Moments when present
+// and decodes when not.
+type Moments interface {
+	Codec
+	// Moments returns the element count n, the element sum and the sum of
+	// squares of the array c decompresses to — or ErrNotSupported when
+	// this frame needs a decode to know them.
+	Moments(c Compressed) (n int, sum, sumSq float64, err error)
+}
+
 // Shaper is the optional shape-introspection sub-interface, for
 // backends whose compressed representation records the array shape (all
-// four built-ins). It lets callers — the query engine's reduce path —
-// learn a frame's element count without decompressing it, which is what
-// keeps dataset-level moment merging in compressed space.
+// four built-ins). It lets callers learn a frame's shape without
+// decompressing it. The query engine reads a frame's element count from
+// Moments instead.
 type Shaper interface {
 	Codec
 	// Shape returns the shape of the array c decompresses to.

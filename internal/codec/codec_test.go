@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -639,5 +640,17 @@ func TestCoreCompressorInteroperates(t *testing.T) {
 	}
 	if back.MaxAbsDiff(want) != 0 {
 		t.Error("registry codec decompresses a core array differently from the core compressor")
+	}
+}
+
+// TestObserveOpAllocs pins the steady-state cost of recording a codec
+// operation: once a (spec, op) pair has its metric children, observing
+// it again allocates nothing — it runs on every frame decode,
+// decompress and compress.
+func TestObserveOpAllocs(t *testing.T) {
+	spec := "goblaz:block=8x8,float=float32,index=int8,transform=dct"
+	ObserveOp(spec, "decode", 64, time.Microsecond)
+	if allocs := testing.AllocsPerRun(100, func() { ObserveOp(spec, "decode", 64, time.Microsecond) }); allocs != 0 {
+		t.Errorf("ObserveOp allocates %v objects a call, want 0", allocs)
 	}
 }

@@ -16,7 +16,7 @@ func init() {
 
 // goblazCodec adapts internal/core — the paper's compressor — to the
 // Codec interface. It implements Ops (full compressed-space arithmetic),
-// Extrema, Coder and ViewDecoder.
+// Moments, Extrema, Coder and ViewDecoder.
 type goblazCodec struct {
 	c    *core.Compressor
 	spec string
@@ -257,6 +257,18 @@ func (g *goblazCodec) Extrema(c Compressed) (lo, hi float64, err error) {
 		return 0, 0, fmt.Errorf("goblaz extrema: %w: %v", ErrNotSupported, err)
 	}
 	return lo, hi, err
+}
+
+func (g *goblazCodec) Moments(c Compressed) (n int, sum, sumSq float64, err error) {
+	a, err := g.arr(c)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	n, sum, sumSq, err = g.c.Moments(a)
+	if errors.Is(err, core.ErrFirstPruned) {
+		return 0, 0, 0, fmt.Errorf("goblaz moments: %w: %v", ErrNotSupported, err)
+	}
+	return n, sum, sumSq, err
 }
 
 func (g *goblazCodec) Shape(c Compressed) ([]int, error) {

@@ -11,7 +11,7 @@ import (
 // operation (compress, encode, decode, decompress). Call sites time the
 // operation themselves and report through Observe* — wrapping Coder
 // values would break the optional-capability type assertions
-// (Ops, RegionReader, Shaper) consumers probe for.
+// (Ops, Moments, Extrema, RegionReader) consumers probe for.
 var (
 	codecOpTotal = obs.NewCounterVec("goblaz_codec_op_total",
 		"Codec operations, by spec and op.", "spec", "op")
@@ -28,12 +28,16 @@ type opMetrics struct {
 	bytes   *obs.Counter
 }
 
+// opKey names one (spec, op) pair. A struct key, not a joined string:
+// looking it up builds nothing on the heap.
+type opKey struct{ spec, op string }
+
 // opCells memoizes children so steady-state observation does no map
-// writes and no label-key allocation beyond the first call per pair.
-var opCells sync.Map // "spec\x1fop" → *opMetrics
+// writes and no allocation beyond the first call per pair.
+var opCells sync.Map // opKey → *opMetrics
 
 func opMetricsFor(spec, op string) *opMetrics {
-	key := spec + "\x1f" + op
+	key := opKey{spec, op}
 	if m, ok := opCells.Load(key); ok {
 		return m.(*opMetrics)
 	}

@@ -38,6 +38,10 @@ func scalarKernels(c *Compressor, a, b *CompressedArray) []namedKernel {
 	return []namedKernel{
 		{"dot", func() (float64, error) { return c.Dot(a, b) }},
 		{"l2norm", func() (float64, error) { return c.L2Norm(a) }},
+		{"moments", func() (float64, error) {
+			_, sum, sumSq, err := c.Moments(a)
+			return sum + sumSq, err
+		}},
 		{"mean", func() (float64, error) { return c.Mean(a) }},
 		{"covariance", func() (float64, error) { return c.Covariance(a, b) }},
 		{"variance", func() (float64, error) { return c.Variance(a) }},
@@ -200,7 +204,7 @@ func BenchmarkEncode(b *testing.B) {
 // decode-then-scan it replaces.
 func BenchmarkKernels(b *testing.B) {
 	c, x, y := analyticsFrames(b)
-	want := map[string]bool{"dot": true, "l2norm": true, "variance": true, "mse": true, "cosine": true,
+	want := map[string]bool{"dot": true, "l2norm": true, "moments": true, "variance": true, "mse": true, "cosine": true,
 		"extrema": true, "decompress+minmax": true}
 	for _, d := range decoders {
 		xd, err := d.decode(mustEncode(b, x))

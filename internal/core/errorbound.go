@@ -88,7 +88,7 @@ func (c *Compressor) BlockCovariances(a, b *CompressedArray) (*tensor.Tensor, er
 		return nil, err
 	}
 	if c.firstKept() < 0 {
-		return nil, errFirstPruned
+		return nil, ErrFirstPruned
 	}
 	out := tensor.New(a.Blocks...)
 	c.k.blockCovariances(c, a, b, out.Data())

@@ -252,10 +252,11 @@ func TestExtremaAllocatesBoundsAndOneBlock(t *testing.T) {
 	}
 }
 
-// FuzzExtrema holds Extrema to checkExtrema's contract on arbitrary
-// float64 frames — NaN, ±Inf, subnormal and huge values included — under
-// every transform, float type and index type, masked or not, in block
-// shapes that leave partial edge blocks, with some N_k negated or not.
+// FuzzExtrema holds Extrema to checkExtrema's contract, and Moments to
+// checkMoments', on arbitrary float64 frames — NaN, ±Inf, subnormal and
+// huge values included — under every transform, float type and index
+// type, masked or not, in block shapes that leave partial edge blocks,
+// with some N_k negated or not.
 func FuzzExtrema(f *testing.F) {
 	floats := func(vs ...float64) []byte {
 		b := make([]byte, 8*len(vs))
@@ -308,6 +309,7 @@ func FuzzExtrema(f *testing.F) {
 			}
 		}
 		checkExtrema(t, c, a)
+		checkMoments(t, c, a)
 	})
 }
 

@@ -129,7 +129,7 @@ func (c *Compressor) MeanValueGrad(a *CompressedArray) (float64, []float64, erro
 		return 0, nil, err
 	}
 	if c.firstKept() < 0 {
-		return 0, nil, errFirstPruned
+		return 0, nil, ErrFirstPruned
 	}
 	m, err := c.Mean(a)
 	if err != nil {
@@ -152,7 +152,7 @@ func (c *Compressor) VarianceValueGrad(a *CompressedArray) (float64, []float64, 
 		return 0, nil, err
 	}
 	if c.firstKept() < 0 {
-		return 0, nil, errFirstPruned
+		return 0, nil, ErrFirstPruned
 	}
 	v, err := c.Variance(a)
 	if err != nil {

@@ -67,7 +67,7 @@ func (c *Compressor) AddScalar(a *CompressedArray, x float64) (*CompressedArray,
 		return nil, err
 	}
 	if c.firstKept() < 0 {
-		return nil, errFirstPruned
+		return nil, ErrFirstPruned
 	}
 	delta := x * c.sqrtVol
 	out := c.newArray(a.Shape, a.Blocks)
@@ -169,6 +169,44 @@ func (w width[T]) blockSums(c *Compressor, a *CompressedArray, dst []float64) fl
 	return total
 }
 
+// moments returns blockSums(c, a, nil) and sumSquares(c, a) from one walk
+// of N and F. Each sum accumulates in its kernel's order, with its
+// kernel's expressions, so both are bit-identical to calling the two.
+func (w width[T]) moments(c *Compressor, a *CompressedArray) (sum, sumSq float64) {
+	K := len(c.keep)
+	ft, r := c.settings.FloatType, c.radius
+	f := w.of(a)
+	for k, nk := range a.N {
+		blk := f[k*K : (k+1)*K]
+		c0 := ft.Round(nk * float64(blk[0]) / r)
+		// The conversion keeps the product from fusing into the sum.
+		sum += float64(c0 * c.sqrtVol)
+		sumSq += c0 * c0
+		for _, v := range blk[1:] {
+			ca := ft.Round(nk * float64(v) / r)
+			sumSq += ca * ca
+		}
+	}
+	return sum, sumSq
+}
+
+// Moments returns the element count ∏s, the element sum Σx and the sum of
+// squares Σ Ĉ² of the array a decompresses to, from one walk of N and F:
+// the quantities Mean, Variance and L2Norm each walk F for. Mean is
+// sum/n, Variance (sumSq − sum·sum/n)/n and L2Norm √sumSq, each
+// bit-identical to the method. Requires the first coefficient
+// (ErrFirstPruned), as Mean does.
+func (c *Compressor) Moments(a *CompressedArray) (n int, sum, sumSq float64, err error) {
+	if err := c.checkOwned(a); err != nil {
+		return 0, 0, 0, err
+	}
+	if c.firstKept() < 0 {
+		return 0, 0, 0, ErrFirstPruned
+	}
+	sum, sumSq = c.k.moments(c, a)
+	return a.OriginalLen(), sum, sumSq, nil
+}
+
 // Mean implements Algorithm 7 with an exact padding correction. The
 // paper's formula mean(Ĉ...1) ⊘ √(∏i) averages over the zero-padded
 // domain; since padding is zero the element sum is unchanged, so dividing
@@ -180,7 +218,7 @@ func (c *Compressor) Mean(a *CompressedArray) (float64, error) {
 		return 0, err
 	}
 	if c.firstKept() < 0 {
-		return 0, errFirstPruned
+		return 0, ErrFirstPruned
 	}
 	return c.k.blockSums(c, a, nil) / float64(a.OriginalLen()), nil
 }
@@ -194,7 +232,7 @@ func (c *Compressor) Covariance(a, b *CompressedArray) (float64, error) {
 		return 0, err
 	}
 	if c.firstKept() < 0 {
-		return 0, errFirstPruned
+		return 0, ErrFirstPruned
 	}
 	var dot float64
 	if a == b {
@@ -246,7 +284,7 @@ func (c *Compressor) BlockMeans(a *CompressedArray) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	if c.firstKept() < 0 {
-		return nil, errFirstPruned
+		return nil, ErrFirstPruned
 	}
 	vol := float64(tensor.Prod(c.settings.BlockShape))
 	out := tensor.New(a.Blocks...)
@@ -356,7 +394,7 @@ func (c *Compressor) WassersteinDistance(a, b *CompressedArray, p float64) (floa
 		return 0, fmt.Errorf("core: Wasserstein order p = %g must be positive", p)
 	}
 	if c.firstKept() < 0 {
-		return 0, errFirstPruned
+		return 0, ErrFirstPruned
 	}
 	ma, err := c.BlockMeans(a)
 	if err != nil {

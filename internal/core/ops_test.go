@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -466,6 +467,9 @@ func TestOpsRequireFirstCoefficient(t *testing.T) {
 	if _, err := c.AddScalar(a, 1); err == nil {
 		t.Error("AddScalar without first coefficient should fail")
 	}
+	if _, _, _, err := c.Moments(a); !errors.Is(err, ErrFirstPruned) {
+		t.Errorf("Moments without first coefficient: err %v, want ErrFirstPruned", err)
+	}
 	// Dot and L2 do not need the first coefficient.
 	if _, err := c.Dot(a, a); err != nil {
 		t.Errorf("Dot should work without first coefficient: %v", err)
@@ -534,5 +538,64 @@ func TestIdentityTransformDisablesMeanFamily(t *testing.T) {
 	}
 	if _, err := c.L2Norm(a); err != nil {
 		t.Errorf("L2Norm under identity transform should work: %v", err)
+	}
+}
+
+// checkMoments holds Moments to its contract on a: the mean, variance and
+// L2 norm derived from its one walk equal Mean, Variance and L2Norm bit
+// for bit (NaN for NaN), and it refuses exactly the arrays Mean refuses, with
+// ErrFirstPruned.
+func checkMoments(t *testing.T, c *Compressor, a *CompressedArray) {
+	t.Helper()
+	n, sum, sumSq, err := c.Moments(a)
+	mean, meanErr := c.Mean(a)
+	if meanErr != nil {
+		if !errors.Is(err, ErrFirstPruned) || !errors.Is(meanErr, ErrFirstPruned) {
+			t.Fatalf("Moments err %v, Mean err %v: want ErrFirstPruned from both", err, meanErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("Moments: %v, Mean answered", err)
+	}
+	variance, err := c.Variance(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := c.L2Norm(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != a.OriginalLen() {
+		t.Fatalf("Moments n = %d, want %d", n, a.OriginalLen())
+	}
+	nf := float64(n)
+	for _, q := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean", sum / nf, mean},
+		{"variance", (sumSq - sum*sum/nf) / nf, variance},
+		{"l2norm", math.Sqrt(sumSq), l2},
+	} {
+		// A NaN's sign and payload follow operand order, which the
+		// compiler picks; any NaN matches any NaN, as in the dense oracle.
+		if !sameBits(q.got, q.want) && !(math.IsNaN(q.got) && math.IsNaN(q.want)) {
+			t.Errorf("%s from Moments = %v (%#x), method %v (%#x)",
+				q.name, q.got, math.Float64bits(q.got), q.want, math.Float64bits(q.want))
+		}
+	}
+}
+
+// TestMomentsMatchOps: over the dense oracle's configurations — every
+// transform, float type and index type, masked or not, padded shapes,
+// signed zeros and overflow — Moments derives Mean, Variance and L2Norm
+// bit for bit from one walk of F.
+func TestMomentsMatchOps(t *testing.T) {
+	for _, cfg := range denseConfigs(t) {
+		t.Run(cfg.name, func(t *testing.T) {
+			c := mustCompressor(t, cfg.s)
+			checkMoments(t, c, compress(t, c, cfg.mk(1, cfg.shape...)))
+		})
 	}
 }

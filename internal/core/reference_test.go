@@ -228,7 +228,7 @@ func checkAgainstReference(t *testing.T, c *Compressor, a, b *CompressedArray) {
 
 	if c.firstKept() < 0 {
 		// The mean family is unavailable; both sides must say so.
-		if _, err := c.Mean(a); !errors.Is(err, errFirstPruned) {
+		if _, err := c.Mean(a); !errors.Is(err, ErrFirstPruned) {
 			t.Errorf("Mean without a first coefficient: %v", err)
 		}
 		return

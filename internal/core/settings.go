@@ -201,7 +201,9 @@ func (c *Compressor) firstKept() int {
 	return -1
 }
 
-// errFirstPruned is returned by operations that need the first (mean)
+// ErrFirstPruned is returned by operations that need the first (mean)
 // coefficient when the pruning mask removed it or the transform does not
-// expose the block mean in it.
-var errFirstPruned = errors.New("core: operation requires the first (mean) coefficient: it was pruned, or the transform's first basis vector is not constant")
+// expose the block mean in it. Callers detect it with errors.Is: the
+// codec adapter reports it as codec.ErrNotSupported, so the query engine
+// decodes such a frame instead of failing the request.
+var ErrFirstPruned = errors.New("core: operation requires the first (mean) coefficient: it was pruned, or the transform's first basis vector is not constant")

@@ -53,15 +53,15 @@ type Engine struct {
 }
 
 // frameCaps is one codec spec's resolved execution capabilities. ops,
-// ext, rr, and shaper are nil when the codec lacks the interface or the
+// moments, ext and rr are nil when the codec lacks the interface or the
 // engine forces decode.
 type frameCaps struct {
-	spec   string
-	coder  codec.Coder
-	ops    codec.Ops
-	ext    codec.Extrema
-	rr     codec.RegionReader
-	shaper codec.Shaper
+	spec    string
+	coder   codec.Coder
+	ops     codec.Ops
+	moments codec.Moments
+	ext     codec.Extrema
+	rr      codec.RegionReader
 }
 
 // engineNS hands each engine a process-unique cache namespace.
@@ -121,9 +121,9 @@ func (e *Engine) capsFor(i int) (*frameCaps, error) {
 	c := &frameCaps{spec: spec, coder: coder}
 	if !e.forceDecode {
 		c.ops, _ = coder.(codec.Ops)
+		c.moments, _ = coder.(codec.Moments)
 		c.ext, _ = coder.(codec.Extrema)
 		c.rr, _ = coder.(codec.RegionReader)
-		c.shaper, _ = coder.(codec.Shaper)
 	}
 	e.capsBySpec[spec] = c
 	return c, nil
@@ -297,7 +297,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	if caps.spec != e.src.Spec() {
 		out.Spec = caps.spec
 	}
-	ops, ext, rr, shaper := caps.ops, caps.ext, caps.rr, caps.shaper
+	mo, ext, rr := caps.moments, caps.ext, caps.rr
 
 	var fc codec.Compressed
 	loadC := func() (codec.Compressed, error) {
@@ -322,11 +322,17 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	}
 
 	if len(p.aggs) > 0 {
-		vals, err := e.frameAggs(p, ops, ext, loadC, decode)
+		m, compressed, err := e.frameMoments(mo, ext, p.aggsMinMax, loadC, decode)
+		if err == nil {
+			if compressed {
+				out.Aggregates = m.compressedValues(p.aggs)
+			} else {
+				out.Aggregates, err = m.values(p.aggs)
+			}
+		}
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) aggregates: %w", i, out.Label, err)
 		}
-		out.Aggregates = vals
 	}
 
 	if p.metric != nil && !p.pairMode {
@@ -357,79 +363,99 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	}
 
 	if mom != nil {
-		m, err := e.frameMoments(p, ops, ext, shaper, loadC, decode)
+		m, compressed, err := e.frameMoments(mo, ext, p.reduceMinMax, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) reduce: %w", i, out.Label, err)
+		}
+		if compressed {
+			// A reduction takes Σx as n·mean and Σx² as ‖x‖₂², from the
+			// values Ops.Mean and Ops.L2Norm answer, so a reduced answer
+			// is bit-identical to one folded from those entry points.
+			n := float64(m.N)
+			mean, l2 := float64(m.Sum)/n, math.Sqrt(float64(m.SumSq))
+			m.Sum, m.SumSq = Float(mean*n), Float(l2*l2)
 		}
 		*mom = m
 	}
 	return out, nil
 }
 
-// frameMoments computes one frame's share of a dataset-level reduction.
-// When the codec exposes the moment entry points (Ops), the compressed
-// shape (Shaper) and, if the reduction asks for extrema, Extrema, the
-// partial state comes straight from compressed space: Σx = n·mean,
-// Σx² = ‖x‖₂², min and max from the block bounds. Otherwise, or when
-// the backend answers ErrNotSupported, the frame decodes (through the
-// LRU cache) and one pass accumulates everything. ext is a parameter, not
-// a closure capture, so runFrame's state stays on the stack.
-func (e *Engine) frameMoments(p *Plan, ops codec.Ops, ext codec.Extrema, shaper codec.Shaper,
-	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (Moments, error) {
-	if ops != nil && shaper != nil && (ext != nil || !p.reduceMinMax) {
+// frameMoments reads one frame's moment state, with min and max when
+// minMax is set. When the codec has Moments — and Extrema, for min and
+// max — the state comes from compressed space: n, Σx and Σx² from one
+// Moments walk, min and max from the block bounds. Otherwise, or when
+// either answers ErrNotSupported, the frame decodes (through the LRU
+// cache) and one pass accumulates everything. compressed reports which
+// path ran. The capabilities are parameters, not closure captures, so
+// runFrame's state stays on the stack.
+func (e *Engine) frameMoments(mo codec.Moments, ext codec.Extrema, minMax bool,
+	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (m Moments, compressed bool, err error) {
+	if mo != nil && (ext != nil || !minMax) {
 		c, err := loadC()
 		if err != nil {
-			return Moments{}, err
+			return Moments{}, false, err
 		}
-		m, err := compressedMoments(ops, ext, shaper, c, p.reduceMinMax)
+		m, err := compressedMoments(mo, ext, c, minMax)
 		if err == nil {
-			return m, nil
+			return m, true, nil
 		}
 		if !errors.Is(err, codec.ErrNotSupported) {
-			return Moments{}, err
+			return Moments{}, false, err
 		}
 	}
 	t, err := decode()
 	if err != nil {
-		return Moments{}, err
+		return Moments{}, false, err
 	}
-	return decodedMoments(t, p.reduceMinMax), nil
+	return decodedMoments(t, minMax), false, nil
 }
 
-// compressedMoments derives a frame's moment state from the Ops entry
-// points, and its extrema from Extrema when minMax is set, without
-// decompression.
-func compressedMoments(ops codec.Ops, ext codec.Extrema, shaper codec.Shaper, c codec.Compressed, minMax bool) (Moments, error) {
+// compressedMoments reads a frame's moment state without decompression.
+// Extrema goes first when minMax is set: it refuses more frames than
+// Moments does, and a refused frame then decodes without the walk.
+func compressedMoments(mo codec.Moments, ext codec.Extrema, c codec.Compressed, minMax bool) (Moments, error) {
 	m := EmptyMoments()
 	if minMax {
-		// First: it is the entry point that may answer ErrNotSupported.
 		lo, hi, err := ext.Extrema(c)
 		if err != nil {
 			return Moments{}, err
 		}
 		m.Min, m.Max = Float(lo), Float(hi)
 	}
-	shape, err := shaper.Shape(c)
+	n, sum, sumSq, err := mo.Moments(c)
 	if err != nil {
 		return Moments{}, err
 	}
-	n := 1
-	for _, e := range shape {
-		n *= e
-	}
-	mean, err := ops.Mean(c)
-	if err != nil {
-		return Moments{}, err
-	}
-	l2, err := ops.L2Norm(c)
-	if err != nil {
-		return Moments{}, err
-	}
-	m.Frames = 1
-	m.N = int64(n)
-	m.Sum = Float(mean * float64(n))
-	m.SumSq = Float(l2 * l2)
+	m.Frames, m.N, m.Sum, m.SumSq = 1, int64(n), Float(sum), Float(sumSq)
 	return m, nil
+}
+
+// compressedValues derives one frame's aggregates from its compressed
+// moment state by the formulas of core's Mean (Σx/n), Variance
+// (Covariance(a, a): (Σx² − Σx·Σx/n)/n) and L2Norm (√Σx²), so each is
+// bit-identical to that Ops entry point. stddev is derived here, not in
+// the backend, so both paths share the same √max(var, 0) clamping.
+func (m Moments) compressedValues(kinds []string) map[string]Float {
+	n, sum, sumSq := float64(m.N), float64(m.Sum), float64(m.SumSq)
+	variance := (sumSq - sum*sum/n) / n
+	vals := make(map[string]Float, len(kinds))
+	for _, kind := range kinds {
+		switch kind {
+		case AggMean:
+			vals[kind] = Float(sum / n)
+		case AggVariance:
+			vals[kind] = Float(variance)
+		case AggStdDev:
+			vals[kind] = Float(math.Sqrt(math.Max(variance, 0)))
+		case AggL2Norm:
+			vals[kind] = Float(math.Sqrt(sumSq))
+		case AggMin:
+			vals[kind] = m.Min
+		case AggMax:
+			vals[kind] = m.Max
+		}
+	}
+	return vals
 }
 
 // decodedMoments accumulates a frame's moment state in one pass over
@@ -463,33 +489,6 @@ func decodedMoments(t *tensor.Tensor, minMax bool) Moments {
 		m.Max = Float(hi)
 	}
 	return m
-}
-
-// frameAggs computes the requested aggregates in compressed space when
-// the frame's codec has an entry point for every kind — Ops for the
-// moments, Extrema for min and max — and serves them all, else
-// decode-then-compute. ext is a parameter for the reason frameMoments'
-// is.
-func (e *Engine) frameAggs(p *Plan, ops codec.Ops, ext codec.Extrema,
-	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (map[string]Float, error) {
-	if ops != nil && (ext != nil || !p.aggsMinMax) {
-		c, err := loadC()
-		if err != nil {
-			return nil, err
-		}
-		vals, err := compressedAggs(ops, ext, c, p.aggs, p.aggsMinMax)
-		if err == nil {
-			return vals, nil
-		}
-		if !errors.Is(err, codec.ErrNotSupported) {
-			return nil, err
-		}
-	}
-	t, err := decode()
-	if err != nil {
-		return nil, err
-	}
-	return decodedMoments(t, p.aggsMinMax).values(p.aggs)
 }
 
 // frameMetric computes one frame's metric against the shared reference;
@@ -716,58 +715,6 @@ func (c *frameCaps) decompress(fc codec.Compressed) (*tensor.Tensor, error) {
 		codec.ObserveOp(c.spec, "decompress", t.Len()*8, time.Since(start))
 	}
 	return t, err
-}
-
-// compressedAggs answers every kind in compressed space: min and max
-// from one Extrema call (made first, when minMax is set, since it is the
-// entry point that may answer ErrNotSupported), the rest from Ops.
-func compressedAggs(ops codec.Ops, ext codec.Extrema, c codec.Compressed, kinds []string, minMax bool) (map[string]Float, error) {
-	var lo, hi float64
-	if minMax {
-		var err error
-		if lo, hi, err = ext.Extrema(c); err != nil {
-			return nil, err
-		}
-	}
-	vals := make(map[string]Float, len(kinds))
-	for _, kind := range kinds {
-		var v float64
-		var err error
-		switch kind {
-		case AggMin:
-			v = lo
-		case AggMax:
-			v = hi
-		default:
-			v, err = compressedAgg(ops, c, kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		vals[kind] = Float(v)
-	}
-	return vals, nil
-}
-
-// compressedAgg dispatches one moment aggregate to its Ops entry point.
-// stddev is derived from Variance here — not in the backend — so both
-// execution paths share the same sqrt(max(var, 0)) clamping.
-func compressedAgg(ops codec.Ops, c codec.Compressed, kind string) (float64, error) {
-	switch kind {
-	case AggMean:
-		return ops.Mean(c)
-	case AggVariance:
-		return ops.Variance(c)
-	case AggStdDev:
-		v, err := ops.Variance(c)
-		if err != nil {
-			return 0, err
-		}
-		return math.Sqrt(math.Max(v, 0)), nil
-	case AggL2Norm:
-		return ops.L2Norm(c)
-	}
-	return 0, fmt.Errorf("aggregate %q has no compressed-space entry point", kind)
 }
 
 func compressedMetric(ops codec.Ops, a, b codec.Compressed, kind string, peak float64) (float64, error) {

@@ -1,9 +1,10 @@
 // Package query is the compressed-domain query engine: it answers
 // aggregate, pairwise-metric, region, and point questions over the
 // frames of a store.Reader, preferring compressed-space execution
-// (codec.Ops / codec.Extrema / codec.RegionReader) and falling back to
-// decode-then-compute — through a shared byte-budgeted LRU cache of
-// decoded frames — for codecs that cannot.
+// (codec.Moments / codec.Extrema for aggregates and reductions, codec.Ops
+// for pairwise metrics, codec.RegionReader for regions and points) and
+// falling back to decode-then-compute — through a shared byte-budgeted
+// LRU cache of decoded frames — for codecs or frames that cannot.
 //
 // A Request selects frames by label glob and/or index range and names
 // the work; Compile validates it against a store into a Plan; an Engine
@@ -109,9 +110,9 @@ func badf(format string, args ...any) error {
 }
 
 // The aggregate kinds. Every kind has a compressed-space entry point:
-// mean, variance, stddev and l2norm in codec.Ops, min and max in
-// codec.Extrema. Which one runs is decided per frame, by what the
-// frame's codec implements and serves.
+// mean, variance, stddev and l2norm all derive from one codec.Moments
+// call, min and max come from codec.Extrema. Which path runs is decided
+// per frame, by what the frame's codec implements and serves.
 const (
 	AggMean     = "mean"
 	AggVariance = "variance"
@@ -475,15 +476,17 @@ func selectFrames(src Index, sel Selector) ([]int, error) {
 		if i, found := src.IndexOf(label); found && i >= from && i < to {
 			frames = []int{i}
 		}
+	} else if sel.Labels == "" {
+		// A range selects every position in it, so its result is sized once.
+		frames = make([]int, 0, max(to-from, 0))
+		for i := from; i < to; i++ {
+			frames = append(frames, i)
+		}
 	} else {
 		for i := from; i < to; i++ {
-			if sel.Labels != "" {
-				ok, _ := path.Match(sel.Labels, strconv.Itoa(src.Info(i).Label))
-				if !ok {
-					continue
-				}
+			if ok, _ := path.Match(sel.Labels, strconv.Itoa(src.Info(i).Label)); ok {
+				frames = append(frames, i)
 			}
-			frames = append(frames, i)
 		}
 	}
 	if len(frames) == 0 {

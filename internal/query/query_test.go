@@ -20,6 +20,17 @@ import (
 // buildStore packs frames into an in-memory store and opens it.
 func buildStore(t testing.TB, spec string, labels []int, frames []*tensor.Tensor) *store.Reader {
 	t.Helper()
+	b := storeBytes(t, spec, labels, frames)
+	r, err := store.NewReader(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// storeBytes packs frames into a store file's bytes.
+func storeBytes(t testing.TB, spec string, labels []int, frames []*tensor.Tensor) []byte {
+	t.Helper()
 	cd, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +60,7 @@ func buildStore(t testing.TB, spec string, labels []int, frames []*tensor.Tensor
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := store.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return buf.Bytes()
 }
 
 // testFrames builds n smooth rows×cols frames with distinct content.
@@ -158,31 +165,100 @@ func TestMinMaxForceDecodeFallback(t *testing.T) {
 }
 
 // TestUndecidedExtremaDecode: a goblaz frame whose block bounds cannot
-// settle min and max (here: the identity transform) decodes, for every
-// aggregate of the request, with the flag cleared.
+// settle min and max, or whose first coefficient is not its block mean
+// (both: the identity transform), decodes, for every aggregate of the
+// request, with the flag cleared — per frame and in a reduction, with or
+// without extrema in the request.
 func TestUndecidedExtremaDecode(t *testing.T) {
 	r := buildStore(t, goblazSpec+",transform=identity", seqLabels(2), testFrames(2, 9, 9))
-	req := &Request{Aggregates: []string{AggMean, AggMax}, Reduce: []string{AggMin}}
-	got, err := New(r, Options{}).Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(r, Options{ForceDecode: true}).Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ExecutedInCompressedSpace {
-		t.Error("undecided extrema must decode; flag must be false")
-	}
-	for i, f := range got.Frames {
-		for kind, v := range f.Aggregates {
-			if v != want.Frames[i].Aggregates[kind] {
-				t.Errorf("frame %d %s = %v, ForceDecode %v", i, kind, v, want.Frames[i].Aggregates[kind])
+	for _, req := range []*Request{
+		{Aggregates: []string{AggMean, AggMax}, Reduce: []string{AggMin}},
+		{Aggregates: []string{AggMean}},
+		{Reduce: []string{AggMean}},
+		{Aggregates: []string{AggVariance, AggStdDev, AggL2Norm}, Reduce: []string{AggL2Norm, AggStdDev}},
+	} {
+		got, err := New(r, Options{}).Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("aggregates %v reduce %v: %v", req.Aggregates, req.Reduce, err)
+		}
+		want, err := New(r, Options{ForceDecode: true}).Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ExecutedInCompressedSpace {
+			t.Errorf("aggregates %v reduce %v: an undecided frame must decode; flag must be false", req.Aggregates, req.Reduce)
+		}
+		for i, f := range got.Frames {
+			for kind, v := range f.Aggregates {
+				if v != want.Frames[i].Aggregates[kind] {
+					t.Errorf("frame %d %s = %v, ForceDecode %v", i, kind, v, want.Frames[i].Aggregates[kind])
+				}
+			}
+		}
+		if got.Reduced != nil {
+			for kind, v := range got.Reduced.Values {
+				if v != want.Reduced.Values[kind] {
+					t.Errorf("reduced %s = %v, ForceDecode %v", kind, v, want.Reduced.Values[kind])
+				}
 			}
 		}
 	}
-	if got.Reduced.Values[AggMin] != want.Reduced.Values[AggMin] {
-		t.Errorf("reduced min = %v, ForceDecode %v", got.Reduced.Values[AggMin], want.Reduced.Values[AggMin])
+}
+
+// TestCompressedAggsMatchOps: the aggregates and reduce state the engine
+// derives from one codec.Moments call are, bit for bit, what the Ops
+// entry points answer — mean, variance and l2norm per frame, stddev as
+// √max(variance, 0), and a one-frame reduction's Σx = n·mean and
+// Σx² = ‖x‖₂².
+func TestCompressedAggsMatchOps(t *testing.T) {
+	all := []string{AggMean, AggVariance, AggStdDev, AggL2Norm}
+	for _, spec := range []string{
+		goblazSpec,
+		"goblaz:block=8x8,float=float32,index=int8",
+		"goblaz:block=4x4,float=bfloat16,index=int32,keep=0.5,transform=haar",
+		"goblaz:block=2x8,float=float16,index=int64,transform=walsh-hadamard",
+	} {
+		r := buildStore(t, spec, seqLabels(3), testFrames(3, 13, 19))
+		coder, err := r.Coder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := coder.(codec.Ops)
+		e := New(r, Options{})
+		for i := 0; i < r.Len(); i++ {
+			from, to := i, i+1
+			res, err := e.Run(context.Background(), &Request{Select: Selector{From: &from, To: &to}, Aggregates: all, Reduce: all})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.ExecutedInCompressedSpace {
+				t.Errorf("%s frame %d: not answered in compressed space", spec, i)
+			}
+			c, err := r.Frame(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean, _ := ops.Mean(c)
+			variance, _ := ops.Variance(c)
+			l2, _ := ops.L2Norm(c)
+			n := float64(res.Reduced.N)
+			aggs := res.Frames[0].Aggregates
+			for _, q := range []struct {
+				name      string
+				got, want Float
+			}{
+				{AggMean, aggs[AggMean], Float(mean)},
+				{AggVariance, aggs[AggVariance], Float(variance)},
+				{AggStdDev, aggs[AggStdDev], Float(math.Sqrt(math.Max(variance, 0)))},
+				{AggL2Norm, aggs[AggL2Norm], Float(l2)},
+				{"reduced sum", res.Reduced.Sum, Float(mean * n)},
+				{"reduced sumSq", res.Reduced.SumSq, Float(l2 * l2)},
+			} {
+				if math.Float64bits(float64(q.got)) != math.Float64bits(float64(q.want)) {
+					t.Errorf("%s frame %d %s = %v, Ops %v", spec, i, q.name, q.got, q.want)
+				}
+			}
+		}
 	}
 }
 
