@@ -56,14 +56,14 @@ func mustCodec(b *testing.B, spec string) codec.Codec {
 	return cd
 }
 
-// mustOps additionally requires compressed-space arithmetic.
-func mustOps(b *testing.B, spec string) codec.Ops {
+// mustArith additionally requires compressed-space arithmetic.
+func mustArith(b *testing.B, spec string) codec.Arith {
 	b.Helper()
-	ops, ok := mustCodec(b, spec).(codec.Ops)
+	ar, ok := mustCodec(b, spec).(codec.Arith)
 	if !ok {
-		b.Fatalf("codec %q does not support compressed-space ops", spec)
+		b.Fatalf("codec %q does not support compressed-space arithmetic", spec)
 	}
-	return ops
+	return ar
 }
 
 func mustCompress(b *testing.B, cd codec.Codec, t *tensor.Tensor) codec.Compressed {
@@ -89,10 +89,10 @@ var fig2Specs = []string{
 var fig2Sizes = []int{64, 256, 1024}
 
 // benchFig2 runs one Fig. 2 operation family for every codec and size.
-func benchFig2(b *testing.B, fn func(b *testing.B, cd codec.Ops, x, y *tensor.Tensor)) {
+func benchFig2(b *testing.B, fn func(b *testing.B, cd codec.Arith, x, y *tensor.Tensor)) {
 	for _, spec := range fig2Specs {
 		for _, n := range fig2Sizes {
-			cd := mustOps(b, spec)
+			cd := mustArith(b, spec)
 			b.Run(fmt.Sprintf("codec=%s/size=%d", cd.Name(), n), func(b *testing.B) {
 				fn(b, cd, data.Gradient(n, n), data.Gradient(n, n))
 			})
@@ -101,7 +101,7 @@ func benchFig2(b *testing.B, fn func(b *testing.B, cd codec.Ops, x, y *tensor.Te
 }
 
 func BenchmarkFig2Compress(b *testing.B) {
-	benchFig2(b, func(b *testing.B, cd codec.Ops, x, _ *tensor.Tensor) {
+	benchFig2(b, func(b *testing.B, cd codec.Arith, x, _ *tensor.Tensor) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			mustCompress(b, cd, x)
@@ -110,7 +110,7 @@ func BenchmarkFig2Compress(b *testing.B) {
 }
 
 func BenchmarkFig2Decompress(b *testing.B) {
-	benchFig2(b, func(b *testing.B, cd codec.Ops, x, _ *tensor.Tensor) {
+	benchFig2(b, func(b *testing.B, cd codec.Arith, x, _ *tensor.Tensor) {
 		a := mustCompress(b, cd, x)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -122,7 +122,7 @@ func BenchmarkFig2Decompress(b *testing.B) {
 }
 
 func BenchmarkFig2Add(b *testing.B) {
-	benchFig2(b, func(b *testing.B, cd codec.Ops, x, y *tensor.Tensor) {
+	benchFig2(b, func(b *testing.B, cd codec.Arith, x, y *tensor.Tensor) {
 		a1 := mustCompress(b, cd, x)
 		a2 := mustCompress(b, cd, y)
 		b.ResetTimer()
@@ -135,7 +135,7 @@ func BenchmarkFig2Add(b *testing.B) {
 }
 
 func BenchmarkFig2Multiply(b *testing.B) {
-	benchFig2(b, func(b *testing.B, cd codec.Ops, x, _ *tensor.Tensor) {
+	benchFig2(b, func(b *testing.B, cd codec.Arith, x, _ *tensor.Tensor) {
 		a := mustCompress(b, cd, x)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

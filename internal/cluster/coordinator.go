@@ -48,11 +48,11 @@ type Options struct {
 // over the wire and freezes the global frame order (topology order,
 // shard-local commit order within); queries compile against that view,
 // scatter to the owning shards concurrently, and gather by folding the
-// shards' partial results (scatter.go). A metric that couples frames on
-// different shards runs here, on the frames' stored payloads. Every
-// answer is bit-identical to a Local's except a reduction's sums: they
-// fold per-shard moment partials, which can move them by an ulp
-// (query.Moments).
+// shards' partial results (scatter.go). A metric request that couples
+// frames on different shards runs whole here, on a query engine over the
+// frames' stored payloads. Every answer is bit-identical to a Local's
+// except a scattered reduction's sums: they fold per-shard moment
+// partials, which can move them by an ulp (query.Moments).
 type Coordinator struct {
 	topo   *Topology
 	groups []*group
@@ -62,6 +62,7 @@ type Coordinator struct {
 	labels  map[int]int            // label → global position
 	owners  []int                  // global position → index into groups
 	coders  map[string]codec.Coder // every discovered spec → its codec
+	specs   []string               // every discovered spec, default first
 	scatter scatter                // holds the agreed spec(s) and each shard's base
 
 	probeHC  *http.Client
@@ -216,6 +217,7 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		}
 		c.coders[spec] = coder
 	}
+	c.specs = specs
 	if len(specs) > 1 {
 		c.scatter.specs = specs
 	}
@@ -231,10 +233,47 @@ type coordIndex struct{ c *Coordinator }
 func (s coordIndex) Len() int                      { return len(s.c.infos) }
 func (s coordIndex) IndexOf(label int) (int, bool) { i, ok := s.c.labels[label]; return i, ok }
 
-// Info carries the label only: selection is all Compile reads, and the
-// byte-level fields belong to the owning shard's file.
+// Info carries the label only: selection and result labels are all
+// Compile and the engine read, and the byte-level fields belong to the
+// owning shard's file.
 func (s coordIndex) Info(i int) store.FrameInfo {
 	return store.FrameInfo{Label: s.c.infos[i].Label}
+}
+
+// fetched is the query.Source a cross-shard metric runs on: the
+// discovered inventory plus the decoded payloads of the request's
+// coupled frames — the only frames its plan reads. frames covers the
+// selection's span of global positions, so a lookup is one index.
+type fetched struct {
+	coordIndex
+	lo     int                // global position of frames[0], the selection's first
+	frames []codec.Compressed // selected frames at position − lo; nil between them
+	ref    int                // the reference's global position; −1 in pair mode
+	refC   codec.Compressed
+}
+
+func (s *fetched) Spec() string                          { return s.c.scatter.spec }
+func (s *fetched) Coder() (codec.Coder, error)           { return s.c.coders[s.c.scatter.spec], nil }
+func (s *fetched) FrameSpec(i int) string                { return s.c.frameSpec(i) }
+func (s *fetched) FrameCoder(i int) (codec.Coder, error) { return s.c.coders[s.c.frameSpec(i)], nil }
+func (s *fetched) Specs() []string                       { return s.c.specs }
+
+func (s *fetched) Frame(i int) (codec.Compressed, error) {
+	if i == s.ref {
+		return s.refC, nil
+	}
+	if j := i - s.lo; j >= 0 && j < len(s.frames) && s.frames[j] != nil {
+		return s.frames[j], nil
+	}
+	return nil, api.Errorf(api.CodeInternal, "frame %d was not fetched", s.c.infos[i].Label)
+}
+
+func (s *fetched) Decompress(i int) (*tensor.Tensor, error) {
+	fc, err := s.Frame(i)
+	if err != nil {
+		return nil, err
+	}
+	return s.c.coders[s.c.frameSpec(i)].Decompress(fc)
 }
 
 // ---- Backend ---------------------------------------------------------
@@ -365,9 +404,10 @@ func (c *Coordinator) Region(ctx context.Context, label int, offset, shape []int
 }
 
 // Query answers req over the whole cluster with single-store
-// semantics. Shard-local work scatters to the owning shards'
-// endpoints; a metric that couples frames across shards fetches their
-// compressed payloads and evaluates here, by the engine's own rule.
+// semantics. Shard-local work scatters to the owning shards' endpoints
+// and gathers in global order; a metric request that couples frames
+// across shards fetches their compressed payloads and runs whole here,
+// on a query engine.
 func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, api.FromError(err)
@@ -386,13 +426,7 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 	if req.Metric != nil {
 		return c.metricQuery(ctx, req, p)
 	}
-	return c.scatterQuery(ctx, req, p.Frames(), p.Reduce())
-}
-
-// scatterQuery fans req out to the shards owning the resolved selection
-// and gathers the partial results in global order.
-func (c *Coordinator) scatterQuery(ctx context.Context, req *query.Request, frames []int, reduce []string) (*query.Result, error) {
-	res, err := c.scatter.do(ctx, req, c.scatter.route(frames), reduce)
+	res, err := c.scatter.do(ctx, req, c.scatter.route(p.Frames()), p.Reduce())
 	if err != nil {
 		return nil, api.FromError(err)
 	}
@@ -410,91 +444,49 @@ func (c *Coordinator) runPart(ctx context.Context, p part, sub *query.Request) (
 // metricQuery answers a metric request. When every coupled frame — the
 // selection plus any reference — lives on one shard, the whole request
 // forwards there and runs on that shard's engine. Otherwise no single
-// shard can see both sides, so the coordinator fetches the coupled
-// frames' stored payloads, decodes them, and evaluates the metric with
-// query.PairMetric — in compressed space whenever the engine would —
-// while the request's other work (aggregates, regions, points,
-// reductions) still scatters. Each frame's compressed-space flag is its
-// scatter flag AND the metric path that ran, as on one store.
+// shard can see both sides, so the coordinator fetches every coupled
+// frame's stored payload, concurrently, and runs the whole plan — the
+// metric, and any aggregates, regions, points and reduction — on a query
+// engine over those payloads, exactly as one store would answer it.
 func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *query.Plan) (*query.Result, error) {
 	sel := p.Frames()
-	m := *req.Metric
 	// The selection ascends and shards own contiguous ranges, so its
 	// ends decide whether it spans shards.
 	owner := c.owners[sel[0]]
 	oneShard := c.owners[sel[len(sel)-1]] == owner
 	refGlobal := -1
-	if m.Against != nil {
-		refGlobal = c.labels[*m.Against] // existence validated by Compile
+	if against := req.Metric.Against; against != nil {
+		refGlobal = c.labels[*against] // existence validated by Compile
 		oneShard = oneShard && c.owners[refGlobal] == owner
 	}
 	if oneShard {
 		return c.forwardMetric(ctx, req, sel)
 	}
 
-	// The non-metric work of the request still merges exactly.
-	stripped := *req
-	stripped.Metric = nil
-	var res *query.Result
-	if len(stripped.Aggregates) > 0 || stripped.Region != nil || len(stripped.Point) > 0 || len(stripped.Reduce) > 0 {
-		var err error
-		if res, err = c.scatterQuery(ctx, &stripped, sel, p.Reduce()); err != nil {
-			return nil, err
-		}
-	} else {
-		res = c.skeleton(sel)
-	}
-
-	// Fetch and decode every coupled frame's payload, concurrently; the
-	// reference (when any) rides as the extra task.
-	coupled := sel
+	// One fan-out fetches the reference (when any) as its last task,
+	// beside the frames, so the engine never waits on the wire.
+	src := &fetched{coordIndex: coordIndex{c}, lo: sel[0], ref: refGlobal,
+		frames: make([]codec.Compressed, sel[len(sel)-1]-sel[0]+1)}
+	tasks := len(sel)
 	if refGlobal >= 0 {
-		coupled = append(slices.Clip(sel), refGlobal)
+		tasks++
 	}
-	comps := make([]codec.Compressed, len(coupled))
-	errs := make([]error, len(coupled))
-	if err := tensor.ParallelForCoarseCtx(ctx, len(coupled), func(j int) {
-		comps[j], errs[j] = c.fetchCompressed(ctx, coupled[j])
+	errs := make([]error, tasks)
+	if err := tensor.ParallelForCoarseCtx(ctx, tasks, func(j int) {
+		if j == len(sel) {
+			src.refC, errs[j] = c.fetchCompressed(ctx, refGlobal)
+		} else {
+			src.frames[sel[j]-src.lo], errs[j] = c.fetchCompressed(ctx, sel[j])
+		}
 	}); err != nil {
 		return nil, api.FromError(err)
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, api.FromError(err)
 	}
-	metric := func(a, b int) (query.Float, bool, error) {
-		specA, specB := c.frameSpec(coupled[a]), c.frameSpec(coupled[b])
-		v, compressed, err := query.PairMetric(m.Kind, m.Peak, comps[a], comps[b],
-			specA, specB, c.coders[specA], c.coders[specB])
-		if err != nil {
-			return 0, false, api.FromError(err)
-		}
-		return query.Float(v), compressed, nil
-	}
-
-	if m.Against == nil {
-		v, compressed, err := metric(0, 1)
-		if err != nil {
-			return nil, err
-		}
-		res.Pair = &query.PairResult{
-			A: res.Frames[0].Label, B: res.Frames[1].Label,
-			Kind: m.Kind, Value: v, ExecutedInCompressedSpace: compressed,
-		}
-		res.Frames[0].ExecutedInCompressedSpace = res.Frames[0].ExecutedInCompressedSpace && compressed
-		res.Frames[1].ExecutedInCompressedSpace = res.Frames[1].ExecutedInCompressedSpace && compressed
-	} else {
-		for j := range sel {
-			v, compressed, err := metric(j, len(sel))
-			if err != nil {
-				return nil, err
-			}
-			res.Frames[j].Metric = &v
-			res.Frames[j].ExecutedInCompressedSpace = res.Frames[j].ExecutedInCompressedSpace && compressed
-		}
-	}
-	res.ExecutedInCompressedSpace = res.Pair == nil || res.Pair.ExecutedInCompressedSpace
-	for _, fr := range res.Frames {
-		res.ExecutedInCompressedSpace = res.ExecutedInCompressedSpace && fr.ExecutedInCompressedSpace
+	res, err := query.New(src, query.Options{}).Execute(ctx, p)
+	if err != nil {
+		return nil, api.FromError(err)
 	}
 	return res, nil
 }
@@ -515,20 +507,6 @@ func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel
 	}
 	res.Spec, res.Specs = c.scatter.spec, append([]string(nil), c.scatter.specs...)
 	return res, nil
-}
-
-// skeleton builds the per-frame result list a metric-only request
-// carries: one entry per selected frame in global order, to hang
-// metric values off, compressed-space until the metric says otherwise.
-func (c *Coordinator) skeleton(sel []int) *query.Result {
-	out := &query.Result{Spec: c.scatter.spec, Specs: append([]string(nil), c.scatter.specs...)}
-	for _, i := range sel {
-		info := c.infos[i]
-		out.Frames = append(out.Frames, query.FrameResult{
-			Index: i, Label: info.Label, Spec: info.Spec, ExecutedInCompressedSpace: true,
-		})
-	}
-	return out
 }
 
 // frameSpec returns global frame i's codec spec.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/api/conformance"
 	"repro/internal/api/httpapi"
 	"repro/internal/codec"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -601,16 +602,64 @@ func payloadsFor(co *Coordinator, req *query.Request, want *query.Result) uint64
 	return 0
 }
 
-// TestCrossShardMetricsBitIdentical: a metric coupling frames on
-// different shards runs on the coordinator over the frames' fetched
-// payloads, by the single-store engine's rule. Every metric and pair
-// value therefore equals the single store's to the bit, with the same
-// flags: compressed space for a same-spec goblaz coupling, the decode
-// fallback for a cross-codec pair and for a zfp pair. Such a request
-// fetches one payload per coupled frame; one a shard answers alone
-// fetches none.
+// TestCrossShardMetricsBitIdentical: a metric request coupling frames on
+// different shards runs whole on the coordinator, on a query engine over
+// the frames' fetched payloads. Every metric and pair value therefore
+// equals the single store's to the bit, with the same flags: compressed
+// space for a same-spec goblaz coupling, the decode fallback for a
+// cross-codec pair and for a zfp pair. So does the request's reduction,
+// folded one frame at a time as on one store; random frames make a
+// per-shard fold visible. Such a request fetches one payload per coupled
+// frame; one a shard answers alone fetches none.
 func TestCrossShardMetricsBitIdentical(t *testing.T) {
 	ctx := context.Background()
+	check := func(name string, eng *query.Engine, co *Coordinator, req *query.Request) *query.Result {
+		t.Helper()
+		want, err := eng.Run(ctx, req)
+		if err != nil {
+			t.Fatalf("%s single: %v", name, err)
+		}
+		before := clusterRemoteFrames.Value()
+		reqCopy := *req
+		got, err := co.Query(ctx, &reqCopy)
+		if err != nil {
+			t.Fatalf("%s remote: %v", name, err)
+		}
+		if fetched, want := clusterRemoteFrames.Value()-before, payloadsFor(co, req, want); fetched != want {
+			t.Errorf("%s fetched %d payloads, want %d", name, fetched, want)
+		}
+		compareResults(t, want, got)
+		for i, w := range want.Frames {
+			if w.Metric != nil && got.Frames[i].Metric != nil && !sameBits(*got.Frames[i].Metric, *w.Metric) {
+				t.Errorf("%s frame %d metric %v, single store %v", name, i, *got.Frames[i].Metric, *w.Metric)
+			}
+		}
+		if want.Pair != nil && got.Pair != nil && !sameBits(got.Pair.Value, want.Pair.Value) {
+			t.Errorf("%s pair %v, single store %v", name, got.Pair.Value, want.Pair.Value)
+		}
+		if w, g := want.Reduced, got.Reduced; req.Metric != nil && w != nil && g != nil {
+			if !sameBits(g.Sum, w.Sum) || !sameBits(g.SumSq, w.SumSq) {
+				t.Errorf("%s reduced sums (%v, %v), single store (%v, %v)", name, g.Sum, g.SumSq, w.Sum, w.SumSq)
+			}
+			for kind, wv := range w.Values {
+				if !sameBits(g.Values[kind], wv) {
+					t.Errorf("%s reduced %s %v, single store %v", name, kind, g.Values[kind], wv)
+				}
+			}
+		}
+		return got
+	}
+
+	// Nine random frames over two shards, mse against the last one with a
+	// mean reduction: a per-shard fold lands an ulp off this store's.
+	frames := randomFrames(rand.New(rand.NewSource(6)), 9, 16, 16)
+	last := len(frames) - 1
+	co, _ := clusterOf(t, buildDataset(t, t.TempDir(), testGoblazSpec, frames, 2), 1)
+	check("random/mse+reduce", openSingle(t, testGoblazSpec, frames), co, &query.Request{
+		Metric: &query.MetricRequest{Kind: query.MetricMSE, Against: &last},
+		Reduce: []string{query.AggMean},
+	})
+
 	evenRef := 2
 	for _, fx := range []*conformance.Fixture{conformance.NewFixture(t), conformance.NewMixedFixture(t)} {
 		r, err := store.Open(fx.BuildStore(t, t.TempDir()))
@@ -640,34 +689,46 @@ func TestCrossShardMetricsBitIdentical(t *testing.T) {
 			boundaryPair := reqs[len(reqs)-3]
 			for ri, req := range reqs {
 				name := fmt.Sprintf("mixed=%v/shards=%d/req=%d", fx.Mixed(), shards, ri)
-				want, err := eng.Run(ctx, req)
-				if err != nil {
-					t.Fatalf("%s single: %v", name, err)
-				}
-				before := clusterRemoteFrames.Value()
-				reqCopy := *req
-				got, err := co.Query(ctx, &reqCopy)
-				if err != nil {
-					t.Fatalf("%s remote: %v", name, err)
-				}
-				if fetched, want := clusterRemoteFrames.Value()-before, payloadsFor(co, req, want); fetched != want {
-					t.Errorf("%s fetched %d payloads, want %d", name, fetched, want)
-				}
-				compareResults(t, want, got)
-				for i, w := range want.Frames {
-					if w.Metric != nil && got.Frames[i].Metric != nil && !sameBits(*got.Frames[i].Metric, *w.Metric) {
-						t.Errorf("%s frame %d metric %v, single store %v", name, i, *got.Frames[i].Metric, *w.Metric)
-					}
-				}
-				if want.Pair != nil && got.Pair != nil && !sameBits(got.Pair.Value, want.Pair.Value) {
-					t.Errorf("%s pair %v, single store %v", name, got.Pair.Value, want.Pair.Value)
-				}
+				got := check(name, eng, co, req)
 				if (req == oddPair || req == boundaryPair) && got.Pair.ExecutedInCompressedSpace == fx.Mixed() {
 					t.Errorf("%s cross-shard pair compressed-space = %v, want %v",
 						name, got.Pair.ExecutedInCompressedSpace, !fx.Mixed())
 				}
 			}
 		}
+	}
+}
+
+// TestCrossShardFallbackDecodesReferenceOnce: k zfp frames against a zfp
+// reference on another shard fall back to decoding, and the coordinator
+// decompresses k + 1 frames — the reference once, shared by every frame
+// task, as one store's engine does — not the reference again per frame.
+func TestCrossShardFallbackDecodesReferenceOnce(t *testing.T) {
+	ctx := context.Background()
+	frames := randomFrames(rand.New(rand.NewSource(5)), 6, 16, 16)
+	co, _ := clusterOf(t, buildDataset(t, t.TempDir(), testZfpSpec, frames, 2), 1)
+	from, to, ref := 0, 3, len(frames)-1 // shard 0's frames against shard 1's last
+	req := &query.Request{
+		Select: query.Selector{From: &from, To: &to},
+		Metric: &query.MetricRequest{Kind: query.MetricMSE, Against: &ref},
+	}
+	want, err := openSingle(t, testZfpSpec, frames).Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decompressions := func() float64 {
+		labels := "{op=decompress,spec=" + mustCoder(t, testZfpSpec).Spec() + "}"
+		return obs.Default.Snapshot().Flatten()["goblaz_codec_op_total"+labels]
+	}
+	before := decompressions()
+	reqCopy := *req
+	got, err := co.Query(ctx, &reqCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, want, got)
+	if n, k := decompressions()-before, to-from; n != float64(k+1) {
+		t.Errorf("coordinator decompressed %v frames for %d frames and a reference, want %d", n, k, k+1)
 	}
 }
 

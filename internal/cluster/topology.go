@@ -11,14 +11,14 @@
 // per-frame results concatenate in global (topology) order with indices
 // remapped, and dataset-level reductions fold through the exact
 // query.Moments state — which is why a remote dataset passes the same
-// conformance and differential tests as a local one. Requests that
-// couple frames across shards (pairwise metrics, a reference frame on
-// another shard) cannot run on any single shard; the coordinator
+// conformance and differential tests as a local one. Metric requests
+// that couple frames across shards (pairwise metrics, a reference frame
+// on another shard) cannot run on any single shard; the coordinator
 // fetches the frames' stored payloads, checked against the CRCs
-// discovery recorded, and evaluates the metric by the engine's own rule
-// (query.PairMetric) — in compressed space when both frames share a
-// spec whose codec has Ops — so its answers are bit-identical to a
-// single store's.
+// discovery recorded, and runs the whole request on a query.Engine over
+// them, so its answers — metric, aggregates and reduction alike — are
+// bit-identical to a single store's. Only a scattered reduction folds
+// per shard, an ulp from a single store's at most.
 //
 // Replicas make the tier degradable: each shard lists one or more
 // interchangeable endpoints, a failed call demotes its endpoint with a

@@ -14,8 +14,11 @@ func init() {
 // blazCodec adapts the sequential Blaz reimplementation. Blaz is fully
 // parameterized by its paper (8×8 blocks, int8 bins, 6×6 pruning), so the
 // spec takes no parameters. It compresses 2-D tensors only and implements
-// Ops for the operations the original supports (add, scalar multiply,
-// and negate as multiply by −1).
+// Arith, the operations the original supports (add, scalar multiply, and
+// negate as multiply by −1). Its compressed form (a first-element base
+// plus binned DCTs of the 2-D differentiated residual, per block) answers
+// no aggregate or metric without reconstruction, so it has no Ops and
+// the query engine decodes it.
 type blazCodec struct{}
 
 func newBlaz(p Params) (Codec, error) {
@@ -79,41 +82,6 @@ func (b blazCodec) MulScalar(x Compressed, s float64) (Compressed, error) {
 		return nil, err
 	}
 	return blaz.MulScalar(xa, s), nil
-}
-
-// The aggregate and metric entry points: Blaz's compressed form (a
-// first-element base plus binned DCTs of the 2-D differentiated
-// residual, per block) supports none of them without reconstruction, so
-// each one reports ErrNotSupported and lets the caller
-// decode-then-compute — rather than hiding a full decompression behind
-// a "compressed-space" method.
-
-func (blazCodec) Mean(Compressed) (float64, error) {
-	return 0, fmt.Errorf("blaz mean: %w", ErrNotSupported)
-}
-
-func (blazCodec) Variance(Compressed) (float64, error) {
-	return 0, fmt.Errorf("blaz variance: %w", ErrNotSupported)
-}
-
-func (blazCodec) L2Norm(Compressed) (float64, error) {
-	return 0, fmt.Errorf("blaz l2norm: %w", ErrNotSupported)
-}
-
-func (blazCodec) Dot(Compressed, Compressed) (float64, error) {
-	return 0, fmt.Errorf("blaz dot: %w", ErrNotSupported)
-}
-
-func (blazCodec) MSE(Compressed, Compressed) (float64, error) {
-	return 0, fmt.Errorf("blaz mse: %w", ErrNotSupported)
-}
-
-func (blazCodec) PSNR(Compressed, Compressed, float64) (float64, error) {
-	return 0, fmt.Errorf("blaz psnr: %w", ErrNotSupported)
-}
-
-func (blazCodec) CosineSimilarity(Compressed, Compressed) (float64, error) {
-	return 0, fmt.Errorf("blaz cosine: %w", ErrNotSupported)
 }
 
 func (b blazCodec) Shape(c Compressed) ([]int, error) {

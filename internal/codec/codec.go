@@ -20,9 +20,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrNotSupported reports a compressed-space entry point an Ops backend
-// cannot serve without decompression (e.g. blaz aggregates). Callers —
-// the query engine above all — detect it with errors.Is and fall back to
+// ErrNotSupported reports a compressed-space entry point a backend cannot
+// serve for this array without decompression (e.g. goblaz moments of a
+// frame whose first coefficients were pruned). Callers — the query
+// engine above all — detect it with errors.Is and fall back to
 // decode-then-compute.
 var ErrNotSupported = errors.New("codec: operation not supported in compressed space")
 
@@ -50,23 +51,13 @@ type Codec interface {
 	EncodedSize(c Compressed) int
 }
 
-// Ops is the optional compressed-space arithmetic sub-interface, for
-// backends that operate on compressed arrays without decompression
-// (goblaz implements all of Table I; blaz supports add and scalar
-// multiplication). Callers discover support with a type assertion:
+// Arith is the optional compressed-space arithmetic sub-interface, for
+// backends that combine compressed arrays element-wise without
+// decompression (goblaz; blaz adds and scales, and negates as a scale by
+// −1). Callers discover support with a type assertion:
 //
-//	if ops, ok := cd.(codec.Ops); ok { ... }
-//
-// Beyond the element-wise arithmetic, Ops carries the pairwise-metric
-// entry points the query engine (internal/query) plans against, and one
-// entry point per aggregate. The engine answers aggregates through
-// Moments instead; Mean, Variance and L2Norm remain for bench/'s kernel
-// level and the figure drivers. A backend that implements Ops but cannot
-// serve one of these without decompressing must return ErrNotSupported
-// from it rather than silently decoding, so callers can account
-// full-decompression cost honestly (the executedInCompressedSpace flag in
-// query results).
-type Ops interface {
+//	if ar, ok := cd.(codec.Arith); ok { ... }
+type Arith interface {
 	Codec
 	// Add returns the compressed element-wise sum a + b.
 	Add(a, b Compressed) (Compressed, error)
@@ -74,6 +65,19 @@ type Ops interface {
 	Negate(a Compressed) (Compressed, error)
 	// MulScalar returns the compressed element-wise product x·a.
 	MulScalar(a Compressed, x float64) (Compressed, error)
+}
+
+// Ops is the optional compressed-space reduction sub-interface (goblaz):
+// the pairwise-metric entry points the query engine (internal/query)
+// plans against, and one entry point per aggregate. The engine answers
+// aggregates through Moments instead; Mean, Variance and L2Norm remain
+// for bench/'s kernel level. A backend that implements Ops but cannot
+// serve one of these without decompressing must return ErrNotSupported
+// from it rather than silently decoding, so callers can account
+// full-decompression cost honestly (the executedInCompressedSpace flag in
+// query results).
+type Ops interface {
+	Codec
 	// Mean returns the element mean of the array a decompresses to.
 	Mean(a Compressed) (float64, error)
 	// Variance returns the population variance of the array a

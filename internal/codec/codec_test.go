@@ -200,24 +200,24 @@ func TestOpsMatchDecompressedSpace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ops, ok := cd.(Ops)
+			ar, ok := cd.(Arith)
 			if !ok {
-				t.Fatalf("codec %q must implement Ops", spec)
+				t.Fatalf("codec %q must implement Arith", spec)
 			}
-			ca, err := ops.Compress(x)
+			ca, err := ar.Compress(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cb, err := ops.Compress(y)
+			cb, err := ar.Compress(y)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			sum, err := ops.Add(ca, cb)
+			sum, err := ar.Add(ca, cb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ops.Decompress(sum)
+			got, err := ar.Decompress(sum)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,11 +226,11 @@ func TestOpsMatchDecompressedSpace(t *testing.T) {
 				t.Errorf("compressed-space add error %g", e)
 			}
 
-			neg, err := ops.Negate(ca)
+			neg, err := ar.Negate(ca)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = ops.Decompress(neg)
+			got, err = ar.Decompress(neg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,11 +238,11 @@ func TestOpsMatchDecompressedSpace(t *testing.T) {
 				t.Errorf("compressed-space negate error %g", e)
 			}
 
-			scaled, err := ops.MulScalar(ca, 2.5)
+			scaled, err := ar.MulScalar(ca, 2.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = ops.Decompress(scaled)
+			got, err = ar.Decompress(scaled)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,32 +326,19 @@ func TestOpsAggregatesMatchDecompressedSpace(t *testing.T) {
 	}
 }
 
-func TestBlazAggregatesReportNotSupported(t *testing.T) {
-	// blaz stays an Ops implementor for add/scale but must be honest
-	// about aggregates: ErrNotSupported, so the query engine's fallback
-	// accounting stays truthful.
+func TestBlazHasArithOnly(t *testing.T) {
+	// blaz adds and scales in compressed space but answers no aggregate
+	// or metric without reconstruction, so it must not claim Ops: the
+	// query engine then decodes it, and its flags stay truthful.
 	cd, err := Lookup("blaz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := cd.(Ops)
-	c, err := ops.Compress(data.Gradient(16, 16))
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := cd.(Arith); !ok {
+		t.Error("blaz must implement Arith")
 	}
-	calls := map[string]func() (float64, error){
-		"Mean":             func() (float64, error) { return ops.Mean(c) },
-		"Variance":         func() (float64, error) { return ops.Variance(c) },
-		"L2Norm":           func() (float64, error) { return ops.L2Norm(c) },
-		"Dot":              func() (float64, error) { return ops.Dot(c, c) },
-		"MSE":              func() (float64, error) { return ops.MSE(c, c) },
-		"PSNR":             func() (float64, error) { return ops.PSNR(c, c, 1) },
-		"CosineSimilarity": func() (float64, error) { return ops.CosineSimilarity(c, c) },
-	}
-	for name, call := range calls {
-		if _, err := call(); !errors.Is(err, ErrNotSupported) {
-			t.Errorf("blaz %s error %v should wrap ErrNotSupported", name, err)
-		}
+	if _, ok := cd.(Ops); ok {
+		t.Error("blaz must not implement Ops")
 	}
 }
 

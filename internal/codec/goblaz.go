@@ -15,7 +15,7 @@ func init() {
 }
 
 // goblazCodec adapts internal/core — the paper's compressor — to the
-// Codec interface. It implements Ops (full compressed-space arithmetic),
+// Codec interface. It implements Arith and Ops (all of Table I),
 // Moments, Extrema, Coder and ViewDecoder.
 type goblazCodec struct {
 	c    *core.Compressor

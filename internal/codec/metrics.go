@@ -11,7 +11,7 @@ import (
 // operation (compress, encode, decode, decompress). Call sites time the
 // operation themselves and report through Observe* — wrapping Coder
 // values would break the optional-capability type assertions
-// (Ops, Moments, Extrema, RegionReader) consumers probe for.
+// (Arith, Ops, Moments, Extrema, RegionReader) consumers probe for.
 var (
 	codecOpTotal = obs.NewCounterVec("goblaz_codec_op_total",
 		"Codec operations, by spec and op.", "spec", "op")

@@ -26,25 +26,25 @@ type Fig2Row struct {
 	BlazCompress, BlazDecompress, BlazAdd, BlazMultiply time.Duration
 }
 
-// mustOps constructs a codec from its registry spec and requires the
-// compressed-space operation set; figure configurations are compile-time
+// mustArith constructs a codec from its registry spec and requires
+// compressed-space arithmetic; figure configurations are compile-time
 // constants, so failure is a programming error.
-func mustOps(spec string) codec.Ops {
+func mustArith(spec string) codec.Arith {
 	cd, err := codec.Lookup(spec)
 	if err != nil {
 		panic(err)
 	}
-	ops, ok := cd.(codec.Ops)
+	ar, ok := cd.(codec.Arith)
 	if !ok {
-		panic("figures: codec " + spec + " does not support compressed-space ops")
+		panic("figures: codec " + spec + " does not support compressed-space arithmetic")
 	}
-	return ops
+	return ar
 }
 
 // timeCodecOps measures best-of-reps compress, decompress, add, and
 // scalar-multiply times of one codec on the pair (x, y) — the four
 // operations on Fig. 2's y-axis, driven codec-generically.
-func timeCodecOps(cd codec.Ops, x, y *tensor.Tensor, reps int) (compress, decompress, add, mul time.Duration) {
+func timeCodecOps(cd codec.Arith, x, y *tensor.Tensor, reps int) (compress, decompress, add, mul time.Duration) {
 	var ca, cb codec.Compressed
 	var err error
 	check := func() {
@@ -66,8 +66,8 @@ func timeCodecOps(cd codec.Ops, x, y *tensor.Tensor, reps int) (compress, decomp
 // plenty for shape). Both backends are constructed through the codec
 // registry and timed by the same codec-generic driver.
 func Fig2(sizes []int, reps int) []Fig2Row {
-	gob := mustOps(Fig2GoblazSpec)
-	bl := mustOps(Fig2BlazSpec)
+	gob := mustArith(Fig2GoblazSpec)
+	bl := mustArith(Fig2BlazSpec)
 	rows := make([]Fig2Row, 0, len(sizes))
 	for _, n := range sizes {
 		x := data.Gradient(n, n)

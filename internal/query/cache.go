@@ -69,9 +69,12 @@ type cacheEntry struct {
 
 // NewCache returns a cache evicting least-recently-used frames once the
 // decoded bytes held exceed budget. A budget ≤ 0 disables caching: Get
-// always misses and Put is a no-op.
+// always misses and Put is a no-op, so such a cache holds no entry table.
 func NewCache(budget int64) *Cache {
-	c := &Cache{budget: budget, entries: map[cacheKey]*list.Element{}}
+	c := &Cache{budget: budget}
+	if budget > 0 {
+		c.entries = map[cacheKey]*list.Element{}
+	}
 	c.lru.Init()
 	return c
 }

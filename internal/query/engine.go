@@ -191,13 +191,6 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 				return nil, err
 			}
 		}
-		var once sync.Once
-		var t *tensor.Tensor
-		var terr error
-		ref.decoded = func() (*tensor.Tensor, error) {
-			once.Do(func() { t, terr = e.decoded(ctx, p.refIndex) })
-			return t, terr
-		}
 	}
 
 	frames := make([]FrameResult, len(p.frames))
@@ -270,14 +263,23 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 
 // refFrame is the shared reference frame of a vs-reference metric: its
 // capabilities, its compressed form (loaded iff its codec has Ops), and
-// its memoized full decompression.
+// its memoized full decompression — one allocation for the lot.
 type refFrame struct {
-	caps    *frameCaps
-	c       codec.Compressed
-	decoded func() (*tensor.Tensor, error)
+	caps *frameCaps
+	c    codec.Compressed
+	once sync.Once
+	t    *tensor.Tensor
+	err  error
 }
 
 func (r *refFrame) load() (codec.Compressed, error) { return r.c, nil }
+
+// decoded returns the reference, frame i of e, fully decompressed: the
+// first caller decodes it, every other frame task shares that result.
+func (r *refFrame) decoded(ctx context.Context, e *Engine, i int) (*tensor.Tensor, error) {
+	r.once.Do(func() { r.t, r.err = e.decodedFrom(ctx, i, r.c) })
+	return r.t, r.err
+}
 
 // runFrame answers one frame's share of the plan under the codec that
 // wrote the frame. The compressed representation (payload decode, no
@@ -336,7 +338,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	}
 
 	if p.metric != nil && !p.pairMode {
-		v, err := e.frameMetric(p, caps, ref, loadC, decode)
+		v, err := e.frameMetric(ctx, p, caps, ref, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) %s vs label %d: %w",
 				i, out.Label, p.metric.Kind, e.src.Info(p.refIndex).Label, err)
@@ -495,10 +497,11 @@ func decodedMoments(t *tensor.Tensor, minMax bool) Moments {
 // decode clears the frame's compressed-space flag when the metric falls
 // back. The reference's decompression is memoized: one decode serves
 // every frame task.
-func (e *Engine) frameMetric(p *Plan, caps *frameCaps, ref *refFrame,
+func (e *Engine) frameMetric(ctx context.Context, p *Plan, caps *frameCaps, ref *refFrame,
 	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (float64, error) {
+	refDecoded := func() (*tensor.Tensor, error) { return ref.decoded(ctx, e, p.refIndex) }
 	v, _, err := metricOf(p.metric.Kind, p.metric.Peak, caps, ref.caps,
-		metricSide{load: loadC, decode: decode}, metricSide{load: ref.load, decode: ref.decoded})
+		metricSide{load: loadC, decode: decode}, metricSide{load: ref.load, decode: refDecoded})
 	return v, err
 }
 
@@ -511,8 +514,8 @@ type metricSide struct {
 	decode func() (*tensor.Tensor, error)
 }
 
-// metricOf evaluates a pairwise metric by the one rule every executor
-// shares: in compressed space when both frames share a spec whose codec
+// metricOf evaluates a pairwise metric by the one rule both metric forms
+// share: in compressed space when both frames share a spec whose codec
 // has Ops — compressed arithmetic only composes within one compressed
 // representation — else on the full decompressions (a cross-codec pair,
 // a codec without Ops, or an Ops backend answering ErrNotSupported).
@@ -545,36 +548,6 @@ func metricOf(kind string, peak float64, capsA, capsB *frameCaps, a, b metricSid
 	}
 	v, err = decodedMetric(ta, tb, kind, peak)
 	return v, false, err
-}
-
-// PairMetric computes a pairwise metric between two frames held in
-// their compressed representation, each under the spec and coder that
-// wrote it, exactly as an Engine over one store would: in compressed
-// space when both share a spec whose codec has Ops, else by fully
-// decompressing both. compressed reports which path ran; peak ≤ 0
-// means 1. It is for executors that hold decoded payloads from
-// elsewhere — the cluster coordinator evaluates cross-shard metrics
-// with it, so a distributed answer is bit-identical to a local one.
-func PairMetric(kind string, peak float64, a, b codec.Compressed, specA, specB string, coderA, coderB codec.Coder) (v float64, compressed bool, err error) {
-	if peak <= 0 {
-		peak = 1
-	}
-	capsA, capsB := heldCaps(specA, coderA), heldCaps(specB, coderB)
-	return metricOf(kind, peak, capsA, capsB, capsA.held(a), capsB.held(b))
-}
-
-func heldCaps(spec string, coder codec.Coder) *frameCaps {
-	ops, _ := coder.(codec.Ops)
-	return &frameCaps{spec: spec, coder: coder, ops: ops}
-}
-
-// held is a metric side over a compressed form the caller already
-// holds; its decompression runs uncached.
-func (c *frameCaps) held(fc codec.Compressed) metricSide {
-	return metricSide{
-		load:   func() (codec.Compressed, error) { return fc, nil },
-		decode: func() (*tensor.Tensor, error) { return c.decompress(fc) },
-	}
 }
 
 func (e *Engine) frameRegion(p *Plan, rr codec.RegionReader,

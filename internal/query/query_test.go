@@ -286,8 +286,7 @@ func TestDecodedAggsOnePass(t *testing.T) {
 }
 
 func TestDecodeFallbackCodecs(t *testing.T) {
-	// zfp has no Ops at all; blaz implements Ops but reports
-	// ErrNotSupported from every aggregate. Both must answer via
+	// Neither zfp nor blaz has Moments or Ops. Both must answer via
 	// decode-then-compute with the flag cleared.
 	for _, spec := range []string{"zfp:rate=32", "blaz"} {
 		t.Run(spec, func(t *testing.T) {
@@ -642,10 +641,10 @@ func TestPairMetricDecodeFallbackFlags(t *testing.T) {
 }
 
 func TestBlazMetricFallbackSharesReference(t *testing.T) {
-	// blaz has Ops but its metrics report ErrNotSupported, so the
-	// vs-reference fallback engages mid-path; the memoized reference
-	// decode must serve all frames (one miss for the reference, one per
-	// selected frame — not one reference decode per frame).
+	// blaz has no Ops, so every vs-reference metric decodes; the
+	// memoized reference decode must serve all frames (one miss for the
+	// reference, one per selected frame — not one reference decode per
+	// frame).
 	r := buildStore(t, "blaz", seqLabels(4), testFrames(4, 16, 16))
 	e := New(r, Options{CacheBytes: 1 << 20})
 	ref := 0

@@ -9,9 +9,9 @@ import (
 // exactly after combining disjoint parts. Mean merges as Σx / Σn,
 // variance as Σx²/Σn − (Σx/Σn)², l2norm as sqrt(Σx²), and extrema by
 // comparison. An engine folds one state per frame, in frame order. A
-// cluster coordinator folds per-shard partials instead, which
-// associates the floating-point sums differently: its reductions match
-// a single store's within a tolerance, not bit for bit.
+// cluster coordinator scattering a reduction folds per-shard partials
+// instead, which associates the floating-point sums differently: those
+// reductions match a single store's within a tolerance, not bit for bit.
 //
 // Min and Max are only meaningful when the reduction asked for them
 // (tracking them takes codec.Extrema or a decode); untracked parts carry

@@ -365,7 +365,7 @@ func TestMappedFramesAreReadOnlyViews(t *testing.T) {
 	}
 }
 
-// frameAnswers runs every operation coder exposes on a and b — Ops,
+// frameAnswers runs every operation coder exposes on a and b — Arith, Ops,
 // RegionReader, Extrema and, for goblaz, core's Table I set — and returns
 // each answer in a fixed order: scalars as they are, arrays element by
 // element (compressed ones decompressed). It then scribbles over every
@@ -399,10 +399,12 @@ func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []floa
 		}
 	}
 	array(coder.Decompress(a))
+	if ar, ok := coder.(codec.Arith); ok {
+		compressed(ar.Add(a, b))
+		compressed(ar.Negate(a))
+		compressed(ar.MulScalar(a, -2))
+	}
 	if ops, ok := coder.(codec.Ops); ok {
-		compressed(ops.Add(a, b))
-		compressed(ops.Negate(a))
-		compressed(ops.MulScalar(a, -2))
 		scalar(ops.Mean(a))
 		scalar(ops.Variance(a))
 		scalar(ops.L2Norm(a))
