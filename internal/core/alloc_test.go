@@ -4,12 +4,23 @@ import (
 	"testing"
 
 	"repro/internal/scalar"
+	"repro/internal/tensor"
 )
 
 // analyticsFrames builds two frames of the benchmark's analytics corpus
 // shape: 256×256, block=8x8, float=float32, index=int8 — 1024 blocks,
-// a 69.7 KB payload.
+// a 69.7 KB payload. The fields are smooth, so most of F is zero.
 func analyticsFrames(tb testing.TB) (*Compressor, *CompressedArray, *CompressedArray) {
+	return int8Frames(tb, smoothTensor)
+}
+
+// noiseFrames are analyticsFrames of Gaussian noise: F is dense, the
+// case in which skipping zero indices must not cost anything.
+func noiseFrames(tb testing.TB) (*Compressor, *CompressedArray, *CompressedArray) {
+	return int8Frames(tb, randomTensor)
+}
+
+func int8Frames(tb testing.TB, field func(seed int64, shape ...int) *tensor.Tensor) (*Compressor, *CompressedArray, *CompressedArray) {
 	tb.Helper()
 	s := DefaultSettings(8, 8)
 	s.IndexType = scalar.Int8
@@ -17,15 +28,26 @@ func analyticsFrames(tb testing.TB) (*Compressor, *CompressedArray, *CompressedA
 	if err != nil {
 		tb.Fatal(err)
 	}
-	a, err := c.Compress(smoothTensor(1, 256, 256))
+	a, err := c.Compress(field(1, 256, 256))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := c.Compress(smoothTensor(2, 256, 256))
+	b, err := c.Compress(field(2, 256, 256))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return c, a, b
+}
+
+// zeroShare returns the fraction of a's indices that are 0.
+func zeroShare(a *CompressedArray) float64 {
+	zeros := 0
+	for i := 0; i < a.F.Len(); i++ {
+		if a.F.At(i) == 0 {
+			zeros++
+		}
+	}
+	return float64(zeros) / float64(a.F.Len())
 }
 
 type namedKernel struct {
@@ -201,46 +223,55 @@ func BenchmarkEncode(b *testing.B) {
 
 // BenchmarkKernels runs the scalar kernels over a heap F (copy) and over
 // an F that is the v2 payload's own bytes (view), and extrema against the
-// decode-then-scan it replaces.
+// decode-then-scan it replaces, on the smooth analytics frames and on
+// dense noise frames; zero_share is the fraction of the first frame's F
+// that is 0, which the kernels' cost follows.
 func BenchmarkKernels(b *testing.B) {
-	c, x, y := analyticsFrames(b)
 	want := map[string]bool{"dot": true, "l2norm": true, "moments": true, "variance": true, "mse": true, "cosine": true,
 		"extrema": true, "decompress+minmax": true}
-	for _, d := range decoders {
-		xd, err := d.decode(mustEncode(b, x))
-		if err != nil {
-			b.Fatal(err)
-		}
-		yd, err := d.decode(mustEncode(b, y))
-		if err != nil {
-			b.Fatal(err)
-		}
-		kernels := append(scalarKernels(c, xd, yd),
-			namedKernel{"extrema", func() (float64, error) {
-				lo, hi, err := c.Extrema(xd)
-				return lo + hi, err
-			}},
-			namedKernel{"decompress+minmax", func() (float64, error) {
-				t, err := c.Decompress(xd)
-				if err != nil {
-					return 0, err
-				}
-				return t.Min() + t.Max(), nil
-			}})
-		for _, k := range kernels {
-			if !want[k.name] {
-				continue
+	for _, frames := range []struct {
+		name string
+		make func(testing.TB) (*Compressor, *CompressedArray, *CompressedArray)
+	}{{"smooth", analyticsFrames}, {"noise", noiseFrames}} {
+		c, x, y := frames.make(b)
+		zeros := zeroShare(x)
+		for _, d := range decoders {
+			xd, err := d.decode(mustEncode(b, x))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(d.name+"/"+k.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					v, err := k.run()
+			yd, err := d.decode(mustEncode(b, y))
+			if err != nil {
+				b.Fatal(err)
+			}
+			kernels := append(scalarKernels(c, xd, yd),
+				namedKernel{"extrema", func() (float64, error) {
+					lo, hi, err := c.Extrema(xd)
+					return lo + hi, err
+				}},
+				namedKernel{"decompress+minmax", func() (float64, error) {
+					t, err := c.Decompress(xd)
 					if err != nil {
-						b.Fatal(err)
+						return 0, err
 					}
-					sinkFloat = v
+					return t.Min() + t.Max(), nil
+				}})
+			for _, k := range kernels {
+				if !want[k.name] {
+					continue
 				}
-			})
+				b.Run(frames.name+"/"+d.name+"/"+k.name, func(b *testing.B) {
+					b.ReportAllocs()
+					b.ReportMetric(zeros, "zero_share")
+					for i := 0; i < b.N; i++ {
+						v, err := k.run()
+						if err != nil {
+							b.Fatal(err)
+						}
+						sinkFloat = v
+					}
+				})
+			}
 		}
 	}
 }

@@ -138,7 +138,6 @@ type kernels interface {
 	combine(c *Compressor, a, b *CompressedArray, sign float64) *CompressedArray
 	blockSums(c *Compressor, a *CompressedArray, dst []float64) float64
 	blockBounds(c *Compressor, a *CompressedArray, dst []float64) (top, bot int, ok bool)
-	sumSquares(c *Compressor, a *CompressedArray) float64
 	moments(c *Compressor, a *CompressedArray) (sum, sumSq float64)
 	dot3(c *Compressor, a, b *CompressedArray) (ab, aa, bb float64)
 	blockCovariances(c *Compressor, a, b *CompressedArray, dst []float64)

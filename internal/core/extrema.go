@@ -161,7 +161,7 @@ func (c *Compressor) inArray(a *CompressedArray, k, j int) bool {
 // finite. The centre m_b comes from Ĉ₀ as inverseBlock recovers it; the
 // radius needs only Σ|F_i|·peak_i and Σ F_i² over the other coefficients,
 // scaled once per block, so the walk divides once a block, not once a
-// coefficient.
+// coefficient, and it skips the zero indices (nonzero.go).
 func (w width[T]) blockBounds(c *Compressor, a *CompressedArray, dst []float64) (top, bot int, ok bool) {
 	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
@@ -182,19 +182,37 @@ func (w width[T]) blockBounds(c *Compressor, a *CompressedArray, dst []float64) 
 		peakSum += p
 	}
 	l1Tiny, l2Tiny := tiny*peakSum, tiny*math.Sqrt(float64(len(peak)))*spread
+	fw := bytesOf(f)
+	l := lanesOf[T]()
 	for k, nk := range a.N {
 		blk := f[k*K : (k+1)*K]
 		var dc float64
 		if first == 1 {
 			dc = ft.Round(nk * float64(blk[0]) / r)
 		}
+		// A zero index adds exactly +0 to both sums, whatever N_k is.
 		ac := blk[first:]
 		pk := peak[:len(ac)]
 		var s1, s2 float64
-		for i, v := range ac {
-			x := float64(v)
-			s1 += math.Abs(x) * pk[i]
-			s2 += x * x
+		if !l.sparse(fw, k*K, (k+1)*K) {
+			for i, v := range ac {
+				x := float64(v)
+				s1 += math.Abs(x) * pk[i]
+				s2 += x * x
+			}
+		} else {
+			for p := 0; p < len(ac); p += l.n {
+				x := l.word(fw, k*K+first+p)
+				if x == 0 {
+					continue
+				}
+				for m := l.nonzero(x, len(ac)-p); m != 0; m &= m - 1 {
+					i := p + l.lane(m)
+					x := float64(ac[i])
+					s1 += math.Abs(x) * pk[i]
+					s2 += x * x
+				}
+			}
 		}
 		// |N_k|: Compress never writes a negative one, a decoded stream may.
 		scale := math.Abs(nk) / r * grow

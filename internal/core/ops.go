@@ -98,9 +98,11 @@ func (c *Compressor) MulScalar(a *CompressedArray, x float64) (*CompressedArray,
 }
 
 // The reductions below are single serial passes over N and F: each
-// element's coefficient is recovered with Algorithm 3's expression and
-// consumed at once, in block-major order, so nothing is materialised and
-// the summation order — which the answers' last bits depend on — is fixed.
+// coefficient is recovered with Algorithm 3's expression and consumed at
+// once, in block-major order, so nothing is materialised and the
+// summation order — which the answers' last bits depend on — is fixed.
+// The walks skip the zero indices, whose terms are exactly ±0
+// (nonzero.go), so they cost in proportion to the nonzero bins.
 
 // Dot implements Algorithm 6: Σ(Ĉ1 ⊙ Ĉ2). Orthonormal transforms preserve
 // dot products, so this equals the dot product of the decompressed arrays
@@ -113,40 +115,43 @@ func (c *Compressor) Dot(a, b *CompressedArray) (float64, error) {
 	return ab, nil
 }
 
-// dot3 returns ⟨a,b⟩, ⟨a,a⟩ and ⟨b,b⟩ from one pass over both arrays.
-// The pass is bound by recovering the two coefficients, so the extra
-// sums ride free and Dot, Covariance, CosineSimilarity and L2Distance
-// share it.
+// dot3 returns ⟨a,b⟩, ⟨a,a⟩ and ⟨b,b⟩ from one pass over both arrays,
+// so Dot, Covariance, CosineSimilarity and L2Distance share it. It may
+// skip a position only where both indices are zero, and skips none in a
+// block where either N is not finite (nonzero.go).
 func (w width[T]) dot3(c *Compressor, a, b *CompressedArray) (ab, aa, bb float64) {
 	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
 	fa, fb := w.of(a), w.of(b)
+	wa, wb := bytesOf(fa), bytesOf(fb)
+	l := lanesOf[T]()
 	for k, na := range a.N {
 		nb := b.N[k]
 		ia, ib := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
-		for i, v := range ia {
-			ca, cb := ft.Round(na*float64(v)/r), ft.Round(nb*float64(ib[i])/r)
-			ab += ca * cb
-			aa += ca * ca
-			bb += cb * cb
+		if !finite(na) || !finite(nb) || !l.sparse(wa, k*K, (k+1)*K) || !l.sparse(wb, k*K, (k+1)*K) {
+			for i, v := range ia {
+				ca, cb := ft.Round(na*float64(v)/r), ft.Round(nb*float64(ib[i])/r)
+				ab += ca * cb
+				aa += ca * ca
+				bb += cb * cb
+			}
+			continue
+		}
+		for p := 0; p < K; p += l.n {
+			x := l.word(wa, k*K+p) | l.word(wb, k*K+p)
+			if x == 0 {
+				continue
+			}
+			for m := l.nonzero(x, K-p); m != 0; m &= m - 1 {
+				i := p + l.lane(m)
+				ca, cb := ft.Round(na*float64(ia[i])/r), ft.Round(nb*float64(ib[i])/r)
+				ab += ca * cb
+				aa += ca * ca
+				bb += cb * cb
+			}
 		}
 	}
 	return ab, aa, bb
-}
-
-// sumSquares returns ⟨a,a⟩ = Σ Ĉ², recovering each coefficient once.
-func (w width[T]) sumSquares(c *Compressor, a *CompressedArray) float64 {
-	K := len(c.keep)
-	ft, r := c.settings.FloatType, c.radius
-	f := w.of(a)
-	s := 0.0
-	for k, nk := range a.N {
-		for _, v := range f[k*K : (k+1)*K] {
-			ca := ft.Round(nk * float64(v) / r)
-			s += ca * ca
-		}
-	}
-	return s
 }
 
 // blockSums returns the sum of the decompressed array's elements, and
@@ -169,22 +174,40 @@ func (w width[T]) blockSums(c *Compressor, a *CompressedArray, dst []float64) fl
 	return total
 }
 
-// moments returns blockSums(c, a, nil) and sumSquares(c, a) from one walk
-// of N and F. Each sum accumulates in its kernel's order, with its
-// kernel's expressions, so both are bit-identical to calling the two.
+// moments returns blockSums(c, a, nil) and Σ Ĉ² from one walk of N and
+// F. Each sum accumulates in its own order, with blockSums' expressions
+// for the first, so both are bit-identical to summing separately. Σ Ĉ²
+// needs no first coefficient: it is L2Norm's and Variance's sum of
+// squares under any mask.
 func (w width[T]) moments(c *Compressor, a *CompressedArray) (sum, sumSq float64) {
 	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
 	f := w.of(a)
+	fw := bytesOf(f)
+	l := lanesOf[T]()
 	for k, nk := range a.N {
 		blk := f[k*K : (k+1)*K]
 		c0 := ft.Round(nk * float64(blk[0]) / r)
 		// The conversion keeps the product from fusing into the sum.
 		sum += float64(c0 * c.sqrtVol)
 		sumSq += c0 * c0
-		for _, v := range blk[1:] {
-			ca := ft.Round(nk * float64(v) / r)
-			sumSq += ca * ca
+		if !finite(nk) || !l.sparse(fw, k*K, (k+1)*K) {
+			for _, v := range blk[1:] {
+				ca := ft.Round(nk * float64(v) / r)
+				sumSq += ca * ca
+			}
+			continue
+		}
+		// Lane 0 is c0, already added.
+		for p, skip := 0, l.hi&-l.hi; p < K; p, skip = p+l.n, 0 {
+			x := l.word(fw, k*K+p)
+			if x == 0 {
+				continue
+			}
+			for m := l.nonzero(x, K-p) &^ skip; m != 0; m &= m - 1 {
+				ca := ft.Round(nk * float64(blk[p+l.lane(m)]) / r)
+				sumSq += ca * ca
+			}
 		}
 	}
 	return sum, sumSq
@@ -234,13 +257,14 @@ func (c *Compressor) Covariance(a, b *CompressedArray) (float64, error) {
 	if c.firstKept() < 0 {
 		return 0, ErrFirstPruned
 	}
-	var dot float64
+	var dot, sumA, sumB float64
 	if a == b {
-		dot = c.k.sumSquares(c, a)
+		sumA, dot = c.k.moments(c, a)
+		sumB = sumA
 	} else {
 		dot, _, _ = c.k.dot3(c, a, b)
+		sumA, sumB = c.k.blockSums(c, a, nil), c.k.blockSums(c, b, nil)
 	}
-	sumA, sumB := c.k.blockSums(c, a, nil), c.k.blockSums(c, b, nil)
 	n := float64(a.OriginalLen())
 	return (dot - sumA*sumB/n) / n, nil
 }
@@ -265,7 +289,8 @@ func (c *Compressor) L2Norm(a *CompressedArray) (float64, error) {
 	if err := c.checkOwned(a); err != nil {
 		return 0, err
 	}
-	return math.Sqrt(c.k.sumSquares(c, a)), nil
+	_, sumSq := c.k.moments(c, a)
+	return math.Sqrt(sumSq), nil
 }
 
 // CosineSimilarity implements Algorithm 11: Dot(A,B) / (‖A‖₂·‖B‖₂).

@@ -12,7 +12,9 @@
 // PyBlaz gets from PyTorch. The scalar reductions (Dot, L2Norm, Mean,
 // Covariance and everything built on them) are single serial passes over
 // N and F that allocate nothing: the summation order is part of the
-// answer.
+// answer. They recover only the coefficients whose bin index is nonzero,
+// reading F a word at a time, since a zero index adds exactly ±0 to every
+// sum (nonzero.go), so their cost follows the nonzero bins, not ∏b·K.
 //
 // F is held in memory at the width of the index type (an int8 stream is
 // a []int8), so a decoded array is no larger than its payload; DecodeView

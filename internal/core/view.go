@@ -1,9 +1,13 @@
 package core
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/bits"
+)
 
 // This file is the module's only use of package unsafe. It is kept to
-// one conversion so that it can be audited at a glance.
+// two conversions and a size so that it can be audited at a glance.
 
 // DecodeView is Decode for callers whose bytes outlive the result and are
 // never written while it is in use — a read-only memory mapping, or a
@@ -22,4 +26,17 @@ func DecodeView(data []byte) (*CompressedArray, error) { return decode(data, tru
 // an append reallocates instead of writing past b.
 func int8s(b []byte) []int8 {
 	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+}
+
+// sizeOf returns the width of T in bytes.
+func sizeOf[T bits.Signed]() int {
+	var v T
+	return int(unsafe.Sizeof(v))
+}
+
+// bytesOf returns f's memory as bytes, for the kernels that read F a
+// word at a time (nonzero.go). They only read it: f may be a read-only
+// mapping.
+func bytesOf[T bits.Signed](f []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*sizeOf[T]())
 }
