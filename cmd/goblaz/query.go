@@ -153,10 +153,8 @@ func loadQueryRequest(arg string) (*query.Request, error) {
 	default:
 		blob = []byte(arg)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(blob)))
-	dec.DisallowUnknownFields()
 	req := &query.Request{}
-	if err := dec.Decode(req); err != nil {
+	if err := query.DecodeJSON(strings.NewReader(string(blob)), req); err != nil {
 		return nil, fmt.Errorf("bad request JSON: %w", err)
 	}
 	return req, nil

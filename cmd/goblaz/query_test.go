@@ -122,6 +122,7 @@ func TestQueryCLIErrors(t *testing.T) {
 		{"-region", "1,2", path},  // missing :SHAPE
 		{"-against", "banana", "-metric", "mse", path}, // bad label
 		{"-req", `{"bananas":1}`, path},                // unknown field
+		{"-req", `{"reduce":["mean"]} x`, path},        // trailing data
 		{"-req", "@/does/not/exist", path},             // missing file
 		{"-against", "0", "-aggs", "mean", path},       // -against without -metric
 		{path},                                         // empty query

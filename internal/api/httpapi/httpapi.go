@@ -406,10 +406,8 @@ func (h *Handler) handleRegion(b api.Backend, w http.ResponseWriter, req *http.R
 }
 
 func (h *Handler) handleQuery(b api.Backend, w http.ResponseWriter, req *http.Request) error {
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
 	var qr query.Request
-	if err := dec.Decode(&qr); err != nil {
+	if err := query.DecodeJSON(req.Body, &qr); err != nil {
 		var maxBytes *http.MaxBytesError
 		if errors.As(err, &maxBytes) {
 			return err // writeError owns the body-limit classification

@@ -98,6 +98,8 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"GET", "/v1/frames/0/region?offset=9,9&shape=4,4", "", 400, api.CodeBadRequest},
 		{"POST", "/v1/query", `{not json`, 400, api.CodeBadRequest},
 		{"POST", "/v1/query", `{"aggregates":["median"]}`, 400, api.CodeBadRequest},
+		{"POST", "/v1/query", `{"reduce":["mean"]}{"aggregates":["bogus"]} trailing garbage`, 400, api.CodeBadRequest},
+		{"POST", "/v1/query", `{"reduce":["mean"]} x`, 400, api.CodeBadRequest},
 		{"GET", "/v1/stores/nope/frames", "", 404, api.CodeNotFound},
 	}
 	for _, cse := range cases {

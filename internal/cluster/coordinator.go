@@ -404,10 +404,10 @@ func (c *Coordinator) Region(ctx context.Context, label int, offset, shape []int
 }
 
 // Query answers req over the whole cluster with single-store
-// semantics. Shard-local work scatters to the owning shards' endpoints
-// and gathers in global order; a metric request that couples frames
-// across shards fetches their compressed payloads and runs whole here,
-// on a query engine.
+// semantics, by one rule: a metric request that couples frames on
+// different shards fetches their compressed payloads and runs whole
+// here, on a query engine; everything else scatters to the owning
+// shards' endpoints and gathers in global order.
 func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, api.FromError(err)
@@ -423,10 +423,19 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 		return nil, api.FromError(err)
 	}
 	clusterQueries.Inc()
+	sel := p.Frames()
 	if req.Metric != nil {
-		return c.metricQuery(ctx, req, p)
+		// The selection ascends and shards own contiguous ranges, so its
+		// ends decide whether it spans shards.
+		owner, ref := c.owners[sel[0]], -1
+		if against := req.Metric.Against; against != nil {
+			ref = c.labels[*against] // existence validated by Compile
+		}
+		if c.owners[sel[len(sel)-1]] != owner || (ref >= 0 && c.owners[ref] != owner) {
+			return c.metricQuery(ctx, p, sel, ref)
+		}
 	}
-	res, err := c.scatter.do(ctx, req, c.scatter.route(p.Frames()), p.Reduce())
+	res, err := c.scatter.do(ctx, req, c.scatter.route(sel), p.Reduce())
 	if err != nil {
 		return nil, api.FromError(err)
 	}
@@ -441,28 +450,14 @@ func (c *Coordinator) runPart(ctx context.Context, p part, sub *query.Request) (
 	})
 }
 
-// metricQuery answers a metric request. When every coupled frame — the
-// selection plus any reference — lives on one shard, the whole request
-// forwards there and runs on that shard's engine. Otherwise no single
-// shard can see both sides, so the coordinator fetches every coupled
-// frame's stored payload, concurrently, and runs the whole plan — the
-// metric, and any aggregates, regions, points and reduction — on a query
-// engine over those payloads, exactly as one store would answer it.
-func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *query.Plan) (*query.Result, error) {
-	sel := p.Frames()
-	// The selection ascends and shards own contiguous ranges, so its
-	// ends decide whether it spans shards.
-	owner := c.owners[sel[0]]
-	oneShard := c.owners[sel[len(sel)-1]] == owner
-	refGlobal := -1
-	if against := req.Metric.Against; against != nil {
-		refGlobal = c.labels[*against] // existence validated by Compile
-		oneShard = oneShard && c.owners[refGlobal] == owner
-	}
-	if oneShard {
-		return c.forwardMetric(ctx, req, sel)
-	}
-
+// metricQuery answers a metric request whose coupled frames — the
+// selection sel plus the reference at global position refGlobal, −1 in
+// pair mode — span shards. No single shard can see both sides, so the
+// coordinator fetches every coupled frame's stored payload,
+// concurrently, and runs the whole plan — the metric, and any
+// aggregates, regions, points and reduction — on a query engine over
+// those payloads, exactly as one store would answer it.
+func (c *Coordinator) metricQuery(ctx context.Context, p *query.Plan, sel []int, refGlobal int) (*query.Result, error) {
 	// One fan-out fetches the reference (when any) as its last task,
 	// beside the frames, so the engine never waits on the wire.
 	src := &fetched{coordIndex: coordIndex{c}, lo: sel[0], ref: refGlobal,
@@ -488,24 +483,6 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 	if err != nil {
 		return nil, api.FromError(err)
 	}
-	return res, nil
-}
-
-// forwardMetric sends a metric request whose coupled frames all live
-// on one shard to that shard whole, preserving its engine's
-// compressed-space execution, and remaps the answer to the global
-// view.
-func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel []int) (*query.Result, error) {
-	p := c.scatter.route(sel)[0] // one shard owns all of sel
-	clusterParts.Inc()
-	res, err := c.runPart(ctx, p, p.sub(req))
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Frames {
-		res.Frames[i].Index += c.scatter.bases[p.shard]
-	}
-	res.Spec, res.Specs = c.scatter.spec, append([]string(nil), c.scatter.specs...)
 	return res, nil
 }
 

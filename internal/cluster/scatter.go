@@ -70,10 +70,12 @@ func (s *scatter) route(frames []int) []part {
 // do runs req on every part concurrently and gathers the partial
 // results into one answer: frame results concatenate in global order
 // with indices remapped to global positions, the compressed-space flag
-// ANDs, and reduction partials fold through query.Moments into reduce,
-// the plan's normalized kind list. Any part failing fails the whole
-// query with the parts' errors joined; a context that ends mid-fan-out
-// returns its error.
+// ANDs, a pair metric (only ever routed as one part) passes through, and
+// reduction partials fold through query.Moments into reduce, the plan's
+// normalized kind list. Folding a single part's state again from
+// EmptyMoments is exact: an engine's folded sums start at +0 and so are
+// never −0. Any part failing fails the whole query with the parts'
+// errors joined; a context that ends mid-fan-out returns its error.
 func (s *scatter) do(ctx context.Context, req *query.Request, parts []part, reduce []string) (*query.Result, error) {
 	clusterParts.Add(uint64(len(parts)))
 	ctx, span := obs.DefaultTracer.Start(ctx, "cluster.scatter")
@@ -102,6 +104,9 @@ func (s *scatter) do(ctx context.Context, req *query.Request, parts []part, redu
 			out.Frames = append(out.Frames, fr)
 		}
 		out.ExecutedInCompressedSpace = out.ExecutedInCompressedSpace && r.ExecutedInCompressedSpace
+		if r.Pair != nil {
+			out.Pair = r.Pair
+		}
 		if r.Reduced != nil {
 			total.Merge(r.Reduced.Moments)
 		}

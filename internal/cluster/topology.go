@@ -11,14 +11,16 @@
 // per-frame results concatenate in global (topology) order with indices
 // remapped, and dataset-level reductions fold through the exact
 // query.Moments state — which is why a remote dataset passes the same
-// conformance and differential tests as a local one. Metric requests
-// that couple frames across shards (pairwise metrics, a reference frame
-// on another shard) cannot run on any single shard; the coordinator
-// fetches the frames' stored payloads, checked against the CRCs
-// discovery recorded, and runs the whole request on a query.Engine over
-// them, so its answers — metric, aggregates and reduction alike — are
-// bit-identical to a single store's. Only a scattered reduction folds
-// per shard, an ulp from a single store's at most.
+// conformance and differential tests as a local one. A metric request
+// whose frames all live on one shard scatters like any other request, as
+// one part. Metric requests that couple frames across shards (pairwise
+// metrics, a reference frame on another shard) cannot run on any single
+// shard; the coordinator fetches the frames' stored payloads, checked
+// against the CRCs discovery recorded, and runs the whole request on a
+// query.Engine over them, so its answers — metric, aggregates and
+// reduction alike — are bit-identical to a single store's. Only a
+// reduction scattered over several shards folds per shard, an ulp from
+// a single store's at most.
 //
 // Replicas make the tier degradable: each shard lists one or more
 // interchangeable endpoints, a failed call demotes its endpoint with a
@@ -34,6 +36,8 @@ import (
 	"net/url"
 	"os"
 	"time"
+
+	"repro/internal/query"
 )
 
 // TopologyVersion is the topology file format version this package
@@ -192,10 +196,8 @@ func LoadTopology(path string) (*Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
 	t := &Topology{}
-	if err := dec.Decode(t); err != nil {
+	if err := query.DecodeJSON(bytes.NewReader(blob), t); err != nil {
 		return nil, fmt.Errorf("cluster: bad topology %s: %w", path, err)
 	}
 	if err := t.Validate(); err != nil {

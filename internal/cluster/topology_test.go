@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -98,12 +99,15 @@ func TestLoadTopologyRejectsUnknownFields(t *testing.T) {
 		// hashSeed is not a topology field: a file naming it must fail,
 		// not load with the seed silently ignored.
 		`{"version":1,"hashSeed":42,"shards":[{"name":"a","replicas":["http://x"]}]}`,
+		// Nor may anything but whitespace follow the topology.
+		`{"version":1,"shards":[{"name":"a","replicas":["http://x"]}]}{"version":1}`,
+		`{"version":1,"shards":[{"name":"a","replicas":["http://x"]}]} x`,
 	} {
 		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadTopology(path); err == nil {
-			t.Errorf("unknown field should fail to load: %s", blob)
+			t.Errorf("should fail to load: %s", blob)
 		}
 	}
 }
@@ -180,4 +184,47 @@ func TestReplicaAffinityPinned(t *testing.T) {
 			t.Errorf("affinity(%d) = %#016x, want %#016x", label, got, want)
 		}
 	}
+}
+
+// FuzzLoadTopology: LoadTopology never panics, and a topology it
+// accepts, written back through Write, reloads to an equal value.
+func FuzzLoadTopology(f *testing.F) {
+	full := validTopology()
+	full.Placement = PlacementContiguous
+	full.Probe = ProbeConfig{Interval: Duration(time.Second), Cooldown: Duration(250 * time.Millisecond), DownAfter: 2}
+	full.Client = ClientConfig{Timeout: Duration(3 * time.Second), Retries: -1, Backoff: 100}
+	for _, tp := range []*Topology{validTopology(), full} {
+		blob, err := json.Marshal(tp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	const one = `{"version":1,"shards":[{"name":"a","replicas":["http://x"]}]}`
+	f.Add([]byte(one + "\n"))
+	f.Add([]byte(one + `{"version":1}`))
+	f.Add([]byte(one + " x"))
+	f.Add([]byte(`{"version":1,"shards":[{"name":"a","replicas":["https://h:1/v1/datasets/d"]}],"probe":{"interval":1500000000,"cooldown":"-2m"}}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tp, err := LoadTopology(path)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.json")
+		if err := tp.Write(out); err != nil {
+			t.Fatalf("accepted topology does not write: %v", err)
+		}
+		back, err := LoadTopology(out)
+		if err != nil {
+			t.Fatalf("written topology does not reload: %v", err)
+		}
+		if !reflect.DeepEqual(tp, back) {
+			t.Fatalf("round trip changed the topology:\n%+v\n%+v", tp, back)
+		}
+	})
 }

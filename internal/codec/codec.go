@@ -98,17 +98,16 @@ type Ops interface {
 }
 
 // RegionReader is the optional partial-decompression sub-interface, for
-// block-coded backends that can recover an axis-aligned sub-region — or
-// a single element — by decompressing only the blocks that overlap it
-// (goblaz; see core.DecompressRegion). The query engine's region path
-// uses it when present and falls back to full decode plus crop when not.
+// block-coded backends that can recover an axis-aligned sub-region by
+// decompressing only the blocks that overlap it (goblaz; see
+// core.DecompressRegion). The query engine reads regions — and points,
+// as regions of unit shape — through it when present and falls back to
+// full decode plus crop when not.
 type RegionReader interface {
 	Codec
 	// DecompressRegion decompresses the region of c starting at offset
 	// (inclusive) with the given shape.
 	DecompressRegion(c Compressed, offset, shape []int) (*tensor.Tensor, error)
-	// At decompresses the single element at the given multi-index.
-	At(c Compressed, idx ...int) (float64, error)
 }
 
 // Extrema is the optional compressed-space extrema sub-interface, for

@@ -371,15 +371,15 @@ func TestGoblazRegionReader(t *testing.T) {
 			}
 		}
 	}
-	v, err := rr.At(c, 9, 13)
+	pt, err := rr.DecompressRegion(c, []int{9, 13}, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != full.At(9, 13) {
-		t.Errorf("At = %g, want %g", v, full.At(9, 13))
+	if v := pt.Data()[0]; v != full.At(9, 13) {
+		t.Errorf("point region = %g, want %g", v, full.At(9, 13))
 	}
-	if _, err := rr.At(c, 99, 0); err == nil {
-		t.Error("out-of-range At should fail")
+	if _, err := rr.DecompressRegion(c, []int{99, 0}, []int{1, 1}); err == nil {
+		t.Error("out-of-range point region should fail")
 	}
 	if _, err := rr.DecompressRegion(struct{}{}, []int{0, 0}, []int{1, 1}); err == nil {
 		t.Error("foreign compressed type should fail")

@@ -239,14 +239,6 @@ func (g *goblazCodec) DecompressRegion(c Compressed, offset, shape []int) (*tens
 	return g.c.DecompressRegion(a, offset, shape)
 }
 
-func (g *goblazCodec) At(c Compressed, idx ...int) (float64, error) {
-	a, err := g.arr(c)
-	if err != nil {
-		return 0, err
-	}
-	return g.c.At(a, idx...)
-}
-
 func (g *goblazCodec) Extrema(c Compressed) (lo, hi float64, err error) {
 	a, err := g.arr(c)
 	if err != nil {

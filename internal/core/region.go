@@ -71,17 +71,3 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 	}
 	return out, nil
 }
-
-// At decompresses the single element of a at the given multi-index
-// (decompressing only its block).
-func (c *Compressor) At(a *CompressedArray, idx ...int) (float64, error) {
-	shape := make([]int, len(idx))
-	for i := range shape {
-		shape[i] = 1
-	}
-	region, err := c.DecompressRegion(a, idx, shape)
-	if err != nil {
-		return 0, err
-	}
-	return region.Data()[0], nil
-}

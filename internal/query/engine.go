@@ -141,11 +141,6 @@ func (e *Engine) cacheKeyOf(i int) (uint64, int) {
 // Cache exposes the engine's decoded-frame cache (for stats endpoints).
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// loadFrame reads and decodes frame i's compressed representation.
-func (e *Engine) loadFrame(i int) (codec.Compressed, error) {
-	return e.src.Frame(i)
-}
-
 // Run compiles and executes req. Canceling ctx stops the plan between
 // frames — the engine returns ctx's error within one frame's work.
 func (e *Engine) Run(ctx context.Context, req *Request) (*Result, error) {
@@ -173,21 +168,22 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 		}
 	}
 
-	// The reference frame of a vs-reference metric is shared by every
-	// frame task, so it is materialized at most once per Execute: the
-	// compressed form eagerly when its codec has Ops, and the full
-	// decompression lazily and memoized — one decode serves all N
-	// frame tasks even with the cache disabled, and a purely
-	// compressed-space query never triggers it at all.
+	// The reference frame of a metric is shared by every frame task, so
+	// it is materialized at most once per Execute: the compressed form
+	// eagerly when its codec has Ops, and the full decompression lazily
+	// and memoized — one decode serves all N frame tasks even with the
+	// cache disabled, and a purely compressed-space query never triggers
+	// it at all. A pair metric is the first selected frame's metric
+	// against the second as its reference.
 	var ref *refFrame
-	if p.metric != nil && !p.pairMode {
+	if p.metric != nil {
 		refCaps, err := e.capsFor(p.refIndex)
 		if err != nil {
 			return nil, err
 		}
 		ref = &refFrame{caps: refCaps}
 		if refCaps.ops != nil {
-			if ref.c, err = e.loadFrame(p.refIndex); err != nil {
+			if ref.c, err = e.src.Frame(p.refIndex); err != nil {
 				return nil, err
 			}
 		}
@@ -212,7 +208,21 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Spec: e.src.Spec(), Specs: e.specs, Frames: frames, ExecutedInCompressedSpace: true}
+	var pair *PairResult
+	if p.pairMode {
+		// The metric fell back iff it decompressed the reference, and
+		// then it decompressed both selected frames, so both per-frame
+		// flags must say so.
+		compressed := ref.t == nil
+		pair = &PairResult{
+			A: frames[0].Label, B: frames[1].Label,
+			Kind: p.metric.Kind, Value: *frames[0].Metric, ExecutedInCompressedSpace: compressed,
+		}
+		frames[0].Metric = nil
+		frames[1].ExecutedInCompressedSpace = frames[1].ExecutedInCompressedSpace && compressed
+	}
+
+	res := &Result{Spec: e.src.Spec(), Specs: e.specs, Frames: frames, Pair: pair, ExecutedInCompressedSpace: true}
 	for i := range frames {
 		res.ExecutedInCompressedSpace = res.ExecutedInCompressedSpace && frames[i].ExecutedInCompressedSpace
 	}
@@ -229,23 +239,6 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 		}
 		res.Reduced = reduced
 	}
-	if p.pairMode {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pair, err := e.runPair(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		res.Pair = pair
-		if !pair.ExecutedInCompressedSpace {
-			// The fallback fully decompressed both selected frames, so
-			// their per-frame flags must agree with the contract.
-			frames[0].ExecutedInCompressedSpace = false
-			frames[1].ExecutedInCompressedSpace = false
-		}
-		res.ExecutedInCompressedSpace = res.ExecutedInCompressedSpace && pair.ExecutedInCompressedSpace
-	}
 	for i := range frames {
 		if frames[i].ExecutedInCompressedSpace {
 			framesCompressed.Inc()
@@ -261,9 +254,9 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// refFrame is the shared reference frame of a vs-reference metric: its
-// capabilities, its compressed form (loaded iff its codec has Ops), and
-// its memoized full decompression — one allocation for the lot.
+// refFrame is the shared reference frame of a metric: its capabilities,
+// its compressed form (loaded iff its codec has Ops), and its memoized
+// full decompression — one allocation for the lot.
 type refFrame struct {
 	caps *frameCaps
 	c    codec.Compressed
@@ -271,8 +264,6 @@ type refFrame struct {
 	t    *tensor.Tensor
 	err  error
 }
-
-func (r *refFrame) load() (codec.Compressed, error) { return r.c, nil }
 
 // decoded returns the reference, frame i of e, fully decompressed: the
 // first caller decodes it, every other frame task shares that result.
@@ -305,7 +296,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	loadC := func() (codec.Compressed, error) {
 		if fc == nil {
 			var err error
-			if fc, err = e.loadFrame(i); err != nil {
+			if fc, err = e.src.Frame(i); err != nil {
 				return nil, err
 			}
 		}
@@ -337,7 +328,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 		}
 	}
 
-	if p.metric != nil && !p.pairMode {
+	if p.metric != nil && (!p.pairMode || i == p.frames[0]) {
 		v, err := e.frameMetric(ctx, p, caps, ref, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) %s vs label %d: %w",
@@ -347,20 +338,20 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 		out.Metric = &fv
 	}
 
-	if p.region != nil {
-		region, err := e.frameRegion(p, rr, loadC, decode)
+	if reg := p.region; reg != nil {
+		t, err := frameRegion(reg, rr, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) region: %w", i, out.Label, err)
 		}
-		out.Region = region
+		out.Region = &RegionResult{Offset: reg.Offset, Shape: reg.Shape, Values: t.Data()}
 	}
 
-	if len(p.point) > 0 {
-		v, err := e.framePoint(p, rr, loadC, decode)
+	if p.point != nil {
+		t, err := frameRegion(p.point, rr, loadC, decode)
 		if err != nil {
 			return out, fmt.Errorf("frame %d (label %d) point: %w", i, out.Label, err)
 		}
-		fv := Float(v)
+		fv := Float(t.Data()[0])
 		out.Point = &fv
 	}
 
@@ -493,172 +484,72 @@ func decodedMoments(t *tensor.Tensor, minMax bool) Moments {
 	return m
 }
 
-// frameMetric computes one frame's metric against the shared reference;
-// decode clears the frame's compressed-space flag when the metric falls
-// back. The reference's decompression is memoized: one decode serves
-// every frame task.
-func (e *Engine) frameMetric(ctx context.Context, p *Plan, caps *frameCaps, ref *refFrame,
-	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (float64, error) {
-	refDecoded := func() (*tensor.Tensor, error) { return ref.decoded(ctx, e, p.refIndex) }
-	v, _, err := metricOf(p.metric.Kind, p.metric.Peak, caps, ref.caps,
-		metricSide{load: loadC, decode: decode}, metricSide{load: ref.load, decode: refDecoded})
-	return v, err
-}
-
-// metricSide is how to get one frame of a metric evaluation: its
-// compressed form, and its full decompression. It holds no capabilities:
-// escape analysis does not tell struct fields apart, so codec.Ops beside
-// the closures would move every frame task's captured state to the heap.
-type metricSide struct {
-	load   func() (codec.Compressed, error)
-	decode func() (*tensor.Tensor, error)
-}
-
-// metricOf evaluates a pairwise metric by the one rule both metric forms
-// share: in compressed space when both frames share a spec whose codec
-// has Ops — compressed arithmetic only composes within one compressed
+// frameMetric computes one frame's metric against the shared reference:
+// in compressed space when both frames share a spec whose codec has Ops
+// — compressed arithmetic only composes within one compressed
 // representation — else on the full decompressions (a cross-codec pair,
 // a codec without Ops, or an Ops backend answering ErrNotSupported).
-// compressed reports which path ran.
-func metricOf(kind string, peak float64, capsA, capsB *frameCaps, a, b metricSide) (v float64, compressed bool, err error) {
-	if capsA.ops != nil && capsA.spec == capsB.spec {
-		ca, err := a.load()
-		if err != nil {
-			return 0, false, err
-		}
-		cb, err := b.load()
-		if err != nil {
-			return 0, false, err
-		}
-		v, err := compressedMetric(capsA.ops, ca, cb, kind, peak)
-		if err == nil {
-			return v, true, nil
-		}
-		if !errors.Is(err, codec.ErrNotSupported) {
-			return 0, false, err
-		}
-	}
-	ta, err := a.decode()
-	if err != nil {
-		return 0, false, err
-	}
-	tb, err := b.decode()
-	if err != nil {
-		return 0, false, err
-	}
-	v, err = decodedMetric(ta, tb, kind, peak)
-	return v, false, err
-}
-
-func (e *Engine) frameRegion(p *Plan, rr codec.RegionReader,
-	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (*RegionResult, error) {
-	reg := p.region
-	var t *tensor.Tensor
-	if rr != nil {
-		c, err := loadC()
-		if err != nil {
-			return nil, err
-		}
-		if t, err = rr.DecompressRegion(c, reg.Offset, reg.Shape); err != nil {
-			// The backend validated bounds against the frame shape.
-			return nil, badf("%v", err)
-		}
-	} else {
-		full, err := decode()
-		if err != nil {
-			return nil, err
-		}
-		if t, err = cropRegion(full, reg.Offset, reg.Shape); err != nil {
-			return nil, err
-		}
-	}
-	return &RegionResult{Offset: reg.Offset, Shape: reg.Shape, Values: t.Data()}, nil
-}
-
-func (e *Engine) framePoint(p *Plan, rr codec.RegionReader,
+// decode clears the frame's compressed-space flag when the metric falls
+// back; the reference's decompression is memoized, so one decode serves
+// every frame task. The capabilities are parameters, not closure
+// captures, so runFrame's state stays on the stack.
+func (e *Engine) frameMetric(ctx context.Context, p *Plan, caps *frameCaps, ref *refFrame,
 	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (float64, error) {
-	if rr != nil {
+	if caps.ops != nil && caps.spec == ref.caps.spec {
 		c, err := loadC()
 		if err != nil {
 			return 0, err
 		}
-		v, err := rr.At(c, p.point...)
-		if err != nil {
-			return 0, badf("%v", err)
+		v, err := compressedMetric(caps.ops, c, ref.c, p.metric.Kind, p.metric.Peak)
+		if !errors.Is(err, codec.ErrNotSupported) {
+			return v, err
 		}
-		return v, nil
 	}
 	t, err := decode()
 	if err != nil {
 		return 0, err
 	}
-	one := make([]int, len(p.point))
-	for i := range one {
-		one[i] = 1
-	}
-	region, err := cropRegion(t, p.point, one)
+	refT, err := ref.decoded(ctx, e, p.refIndex)
 	if err != nil {
 		return 0, err
 	}
-	return region.Data()[0], nil
+	return decodedMetric(t, refT, p.metric.Kind, p.metric.Peak)
 }
 
-// runPair computes the two-frame metric of a pairwise request. It
-// loads the two frames itself rather than threading handles out of the
-// fan-out; a request that combines a pair metric with aggregates or
-// region work decodes those two payloads twice, a bounded duplication
-// (pair mode is always exactly two frames) taken for the simpler
-// frame-task lifecycle.
-func (e *Engine) runPair(ctx context.Context, p *Plan) (*PairResult, error) {
-	ia, ib := p.frames[0], p.frames[1]
-	capsA, err := e.capsFor(ia)
+// frameRegion reads one frame's region — a point is the region of unit
+// shape at it — by partial decode when the codec has a RegionReader,
+// else by cropping the full decompression.
+func frameRegion(reg *RegionRequest, rr codec.RegionReader,
+	loadC func() (codec.Compressed, error), decode func() (*tensor.Tensor, error)) (*tensor.Tensor, error) {
+	if rr != nil {
+		c, err := loadC()
+		if err != nil {
+			return nil, err
+		}
+		t, err := rr.DecompressRegion(c, reg.Offset, reg.Shape)
+		if err != nil {
+			// The backend validated bounds against the frame shape.
+			return nil, badf("%v", err)
+		}
+		return t, nil
+	}
+	full, err := decode()
 	if err != nil {
 		return nil, err
 	}
-	capsB, err := e.capsFor(ib)
-	if err != nil {
-		return nil, err
-	}
-	v, compressed, err := metricOf(p.metric.Kind, p.metric.Peak, capsA, capsB,
-		e.pairSide(ctx, ia), e.pairSide(ctx, ib))
-	if err != nil {
-		return nil, err
-	}
-	return &PairResult{
-		A: e.src.Info(ia).Label, B: e.src.Info(ib).Label,
-		Kind: p.metric.Kind, Value: Float(v), ExecutedInCompressedSpace: compressed,
-	}, nil
+	return cropRegion(full, reg.Offset, reg.Shape)
 }
 
-// pairSide is frame i as one side of a pairwise metric: a fallback
-// decompresses, through the cache, the compressed form the
-// compressed-space attempt already read, if it read one.
-func (e *Engine) pairSide(ctx context.Context, i int) metricSide {
-	var fc codec.Compressed
-	return metricSide{
-		load: func() (codec.Compressed, error) {
-			var err error
-			fc, err = e.loadFrame(i)
-			return fc, err
-		},
-		decode: func() (*tensor.Tensor, error) { return e.decodedFrom(ctx, i, fc) },
-	}
-}
-
-// decoded returns frame i fully decompressed, through the LRU cache.
-// Cached tensors are shared across queries and must not be mutated.
-func (e *Engine) decoded(ctx context.Context, i int) (*tensor.Tensor, error) {
-	return e.decodedFrom(ctx, i, nil)
-}
-
-// decodedFrom is decoded for callers that may already hold frame i's
-// compressed representation: a frame that fell back mid-path (e.g. blaz
-// answering ErrNotSupported after loadC) decompresses what it has
-// instead of re-reading and re-decoding the payload. The cache-miss
-// decode runs under the cache's singleflight, so a thundering herd of
-// queries on one cold frame decompresses it once per generation —
-// whichever caller wins the flight decodes (from its held compressed
-// form if it has one), and the rest share that result.
+// decodedFrom returns frame i fully decompressed, through the LRU cache.
+// Cached tensors are shared across queries and must not be mutated. fc
+// is frame i's compressed representation when the caller already holds
+// it: a frame that fell back mid-path (e.g. blaz answering
+// ErrNotSupported after loadC) decompresses what it has instead of
+// re-reading and re-decoding the payload. The cache-miss decode runs
+// under the cache's singleflight, so a thundering herd of queries on one
+// cold frame decompresses it once per generation — whichever caller wins
+// the flight decodes (from its held compressed form if it has one), and
+// the rest share that result.
 func (e *Engine) decodedFrom(ctx context.Context, i int, fc codec.Compressed) (*tensor.Tensor, error) {
 	ns, key := e.cacheKeyOf(i)
 	return e.cache.Decode(ns, key, func() (*tensor.Tensor, error) {
@@ -671,7 +562,7 @@ func (e *Engine) decodedFrom(ctx context.Context, i int, fc codec.Compressed) (*
 		}
 		c := fc
 		if c == nil {
-			if c, err = e.loadFrame(i); err != nil {
+			if c, err = e.src.Frame(i); err != nil {
 				return nil, err
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"path"
 	"strconv"
@@ -107,6 +108,28 @@ var ErrBadRequest = errors.New("query: bad request")
 
 func badf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
+}
+
+// DecodeJSON reads exactly one JSON value from r into v, rejecting
+// unknown fields and anything but whitespace after the value: a second
+// value or trailing garbage is an error, not silently dropped. It reads
+// the JSON that comes from outside the program — query bodies and
+// -req files, dataset manifests, cluster topologies. A read error,
+// before or after the value, comes back wrapped.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errors.New("data after the JSON value")
+	default:
+		return fmt.Errorf("after the JSON value: %w", err)
+	}
 }
 
 // The aggregate kinds. Every kind has a compressed-space entry point:
@@ -340,10 +363,10 @@ type Plan struct {
 	frames   []int // store positions, commit order
 	aggs     []string
 	metric   *MetricRequest
-	refIndex int  // store position of the reference frame; -1 in pair mode
+	refIndex int  // store position of the reference frame: in pair mode, the second selected frame's
 	pairMode bool // metric over exactly two selected frames
 	region   *RegionRequest
-	point    []int
+	point    *RegionRequest // a point read: the region of unit shape at the point
 	reduce   []string
 
 	aggsMinMax   bool // the aggregates include min or max (codec.Extrema)
@@ -356,7 +379,7 @@ func Compile(src Index, req *Request) (*Plan, error) {
 	if req == nil {
 		return nil, badf("nil request")
 	}
-	p := &Plan{refIndex: -1}
+	p := &Plan{}
 
 	if len(req.Aggregates) == 0 && req.Metric == nil && req.Region == nil && len(req.Point) == 0 && len(req.Reduce) == 0 {
 		return nil, badf("empty query: request aggregates, a metric, a region, a point, or a reduction")
@@ -419,7 +442,7 @@ func Compile(src Index, req *Request) (*Plan, error) {
 			if len(frames) != 2 {
 				return nil, badf("pairwise metric needs exactly 2 selected frames, selection has %d", len(frames))
 			}
-			p.pairMode = true
+			p.refIndex, p.pairMode = frames[1], true
 		}
 		p.metric = &mc
 	}
@@ -431,7 +454,13 @@ func Compile(src Index, req *Request) (*Plan, error) {
 		}
 		p.region = reg
 	}
-	p.point = req.Point
+	if len(req.Point) > 0 {
+		unit := make([]int, len(req.Point))
+		for i := range unit {
+			unit[i] = 1
+		}
+		p.point = &RegionRequest{Offset: req.Point, Shape: unit}
+	}
 	return p, nil
 }
 

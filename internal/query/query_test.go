@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/codec"
@@ -752,5 +754,31 @@ func TestRunDeadlineExceeded(t *testing.T) {
 	_, err := New(r, Options{}).Run(ctx, &Request{Aggregates: []string{AggMean}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline returned %v, want context.DeadlineExceeded", err)
+	}
+}
+
+func TestDecodeJSONRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{`{"reduce":["mean"]}`, "{\"reduce\":[\"mean\"]}\n", " {\"reduce\":[\"mean\"]} \r\n\t "} {
+		var req Request
+		if err := DecodeJSON(strings.NewReader(body), &req); err != nil || len(req.Reduce) != 1 {
+			t.Errorf("%q: %v, %+v", body, err, req)
+		}
+	}
+	for _, body := range []string{
+		`{"reduce":["mean"]}{"aggregates":["bogus"]} trailing garbage`,
+		`{"reduce":["mean"]} x`,
+		`{"reduce":["mean"]}}`,
+		`{"reduce":["mean"]} 1`,
+		`{"bogus":1}`,
+		``,
+	} {
+		if err := DecodeJSON(strings.NewReader(body), &Request{}); err == nil {
+			t.Errorf("%q decoded", body)
+		}
+	}
+	// A read failure after the value is the caller's to classify.
+	r := io.MultiReader(strings.NewReader(`{} `), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if err := DecodeJSON(r, &Request{}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("read error after the value = %v, want it wrapped", err)
 	}
 }

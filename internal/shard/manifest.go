@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/query"
 	"repro/internal/store"
 )
 
@@ -121,10 +122,8 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
 	m := &Manifest{}
-	if err := dec.Decode(m); err != nil {
+	if err := query.DecodeJSON(bytes.NewReader(blob), m); err != nil {
 		return nil, fmt.Errorf("shard: bad manifest %s: %w", path, err)
 	}
 	if err := m.Validate(); err != nil {

@@ -415,7 +415,7 @@ func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []floa
 	}
 	if rr, ok := coder.(codec.RegionReader); ok {
 		array(rr.DecompressRegion(a, []int{3, 5}, []int{9, 7}))
-		scalar(rr.At(a, 7, 2))
+		array(rr.DecompressRegion(a, []int{7, 2}, []int{1, 1}))
 	}
 	if ext, ok := coder.(codec.Extrema); ok {
 		lo, hi, err := ext.Extrema(a)
@@ -438,7 +438,7 @@ func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []floa
 		scalar(c.WassersteinDistance(ca, cb, 2))
 		array(c.Decompress(ca))
 		array(c.DecompressRegion(ca, []int{0, 9}, []int{16, 7}))
-		scalar(c.At(ca, 15, 15))
+		array(c.DecompressRegion(ca, []int{15, 15}, []int{1, 1}))
 	}
 	return out
 }
