@@ -13,12 +13,14 @@ import (
 	"repro/internal/tune"
 )
 
-const tuneCandidates = "goblaz:block=8x8,float=float64,index=int16;zfp:rate=16"
+const tuneCandidates = "goblaz:block=8x8,float=float64,index=int16,transform=identity;zfp:rate=16"
 
-// tuneInputs writes frames that alternate between a smooth ramp (zfp
-// encodes it exactly, and small) and a rough field (zfp blows a 1e-3
-// error budget there, goblaz does not), so -auto with that budget must
-// produce a genuinely mixed assignment.
+// tuneInputs writes frames that alternate between a smooth ramp and a
+// rough field, so -auto with a 1e-3 budget must produce a genuinely mixed
+// assignment. The ramp goes to the default DCT goblaz codec, which stores
+// only its few nonzero bin indices. On the rough field zfp blows the
+// budget, and the identity-transform goblaz candidate, which bins values
+// untransformed, is the smallest legal encoding.
 func tuneInputs(t *testing.T, dir string, n int) []string {
 	t.Helper()
 	paths := make([]string, n)

@@ -471,14 +471,20 @@ func readIngestBody(req *http.Request, limit int64) ([]api.IngestFrame, error) {
 	return api.ParseFrames(body)
 }
 
-// readNDJSON decodes a stream of JSON frame objects.
+// readNDJSON decodes a stream of JSON frame objects up to the end of the
+// body. Anything else in it — a stray `]` or `}`, trailing text — is a
+// bad request, not the end of the batch.
 func readNDJSON(body io.Reader) ([]api.IngestFrame, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var frames []api.IngestFrame
-	for dec.More() {
+	for {
 		var f api.IngestFrame
-		if err := dec.Decode(&f); err != nil {
+		err := dec.Decode(&f)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			var maxBytes *http.MaxBytesError
 			if errors.As(err, &maxBytes) {
 				return nil, err // writeError owns the body-limit classification

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -122,6 +123,11 @@ func TestIngestNDJSONBodies(t *testing.T) {
 		{"batch", frame(2) + "\n" + frame(3) + "\n" + frame(4) + "\n", 200, 3, ""},
 		{"unknown field", `{"label":5,"shape":[1],"data":[1],"color":"red"}`, 400, 0, "unknown field"},
 		{"empty", "", 400, 0, "empty ingest batch"},
+		// A top-level `]` or `}` once ended the batch early and silently:
+		// the frames before it were ingested and the rest dropped.
+		{"stray bracket between frames", frame(6) + "]" + frame(7), 400, 0, "bad ingest frame JSON"},
+		{"stray brace and trailing text", frame(8) + "} trailing", 400, 0, "bad ingest frame JSON"},
+		{"leading bracket", "]" + frame(9), 400, 0, "bad ingest frame JSON"},
 	} {
 		resp := post(t, srv, "application/x-ndjson", []byte(tc.body))
 		if resp.StatusCode != tc.status {
@@ -297,4 +303,38 @@ func TestIngestMalformedBinaryBody(t *testing.T) {
 		t.Fatalf("intact batch after the malformed ones = %d: %+v", resp.StatusCode, decodeEnvelope(t, resp))
 	}
 	resp.Body.Close()
+}
+
+// FuzzReadNDJSON: the NDJSON ingest body is input from outside the
+// program. readNDJSON must never panic, and a body it accepts must hold
+// frames that re-marshal one by one and read back equal.
+func FuzzReadNDJSON(f *testing.F) {
+	frame := func(label int) string {
+		return fmt.Sprintf(`{"label":%d,"shape":[2,2],"data":[0.5,-0,1e300,5e-324]}`, label)
+	}
+	f.Add([]byte(frame(1) + "]" + frame(2)))
+	f.Add([]byte(frame(3) + "} trailing"))
+	f.Add([]byte("]" + frame(4)))
+	f.Add([]byte(frame(5) + "\n" + `{"label":6,"shape":[3],"data":[1,2,3],"spec":"zfp:rate=16"}` + "\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		frames, err := readNDJSON(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		for i, fr := range frames {
+			line, err := json.Marshal(fr)
+			if err != nil {
+				t.Fatalf("frame %d: marshal: %v", i, err)
+			}
+			back, err := readNDJSON(bytes.NewReader(line))
+			if err != nil || len(back) != 1 {
+				t.Fatalf("frame %d: %s read back as %d frames, %v", i, line, len(back), err)
+			}
+			b := back[0]
+			if b.Label != fr.Label || b.Spec != fr.Spec || !slices.Equal(b.Shape, fr.Shape) ||
+				(b.Data == nil) != (fr.Data == nil) || !bitsEqual(b.Data, fr.Data) {
+				t.Fatalf("frame %d: %+v read back as %+v", i, fr, b)
+			}
+		}
+	})
 }

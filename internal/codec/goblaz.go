@@ -126,13 +126,13 @@ func (g *goblazCodec) EncodedSize(c Compressed) int {
 	if err != nil {
 		return 0
 	}
-	bits, err := core.CompressedSizeBits(a.Settings, a.Shape)
+	// The exact length of the v3 stream Encode writes, which masks the
+	// blocks where that is smaller: not the §IV-C size.
+	n, err := core.EncodedSize(a)
 	if err != nil {
 		return 0
 	}
-	// Encode adds 8 magic bits and 2 transform bits beyond the §IV-C
-	// inventory and pads to a whole byte.
-	return int((bits + 10 + 7) / 8)
+	return n
 }
 
 func (g *goblazCodec) Add(a, b Compressed) (Compressed, error) {

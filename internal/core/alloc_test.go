@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/scalar"
@@ -39,15 +40,46 @@ func int8Frames(tb testing.TB, field func(seed int64, shape ...int) *tensor.Tens
 	return c, a, b
 }
 
+// scatteredFrames are analyticsFrames' geometry at int16, written
+// directly rather than compressed: 80 % of the indices are zero, at
+// uniformly random positions, the rest uniform over [−r, r] — the frame on
+// which choosing a block's body from a sample of its words cost up to
+// 1.3× the plain loop. Every block is stored masked.
+func scatteredFrames(tb testing.TB) (*Compressor, *CompressedArray, *CompressedArray) {
+	tb.Helper()
+	s := DefaultSettings(8, 8)
+	s.IndexType = scalar.Int16
+	c, err := NewCompressor(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame := func(seed int64) *CompressedArray {
+		rng := rand.New(rand.NewSource(seed))
+		a := c.newArray([]int{256, 256}, []int{32, 32})
+		for k := range a.N {
+			a.N[k] = s.FloatType.Round(1 + rng.Float64())
+		}
+		r := int(c.radius)
+		for i := range a.F.i16 {
+			if rng.Intn(100) >= 80 {
+				a.F.i16[i] = int16(rng.Intn(2*r) - r + 1)
+			}
+		}
+		return a
+	}
+	return c, frame(1), frame(2)
+}
+
 // zeroShare returns the fraction of a's indices that are 0.
 func zeroShare(a *CompressedArray) float64 {
+	f := a.indices()
 	zeros := 0
-	for i := 0; i < a.F.Len(); i++ {
-		if a.F.At(i) == 0 {
+	for _, v := range f {
+		if v == 0 {
 			zeros++
 		}
 	}
-	return float64(zeros) / float64(a.F.Len())
+	return float64(zeros) / float64(len(f))
 }
 
 type namedKernel struct {
@@ -78,8 +110,8 @@ func scalarKernels(c *Compressor, a, b *CompressedArray) []namedKernel {
 
 var sinkFloat float64
 
-// decoders are the two ways to decode a stream: Decode copies F, and
-// DecodeView reads a v2 int8 F in place.
+// decoders are the two ways to decode a stream: Decode copies F and the
+// masks, and DecodeView reads an int8 F and the masks in place.
 var decoders = []struct {
 	name   string
 	decode func([]byte) (*CompressedArray, error)
@@ -221,28 +253,45 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkKernels runs the scalar kernels over a heap F (copy) and over
-// an F that is the v2 payload's own bytes (view), and extrema against the
-// decode-then-scan it replaces, on the smooth analytics frames and on
-// dense noise frames; zero_share is the fraction of the first frame's F
-// that is 0, which the kernels' cost follows.
+// BenchmarkKernels runs the scalar kernels over a heap F (copy), over an
+// F that is the v3 payload's own bytes (view), and over the v2 payload,
+// every block dense (v2: the plain loop every other cell is read
+// against), and extrema against the decode-then-scan it replaces. The
+// frames are the smooth analytics frames, dense noise frames and int16
+// frames of scattered zeros; zero_share is the fraction of the first
+// frame's indices that are 0, and masked_share of its blocks stored
+// masked.
 func BenchmarkKernels(b *testing.B) {
 	want := map[string]bool{"dot": true, "l2norm": true, "moments": true, "variance": true, "mse": true, "cosine": true,
 		"extrema": true, "decompress+minmax": true}
+	v2 := func(data []byte) (*CompressedArray, error) { return Decode(data) }
 	for _, frames := range []struct {
 		name string
 		make func(testing.TB) (*Compressor, *CompressedArray, *CompressedArray)
-	}{{"smooth", analyticsFrames}, {"noise", noiseFrames}} {
+	}{{"smooth", analyticsFrames}, {"noise", noiseFrames}, {"scattered", scatteredFrames}} {
 		c, x, y := frames.make(b)
 		zeros := zeroShare(x)
-		for _, d := range decoders {
-			xd, err := d.decode(mustEncode(b, x))
+		for _, d := range append(decoders, struct {
+			name   string
+			decode func([]byte) (*CompressedArray, error)
+		}{"v2", v2}) {
+			encode := mustEncode
+			if d.name == "v2" {
+				encode = encodeV2
+			}
+			xd, err := d.decode(encode(b, x))
 			if err != nil {
 				b.Fatal(err)
 			}
-			yd, err := d.decode(mustEncode(b, y))
+			yd, err := d.decode(encode(b, y))
 			if err != nil {
 				b.Fatal(err)
+			}
+			maskedBlocks := 0
+			for k := range xd.N {
+				if masked(xd.occ, k) {
+					maskedBlocks++
+				}
 			}
 			kernels := append(scalarKernels(c, xd, yd),
 				namedKernel{"extrema", func() (float64, error) {
@@ -263,6 +312,7 @@ func BenchmarkKernels(b *testing.B) {
 				b.Run(frames.name+"/"+d.name+"/"+k.name, func(b *testing.B) {
 					b.ReportAllocs()
 					b.ReportMetric(zeros, "zero_share")
+					b.ReportMetric(float64(maskedBlocks)/float64(len(xd.N)), "masked_share")
 					for i := 0; i < b.N; i++ {
 						v, err := k.run()
 						if err != nil {

@@ -22,12 +22,21 @@ type CompressedArray struct {
 	// N holds the biggest coefficient magnitude per block, rounded to the
 	// configured float type; length ∏b.
 	N []float64
-	// F holds the kept bin indices, block-major then kept-position order;
-	// length ∏b · K where K is the number of kept coefficients per block.
-	// It is held at the width of Settings.IndexType, so the in-memory form
-	// is no larger than the stored one. In an array from DecodeView it may
-	// be the stream's own bytes, so it is never written in place.
+	// F holds the kept bin indices, block after block: all K of a dense
+	// block's, in kept-position order, and only the nonzero ones of a
+	// masked block, in the same order (nonzero.go). When every block is
+	// dense its length is ∏b · K, K being the number of kept coefficients
+	// per block. It is held at the width of Settings.IndexType, so the
+	// in-memory form is no larger than the stored one. In an array from
+	// DecodeView it may be the stream's own bytes, so it is never written
+	// in place.
 	F Indices
+	// occ marks the masked blocks and their nonzero positions, as stream
+	// v3 stores them: ∏b flag bits, block k's at bit k (most significant
+	// bit first), then the K-bit occupancy mask of each masked block in
+	// block order, first position first. It is nil when every block is
+	// dense, and like F it may be the stream's own bytes.
+	occ []byte
 	// Settings records the compression settings used.
 	Settings Settings
 }
@@ -36,12 +45,7 @@ type CompressedArray struct {
 func (a *CompressedArray) NumBlocks() int { return tensor.Prod(a.Blocks) }
 
 // Kept returns the number of kept coefficients per block.
-func (a *CompressedArray) Kept() int {
-	if a.NumBlocks() == 0 {
-		return 0
-	}
-	return a.F.Len() / a.NumBlocks()
-}
+func (a *CompressedArray) Kept() int { return a.Settings.kept() }
 
 // PaddedShape returns the zero-padded shape b⊙i the blocks tile.
 func (a *CompressedArray) PaddedShape() []int {
@@ -61,6 +65,7 @@ func (a *CompressedArray) Clone() *CompressedArray {
 		Blocks:   append([]int(nil), a.Blocks...),
 		N:        append([]float64(nil), a.N...),
 		F:        a.F.clone(),
+		occ:      slices.Clone(a.occ),
 		Settings: a.Settings,
 	}
 	c.Settings.BlockShape = append([]int(nil), a.Settings.BlockShape...)
@@ -68,6 +73,29 @@ func (a *CompressedArray) Clone() *CompressedArray {
 		c.Settings.Mask = append([]bool(nil), a.Settings.Mask...)
 	}
 	return c
+}
+
+// indices returns a's indices at all K positions of every block, widened
+// to int64, whether a block is stored dense or masked: F as an all-dense
+// array would hold it.
+func (a *CompressedArray) indices() []int64 {
+	K := a.Kept()
+	occ, at, out := a.occ, a.NumBlocks(), make([]int64, 0, a.NumBlocks()*K)
+	j := 0
+	for k := 0; k < a.NumBlocks(); k++ {
+		for p := 0; p < K; p++ {
+			if masked(occ, k) && maskBits(occ, at+p, 1) == 0 {
+				out = append(out, 0)
+				continue
+			}
+			out = append(out, a.F.At(j))
+			j++
+		}
+		if masked(occ, k) {
+			at += K
+		}
+	}
+	return out
 }
 
 // Indices is the index array F, stored at the width of the index type
@@ -132,9 +160,9 @@ func negate[T bits.Signed](f []T) {
 type kernels interface {
 	alloc(f *Indices, n int)
 	compressBlocks(c *Compressor, t *tensor.Tensor, out *CompressedArray)
-	inverseBlock(c *Compressor, a *CompressedArray, k int, block, scratch []float64)
-	blockCoefficients(c *Compressor, a *CompressedArray, k int, dst []float64)
-	rebinBlocks(c *Compressor, out *CompressedArray, coeffsOf func(k int, scratch []float64) []float64)
+	inverseBlock(c *Compressor, a *CompressedArray, s span, block, scratch []float64)
+	blockCoefficients(c *Compressor, a *CompressedArray, s span, dst []float64)
+	rebinBlocks(c *Compressor, out *CompressedArray, worker func() func(k int, scratch []float64) []float64)
 	combine(c *Compressor, a, b *CompressedArray, sign float64) *CompressedArray
 	blockSums(c *Compressor, a *CompressedArray, dst []float64) float64
 	blockBounds(c *Compressor, a *CompressedArray, dst []float64) (top, bot int, ok bool)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 
 	"repro/internal/bits"
 	"repro/internal/tensor"
@@ -127,53 +128,91 @@ func (c *Compressor) Decompress(a *CompressedArray) (*tensor.Tensor, error) {
 	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
 		block, scratch := c.blockBuffer()
 		cur := tensor.NewBlockCursor(a.Blocks, c.settings.BlockShape, nil, a.Shape)
+		at := c.cursor(a)
+		at.seek(start)
 		for k := start; k < end; k++ {
-			c.k.inverseBlock(c, a, k, block, scratch)
+			c.k.inverseBlock(c, a, at.next(), block, scratch)
 			cur.Scatter(out.Data(), block, k)
 		}
 	})
 	return out, nil
 }
 
-// inverseBlock reconstructs block k of a in block: scale its indices by
+// inverseBlock reconstructs block s of a in block: scale its indices by
 // N_k (Algorithm 3), then invert the transform. block may hold anything;
-// the positions the mask pruned are zeroed here.
-func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, k int, block, scratch []float64) {
-	K := len(c.keep)
-	ft, r, nk := c.settings.FloatType, c.radius, a.N[k]
-	f := w.of(a)[k*K : (k+1)*K]
-	if K < len(block) {
+// the positions the mask pruned are zeroed here, and a masked block's
+// left-out positions hold Round(N_k·0/r).
+func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, s span, block, scratch []float64) {
+	ft, r, nk := c.settings.FloatType, c.radius, a.N[s.k]
+	f := w.of(a)[s.off:s.end]
+	if s.at < 0 {
+		if len(c.keep) < len(block) {
+			clear(block)
+		}
+		for i, pos := range c.keep {
+			block[pos] = ft.Round(nk * float64(f[i]) / r)
+		}
+	} else {
 		clear(block)
-	}
-	for i, pos := range c.keep {
-		block[pos] = ft.Round(nk * float64(f[i]) / r)
+		if !plain(nk) {
+			z := ft.Round(nk * 0 / r)
+			for _, pos := range c.keep {
+				block[pos] = z
+			}
+		}
+		K, j := len(c.keep), 0
+		for base := 0; base < K; base += 64 {
+			for m := s.word(a.occ, base, K); m != 0; j++ {
+				lz := mathbits.LeadingZeros64(m)
+				m &^= 1 << 63 >> uint(lz)
+				block[c.keep[base+lz]] = ft.Round(nk * float64(f[j]) / r)
+			}
+		}
 	}
 	c.plan.Inverse(block, scratch)
 }
 
 // specifiedCoefficients implements Algorithm 3: Ĉ = N ⊙ F ⊘ r, the kept
 // transform coefficients recovered from the compressed form. The result is
-// block-major with K entries per block, matching the layout of F. It is
+// block-major with K entries per block, the layout of a dense F. It is
 // for callers whose result is the vector; reductions fuse the expression
 // into their own pass (ops.go).
 func (c *Compressor) specifiedCoefficients(a *CompressedArray) []float64 {
 	K := len(c.keep)
-	out := make([]float64, a.F.Len())
+	out := make([]float64, a.NumBlocks()*K)
 	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
+		cur := c.cursor(a)
+		cur.seek(start)
 		for k := start; k < end; k++ {
-			c.k.blockCoefficients(c, a, k, out[k*K:(k+1)*K])
+			c.k.blockCoefficients(c, a, cur.next(), out[k*K:(k+1)*K])
 		}
 	})
 	return out
 }
 
-// blockCoefficients is Algorithm 3 for block k: its K specified
-// coefficients into dst.
-func (w width[T]) blockCoefficients(c *Compressor, a *CompressedArray, k int, dst []float64) {
-	K := len(c.keep)
-	ft, r, nk := c.settings.FloatType, c.radius, a.N[k]
-	for i, v := range w.of(a)[k*K : (k+1)*K] {
-		dst[i] = ft.Round(nk * float64(v) / r)
+// blockCoefficients is Algorithm 3 for block s: its K specified
+// coefficients into dst, Round(N_k·0/r) wherever a masked block's mask
+// leaves a position out.
+func (w width[T]) blockCoefficients(c *Compressor, a *CompressedArray, s span, dst []float64) {
+	ft, r, nk := c.settings.FloatType, c.radius, a.N[s.k]
+	f := w.of(a)[s.off:s.end]
+	if s.at < 0 {
+		for i, v := range f {
+			dst[i] = ft.Round(nk * float64(v) / r)
+		}
+		return
+	}
+	z := ft.Round(nk * 0 / r)
+	for i := range dst {
+		dst[i] = z
+	}
+	K, j := len(c.keep), 0
+	for base := 0; base < K; base += 64 {
+		for m := s.word(a.occ, base, K); m != 0; j++ {
+			lz := mathbits.LeadingZeros64(m)
+			m &^= 1 << 63 >> uint(lz)
+			dst[base+lz] = ft.Round(nk * float64(f[j]) / r)
+		}
 	}
 }
 
@@ -184,19 +223,25 @@ func (w width[T]) blockCoefficients(c *Compressor, a *CompressedArray, k int, ds
 func (c *Compressor) rebin(a *CompressedArray, coeffs []float64) *CompressedArray {
 	K := len(c.keep)
 	out := c.newArray(a.Shape, a.Blocks)
-	c.k.rebinBlocks(c, out, func(k int, _ []float64) []float64 { return coeffs[k*K : (k+1)*K] })
+	c.k.rebinBlocks(c, out, func() func(k int, _ []float64) []float64 {
+		return func(k int, _ []float64) []float64 { return coeffs[k*K : (k+1)*K] }
+	})
 	return out
 }
 
-// rebinBlocks fills out's N and F from per-block specified coefficients.
-// coeffsOf returns block k's K coefficients; it may build them in the
-// scratch it is handed, which is private to the calling worker, so an
-// operation that produces an array needs O(K) scratch, not a second array.
-func (w width[T]) rebinBlocks(c *Compressor, out *CompressedArray, coeffsOf func(k int, scratch []float64) []float64) {
+// rebinBlocks fills out's N and F, every block dense, from per-block
+// specified coefficients. Each worker calls worker once and then the
+// function it returns for its blocks in ascending order: that returns
+// block k's K coefficients, and may build them in the scratch it is
+// handed, which is private to the worker like any state worker set up —
+// so an operation that produces an array needs O(K) scratch, not a
+// second array, and reads its operands with one cursor a worker.
+func (w width[T]) rebinBlocks(c *Compressor, out *CompressedArray, worker func() func(k int, scratch []float64) []float64) {
 	K := len(c.keep)
 	f := w.of(out)
 	tensor.ParallelFor(len(out.N), func(start, end int) {
 		scratch := make([]float64, K)
+		coeffsOf := worker()
 		for k := start; k < end; k++ {
 			coeffs := coeffsOf(k, scratch)
 			nk := c.settings.FloatType.Round(maxAbs(coeffs))

@@ -161,10 +161,11 @@ func refDecompress(c *Compressor, a *CompressedArray) *tensor.Tensor {
 	tr := transform.New(c.settings.Transform)
 	vol, K := tensor.Prod(bs), len(c.keep)
 	data := make([]float64, a.NumBlocks()*vol)
+	f := a.indices()
 	for k := 0; k < a.NumBlocks(); k++ {
 		block := data[k*vol : (k+1)*vol]
 		for i, pos := range c.keep {
-			block[pos] = ft.Round(a.N[k] * float64(a.F.At(k*K+i)) / c.radius)
+			block[pos] = ft.Round(a.N[k] * float64(f[k*K+i]) / c.radius)
 		}
 		refTransform(tr, block, bs, true)
 	}

@@ -95,51 +95,20 @@ func (c *Compressor) BlockCovariances(a, b *CompressedArray) (*tensor.Tensor, er
 	return out, nil
 }
 
-// blockCovariances stores per block ⟨Ĉa,Ĉb⟩/∏i − mean(a)·mean(b) in dst.
-// With a == b (BlockVariances) each coefficient is recovered once. Like
-// dot3 it may skip a position only where both indices are zero, and
-// skips none in a block where either N is not finite (nonzero.go).
+// blockCovariances stores per block ⟨Ĉa,Ĉb⟩/∏i − mean(a)·mean(b) in dst,
+// the dot product walked as dot3 walks it (pairBlock).
 func (w width[T]) blockCovariances(c *Compressor, a, b *CompressedArray, dst []float64) {
-	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
-	fa, fb := w.of(a), w.of(b)
-	wa, wb := bytesOf(fa), bytesOf(fb)
-	l := lanesOf[T]()
 	vol := float64(tensor.Prod(c.settings.BlockShape))
-	same := a == b
 	tensor.ParallelFor(len(dst), func(start, end int) {
+		x, y := w.side(c, a), w.side(c, b)
+		x.seek(start)
+		y.seek(start)
 		for k := start; k < end; k++ {
-			na, nb := a.N[k], b.N[k]
-			ia, ib := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
-			dot := 0.0
-			if !finite(na) || !finite(nb) || !l.sparse(wa, k*K, (k+1)*K) || !l.sparse(wb, k*K, (k+1)*K) {
-				for i, v := range ia {
-					ca := ft.Round(na * float64(v) / r)
-					cb := ca
-					if !same {
-						cb = ft.Round(nb * float64(ib[i]) / r)
-					}
-					dot += ca * cb
-				}
-			} else {
-				for p := 0; p < K; p += l.n {
-					x := l.word(wa, k*K+p) | l.word(wb, k*K+p)
-					if x == 0 {
-						continue
-					}
-					for m := l.nonzero(x, K-p); m != 0; m &= m - 1 {
-						i := p + l.lane(m)
-						ca := ft.Round(na * float64(ia[i]) / r)
-						cb := ca
-						if !same {
-							cb = ft.Round(nb * float64(ib[i]) / r)
-						}
-						dot += ca * cb
-					}
-				}
-			}
-			meanA := ft.Round(na*float64(ia[0])/r) / c.sqrtVol
-			meanB := ft.Round(nb*float64(ib[0])/r) / c.sqrtVol
+			// The first indices, read before pairBlock moves past them.
+			meanA := ft.Round(a.N[k]*float64(first(&x.cursor, x.f))/r) / c.sqrtVol
+			meanB := ft.Round(b.N[k]*float64(first(&y.cursor, y.f))/r) / c.sqrtVol
+			dot, _, _ := w.pairBlock(c, &x, &y, 0, 0, 0)
 			dst[k] = dot/vol - meanA*meanB
 		}
 	})

@@ -9,8 +9,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// goldenArray compresses the 2×2 array [[1, 2], [3, 4]] in one float32,
-// int8 block — the array both golden streams hold.
+// goldenArray compresses the 2×4 array [[1, 2, 7, 7], [3, 5, 7, 7]] in
+// two 2×2 float32, int8 blocks — the array every golden stream holds. The
+// first block's four bin indices are all nonzero; the second, a constant,
+// has only its first.
 func goldenArray() *core.CompressedArray {
 	c, err := core.NewCompressor(core.Settings{
 		BlockShape: []int{2, 2},
@@ -20,16 +22,18 @@ func goldenArray() *core.CompressedArray {
 	if err != nil {
 		panic(err)
 	}
-	a, err := c.Compress(tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2))
+	a, err := c.Compress(tensor.FromSlice([]float64{1, 2, 7, 7, 3, 5, 7, 7}, 2, 4))
 	if err != nil {
 		panic(err)
 	}
 	return a
 }
 
-// Encode writes stream v2: magic 0xB8, then the header and N bit-packed,
-// then zero bits to a byte boundary, then F — here the int8 indices
-// 7f e7 cd 00 that end the stream.
+// Encode writes stream v3: magic 0xB9, then the header and N bit-packed,
+// then zero bits to a byte boundary, then the flags and masks — here the
+// byte 60: block 0 dense (0), block 1 masked (1), its mask 1000 and three
+// pad bits — then the index runs: the dense block's four, 7f dd c6 0c,
+// and the masked block's one nonzero index, 7f.
 func ExampleEncode() {
 	blob, err := core.Encode(goldenArray())
 	if err != nil {
@@ -37,30 +41,36 @@ func ExampleEncode() {
 	}
 	fmt.Println(hex.EncodeToString(blob))
 	// Output:
-	// b8200000000000000008000000000000000bfffffffffffffffc0000000000000008000000000000000bd0280000007fe7cd00
+	// b92000000000000000080000000000000013fffffffffffffffc0000000000000008000000000000000bd02c00001058000000607fddc60c7f
 }
 
 // Decode still reads stream v1 (magic 0xB7, F straight after N and the
-// pad at the end), which stores written before v2 hold. The v1 stream of
-// the golden array decodes to the array whose v2 encoding is Encode's
-// golden, and the two streams are the same length.
+// pad at the end) and v2 (0xB8, the pad before F), which stores written
+// before v3 hold; both keep every index, zeros included. The v1 and the
+// v2 stream of the golden array decode to the array whose v3 encoding is
+// Encode's golden, two bytes shorter.
 func ExampleDecode() {
-	v1, err := hex.DecodeString("b7200000000000000008000000000000000bfffffffffffffffc" +
-		"0000000000000008000000000000000bd02800001ff9f34000")
-	if err != nil {
-		panic(err)
+	for _, stream := range []string{
+		"b72000000000000000080000000000000013fffffffffffffffc" +
+			"0000000000000008000000000000000bd02c0000105800001ff771831fc0000000",
+		"b82000000000000000080000000000000013fffffffffffffffc" +
+			"0000000000000008000000000000000bd02c000010580000007fddc60c7f000000",
+	} {
+		old, err := hex.DecodeString(stream)
+		if err != nil {
+			panic(err)
+		}
+		a, err := core.Decode(old)
+		if err != nil {
+			panic(err)
+		}
+		v3, err := core.Encode(a)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(len(old), len(v3), hex.EncodeToString(v3))
 	}
-	a, err := core.Decode(v1)
-	if err != nil {
-		panic(err)
-	}
-	v2, err := core.Encode(a)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(len(v1), len(v2))
-	fmt.Println(hex.EncodeToString(v2))
 	// Output:
-	// 51 51
-	// b8200000000000000008000000000000000bfffffffffffffffc0000000000000008000000000000000bd0280000007fe7cd00
+	// 59 57 b92000000000000000080000000000000013fffffffffffffffc0000000000000008000000000000000bd02c00001058000000607fddc60c7f
+	// 59 57 b92000000000000000080000000000000013fffffffffffffffc0000000000000008000000000000000bd02c00001058000000607fddc60c7f
 }

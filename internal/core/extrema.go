@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	mathbits "math/bits"
 
 	"repro/internal/transform"
 )
@@ -77,16 +78,21 @@ func (c *Compressor) extrema(a *CompressedArray) (lo, hi float64, visited int, e
 	lo, hi = math.Inf(1), math.Inf(-1)
 	// Seed with the two most promising blocks, then sweep once over the
 	// rest: a block is visited only while its interval reaches past the
-	// running extremes, and one visit updates both.
-	lo, hi = c.foldBlock(a, top, block, scratch, lo, hi)
+	// running extremes, and one visit updates both. The seeds are folded
+	// in block order, which one forward cursor finds: folding takes the
+	// minimum and the maximum, whose values do not depend on the order,
+	// and only a zero's sign does, which is undecided anyway.
+	seed := c.cursor(a)
+	lo, hi = c.foldBlock(a, seed.block(min(top, bot)), block, scratch, lo, hi)
 	visited = 1
 	if bot != top {
-		lo, hi = c.foldBlock(a, bot, block, scratch, lo, hi)
+		lo, hi = c.foldBlock(a, seed.block(max(top, bot)), block, scratch, lo, hi)
 		visited++
 	}
+	sweep := c.cursor(a)
 	for k := 0; k < n; k++ {
 		if k != top && k != bot && (bounds[2*k] < lo || bounds[2*k+1] > hi) {
-			lo, hi = c.foldBlock(a, k, block, scratch, lo, hi)
+			lo, hi = c.foldBlock(a, sweep.block(k), block, scratch, lo, hi)
 			visited++
 		}
 	}
@@ -96,11 +102,12 @@ func (c *Compressor) extrema(a *CompressedArray) (lo, hi float64, visited int, e
 	return lo, hi, visited, nil
 }
 
-// foldBlock reconstructs block k with Decompress's own inverseBlock and
+// foldBlock reconstructs block s with Decompress's own inverseBlock and
 // folds its in-array cells — the ones BlockCursor.Scatter keeps — into lo
 // and hi with the comparisons Tensor.Min and Tensor.Max use.
-func (c *Compressor) foldBlock(a *CompressedArray, k int, block, scratch []float64, lo, hi float64) (float64, float64) {
-	c.k.inverseBlock(c, a, k, block, scratch)
+func (c *Compressor) foldBlock(a *CompressedArray, s span, block, scratch []float64, lo, hi float64) (float64, float64) {
+	c.k.inverseBlock(c, a, s, block, scratch)
+	k := s.k
 	// The block's last cell is its far corner: if that is in the array,
 	// every cell is.
 	whole := c.inArray(a, k, len(block)-1)
@@ -161,18 +168,20 @@ func (c *Compressor) inArray(a *CompressedArray, k, j int) bool {
 // finite. The centre m_b comes from Ĉ₀ as inverseBlock recovers it; the
 // radius needs only Σ|F_i|·peak_i and Σ F_i² over the other coefficients,
 // scaled once per block, so the walk divides once a block, not once a
-// coefficient, and it skips the zero indices (nonzero.go).
+// coefficient, and it skips the indices a masked block leaves out
+// (nonzero.go).
 func (w width[T]) blockBounds(c *Compressor, a *CompressedArray, dst []float64) (top, bot int, ok bool) {
 	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
 	f := w.of(a)
 	vol := float64(c.plan.Vol())
 	spread := math.Sqrt(1 - 1/vol)
-	first := 0
+	// lead is 1 when the first kept position is the DC coefficient.
+	lead := 0
 	if c.keep[0] == 0 {
-		first = 1
+		lead = 1
 	}
-	peak := c.peak[first:]
+	peak := c.peak[lead:]
 	// Ĉ_i = ft.Round(N_k·F_i/r) is within ft's machine epsilon of the real
 	// N_k·F_i/r, relatively, plus ft's smallest subnormal below its normal
 	// range.
@@ -182,37 +191,38 @@ func (w width[T]) blockBounds(c *Compressor, a *CompressedArray, dst []float64) 
 		peakSum += p
 	}
 	l1Tiny, l2Tiny := tiny*peakSum, tiny*math.Sqrt(float64(len(peak)))*spread
-	fw := bytesOf(f)
-	l := lanesOf[T]()
+	cur := c.cursor(a)
 	for k, nk := range a.N {
-		blk := f[k*K : (k+1)*K]
 		var dc float64
-		if first == 1 {
-			dc = ft.Round(nk * float64(blk[0]) / r)
+		if lead == 1 {
+			dc = ft.Round(nk * float64(first(&cur, f)) / r)
 		}
-		// A zero index adds exactly +0 to both sums, whatever N_k is.
-		ac := blk[first:]
-		pk := peak[:len(ac)]
+		// A zero index adds exactly +0 to both sums, whatever N_k is, so
+		// a masked block adds its run alone.
 		var s1, s2 float64
-		if !l.sparse(fw, k*K, (k+1)*K) {
+		if !masked(a.occ, k) {
+			ac := f[cur.off+lead : cur.off+K]
+			pk := peak[:len(ac)]
 			for i, v := range ac {
 				x := float64(v)
 				s1 += math.Abs(x) * pk[i]
 				s2 += x * x
 			}
+			cur.past(cur.off + K)
 		} else {
-			for p := 0; p < len(ac); p += l.n {
-				x := l.word(fw, k*K+first+p)
-				if x == 0 {
-					continue
-				}
-				for m := l.nonzero(x, len(ac)-p); m != 0; m &= m - 1 {
-					i := p + l.lane(m)
-					x := float64(ac[i])
-					s1 += math.Abs(x) * pk[i]
-					s2 += x * x
+			j := cur.off
+			for base := 0; base < K; base += 64 {
+				for m := word64(a.occ, cur.at+base, min(64, K-base)); m != 0; j++ {
+					lz := mathbits.LeadingZeros64(m)
+					m &^= 1 << 63 >> uint(lz)
+					if p := base + lz - lead; p >= 0 {
+						x := float64(f[j])
+						s1 += math.Abs(x) * peak[p]
+						s2 += x * x
+					}
 				}
 			}
+			cur.past(j)
 		}
 		// |N_k|: Compress never writes a negative one, a decoded stream may.
 		scale := math.Abs(nk) / r * grow

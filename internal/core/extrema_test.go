@@ -184,8 +184,9 @@ func TestBlockBoundsHoldEveryCell(t *testing.T) {
 					t.Fatalf("%v %v %v: bounds not finite", tr, bs, ft)
 				}
 				block, scratch := c.blockBuffer()
+				cur := c.cursor(a)
 				for k := range a.N {
-					c.k.inverseBlock(c, a, k, block, scratch)
+					c.k.inverseBlock(c, a, cur.next(), block, scratch)
 					for j, v := range block[:vol] {
 						if v < bounds[2*k] || v > bounds[2*k+1] {
 							t.Fatalf("%v %v %v: block %d cell %d = %v outside [%v, %v]",

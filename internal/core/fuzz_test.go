@@ -52,9 +52,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(i8[:len(i8)-2])
 	f.Add(blob[:len(blob)-1])
 	f.Add(indexStream(magicV1, 5)) // a valid v1 stream
+	// v3: masked, dense and mixed blocks, an int8 run DecodeView keeps in
+	// place and an int16 one it copies, and a masked block under −0.
+	f.Add(v3Stream(scalar.Int8, []uint32{0x3f800000}, []int{0b1010}, []int64{5, -3}))
+	f.Add(v3Stream(scalar.Int8, []uint32{0x3f800000, 0x40000000}, []int{-1, -1}, []int64{1, 2, 3, 4, 0, 0, 7, 8}))
+	f.Add(v3Stream(scalar.Int8, []uint32{0x3f800000, 0x40000000}, []int{-1, 0b0001}, []int64{1, 0, 3, 4, 9}))
+	f.Add(v3Stream(scalar.Int16, []uint32{0x3f800000, 0x40000000, 0}, []int{0b1100, -1, 0}, []int64{300, -2, 1, 2, 3, -4}))
+	f.Add(v3Stream(scalar.Int8, []uint32{0x80000000}, []int{0b1000}, []int64{1}))
+	f.Add(mustEncode(f, a))
 
 	// Decode and DecodeView must agree on every input: both fail, or both
-	// return the same array.
+	// return the same array; and an accepted array encodes as v3 into a
+	// stream that decodes to it again.
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)
 		view, verr := DecodeView(data)
@@ -64,14 +74,23 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !view.F.Equal(dec.F) || !slices.EqualFunc(view.N, dec.N, sameBits) ||
-			!tensor.EqualShape(view.Shape, dec.Shape) || !tensor.EqualShape(view.Blocks, dec.Blocks) ||
-			!view.Settings.equal(dec.Settings) {
+		if !view.F.Equal(dec.F) || !bytes.Equal(view.occ, dec.occ) || !sameArray(view, dec) {
 			t.Fatal("DecodeView and Decode returned different arrays")
 		}
-		if dec.NumBlocks() <= 0 || dec.F.Len() != dec.NumBlocks()*dec.Kept() {
-			t.Fatalf("inconsistent decode: blocks %d, F %d, kept %d",
-				dec.NumBlocks(), dec.F.Len(), dec.Kept())
+		again, err := Decode(mustEncode(t, dec))
+		if err != nil {
+			t.Fatalf("Decode(Encode(Decode(s))): %v", err)
+		}
+		// N round trips through its float type; a NaN may come back as
+		// another NaN.
+		sameN := func(x, y float64) bool { return sameBits(x, y) || math.IsNaN(x) && math.IsNaN(y) }
+		if !slices.EqualFunc(again.N, dec.N, sameN) || !slices.Equal(again.indices(), dec.indices()) ||
+			!tensor.EqualShape(again.Shape, dec.Shape) || !again.Settings.equal(dec.Settings) {
+			t.Fatal("Decode(Encode(Decode(s))) differs from Decode(s)")
+		}
+		if n, ok := runLength(dec.occ, dec.NumBlocks(), dec.Kept()); dec.NumBlocks() <= 0 || !ok || dec.F.Len() != n {
+			t.Fatalf("inconsistent decode: blocks %d, F %d, kept %d, masks mark %d",
+				dec.NumBlocks(), dec.F.Len(), dec.Kept(), n)
 		}
 		// A decodable array must also be decompressible by a compressor
 		// built from its own settings.
@@ -218,7 +237,7 @@ func TestDecodeRejectsLowestIndex(t *testing.T) {
 // path it copies.
 func TestDecodeRejectsMalformedV2(t *testing.T) {
 	c := mustCompressor(t, DefaultSettings(4, 4))
-	wide := mustEncode(t, compress(t, c, smoothTensor(1, 12, 8)))
+	wide := encodeV2(t, compress(t, c, smoothTensor(1, 12, 8)))
 	for name, good := range map[string][]byte{"int8": indexStream(magicV2, 5), "int16": wide} {
 		// The pad sits at the low end of the byte before F; int16 F here
 		// is 6 blocks × 16 indices × 2 bytes.
@@ -237,6 +256,87 @@ func TestDecodeRejectsMalformedV2(t *testing.T) {
 			for what, data := range bad {
 				if _, err := d.decode(data); err == nil {
 					t.Errorf("%s decode of %s: %s accepted", d.name, name, what)
+				}
+			}
+		}
+	}
+}
+
+// v3Stream writes by hand a float32 v3 stream of shape 4·len(n) in
+// blocks of 4 under index type it: n holds each block's N bits, masks
+// each block's 4-bit occupancy mask (−1: the block is dense), and runs
+// every stored index in order.
+func v3Stream(it scalar.IndexType, n []uint32, masks []int, runs []int64) []byte {
+	var w bits.Writer
+	w.WriteBits(magicV3, 8)
+	w.WriteBits(0, 2) // transform: dct
+	w.WriteBits(uint64(scalar.Float32), 2)
+	w.WriteBits(uint64(it), 2)
+	w.WriteBits(uint64(4*len(n)), 64)
+	w.WriteBits(shapeEnd, 64)
+	w.WriteBits(4, 64)
+	w.WriteBits(0b1111, 4) // keep everything
+	for _, v := range n {
+		w.WriteBits(uint64(v), 32)
+	}
+	w.WriteBits(0, uint(-w.Len()&7))
+	for _, m := range masks {
+		w.WriteBool(m >= 0)
+	}
+	for _, m := range masks {
+		if m >= 0 {
+			w.WriteBits(uint64(m), 4)
+		}
+	}
+	w.WriteBits(0, uint(-w.Len()&7))
+	for _, v := range runs {
+		w.WriteBits(uint64(v), uint(it.Bits()))
+	}
+	return w.Bytes()
+}
+
+// TestDecodeRejectsMalformedV3: a masked block under an N that is not
+// plain, masks that mark more indices than the stream holds, set pad bits
+// after N or after the masks, a trailing byte, and −2^(b−1) in a masked
+// run are refused by both decoders, on the int8 path DecodeView aliases
+// and on the int16 path it copies; the same streams made well-formed
+// decode.
+func TestDecodeRejectsMalformedV3(t *testing.T) {
+	one := uint32(0x3f800000) // 1.0f
+	for _, it := range []scalar.IndexType{scalar.Int8, scalar.Int16} {
+		lowest := -int64(it.Radius()) - 1
+		// Block 0 dense, block 1 masked with indices at positions 0 and 2.
+		stream := func(n1 uint32, m1 int, runs ...int64) []byte {
+			return v3Stream(it, []uint32{one, n1}, []int{-1, m1}, append([]int64{1, 2, 3, 4}, runs...))
+		}
+		good := stream(one, 0b1010, 5, -6)
+		padAfterN := append([]byte(nil), good...)
+		padAfterN[len(padAfterN)-6*it.Bits()/8-2] |= 1 // the byte before the flags ends in the pad
+		padAfterMasks := append([]byte(nil), good...)
+		padAfterMasks[len(padAfterMasks)-6*it.Bits()/8-1] |= 1 // flags 01, mask 1010, two pad bits
+		bad := map[string][]byte{
+			"NaN N":                stream(0x7fc00000, 0b1010, 5, -6),
+			"+Inf N":               stream(0x7f800000, 0b1010, 5, -6),
+			"−Inf N":               stream(0xff800000, 0b1010, 5, -6),
+			"−0 N":                 stream(0x80000000, 0b1010, 5, -6),
+			"negative N":           stream(0xbf800000, 0b1010, 5, -6),
+			"mask past the stream": stream(one, 0b1110, 5, -6),
+			"pad bit after N":      padAfterN,
+			"pad bit after masks":  padAfterMasks,
+			"trailing byte":        append(append([]byte(nil), good...), 0),
+			"lowest index":         stream(one, 0b1010, 5, lowest),
+		}
+		for _, d := range decoders {
+			a, err := d.decode(good)
+			if err != nil {
+				t.Fatalf("%s decode of %v: intact stream: %v", d.name, it, err)
+			}
+			if got := a.indices(); !slices.Equal(got, []int64{1, 2, 3, 4, 5, 0, -6, 0}) {
+				t.Fatalf("%s decode of %v: indices %v", d.name, it, got)
+			}
+			for what, data := range bad {
+				if _, err := d.decode(data); err == nil {
+					t.Errorf("%s decode of %v: %s accepted", d.name, it, what)
 				}
 			}
 		}
@@ -268,30 +368,41 @@ func TestGoldenStreamFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Layout (v2): 8-bit magic 0xB8, 2-bit transform (dct=0), 2-bit float
+	// Layout (v3): 8-bit magic 0xB9, 2-bit transform (dct=0), 2-bit float
 	// type (float32=2), 2-bit index type (int8=0), two 64-bit extents
 	// (2, 2), 64-bit end marker, two 64-bit block extents (2, 2), 4 mask
-	// bits (all 1), one float32 N, zero padding to a byte, four int8
-	// indices — the last four bytes, 7f e7 cd 00. (Captured from the
-	// implementation; the header fields are bit-packed, not byte-aligned,
-	// so the hex before F is not directly human-readable.)
-	const golden = "b8200000000000000008000000000000000bfffffffffffffffc" +
-		"0000000000000008000000000000000bd0280000007fe7cd00"
+	// bits (all 1), one float32 N, zero padding to a byte; then the one
+	// block's flag (1: masked), its occupancy mask 1110 and three pad bits
+	// — the byte f0 — then its three nonzero int8 indices, 7f e7 cd.
+	// (Captured from the implementation; the header fields are
+	// bit-packed, not byte-aligned, so the hex before the flags is not
+	// directly human-readable.)
+	const golden = "b9200000000000000008000000000000000bfffffffffffffffc" +
+		"0000000000000008000000000000000bd028000000f07fe7cd"
 	got := hex.EncodeToString(blob)
 	if got != golden {
 		t.Errorf("stream format changed:\n got  %s\n want %s", got, golden)
 	}
-	// And the golden stream must decode to the same array.
-	gb, err := hex.DecodeString(golden)
-	if err != nil {
-		t.Fatal(err)
+	// The v2 layout of the same array, which Decode still reads: the pad
+	// moved before F, and all four indices, 7f e7 cd 00.
+	const goldenV2 = "b8200000000000000008000000000000000bfffffffffffffffc" +
+		"0000000000000008000000000000000bd0280000007fe7cd00"
+	if got := hex.EncodeToString(encodeV2(t, a)); got != goldenV2 {
+		t.Errorf("v2 layout changed:\n got  %s\n want %s", got, goldenV2)
 	}
-	back, err := Decode(gb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustEncode(t, back), blob) {
-		t.Error("golden stream did not round trip")
+	// And both golden streams must decode to the same array.
+	for _, g := range []string{golden, goldenV2} {
+		gb, err := hex.DecodeString(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustEncode(t, back), blob) {
+			t.Errorf("golden stream %.2s… did not round trip", g)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // differences.
 //
 // The coefficient vector is block-major with K kept entries per block,
-// exactly the layout of CompressedArray.F scaled by N/r — obtain it with
+// the layout of a dense CompressedArray.F scaled by N/r, whatever layout
+// the array's own F has — obtain it with
 // Coefficients, perturb or optimize it freely, and rebuild a compressed
 // array with FromCoefficients.
 
@@ -36,8 +37,8 @@ func (c *Compressor) FromCoefficients(template *CompressedArray, coeffs []float6
 	if err := c.checkOwned(template); err != nil {
 		return nil, err
 	}
-	if len(coeffs) != template.F.Len() {
-		return nil, fmt.Errorf("core: coefficient vector length %d, want %d", len(coeffs), template.F.Len())
+	if want := template.NumBlocks() * len(c.keep); len(coeffs) != want {
+		return nil, fmt.Errorf("core: coefficient vector length %d, want %d", len(coeffs), want)
 	}
 	return c.rebin(template, coeffs), nil
 }
@@ -136,7 +137,7 @@ func (c *Compressor) MeanValueGrad(a *CompressedArray) (float64, []float64, erro
 		return 0, nil, err
 	}
 	K := len(c.keep)
-	grad := make([]float64, a.F.Len())
+	grad := make([]float64, a.NumBlocks()*K)
 	w := c.sqrtVol / float64(a.OriginalLen())
 	for k := 0; k < a.NumBlocks(); k++ {
 		grad[k*K] = w

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -12,11 +14,13 @@ import (
 	"repro/internal/transform"
 )
 
-// The differential for nonzero.go: every kernel that skips zero indices
-// against its dense loop (nonzero_oracle_test.go), bit for bit, on arrays
-// whose N and F are written directly rather than compressed — so N takes
-// NaN, ±Inf, −0, subnormal and negative values, and F the lowest index
-// −2^(b−1), which neither Compress nor Decode produces.
+// The differential for nonzero.go: every kernel over masked arrays
+// against its dense loop (nonzero_oracle_test.go) over the same arrays
+// held dense, bit for bit. The arrays' N and F are written directly
+// rather than compressed — so N takes NaN, ±Inf, −0, subnormal and
+// negative values, and F the lowest index −2^(b−1), which neither
+// Compress nor Decode produces — and then laid out as the v3 encoder
+// lays them out (packV3).
 
 // nonzeroSpecials are the N_k values a compressor never writes but a
 // crafted or overflowed stream may hold.
@@ -25,12 +29,20 @@ var nonzeroSpecials = []float64{
 	5e-324, 0x1p-1030, -2.5, math.MaxFloat64, -math.MaxFloat64,
 }
 
-// nonzeroArray returns an array of blocks blocks under c's settings,
-// filled from next (64 random bits a call). zeroShare percent of F is 0;
-// with special, N_k is one of nonzeroSpecials a quarter of the time and F
-// holds −2^(b−1), else N_k is finite and positive and F within [−r, r].
+// nonzeroArray returns a dense array of blocks blocks under c's
+// settings, stacked along the first axis, filled from next (64 random
+// bits a call). zeroShare percent of F is 0; with special, N_k is one of
+// nonzeroSpecials a quarter of the time and F holds −2^(b−1), else N_k is
+// finite and positive and F within [−r, r].
 func nonzeroArray[T bits.Signed](w width[T], c *Compressor, blocks, zeroShare int, special bool, next func() uint64) *CompressedArray {
-	a := c.newArray([]int{blocks * c.plan.Vol()}, []int{blocks})
+	bs := c.settings.BlockShape
+	shape, grid := slices.Clone(bs), make([]int, len(bs))
+	shape[0] *= blocks
+	for i := range grid {
+		grid[i] = 1
+	}
+	grid[0] = blocks
+	a := c.newArray(shape, grid)
 	for k := range a.N {
 		u := next()
 		switch {
@@ -59,6 +71,62 @@ func nonzeroArray[T bits.Signed](w width[T], c *Compressor, blocks, zeroShare in
 	return a
 }
 
+// packV3 returns the dense array a laid out as the v3 encoder lays it
+// out: a block masked where maskable says so, dense otherwise, N as a
+// holds it (not rounded to the float type, as a stream would). With
+// asIfPlain every N_k counts as plain for that choice, so that masked
+// blocks keep an N_k that is not — what MulScalar leaves when it
+// overflows N_k. Where Encode accepts a, the layout is checked against
+// Decode(Encode(a)).
+func packV3[T bits.Signed](t *testing.T, w width[T], c *Compressor, a *CompressedArray, asIfPlain bool) *CompressedArray {
+	t.Helper()
+	K, blocks := len(c.keep), len(a.N)
+	f := w.of(a)
+	masked := make([]bool, blocks)
+	m := 0
+	for k, nk := range a.N {
+		if asIfPlain {
+			nk = 1
+		}
+		if masked[k] = maskable(nk, c.settings, K, nonzeros(f[k*K:(k+1)*K])); masked[k] {
+			m++
+		}
+	}
+	out := a.Clone()
+	var runs []T
+	occ := make([]byte, (blocks+m*K+7)/8)
+	at := blocks
+	for k := range a.N {
+		blk := f[k*K : (k+1)*K]
+		if !masked[k] {
+			runs = append(runs, blk...)
+			continue
+		}
+		occ[k>>3] |= 0x80 >> (k & 7)
+		for p, v := range blk {
+			if v != 0 {
+				occ[(at+p)>>3] |= 0x80 >> ((at + p) & 7)
+				runs = append(runs, v)
+			}
+		}
+		at += K
+	}
+	*w.slot(&out.F) = append(make([]T, 0, len(runs)), runs...)
+	if m > 0 {
+		out.occ = occ
+	}
+	if stream, err := Encode(a); err == nil && !asIfPlain {
+		dec, err := Decode(stream)
+		if err != nil {
+			t.Fatalf("Decode(Encode(a)): %v", err)
+		}
+		if !dec.F.Equal(out.F) || !bytes.Equal(dec.occ, out.occ) {
+			t.Fatal("Decode(Encode(a)) is not laid out as packV3 lays a out")
+		}
+	}
+	return out
+}
+
 // sameKernelBits fails unless got and want are the same float64. A NaN's
 // sign and payload follow operand order, which the compiler picks (it
 // picks differently under -fuzz's instrumentation), so any NaN matches
@@ -70,30 +138,30 @@ func sameKernelBits(t *testing.T, what string, got, want float64) {
 	}
 }
 
-// checkNonzeroPair compares every kernel on (a, b) and (a, a) with its
-// dense loop.
-func checkNonzeroPair[T bits.Signed](t *testing.T, w width[T], c *Compressor, a, b *CompressedArray) {
+// checkNonzeroPair compares every kernel on the packed arrays (pa, pb)
+// and (pa, pa) with its dense loop on the dense arrays (a, b) and (a, a).
+func checkNonzeroPair[T bits.Signed](t *testing.T, w width[T], c *Compressor, a, b, pa, pb *CompressedArray) {
 	t.Helper()
-	sum, sumSq := w.moments(c, a)
+	sum, sumSq := w.moments(c, pa)
 	wantSum, wantSumSq := denseMoments(w, c, a)
 	sameKernelBits(t, "moments sum", sum, wantSum)
 	sameKernelBits(t, "moments sumSq", sumSq, wantSumSq)
 	sameKernelBits(t, "moments sumSq vs sumSquares", sumSq, denseSumSquares(w, c, a))
-	for _, y := range []*CompressedArray{b, a} {
-		ab, aa, bb := w.dot3(c, a, y)
-		wab, waa, wbb := denseDot3(w, c, a, y)
+	for _, y := range []struct{ dense, packed *CompressedArray }{{b, pb}, {a, pa}} {
+		ab, aa, bb := w.dot3(c, pa, y.packed)
+		wab, waa, wbb := denseDot3(w, c, a, y.dense)
 		sameKernelBits(t, "dot3 ab", ab, wab)
 		sameKernelBits(t, "dot3 aa", aa, waa)
 		sameKernelBits(t, "dot3 bb", bb, wbb)
 		got, want := make([]float64, len(a.N)), make([]float64, len(a.N))
-		w.blockCovariances(c, a, y, got)
-		denseBlockCovariances(w, c, a, y, want)
+		w.blockCovariances(c, pa, y.packed, got)
+		denseBlockCovariances(w, c, a, y.dense, want)
 		for k := range got {
 			sameKernelBits(t, fmt.Sprintf("blockCovariances[%d]", k), got[k], want[k])
 		}
 	}
 	got, want := make([]float64, 2*len(a.N)), make([]float64, 2*len(a.N))
-	top, bot, ok := w.blockBounds(c, a, got)
+	top, bot, ok := w.blockBounds(c, pa, got)
 	wtop, wbot, wok := denseBlockBounds(w, c, a, want)
 	if top != wtop || bot != wbot || ok != wok {
 		t.Errorf("blockBounds = %d, %d, %v; dense loop %d, %d, %v", top, bot, ok, wtop, wbot, wok)
@@ -101,22 +169,47 @@ func checkNonzeroPair[T bits.Signed](t *testing.T, w width[T], c *Compressor, a,
 	for i := range got {
 		sameKernelBits(t, fmt.Sprintf("blockBounds[%d]", i), got[i], want[i])
 	}
+	// The coefficients of every block, left-out positions included.
+	K := len(c.keep)
+	gotC, wantC := make([]float64, K), make([]float64, K)
+	cur, dense := c.cursor(pa), c.cursor(a)
+	for k := range a.N {
+		w.blockCoefficients(c, pa, cur.next(), gotC)
+		w.blockCoefficients(c, a, dense.next(), wantC)
+		for i := range gotC {
+			if !sameBits(gotC[i], wantC[i]) {
+				t.Errorf("blockCoefficients[%d][%d] = %v, dense %v", k, i, gotC[i], wantC[i])
+			}
+		}
+	}
 }
 
-// checkNonzeroKernels builds two arrays from next and checks them as
-// heap slices and, at int8, as read-only views of F whose last byte is
-// the last readable one.
+// checkNonzeroKernels builds two arrays from next and checks them packed
+// as the encoder packs them, and packed as if every N_k were plain; as
+// heap slices and, at int8, with F and the masks as read-only views
+// whose last byte is the last readable one.
 func checkNonzeroKernels[T bits.Signed](t *testing.T, w width[T], c *Compressor, blocks, zeroShare int, special bool, next func() uint64) {
 	t.Helper()
 	a := nonzeroArray(w, c, blocks, zeroShare, special, next)
 	b := nonzeroArray(w, c, blocks, zeroShare, special, next)
-	checkNonzeroPair(t, w, c, a, b)
-	if c.settings.IndexType == scalar.Int8 {
-		av, bv := a.Clone(), b.Clone()
-		av.F.i8 = int8s(readOnlyCopy(t, bytesOf(a.F.i8)))
-		bv.F.i8 = int8s(readOnlyCopy(t, bytesOf(b.F.i8)))
-		checkNonzeroPair(t, w, c, av, bv)
+	for _, asIfPlain := range []bool{false, true} {
+		pa, pb := packV3(t, w, c, a, asIfPlain), packV3(t, w, c, b, asIfPlain)
+		checkNonzeroPair(t, w, c, a, b, pa, pb)
+		if c.settings.IndexType == scalar.Int8 {
+			checkNonzeroPair(t, w, c, a, b, readOnlyArray(t, pa), readOnlyArray(t, pb))
+		}
 	}
+}
+
+// readOnlyArray returns a with its int8 F and its masks in read-only
+// memory (readOnlyCopy).
+func readOnlyArray(t *testing.T, a *CompressedArray) *CompressedArray {
+	v := a.Clone()
+	v.F.i8 = int8s(readOnlyCopy(t, bytesOf(a.F.i8)))
+	if a.occ != nil {
+		v.occ = readOnlyCopy(t, a.occ)
+	}
+	return v
 }
 
 // checkNonzero dispatches to c's index width.
@@ -195,10 +288,11 @@ func TestNonzeroKernelsMatchDenseLoops(t *testing.T) {
 }
 
 // TestNonzeroKernelsNonFiniteBlock gives one block of otherwise finite,
-// sparse arrays a NaN or ±Inf N_k and a single nonzero index, its first:
-// a walk of that block would skip the zero indices that recover NaN
-// (±Inf·0) and return ±Inf where the dense loop returns NaN. In the
-// scattered-special arrays of the test above an earlier NaN hides that.
+// sparse arrays a NaN or ±Inf N_k and a single nonzero index, its first,
+// both in a masked and in a dense block: a walk of that block would skip
+// the zero indices that recover NaN (±Inf·0) and return ±Inf where the
+// dense loop returns NaN. In the scattered-special arrays of the test
+// above an earlier NaN hides that.
 func TestNonzeroKernelsNonFiniteBlock(t *testing.T) {
 	for _, base := range nonzeroSettings(t) {
 		for it := scalar.Int8; it <= scalar.Int64; it++ {
@@ -232,9 +326,16 @@ func checkNonFiniteBlock[T bits.Signed](t *testing.T, w width[T], c *Compressor,
 	fa := w.of(a)
 	clear(fa[k*K : (k+1)*K])
 	fa[k*K] = 1
-	a.N[k] = nk
-	checkNonzeroPair(t, w, c, a, b)
-	checkNonzeroPair(t, w, c, b, a)
+	// Packed with a plain N_k the block is masked, as the encoder would
+	// store it; N_k then goes non-finite in memory, as MulScalar can make
+	// it. Packed after, the encoder's rule keeps the block dense.
+	pa, pb := packV3(t, w, c, a, false), packV3(t, w, c, b, false)
+	a.N[k], pa.N[k] = nk, nk
+	checkNonzeroPair(t, w, c, a, b, pa, pb)
+	checkNonzeroPair(t, w, c, b, a, pb, pa)
+	pa = packV3(t, w, c, a, false)
+	checkNonzeroPair(t, w, c, a, b, pa, pb)
+	checkNonzeroPair(t, w, c, b, a, pb, pa)
 }
 
 // FuzzNonzeroKernels is the differential on fuzzer-written N and F: raw

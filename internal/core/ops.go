@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"sort"
 
 	"repro/internal/tensor"
@@ -42,17 +43,18 @@ func (c *Compressor) Subtract(a, b *CompressedArray) (*CompressedArray, error) {
 
 // combine rebins Ĉa + sign·Ĉb block by block; sign is ±1.
 func (w width[T]) combine(c *Compressor, a, b *CompressedArray, sign float64) *CompressedArray {
-	K := len(c.keep)
-	ft, r := c.settings.FloatType, c.radius
-	fa, fb := w.of(a), w.of(b)
 	out := c.newArray(a.Shape, a.Blocks)
-	w.rebinBlocks(c, out, func(k int, sum []float64) []float64 {
-		na, nb := a.N[k], b.N[k]
-		ba, bb := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
-		for i := range sum {
-			sum[i] = ft.Round(na*float64(ba[i])/r) + sign*ft.Round(nb*float64(bb[i])/r)
+	w.rebinBlocks(c, out, func() func(k int, sum []float64) []float64 {
+		ca, cb := c.cursor(a), c.cursor(b)
+		other := make([]float64, len(c.keep))
+		return func(k int, sum []float64) []float64 {
+			w.blockCoefficients(c, a, ca.block(k), sum)
+			w.blockCoefficients(c, b, cb.block(k), other)
+			for i, v := range other {
+				sum[i] += sign * v
+			}
+			return sum
 		}
-		return sum
 	})
 	return out
 }
@@ -71,10 +73,13 @@ func (c *Compressor) AddScalar(a *CompressedArray, x float64) (*CompressedArray,
 	}
 	delta := x * c.sqrtVol
 	out := c.newArray(a.Shape, a.Blocks)
-	c.k.rebinBlocks(c, out, func(k int, coeffs []float64) []float64 {
-		c.k.blockCoefficients(c, a, k, coeffs)
-		coeffs[0] += delta
-		return coeffs
+	c.k.rebinBlocks(c, out, func() func(k int, coeffs []float64) []float64 {
+		cur := c.cursor(a)
+		return func(k int, coeffs []float64) []float64 {
+			c.k.blockCoefficients(c, a, cur.block(k), coeffs)
+			coeffs[0] += delta
+			return coeffs
+		}
 	})
 	return out, nil
 }
@@ -101,8 +106,8 @@ func (c *Compressor) MulScalar(a *CompressedArray, x float64) (*CompressedArray,
 // coefficient is recovered with Algorithm 3's expression and consumed at
 // once, in block-major order, so nothing is materialised and the
 // summation order — which the answers' last bits depend on — is fixed.
-// The walks skip the zero indices, whose terms are exactly ±0
-// (nonzero.go), so they cost in proportion to the nonzero bins.
+// The walks skip the indices a masked block leaves out, whose terms are
+// exactly +0 (nonzero.go), so they cost in proportion to the nonzero bins.
 
 // Dot implements Algorithm 6: Σ(Ĉ1 ⊙ Ĉ2). Orthonormal transforms preserve
 // dot products, so this equals the dot product of the decompressed arrays
@@ -116,40 +121,12 @@ func (c *Compressor) Dot(a, b *CompressedArray) (float64, error) {
 }
 
 // dot3 returns ⟨a,b⟩, ⟨a,a⟩ and ⟨b,b⟩ from one pass over both arrays,
-// so Dot, Covariance, CosineSimilarity and L2Distance share it. It may
-// skip a position only where both indices are zero, and skips none in a
-// block where either N is not finite (nonzero.go).
+// so Dot, Covariance, CosineSimilarity and L2Distance share it. It skips
+// only positions where both indices are zero under plain N (nonzero.go).
 func (w width[T]) dot3(c *Compressor, a, b *CompressedArray) (ab, aa, bb float64) {
-	K := len(c.keep)
-	ft, r := c.settings.FloatType, c.radius
-	fa, fb := w.of(a), w.of(b)
-	wa, wb := bytesOf(fa), bytesOf(fb)
-	l := lanesOf[T]()
-	for k, na := range a.N {
-		nb := b.N[k]
-		ia, ib := fa[k*K:(k+1)*K], fb[k*K:(k+1)*K]
-		if !finite(na) || !finite(nb) || !l.sparse(wa, k*K, (k+1)*K) || !l.sparse(wb, k*K, (k+1)*K) {
-			for i, v := range ia {
-				ca, cb := ft.Round(na*float64(v)/r), ft.Round(nb*float64(ib[i])/r)
-				ab += ca * cb
-				aa += ca * ca
-				bb += cb * cb
-			}
-			continue
-		}
-		for p := 0; p < K; p += l.n {
-			x := l.word(wa, k*K+p) | l.word(wb, k*K+p)
-			if x == 0 {
-				continue
-			}
-			for m := l.nonzero(x, K-p); m != 0; m &= m - 1 {
-				i := p + l.lane(m)
-				ca, cb := ft.Round(na*float64(ia[i])/r), ft.Round(nb*float64(ib[i])/r)
-				ab += ca * cb
-				aa += ca * ca
-				bb += cb * cb
-			}
-		}
+	x, y := w.side(c, a), w.side(c, b)
+	for range a.N {
+		ab, aa, bb = w.pairBlock(c, &x, &y, ab, aa, bb)
 	}
 	return ab, aa, bb
 }
@@ -159,13 +136,23 @@ func (w width[T]) dot3(c *Compressor, a, b *CompressedArray) (ab, aa, bb float64
 // coefficient of block k is its mean × √(∏i), so the block sum is
 // firstCoeff × √(∏i).
 func (w width[T]) blockSums(c *Compressor, a *CompressedArray, dst []float64) float64 {
-	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
-	f := w.of(a)
+	K, f := len(c.keep), w.of(a)
+	cur := c.cursor(a)
 	total := 0.0
 	for k, nk := range a.N {
+		v := first(&cur, f)
+		// As in moments, the cursor moves past a masked run here.
+		n := K
+		if masked(a.occ, k) {
+			n = mathbits.OnesCount64(word64(a.occ, cur.at, min(64, K)))
+			if K > 64 {
+				n += ones(a.occ, cur.at+64, cur.at+K)
+			}
+		}
+		cur.past(cur.off + n)
 		// The conversion keeps the product from fusing into the sum.
-		s := float64(ft.Round(nk*float64(f[k*K])/r) * c.sqrtVol)
+		s := float64(ft.Round(nk*float64(v)/r) * c.sqrtVol)
 		if dst != nil {
 			dst[k] = s
 		}
@@ -178,36 +165,55 @@ func (w width[T]) blockSums(c *Compressor, a *CompressedArray, dst []float64) fl
 // F. Each sum accumulates in its own order, with blockSums' expressions
 // for the first, so both are bit-identical to summing separately. Σ Ĉ²
 // needs no first coefficient: it is L2Norm's and Variance's sum of
-// squares under any mask.
+// squares under any mask. A masked block under plain N adds its run
+// alone, in position order; its first coefficient, when the mask leaves
+// it out, is +0 and adds nothing to either sum.
 func (w width[T]) moments(c *Compressor, a *CompressedArray) (sum, sumSq float64) {
 	K := len(c.keep)
 	ft, r := c.settings.FloatType, c.radius
 	f := w.of(a)
-	fw := bytesOf(f)
-	l := lanesOf[T]()
+	cur := c.cursor(a)
 	for k, nk := range a.N {
-		blk := f[k*K : (k+1)*K]
-		c0 := ft.Round(nk * float64(blk[0]) / r)
-		// The conversion keeps the product from fusing into the sum.
-		sum += float64(c0 * c.sqrtVol)
-		sumSq += c0 * c0
-		if !finite(nk) || !l.sparse(fw, k*K, (k+1)*K) {
-			for _, v := range blk[1:] {
-				ca := ft.Round(nk * float64(v) / r)
-				sumSq += ca * ca
-			}
-			continue
-		}
-		// Lane 0 is c0, already added.
-		for p, skip := 0, l.hi&-l.hi; p < K; p, skip = p+l.n, 0 {
-			x := l.word(fw, k*K+p)
-			if x == 0 {
+		// run holds the block's indices to add, lead whether its first
+		// is the first position's.
+		var run []T
+		lead := true
+		if !masked(a.occ, k) {
+			run = f[cur.off : cur.off+K]
+			cur.past(cur.off + K)
+		} else {
+			if !plain(nk) {
+				cl := cellsOf(f, a.occ, cur.next(), K)
+				c0 := ft.Round(nk * float64(cl.next()) / r)
+				sum += float64(c0 * c.sqrtVol)
+				sumSq += c0 * c0
+				for p := 1; p < K; p++ {
+					ca := ft.Round(nk * float64(cl.next()) / r)
+					sumSq += ca * ca
+				}
 				continue
 			}
-			for m := l.nonzero(x, K-p) &^ skip; m != 0; m &= m - 1 {
-				ca := ft.Round(nk * float64(blk[p+l.lane(m)]) / r)
-				sumSq += ca * ca
+			// The cursor moves past the run here, not through next, so
+			// that the walk keeps its sums in registers.
+			m := word64(a.occ, cur.at, min(64, K))
+			n := mathbits.OnesCount64(m)
+			if K > 64 {
+				n += ones(a.occ, cur.at+64, cur.at+K)
 			}
+			// A left-out first position's +0 adds nothing to either sum.
+			run, lead = f[cur.off:cur.off+n], int64(m) < 0
+			cur.past(cur.off + n)
+		}
+		if lead {
+			c0 := ft.Round(nk * float64(run[0]) / r)
+			// The conversion keeps the product from fusing into the sum.
+			sum += float64(c0 * c.sqrtVol)
+			sumSq += c0 * c0
+			run = run[1:]
+		}
+		for _, v := range run {
+			ca := ft.Round(nk * float64(v) / r)
+			sumSq += ca * ca
 		}
 	}
 	return sum, sumSq

@@ -20,10 +20,11 @@ import (
 
 func refCoefficients(c *Compressor, a *CompressedArray) []float64 {
 	K := len(c.keep)
-	out := make([]float64, a.F.Len())
+	f := a.indices()
+	out := make([]float64, len(f))
 	for k := 0; k < a.NumBlocks(); k++ {
 		for i := 0; i < K; i++ {
-			out[k*K+i] = c.settings.FloatType.Round(a.N[k] * float64(a.F.At(k*K+i)) / c.radius)
+			out[k*K+i] = c.settings.FloatType.Round(a.N[k] * float64(f[k*K+i]) / c.radius)
 		}
 	}
 	return out
@@ -41,8 +42,9 @@ func refDot(c *Compressor, a, b *CompressedArray) float64 {
 func refBlockSums(c *Compressor, a *CompressedArray) []float64 {
 	K := len(c.keep)
 	sums := make([]float64, a.NumBlocks())
+	f := a.indices()
 	for k := range sums {
-		first := c.settings.FloatType.Round(a.N[k] * float64(a.F.At(k*K)) / c.radius)
+		first := c.settings.FloatType.Round(a.N[k] * float64(f[k*K]) / c.radius)
 		sums[k] = first * c.sqrtVol
 	}
 	return sums

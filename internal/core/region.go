@@ -47,13 +47,15 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 	out := tensor.New(shape...)
 	block, scratch := c.blockBuffer()
 	cur := tensor.NewBlockCursor(a.Blocks, bs, offset, shape)
+	at := c.cursor(a)
 	for {
 		// Flat block number in the block-major layout.
 		k := 0
 		for i := 0; i < d; i++ {
 			k = k*a.Blocks[i] + blockIdx[i]
 		}
-		c.k.inverseBlock(c, a, k, block, scratch)
+		// The odometer visits blocks in ascending order.
+		c.k.inverseBlock(c, a, at.block(k), block, scratch)
 		cur.Scatter(out.Data(), block, k)
 
 		// Advance blockIdx within [lo, hi).

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 
 	"repro/internal/bits"
 	"repro/internal/scalar"
@@ -17,25 +19,42 @@ import (
 // flattened N (f bits each), and F (i bits per kept index). A one-byte
 // magic and the transform kind are added so streams are self-describing.
 //
-// Two versions of the stream exist, told apart by the magic byte:
+// Three versions of the stream exist, told apart by the magic byte:
 //
 //	v1 (0xB7): magic, transform, types, s, i, P, N, F, then 0–7 zero bits
 //	           to the next byte.
 //	v2 (0xB8): magic, transform, types, s, i, P, N, then 0–7 zero bits to
 //	           the next byte, then F, ending on F's last byte.
+//	v3 (0xB9): magic, transform, types, s, i, P, N, then zero bits to the
+//	           next byte; then one flag bit per block (1: masked), then
+//	           the K-bit occupancy mask of every masked block, in block
+//	           order, then zero bits to the next byte; then the index runs
+//	           back to back in block order, ending on the last one's last
+//	           byte: all K indices of a dense block, only the nonzero
+//	           ones of a masked block, in position order.
 //
-// The fields and their bits are the same in both; only the pad moves.
-// Every index width is 8, 16, 32 or 64 bits, so F fills whole bytes and
-// moving the pad from after F to before it changes no stream's length,
-// while F then starts on a byte boundary: DecodeView hands an int8 F to
-// the kernels as the stream's own bytes. N is not aligned — it is
-// converted to float64 once per block on every decode anyway. Encode
-// writes v2 only; Decode reads both, because v1 is what stores already
-// on disk hold.
+// v1 and v2 hold the same fields in the same bits; only the pad moves.
+// Every index width is 8, 16, 32 or 64 bits, so F fills whole bytes, and
+// from v2 on it starts on a byte boundary: DecodeView hands an int8 F to
+// the kernels as the stream's own bytes, and in v3 the flags and masks
+// too. N is not aligned — it is converted to float64 once per block on
+// every decode anyway.
+//
+// v3 stores what smooth data is mostly made of, zero indices, as one mask
+// bit each. The encoder masks a block when that is strictly smaller than
+// dense — K + nnz·i < K·i bits — and never when its N_k is not finite or
+// has its sign bit set (−0 included): under such an N_k a zero index
+// recovers NaN or −0, not +0, so it cannot be left out (nonzero.go).
+// Decode rejects a masked block under such an N_k. v3 is never longer
+// than v2 by more than the flags and two pads. A stream with no masked
+// block holds one run, F itself, which decodes exactly as v2's does.
+// Encode writes v3 only; Decode reads all three, because v1 and v2 are
+// what stores already on disk hold.
 
 const (
 	magicV1 = 0xB7
 	magicV2 = 0xB8
+	magicV3 = 0xB9
 )
 
 // maxDims bounds the number of dimensions a stream may declare.
@@ -50,15 +69,186 @@ const shapeEnd = ^uint64(0)
 // negating that index would wrap.
 var errIndexRange = errors.New("core: index outside [-r, r]")
 
-// Encode serializes a into the paper's compressed form, as a v2 stream.
+// Encode serializes a into the paper's compressed form, as a v3 stream.
+// One count of the nonzero indices sizes the stream exactly, so it is
+// written into one allocation.
 func Encode(a *CompressedArray) ([]byte, error) {
 	size, err := CompressedSizeBits(a.Settings, a.Shape)
 	if err != nil {
 		return nil, err
 	}
+	// The switch calls the generic body directly rather than through
+	// kernels so the writer stays on the stack.
+	switch a.Settings.IndexType {
+	case scalar.Int8:
+		return encode(a, a.F.i8, size)
+	case scalar.Int16:
+		return encode(a, a.F.i16, size)
+	case scalar.Int32:
+		return encode(a, a.F.i32, size)
+	}
+	return encode(a, a.F.i64, size)
+}
+
+// EncodedSize returns the length in bytes of the stream Encode writes for
+// a, from the same count of its nonzero indices.
+func EncodedSize(a *CompressedArray) (int, error) {
+	size, err := CompressedSizeBits(a.Settings, a.Shape)
+	if err != nil {
+		return 0, err
+	}
+	var l layout
+	switch a.Settings.IndexType {
+	case scalar.Int8:
+		l, err = layoutOf(a, a.F.i8, size)
+	case scalar.Int16:
+		l, err = layoutOf(a, a.F.i16, size)
+	case scalar.Int32:
+		l, err = layoutOf(a, a.F.i32, size)
+	default:
+		l, err = layoutOf(a, a.F.i64, size)
+	}
+	return l.head + l.occ + l.runs, err
+}
+
+// layout is the byte length of a v3 stream's three parts: the header
+// through its pad, the flags and masks through theirs, and the runs.
+type layout struct{ head, occ, runs int }
+
+// layoutOf checks a's F against its masks and sizes a's v3 stream; size is
+// the §IV-C inventory, CompressedSizeBits.
+func layoutOf[T bits.Signed](a *CompressedArray, f []T, size int64) (layout, error) {
+	K, blocks, ib := a.Kept(), len(a.N), a.Settings.IndexType.Bits()
+	if blocks != a.NumBlocks() {
+		return layout{}, fmt.Errorf("core: N length %d does not match %d blocks", blocks, a.NumBlocks())
+	}
+	if want, ok := runLength(a.occ, blocks, K); !ok || len(f) != want {
+		return layout{}, fmt.Errorf("core: F length %d does not match blocks and masks (%d)", len(f), want)
+	}
+	masks, n := 0, 0 // masked blocks, indices stored
+	cur := cursor{occ: a.occ, kept: K, at: blocks}
+	for _, nk := range a.N {
+		s := cur.next()
+		if nz := nonzeros(f[s.off:s.end]); maskable(nk, a.Settings, K, nz) {
+			masks++
+			n += nz
+		} else {
+			n += K
+		}
+	}
+	// The header is the inventory without F, plus magic and transform.
+	return layout{
+		head: (int(size) - ib*K*blocks + 10 + 7) / 8,
+		occ:  (blocks + masks*K + 7) / 8,
+		runs: n * ib / 8,
+	}, nil
+}
+
+func encode[T bits.Signed](a *CompressedArray, f []T, size int64) ([]byte, error) {
+	l, err := layoutOf(a, f, size)
+	if err != nil {
+		return nil, err
+	}
 	var w bits.Writer
-	w.Grow(int(size) + 10) // the §IV-C inventory plus magic and transform
-	w.WriteBits(magicV2, 8)
+	w.Grow(8 * (l.head + l.occ + l.runs))
+	writeHeader(&w, a, magicV3)
+	w.WriteBits(0, uint(-w.Len()&7))
+	out := w.Bytes()
+	out = append(out, make([]byte, l.occ+l.runs)...)
+	occ, run := out[l.head:l.head+l.occ], out[l.head+l.occ:]
+	K, blocks, it := a.Kept(), len(a.N), a.Settings.IndexType
+	lowest := T(-it.Radius() - 1)
+	at, o := blocks, 0 // the next mask's bit in occ, the next index's byte in run
+	cur := cursor{occ: a.occ, kept: K, at: blocks}
+	for k, nk := range a.N {
+		s := cur.next()
+		blk := f[s.off:s.end]
+		dense := !maskable(nk, a.Settings, K, nonzeros(blk))
+		if !dense {
+			occ[k>>3] |= 0x80 >> (k & 7)
+		}
+		// A block held masked in memory is read through cells; one held
+		// dense, as Compress and the Arith results write them, directly.
+		cl := cellsOf(f, a.occ, s, K)
+		for p := 0; p < K; p++ {
+			var v T
+			if s.at < 0 {
+				v = blk[p]
+			} else {
+				v = cl.next()
+			}
+			if v == lowest {
+				return nil, errIndexRange
+			}
+			if !dense {
+				if v == 0 {
+					continue
+				}
+				occ[(at+p)>>3] |= 0x80 >> ((at + p) & 7)
+			}
+			o = putIndex(run, o, v)
+		}
+		if !dense {
+			at += K
+		}
+	}
+	return out, nil
+}
+
+// maskable reports whether the encoder writes a block masked: when N_k,
+// as the stream stores it, recovers +0 from a zero index, and the mask and
+// the nz nonzero indices take strictly fewer bits than the K indices.
+func maskable(nk float64, s Settings, K, nz int) bool {
+	ib := s.IndexType.Bits()
+	return K+nz*ib < K*ib && plain(floatFromBits(floatToBits(nk, s.FloatType), s.FloatType))
+}
+
+// nonzeros counts the nonzero indices of f.
+func nonzeros[T bits.Signed](f []T) int {
+	n := 0
+	for _, v := range f {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// putIndex writes v big-endian at run[o:] and returns the offset after it.
+func putIndex[T bits.Signed](run []byte, o int, v T) int {
+	switch sizeOf[T]() {
+	case 1:
+		run[o] = byte(v)
+	case 2:
+		binary.BigEndian.PutUint16(run[o:], uint16(v))
+	case 4:
+		binary.BigEndian.PutUint32(run[o:], uint32(v))
+	default:
+		binary.BigEndian.PutUint64(run[o:], uint64(v))
+	}
+	return o + sizeOf[T]()
+}
+
+// runLength returns the length of F for blocks blocks of K indices under
+// occ, and false when occ is too short for its own flags and masks.
+func runLength(occ []byte, blocks, K int) (int, bool) {
+	if occ == nil {
+		return blocks * K, true
+	}
+	if len(occ)*8 < blocks {
+		return 0, false
+	}
+	m := ones(occ, 0, blocks)
+	if m > 0 && K > (len(occ)*8-blocks)/m {
+		return 0, false
+	}
+	return (blocks-m)*K + ones(occ, blocks, blocks+m*K), true
+}
+
+// writeHeader writes every field before the pad that ends N: the magic,
+// the transform, the types, s, i, P and N.
+func writeHeader(w *bits.Writer, a *CompressedArray, magic uint64) {
+	w.WriteBits(magic, 8)
 	w.WriteBits(uint64(a.Settings.Transform), 2)
 	// The paper's 4 bits of type information: 2 for the float type, 2 for
 	// the index type.
@@ -76,64 +266,25 @@ func Encode(a *CompressedArray) ([]byte, error) {
 	for _, e := range a.Settings.BlockShape {
 		blockVol *= e
 	}
-	kept := 0
 	for pos := 0; pos < blockVol; pos++ {
-		keep := a.Settings.Mask == nil || a.Settings.Mask[pos]
-		w.WriteBool(keep)
-		if keep {
-			kept++
-		}
+		w.WriteBool(a.Settings.Mask == nil || a.Settings.Mask[pos])
 	}
 	// N, f bits per block.
 	fbits := uint(a.Settings.FloatType.Bits())
 	for _, n := range a.N {
 		w.WriteBits(floatToBits(n, a.Settings.FloatType), fbits)
 	}
-	// v2: zero bits up to the byte F starts on.
-	w.WriteBits(0, uint(-w.Len()&7))
-	// F, i bits per kept index. The switch calls the generic body
-	// directly rather than through kernels so w stays on the stack.
-	want, it := a.NumBlocks()*kept, a.Settings.IndexType
-	switch it {
-	case scalar.Int8:
-		err = packIndices(&w, a.F.i8, want, it)
-	case scalar.Int16:
-		err = packIndices(&w, a.F.i16, want, it)
-	case scalar.Int32:
-		err = packIndices(&w, a.F.i32, want, it)
-	default:
-		err = packIndices(&w, a.F.i64, want, it)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
 }
 
-func packIndices[T bits.Signed](w *bits.Writer, f []T, want int, it scalar.IndexType) error {
-	if len(f) != want {
-		return fmt.Errorf("core: F length %d does not match blocks×kept = %d", len(f), want)
-	}
-	ibits := uint(it.Bits())
-	lowest := T(-it.Radius() - 1)
-	for _, v := range f {
-		if v == lowest {
-			return errIndexRange
-		}
-		w.WriteBits(uint64(v), ibits)
-	}
-	return nil
-}
-
-// Decode parses a v1 or v2 compressed stream into a CompressedArray that
-// owns all of its memory: nothing in the result aliases data.
+// Decode parses a v1, v2 or v3 compressed stream into a CompressedArray
+// that owns all of its memory: nothing in the result aliases data.
 func Decode(data []byte) (*CompressedArray, error) { return decode(data, false) }
 
 // decode is Decode, and DecodeView when view is set.
 func decode(data []byte, view bool) (*CompressedArray, error) {
 	r := bits.NewReader(data)
 	magic, err := r.ReadBits(8)
-	if err != nil || (magic != magicV1 && magic != magicV2) {
+	if err != nil || magic < magicV1 || magic > magicV3 {
 		return nil, errors.New("core: not a goblaz compressed stream")
 	}
 	tk, err := r.ReadBits(2)
@@ -237,11 +388,16 @@ func decode(data []byte, view bool) (*CompressedArray, error) {
 		}
 		numBlocks *= blocks[i]
 	}
-	// The remaining stream must hold exactly N and F; reject corrupted
-	// headers before allocating anything sized by them. numBlocks ≤ 2^40
-	// and kept ≤ 2^40 bound each factor but not the product, so compare
-	// by division: a header claiming 2^63 bits must not wrap into range.
+	// The remaining stream must hold N, and in v1 and v2 all of F; in v3
+	// a flag bit a block beside N, the masks and runs being checked once
+	// the flags are read. Reject corrupted headers before allocating
+	// anything sized by them. numBlocks ≤ 2^40 and kept ≤ 2^40 bound each
+	// factor but not the product, so compare by division: a header
+	// claiming 2^63 bits must not wrap into range.
 	blockBits := s.FloatType.Bits() + kept*s.IndexType.Bits()
+	if magic == magicV3 {
+		blockBits = s.FloatType.Bits() + 1
+	}
 	if numBlocks > r.Remaining()/blockBits {
 		return nil, fmt.Errorf("core: stream too short: need %d blocks of %d bits, have %d bits",
 			numBlocks, blockBits, r.Remaining())
@@ -261,39 +417,45 @@ func decode(data []byte, view bool) (*CompressedArray, error) {
 		a.N[k] = floatFromBits(v, s.FloatType)
 	}
 	n := numBlocks * kept
-	if magic == magicV2 {
-		// The pad runs to the byte boundary, and F fills the rest exactly.
+	if magic != magicV1 {
+		// The pad runs to the byte boundary.
 		pad, err := r.ReadBits(uint(r.Remaining() & 7))
 		if err != nil {
 			return nil, err
 		}
 		if pad != 0 {
-			return nil, errors.New("core: nonzero pad bits before F")
+			return nil, errors.New("core: nonzero pad bits after N")
 		}
-		if need := n * s.IndexType.Bits(); r.Remaining() != need {
-			return nil, fmt.Errorf("core: stream holds %d bits after N, F takes %d", r.Remaining(), need)
+		runs := data[len(data)-r.Remaining()/8:]
+		if magic == magicV3 {
+			if a.occ, runs, n, err = readOccupancy(a.N, runs, kept, s.IndexType.Bits()/8); err != nil {
+				return nil, err
+			}
+		} else if need := n * s.IndexType.Bits(); len(runs)*8 != need {
+			return nil, fmt.Errorf("core: stream holds %d bits after N, F takes %d", len(runs)*8, need)
 		}
 		if view && s.IndexType == scalar.Int8 {
-			f := data[len(data)-n:]
-			if bytes.IndexByte(f, 0x80) >= 0 {
+			if bytes.IndexByte(runs, 0x80) >= 0 {
 				return nil, errIndexRange
 			}
-			a.F.i8 = int8s(f)
+			a.F.i8 = int8s(runs)
 			return a, nil
 		}
+		r = bits.NewReader(runs)
 	}
 	// F is bulk-unpacked at its own width, so the decoded array holds no
-	// more than the payload did. As in Encode, the switch keeps r on the
-	// stack.
+	// more than the payload did; Decode copies the masks into the same
+	// allocation. As in Encode, the switch keeps r on the stack.
+	own := !view && a.occ != nil
 	switch s.IndexType {
 	case scalar.Int8:
-		a.F.i8, err = unpackIndices[int8](r, n, s.IndexType)
+		a.F.i8, a.occ, err = unpackIndices[int8](r, n, s.IndexType, a.occ, own)
 	case scalar.Int16:
-		a.F.i16, err = unpackIndices[int16](r, n, s.IndexType)
+		a.F.i16, a.occ, err = unpackIndices[int16](r, n, s.IndexType, a.occ, own)
 	case scalar.Int32:
-		a.F.i32, err = unpackIndices[int32](r, n, s.IndexType)
+		a.F.i32, a.occ, err = unpackIndices[int32](r, n, s.IndexType, a.occ, own)
 	default:
-		a.F.i64, err = unpackIndices[int64](r, n, s.IndexType)
+		a.F.i64, a.occ, err = unpackIndices[int64](r, n, s.IndexType, a.occ, own)
 	}
 	if err != nil {
 		return nil, err
@@ -301,16 +463,77 @@ func decode(data []byte, view bool) (*CompressedArray, error) {
 	return a, nil
 }
 
-func unpackIndices[T bits.Signed](r *bits.Reader, n int, it scalar.IndexType) ([]T, error) {
-	f := make([]T, n)
-	sawLowest, err := bits.UnpackSigned(r, f, uint(it.Bits()))
+// readOccupancy splits what follows the pad after N in a v3 stream into
+// the flags and masks and the index runs, and returns the first (nil
+// when no block is masked) with the number of indices the runs must hold,
+// which they must fill exactly. It rejects a masked block whose N_k is not
+// plain, set pad bits, and masks that run past the stream.
+func readOccupancy(n []float64, rest []byte, K, isz int) (occ, runs []byte, count int, err error) {
+	blocks := len(n)
+	if len(rest)*8 < blocks {
+		return nil, nil, 0, fmt.Errorf("core: stream too short for %d block flags", blocks)
+	}
+	for k, nk := range n {
+		if masked(rest, k) && !plain(nk) {
+			return nil, nil, 0, fmt.Errorf("core: masked block %d has N = %v", k, nk)
+		}
+	}
+	m := ones(rest, 0, blocks)
+	if m > 0 && K > (len(rest)*8-blocks)/m {
+		return nil, nil, 0, fmt.Errorf("core: stream too short for %d masks of %d bits", m, K)
+	}
+	end := blocks + m*K
+	occ, runs = rest[:(end+7)/8], rest[(end+7)/8:]
+	if end&7 != 0 && occ[len(occ)-1]&(0xff>>(end&7)) != 0 {
+		return nil, nil, 0, errors.New("core: nonzero pad bits after the masks")
+	}
+	dense := blocks - m
+	if len(runs)%isz != 0 || dense > 0 && K > len(runs)/isz/dense {
+		return nil, nil, 0, fmt.Errorf("core: stream holds %d bytes of index runs, too few or ragged", len(runs))
+	}
+	// The pad is zero, so the masks hold every set bit but the flags'.
+	count = dense*K + popcount(occ) - m
+	if count != len(runs)/isz {
+		return nil, nil, 0, fmt.Errorf("core: stream holds %d indices after the masks, they mark %d", len(runs)/isz, count)
+	}
+	if m == 0 {
+		occ = nil
+	}
+	return occ, runs, count, nil
+}
+
+// popcount counts the set bits of b, eight bytes at a time.
+func popcount(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += mathbits.OnesCount64(binary.LittleEndian.Uint64(b))
+	}
+	for _, x := range b {
+		n += mathbits.OnesCount8(x)
+	}
+	return n
+}
+
+// unpackIndices reads n indices of width T from r into a new slice. With
+// own set it copies occ into the tail of the same allocation and returns
+// that copy, so that the array owns its masks too; otherwise occ as is.
+func unpackIndices[T bits.Signed](r *bits.Reader, n int, it scalar.IndexType, occ []byte, own bool) ([]T, []byte, error) {
+	extra := 0
+	if own {
+		extra = (len(occ) + sizeOf[T]() - 1) / sizeOf[T]()
+	}
+	f := make([]T, n+extra)
+	if own {
+		occ = append(bytesOf(f[n:])[:0], occ...)
+	}
+	sawLowest, err := bits.UnpackSigned(r, f[:n], uint(it.Bits()))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if sawLowest {
-		return nil, errIndexRange
+		return nil, nil, errIndexRange
 	}
-	return f, nil
+	return f[:n:n], occ, nil
 }
 
 func floatToBits(x float64, ft scalar.FloatType) uint64 {

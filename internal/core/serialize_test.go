@@ -79,10 +79,7 @@ func TestCompressedSizeBitsMatchesEncodedLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := Encode(a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := encodeV2(t, a)
 		wantBits, err := CompressedSizeBits(cfg.s, cfg.shape)
 		if err != nil {
 			t.Fatal(err)
@@ -97,6 +94,22 @@ func TestCompressedSizeBitsMatchesEncodedLength(t *testing.T) {
 	}
 }
 
+// encodeV2 writes a as a v2 stream — the encoder before v3: header and
+// N, the pad, then all K indices of every block, however a holds them.
+func encodeV2(t testing.TB, a *CompressedArray) []byte {
+	t.Helper()
+	if _, err := CompressedSizeBits(a.Settings, a.Shape); err != nil {
+		t.Fatal(err)
+	}
+	var w bits.Writer
+	writeHeader(&w, a, magicV2)
+	w.WriteBits(0, uint(-w.Len()&7))
+	for _, v := range a.indices() {
+		w.WriteBits(uint64(v), uint(a.Settings.IndexType.Bits()))
+	}
+	return w.Bytes()
+}
+
 // v1Of rewrites a's v2 stream as v1: the same header and N, F moved back
 // against N, and the pad moved to the end.
 func v1Of(t *testing.T, a *CompressedArray, v2 []byte) []byte {
@@ -105,7 +118,7 @@ func v1Of(t *testing.T, a *CompressedArray, v2 []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fBits := a.F.Len() * a.Settings.IndexType.Bits()
+	fBits := a.NumBlocks() * a.Kept() * a.Settings.IndexType.Bits()
 	var w bits.Writer
 	w.AppendBits(v2, int(size)+10-fBits) // magic through N
 	w.AppendBits(v2[len(v2)-fBits/8:], fBits)
@@ -114,16 +127,24 @@ func v1Of(t *testing.T, a *CompressedArray, v2 []byte) []byte {
 	return v1
 }
 
+// sameArray reports whether a and b hold the same array: shape, settings,
+// N by bits, and every index at every position, whichever blocks either
+// stores masked.
+func sameArray(a, b *CompressedArray) bool {
+	return tensor.EqualShape(a.Shape, b.Shape) && tensor.EqualShape(a.Blocks, b.Blocks) &&
+		a.Settings.equal(b.Settings) && slices.EqualFunc(a.N, b.N, sameBits) &&
+		slices.Equal(a.indices(), b.indices())
+}
+
 // TestStreamV2IsV1Length: over the dense oracle's matrix (every index ×
 // float type, masked and not, 1-D to 4-D, non-dividing shapes), a v2
 // stream is exactly as long as the v1 stream of the same array and as
-// the §IV-C inventory plus magic and transform rounded up to a byte — the
-// size goblaz's EncodedSize reports — and both streams decode, through
-// either decoder, to the same array.
+// the §IV-C inventory plus magic and transform rounded up to a byte, and
+// both streams decode, through either decoder, to the same array.
 func TestStreamV2IsV1Length(t *testing.T) {
 	for _, cfg := range denseConfigs(t) {
 		a := compress(t, mustCompressor(t, cfg.s), cfg.mk(1, cfg.shape...))
-		v2 := mustEncode(t, a)
+		v2 := encodeV2(t, a)
 		v1 := v1Of(t, a, v2)
 		size, err := CompressedSizeBits(a.Settings, a.Shape)
 		if err != nil {
@@ -138,8 +159,7 @@ func TestStreamV2IsV1Length(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %s decode of %#x stream: %v", cfg.name, d.name, stream[0], err)
 				}
-				if !back.F.Equal(a.F) || !slices.EqualFunc(back.N, a.N, sameBits) ||
-					!tensor.EqualShape(back.Shape, a.Shape) || !back.Settings.equal(a.Settings) {
+				if !back.F.Equal(a.F) || !sameArray(back, a) {
 					t.Fatalf("%s: %s decode of %#x stream gives a different array", cfg.name, d.name, stream[0])
 				}
 			}
@@ -192,12 +212,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if !back.Settings.equal(a.Settings) {
 			t.Fatalf("config %d: settings round trip failed", i)
 		}
-		if back.F.Len() != a.F.Len() {
-			t.Fatalf("config %d: F length %d vs %d", i, back.F.Len(), a.F.Len())
+		got, want := back.indices(), a.indices()
+		if len(got) != len(want) {
+			t.Fatalf("config %d: F length %d vs %d", i, len(got), len(want))
 		}
-		for j := 0; j < a.F.Len(); j++ {
-			if back.F.At(j) != a.F.At(j) {
-				t.Fatalf("config %d: F[%d] = %d vs %d", i, j, back.F.At(j), a.F.At(j))
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("config %d: F[%d] = %d vs %d", i, j, got[j], want[j])
 			}
 		}
 		for j := range a.N {
@@ -276,11 +297,19 @@ func TestActualBytesMatchRatioRoughly(t *testing.T) {
 	c, _ := NewCompressor(s)
 	x := smoothTensor(1, 256, 256)
 	a, _ := c.Compress(x)
-	data, _ := Encode(a)
+	data := encodeV2(t, a)
 	inputBytes := 256 * 256 * 8
 	measured := float64(inputBytes) / float64(len(data))
 	asymptotic, _ := CompressionRatio(s, []int{256, 256}, 64)
 	if math.Abs(measured-asymptotic)/asymptotic > 0.02 {
 		t.Errorf("measured ratio %.3f vs asymptotic %.3f", measured, asymptotic)
+	}
+	// v3 never exceeds v2 by more than the flags and its two pads.
+	size, err := CompressedSizeBits(s, []int{256, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := len(mustEncode(t, a)), int((size+7)/8)+(a.NumBlocks()+7)/8+2; got > limit {
+		t.Errorf("v3 stream %d bytes, more than the §IV-C size plus flags and pads (%d)", got, limit)
 	}
 }

@@ -12,13 +12,15 @@
 // PyBlaz gets from PyTorch. The scalar reductions (Dot, L2Norm, Mean,
 // Covariance and everything built on them) are single serial passes over
 // N and F that allocate nothing: the summation order is part of the
-// answer. They recover only the coefficients whose bin index is nonzero,
-// reading F a word at a time, since a zero index adds exactly ±0 to every
-// sum (nonzero.go), so their cost follows the nonzero bins, not ∏b·K.
+// answer. On a block stored masked (stream v3 keeps only a block's
+// nonzero bin indices, and a mask of where they sit) they recover only
+// those, since a zero index adds exactly +0 to every sum (nonzero.go), so
+// their cost follows the nonzero bins, not ∏b·K.
 //
 // F is held in memory at the width of the index type (an int8 stream is
 // a []int8), so a decoded array is no larger than its payload; DecodeView
-// of a v2 int8 stream does not copy F at all, but reads it where it lies.
+// of an int8 stream does not copy F or the masks at all, but reads them
+// where they lie.
 // Every loop over F has one generic body on width[T], picked once per
 // call.
 //
@@ -109,6 +111,20 @@ func (s Settings) Validate() error {
 		}
 	}
 	return nil
+}
+
+// kept returns K, the number of coefficients per block the mask keeps.
+func (s Settings) kept() int {
+	if s.Mask == nil {
+		return tensor.Prod(s.BlockShape)
+	}
+	n := 0
+	for _, keep := range s.Mask {
+		if keep {
+			n++
+		}
+	}
+	return n
 }
 
 // equal reports whether two settings produce interoperable compressed

@@ -11,15 +11,16 @@ import (
 
 // DecodeView is Decode for callers whose bytes outlive the result and are
 // never written while it is in use — a read-only memory mapping, or a
-// buffer read for this one decode. The result may alias data: the int8 F
-// of a v2 stream is data's own bytes, checked once for the index
-// −2^(b−1) Decode also rejects, instead of a copy. Every other stream
-// (v1, or v2 with wider indices, stored big-endian at offsets not aligned
-// to their width) decodes exactly as Decode does.
+// buffer read for this one decode. The result may alias data: a v3
+// stream's flags and masks are data's own bytes, and so is the int8 F of
+// a v2 or v3 stream, checked once for the index −2^(b−1) Decode also
+// rejects, instead of a copy. Wider indices, stored big-endian at offsets
+// not aligned to their width, and v1's F, which is not byte-aligned, are
+// unpacked exactly as Decode unpacks them.
 //
-// Nothing in this package writes F in place — Negate and MulScalar work
-// on a clone — so the kernels only ever read the aliased bytes, and the
-// arrays they return own their memory.
+// Nothing in this package writes F or the masks in place — Negate and
+// MulScalar work on a clone — so the kernels only ever read the aliased
+// bytes, and the arrays they return own their memory.
 func DecodeView(data []byte) (*CompressedArray, error) { return decode(data, true) }
 
 // int8s returns b's bytes as int8s: the same memory, capacity len(b), so
@@ -34,9 +35,8 @@ func sizeOf[T bits.Signed]() int {
 	return int(unsafe.Sizeof(v))
 }
 
-// bytesOf returns f's memory as bytes, for the kernels that read F a
-// word at a time (nonzero.go). They only read it: f may be a read-only
-// mapping.
+// bytesOf returns f's memory as bytes: Decode keeps its copy of the
+// masks in the tail of F's allocation (serialize.go).
 func bytesOf[T bits.Signed](f []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*sizeOf[T]())
 }
