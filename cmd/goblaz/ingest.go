@@ -52,7 +52,10 @@ func runIngest(args []string) error {
 	// Resolve the sink: a URL ingests through the SDK, a path through
 	// the appendable store directly (created on first use when -spec
 	// names the codec).
-	var sink api.Ingestor
+	var sink interface {
+		api.Backend
+		api.Ingestor
+	}
 	if isServiceURL(target) {
 		c, err := api.NewClient(target, api.ClientOptions{})
 		if err != nil {
@@ -137,14 +140,8 @@ func openAppendable(path, specFlag string, opts ingest.Options) (*ingest.Store, 
 }
 
 // nextLabel picks the label after the target's current maximum, so
-// successive producer runs append instead of colliding. Works through
-// any ingest sink that is also a Backend (both the SDK client and the
-// local store are).
-func nextLabel(ctx context.Context, sink api.Ingestor) (int, error) {
-	b, ok := sink.(api.Backend)
-	if !ok {
-		return 0, nil
-	}
+// successive producer runs append instead of colliding.
+func nextLabel(ctx context.Context, b api.Backend) (int, error) {
 	infos, err := b.Frames(ctx)
 	if err != nil {
 		return 0, err

@@ -42,7 +42,7 @@ const (
 	// exist.
 	CodeNotFound Code = "not_found"
 	// CodeNotSupported marks operations the backend cannot perform,
-	// e.g. raw payload access through a transport that hides it.
+	// e.g. ingest into a read-only store.
 	CodeNotSupported Code = "not_supported"
 	// CodeCanceled marks work abandoned because the caller's context
 	// was canceled or its deadline expired.
@@ -161,6 +161,11 @@ func codeOfStatus(status int) Code {
 // ErrNotFound marks lookups of frames or stores that do not exist;
 // FromError classifies anything wrapping it as CodeNotFound.
 var ErrNotFound = errors.New("api: not found")
+
+// noFrame is the not-found error of a label no frame carries.
+func noFrame(label int) *Error {
+	return &Error{Code: CodeNotFound, Message: fmt.Sprintf("no frame with label %d", label), err: ErrNotFound}
+}
 
 // ErrConflict marks writes that collide with existing state (e.g. an
 // already-taken ingest label); FromError classifies anything wrapping
@@ -288,19 +293,31 @@ type Frame struct {
 	Data  []float64 `json:"data"`
 }
 
-// Backend is the v1 service contract. Both implementations — Local
-// over an open store file, Client over HTTP — satisfy it, which is
-// what lets the CLI accept a store path or a serving URL
-// interchangeably. All methods are safe for concurrent use and honor
-// context cancellation; failures classify through FromError to stable
-// codes on either transport.
+// Backend is the v1 service contract. Every implementation — Local
+// over an open store file or dataset, Client over HTTP, and the ones
+// that wrap them (Limited, ingest.Store, cluster.Coordinator) — answers
+// the whole method set, which is what lets the CLI accept a store path
+// or a serving URL interchangeably and the HTTP layer serve any of them
+// without probing. Ingest is the one optional capability (Ingestor).
+// All methods are safe for concurrent use and honor context
+// cancellation; failures classify through FromError to stable codes on
+// either transport.
 type Backend interface {
 	// Spec describes the store.
 	Spec(ctx context.Context) (StoreInfo, error)
 	// Frames returns the frame index in commit order.
 	Frames(ctx context.Context) ([]FrameInfo, error)
+	// FrameInfo returns the index entry of the labeled frame.
+	FrameInfo(ctx context.Context, label int) (FrameInfo, error)
 	// Frame returns the frame with the given label, fully decompressed.
 	Frame(ctx context.Context, label int) (*Frame, error)
+	Payloads
+	// PayloadReader returns the labeled frame's verified raw payload as
+	// a positioned reader — the shape http.ServeContent wants. A store
+	// backend serves a section of its file or mapping, zero-copy; a
+	// remote one wraps the fetched bytes. A reader that is also an
+	// io.Closer must be closed once read.
+	PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error)
 	// Region reads the axis-aligned sub-array of the labeled frame.
 	Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error)
 	// Stats computes per-frame aggregates for the labeled frame; nil or
@@ -310,28 +327,11 @@ type Backend interface {
 	Query(ctx context.Context, req *query.Request) (*query.Result, error)
 }
 
-// Payloads is an optional Backend capability: raw compressed payload
-// access (GET /v1/frames/{label}/payload). Backends that cannot serve
-// it return a CodeNotSupported error from the HTTP layer instead.
+// Payloads is the raw payload part of Backend
+// (GET /v1/frames/{label}/payload), named on its own for the benchmark.
 type Payloads interface {
+	// Payload returns the labeled frame's verified raw compressed bytes.
 	Payload(ctx context.Context, label int) ([]byte, error)
-}
-
-// PayloadStreamer is an optional Backend capability: positioned
-// read access to a frame's verified raw payload. The HTTP layer
-// prefers it over Payloads — a memory-mapped store serves the bytes
-// zero-copy through http.ServeContent (Content-Length, Accept-Ranges,
-// Range) instead of materializing a payload copy per request.
-type PayloadStreamer interface {
-	PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error)
-}
-
-// FrameResolver is an optional Backend capability: O(1) resolution of
-// one label to its index entry. The HTTP layer's per-frame routes use
-// it when present (Local resolves through the store's label index) and
-// fall back to scanning Frames otherwise.
-type FrameResolver interface {
-	FrameInfo(ctx context.Context, label int) (FrameInfo, error)
 }
 
 // IngestFrame is one frame submitted to a streaming-ingest backend:
@@ -357,9 +357,9 @@ type IngestResult struct {
 	Frames    int  `json:"frames"`
 }
 
-// Ingestor is an optional Backend capability: streaming frame ingest
-// (POST /v1/datasets/{name}/frames). Backends without it answer the
-// route with a CodeNotSupported error. Implementations guarantee the
+// Ingestor is the one optional Backend capability: streaming frame
+// ingest (POST /v1/datasets/{name}/frames). Backends without it answer
+// the route with a CodeNotSupported error. Implementations guarantee the
 // durability contract IngestResult documents: a successful return
 // means every frame of the batch survives a crash.
 type Ingestor interface {

@@ -127,7 +127,7 @@ func TestLocalBackend(t *testing.T) {
 	ctx := context.Background()
 
 	info, err := l.Spec(ctx)
-	if err != nil || info.Spec != l.src.Spec() || info.Frames != 3 {
+	if err != nil || info.Spec != l.src.Specs()[0] || info.Frames != 3 {
 		t.Fatalf("Spec = %+v, %v", info, err)
 	}
 

@@ -342,6 +342,21 @@ func (c *Client) Frames(ctx context.Context) ([]FrameInfo, error) {
 	return infos, nil
 }
 
+// FrameInfo scans the served index for the label: the v1 API has no
+// single-entry route.
+func (c *Client) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
+	infos, err := c.Frames(ctx)
+	if err != nil {
+		return FrameInfo{}, err
+	}
+	for _, e := range infos {
+		if e.Label == label {
+			return e, nil
+		}
+	}
+	return FrameInfo{}, noFrame(label)
+}
+
 // maxPresize caps what a declared Content-Length may reserve before any
 // byte arrives; a larger (or undeclared) body grows as it is read.
 const maxPresize = 64 << 20
@@ -435,9 +450,8 @@ func parseShapeHeader(h string) ([]int, error) {
 	return shape, nil
 }
 
-// Payload fetches a frame's raw compressed bytes, so Client also
-// satisfies the optional Payloads capability. The bytes land in one
-// buffer of the declared Content-Length.
+// Payload fetches a frame's raw compressed bytes into one buffer of the
+// declared Content-Length.
 func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label)+"/payload", nil)
 	if err != nil {
@@ -449,6 +463,16 @@ func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
 		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("reading payload %d: %v", label, err), err: err}
 	}
 	return blob, nil
+}
+
+// PayloadReader fetches the payload whole (Payload) and reads it from
+// memory.
+func (c *Client) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
+	blob, err := c.Payload(ctx, label)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.NewReader(blob), nil
 }
 
 // decodeResult reads a result body into one buffer (readBody) and

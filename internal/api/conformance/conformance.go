@@ -329,17 +329,15 @@ func testFrames(t *testing.T, fx *Fixture, b api.Backend) {
 			t.Errorf("entry %d spec %q, want %q", i, e.Spec, want)
 		}
 	}
-	// The optional O(1) resolver must agree with the full index.
-	if fr, ok := b.(api.FrameResolver); ok {
-		for i := range infos {
-			one, err := fr.FrameInfo(context.Background(), i)
-			if err != nil || one != infos[i] {
-				t.Errorf("FrameInfo(%d) = %+v, %v, want %+v", i, one, err, infos[i])
-			}
+	// Single-label resolution must agree with the full index.
+	for i := range infos {
+		one, err := b.FrameInfo(context.Background(), i)
+		if err != nil || one != infos[i] {
+			t.Errorf("FrameInfo(%d) = %+v, %v, want %+v", i, one, err, infos[i])
 		}
-		if _, err := fr.FrameInfo(context.Background(), 99); api.CodeOf(err) != api.CodeNotFound {
-			t.Errorf("FrameInfo(99) = %v, want not_found", err)
-		}
+	}
+	if _, err := b.FrameInfo(context.Background(), 99); api.CodeOf(err) != api.CodeNotFound {
+		t.Errorf("FrameInfo(99) = %v, want not_found", err)
 	}
 }
 

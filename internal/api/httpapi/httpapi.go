@@ -221,34 +221,13 @@ func (h *Handler) handleFrames(b api.Backend, w http.ResponseWriter, req *http.R
 
 // frameInfo resolves the {label} path segment against the backend's
 // index: the canonical decimal label ("01" resolves to 1), not a glob.
-// Backends with the FrameResolver capability (Local) answer in O(1);
-// others pay a full index scan.
 func frameInfo(ctx context.Context, b api.Backend, req *http.Request) (api.FrameInfo, error) {
 	label, err := strconv.Atoi(req.PathValue("label"))
 	if err != nil {
 		return api.FrameInfo{}, api.Errorf(api.CodeBadRequest, "bad frame label %q", req.PathValue("label"))
 	}
-	if fr, ok := b.(api.FrameResolver); ok {
-		return fr.FrameInfo(ctx, label)
-	}
-	infos, err := b.Frames(ctx)
-	if err != nil {
-		return api.FrameInfo{}, err
-	}
-	for _, e := range infos {
-		if e.Label == label {
-			return e, nil
-		}
-	}
-	return api.FrameInfo{}, &apiNotFound{label: label}
+	return b.FrameInfo(ctx, label)
 }
-
-// apiNotFound defers building the error so frameInfo stays allocation-
-// free on the hit path; it classifies as CodeNotFound.
-type apiNotFound struct{ label int }
-
-func (e *apiNotFound) Error() string { return fmt.Sprintf("no frame with label %d", e.label) }
-func (e *apiNotFound) Unwrap() error { return api.ErrNotFound }
 
 // notModified writes the frame's ETag — derived from the payload CRC in
 // the store footer, which changes exactly when any derived
@@ -310,11 +289,6 @@ func serveBytes(w http.ResponseWriter, req *http.Request, content io.ReadSeeker)
 }
 
 func (h *Handler) handlePayload(b api.Backend, w http.ResponseWriter, req *http.Request) error {
-	ps, psOK := b.(api.PayloadStreamer)
-	p, pOK := b.(api.Payloads)
-	if !psOK && !pOK {
-		return api.Errorf(api.CodeNotSupported, "backend does not expose raw payloads")
-	}
 	info, err := frameInfo(req.Context(), b, req)
 	if err != nil {
 		return err
@@ -322,20 +296,12 @@ func (h *Handler) handlePayload(b api.Backend, w http.ResponseWriter, req *http.
 	if notModified(w, req, info) {
 		return nil
 	}
-	// Prefer the positioned reader: a memory-mapped store serves the
-	// bytes zero-copy, and ServeContent seeks instead of materializing
-	// the payload for Range requests.
-	var content io.ReadSeeker
-	if psOK {
-		if content, err = ps.PayloadReader(req.Context(), info.Label); err != nil {
-			return err
-		}
-	} else {
-		payload, err := p.Payload(req.Context(), info.Label)
-		if err != nil {
-			return err
-		}
-		content = bytes.NewReader(payload)
+	// ServeContent seeks the positioned reader instead of materializing
+	// the payload for Range requests; a memory-mapped store serves the
+	// bytes zero-copy.
+	content, err := b.PayloadReader(req.Context(), info.Label)
+	if err != nil {
+		return err
 	}
 	// A streamed payload may pin backend state (an ingest store pins the
 	// read generation the section reads from); release it once served.

@@ -264,7 +264,12 @@ func (panicBackend) Spec(context.Context) (api.StoreInfo, error) { panic("boom")
 func (panicBackend) Frames(context.Context) ([]api.FrameInfo, error) {
 	return nil, api.Errorf(api.CodeInternal, "x")
 }
-func (panicBackend) Frame(context.Context, int) (*api.Frame, error) { panic("boom") }
+func (panicBackend) FrameInfo(context.Context, int) (api.FrameInfo, error) { panic("boom") }
+func (panicBackend) Frame(context.Context, int) (*api.Frame, error)        { panic("boom") }
+func (panicBackend) Payload(context.Context, int) ([]byte, error)          { panic("boom") }
+func (panicBackend) PayloadReader(context.Context, int) (io.ReadSeeker, error) {
+	panic("boom")
+}
 func (panicBackend) Region(context.Context, int, []int, []int) (*query.FrameResult, error) {
 	panic("boom")
 }
@@ -303,23 +308,6 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if !sawPanic || !sawAccess {
 		t.Errorf("log lines missing panic/access records: %q", lines)
-	}
-}
-
-func TestPayloadNotSupported(t *testing.T) {
-	// A Backend without the optional Payloads capability answers the
-	// payload route with not_supported, not a panic or a 404.
-	srv := httptest.NewServer(New(panicBackend{}, nil, Options{}))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/v1/frames/0/payload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("payload on incapable backend = %d, want 501", resp.StatusCode)
-	}
-	if e := decodeEnvelope(t, resp); e.Code != api.CodeNotSupported {
-		t.Errorf("code = %s, want not_supported", e.Code)
 	}
 }
 
@@ -369,12 +357,17 @@ func TestInvalidRequestNeverShortCircuitsTo304(t *testing.T) {
 	}
 }
 
-// noResolver hides Local's optional capabilities behind the bare
-// Backend interface, forcing the handler's index-scan fallback.
-type noResolver struct{ api.Backend }
-
+// TestFrameRoutesWithoutResolver serves the per-frame routes from a
+// backend with no label index of its own: a Client, whose FrameInfo
+// scans the index another server serves.
 func TestFrameRoutesWithoutResolver(t *testing.T) {
-	srv := httptest.NewServer(New(noResolver{buildLocal(t, 3, 8, 8)}, nil, Options{}))
+	inner := httptest.NewServer(New(buildLocal(t, 3, 8, 8), nil, Options{}))
+	defer inner.Close()
+	c, err := api.NewClient(inner.URL, api.ClientOptions{HTTPClient: inner.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(c, nil, Options{}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/frames/2/stats?aggs=mean")
 	if err != nil {

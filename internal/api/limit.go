@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -80,9 +79,6 @@ func Limit(b Backend, opts LimitOptions) Backend {
 		waits: obs.NewHistogramWith(nil),
 	}
 }
-
-// Unwrap exposes the decorated backend (capability probes and tests).
-func (l *Limited) Unwrap() Backend { return l.b }
 
 func overloadedf(format string, args ...any) *Error {
 	return &Error{Code: CodeOverloaded, Message: fmt.Sprintf(format, args...), err: ErrOverloaded}
@@ -164,6 +160,17 @@ func (l *Limited) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
+// admit runs call in an admission slot, or sheds it.
+func admit[T any](l *Limited, ctx context.Context, call func() (T, error)) (T, error) {
+	release, err := l.acquire(ctx)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer release()
+	return call()
+}
+
 // Index reads pass through unlimited: they touch only the in-memory
 // frame index and cost less than the bookkeeping to limit them.
 
@@ -171,50 +178,24 @@ func (l *Limited) Spec(ctx context.Context) (StoreInfo, error) { return l.b.Spec
 
 func (l *Limited) Frames(ctx context.Context) ([]FrameInfo, error) { return l.b.Frames(ctx) }
 
-// FrameInfo forwards the FrameResolver capability when the inner
-// backend has it, unlimited like the other index reads.
 func (l *Limited) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
-	fr, ok := l.b.(FrameResolver)
-	if !ok {
-		return FrameInfo{}, Errorf(CodeNotSupported, "backend does not resolve single frames")
-	}
-	return fr.FrameInfo(ctx, label)
+	return l.b.FrameInfo(ctx, label)
 }
 
 func (l *Limited) Frame(ctx context.Context, label int) (*Frame, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Frame(ctx, label)
+	return admit(l, ctx, func() (*Frame, error) { return l.b.Frame(ctx, label) })
 }
 
 func (l *Limited) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Region(ctx, label, offset, shape)
+	return admit(l, ctx, func() (*query.FrameResult, error) { return l.b.Region(ctx, label, offset, shape) })
 }
 
 func (l *Limited) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Stats(ctx, label, aggs)
+	return admit(l, ctx, func() (*query.FrameResult, error) { return l.b.Stats(ctx, label, aggs) })
 }
 
 func (l *Limited) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Query(ctx, req)
+	return admit(l, ctx, func() (*query.Result, error) { return l.b.Query(ctx, req) })
 }
 
 // Ingest forwards the Ingestor capability under the limiter: an
@@ -227,53 +208,16 @@ func (l *Limited) Ingest(ctx context.Context, frames []IngestFrame) (*IngestResu
 	if !ok {
 		return nil, Errorf(CodeNotSupported, "backend does not accept ingest")
 	}
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return ing.Ingest(ctx, frames)
+	return admit(l, ctx, func() (*IngestResult, error) { return ing.Ingest(ctx, frames) })
 }
 
-// Payload forwards the Payloads capability under the limiter.
 func (l *Limited) Payload(ctx context.Context, label int) ([]byte, error) {
-	p, ok := l.b.(Payloads)
-	if !ok {
-		return nil, Errorf(CodeNotSupported, "backend does not expose raw payloads")
-	}
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return p.Payload(ctx, label)
+	return admit(l, ctx, func() ([]byte, error) { return l.b.Payload(ctx, label) })
 }
 
-// PayloadReader forwards the PayloadStreamer capability under the
-// limiter, degrading to a Payloads fetch wrapped in a bytes.Reader when
-// the inner backend only serves whole payloads (Client) — the wrapper
-// always streams, so the HTTP layer needs no capability re-probing
-// through the decorator. The slot is released when the reader is handed
-// back, not when the response finishes streaming — the bytes are
-// already positioned (mmap or file offset) and the copy costs no decode
-// work.
+// PayloadReader holds a slot only while the reader is handed back, not
+// while the response streams: the bytes are already positioned (mmap,
+// file offset or a fetched buffer) and the copy costs no decode work.
 func (l *Limited) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
-	ps, psOK := l.b.(PayloadStreamer)
-	p, pOK := l.b.(Payloads)
-	if !psOK && !pOK {
-		return nil, Errorf(CodeNotSupported, "backend does not expose raw payloads")
-	}
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if psOK {
-		return ps.PayloadReader(ctx, label)
-	}
-	payload, err := p.Payload(ctx, label)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.NewReader(payload), nil
+	return admit(l, ctx, func() (io.ReadSeeker, error) { return l.b.PayloadReader(ctx, label) })
 }

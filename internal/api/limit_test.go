@@ -154,9 +154,7 @@ func TestLimitedIndexReadsBypassLimiter(t *testing.T) {
 	if _, err := lb.Frames(ctx); err != nil {
 		t.Fatalf("Frames under saturation: %v", err)
 	}
-	if fr, ok := lb.(FrameResolver); !ok {
-		t.Fatal("Limited must forward FrameResolver")
-	} else if _, err := fr.FrameInfo(ctx, 0); err != nil {
+	if _, err := lb.FrameInfo(ctx, 0); err != nil {
 		t.Fatalf("FrameInfo under saturation: %v", err)
 	}
 }

@@ -17,20 +17,12 @@ import (
 // count in StoreInfo.
 type Source interface {
 	query.Source
-	query.FrameSpeccer
-	MixedCodec() bool
 	Payload(i int) ([]byte, error)
 	PayloadReader(i int) (*io.SectionReader, error)
 	Close() error
 }
 
-// Local serves the full optional capability set.
-var _ interface {
-	Backend
-	FrameResolver
-	Payloads
-	PayloadStreamer
-} = (*Local)(nil)
+var _ Backend = (*Local)(nil)
 
 // Local is the in-process Backend: a Source for frame access and the
 // function that answers queries over it — a query.Engine's Run for one
@@ -46,13 +38,14 @@ var _ interface {
 type Local struct {
 	src    Source
 	run    func(context.Context, *query.Request) (*query.Result, error)
+	specs  []string // src.Specs(), default first
 	shards int
 }
 
 // NewLocal wraps an open source and the function that runs a request
 // over it. The caller keeps ownership of src (and closes it).
 func NewLocal(src Source, run func(context.Context, *query.Request) (*query.Result, error)) *Local {
-	l := &Local{src: src, run: run}
+	l := &Local{src: src, run: run, specs: src.Specs()}
 	if s, ok := src.(interface{ Shards() int }); ok {
 		l.shards = s.Shards()
 	}
@@ -89,9 +82,9 @@ func (l *Local) Spec(ctx context.Context) (StoreInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return StoreInfo{}, FromError(err)
 	}
-	info := StoreInfo{Spec: l.src.Spec(), Frames: l.src.Len(), Shards: l.shards}
-	if l.src.MixedCodec() {
-		info.Specs = l.src.Specs()
+	info := StoreInfo{Spec: l.specs[0], Frames: l.src.Len(), Shards: l.shards}
+	if len(l.specs) > 1 {
+		info.Specs = append([]string(nil), l.specs...)
 	}
 	return info, nil
 }
@@ -117,7 +110,7 @@ func (l *Local) frameInfoAt(i int) FrameInfo {
 		Length: e.Length,
 		CRC32:  fmt.Sprintf("%08x", e.CRC32),
 	}
-	if spec := l.src.FrameSpec(i); spec != l.src.Spec() {
+	if spec := l.src.FrameSpec(i); spec != l.specs[0] {
 		info.Spec = spec
 	}
 	return info
@@ -127,13 +120,12 @@ func (l *Local) frameInfoAt(i int) FrameInfo {
 func (l *Local) indexOf(label int) (int, error) {
 	i, ok := l.src.IndexOf(label)
 	if !ok {
-		return 0, &Error{Code: CodeNotFound, Message: fmt.Sprintf("no frame with label %d", label), err: ErrNotFound}
+		return 0, noFrame(label)
 	}
 	return i, nil
 }
 
-// FrameInfo resolves one label through the source's label index — the
-// O(1) FrameResolver capability behind the per-frame HTTP routes.
+// FrameInfo resolves one label through the source's label index.
 func (l *Local) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return FrameInfo{}, FromError(err)
@@ -175,9 +167,8 @@ func (l *Local) Payload(ctx context.Context, label int) ([]byte, error) {
 	return payload, nil
 }
 
-// PayloadReader is the PayloadStreamer capability: a positioned reader
-// over the verified payload, zero-copy from the source's memory mapping
-// when it has one.
+// PayloadReader is a positioned reader over the verified payload,
+// zero-copy from the source's memory mapping when it has one.
 func (l *Local) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, FromError(err)

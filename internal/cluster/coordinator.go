@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -18,15 +20,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Coordinator serves the optional capabilities a remote tier can:
-// O(1) label resolution from the discovered inventory and payload
-// bytes proxied from the owning shard. PayloadStreamer is deliberately
-// absent — the coordinator holds no file to seek in.
-var _ interface {
-	api.Backend
-	api.FrameResolver
-	api.Payloads
-} = (*Coordinator)(nil)
+var _ api.Backend = (*Coordinator)(nil)
 
 // Options tunes a Coordinator beyond what the topology file carries —
 // the knobs that belong to the process, not the cluster.
@@ -252,8 +246,6 @@ type fetched struct {
 	refC   codec.Compressed
 }
 
-func (s *fetched) Spec() string                          { return s.c.scatter.spec }
-func (s *fetched) Coder() (codec.Coder, error)           { return s.c.coders[s.c.scatter.spec], nil }
 func (s *fetched) FrameSpec(i int) string                { return s.c.frameSpec(i) }
 func (s *fetched) FrameCoder(i int) (codec.Coder, error) { return s.c.coders[s.c.frameSpec(i)], nil }
 func (s *fetched) Specs() []string                       { return s.c.specs }
@@ -322,8 +314,8 @@ func callOwner[T any](ctx context.Context, g *group, affinity uint64, fn func(*a
 	return out, err
 }
 
-// FrameInfo resolves one label from the discovered inventory — the
-// O(1) FrameResolver capability, answered without a network hop.
+// FrameInfo resolves one label from the discovered inventory, without
+// a network hop.
 func (c *Coordinator) FrameInfo(ctx context.Context, label int) (api.FrameInfo, error) {
 	i, _, err := c.owner(ctx, label)
 	if err != nil {
@@ -350,6 +342,16 @@ func (c *Coordinator) Payload(ctx context.Context, label int) ([]byte, error) {
 		return nil, err
 	}
 	return c.payload(ctx, i)
+}
+
+// PayloadReader reads the proxied payload (Payload) from memory: the
+// coordinator holds no file to seek in.
+func (c *Coordinator) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
+	data, err := c.Payload(ctx, label)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.NewReader(data), nil
 }
 
 // payload fetches global frame i's stored bytes from its owning shard,

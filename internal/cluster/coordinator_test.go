@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -499,9 +500,9 @@ func TestProbeStateMachine(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPayloadProxy checks the Payloads capability: the
-// coordinator serves each frame's raw compressed bytes, identical to
-// the local sharded backend over the same files.
+// TestCoordinatorPayloadProxy checks Payload: the coordinator serves
+// each frame's raw compressed bytes, identical to the local sharded
+// backend over the same files.
 func TestCoordinatorPayloadProxy(t *testing.T) {
 	fx := conformance.NewFixture(t)
 	manifest := fx.BuildManifest(t, t.TempDir(), 2)
@@ -527,6 +528,60 @@ func TestCoordinatorPayloadProxy(t *testing.T) {
 	}
 	if _, err := co.Payload(ctx, 99); api.CodeOf(err) != api.CodeNotFound {
 		t.Errorf("payload of missing frame: %v, want not_found", err)
+	}
+}
+
+// TestCoordinatorPayloadRoute serves a coordinator through httpapi: its
+// payload route streams the coordinator's own PayloadReader, so a full
+// GET, a Range and a revalidation answer as they do on a store mount.
+func TestCoordinatorPayloadRoute(t *testing.T) {
+	fx := conformance.NewFixture(t)
+	manifest := fx.BuildManifest(t, t.TempDir(), 2)
+	co, _ := clusterOf(t, manifest, 1)
+	local, err := api.OpenSharded(manifest, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	srv := httptest.NewServer(httpapi.New(co, nil, httpapi.Options{}))
+	defer srv.Close()
+	get := func(label int, header, value string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest("GET", srv.URL+"/v1/frames/"+strconv.Itoa(label)+"/payload", nil)
+		if header != "" {
+			req.Header.Set(header, value)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	for label := 0; label < conformance.FrameCount; label++ {
+		want, err := local.Payload(context.Background(), label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, full := get(label, "", "")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(full, want) {
+			t.Fatalf("frame %d: GET = %d with %d bytes, want 200 with the stored %d", label, resp.StatusCode, len(full), len(want))
+		}
+		resp, part := get(label, "Range", "bytes=3-9")
+		if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(part, want[3:10]) {
+			t.Errorf("frame %d: Range = %d with %q, want 206 with bytes 3-9", label, resp.StatusCode, part)
+		}
+		if got, want := resp.Header.Get("Content-Range"), fmt.Sprintf("bytes 3-9/%d", len(want)); got != want {
+			t.Errorf("frame %d: Content-Range = %q, want %q", label, got, want)
+		}
+		etag := resp.Header.Get("ETag")
+		if resp, body := get(label, "If-None-Match", etag); resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Errorf("frame %d: If-None-Match %s = %d with %d bytes, want bare 304", label, etag, resp.StatusCode, len(body))
+		}
 	}
 }
 

@@ -8,17 +8,14 @@ import (
 	"repro/internal/query"
 )
 
-// api.Backend plus the optional capabilities, by delegation to the
-// current read generation: each call pins the view it starts on, so a
-// commit mid-query swaps generations without yanking the mapping out
-// from under the executor. Compile-time checks keep the Store a
-// drop-in for the HTTP layer.
+// api.Backend plus api.Ingestor, by delegation to the current read
+// generation: each call pins the view it starts on, so a commit
+// mid-query swaps generations without yanking the mapping out from
+// under the executor. Compile-time checks keep the Store a drop-in for
+// the HTTP layer.
 var (
-	_ api.Backend         = (*Store)(nil)
-	_ api.Ingestor        = (*Store)(nil)
-	_ api.Payloads        = (*Store)(nil)
-	_ api.PayloadStreamer = (*Store)(nil)
-	_ api.FrameResolver   = (*Store)(nil)
+	_ api.Backend  = (*Store)(nil)
+	_ api.Ingestor = (*Store)(nil)
 )
 
 // withView runs fn against the current read generation, pinned for

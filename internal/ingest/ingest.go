@@ -410,6 +410,9 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	if len(frames) == 0 {
 		return nil, api.Errorf(api.CodeBadRequest, "empty ingest batch")
 	}
+	// Override codecs are built once, here, where a bad spec is the
+	// caller's error; nil when no frame names one.
+	var coders []codec.Coder
 	for i, f := range frames {
 		n := 1
 		for _, e := range f.Shape {
@@ -423,9 +426,14 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 				i, f.Label, f.Shape, n, len(f.Data))
 		}
 		if f.Spec != "" {
-			if _, err := lookupCoder(f.Spec); err != nil {
+			coder, err := lookupCoder(f.Spec)
+			if err != nil {
 				return nil, api.Errorf(api.CodeBadRequest, "frame %d (label %d): %v", i, f.Label, err)
 			}
+			if coders == nil {
+				coders = make([]codec.Coder, len(frames))
+			}
+			coders[i] = coder
 		}
 	}
 
@@ -460,8 +468,12 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	recs := make([]walRecord, len(frames))
 	errs := make([]error, len(frames))
 	err := tensor.ParallelForCoarseCtx(ctx, len(frames), func(i int) {
+		coder := s.defaultCoder
+		if frames[i].Spec != "" {
+			coder = coders[i]
+		}
 		var cerr error
-		if recs[i], cerr = s.compressFrame(frames[i]); cerr != nil {
+		if recs[i], cerr = s.compressFrame(frames[i], coder); cerr != nil {
 			errs[i] = fmt.Errorf("ingest: frame %d (label %d): %w", i, frames[i].Label, cerr)
 		}
 	})
@@ -521,17 +533,10 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 }
 
 // compressFrame turns one validated frame into its WAL record: compress
-// under the frame's own spec or the store default, then encode. The
+// under coder (the frame's own or the store default), then encode. The
 // tensor wraps f.Data without copying — Ingest has checked the shape
 // against the length, and nothing keeps the tensor past this call.
-func (s *Store) compressFrame(f api.IngestFrame) (walRecord, error) {
-	coder := s.defaultCoder
-	if f.Spec != "" {
-		var err error
-		if coder, err = lookupCoder(f.Spec); err != nil {
-			return walRecord{}, err
-		}
-	}
+func (s *Store) compressFrame(f api.IngestFrame, coder codec.Coder) (walRecord, error) {
 	t := tensor.FromSlice(f.Data, f.Shape...)
 	start := time.Now()
 	c, err := coder.Compress(t)

@@ -154,8 +154,32 @@ func TestIngestPerFrameSpecAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.MixedCodec() || r.Len() != 3 {
-		t.Fatalf("compacted store: mixed=%v len=%d", r.MixedCodec(), r.Len())
+	if len(r.Specs()) < 2 || r.Len() != 3 {
+		t.Fatalf("compacted store: specs=%v len=%d", r.Specs(), r.Len())
+	}
+}
+
+func TestIngestBadSpecIsBadRequest(t *testing.T) {
+	// A frame whose override spec names no codec fails the whole batch
+	// before anything is compressed or reserved, with the codec
+	// registry's message under the frame's position and label.
+	s, err := Create(filepath.Join(t.TempDir(), "bad.gbz"), Options{Spec: testSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	good, bad := testFrame(4, 8, 8), testFrame(5, 8, 8)
+	bad.Spec = "nosuchcodec"
+	_, lookupErr := lookupCoder(bad.Spec)
+	_, err = s.Ingest(ctx, []api.IngestFrame{good, bad})
+	want := "frame 1 (label 5): " + lookupErr.Error()
+	if e := api.FromError(err); e == nil || e.Code != api.CodeBadRequest || e.Message != want {
+		t.Fatalf("Ingest = %v, want bad_request %q", err, want)
+	}
+	bad.Spec = "zfp:rate=16"
+	if res, err := s.Ingest(ctx, []api.IngestFrame{good, bad}); err != nil || res.Accepted != 2 {
+		t.Fatalf("retry with a valid spec = %+v, %v", res, err)
 	}
 }
 

@@ -38,9 +38,9 @@ type Options struct {
 // internally, and per-query state lives on the stack.
 type Engine struct {
 	src         Source
-	keyer       FrameKeyer   // nil when src has no stable frame identity
-	speccer     FrameSpeccer // nil when src is codec-uniform by contract
-	specs       []string     // every spec src uses when more than one, else nil
+	keyer       FrameKeyer // nil when src has no stable frame identity
+	spec        string     // src's default spec
+	specs       []string   // every spec src uses when more than one, else nil
 	cache       *Cache
 	ns          uint64 // fallback cache namespace for keyerless sources
 	forceDecode bool
@@ -76,45 +76,32 @@ func New(src Source, opts Options) *Engine {
 		cache = NewCache(opts.CacheBytes)
 	}
 	keyer, _ := src.(FrameKeyer)
-	speccer, _ := src.(FrameSpeccer)
-	var specs []string
-	if speccer != nil {
-		if specs = speccer.Specs(); len(specs) < 2 {
-			specs = nil
-		}
-	}
-	return &Engine{
+	specs := src.Specs()
+	e := &Engine{
 		src:         src,
 		keyer:       keyer,
-		speccer:     speccer,
-		specs:       specs,
+		spec:        specs[0],
 		cache:       cache,
 		ns:          engineNS.Add(1),
 		forceDecode: opts.ForceDecode,
 		capsBySpec:  make(map[string]*frameCaps),
 	}
+	if len(specs) > 1 {
+		e.specs = specs
+	}
+	return e
 }
 
 // capsFor resolves the execution capabilities of frame i's codec,
-// memoized per spec. For a speccer-less source every frame resolves to
-// the default spec.
+// memoized per spec.
 func (e *Engine) capsFor(i int) (*frameCaps, error) {
-	spec := e.src.Spec()
-	if e.speccer != nil {
-		spec = e.speccer.FrameSpec(i)
-	}
+	spec := e.src.FrameSpec(i)
 	e.capsMu.Lock()
 	defer e.capsMu.Unlock()
 	if c, ok := e.capsBySpec[spec]; ok {
 		return c, nil
 	}
-	var coder codec.Coder
-	var err error
-	if e.speccer != nil {
-		coder, err = e.speccer.FrameCoder(i)
-	} else {
-		coder, err = e.src.Coder()
-	}
+	coder, err := e.src.FrameCoder(i)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +209,7 @@ func (e *Engine) Execute(ctx context.Context, p *Plan) (*Result, error) {
 		frames[1].ExecutedInCompressedSpace = frames[1].ExecutedInCompressedSpace && compressed
 	}
 
-	res := &Result{Spec: e.src.Spec(), Specs: e.specs, Frames: frames, Pair: pair, ExecutedInCompressedSpace: true}
+	res := &Result{Spec: e.spec, Specs: e.specs, Frames: frames, Pair: pair, ExecutedInCompressedSpace: true}
 	for i := range frames {
 		res.ExecutedInCompressedSpace = res.ExecutedInCompressedSpace && frames[i].ExecutedInCompressedSpace
 	}
@@ -287,7 +274,7 @@ func (e *Engine) runFrame(ctx context.Context, p *Plan, i int, ref *refFrame, mo
 	if err != nil {
 		return out, err
 	}
-	if caps.spec != e.src.Spec() {
+	if caps.spec != e.spec {
 		out.Spec = caps.spec
 	}
 	mo, ext, rr := caps.moments, caps.ext, caps.rr

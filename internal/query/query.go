@@ -38,14 +38,13 @@ import (
 // safe for concurrent use; Info's positions are commit order.
 type Source interface {
 	Index
-	// Spec returns the codec spec every frame was written with.
-	Spec() string
-	// Coder returns the codec that wrote the frames.
-	Coder() (codec.Coder, error)
+	FrameSpeccer
 	// Frame reads and decodes frame i into the codec's compressed
 	// representation.
 	Frame(i int) (codec.Compressed, error)
-	// Decompress reads, decodes, and fully decompresses frame i.
+	// Decompress reads, decodes, and fully decompresses frame i. The
+	// engine never calls it; api.Local.Frame does, and it sits here
+	// rather than on api.Source because bench/ reads it through Source.
 	Decompress(i int) (*tensor.Tensor, error)
 }
 
@@ -67,20 +66,18 @@ type Index interface {
 // frame. Engines use it to key the decoded-frame cache, so engines
 // sharing one Cache over the same store file hit each other's entries
 // instead of decoding (and holding) the frame twice. store.Reader and
-// shard.Dataset both implement it; sources without it cache under a
-// private per-engine namespace.
+// shard.Dataset both implement it; sources without it (the coordinator's
+// fetched payloads) cache under a private per-engine namespace.
 type FrameKeyer interface {
 	FrameKey(i int) (source uint64, frame int)
 }
 
-// FrameSpeccer is an optional Source capability: per-frame codec
-// resolution for mixed-codec sources (store format v2, where each frame
-// may carry its own spec). Engines use it to decode every frame with
-// the codec that wrote it and to gate compressed-space pairwise metrics
-// on spec equality — compressed arithmetic between frames of different
-// codecs falls back to decode-then-compute. store.Reader and
-// shard.Dataset both implement it; a source without it is treated as
-// codec-uniform under Spec().
+// FrameSpeccer is the per-frame codec part of a Source: every frame may
+// carry its own spec (store format v2). Engines decode each frame with
+// the codec that wrote it and gate compressed-space pairwise metrics on
+// spec equality — compressed arithmetic between frames of different
+// codecs falls back to decode-then-compute. A codec-uniform source
+// answers Specs with one spec.
 type FrameSpeccer interface {
 	// FrameSpec returns the codec spec of frame i (the source default
 	// for most frames of most stores).

@@ -221,7 +221,7 @@ func TestCompressedAggsMatchOps(t *testing.T) {
 		"goblaz:block=2x8,float=float16,index=int64,transform=walsh-hadamard",
 	} {
 		r := buildStore(t, spec, seqLabels(3), testFrames(3, 13, 19))
-		coder, err := r.Coder()
+		coder, err := r.FrameCoder(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,8 +116,9 @@ type tensorSource []*tensor.Tensor
 func (s tensorSource) Len() int                              { return len(s) }
 func (s tensorSource) Info(i int) store.FrameInfo            { return store.FrameInfo{Label: i} }
 func (s tensorSource) IndexOf(label int) (int, bool)         { return label, label >= 0 && label < len(s) }
-func (s tensorSource) Spec() string                          { return identityCoder{}.Spec() }
-func (s tensorSource) Coder() (codec.Coder, error)           { return identityCoder{}, nil }
+func (s tensorSource) FrameSpec(int) string                  { return identityCoder{}.Spec() }
+func (s tensorSource) FrameCoder(int) (codec.Coder, error)   { return identityCoder{}, nil }
+func (s tensorSource) Specs() []string                       { return []string{identityCoder{}.Spec()} }
 func (s tensorSource) Frame(i int) (codec.Compressed, error) { return s[i], nil }
 func (s tensorSource) Decompress(i int) (*tensor.Tensor, error) {
 	return s[i], nil

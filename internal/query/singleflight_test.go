@@ -13,20 +13,21 @@ import (
 )
 
 // countingSource wraps a store reader behind the plain Source interface
-// — deliberately hiding FrameKeyer and FrameSpeccer — so every engine
-// decode funnels through the counted Frame method, and a gate can hold
-// the in-flight decode open while a herd piles up.
+// — deliberately hiding FrameKeyer — so every engine decode funnels
+// through the counted Frame method, and a gate can hold the in-flight
+// decode open while a herd piles up.
 type countingSource struct {
 	r          *store.Reader
 	frameCalls atomic.Int64
 	gate       chan struct{} // when non-nil, Frame blocks until closed
 }
 
-func (s *countingSource) Spec() string                  { return s.r.Spec() }
-func (s *countingSource) Len() int                      { return s.r.Len() }
-func (s *countingSource) Info(i int) store.FrameInfo    { return s.r.Info(i) }
-func (s *countingSource) IndexOf(label int) (int, bool) { return s.r.IndexOf(label) }
-func (s *countingSource) Coder() (codec.Coder, error)   { return s.r.Coder() }
+func (s *countingSource) Len() int                              { return s.r.Len() }
+func (s *countingSource) Info(i int) store.FrameInfo            { return s.r.Info(i) }
+func (s *countingSource) IndexOf(label int) (int, bool)         { return s.r.IndexOf(label) }
+func (s *countingSource) FrameSpec(i int) string                { return s.r.FrameSpec(i) }
+func (s *countingSource) FrameCoder(i int) (codec.Coder, error) { return s.r.FrameCoder(i) }
+func (s *countingSource) Specs() []string                       { return s.r.Specs() }
 func (s *countingSource) Frame(i int) (codec.Compressed, error) {
 	s.frameCalls.Add(1)
 	if gate := s.gate; gate != nil {

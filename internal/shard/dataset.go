@@ -81,7 +81,7 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 				return nil, fmt.Errorf("shard: %s uses codec specs %v, manifest says %v (stale or swapped shard file?)",
 					sh.Path, got, sh.Specs)
 			}
-		} else if r.MixedCodec() {
+		} else if len(r.Specs()) > 1 {
 			return nil, fmt.Errorf("shard: %s is mixed-codec (%v) but the manifest lists no specs for it",
 				sh.Path, r.Specs())
 		}
@@ -134,9 +134,6 @@ func (d *Dataset) Manifest() *Manifest { return d.man }
 // Shards returns the number of shards.
 func (d *Dataset) Shards() int { return len(d.readers) }
 
-// Spec returns the codec spec shared by every shard.
-func (d *Dataset) Spec() string { return d.man.Spec }
-
 // Len returns the dataset's total frame count.
 func (d *Dataset) Len() int { return len(d.refs) }
 
@@ -161,12 +158,6 @@ func (d *Dataset) FrameKey(i int) (source uint64, frame int) {
 	return d.readers[ref.shard].FrameKey(ref.local)
 }
 
-// Coder returns the codec of the dataset's default spec (every shard's
-// header spec is verified equal at Open).
-func (d *Dataset) Coder() (codec.Coder, error) {
-	return d.readers[0].Coder()
-}
-
 // Specs returns every codec spec the dataset uses: the shared default
 // first, then each shard's interned extras in shard order, deduplicated
 // (query.FrameSpeccer). A codec-uniform dataset returns a one-element
@@ -183,17 +174,6 @@ func (d *Dataset) Specs() []string {
 		}
 	}
 	return specs
-}
-
-// MixedCodec reports whether any shard holds frames outside the
-// dataset's default codec spec.
-func (d *Dataset) MixedCodec() bool {
-	for _, r := range d.readers {
-		if r.MixedCodec() {
-			return true
-		}
-	}
-	return false
 }
 
 // FrameSpec returns the codec spec of global frame i

@@ -107,8 +107,8 @@ func TestWriteDatasetAndOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.Len() != 7 || d.Shards() != 3 || d.Spec() != man.Spec {
-		t.Fatalf("dataset Len=%d Shards=%d Spec=%q", d.Len(), d.Shards(), d.Spec())
+	if d.Len() != 7 || d.Shards() != 3 || d.Specs()[0] != man.Spec {
+		t.Fatalf("dataset Len=%d Shards=%d Spec=%q", d.Len(), d.Shards(), d.Specs()[0])
 	}
 	for i := 0; i < d.Len(); i++ {
 		if d.Info(i).Label != i {
@@ -503,7 +503,7 @@ func TestShardedMixedCodecMatchesSingleStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !single.MixedCodec() {
+		if len(single.Specs()) < 2 {
 			t.Fatal("fixture store is not mixed-codec")
 		}
 		eng := query.New(single, query.Options{})

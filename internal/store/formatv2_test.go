@@ -66,9 +66,6 @@ func TestMixedCodecRoundTrip(t *testing.T) {
 	if r.Version() != 2 {
 		t.Fatalf("Version = %d, want 2", r.Version())
 	}
-	if !r.MixedCodec() {
-		t.Error("MixedCodec() = false for a two-spec store")
-	}
 	if got := r.Specs(); len(got) != 2 || got[0] != mixGoblaz || got[1] != mixZfp {
 		t.Errorf("Specs() = %v, want [%s %s]", got, mixGoblaz, mixZfp)
 	}
@@ -123,7 +120,7 @@ func TestUniformStoreHasEmptySpecTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MixedCodec() {
+	if len(r.Specs()) != 1 {
 		t.Errorf("Specs() = %v, want just the default", r.Specs())
 	}
 	for i := 0; i < r.Len(); i++ {
@@ -203,7 +200,7 @@ func TestV1StoreReads(t *testing.T) {
 	if r.Version() != 1 {
 		t.Fatalf("Version = %d, want 1", r.Version())
 	}
-	if r.MixedCodec() || len(r.Specs()) != 1 {
+	if len(r.Specs()) != 1 {
 		t.Errorf("v1 store Specs() = %v, want just the default", r.Specs())
 	}
 	for i := range payloads {

@@ -92,6 +92,37 @@ func TestMmapMatchesReadAt(t *testing.T) {
 	}
 }
 
+// TestFilePayloadReaderCountsOnce checks the read counters of a
+// positioned-read store's PayloadReader: each call is one read of
+// Length bytes, the first one included (it hashes the payload once to
+// verify it), and the CRC is performed on the first call and skipped on
+// the second.
+func TestFilePayloadReaderCountsOnce(t *testing.T) {
+	r, err := Open(writeStoreFile(t, buildStore(t, "zfp:rate=16", 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	length := uint64(r.Info(1).Length)
+	for call, want := range [][2]uint64{{1, 0}, {0, 1}} { // CRC performed, skipped
+		reads, bytes := payloadReadsFile.Value(), payloadBytesFile.Value()
+		performed, skipped := crcPerformed.Value(), crcSkipped.Value()
+		if _, err := r.PayloadReader(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := payloadReadsFile.Value() - reads; got != 1 {
+			t.Errorf("call %d: %d file reads counted, want 1", call+1, got)
+		}
+		if got := payloadBytesFile.Value() - bytes; got != length {
+			t.Errorf("call %d: %d file bytes counted, want %d", call+1, got, length)
+		}
+		got := [2]uint64{crcPerformed.Value() - performed, crcSkipped.Value() - skipped}
+		if got != want {
+			t.Errorf("call %d: CRC performed/skipped moved by %v, want %v", call+1, got, want)
+		}
+	}
+}
+
 // TestMmapDetectsCorruption flips a payload byte on disk and checks
 // both open paths reject the frame with ErrCRCMismatch — the verify-
 // once bitmap must not let a corrupt frame through on any path.

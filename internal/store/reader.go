@@ -292,10 +292,6 @@ func (r *Reader) Specs() []string {
 	return append([]string(nil), r.specs...)
 }
 
-// MixedCodec reports whether the store interned more than one spec —
-// i.e. frames do not all share the default codec.
-func (r *Reader) MixedCodec() bool { return len(r.specs) > 1 }
-
 // FrameSpec returns the codec spec of frame i. For every frame of a
 // version-1 (or uniform version-2) store this is Spec().
 func (r *Reader) FrameSpec(i int) string {
@@ -317,12 +313,6 @@ func (r *Reader) Frames() []FrameInfo {
 func (r *Reader) IndexOf(label int) (int, bool) {
 	i, ok := r.index[label]
 	return i, ok
-}
-
-// Coder returns the store's default codec — the one named by the header
-// spec — constructing it on first use.
-func (r *Reader) Coder() (codec.Coder, error) {
-	return r.coderAt(0)
 }
 
 // FrameCoder returns the codec that wrote frame i, constructing it on
@@ -416,8 +406,7 @@ func (r *Reader) payloadView(e FrameInfo) ([]byte, bool) {
 // the frame's full payload. Concurrent first accesses may both hash;
 // both reach the same verdict (the mapping is immutable).
 func (r *Reader) verifyOnce(i int, e FrameInfo, data []byte) error {
-	word, bit := i/32, uint32(1)<<(i%32)
-	if r.verified[word].Load()&bit != 0 {
+	if r.isVerified(i) {
 		crcSkipped.Inc()
 		return nil
 	}
@@ -426,10 +415,21 @@ func (r *Reader) verifyOnce(i int, e FrameInfo, data []byte) error {
 		return fmt.Errorf("%w: frame %d (label %d) has %08x, index says %08x",
 			ErrCRCMismatch, i, e.Label, got, e.CRC32)
 	}
+	r.markVerified(i)
+	return nil
+}
+
+// isVerified reports whether frame i's payload CRC has been checked.
+func (r *Reader) isVerified(i int) bool {
+	return r.verified[i/32].Load()&(1<<(i%32)) != 0
+}
+
+// markVerified records frame i's payload CRC as checked.
+func (r *Reader) markVerified(i int) {
+	word, bit := &r.verified[i/32], uint32(1)<<(i%32)
 	for {
-		old := r.verified[word].Load()
-		if r.verified[word].CompareAndSwap(old, old|bit) {
-			return nil
+		if old := word.Load(); word.CompareAndSwap(old, old|bit) {
+			return
 		}
 	}
 }
@@ -451,25 +451,18 @@ func (r *Reader) PayloadReader(i int) (*io.SectionReader, error) {
 		}
 		payloadReadsMmap.Inc()
 		payloadBytesMmap.Add(uint64(e.Length))
-	} else {
-		word, bit := i/32, uint32(1)<<(i%32)
-		if r.verified[word].Load()&bit == 0 {
-			// File-backed: one buffered verification pass per frame
-			// lifetime, then every request streams straight from the file.
-			if _, err := r.Payload(i); err != nil {
-				return nil, err
-			}
-			for {
-				old := r.verified[word].Load()
-				if r.verified[word].CompareAndSwap(old, old|bit) {
-					break
-				}
-			}
-		} else {
-			crcSkipped.Inc()
-		}
+	} else if r.isVerified(i) {
+		crcSkipped.Inc()
 		payloadReadsFile.Inc()
 		payloadBytesFile.Add(uint64(e.Length))
+	} else {
+		// File-backed: one buffered verification pass per frame lifetime
+		// (Payload counts it as this request's read), then every request
+		// streams straight from the file.
+		if _, err := r.Payload(i); err != nil {
+			return nil, err
+		}
+		r.markVerified(i)
 	}
 	return io.NewSectionReader(r.r, e.Offset, e.Length), nil
 }
