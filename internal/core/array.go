@@ -160,7 +160,7 @@ func negate[T bits.Signed](f []T) {
 type kernels interface {
 	alloc(f *Indices, n int)
 	compressBlocks(c *Compressor, t *tensor.Tensor, out *CompressedArray)
-	inverseBlock(c *Compressor, a *CompressedArray, s span, block, scratch []float64)
+	inverseBlock(c *Compressor, a *CompressedArray, s span, buf blockBuf)
 	blockCoefficients(c *Compressor, a *CompressedArray, s span, dst []float64)
 	rebinBlocks(c *Compressor, out *CompressedArray, worker func() func(k int, scratch []float64) []float64)
 	combine(c *Compressor, a, b *CompressedArray, sign float64) *CompressedArray

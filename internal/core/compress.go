@@ -43,12 +43,20 @@ func (c *Compressor) newArray(shape, blocks []int) *CompressedArray {
 	return out
 }
 
-// blockBuffer returns one worker's scratch: a block, then whatever the
-// transform plan needs beside it.
-func (c *Compressor) blockBuffer() (block, scratch []float64) {
-	vol := c.plan.Vol()
-	buf := make([]float64, vol+c.plan.Scratch())
-	return buf[:vol:vol], buf[vol:]
+// blockBuf is one worker's scratch: a block, whatever the transform plan
+// needs beside it, and the words of marks the plan's sparse inverse takes
+// (InverseOccupied), zero between blocks.
+type blockBuf struct {
+	block, scratch []float64
+	occ            []uint64
+}
+
+// blockBuffer returns one worker's scratch, in one allocation: the marks
+// are the words of its tail (wordsOf).
+func (c *Compressor) blockBuffer() blockBuf {
+	vol, s := c.plan.Vol(), c.plan.Scratch()
+	buf := make([]float64, vol+s+c.plan.MarkWords())
+	return blockBuf{block: buf[:vol:vol], scratch: buf[vol : vol+s : vol+s], occ: wordsOf(buf[vol+s:])}
 }
 
 // compressBlocks runs the pipeline on every block of t: conversion and
@@ -59,7 +67,8 @@ func (w width[T]) compressBlocks(c *Compressor, t *tensor.Tensor, out *Compresse
 	ft := c.settings.FloatType
 	f := w.of(out)
 	tensor.ParallelFor(len(out.N), func(start, end int) {
-		block, scratch := c.blockBuffer()
+		buf := c.blockBuffer()
+		block, scratch := buf.block, buf.scratch
 		cur := tensor.NewBlockCursor(out.Blocks, c.settings.BlockShape, nil, out.Shape)
 		for k := start; k < end; k++ {
 			cur.Gather(block, t.Data(), k)
@@ -126,24 +135,29 @@ func (c *Compressor) Decompress(a *CompressedArray) (*tensor.Tensor, error) {
 	out := tensor.New(a.Shape...)
 	// Blocks are disjoint in out, so workers share it without locking.
 	tensor.ParallelFor(a.NumBlocks(), func(start, end int) {
-		block, scratch := c.blockBuffer()
+		buf := c.blockBuffer()
 		cur := tensor.NewBlockCursor(a.Blocks, c.settings.BlockShape, nil, a.Shape)
 		at := c.cursor(a)
 		at.seek(start)
 		for k := start; k < end; k++ {
-			c.k.inverseBlock(c, a, at.next(), block, scratch)
-			cur.Scatter(out.Data(), block, k)
+			c.k.inverseBlock(c, a, at.next(), buf)
+			cur.Scatter(out.Data(), buf.block, k)
 		}
 	})
 	return out, nil
 }
 
-// inverseBlock reconstructs block s of a in block: scale its indices by
-// N_k (Algorithm 3), then invert the transform. block may hold anything;
-// the positions the mask pruned are zeroed here, and a masked block's
-// left-out positions hold Round(N_k·0/r).
-func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, s span, block, scratch []float64) {
+// inverseBlock reconstructs block s of a in buf.block: scale its indices
+// by N_k (Algorithm 3), then invert the transform. The block may hold
+// anything; the positions the mask pruned are zeroed here, and a masked
+// block's left-out positions hold Round(N_k·0/r). Under a plain N_k those
+// are +0, so a masked block is inverted from the positions its mask
+// holds, marked through c.keep as its run is written — the plan's
+// InverseOccupied, the same outputs bit for bit, which does nothing for
+// an empty mask.
+func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, s span, buf blockBuf) {
 	ft, r, nk := c.settings.FloatType, c.radius, a.N[s.k]
+	block := buf.block
 	f := w.of(a)[s.off:s.end]
 	if s.at < 0 {
 		if len(c.keep) < len(block) {
@@ -152,24 +166,40 @@ func (w width[T]) inverseBlock(c *Compressor, a *CompressedArray, s span, block,
 		for i, pos := range c.keep {
 			block[pos] = ft.Round(nk * float64(f[i]) / r)
 		}
-	} else {
-		clear(block)
-		if !plain(nk) {
-			z := ft.Round(nk * 0 / r)
-			for _, pos := range c.keep {
-				block[pos] = z
-			}
-		}
-		K, j := len(c.keep), 0
-		for base := 0; base < K; base += 64 {
-			for m := s.word(a.occ, base, K); m != 0; j++ {
-				lz := mathbits.LeadingZeros64(m)
-				m &^= 1 << 63 >> uint(lz)
-				block[c.keep[base+lz]] = ft.Round(nk * float64(f[j]) / r)
-			}
+		c.plan.Inverse(block, buf.scratch)
+		return
+	}
+	clear(block)
+	sparse := plain(nk)
+	if !sparse {
+		z := ft.Round(nk * 0 / r)
+		for _, pos := range c.keep {
+			block[pos] = z
 		}
 	}
-	c.plan.Inverse(block, scratch)
+	K, j := len(c.keep), 0
+	for base := 0; base < K; base += 64 {
+		m := s.word(a.occ, base, K)
+		switch {
+		case sparse && K == len(block): // kept position i is block position i
+			buf.occ[base>>6] = mathbits.Reverse64(m)
+		case sparse:
+			for u := m; u != 0; u &= u - 1 {
+				pos := c.keep[base+63-mathbits.TrailingZeros64(u)]
+				buf.occ[pos>>6] |= 1 << uint(pos&63)
+			}
+		}
+		for ; m != 0; j++ {
+			lz := mathbits.LeadingZeros64(m)
+			m &^= 1 << 63 >> uint(lz)
+			block[c.keep[base+lz]] = ft.Round(nk * float64(f[j]) / r)
+		}
+	}
+	if sparse {
+		c.plan.InverseOccupied(block, buf.scratch, buf.occ)
+		return
+	}
+	c.plan.Inverse(block, buf.scratch)
 }
 
 // specifiedCoefficients implements Algorithm 3: Ĉ = N ⊙ F ⊘ r, the kept

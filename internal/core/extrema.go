@@ -74,7 +74,7 @@ func (c *Compressor) extrema(a *CompressedArray) (lo, hi float64, visited int, e
 	if !ok {
 		return 0, 0, 0, ErrExtremaUndecided
 	}
-	block, scratch := c.blockBuffer()
+	buf := c.blockBuffer()
 	lo, hi = math.Inf(1), math.Inf(-1)
 	// Seed with the two most promising blocks, then sweep once over the
 	// rest: a block is visited only while its interval reaches past the
@@ -83,16 +83,16 @@ func (c *Compressor) extrema(a *CompressedArray) (lo, hi float64, visited int, e
 	// minimum and the maximum, whose values do not depend on the order,
 	// and only a zero's sign does, which is undecided anyway.
 	seed := c.cursor(a)
-	lo, hi = c.foldBlock(a, seed.block(min(top, bot)), block, scratch, lo, hi)
+	lo, hi = c.foldBlock(a, seed.block(min(top, bot)), buf, lo, hi)
 	visited = 1
 	if bot != top {
-		lo, hi = c.foldBlock(a, seed.block(max(top, bot)), block, scratch, lo, hi)
+		lo, hi = c.foldBlock(a, seed.block(max(top, bot)), buf, lo, hi)
 		visited++
 	}
 	sweep := c.cursor(a)
 	for k := 0; k < n; k++ {
 		if k != top && k != bot && (bounds[2*k] < lo || bounds[2*k+1] > hi) {
-			lo, hi = c.foldBlock(a, sweep.block(k), block, scratch, lo, hi)
+			lo, hi = c.foldBlock(a, sweep.block(k), buf, lo, hi)
 			visited++
 		}
 	}
@@ -105,9 +105,9 @@ func (c *Compressor) extrema(a *CompressedArray) (lo, hi float64, visited int, e
 // foldBlock reconstructs block s with Decompress's own inverseBlock and
 // folds its in-array cells — the ones BlockCursor.Scatter keeps — into lo
 // and hi with the comparisons Tensor.Min and Tensor.Max use.
-func (c *Compressor) foldBlock(a *CompressedArray, s span, block, scratch []float64, lo, hi float64) (float64, float64) {
-	c.k.inverseBlock(c, a, s, block, scratch)
-	k := s.k
+func (c *Compressor) foldBlock(a *CompressedArray, s span, buf blockBuf, lo, hi float64) (float64, float64) {
+	c.k.inverseBlock(c, a, s, buf)
+	k, block := s.k, buf.block
 	// The block's last cell is its far corner: if that is in the array,
 	// every cell is.
 	whole := c.inArray(a, k, len(block)-1)

@@ -183,11 +183,11 @@ func TestBlockBoundsHoldEveryCell(t *testing.T) {
 				if _, _, ok := c.k.blockBounds(c, a, bounds); !ok {
 					t.Fatalf("%v %v %v: bounds not finite", tr, bs, ft)
 				}
-				block, scratch := c.blockBuffer()
+				buf := c.blockBuffer()
 				cur := c.cursor(a)
 				for k := range a.N {
-					c.k.inverseBlock(c, a, cur.next(), block, scratch)
-					for j, v := range block[:vol] {
+					c.k.inverseBlock(c, a, cur.next(), buf)
+					for j, v := range buf.block[:vol] {
 						if v < bounds[2*k] || v > bounds[2*k+1] {
 							t.Fatalf("%v %v %v: block %d cell %d = %v outside [%v, %v]",
 								tr, bs, ft, k, j, v, bounds[2*k], bounds[2*k+1])
@@ -246,7 +246,10 @@ func TestExtremaAllocatesBoundsAndOneBlock(t *testing.T) {
 				run()
 			}
 		}).AllocedBytesPerOp()
-		limit := int64(16*x.NumBlocks() + 8*(c.plan.Vol()+c.plan.Scratch()))
+		// The block buffer holds the plan's marks too, and the runtime
+		// rounds it up to its size class: 528 B to 576 for an 8×8 block.
+		buffer := 8 * (c.plan.Vol() + c.plan.Scratch() + c.plan.MarkWords())
+		limit := int64(16*x.NumBlocks() + (buffer+63)/64*64)
 		if got > limit {
 			t.Errorf("%s: Extrema allocates %d B, want ≤ %d (bounds + one block)", d.name, got, limit)
 		}

@@ -44,9 +44,22 @@ import (
 // Each sum keeps one accumulator and adds its terms in element order, as
 // the dense loops did (they are the test oracle): nothing is reassociated
 // or split. blockBounds sums |F_i|·peak_i and F_i², which are +0 for a
-// zero index whatever N_k is, so it needs no plain check; the kernels
-// that write coefficients out (inverseBlock, blockCoefficients) write
-// Round(N_k·0/r) at every position the mask leaves out.
+// zero index whatever N_k is, so it needs no plain check. The kernels
+// that write coefficients out write Round(N_k·0/r) at every position the
+// mask leaves out: blockCoefficients into its result, and inverseBlock
+// into the block it inverts. Under a plain N_k that is +0, so
+// inverseBlock marks the positions the mask holds and inverts the block
+// with the transform plan's InverseOccupied, which reads only the lines
+// holding a mark and sums only their marked terms, by the first rule
+// again: a skipped term is a finite matrix entry times +0, and every
+// sum starts at +0 (transform/plan.go). A dense block, and a masked one
+// under any other N_k, runs Plan.Inverse over every position.
+//
+// The differential (nonzero_test.go) checks every kernel, inverseBlock
+// included, by Float64bits on the amd64 build with GOAMD64=v1, the one
+// CI runs. Go may fuse x*y+z into one FMA on arm64, ppc64le, s390x and
+// riscv64, and on amd64 at GOAMD64=v3: there a sum can round to −0, the
+// first rule no longer holds, and the identity is not claimed.
 
 // span is where block k's indices sit: F[off:end], and when the block is
 // masked (at ≥ 0) its mask is the K bits of occ from bit at, the first

@@ -182,6 +182,18 @@ func checkNonzeroPair[T bits.Signed](t *testing.T, w width[T], c *Compressor, a,
 			}
 		}
 	}
+	// Every block inverted, every position: a masked block under a plain
+	// N_k through the plan's InverseOccupied, the dense one through
+	// Inverse.
+	inv, invDense := c.blockBuffer(), c.blockBuffer()
+	cur, dense = c.cursor(pa), c.cursor(a)
+	for k := range a.N {
+		w.inverseBlock(c, pa, cur.next(), inv)
+		w.inverseBlock(c, a, dense.next(), invDense)
+		for i, v := range inv.block {
+			sameKernelBits(t, fmt.Sprintf("inverseBlock[%d][%d]", k, i), v, invDense.block[i])
+		}
+	}
 }
 
 // checkNonzeroKernels builds two arrays from next and checks them packed

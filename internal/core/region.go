@@ -45,7 +45,7 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 	// The loop of Decompress over the overlapped blocks only, with the
 	// scatter cropped to the region.
 	out := tensor.New(shape...)
-	block, scratch := c.blockBuffer()
+	buf := c.blockBuffer()
 	cur := tensor.NewBlockCursor(a.Blocks, bs, offset, shape)
 	at := c.cursor(a)
 	for {
@@ -55,8 +55,8 @@ func (c *Compressor) DecompressRegion(a *CompressedArray, offset, shape []int) (
 			k = k*a.Blocks[i] + blockIdx[i]
 		}
 		// The odometer visits blocks in ascending order.
-		c.k.inverseBlock(c, a, at.block(k), block, scratch)
-		cur.Scatter(out.Data(), block, k)
+		c.k.inverseBlock(c, a, at.block(k), buf)
+		cur.Scatter(out.Data(), buf.block, k)
 
 		// Advance blockIdx within [lo, hi).
 		adv := d - 1

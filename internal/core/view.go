@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the module's only use of package unsafe. It is kept to
-// two conversions and a size so that it can be audited at a glance.
+// three conversions and a size so that it can be audited at a glance.
 
 // DecodeView is Decode for callers whose bytes outlive the result and are
 // never written while it is in use — a read-only memory mapping, or a
@@ -39,4 +39,10 @@ func sizeOf[T bits.Signed]() int {
 // masks in the tail of F's allocation (serialize.go).
 func bytesOf[T bits.Signed](f []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*sizeOf[T]())
+}
+
+// wordsOf returns f's memory as uint64s: blockBuffer keeps the marks of
+// the plan's sparse inverse in the tail of its float allocation.
+func wordsOf(f []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
 }

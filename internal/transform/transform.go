@@ -18,6 +18,8 @@
 // shape (plan.go) — the per-axis matrices in the orientation each direction
 // reads with unit stride, and axis kernels unrolled for lengths 4 and 8 that
 // keep the summation order of the plain loop, so results are bit-identical.
+// Its InverseOccupied inverts a block that is +0 outside a set of marked
+// positions from the marked lines alone, to the same bits.
 package transform
 
 import (
