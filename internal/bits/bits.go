@@ -252,16 +252,3 @@ func split[T Signed](dst []T, word uint64, n uint) (sawMin bool) {
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
-
-// SignExtend interprets the low n bits of v as an n-bit two's-complement
-// integer and widens it to int64.
-func SignExtend(v uint64, n uint) int64 {
-	if n == 0 {
-		return 0
-	}
-	if n >= 64 {
-		return int64(v)
-	}
-	shift := 64 - n
-	return int64(v<<shift) >> shift
-}

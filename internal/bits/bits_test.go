@@ -87,6 +87,19 @@ func TestWriteBitsPanicsOver64(t *testing.T) {
 	w.WriteBits(0, 65)
 }
 
+// signExtend interprets the low n bits of v as an n-bit two's-complement
+// integer and widens it to int64: the per-value oracle of UnpackSigned.
+func signExtend(v uint64, n uint) int64 {
+	if n == 0 {
+		return 0
+	}
+	if n >= 64 {
+		return int64(v)
+	}
+	shift := 64 - n
+	return int64(v<<shift) >> shift
+}
+
 func TestSignExtend(t *testing.T) {
 	cases := []struct {
 		v    uint64
@@ -102,8 +115,8 @@ func TestSignExtend(t *testing.T) {
 		{0xFFFFFFFFFFFFFFFF, 64, -1},
 	}
 	for _, c := range cases {
-		if got := SignExtend(c.v, c.n); got != c.want {
-			t.Errorf("SignExtend(%#x, %d) = %d, want %d", c.v, c.n, got, c.want)
+		if got := signExtend(c.v, c.n); got != c.want {
+			t.Errorf("signExtend(%#x, %d) = %d, want %d", c.v, c.n, got, c.want)
 		}
 	}
 }
@@ -589,7 +602,7 @@ func TestReadBitsPanicsOver64(t *testing.T) {
 }
 
 // unpackAgainstReadBits checks UnpackSigned into T against one
-// ReadBits+SignExtend per value, at every start offset, over lengths that
+// ReadBits+signExtend per value, at every start offset, over lengths that
 // end inside and outside the last eight bytes.
 func unpackAgainstReadBits[T Signed](t *testing.T, n uint) {
 	t.Helper()
@@ -618,7 +631,7 @@ func unpackAgainstReadBits[T Signed](t *testing.T, n uint) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[i] = T(SignExtend(v, n))
+				want[i] = T(signExtend(v, n))
 			}
 
 			r := NewReader(buf)

@@ -126,8 +126,9 @@ func (g *goblazCodec) EncodedSize(c Compressed) int {
 	if err != nil {
 		return 0
 	}
-	// The exact length of the v3 stream Encode writes, which masks the
-	// blocks where that is smaller: not the §IV-C size.
+	// The exact length of the stream Encode writes — v3, which masks the
+	// blocks where that is smaller, or v4, which also entropy-codes the
+	// int16+ index runs where that is smaller: not the §IV-C size.
 	n, err := core.EncodedSize(a)
 	if err != nil {
 		return 0

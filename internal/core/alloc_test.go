@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/scalar"
 	"repro/internal/tensor"
 )
@@ -219,8 +222,94 @@ func TestEncodeAllocatesOnlyThePayload(t *testing.T) {
 	}
 }
 
+// TestV4AllocatesAsV3: on liveFrame, decoding the v4 stream allocates no
+// more objects and bytes than decoding the v3 one, and Encode writes v4
+// into one allocation, as it writes v3. (Their times are BenchmarkDecode's
+// and BenchmarkEncode's live cells.)
+func TestV4AllocatesAsV3(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	// perOp returns f's objects and bytes a call, the bytes the least of
+	// three rounds, so that the runtime's own allocations do not count.
+	perOp := func(f func()) (objects float64, bytes uint64) {
+		objects, bytes = testing.AllocsPerRun(10, f), math.MaxUint64
+		for round := 0; round < 3; round++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < 10; i++ {
+				f()
+			}
+			runtime.ReadMemStats(&m1)
+			bytes = min(bytes, (m1.TotalAlloc-m0.TotalAlloc)/10)
+		}
+		return objects, bytes
+	}
+	a := liveFrame(t)
+	var objects [2]float64
+	var bytes [2]uint64
+	for i, v := range liveStreams {
+		payload, err := encodeWith(a, v.choice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects[i], bytes[i] = perOp(func() {
+			if _, err := Decode(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := encodeWith(a, v.choice); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: Encode allocates %v objects, want 1", v.name, n)
+		}
+	}
+	if objects[1] > objects[0] || bytes[1] > bytes[0] {
+		t.Errorf("v4 decode allocates %d B in %v objects, v3 %d B in %v", bytes[1], objects[1], bytes[0], objects[0])
+	}
+}
+
+// liveFrame is one frame of the benchmark's ingest pool: a 64×64
+// data.Gradient plus 0.01σ Gaussian noise from rand.NewSource(128), in
+// 8×8 float32 int16 blocks. Nearly every block is dense, and its indices
+// are small but for each block's ±r.
+func liveFrame(tb testing.TB) *CompressedArray {
+	tb.Helper()
+	s := DefaultSettings(8, 8)
+	s.IndexType = scalar.Int16
+	c, err := NewCompressor(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := c.Compress(liveTensor())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// liveTensor is liveFrame's data.
+func liveTensor() *tensor.Tensor {
+	x := data.Gradient(64, 64)
+	rng := rand.New(rand.NewSource(128))
+	for i := range x.Data() {
+		x.Data()[i] += 0.01 * rng.NormFloat64()
+	}
+	return x
+}
+
+// liveStreams are liveFrame's v3 and v4 streams, the cells of the v4
+// decode and encode budgets.
+var liveStreams = []struct {
+	name   string
+	choice streamChoice
+}{{"live-int16/v3", forceV3}, {"live-int16/v4", forceV4}}
+
 // BenchmarkDecode/copy unpacks F into a fresh slice; /view reads the
-// int8 F of the v2 payload in place.
+// int8 F of the v3 payload in place. The live cells decode liveFrame's
+// stream in each version with Decode.
 func BenchmarkDecode(b *testing.B) {
 	_, a, _ := analyticsFrames(b)
 	payload, err := Encode(a)
@@ -238,18 +327,52 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	_, a, _ := analyticsFrames(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload, err := Encode(a)
+	live := liveFrame(b)
+	for _, v := range liveStreams {
+		payload, err := encodeWith(live, v.choice)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(payload)))
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncode encodes the analytics frame as Encode does (v3), and
+// liveFrame in each version.
+func BenchmarkEncode(b *testing.B) {
+	_, a, _ := analyticsFrames(b)
+	cells := []struct {
+		name   string
+		a      *CompressedArray
+		choice streamChoice
+	}{{"analytics-int8", a, pickSmaller}}
+	live := liveFrame(b)
+	for _, v := range liveStreams {
+		cells = append(cells, struct {
+			name   string
+			a      *CompressedArray
+			choice streamChoice
+		}{v.name, live, v.choice})
+	}
+	for _, cell := range cells {
+		b.Run(cell.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				payload, err := encodeWith(cell.a, cell.choice)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(payload)))
+			}
+		})
 	}
 }
 

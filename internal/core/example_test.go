@@ -74,3 +74,37 @@ func ExampleDecode() {
 	// 59 57 b92000000000000000080000000000000013fffffffffffffffc0000000000000008000000000000000bd02c00001058000000607fddc60c7f
 	// 59 57 b92000000000000000080000000000000013fffffffffffffffc0000000000000008000000000000000bd02c00001058000000607fddc60c7f
 }
+
+// Encode writes stream v4 (magic 0xBA) where that is shorter than v3, for
+// int16 and wider indices only. Here sixteen values near 100 form one
+// float32 int16 block. Everything up to the block's flag byte, 00 (it is
+// dense), is v3's; then comes the code: 09, nine symbols, of lengths
+// 4 4 0 3 3 3 2 3 3 — 0, +r and −r, then ±1, ±2–3 and ±4–7, each sign its
+// own symbol — then the sixteen indices as their codes and their extra
+// bits, and a pad. The v3 stream, with sixteen 2-byte indices, is 65
+// bytes.
+func ExampleEncode_v4() {
+	c, err := core.NewCompressor(core.Settings{
+		BlockShape: []int{16},
+		FloatType:  scalar.Float32,
+		IndexType:  scalar.Int16,
+	})
+	if err != nil {
+		panic(err)
+	}
+	x := tensor.New(16)
+	for i := range x.Data() {
+		x.Data()[i] = 100 + 0.01*float64(i%3) + 0.02*float64(i%5)
+	}
+	a, err := c.Compress(x)
+	if err != nil {
+		panic(err)
+	}
+	blob, err := core.Encode(a)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(len(blob), hex.EncodeToString(blob))
+	// Output:
+	// 46 ba240000000000000043fffffffffffffffc0000000000000043fffd0f2060000009440333233f6003aab45188e0
+}

@@ -60,10 +60,26 @@ func FuzzDecode(f *testing.F) {
 	f.Add(v3Stream(scalar.Int16, []uint32{0x3f800000, 0x40000000, 0}, []int{0b1100, -1, 0}, []int64{300, -2, 1, 2, 3, -4}))
 	f.Add(v3Stream(scalar.Int8, []uint32{0x80000000}, []int{0b1000}, []int64{1}))
 	f.Add(mustEncode(f, a))
+	// v4: the int16 array as v3 and as v4, cut inside the codes, a stream
+	// of one symbol, and hand-written codes: complete, incomplete, and
+	// of an index with eight extra bits.
+	for _, choice := range []streamChoice{forceV3, forceV4} {
+		s, err := encodeWith(a, choice)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s)
+		f.Add(s[:len(s)-3])
+	}
+	one := []uint32{0x3f800000, 0x40000000}
+	f.Add(v4Stream(scalar.Int16, one, []int{-1, 0b1010}, []uint8{0, 0, 0, 2, 0, 2, 0, 2, 2}, []int64{1, 2, 3, 4, 5, -6}))
+	f.Add(v4Stream(scalar.Int16, one, []int{-1, 0b1010}, []uint8{0, 0, 0, 1, 0, 2, 0, 2, 2}, []int64{1, 2, 3, 4, 5, -6}))
+	f.Add(v4Stream(scalar.Int32, one, []int{0b0001, -1}, []uint8{1, 1}, []int64{2147483647, 0, 0, 0, 0}))
+	f.Add(v4Stream(scalar.Int64, one[:1], []int{0b1000}, []uint8{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, []int64{-300}))
 
 	// Decode and DecodeView must agree on every input: both fail, or both
-	// return the same array; and an accepted array encodes as v3 into a
-	// stream that decodes to it again.
+	// return the same array; and an accepted array encodes into a stream
+	// that decodes to it again.
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)

@@ -56,9 +56,9 @@ import (
 // under any other N_k, runs Plan.Inverse over every position.
 //
 // The differential (nonzero_test.go) checks every kernel, inverseBlock
-// included, by Float64bits on the amd64 build with GOAMD64=v1, the one
-// CI runs. Go may fuse x*y+z into one FMA on arm64, ppc64le, s390x and
-// riscv64, and on amd64 at GOAMD64=v3: there a sum can round to −0, the
+// included, by Float64bits on the amd64 build CI runs. The compiler never
+// fuses x*y+z into one FMA on amd64, at any GOAMD64 level; it may on
+// arm64, ppc64le, s390x and riscv64: there a sum can round to −0, the
 // first rule no longer holds, and the identity is not claimed.
 
 // span is where block k's indices sit: F[off:end], and when the block is

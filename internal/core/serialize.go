@@ -19,7 +19,7 @@ import (
 // flattened N (f bits each), and F (i bits per kept index). A one-byte
 // magic and the transform kind are added so streams are self-describing.
 //
-// Three versions of the stream exist, told apart by the magic byte:
+// Four versions of the stream exist, told apart by the magic byte:
 //
 //	v1 (0xB7): magic, transform, types, s, i, P, N, F, then 0–7 zero bits
 //	           to the next byte.
@@ -32,6 +32,10 @@ import (
 //	           back to back in block order, ending on the last one's last
 //	           byte: all K indices of a dense block, only the nonzero
 //	           ones of a masked block, in position order.
+//	v4 (0xBA): v3 through the pad after the masks, then the runs
+//	           entropy-coded: a canonical Huffman code, then every index
+//	           as a code and extra bits (streamv4.go). Index widths of 16
+//	           bits and more only.
 //
 // v1 and v2 hold the same fields in the same bits; only the pad moves.
 // Every index width is 8, 16, 32 or 64 bits, so F fills whole bytes, and
@@ -48,8 +52,8 @@ import (
 // Decode rejects a masked block under such an N_k. v3 is never longer
 // than v2 by more than the flags and two pads. A stream with no masked
 // block holds one run, F itself, which decodes exactly as v2's does.
-// Encode writes v3 only; Decode reads all three, because v1 and v2 are
-// what stores already on disk hold.
+// Encode writes v4 where it is strictly shorter than v3, else v3; Decode
+// reads all four, because v1 and v2 are what older stores hold.
 
 const (
 	magicV1 = 0xB7
@@ -69,10 +73,15 @@ const shapeEnd = ^uint64(0)
 // negating that index would wrap.
 var errIndexRange = errors.New("core: index outside [-r, r]")
 
-// Encode serializes a into the paper's compressed form, as a v3 stream.
-// One count of the nonzero indices sizes the stream exactly, so it is
-// written into one allocation.
-func Encode(a *CompressedArray) ([]byte, error) {
+// Encode serializes a into the paper's compressed form: a v4 stream
+// where that is strictly shorter than v3, else a v3 stream. One count of
+// the nonzero indices, and for int16 and wider one histogram of their
+// symbols, sizes the stream exactly, so it is written into one
+// allocation.
+func Encode(a *CompressedArray) ([]byte, error) { return encodeWith(a, pickSmaller) }
+
+// encodeWith is Encode writing the version choice picks.
+func encodeWith(a *CompressedArray, choice streamChoice) ([]byte, error) {
 	size, err := CompressedSizeBits(a.Settings, a.Shape)
 	if err != nil {
 		return nil, err
@@ -81,83 +90,134 @@ func Encode(a *CompressedArray) ([]byte, error) {
 	// kernels so the writer stays on the stack.
 	switch a.Settings.IndexType {
 	case scalar.Int8:
-		return encode(a, a.F.i8, size)
+		return encode(a, a.F.i8, size, choice)
 	case scalar.Int16:
-		return encode(a, a.F.i16, size)
+		return encode(a, a.F.i16, size, choice)
 	case scalar.Int32:
-		return encode(a, a.F.i32, size)
+		return encode(a, a.F.i32, size, choice)
 	}
-	return encode(a, a.F.i64, size)
+	return encode(a, a.F.i64, size, choice)
 }
 
 // EncodedSize returns the length in bytes of the stream Encode writes for
-// a, from the same count of its nonzero indices.
+// a, from the same count of its nonzero indices and of their symbols.
 func EncodedSize(a *CompressedArray) (int, error) {
 	size, err := CompressedSizeBits(a.Settings, a.Shape)
 	if err != nil {
 		return 0, err
 	}
-	var l layout
+	var (
+		l    layout
+		code v4Code
+	)
 	switch a.Settings.IndexType {
 	case scalar.Int8:
-		l, err = layoutOf(a, a.F.i8, size)
+		l, err = layoutOf(a, a.F.i8, size, &code, pickSmaller)
 	case scalar.Int16:
-		l, err = layoutOf(a, a.F.i16, size)
+		l, err = layoutOf(a, a.F.i16, size, &code, pickSmaller)
 	case scalar.Int32:
-		l, err = layoutOf(a, a.F.i32, size)
+		l, err = layoutOf(a, a.F.i32, size, &code, pickSmaller)
 	default:
-		l, err = layoutOf(a, a.F.i64, size)
+		l, err = layoutOf(a, a.F.i64, size, &code, pickSmaller)
 	}
 	return l.head + l.occ + l.runs, err
 }
 
-// layout is the byte length of a v3 stream's three parts: the header
-// through its pad, the flags and masks through theirs, and the runs.
-type layout struct{ head, occ, runs int }
+// layout is the byte length of a stream's three parts: the header through
+// its pad, the flags and masks through theirs, and the runs, coded when v4
+// is set.
+type layout struct {
+	head, occ, runs int
+	v4              bool
+}
 
-// layoutOf checks a's F against its masks and sizes a's v3 stream; size is
-// the §IV-C inventory, CompressedSizeBits.
-func layoutOf[T bits.Signed](a *CompressedArray, f []T, size int64) (layout, error) {
-	K, blocks, ib := a.Kept(), len(a.N), a.Settings.IndexType.Bits()
+// layoutOf checks a's F against its masks and sizes a's stream in the
+// version choice picks; size is the §IV-C inventory, CompressedSizeBits.
+// For int16 and wider it builds the runs' code in code.
+func layoutOf[T bits.Signed](a *CompressedArray, f []T, size int64, code *v4Code, choice streamChoice) (layout, error) {
+	K, blocks, it := a.Kept(), len(a.N), a.Settings.IndexType
+	ib := it.Bits()
 	if blocks != a.NumBlocks() {
 		return layout{}, fmt.Errorf("core: N length %d does not match %d blocks", blocks, a.NumBlocks())
 	}
 	if want, ok := runLength(a.occ, blocks, K); !ok || len(f) != want {
 		return layout{}, fmt.Errorf("core: F length %d does not match blocks and masks (%d)", len(f), want)
 	}
-	masks, n := 0, 0 // masked blocks, indices stored
+	if choice == forceV4 && it == scalar.Int8 {
+		return layout{}, errors.New("core: stream v4 holds no int8 indices")
+	}
+	coded := choice != forceV3 && it != scalar.Int8
+	// hist counts the symbols of the runs. The blocks' slices of F hold
+	// zeros a masked block's run leaves out, and a dense block's run holds
+	// zeros a slice masked in memory leaves out: zeros is the difference.
+	var hist [v4Symbols]int
+	r, lowest := T(it.Radius()), T(-it.Radius()-1)
+	masks, n, zeros := 0, 0, 0 // masked blocks, indices stored
 	cur := cursor{occ: a.occ, kept: K, at: blocks}
 	for _, nk := range a.N {
 		s := cur.next()
-		if nz := nonzeros(f[s.off:s.end]); maskable(nk, a.Settings, K, nz) {
+		blk := f[s.off:s.end]
+		var nz int
+		if coded {
+			z := hist[0]
+			for _, v := range blk {
+				if v == lowest {
+					return layout{}, errIndexRange
+				}
+				sym, _, _ := symbolOf(v, r)
+				hist[sym]++
+			}
+			nz = len(blk) - (hist[0] - z)
+		} else {
+			nz = nonzeros(blk)
+		}
+		if maskable(nk, a.Settings, K, nz) {
 			masks++
 			n += nz
+			zeros -= len(blk) - nz
 		} else {
 			n += K
+			zeros += K - len(blk)
 		}
 	}
 	// The header is the inventory without F, plus magic and transform.
-	return layout{
+	l := layout{
 		head: (int(size) - ib*K*blocks + 10 + 7) / 8,
 		occ:  (blocks + masks*K + 7) / 8,
 		runs: n * ib / 8,
-	}, nil
+	}
+	if coded && n > 0 {
+		hist[0] += zeros
+		if v4 := (code.build(&hist) + 7) / 8; v4 < l.runs || choice == forceV4 {
+			l.runs, l.v4 = v4, true
+		}
+	}
+	return l, nil
 }
 
-func encode[T bits.Signed](a *CompressedArray, f []T, size int64) ([]byte, error) {
-	l, err := layoutOf(a, f, size)
+func encode[T bits.Signed](a *CompressedArray, f []T, size int64, choice streamChoice) ([]byte, error) {
+	var code v4Code
+	l, err := layoutOf(a, f, size, &code, choice)
 	if err != nil {
 		return nil, err
 	}
+	magic := uint64(magicV3)
+	if l.v4 {
+		magic = magicV4
+	}
 	var w bits.Writer
 	w.Grow(8 * (l.head + l.occ + l.runs))
-	writeHeader(&w, a, magicV3)
+	writeHeader(&w, a, magic)
 	w.WriteBits(0, uint(-w.Len()&7))
 	out := w.Bytes()
 	out = append(out, make([]byte, l.occ+l.runs)...)
 	occ, run := out[l.head:l.head+l.occ], out[l.head+l.occ:]
+	cw := codeWriter{buf: run}
+	if l.v4 {
+		cw.writeCode(&code)
+	}
 	K, blocks, it := a.Kept(), len(a.N), a.Settings.IndexType
-	lowest := T(-it.Radius() - 1)
+	r, lowest := T(it.Radius()), T(-it.Radius()-1)
 	at, o := blocks, 0 // the next mask's bit in occ, the next index's byte in run
 	cur := cursor{occ: a.occ, kept: K, at: blocks}
 	for k, nk := range a.N {
@@ -166,6 +226,10 @@ func encode[T bits.Signed](a *CompressedArray, f []T, size int64) ([]byte, error
 		dense := !maskable(nk, a.Settings, K, nonzeros(blk))
 		if !dense {
 			occ[k>>3] |= 0x80 >> (k & 7)
+		} else if s.at < 0 && l.v4 {
+			// layoutOf has checked blk for −2^(b−1).
+			codeRun(&cw, &code, blk, r)
+			continue
 		}
 		// A block held masked in memory is read through cells; one held
 		// dense, as Compress and the Arith results write them, directly.
@@ -186,11 +250,18 @@ func encode[T bits.Signed](a *CompressedArray, f []T, size int64) ([]byte, error
 				}
 				occ[(at+p)>>3] |= 0x80 >> ((at + p) & 7)
 			}
-			o = putIndex(run, o, v)
+			if l.v4 {
+				codeRun(&cw, &code, []T{v}, r)
+			} else {
+				o = putIndex(run, o, v)
+			}
 		}
 		if !dense {
 			at += K
 		}
+	}
+	if l.v4 {
+		cw.flush()
 	}
 	return out, nil
 }
@@ -276,15 +347,16 @@ func writeHeader(w *bits.Writer, a *CompressedArray, magic uint64) {
 	}
 }
 
-// Decode parses a v1, v2 or v3 compressed stream into a CompressedArray
-// that owns all of its memory: nothing in the result aliases data.
+// Decode parses a v1, v2, v3 or v4 compressed stream into a
+// CompressedArray that owns all of its memory: nothing in the result
+// aliases data.
 func Decode(data []byte) (*CompressedArray, error) { return decode(data, false) }
 
 // decode is Decode, and DecodeView when view is set.
 func decode(data []byte, view bool) (*CompressedArray, error) {
 	r := bits.NewReader(data)
 	magic, err := r.ReadBits(8)
-	if err != nil || magic < magicV1 || magic > magicV3 {
+	if err != nil || magic < magicV1 || magic > magicV4 {
 		return nil, errors.New("core: not a goblaz compressed stream")
 	}
 	tk, err := r.ReadBits(2)
@@ -388,15 +460,18 @@ func decode(data []byte, view bool) (*CompressedArray, error) {
 		}
 		numBlocks *= blocks[i]
 	}
-	// The remaining stream must hold N, and in v1 and v2 all of F; in v3
-	// a flag bit a block beside N, the masks and runs being checked once
-	// the flags are read. Reject corrupted headers before allocating
+	// The remaining stream must hold N, and in v1 and v2 all of F; from v3
+	// on a flag bit a block beside N, the masks and runs being checked
+	// once the flags are read. Reject corrupted headers before allocating
 	// anything sized by them. numBlocks ≤ 2^40 and kept ≤ 2^40 bound each
 	// factor but not the product, so compare by division: a header
 	// claiming 2^63 bits must not wrap into range.
 	blockBits := s.FloatType.Bits() + kept*s.IndexType.Bits()
-	if magic == magicV3 {
+	if magic >= magicV3 {
 		blockBits = s.FloatType.Bits() + 1
+	}
+	if magic == magicV4 && s.IndexType == scalar.Int8 {
+		return nil, errors.New("core: stream v4 holds no int8 indices")
 	}
 	if numBlocks > r.Remaining()/blockBits {
 		return nil, fmt.Errorf("core: stream too short: need %d blocks of %d bits, have %d bits",
@@ -427,12 +502,21 @@ func decode(data []byte, view bool) (*CompressedArray, error) {
 			return nil, errors.New("core: nonzero pad bits after N")
 		}
 		runs := data[len(data)-r.Remaining()/8:]
-		if magic == magicV3 {
-			if a.occ, runs, n, err = readOccupancy(a.N, runs, kept, s.IndexType.Bits()/8); err != nil {
+		if magic >= magicV3 {
+			// An index takes its width in v3, at least a bit in v4.
+			per := s.IndexType.Bits()
+			if magic == magicV4 {
+				per = 1
+			}
+			if a.occ, runs, n, err = readOccupancy(a.N, runs, kept, per); err != nil {
 				return nil, err
 			}
-		} else if need := n * s.IndexType.Bits(); len(runs)*8 != need {
-			return nil, fmt.Errorf("core: stream holds %d bits after N, F takes %d", len(runs)*8, need)
+		}
+		if magic == magicV4 {
+			return decodeV4(a, runs, n, !view && a.occ != nil)
+		}
+		if need := n * s.IndexType.Bits(); len(runs)*8 != need {
+			return nil, fmt.Errorf("core: stream holds %d bits of index runs, they take %d", len(runs)*8, need)
 		}
 		if view && s.IndexType == scalar.Int8 {
 			if bytes.IndexByte(runs, 0x80) >= 0 {
@@ -463,12 +547,13 @@ func decode(data []byte, view bool) (*CompressedArray, error) {
 	return a, nil
 }
 
-// readOccupancy splits what follows the pad after N in a v3 stream into
-// the flags and masks and the index runs, and returns the first (nil
-// when no block is masked) with the number of indices the runs must hold,
-// which they must fill exactly. It rejects a masked block whose N_k is not
-// plain, set pad bits, and masks that run past the stream.
-func readOccupancy(n []float64, rest []byte, K, isz int) (occ, runs []byte, count int, err error) {
+// readOccupancy splits what follows the pad after N in a v3 or v4 stream
+// into the flags and masks and the index runs, and returns the first (nil
+// when no block is masked) with the number of indices the runs hold, at
+// no fewer than per bits each. It rejects a masked block whose N_k is not
+// plain, set pad bits, masks that run past the stream, and masks that
+// mark more indices than the runs can hold.
+func readOccupancy(n []float64, rest []byte, K, per int) (occ, runs []byte, count int, err error) {
 	blocks := len(n)
 	if len(rest)*8 < blocks {
 		return nil, nil, 0, fmt.Errorf("core: stream too short for %d block flags", blocks)
@@ -487,14 +572,13 @@ func readOccupancy(n []float64, rest []byte, K, isz int) (occ, runs []byte, coun
 	if end&7 != 0 && occ[len(occ)-1]&(0xff>>(end&7)) != 0 {
 		return nil, nil, 0, errors.New("core: nonzero pad bits after the masks")
 	}
-	dense := blocks - m
-	if len(runs)%isz != 0 || dense > 0 && K > len(runs)/isz/dense {
-		return nil, nil, 0, fmt.Errorf("core: stream holds %d bytes of index runs, too few or ragged", len(runs))
+	dense, room := blocks-m, len(runs)*8/per
+	if dense > 0 && K > room/dense {
+		return nil, nil, 0, fmt.Errorf("core: stream holds %d bytes of index runs, too few for %d dense blocks", len(runs), dense)
 	}
 	// The pad is zero, so the masks hold every set bit but the flags'.
-	count = dense*K + popcount(occ) - m
-	if count != len(runs)/isz {
-		return nil, nil, 0, fmt.Errorf("core: stream holds %d indices after the masks, they mark %d", len(runs)/isz, count)
+	if count = dense*K + popcount(occ) - m; count > room {
+		return nil, nil, 0, fmt.Errorf("core: stream holds %d bytes of index runs, the masks mark %d indices", len(runs), count)
 	}
 	if m == 0 {
 		occ = nil
@@ -514,10 +598,24 @@ func popcount(b []byte) int {
 	return n
 }
 
-// unpackIndices reads n indices of width T from r into a new slice. With
-// own set it copies occ into the tail of the same allocation and returns
-// that copy, so that the array owns its masks too; otherwise occ as is.
+// unpackIndices reads n indices of width T from r into a new slice (see
+// newIndices for occ and own).
 func unpackIndices[T bits.Signed](r *bits.Reader, n int, it scalar.IndexType, occ []byte, own bool) ([]T, []byte, error) {
+	f, occ := newIndices[T](n, occ, own)
+	sawLowest, err := bits.UnpackSigned(r, f, uint(it.Bits()))
+	if err != nil {
+		return nil, nil, err
+	}
+	if sawLowest {
+		return nil, nil, errIndexRange
+	}
+	return f, occ, nil
+}
+
+// newIndices allocates F for n indices. With own set it copies occ into
+// the tail of the same allocation and returns that copy, so that the array
+// owns its masks too; otherwise occ as is.
+func newIndices[T bits.Signed](n int, occ []byte, own bool) ([]T, []byte) {
 	extra := 0
 	if own {
 		extra = (len(occ) + sizeOf[T]() - 1) / sizeOf[T]()
@@ -526,14 +624,28 @@ func unpackIndices[T bits.Signed](r *bits.Reader, n int, it scalar.IndexType, oc
 	if own {
 		occ = append(bytesOf(f[n:])[:0], occ...)
 	}
-	sawLowest, err := bits.UnpackSigned(r, f[:n], uint(it.Bits()))
+	return f[:n:n], occ
+}
+
+// decodeV4 decodes the n coded indices of a v4 stream's runs into a, its
+// masks copied when own is set.
+func decodeV4(a *CompressedArray, runs []byte, n int, own bool) (*CompressedArray, error) {
+	var err error
+	switch a.Settings.IndexType {
+	case scalar.Int16:
+		a.F.i16, a.occ = newIndices[int16](n, a.occ, own)
+		err = decodeRuns(runs, a.F.i16, 16)
+	case scalar.Int32:
+		a.F.i32, a.occ = newIndices[int32](n, a.occ, own)
+		err = decodeRuns(runs, a.F.i32, 32)
+	default:
+		a.F.i64, a.occ = newIndices[int64](n, a.occ, own)
+		err = decodeRuns(runs, a.F.i64, 64)
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if sawLowest {
-		return nil, nil, errIndexRange
-	}
-	return f[:n:n], occ, nil
+	return a, nil
 }
 
 func floatToBits(x float64, ft scalar.FloatType) uint64 {

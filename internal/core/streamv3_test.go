@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -161,7 +160,11 @@ func decodeBoth(t *testing.T, decode func([]byte) (*CompressedArray, error), a *
 	if err != nil {
 		t.Fatalf("decoding v2: %v", err)
 	}
-	v3, err = decode(mustEncode(t, a))
+	stream, err := encodeWith(a, forceV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err = decode(stream)
 	if err != nil {
 		t.Fatalf("decoding v3: %v", err)
 	}
@@ -245,54 +248,22 @@ func TestStreamV3MatchesV2(t *testing.T) {
 }
 
 // v3CorpusSizes logs the stored size of the benchmark corpus's goblaz
-// frames as v2 and as v3 (go test -v -run 'TestStreamV3MatchesV2/corpus'),
-// built as bench/corpus.go builds them, and checks the bound v3 keeps
-// against v2.
+// frames as v2, as v3, and as Encode writes them — v4 where shorter
+// (go test -v -run 'TestStreamV3MatchesV2/corpus') — and checks the bound
+// v3 keeps against v2.
 func v3CorpusSizes(t *testing.T) {
-	gradients := func(n int, shape ...int) []*tensor.Tensor {
-		base := data.Gradient(shape...)
-		out := make([]*tensor.Tensor, n)
-		for k := range out {
-			out[k] = base.AddScalar(0.1 * float64(k))
-		}
-		return out
-	}
-	live := gradients(64, 64, 64)
-	rng := rand.New(rand.NewSource(128))
-	for _, x := range live {
-		for i := range x.Data() {
-			x.Data()[i] += 0.01 * rng.NormFloat64()
-		}
-	}
-	fission := data.FissionSeries(1, 16, 16, 16)
-	first := sort.SearchInts(data.FissionTimeSteps, 686)
-	var fissionFrames []*tensor.Tensor
-	for k := 0; k < 8; k++ {
-		fissionFrames = append(fissionFrames, fission[(first+k)%len(fission)])
-	}
-	settings := func(it scalar.IndexType, bs ...int) Settings {
-		s := DefaultSettings(bs...)
-		s.IndexType = it
-		return s
-	}
 	var table strings.Builder
-	fmt.Fprintf(&table, "%-28s %-22s %10s %10s %7s\n", "set (workload)", "spec", "v2 bytes", "v3 bytes", "v3/v2")
-	for _, set := range []struct {
-		name   string
-		s      Settings
-		frames []*tensor.Tensor
-	}{
-		{"grid (compressed_analytics)", settings(scalar.Int8, 8, 8), gradients(48, 256, 256)},
-		{"tiles (cluster_scatter)", settings(scalar.Int8, 8, 8), gradients(48, 32, 32)},
-		{"vol gradient (serve_mixed)", settings(scalar.Int16, 4, 4, 4), gradients(8, 16, 16, 16)},
-		{"vol fission (serve_mixed)", settings(scalar.Int16, 8, 8, 8), fissionFrames},
-		{"live (ingest_live)", settings(scalar.Int16, 8, 8), live},
-	} {
+	fmt.Fprintf(&table, "%-28s %-22s %10s %10s %10s %7s %7s\n", "set (workload)", "spec", "v2 bytes", "v3 bytes", "stored", "v3/v2", "st./v3")
+	for _, set := range corpusFrames() {
 		c := mustCompressor(t, set.s)
-		v2, v3 := 0, 0
+		v2, v3, stored := 0, 0, 0
 		for _, x := range set.frames {
 			a := compress(t, c, x)
-			n2, n3 := len(encodeV2(t, a)), len(mustEncode(t, a))
+			s3, err := encodeWith(a, forceV3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n2, n3 := len(encodeV2(t, a)), len(s3)
 			size, err := CompressedSizeBits(a.Settings, a.Shape)
 			if err != nil {
 				t.Fatal(err)
@@ -302,9 +273,11 @@ func v3CorpusSizes(t *testing.T) {
 			}
 			v2 += n2
 			v3 += n3
+			stored += len(mustEncode(t, a))
 		}
 		spec := fmt.Sprintf("%v %v %v", set.s.BlockShape, set.s.FloatType, set.s.IndexType)
-		fmt.Fprintf(&table, "%-28s %-22s %10d %10d %7.3f\n", set.name, spec, v2, v3, float64(v3)/float64(v2))
+		fmt.Fprintf(&table, "%-28s %-22s %10d %10d %10d %7.3f %7.3f\n", set.name, spec, v2, v3, stored,
+			float64(v3)/float64(v2), float64(stored)/float64(v3))
 	}
 	t.Logf("goblaz payloads of the benchmark corpus:\n%s", table.String())
 }

@@ -11,12 +11,12 @@ import (
 
 // DecodeView is Decode for callers whose bytes outlive the result and are
 // never written while it is in use — a read-only memory mapping, or a
-// buffer read for this one decode. The result may alias data: a v3
+// buffer read for this one decode. The result may alias data: a v3 or v4
 // stream's flags and masks are data's own bytes, and so is the int8 F of
 // a v2 or v3 stream, checked once for the index −2^(b−1) Decode also
 // rejects, instead of a copy. Wider indices, stored big-endian at offsets
-// not aligned to their width, and v1's F, which is not byte-aligned, are
-// unpacked exactly as Decode unpacks them.
+// not aligned to their width or entropy-coded (v4), and v1's F, which is
+// not byte-aligned, are unpacked exactly as Decode unpacks them.
 //
 // Nothing in this package writes F or the masks in place — Negate and
 // MulScalar work on a clone — so the kernels only ever read the aliased

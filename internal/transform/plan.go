@@ -117,12 +117,12 @@ func (p *Plan) MarkWords() int { return 2 * ((p.vol + 63) / 64) }
 // values; once a pass writes every line, every later pass is marked
 // throughout and runs Inverse's loop.
 //
-// The bit-identity is asserted on the amd64 build with GOAMD64=v1, the
-// one CI runs (occupied_test.go). Go may fuse x*y+z into one FMA on
-// arm64, ppc64le, s390x and riscv64, and on amd64 at GOAMD64=v3. A fused
-// sum that starts at +0 can round to −0 (an underflowing product is added
-// exactly), after which a +0 term is no longer invisible, so on those
-// builds the identity is not claimed.
+// The bit-identity is asserted on the amd64 build CI runs
+// (occupied_test.go). The compiler never fuses x*y+z into one FMA on
+// amd64, at any GOAMD64 level; it may on arm64, ppc64le, s390x and
+// riscv64. A fused sum that starts at +0 can round to −0 (an underflowing
+// product is added exactly), after which a +0 term is no longer
+// invisible, so on those builds the identity is not claimed.
 func (p *Plan) InverseOccupied(block, scratch []float64, occ []uint64) {
 	p.check(block, scratch)
 	if len(occ) != p.MarkWords() {
