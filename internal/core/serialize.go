@@ -133,7 +133,8 @@ type layout struct {
 
 // layoutOf checks a's F against its masks and sizes a's stream in the
 // version choice picks; size is the §IV-C inventory, CompressedSizeBits.
-// For int16 and wider it builds the runs' code in code.
+// Unless choice is forceV3, for int16 and wider it builds the runs' code
+// in code.
 func layoutOf[T bits.Signed](a *CompressedArray, f []T, size int64, code *v4Code, choice streamChoice) (layout, error) {
 	K, blocks, it := a.Kept(), len(a.N), a.Settings.IndexType
 	ib := it.Bits()
