@@ -35,8 +35,7 @@ import (
 //
 // Encode writes v4 when it is strictly shorter than v3, and never for
 // int8 indices: their v3 runs are the bytes DecodeView hands the kernels
-// in place, and on the corpus' int8 frames the runs are a small share of
-// the stream. A v4 stream decodes to the array its v3 stream decodes to.
+// in place. A v4 stream decodes to the array its v3 stream decodes to.
 
 const (
 	magicV4   = 0xBA
