@@ -38,13 +38,13 @@ func main() {
 		log.Fatal(err)
 	}
 	ens := series.New(comp)
-	for i, m := range members {
+	for _, m := range members {
 		sim, err := shallowwater.New(m.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sim.Run(2500)
-		if err := ens.Append(i, sim.Height()); err != nil {
+		if err := ens.Append(sim.Height()); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -53,10 +53,11 @@ import (
 	"repro/internal/query"
 )
 
+// maxRequestBytes bounds request bodies.
+const maxRequestBytes = 1 << 20
+
 // Options configures the handler.
 type Options struct {
-	// MaxRequestBytes bounds request bodies (default 1 MiB).
-	MaxRequestBytes int64
 	// RequestTimeout, when > 0, deadlines every request's context, so a
 	// stuck query cannot pin a connection past it.
 	RequestTimeout time.Duration
@@ -72,10 +73,6 @@ type Options struct {
 	// deployments that scrape the main listener instead of running a
 	// debug listener.
 	ExposeMetrics bool
-	// Registry is the metrics registry the exposition routes serve;
-	// nil means obs.Default, which is where every instrumented layer
-	// records.
-	Registry *obs.Registry
 	// Datasets names sharded-dataset mounts, served under
 	// /v1/datasets/{name}/ with the full resource set. A dataset
 	// backend (api.OpenSharded) may also be passed as def or among the
@@ -106,12 +103,6 @@ type Handler struct {
 // under /v1/stores/{name}/, and opts.Datasets under
 // /v1/datasets/{name}/. The same backend may appear in several places.
 func New(def api.Backend, stores map[string]api.Backend, opts Options) http.Handler {
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = 1 << 20
-	}
-	if opts.Registry == nil {
-		opts.Registry = obs.Default
-	}
 	h := &Handler{def: def, stores: stores, datasets: opts.Datasets, opts: opts, mux: http.NewServeMux()}
 	h.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -123,9 +114,11 @@ func New(def api.Backend, stores map[string]api.Backend, opts Options) http.Hand
 		}
 		writeError(w, api.Errorf(api.CodeUnavailable, "server is not ready"))
 	})
-	h.mux.Handle("GET /v1/debug/metrics", MetricsJSON(opts.Registry))
+	// The exposition routes serve obs.Default, where every instrumented
+	// layer records.
+	h.mux.Handle("GET /v1/debug/metrics", MetricsJSON(obs.Default))
 	if opts.ExposeMetrics {
-		h.mux.Handle("GET /metrics", MetricsProm(opts.Registry))
+		h.mux.Handle("GET /metrics", MetricsProm(obs.Default))
 	}
 	h.mux.HandleFunc("GET /v1/stores", h.handleStoreList)
 	h.mux.HandleFunc("GET /v1/datasets", h.handleDatasetList)
@@ -401,7 +394,7 @@ func (h *Handler) handleIngest(b api.Backend, w http.ResponseWriter, req *http.R
 	if !ok {
 		return api.Errorf(api.CodeNotSupported, "backend does not accept ingest")
 	}
-	frames, err := readIngestBody(req, h.opts.MaxRequestBytes)
+	frames, err := readIngestBody(req)
 	if err != nil {
 		return err
 	}
@@ -414,14 +407,14 @@ func (h *Handler) handleIngest(b api.Backend, w http.ResponseWriter, req *http.R
 }
 
 // readIngestBody parses the request body by its media type.
-func readIngestBody(req *http.Request, limit int64) ([]api.IngestFrame, error) {
+func readIngestBody(req *http.Request) ([]api.IngestFrame, error) {
 	mt, _, _ := strings.Cut(req.Header.Get("Content-Type"), ";")
 	if !strings.EqualFold(strings.TrimSpace(mt), api.FramesContentType) {
 		return readNDJSON(req.Body)
 	}
 	var body []byte
 	var err error
-	if n := req.ContentLength; n >= 0 && n <= limit {
+	if n := req.ContentLength; n >= 0 && n <= maxRequestBytes {
 		body = make([]byte, n)
 		_, err = io.ReadFull(req.Body, body)
 	} else {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -312,9 +313,9 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 func TestBodyLimit(t *testing.T) {
-	srv := httptest.NewServer(New(buildLocal(t, 1, 8, 8), nil, Options{MaxRequestBytes: 64}))
+	srv := httptest.NewServer(New(buildLocal(t, 1, 8, 8), nil, Options{}))
 	defer srv.Close()
-	big := `{"aggregates":["mean"],"point":[` + strings.Repeat("1,", 200) + `1]}`
+	big := `{"aggregates":["mean"],"point":[` + strings.Repeat("1,", maxRequestBytes/2) + `1]}`
 	resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +323,7 @@ func TestBodyLimit(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("oversized body = %d, want 400", resp.StatusCode)
 	}
-	if e := decodeEnvelope(t, resp); e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "64") {
+	if e := decodeEnvelope(t, resp); e.Code != api.CodeBadRequest || !strings.Contains(e.Message, strconv.Itoa(maxRequestBytes)) {
 		t.Errorf("body-limit envelope = %+v", e)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // access log — it sees the final status, including the 500 a panic
 // turned into), panic recovery, request deadline, body limit.
 func withMiddleware(next http.Handler, opts Options) http.Handler {
-	h := limitBody(next, opts.MaxRequestBytes)
+	h := limitBody(next)
 	if opts.RequestTimeout > 0 {
 		h = withDeadline(h, opts.RequestTimeout)
 	}
@@ -78,12 +78,12 @@ func withDeadline(next http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-// limitBody caps request bodies; oversized reads surface as
-// *http.MaxBytesError, which writeError maps to bad_request.
-func limitBody(next http.Handler, n int64) http.Handler {
+// limitBody caps request bodies at maxRequestBytes; oversized reads
+// surface as *http.MaxBytesError, which writeError maps to bad_request.
+func limitBody(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Body != nil {
-			req.Body = http.MaxBytesReader(w, req.Body, n)
+			req.Body = http.MaxBytesReader(w, req.Body, maxRequestBytes)
 		}
 		next.ServeHTTP(w, req)
 	})

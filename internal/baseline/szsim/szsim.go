@@ -243,8 +243,3 @@ func at3(data []float64, shape []int, i, j, k int) float64 {
 
 // CompressedSizeBytes returns the stream size.
 func (a *Compressed) CompressedSizeBytes() int { return len(a.Stream) }
-
-// Ratio returns the measured compression ratio for 64-bit input.
-func (a *Compressed) Ratio() float64 {
-	return float64(tensor.Prod(a.Shape)*8) / float64(len(a.Stream))
-}

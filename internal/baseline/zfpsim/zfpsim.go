@@ -55,9 +55,6 @@ type Compressed struct {
 	Payload []byte
 }
 
-// Ratio returns the compression ratio versus 64-bit input.
-func (s Settings) Ratio() float64 { return 64 / float64(s.BitsPerValue) }
-
 // blockBudgetBits returns the fixed total bits per block.
 func (s Settings) blockBudgetBits(blockVol int) int { return s.BitsPerValue * blockVol }
 

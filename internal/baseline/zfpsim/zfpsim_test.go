@@ -52,14 +52,6 @@ func TestSettingsValidation(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	for bpv, want := range map[int]float64{8: 8, 16: 4, 32: 2} {
-		if got := (Settings{BitsPerValue: bpv}).Ratio(); got != want {
-			t.Errorf("Ratio(%d) = %g, want %g", bpv, got, want)
-		}
-	}
-}
-
 func TestPayloadSizeIsFixedRate(t *testing.T) {
 	for _, bpv := range []int{8, 16, 32} {
 		x := gradientTensor(64, 64)

@@ -75,13 +75,6 @@ func newEndpoint(rawURL string, cc ClientConfig, timeout time.Duration, hc *http
 	return ep, nil
 }
 
-// State reports the endpoint's current health state.
-func (e *endpoint) State() State {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state
-}
-
 // rank orders candidates for a shard call: 0 = up, 1 = demoted but the
 // cooldown has expired (worth a try), 2 = still cooling down (last
 // resort).

@@ -72,10 +72,6 @@ func (b blazCodec) Add(x, y Compressed) (Compressed, error) {
 	return blaz.Add(xa, ya)
 }
 
-func (b blazCodec) Negate(x Compressed) (Compressed, error) {
-	return b.MulScalar(x, -1)
-}
-
 func (b blazCodec) MulScalar(x Compressed, s float64) (Compressed, error) {
 	xa, err := b.arr(x)
 	if err != nil {

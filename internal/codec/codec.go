@@ -53,16 +53,14 @@ type Codec interface {
 
 // Arith is the optional compressed-space arithmetic sub-interface, for
 // backends that combine compressed arrays element-wise without
-// decompression (goblaz; blaz adds and scales, and negates as a scale by
-// −1). Callers discover support with a type assertion:
+// decompression (goblaz and blaz); MulScalar(a, −1) negates. Callers
+// discover support with a type assertion:
 //
 //	if ar, ok := cd.(codec.Arith); ok { ... }
 type Arith interface {
 	Codec
 	// Add returns the compressed element-wise sum a + b.
 	Add(a, b Compressed) (Compressed, error)
-	// Negate returns the compressed element-wise negation −a.
-	Negate(a Compressed) (Compressed, error)
 	// MulScalar returns the compressed element-wise product x·a.
 	MulScalar(a Compressed, x float64) (Compressed, error)
 }

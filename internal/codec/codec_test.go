@@ -226,7 +226,7 @@ func TestOpsMatchDecompressedSpace(t *testing.T) {
 				t.Errorf("compressed-space add error %g", e)
 			}
 
-			neg, err := ar.Negate(ca)
+			neg, err := ar.MulScalar(ca, -1)
 			if err != nil {
 				t.Fatal(err)
 			}

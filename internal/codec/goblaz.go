@@ -94,10 +94,6 @@ func goblazSpec(s core.Settings, keep float64) string {
 		block, s.FloatType, s.IndexType, kp, s.Transform)
 }
 
-// Compressor exposes the wrapped core.Compressor for callers that need
-// the full Table I operation set beyond Ops.
-func (g *goblazCodec) Compressor() *core.Compressor { return g.c }
-
 func (g *goblazCodec) Name() string { return "goblaz" }
 func (g *goblazCodec) Spec() string { return g.spec }
 
@@ -146,14 +142,6 @@ func (g *goblazCodec) Add(a, b Compressed) (Compressed, error) {
 		return nil, err
 	}
 	return g.c.Add(aa, ba)
-}
-
-func (g *goblazCodec) Negate(a Compressed) (Compressed, error) {
-	aa, err := g.arr(a)
-	if err != nil {
-		return nil, err
-	}
-	return g.c.Negate(aa)
 }
 
 func (g *goblazCodec) MulScalar(a Compressed, x float64) (Compressed, error) {

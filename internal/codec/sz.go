@@ -54,9 +54,6 @@ func (s szCodec) Spec() string {
 	return fmt.Sprintf("sz:mode=%s,tol=%g", mode, s.settings.ErrorBound)
 }
 
-// ErrorBound returns the configured absolute point-wise error bound.
-func (s szCodec) ErrorBound() float64 { return s.settings.ErrorBound }
-
 func (s szCodec) arr(c Compressed) (*szsim.Compressed, error) {
 	a, ok := c.(*szsim.Compressed)
 	if !ok {

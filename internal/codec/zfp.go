@@ -36,9 +36,6 @@ func (z zfpCodec) Spec() string {
 	return fmt.Sprintf("zfp:rate=%d", z.settings.BitsPerValue)
 }
 
-// Ratio returns the fixed compression ratio versus 64-bit input.
-func (z zfpCodec) Ratio() float64 { return z.settings.Ratio() }
-
 func (z zfpCodec) arr(c Compressed) (*zfpsim.Compressed, error) {
 	a, ok := c.(*zfpsim.Compressed)
 	if !ok {

@@ -47,14 +47,6 @@ func (a *CompressedArray) NumBlocks() int { return tensor.Prod(a.Blocks) }
 // Kept returns the number of kept coefficients per block.
 func (a *CompressedArray) Kept() int { return a.Settings.kept() }
 
-// PaddedShape returns the zero-padded shape b⊙i the blocks tile.
-func (a *CompressedArray) PaddedShape() []int {
-	return tensor.Mul(a.Blocks, a.Settings.BlockShape)
-}
-
-// PaddedLen returns ∏(b⊙i), the number of elements in the padded domain.
-func (a *CompressedArray) PaddedLen() int { return tensor.Prod(a.PaddedShape()) }
-
 // OriginalLen returns ∏s.
 func (a *CompressedArray) OriginalLen() int { return tensor.Prod(a.Shape) }
 

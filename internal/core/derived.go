@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 )
 
@@ -53,13 +54,7 @@ func (c *Compressor) NormalizedRMSE(a, b *CompressedArray, valueRange float64) (
 		return 0, err
 	}
 	if valueRange <= 0 {
-		return 0, errNonPositiveRange
+		return 0, errors.New("core: value range must be positive")
 	}
 	return math.Sqrt(mse) / valueRange, nil
 }
-
-var errNonPositiveRange = errorString("core: value range must be positive")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }

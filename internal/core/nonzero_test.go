@@ -350,6 +350,83 @@ func checkNonFiniteBlock[T bits.Signed](t *testing.T, w width[T], c *Compressor,
 	checkNonzeroPair(t, w, c, b, a, pb, pa)
 }
 
+// TestNonzeroKernelsUnderflowToNegZero runs the differential on masked
+// blocks whose products round to −0: under N_k = 2^−1074·r, a holds the
+// coefficient −2^−1074 and b +2^−1074 at two positions of every block, so
+// every a·b term, and every transform product under 1/2 in magnitude,
+// underflows to −0. Each sum starts at +0 and adds them unfused, so it
+// must be +0, not −0 (the first rule in nonzero.go).
+func TestNonzeroKernelsUnderflowToNegZero(t *testing.T) {
+	for _, base := range nonzeroSettings(t) {
+		for it := scalar.Int8; it <= scalar.Int64; it++ {
+			s := base
+			s.IndexType, s.FloatType = it, scalar.Float64
+			c := mustCompressor(t, s)
+			if len(c.keep) < 3 {
+				continue // two nonzero indices of K < 3 are stored dense
+			}
+			t.Run(fmt.Sprintf("%v/K=%d/%v", s.BlockShape, len(c.keep), it), func(t *testing.T) {
+				switch w := c.k.(type) {
+				case width[int8]:
+					checkUnderflowBlocks(t, w, c)
+				case width[int16]:
+					checkUnderflowBlocks(t, w, c)
+				case width[int32]:
+					checkUnderflowBlocks(t, w, c)
+				case width[int64]:
+					checkUnderflowBlocks(t, w, c)
+				}
+			})
+		}
+	}
+}
+
+func checkUnderflowBlocks[T bits.Signed](t *testing.T, w width[T], c *Compressor) {
+	const blocks = 3
+	zero := rand.New(rand.NewSource(0)).Uint64
+	K := len(c.keep)
+	arrays := [2]*CompressedArray{}
+	for i, sign := range []T{-1, 1} {
+		a := nonzeroArray(w, c, blocks, 100, false, zero)
+		f := w.of(a)
+		for k := range a.N {
+			a.N[k] = 0x1p-1074 * c.radius
+			f[k*K+K/2], f[k*K+K-1] = sign, sign
+		}
+		arrays[i] = a
+	}
+	a, b := arrays[0], arrays[1]
+	pa, pb := packV3(t, w, c, a, false), packV3(t, w, c, b, false)
+	if pa.occ == nil {
+		t.Fatal("packV3 stored every block dense")
+	}
+	checkNonzeroPair(t, w, c, a, b, pa, pb)
+	negZero := func(v float64) bool { return v == 0 && math.Signbit(v) }
+	ab, _, _ := w.dot3(c, pa, pb)
+	if ab != 0 || negZero(ab) {
+		t.Errorf("dot3 ab = %v, want +0", ab)
+	}
+	if _, sumSq := w.moments(c, pa); sumSq != 0 || negZero(sumSq) {
+		t.Errorf("moments sumSq = %v, want +0", sumSq)
+	}
+	cov := make([]float64, blocks)
+	w.blockCovariances(c, pa, pb, cov)
+	for k, v := range cov {
+		if v != 0 || negZero(v) {
+			t.Errorf("blockCovariances[%d] = %v, want +0", k, v)
+		}
+	}
+	inv, cur := c.blockBuffer(), c.cursor(pa)
+	for k := range pa.N {
+		w.inverseBlock(c, pa, cur.next(), inv)
+		for i, v := range inv.block {
+			if negZero(v) {
+				t.Errorf("inverseBlock[%d][%d] = −0, want +0", k, i)
+			}
+		}
+	}
+}
+
 // FuzzNonzeroKernels is the differential on fuzzer-written N and F: raw
 // supplies the words F and N are drawn from, sel the settings (index
 // width, float type, transform, block shape and mask), the zero share and

@@ -225,15 +225,27 @@ func encode[T bits.Signed](a *CompressedArray, f []T, size int64, choice streamC
 		s := cur.next()
 		blk := f[s.off:s.end]
 		dense := !maskable(nk, a.Settings, K, nonzeros(blk))
-		if !dense {
-			occ[k>>3] |= 0x80 >> (k & 7)
-		} else if s.at < 0 && l.v4 {
-			// layoutOf has checked blk for −2^(b−1).
-			codeRun(&cw, &code, blk, r)
+		if dense && s.at < 0 {
+			// Held dense, as Compress and the Arith results write them,
+			// and written dense: the run is blk.
+			if l.v4 {
+				// layoutOf has checked blk for −2^(b−1).
+				codeRun(&cw, &code, blk, r)
+				continue
+			}
+			for _, v := range blk {
+				if v == lowest {
+					return nil, errIndexRange
+				}
+				o = putIndex(run, o, v)
+			}
 			continue
 		}
+		if !dense {
+			occ[k>>3] |= 0x80 >> (k & 7)
+		}
 		// A block held masked in memory is read through cells; one held
-		// dense, as Compress and the Arith results write them, directly.
+		// dense directly.
 		cl := cellsOf(f, a.occ, s, K)
 		for p := 0; p < K; p++ {
 			var v T

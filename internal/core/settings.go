@@ -198,10 +198,6 @@ func (c *Compressor) Settings() Settings {
 	return s
 }
 
-// KeptCoefficients returns the number of coefficients kept per block,
-// ΣP in the paper's compression-ratio formula.
-func (c *Compressor) KeptCoefficients() int { return len(c.keep) }
-
 // firstKept returns the position of intrablock coefficient 0 in the kept
 // list, or -1 if the mask pruned it or the transform lacks the
 // constant-first-basis-vector property. Operations that need block means

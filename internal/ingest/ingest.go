@@ -833,21 +833,6 @@ func (s *Store) failLocked(err error) error {
 	return fmt.Errorf("ingest: store failed after compaction rename (reopen to recover): %w", err)
 }
 
-// DeadBytes reports the bytes superseded footers occupy — the
-// compaction trigger's input.
-func (s *Store) DeadBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deadBytes
-}
-
-// Pending reports accepted-but-uncommitted frames.
-func (s *Store) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
 // Close commits pending frames, stops the background committer, and
 // releases every handle. In-flight queries finish against their
 // pinned view.
@@ -878,27 +863,4 @@ func (s *Store) Close() error {
 		old.release()
 	}
 	return err
-}
-
-// Abort drops every handle without committing — the crash seam for
-// recovery tests: the files on disk are left exactly as a power cut
-// at this instant would, WAL tail and all.
-func (s *Store) Abort() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.stop)
-	s.bg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wal.Close()
-	s.f.Close()
-	if old := s.cur.Swap(nil); old != nil {
-		old.release()
-	}
 }

@@ -133,14 +133,6 @@ type Span struct {
 	start  time.Time
 }
 
-// Context returns the span's identity.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return s.sc
-}
-
 // SetDetail attaches a free-form description shown in the slow-query
 // log and the OnSpan hook (e.g. the query selector, a shard index).
 func (s *Span) SetDetail(format string, args ...any) {

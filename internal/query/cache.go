@@ -196,32 +196,3 @@ func (c *Cache) Decode(ns uint64, key int, decode func() (*tensor.Tensor, error)
 	}
 	return f.t, f.err
 }
-
-// CacheStats is a point-in-time snapshot of cache effectiveness.
-type CacheStats struct {
-	Budget int64 `json:"budgetBytes"`
-	Used   int64 `json:"usedBytes"`
-	Frames int   `json:"frames"`
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Coalesced counts misses that waited on another caller's in-flight
-	// decode instead of decoding themselves.
-	Coalesced int64 `json:"coalesced"`
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Budget:    c.budget,
-		Used:      c.used,
-		Frames:    c.lru.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Coalesced: c.coalesced.Load(),
-	}
-}

@@ -125,9 +125,6 @@ func (e *Engine) cacheKeyOf(i int) (uint64, int) {
 	return e.ns, i
 }
 
-// Cache exposes the engine's decoded-frame cache (for stats endpoints).
-func (e *Engine) Cache() *Cache { return e.cache }
-
 // Run compiles and executes req. Canceling ctx stops the plan between
 // frames — the engine returns ctx's error within one frame's work.
 func (e *Engine) Run(ctx context.Context, req *Request) (*Result, error) {

@@ -3,9 +3,9 @@ package query
 import "repro/internal/obs"
 
 // Registry families for the query layer. Cache counters are kept in
-// both places on purpose: the cheap internal fields feed the existing
-// CacheStats JSON (scoped to one cache instance), while these
-// registry counters aggregate process-wide for /metrics.
+// both places on purpose: the cheap internal fields feed the tests'
+// per-instance CacheStats, while these registry counters aggregate
+// process-wide for /metrics.
 var (
 	cacheHits = obs.NewCounter("goblaz_query_cache_hits_total",
 		"Decoded-frame cache hits.")

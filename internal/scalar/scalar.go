@@ -299,21 +299,6 @@ func FromFloat16Bits(bits uint16) float64 {
 	}
 }
 
-// MaxFinite returns the largest finite value representable in type t.
-func (t FloatType) MaxFinite() float64 {
-	switch t {
-	case BFloat16:
-		return FromBFloat16Bits(0x7F7F)
-	case Float16:
-		return 65504
-	case Float32:
-		return math.MaxFloat32
-	case Float64:
-		return math.MaxFloat64
-	}
-	return 0
-}
-
 // SmallestSubnormal returns the smallest positive value representable in
 // type t, which bounds the absolute error of rounding to t below its
 // normal range.

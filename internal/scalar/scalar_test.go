@@ -300,27 +300,15 @@ func TestRoundSlice(t *testing.T) {
 	}
 }
 
-func TestMaxFiniteAndEpsilon(t *testing.T) {
-	if Float16.MaxFinite() != 65504 {
-		t.Errorf("Float16.MaxFinite = %g", Float16.MaxFinite())
-	}
-	if Float32.MaxFinite() != math.MaxFloat32 {
-		t.Errorf("Float32.MaxFinite = %g", Float32.MaxFinite())
-	}
-	if Float64.MaxFinite() != math.MaxFloat64 {
-		t.Errorf("Float64.MaxFinite = %g", Float64.MaxFinite())
-	}
-	if bf := BFloat16.MaxFinite(); bf < 3.3e38 || bf > 3.4e38 {
-		t.Errorf("BFloat16.MaxFinite = %g, expected ≈3.39e38", bf)
-	}
+func TestEpsilon(t *testing.T) {
 	// Epsilon ordering: bfloat16 coarsest, float64 finest.
 	if !(BFloat16.MachineEpsilon() > Float16.MachineEpsilon() &&
 		Float16.MachineEpsilon() > Float32.MachineEpsilon() &&
 		Float32.MachineEpsilon() > Float64.MachineEpsilon()) {
 		t.Error("machine epsilon ordering violated")
 	}
-	if FloatType(99).MaxFinite() != 0 || FloatType(99).MachineEpsilon() != 0 {
-		t.Error("unknown type MaxFinite/MachineEpsilon should be 0")
+	if FloatType(99).MachineEpsilon() != 0 {
+		t.Error("unknown type MachineEpsilon should be 0")
 	}
 	// The smallest subnormal survives rounding; less than half of it
 	// rounds to zero.

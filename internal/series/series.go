@@ -2,10 +2,9 @@
 // pattern of the paper's §V-C experiment and §VI future-work scenarios
 // ("keeping the time-sequences of evolving simulation results in
 // compressed form"). A Series compresses frames as they are appended,
-// and analyses (adjacent-frame distances, distance matrices, peak
-// detection) run wholly in compressed space. Pipeline is the streaming
-// writers' counterpart: a bounded concurrent compressor that commits
-// frames to a sink (a store file) in submission order.
+// and its distance matrix runs wholly in compressed space. Pipeline is
+// the streaming writers' counterpart: a bounded concurrent compressor
+// that commits frames to a sink (a store file) in submission order.
 package series
 
 import (
@@ -23,7 +22,6 @@ type Series struct {
 	comp   *core.Compressor
 	mu     sync.Mutex
 	frames []*core.CompressedArray
-	labels []int
 }
 
 // New creates an empty series using the given compressor.
@@ -31,9 +29,8 @@ func New(comp *core.Compressor) *Series {
 	return &Series{comp: comp}
 }
 
-// Append compresses frame and stores it under the given label (e.g. the
-// simulation time step).
-func (s *Series) Append(label int, frame *tensor.Tensor) error {
+// Append compresses frame and stores it after the frames already held.
+func (s *Series) Append(frame *tensor.Tensor) error {
 	a, err := s.comp.Compress(frame)
 	if err != nil {
 		return err
@@ -45,22 +42,7 @@ func (s *Series) Append(label int, frame *tensor.Tensor) error {
 			a.Shape, s.frames[0].Shape)
 	}
 	s.frames = append(s.frames, a)
-	s.labels = append(s.labels, label)
 	return nil
-}
-
-// Len returns the number of stored frames.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.frames)
-}
-
-// Label returns the label of frame i.
-func (s *Series) Label(i int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.labels[i]
 }
 
 // Frame returns compressed frame i.
@@ -84,91 +66,6 @@ func (s *Series) CompressedBytes() (int, error) {
 		total += len(blob)
 	}
 	return total, nil
-}
-
-// Transition is one adjacent-frame distance.
-type Transition struct {
-	FromLabel, ToLabel int
-	Distance           float64
-}
-
-// AdjacentDistances returns the distance between every pair of adjacent
-// frames under the given metric.
-func (s *Series) AdjacentDistances(metric func(a, b *core.CompressedArray) (float64, error)) ([]Transition, error) {
-	s.mu.Lock()
-	frames := append([]*core.CompressedArray(nil), s.frames...)
-	labels := append([]int(nil), s.labels...)
-	s.mu.Unlock()
-	if len(frames) < 2 {
-		return nil, errors.New("series: need at least two frames")
-	}
-	out := make([]Transition, len(frames)-1)
-	for i := 1; i < len(frames); i++ {
-		d, err := metric(frames[i-1], frames[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i-1] = Transition{FromLabel: labels[i-1], ToLabel: labels[i], Distance: d}
-	}
-	return out, nil
-}
-
-// L2Distances returns adjacent exact compressed-space L2 distances.
-func (s *Series) L2Distances() ([]Transition, error) {
-	return s.AdjacentDistances(s.comp.L2Distance)
-}
-
-// WassersteinDistances returns adjacent approximate Wasserstein distances
-// of order p.
-func (s *Series) WassersteinDistances(p float64) ([]Transition, error) {
-	return s.AdjacentDistances(func(a, b *core.CompressedArray) (float64, error) {
-		return s.comp.WassersteinDistance(a, b, p)
-	})
-}
-
-// LargestTransition returns the transition with the greatest distance —
-// the scission-detection primitive of §V-C.
-func LargestTransition(ts []Transition) (Transition, error) {
-	if len(ts) == 0 {
-		return Transition{}, errors.New("series: no transitions")
-	}
-	best := ts[0]
-	for _, t := range ts[1:] {
-		if t.Distance > best.Distance {
-			best = t
-		}
-	}
-	return best, nil
-}
-
-// Peaks returns the transitions whose distance exceeds ratio × the median
-// distance: the "misleading peaks" detector for Fig. 6a-style series.
-func Peaks(ts []Transition, ratio float64) []Transition {
-	if len(ts) == 0 {
-		return nil
-	}
-	med := medianDistance(ts)
-	var out []Transition
-	for _, t := range ts {
-		if t.Distance > ratio*med {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func medianDistance(ts []Transition) float64 {
-	ds := make([]float64, len(ts))
-	for i, t := range ts {
-		ds[i] = t.Distance
-	}
-	// insertion sort; n is tiny
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	return ds[len(ds)/2]
 }
 
 // DistanceMatrix computes the full pairwise distance matrix between all

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/scalar"
 	"repro/internal/tensor"
 )
@@ -34,19 +33,10 @@ func frame(seed int64, shift float64) *tensor.Tensor {
 
 func TestAppendAndAccessors(t *testing.T) {
 	s := New(newComp(t))
-	if s.Len() != 0 {
-		t.Fatal("new series should be empty")
-	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(100+i, frame(int64(i), 0)); err != nil {
+		if err := s.Append(frame(int64(i), 0)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Label(1) != 101 {
-		t.Errorf("Label(1) = %d", s.Label(1))
 	}
 	if s.Frame(2) == nil {
 		t.Error("Frame(2) nil")
@@ -65,83 +55,11 @@ func TestAppendAndAccessors(t *testing.T) {
 func TestAppendShapeMismatch(t *testing.T) {
 	c := newComp(t)
 	s := New(c)
-	if err := s.Append(0, tensor.New(16, 16)); err != nil {
+	if err := s.Append(tensor.New(16, 16)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(1, tensor.New(20, 16)); err == nil {
+	if err := s.Append(tensor.New(20, 16)); err == nil {
 		t.Error("appending a different shape should fail")
-	}
-}
-
-func TestL2DistancesAndLargest(t *testing.T) {
-	s := New(newComp(t))
-	shifts := []float64{0, 0.01, 0.02, 1.5, 1.51} // jump between index 2 and 3
-	for i, sh := range shifts {
-		if err := s.Append(i, frame(1, sh)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts, err := s.L2Distances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 4 {
-		t.Fatalf("transitions = %d", len(ts))
-	}
-	best, err := LargestTransition(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.FromLabel != 2 || best.ToLabel != 3 {
-		t.Errorf("largest transition %d→%d, want 2→3", best.FromLabel, best.ToLabel)
-	}
-}
-
-func TestWassersteinDistances(t *testing.T) {
-	s := New(newComp(t))
-	for i := 0; i < 3; i++ {
-		if err := s.Append(i, frame(int64(i), float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts, err := s.WassersteinDistances(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range ts {
-		if tr.Distance < 0 || math.IsNaN(tr.Distance) {
-			t.Errorf("bad distance %g", tr.Distance)
-		}
-	}
-}
-
-func TestDistancesNeedTwoFrames(t *testing.T) {
-	s := New(newComp(t))
-	if _, err := s.L2Distances(); err == nil {
-		t.Error("empty series should fail")
-	}
-	s.Append(0, frame(0, 0))
-	if _, err := s.L2Distances(); err == nil {
-		t.Error("single-frame series should fail")
-	}
-	if _, err := LargestTransition(nil); err == nil {
-		t.Error("LargestTransition(nil) should fail")
-	}
-}
-
-func TestPeaks(t *testing.T) {
-	ts := []Transition{
-		{0, 1, 1}, {1, 2, 1}, {2, 3, 10}, {3, 4, 1}, {4, 5, 5},
-	}
-	peaks := Peaks(ts, 3)
-	if len(peaks) != 2 {
-		t.Fatalf("peaks = %v", peaks)
-	}
-	if peaks[0].FromLabel != 2 || peaks[1].FromLabel != 4 {
-		t.Errorf("wrong peaks: %v", peaks)
-	}
-	if Peaks(nil, 3) != nil {
-		t.Error("Peaks(nil) should be nil")
 	}
 }
 
@@ -150,7 +68,7 @@ func TestDistanceMatrix(t *testing.T) {
 	s := New(c)
 	const n = 4
 	for i := 0; i < n; i++ {
-		if err := s.Append(i, frame(int64(i), float64(i)*0.5)); err != nil {
+		if err := s.Append(frame(int64(i), float64(i)*0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +110,7 @@ func TestPipelinePreservesOrder(t *testing.T) {
 	frames := make([]*tensor.Tensor, 12)
 	for i := range frames {
 		frames[i] = frame(int64(i), float64(i)*0.1)
-		if err := serial.Append(i, frames[i]); err != nil {
+		if err := serial.Append(frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,8 +127,8 @@ func TestPipelinePreservesOrder(t *testing.T) {
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(piped) != serial.Len() {
-		t.Fatalf("pipeline committed %d frames, want %d", len(piped), serial.Len())
+	if len(piped) != len(serial.frames) {
+		t.Fatalf("pipeline committed %d frames, want %d", len(piped), len(serial.frames))
 	}
 	for i, a := range piped {
 		if labels[i] != i {
@@ -260,42 +178,5 @@ func TestCodecPipelineGeneric(t *testing.T) {
 		if e := back.MaxAbsDiff(frames[i]); e > 1e-4 {
 			t.Errorf("frame %d round trip error %g", i, e)
 		}
-	}
-}
-
-func TestFissionViaSeries(t *testing.T) {
-	// The §V-C pipeline expressed through the series API.
-	settings := core.DefaultSettings(16, 16, 16)
-	c, err := core.NewCompressor(settings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(c)
-	for i, f := range data.FissionSeries(9, 32, 32, 48) {
-		if err := s.Append(data.FissionTimeSteps[i], f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts, err := s.L2Distances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := LargestTransition(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.FromLabel != data.ScissionAfterStep {
-		t.Errorf("scission detected after %d, want %d", best.FromLabel, data.ScissionAfterStep)
-	}
-	// The scission must be among the peaks at 3× median.
-	peaks := Peaks(ts, 3)
-	found := false
-	for _, p := range peaks {
-		if p.FromLabel == data.ScissionAfterStep {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("scission transition missing from peaks")
 	}
 }

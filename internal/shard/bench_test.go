@@ -72,7 +72,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 	ds, single := benchDataset(b, dir)
 	singleEng := query.New(single, query.Options{})
 
-	man := ds.Manifest()
+	man := ds.man
 	shardEngines := make([]*query.Engine, len(man.Shards))
 	for s, sh := range man.Shards {
 		r, err := store.OpenReaderMmap(filepath.Join(dir, sh.Path))

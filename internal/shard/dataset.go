@@ -128,9 +128,6 @@ func (d *Dataset) Close() error {
 	return errors.Join(errs...)
 }
 
-// Manifest returns the dataset's manifest.
-func (d *Dataset) Manifest() *Manifest { return d.man }
-
 // Shards returns the number of shards.
 func (d *Dataset) Shards() int { return len(d.readers) }
 

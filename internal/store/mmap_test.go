@@ -432,7 +432,6 @@ func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []floa
 	array(coder.Decompress(a))
 	if ar, ok := coder.(codec.Arith); ok {
 		compressed(ar.Add(a, b))
-		compressed(ar.Negate(a))
 		compressed(ar.MulScalar(a, -2))
 	}
 	if ops, ok := coder.(codec.Ops); ok {
@@ -453,9 +452,10 @@ func frameAnswers(t *testing.T, coder codec.Coder, a, b codec.Compressed) []floa
 		scalar(lo, err)
 		scalar(hi, nil)
 	}
-	if g, ok := coder.(interface{ Compressor() *core.Compressor }); ok {
-		c := g.Compressor()
-		ca, cb := a.(*core.CompressedArray), b.(*core.CompressedArray)
+	if ca, ok := a.(*core.CompressedArray); ok {
+		c, err := core.NewCompressor(ca.Settings)
+		must(err)
+		cb := b.(*core.CompressedArray)
 		compressed(c.Negate(ca))
 		compressed(c.MulScalar(ca, -2))
 		compressed(c.Add(ca, cb))

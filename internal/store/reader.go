@@ -104,10 +104,6 @@ func OpenReaderMmap(path string) (*Reader, error) {
 	return openReaderMmap(path)
 }
 
-// Mapped reports whether the reader serves from a memory mapping
-// (OpenReaderMmap on a supporting platform) rather than file reads.
-func (r *Reader) Mapped() bool { return r.mem != nil }
-
 // NewReader parses a store from any positioned reader of the given total
 // size — an *os.File, a *bytes.Reader over a memory-mapped or in-memory
 // image, etc. Version 1 and version 2 stores both parse; see the

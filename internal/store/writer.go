@@ -127,9 +127,6 @@ func (w *Writer) WriteFrameWithSpec(label int, payload []byte, spec string) erro
 	return nil
 }
 
-// Count returns the number of frames appended so far.
-func (w *Writer) Count() int { return len(w.entries) }
-
 // Close writes the footer (spec table + frame index) and trailer. It
 // does not close the underlying writer. A store closed with zero frames
 // is valid and opens as an empty Reader.

@@ -29,21 +29,6 @@ func (b *Blocked) Block(k int) []float64 {
 	return b.Data[k*v : (k+1)*v]
 }
 
-// PaddedShape returns the zero-padded shape b⊙i.
-func (b *Blocked) PaddedShape() []int { return Mul(b.Blocks, b.BlockShape) }
-
-// Clone returns a deep copy of b.
-func (b *Blocked) Clone() *Blocked {
-	c := &Blocked{
-		Shape:      append([]int(nil), b.Shape...),
-		BlockShape: append([]int(nil), b.BlockShape...),
-		Blocks:     append([]int(nil), b.Blocks...),
-		Data:       make([]float64, len(b.Data)),
-	}
-	copy(c.Data, b.Data)
-	return c
-}
-
 // ValidBlockShape reports whether every extent of i is a power of two, the
 // restriction the paper places on block shapes.
 func ValidBlockShape(i []int) bool {

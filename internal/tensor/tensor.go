@@ -166,18 +166,6 @@ func CeilDiv(s, i []int) []int {
 	return out
 }
 
-// Mul multiplies two shapes element-wise (the padded shape b⊙i).
-func Mul(a, b []int) []int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v", a, b))
-	}
-	out := make([]int, len(a))
-	for d := range a {
-		out[d] = a[d] * b[d]
-	}
-	return out
-}
-
 // NextIndex advances a multi-index idx through shape in row-major order.
 // It returns false when the iteration is exhausted.
 func NextIndex(idx, shape []int) bool {
@@ -212,11 +200,6 @@ func (t *Tensor) Add(u *Tensor) *Tensor {
 // Sub returns t − u element-wise.
 func (t *Tensor) Sub(u *Tensor) *Tensor {
 	return t.binary(u, func(a, b float64) float64 { return a - b })
-}
-
-// MulElem returns t ⊙ u element-wise.
-func (t *Tensor) MulElem(u *Tensor) *Tensor {
-	return t.binary(u, func(a, b float64) float64 { return a * b })
 }
 
 // Neg returns −t.
@@ -363,18 +346,6 @@ func (t *Tensor) MaxAbsDiff(u *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// MeanAbsDiff returns the mean absolute difference between t and u.
-func (t *Tensor) MeanAbsDiff(u *Tensor) float64 {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	s := 0.0
-	for i := range t.data {
-		s += math.Abs(t.data[i] - u.data[i])
-	}
-	return s / float64(len(t.data))
 }
 
 // RMSE returns the root-mean-square error between t and u.

@@ -40,8 +40,9 @@ func occupiedShapes(kind Kind) [][]int {
 }
 
 // checkOccupied runs InverseOccupied and Inverse on the block that holds
-// vals at the positions occ marks and +0 elsewhere, and compares them.
-func checkOccupied(t *testing.T, plan *Plan, occ []bool, vals func() float64) {
+// vals at the positions occ marks and +0 elsewhere, compares them, and
+// returns InverseOccupied's outputs.
+func checkOccupied(t *testing.T, plan *Plan, occ []bool, vals func() float64) []float64 {
 	t.Helper()
 	want := make([]float64, plan.Vol())
 	marks := make([]uint64, plan.MarkWords())
@@ -68,6 +69,7 @@ func checkOccupied(t *testing.T, plan *Plan, occ []bool, vals func() float64) {
 			t.Fatalf("word %d of the marks is %#x on return, want 0", i, w)
 		}
 	}
+	return got
 }
 
 func TestInverseOccupiedMatchesInverse(t *testing.T) {
@@ -113,6 +115,20 @@ func TestInverseOccupiedMatchesInverse(t *testing.T) {
 						checkOccupied(t, plan, occ, values(special))
 					})
 				}
+				// Every marked entry −2^−1074: each product with a matrix
+				// entry under 1/2 in magnitude underflows to −0. A sum
+				// starts at +0 and adds them unfused, so no output is −0.
+				t.Run(fmt.Sprintf("%v/%v/pattern=%d/underflow", kind, shape, np), func(t *testing.T) {
+					for i := range occ {
+						occ[i] = mark(i)
+					}
+					out := checkOccupied(t, plan, occ, func() float64 { return -0x1p-1074 })
+					for i, v := range out {
+						if v == 0 && math.Signbit(v) {
+							t.Fatalf("element %d = −0, want +0", i)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -89,9 +89,6 @@ func New(kind Kind) *Transform {
 	return &Transform{kind: kind, mats: make(map[int][]float64)}
 }
 
-// Kind returns the transform kind.
-func (t *Transform) Kind() Kind { return t.kind }
-
 // Matrix returns the flat s×s orthonormal matrix for block size s,
 // computing and caching it on first use. Entry (α, γ) is at index α*s+γ.
 func (t *Transform) Matrix(s int) []float64 {
