@@ -404,7 +404,7 @@ func runServe(args []string) error {
 	commitEvery := fs.Int("commit-every", 64, "-ingest: commit after this many pending frames (0 disables the count trigger)")
 	commitBytes := fs.Int64("commit-bytes", 0, "-ingest: commit after this many pending payload bytes (0 disables)")
 	commitInterval := fs.Duration("commit-interval", 5*time.Second, "-ingest: commit pending frames at least this often (0 disables)")
-	compactBytes := fs.Int64("compact-bytes", 4<<20, "-ingest: rewrite the store once superseded footers exceed this many dead bytes (0 disables)")
+	compactBytes := fs.Int64("compact-bytes", 4<<20, "-ingest: rewrite the store once superseded footers and record framing exceed this many dead bytes (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func main() {
 		if res.Committed {
 			state = "committed"
 		}
-		fmt.Printf("step %6d: sent labels %d..%d (%s, %d frames durable in WAL)\n",
+		fmt.Printf("step %6d: sent labels %d..%d (%s, %d frames durable in the store log)\n",
 			sim.StepCount(), pending[0].Label, pending[len(pending)-1].Label, state, res.Pending)
 		pending = pending[:0]
 	}

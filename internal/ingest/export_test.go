@@ -1,7 +1,7 @@
 package ingest
 
-// DeadBytes reports the bytes superseded footers occupy — the
-// compaction trigger's input.
+// DeadBytes reports the bytes superseded footers and record framing
+// occupy — the compaction trigger's input.
 func (s *Store) DeadBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -17,7 +17,7 @@ func (s *Store) Pending() int {
 
 // Abort drops every handle without committing — the crash seam for
 // recovery tests: the files on disk are left exactly as a power cut
-// at this instant would, WAL tail and all.
+// at this instant would, log tail and all.
 func (s *Store) Abort() {
 	s.mu.Lock()
 	if s.closed {
@@ -31,7 +31,6 @@ func (s *Store) Abort() {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.wal.Close()
 	s.f.Close()
 	if old := s.cur.Swap(nil); old != nil {
 		old.release()

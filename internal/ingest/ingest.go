@@ -1,29 +1,26 @@
 // Package ingest turns the append-once store into a crash-safe
-// appendable one: frames stream in over an API, land durably in a
-// write-ahead log beside the store file, and fold into the store under
-// a fresh footer on a commit policy (every N frames, B bytes, or T
-// seconds), while queries keep running against atomically swapped
-// read views.
+// appendable one: frames stream in over an API, land durably in a log
+// at the store file's tail, and come under a fresh footer on a commit
+// policy (every N frames, B bytes, or T seconds), while queries keep
+// running against atomically swapped read views.
 //
 // # Durability model
 //
-// The store file's trailer is its commit record; everything a commit
-// writes — frame payloads, then a new footer and trailer — is appended
-// strictly after the previous trailer, so the bytes of the last commit
-// are never overwritten. A crash at any byte offset therefore leaves a
-// valid store prefix; reopening finds it by backward trailer scan
-// (store.RecoverCommittedSize) and truncates the torn tail.
+// The store file's trailer is its commit record. Everything after the
+// last trailer is the log: each accepted batch appends its frames
+// there as length+CRC-framed records, fsynced before the ingest call
+// returns, so a 200 means the batch survives a crash. A commit appends
+// only a footer and trailer after the records, its entries pointing at
+// the payloads inside them; the bytes of the last commit are never
+// overwritten. Reopening finds the last commit by backward trailer
+// scan (store.RecoverCommittedSize), keeps the intact record prefix
+// after it, truncates the torn rest, and commits before the first
+// query. Between commits the file ends in records, so a plain store
+// reader refuses it until the next commit or Close.
 //
-// Frames accepted between commits live in the WAL ("<store>.wal"),
-// fsynced before the ingest call returns: a 200 means the batch
-// survives a crash. On reopen the WAL's intact record prefix replays
-// into the store (deduplicated by label, covering a crash between
-// footer fsync and WAL truncate) and torn trailing bytes are
-// discarded.
-//
-// Superseded footers remain as dead bytes inside the data region; a
-// background compactor rewrites the store (temp file + rename, the
-// pack idiom) once they pass a threshold.
+// Superseded footers and record framing remain as dead bytes inside
+// the data region; a background compactor rewrites the store (temp
+// file + rename, the pack idiom) once they pass a threshold.
 //
 // # Read views
 //
@@ -68,11 +65,12 @@ type Options struct {
 	CommitBytes int64
 	// CommitInterval commits pending frames at least this often; ≤ 0
 	// disables the timer. With every trigger disabled, frames stay in
-	// the WAL until Commit or Close.
+	// the log at the store file's tail, durable but not queryable, until
+	// Commit or Close.
 	CommitInterval time.Duration
-	// CompactBytes rewrites the store once superseded footers exceed
-	// this many dead bytes; ≤ 0 disables auto-compaction (Compact
-	// still works).
+	// CompactBytes rewrites the store once superseded footers and
+	// record framing exceed this many dead bytes; ≤ 0 disables
+	// auto-compaction (Compact still works).
 	CompactBytes int64
 	// CacheBytes budgets the decoded-frame cache shared across view
 	// generations; ≤ 0 disables caching.
@@ -112,31 +110,36 @@ func (v *view) release() {
 // payload capabilities, so the HTTP layer serves it like any other
 // backend.
 type Store struct {
-	path    string
-	walPath string
-	opts    Options
+	path string
+	opts Options
 
 	defaultCoder codec.Coder
 	defaultCanon string
 	cache        *query.Cache
 
-	mu            sync.Mutex
-	f             *os.File // data file, positioned writes only
-	wal           *wal
-	committedSize int64             // bytes of the current commit's image
-	footerOff     int64             // where the current footer starts
-	entries       []store.FrameInfo // committed index, commit order
-	extraSpecs    []string          // interned non-default specs, ids 1..n
-	specIDs       map[string]int    // canonical spec → id (0 = default)
-	labels        map[int]struct{}  // committed + pending + reserved
-	pending       []walRecord       // accepted, not yet under a footer
-	pendingBytes  int64             // payload bytes in pending
-	deadBytes     int64             // superseded footer bytes in the data region
-	closed        bool
+	mu           sync.Mutex
+	f            *os.File          // store file, positioned writes only
+	size         int64             // bytes in use: the last commit, then the log
+	footerOff    int64             // where the current footer starts
+	entries      []store.FrameInfo // committed index, commit order
+	extraSpecs   []string          // interned non-default specs, ids 1..n
+	specIDs      map[string]int    // canonical spec → id (0 = default)
+	labels       map[int]struct{}  // committed + pending + reserved
+	pending      []pendingFrame    // logged, not yet under a footer
+	pendingBytes int64             // payload bytes in pending
+	deadBytes    int64             // data-region bytes that are not live payloads
+	closed       bool
 
 	cur  atomic.Pointer[view]
 	stop chan struct{}
 	bg   sync.WaitGroup
+}
+
+// pendingFrame is a logged frame's index entry: the payload lies inside
+// its record in the store file, and the spec id is assigned at commit.
+type pendingFrame struct {
+	store.FrameInfo
+	spec string
 }
 
 // Create initializes an empty appendable store at path (failing if the
@@ -174,11 +177,16 @@ func Create(path string, opts Options) (*Store, error) {
 }
 
 // Open opens the appendable store at path, recovering from a crash if
-// the file ends in a torn commit: the last valid footer is located by
-// backward scan, the tail truncated, and the WAL's intact records are
-// replayed (frames the footer already covers are dropped by label) and
-// committed before the first query runs.
+// the file does not end in a commit: the last valid footer is located
+// by backward scan, the intact records logged after it are kept (frames
+// the footer already covers are dropped by label), the torn rest is
+// truncated, and the kept frames are committed before the first query
+// runs. Open refuses a store whose older-release "<store>.wal" still
+// holds frames.
 func Open(path string, opts Options) (*Store, error) {
+	if err := retireWAL(path + ".wal"); err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
@@ -200,22 +208,17 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 	r, err := store.NewReader(f, size)
 	committed := size
 	if err != nil {
-		// Torn tail: find the last durable commit and cut back to it.
+		// The file ends in log records or a torn commit: find the last
+		// durable commit; what follows it is the log.
 		committed, r, err = store.RecoverCommittedSize(f, size)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: %s has no recoverable commit: %w", path, err)
 		}
-		if err := f.Truncate(committed); err != nil {
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			return nil, err
-		}
 	}
 	// Commits append v2 footers (spec table + 30-byte entries); on a
 	// version-1 file the header byte would still say 1, so the next
-	// reader would parse the new footer with v1 entry sizes and fail —
-	// after the WAL was already truncated. Refuse up front.
+	// reader would parse the new footer with v1 entry sizes and fail,
+	// losing every frame logged since. Refuse up front.
 	if r.Version() != 2 {
 		return nil, fmt.Errorf("ingest: %s is a version-%d store; rewrite it with `goblaz pack` before ingesting",
 			path, r.Version())
@@ -258,16 +261,15 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 	}
 
 	s := &Store{
-		path:          path,
-		walPath:       path + ".wal",
-		opts:          opts,
-		defaultCoder:  coder,
-		defaultCanon:  canon,
-		cache:         query.NewCache(opts.CacheBytes),
-		f:             f,
-		committedSize: committed,
-		labels:        map[int]struct{}{},
-		stop:          make(chan struct{}),
+		path:         path,
+		opts:         opts,
+		defaultCoder: coder,
+		defaultCanon: canon,
+		cache:        query.NewCache(opts.CacheBytes),
+		f:            f,
+		size:         committed,
+		labels:       map[int]struct{}{},
+		stop:         make(chan struct{}),
 	}
 	if err := s.adoptIndexLocked(r); err != nil {
 		return nil, fmt.Errorf("ingest: %s %w", path, err)
@@ -276,43 +278,14 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 		s.labels[e.Label] = struct{}{}
 	}
 
-	// Replay the WAL's intact prefix. Records whose label the store
-	// already holds were committed by a footer whose WAL truncate never
-	// landed; drop them. Torn trailing bytes are a crash mid-append of
-	// a batch that was never acknowledged; drop those too.
-	recs, validLen, tornBytes, err := replayWAL(s.walPath)
-	if err != nil {
+	if err := s.recoverLogLocked(size); err != nil {
 		return nil, err
-	}
-	if tornBytes > 0 {
-		discardedTotal.Inc()
-	}
-	s.wal, err = openWAL(s.walPath, validLen)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range recs {
-		if _, dup := s.labels[rec.label]; dup {
-			discardedTotal.Inc()
-			continue
-		}
-		s.labels[rec.label] = struct{}{}
-		s.pending = append(s.pending, rec)
-		s.pendingBytes += int64(len(rec.payload))
-		replayedTotal.Inc()
-	}
-	if len(s.pending) > 0 {
-		if err := s.commitLocked(context.Background()); err != nil {
-			s.wal.Close()
-			return nil, err
-		}
 	}
 	// commitLocked tolerates a failed view swap (queries just stay on
 	// the previous generation), but Open has no previous generation —
 	// retry here and fail the open if the store still will not map.
 	if s.cur.Load() == nil {
 		if err := s.swapViewLocked(); err != nil {
-			s.wal.Close()
 			return nil, err
 		}
 	}
@@ -322,6 +295,55 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 	s.bg.Add(1)
 	go s.background()
 	return s, nil
+}
+
+// recoverLogLocked keeps the intact record prefix logged after the last
+// commit (which ends at s.size) in a file of size bytes, and commits it.
+// A record whose label is committed or already kept is no frame anyone
+// was promised (a batch is acknowledged only under labels no other
+// frame holds): it is dropped. Torn trailing bytes are a crash
+// mid-append of a batch that was never acknowledged; they are
+// truncated away.
+func (s *Store) recoverLogLocked(size int64) error {
+	if size == s.size {
+		return nil
+	}
+	tail := make([]byte, size-s.size)
+	if _, err := s.f.ReadAt(tail, s.size); err != nil {
+		return fmt.Errorf("ingest: reading %s's log: %w", s.path, err)
+	}
+	logged, n := parseLog(tail, s.size)
+	if n < int64(len(tail)) {
+		discardedTotal.Inc()
+	}
+	for _, p := range logged {
+		if _, dup := s.labels[p.Label]; dup {
+			discardedTotal.Inc()
+			continue
+		}
+		s.labels[p.Label] = struct{}{}
+		s.pending = append(s.pending, p)
+		s.pendingBytes += p.Length
+		replayedTotal.Inc()
+	}
+	if len(s.pending) > 0 {
+		s.size += n
+	}
+	if s.size < size {
+		if err := s.f.Truncate(s.size); err != nil {
+			return err
+		}
+	}
+	// A kept record may sit only in the page cache (a crash between a
+	// batch's write and its fsync); it must be durable before a footer
+	// points at it.
+	if err := s.f.Sync(); err != nil {
+		return err
+	}
+	if len(s.pending) == 0 {
+		return nil
+	}
+	return s.commitLocked(context.Background())
 }
 
 func lookupCoder(spec string) (codec.Coder, error) {
@@ -339,7 +361,8 @@ func lookupCoder(spec string) (codec.Coder, error) {
 // adoptIndexLocked takes the store's index — frames, interned specs,
 // footer position, dead bytes — from a reader over the committed image.
 // Dead bytes are what the data region holds beyond live payloads:
-// footers superseded by earlier commits (none after a compaction).
+// footers superseded by earlier commits and the framing of the log
+// records payloads were committed in (none after a compaction).
 func (s *Store) adoptIndexLocked(r *store.Reader) error {
 	specs := r.Specs()
 	extraSpecs := specs[1:]
@@ -399,9 +422,10 @@ func (s *Store) background() {
 }
 
 // Ingest accepts a batch of frames: compresses them concurrently,
-// appends them to the WAL with one fsync, and commits if the batch
-// crosses the commit policy. On return the batch is durable; frames
-// become queryable at the commit the result reports or a later one.
+// appends them to the log at the store file's tail with one write and
+// one fsync, and commits if the batch crosses the commit policy. On
+// return the batch is durable; frames become queryable at the commit
+// the result reports or a later one.
 // Implements api.Ingestor.
 func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.IngestResult, error) {
 	ctx, span := obs.DefaultTracer.Start(ctx, "ingest.append")
@@ -464,7 +488,7 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	}
 
 	// Compress outside the lock: concurrent batches overlap here. Each
-	// frame fills its own slot, so the WAL keeps the batch's order.
+	// frame fills its own slot, so the log keeps the batch's order.
 	recs := make([]walRecord, len(frames))
 	errs := make([]error, len(frames))
 	err := tensor.ParallelForCoarseCtx(ctx, len(frames), func(i int) {
@@ -485,7 +509,8 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 		return nil, api.FromError(err)
 	}
 
-	// Accept: one WAL write, one fsync, then the batch is durable.
+	// Accept: one write at the log's end, one fsync, then the batch is
+	// durable.
 	size := 0
 	for i := range recs {
 		size += recs[i].encodedLen()
@@ -502,14 +527,24 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 		}
 		return nil, api.Errorf(api.CodeUnavailable, "ingest store is closed")
 	}
-	if err := s.wal.append(buf); err != nil {
+	if _, err = s.f.WriteAt(buf, s.size); err == nil {
+		start := time.Now()
+		err = s.f.Sync()
+		walFsyncSeconds.ObserveDuration(time.Since(start))
+	}
+	if err != nil {
 		for _, f := range frames {
 			delete(s.labels, f.Label)
 		}
-		return nil, api.FromError(err)
+		return nil, api.FromError(fmt.Errorf("ingest: appending to the log: %w", err))
 	}
-	s.pending = append(s.pending, recs...)
-	s.pendingBytes += walPayloadBytes(recs)
+	walBytesTotal.Add(uint64(len(buf)))
+	for i := range recs {
+		p := recs[i].frameAt(s.size)
+		s.size += int64(recs[i].encodedLen())
+		s.pending = append(s.pending, p)
+		s.pendingBytes += p.Length
+	}
 	framesTotal.Add(uint64(len(recs)))
 	batchesTotal.Inc()
 	pendingFrames.Set(int64(len(s.pending)))
@@ -519,7 +554,7 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	if (s.opts.CommitFrames > 0 && len(s.pending) >= s.opts.CommitFrames) ||
 		(s.opts.CommitBytes > 0 && s.pendingBytes >= s.opts.CommitBytes) {
 		if err := s.commitLocked(ctx); err != nil {
-			// The batch is durable in the WAL; the commit retries on the
+			// The batch is durable in the log; the commit retries on the
 			// next trigger. Report it uncommitted rather than failing.
 			res.Pending = len(s.pending)
 			res.Frames = len(s.entries)
@@ -532,7 +567,7 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	return res, nil
 }
 
-// compressFrame turns one validated frame into its WAL record: compress
+// compressFrame turns one validated frame into its log record: compress
 // under coder (the frame's own or the store default), then encode. The
 // tensor wraps f.Data without copying — Ingest has checked the shape
 // against the length, and nothing keeps the tensor past this call.
@@ -559,14 +594,6 @@ func (s *Store) compressFrame(f api.IngestFrame, coder codec.Coder) (walRecord, 
 	return walRecord{label: f.Label, spec: spec, payload: payload}, nil
 }
 
-func walPayloadBytes(recs []walRecord) int64 {
-	var n int64
-	for _, rec := range recs {
-		n += int64(len(rec.payload))
-	}
-	return n
-}
-
 // Commit folds every pending frame into the store under a fresh footer
 // and swaps the read view. A no-op with nothing pending.
 func (s *Store) Commit(ctx context.Context) error {
@@ -581,12 +608,13 @@ func (s *Store) Commit(ctx context.Context) error {
 	return s.commitLocked(ctx)
 }
 
-// commitLocked runs the commit sequence: append pending payloads after
-// the current trailer, fsync, write the new footer + trailer, fsync,
-// truncate the WAL. The previous commit's bytes are never touched, so
-// a crash anywhere in the sequence loses nothing: before the new
-// trailer is durable, recovery lands on the old commit and replays the
-// WAL; after, the new commit stands and the stale WAL dedups away.
+// commitLocked runs the commit sequence: write a footer + trailer
+// indexing the pending frames' payloads inside their log records after
+// the last record, and fsync. The records were fsynced when their
+// batches were accepted, and the previous commit's bytes are never
+// touched, so a crash anywhere in the sequence loses nothing: before
+// the new trailer is durable, recovery lands on the old commit and
+// keeps the records after it; after, the new commit stands.
 func (s *Store) commitLocked(ctx context.Context) error {
 	_, span := obs.DefaultTracer.Start(ctx, "ingest.commit")
 	defer span.End()
@@ -599,43 +627,36 @@ func (s *Store) commitLocked(ctx context.Context) error {
 		commitFailures.Inc()
 		return err
 	}
-	writeOff := s.committedSize
-	data := make([]byte, 0, s.pendingBytes) // the exact sum of the payloads
 	newEntries := s.entries
-	for _, rec := range s.pending {
-		id, err := s.internSpecLocked(rec.spec)
+	for _, p := range s.pending {
+		id, err := s.internSpecLocked(p.spec)
 		if err != nil {
 			return fail(err)
 		}
-		newEntries = append(newEntries, store.FrameInfo{
-			Label:  rec.label,
-			Offset: writeOff + int64(len(data)),
-			Length: int64(len(rec.payload)),
-			CRC32:  crc32.ChecksumIEEE(rec.payload),
-			SpecID: id,
-		})
-		data = append(data, rec.payload...)
+		e := p.FrameInfo
+		e.SpecID = id
+		newEntries = append(newEntries, e)
 	}
-	if _, err := s.f.WriteAt(data, writeOff); err != nil {
-		return fail(fmt.Errorf("ingest: appending frames: %w", err))
-	}
-	if err := s.f.Sync(); err != nil {
-		return fail(fmt.Errorf("ingest: syncing frames: %w", err))
-	}
-	footerOff := writeOff + int64(len(data))
+	footerOff := s.size
 	footer := store.EncodeFooter(nil, s.extraSpecs, newEntries, footerOff)
+	end := footerOff + int64(len(footer))
 	if _, err := s.f.WriteAt(footer, footerOff); err != nil {
 		return fail(fmt.Errorf("ingest: writing footer: %w", err))
+	}
+	// A failed append or commit may have left bytes past the new
+	// trailer; readers need the file to end in it.
+	if err := s.f.Truncate(end); err != nil {
+		return fail(fmt.Errorf("ingest: truncating after the footer: %w", err))
 	}
 	if err := s.f.Sync(); err != nil {
 		return fail(fmt.Errorf("ingest: syncing footer: %w", err))
 	}
 
 	// The new trailer is durable: this is the commit point. The old
-	// footer (committedSize − footerOff of the previous generation) is
-	// now dead weight inside the data region.
-	s.deadBytes += s.committedSize - s.footerOff
-	s.committedSize = footerOff + int64(len(footer))
+	// footer and the new records' framing are now dead weight inside
+	// the data region, which grew by everything but the new payloads.
+	s.deadBytes += footerOff - s.footerOff - s.pendingBytes
+	s.size = end
 	s.footerOff = footerOff
 	s.entries = newEntries
 	s.pending = nil
@@ -644,23 +665,19 @@ func (s *Store) commitLocked(ctx context.Context) error {
 	pendingFrames.Set(0)
 	pendingBytes.Set(0)
 
-	// Past the commit point, failures are cleanup failures, not commit
-	// failures: reporting them as errors would tell an Ingest caller the
-	// batch is uncommitted (and Close would surface an error) for frames
-	// that are durable under the new trailer. Count them and succeed — a
-	// stale WAL only costs label dedup on the next open, and a failed
-	// view swap leaves queries on the previous generation until the next
-	// commit (or openLocked) retries the swap.
-	if err := s.wal.reset(); err != nil {
-		cleanupFailures.Inc()
-	}
+	// Past the commit point, a failure is a cleanup failure, not a
+	// commit failure: reporting it as an error would tell an Ingest
+	// caller the batch is uncommitted (and Close would surface an error)
+	// for frames that are durable under the new trailer. Count it and
+	// succeed — a failed view swap leaves queries on the previous
+	// generation until the next commit (or openLocked) retries the swap.
 	if err := s.swapViewLocked(); err != nil {
 		cleanupFailures.Inc()
 	}
 	return nil
 }
 
-// internSpecLocked resolves a WAL record's spec to a footer spec id,
+// internSpecLocked resolves a logged frame's spec to a footer spec id,
 // interning new specs into the table.
 func (s *Store) internSpecLocked(spec string) (int, error) {
 	if spec == "" {
@@ -709,10 +726,11 @@ func (s *Store) acquireView() (*view, error) {
 	}
 }
 
-// Compact rewrites the store with only live bytes — payloads and one
-// footer — reclaiming the dead footers successive commits leave
-// behind. Readers on older generations keep the pre-compaction inode
-// alive until their queries finish.
+// Compact commits what is pending, then rewrites the store with only
+// live bytes — payloads and one footer — reclaiming the dead footers
+// and record framing successive commits leave behind. Readers on older
+// generations keep the pre-compaction inode alive until their queries
+// finish.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -723,6 +741,14 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
+	// Commit first: the file then ends in a trailer, so the rewrite
+	// below carries every frame and no log record is left behind.
+	if len(s.pending) > 0 {
+		if err := s.commitLocked(context.Background()); err != nil {
+			compactionFailures.Inc()
+			return err
+		}
+	}
 	dir := filepath.Dir(s.path)
 	tmpf, err := os.CreateTemp(dir, ".goblaz-ingest-*")
 	if err != nil {
@@ -800,7 +826,7 @@ func (s *Store) compactLocked() error {
 	}
 	s.f.Close()
 	s.f = nf
-	s.committedSize = st.Size()
+	s.size = st.Size()
 	if err := s.adoptIndexLocked(r); err != nil {
 		return s.failLocked(err)
 	}
@@ -825,7 +851,6 @@ func (s *Store) failLocked(err error) error {
 	compactionFailures.Inc()
 	s.closed = true
 	close(s.stop)
-	s.wal.Close()
 	s.f.Close()
 	if old := s.cur.Swap(nil); old != nil {
 		old.release()
@@ -853,9 +878,6 @@ func (s *Store) Close() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if werr := s.wal.Close(); err == nil {
-		err = werr
-	}
 	if ferr := s.f.Close(); err == nil {
 		err = ferr
 	}

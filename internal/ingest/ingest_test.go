@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -159,6 +160,55 @@ func TestIngestPerFrameSpecAndCompaction(t *testing.T) {
 	}
 }
 
+func TestCompactCommitsPending(t *testing.T) {
+	// Compaction commits what is logged first, so the rewrite carries
+	// every acknowledged frame and leaves nothing after its trailer; the
+	// directory then holds the store file alone.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "compact.gbz")
+	s, err := Create(path, Options{Spec: testSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(0, 8, 8), testFrame(1, 8, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(2, 8, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending() != 0 || s.DeadBytes() != 0 {
+		t.Fatalf("after Compact: %d pending, %d dead bytes", s.Pending(), s.DeadBytes())
+	}
+	if got := len(mustFrames(t, s)); got != 3 {
+		t.Fatalf("after Compact: %d frames, want 3", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != "compact.gbz" {
+		t.Fatalf("directory holds %v, want the store file alone", names)
+	}
+	r, err := store.OpenReaderMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != 3 {
+		t.Fatalf("closed store holds %d frames, want 3", r.Len())
+	}
+}
+
 func TestIngestBadSpecIsBadRequest(t *testing.T) {
 	// A frame whose override spec names no codec fails the whole batch
 	// before anything is compressed or reserved, with the codec
@@ -249,14 +299,18 @@ func TestIngestCancelledBatchLeavesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := []api.IngestFrame{testFrame(0, 16, 16), testFrame(1, 16, 16), testFrame(2, 16, 16)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Ingest(ctx, batch); api.CodeOf(err) != api.CodeCanceled {
 		t.Fatalf("Ingest under a cancelled context = %v (%s), want %s", err, api.CodeOf(err), api.CodeCanceled)
 	}
-	if st, err := os.Stat(path + ".wal"); err != nil || st.Size() != 0 {
-		t.Fatalf("cancelled batch reached the WAL: %v, %v", st, err)
+	if st, err := os.Stat(path); err != nil || st.Size() != before.Size() {
+		t.Fatalf("cancelled batch grew the store file: %v, %v (was %d bytes)", st, err, before.Size())
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("cancelled batch left %d frames pending", s.Pending())
@@ -295,8 +349,7 @@ func writeV1Image(t *testing.T, path, spec string) {
 func TestOpenRejectsV1Store(t *testing.T) {
 	// Opening a v1 store must fail up front: if it succeeded, the first
 	// commit would write a v2 footer the next reader parses with v1
-	// entry sizes — after the WAL was already truncated — silently
-	// losing acknowledged frames.
+	// entry sizes, silently losing acknowledged frames.
 	path := filepath.Join(t.TempDir(), "old.gbz")
 	writeV1Image(t, path, testSpec)
 	if r, err := store.Open(path); err != nil || r.Version() != 1 {
@@ -314,40 +367,97 @@ func TestOpenRejectsV1Store(t *testing.T) {
 
 func TestCommitCleanupFailureStillCommits(t *testing.T) {
 	// Once the trailer fsync lands, the commit stands; a failure in the
-	// cleanup that follows (here: the WAL truncate, forced by yanking
-	// its fd) must not be reported as a failed commit — and the stale
-	// WAL records must dedup away on the next open.
+	// view swap that follows (here: the path moved away, so the fresh
+	// reader cannot open it, while the open handle still commits) must
+	// not be reported as a failed commit. Queries stay on the previous
+	// view until a later commit retries the swap.
 	path := filepath.Join(t.TempDir(), "cleanup.gbz")
 	s, err := Create(path, Options{Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ctx := context.Background()
 	if _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(0, 8, 8)}); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.wal.f.Close() // wal.reset will now fail after the commit point
-	s.mu.Unlock()
+	moved := path + ".moved"
+	if err := os.Rename(path, moved); err != nil {
+		t.Fatal(err)
+	}
+	failures := cleanupFailures.Value()
 	if err := s.Commit(ctx); err != nil {
 		t.Fatalf("Commit reported failure for a landed commit: %v", err)
+	}
+	if got := cleanupFailures.Value() - failures; got != 1 {
+		t.Fatalf("view swap failures counted %d, want 1", got)
+	}
+	if got := mustFrames(t, s); len(got) != 0 {
+		t.Fatalf("queries left the previous view after a failed swap: %d frames", len(got))
+	}
+	if err := os.Rename(moved, path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(1, 8, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustFrames(t, s); len(got) != 2 {
+		t.Fatalf("after the retried swap: %d frames, want 2", len(got))
 	}
 	if fr, err := s.Frame(ctx, 0); err != nil || len(fr.Data) != 64 {
 		t.Fatalf("committed frame not queryable: %v", err)
 	}
-	s.Abort() // the wal handle is already dead; skip Close's error
+}
 
-	// The WAL still holds the committed record; reopen must drop it by
-	// label instead of double-appending.
-	s2, err := Open(path, Options{})
+func TestOpenRemovesEmptyLegacyWAL(t *testing.T) {
+	// A clean Close under the older two-file layout left "<store>.wal"
+	// empty: Open removes it, and the store holds only its own file.
+	path := filepath.Join(t.TempDir(), "old.gbz")
+	s, err := Create(path, Options{Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if got, err := s2.Frames(ctx); err != nil || len(got) != 1 {
-		t.Fatalf("after reopen: %d frames, %v (want 1)", len(got), err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if s2.Pending() != 0 {
-		t.Fatalf("stale WAL record replayed as pending: %d", s2.Pending())
+	if err := os.WriteFile(path+".wal", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(path + ".wal"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("empty legacy WAL still there: %v", err)
+	}
+}
+
+func TestOpenRefusesNonEmptyLegacyWAL(t *testing.T) {
+	// A non-empty "<store>.wal" holds acknowledged frames the store file
+	// does not: Open must refuse, name the file and leave it alone.
+	path := filepath.Join(t.TempDir(), "old.gbz")
+	s, err := Create(path, Options{Spec: testSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := appendWALRecord(nil, walRecord{label: 3, payload: []byte{1, 2, 3}})
+	if err := os.WriteFile(path+".wal", rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(path, Options{}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a store whose legacy WAL holds frames")
+	} else if !strings.Contains(err.Error(), path+".wal") || !strings.Contains(err.Error(), "older release") {
+		t.Fatalf("Open error = %v, want one naming %s and the older release", err, path+".wal")
+	}
+	if got, err := os.ReadFile(path + ".wal"); err != nil || !bytes.Equal(got, rec) {
+		t.Fatalf("legacy WAL changed: %x, %v", got, err)
 	}
 }

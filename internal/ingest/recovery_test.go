@@ -1,14 +1,23 @@
 package ingest
 
 // Crash-recovery matrix: simulate power loss at every byte offset of
-// both files an appendable store owns — the WAL torn at every length,
-// and the data file cut at every offset a mid-commit crash can leave —
-// then reopen and require that the committed prefix survives intact
-// and the WAL tail either replays or is cleanly discarded. Recovered
-// frames are compared against a never-crashed control at 1e-9: the
-// compressed bits are identical, so recovery must be exact.
+// the store file's tail — the log of pending records torn at every
+// length, and a commit's footer + trailer cut at every offset — then
+// reopen and require that the committed prefix survives intact and the
+// logged records either recover as a whole-record prefix or are cleanly
+// discarded. Recovered frames are compared against a never-crashed
+// control at 1e-9: the compressed bits are identical, so recovery must
+// be exact.
+//
+// Recovery finds the last commit by a backward scan that trusts the
+// last trailer whose footer CRC checks out. A payload that carries a
+// forged footer with a valid CRC would be taken for a commit: possible
+// while a commit is being written, and for the whole time between
+// commits, since the file then ends in records. The matrix covers a
+// payload carrying the trailer magic without a valid footer.
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -27,15 +36,17 @@ import (
 )
 
 // crashState is the disk image of a store that lost power with frames
-// 0..7 committed and frames 8..9 durable only in the WAL, plus the
-// control: what the same store holds after a clean recovery.
+// 0..7 committed and frames 8..9 durable only in the log after the
+// commit, plus the control: what the same store holds after a clean
+// recovery.
 type crashState struct {
-	store   []byte            // data file at the crash (base commit only)
-	wal     []byte            // WAL at the crash (frames 8 and 9)
-	full    []byte            // data file after the control committed the WAL
+	base    int64             // bytes of the commit of frames 0..7
+	log     []byte            // store file at the crash: base commit, then two records
+	full    []byte            // store file after the control committed the records
 	control map[int][]float64 // label → decoded frame data, control store
 	mean    map[int]float64   // label → mean aggregate, control store
-	cuts    []int64           // structural offsets inside full's tail commit
+	payload map[int][]byte    // label → stored payload, control store
+	cuts    []int64           // structural offsets inside full's tail
 }
 
 func buildCrashState(t *testing.T) *crashState {
@@ -58,26 +69,26 @@ func buildCrashState(t *testing.T) *crashState {
 	if err := s.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// No commit trigger is configured, so these two stay WAL-only.
+	cs := &crashState{control: map[int][]float64{}, mean: map[int]float64{}, payload: map[int][]byte{}}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.base = st.Size()
+	// No commit trigger is configured, so these two stay logged only.
 	if _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(8, 6, 8), testFrame(9, 6, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	s.Abort()
-
-	cs := &crashState{control: map[int][]float64{}, mean: map[int]float64{}}
-	if cs.store, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if cs.wal, err = os.ReadFile(path + ".wal"); err != nil {
+	if cs.log, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
 
-	// The control recovers cleanly: reopening replays and commits the
-	// WAL tail, and its decoded frames are the ground truth every
+	// The control recovers cleanly: reopening commits the logged
+	// records, and its decoded frames are the ground truth every
 	// crashed-and-recovered store must reproduce.
-	cdir := t.TempDir()
-	cpath := filepath.Join(cdir, "live.gbz")
-	writeImage(t, cpath, cs.store, cs.wal)
+	cpath := filepath.Join(t.TempDir(), "live.gbz")
+	writeImage(t, cpath, cs.log)
 	c, err := Open(cpath, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +107,9 @@ func buildCrashState(t *testing.T) *crashState {
 			t.Fatalf("control stats %d: %v", l, err)
 		}
 		cs.mean[l] = float64(st.Aggregates[query.AggMean])
+		if cs.payload[l], err = c.Payload(ctx, l); err != nil {
+			t.Fatalf("control payload %d: %v", l, err)
+		}
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -103,31 +117,32 @@ func buildCrashState(t *testing.T) *crashState {
 	if cs.full, err = os.ReadFile(cpath); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(cs.full[:len(cs.log)], cs.log) {
+		t.Fatal("the control's commit rewrote logged bytes")
+	}
 
-	// Structural offsets of the tail commit: each appended payload's
-	// start and end, the footer start, and the trailer start — the
-	// places a crash interleaves with the commit sequence.
+	// Structural offsets of the tail: each record's start and its
+	// payload's start and end, the footer start, and the trailer start —
+	// the places a crash interleaves with appends and the commit.
 	r, err := store.Open(cpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := int64(len(cs.store))
+	recStart := cs.base
 	for _, e := range r.Frames() {
-		if e.Offset >= base {
-			cs.cuts = append(cs.cuts, e.Offset, e.Offset+e.Length)
+		if e.Offset >= cs.base {
+			cs.cuts = append(cs.cuts, recStart, e.Offset, e.Offset+e.Length)
+			recStart = e.Offset + e.Length
 		}
 	}
-	cs.cuts = append(cs.cuts, int64(len(cs.full))-24) // trailer start
+	cs.cuts = append(cs.cuts, int64(len(cs.log)), int64(len(cs.full))-24) // footer, trailer
 	r.Close()
 	return cs
 }
 
-func writeImage(t *testing.T, path string, storeBytes, walBytes []byte) {
+func writeImage(t *testing.T, path string, image []byte) {
 	t.Helper()
-	if err := os.WriteFile(path, storeBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".wal", walBytes, 0o644); err != nil {
+	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,13 +185,16 @@ func cutPoints(from, to int64, structural []int64) []int64 {
 }
 
 // verifyAgainstControl checks every recovered frame and its mean
-// aggregate against the control at 1e-9, and that the committed prefix
-// (labels 0..7) is fully present.
+// aggregate against the control at 1e-9, that no frame is there twice,
+// and that the committed prefix (labels 0..7) is fully present.
 func verifyAgainstControl(t *testing.T, s *Store, cs *crashState, at string) map[int]bool {
 	t.Helper()
 	ctx := context.Background()
 	present := map[int]bool{}
 	for _, fi := range mustFrames(t, s) {
+		if present[fi.Label] {
+			t.Fatalf("%s: frame %d recovered twice", at, fi.Label)
+		}
 		present[fi.Label] = true
 		want, ok := cs.control[fi.Label]
 		if !ok {
@@ -210,58 +228,142 @@ func verifyAgainstControl(t *testing.T, s *Store, cs *crashState, at string) map
 	return present
 }
 
+// closeAsPlainStore closes a recovered store and requires the file to
+// be a plain store again, holding the n frames recovery reported.
+func closeAsPlainStore(t *testing.T, s *Store, path string, n int, at string) {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatalf("%s: close: %v", at, err)
+	}
+	r, err := store.OpenReaderMmap(path)
+	if err != nil {
+		t.Fatalf("%s: closed store does not open as a plain store: %v", at, err)
+	}
+	defer r.Close()
+	if r.Len() != n {
+		t.Fatalf("%s: closed store holds %d frames, recovery reported %d", at, r.Len(), n)
+	}
+}
+
 func TestCrashRecoveryTornWAL(t *testing.T) {
-	// Power loss mid-WAL-append: the data file holds the base commit,
-	// the WAL is cut at every possible length. The committed prefix must
-	// survive untouched; the WAL replays a whole-record prefix — frame 9
-	// can never appear without frame 8 — and torn bytes vanish.
+	// Power loss mid-append: the store file holds the base commit and is
+	// cut at every offset of the two records logged after it. The
+	// committed prefix must survive untouched; the log recovers a
+	// whole-record prefix — frame 9 can never appear without frame 8 —
+	// and torn bytes vanish.
 	cs := buildCrashState(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "live.gbz")
-	for _, wk := range cutPoints(0, int64(len(cs.wal)), nil) {
-		writeImage(t, path, cs.store, cs.wal[:wk])
+	path := filepath.Join(t.TempDir(), "live.gbz")
+	for _, k := range cutPoints(cs.base, int64(len(cs.log)), cs.cuts) {
+		at := "log cut " + strconv.FormatInt(k, 10)
+		writeImage(t, path, cs.log[:k])
 		s, err := Open(path, Options{})
 		if err != nil {
-			t.Fatalf("wal[:%d]: open: %v", wk, err)
+			t.Fatalf("%s: open: %v", at, err)
 		}
-		present := verifyAgainstControl(t, s, cs, "wal cut "+strconv.FormatInt(wk, 10))
+		present := verifyAgainstControl(t, s, cs, at)
 		if present[9] && !present[8] {
-			t.Fatalf("wal[:%d]: frame 9 replayed without frame 8", wk)
+			t.Fatalf("%s: frame 9 recovered without frame 8", at)
 		}
-		if wk == int64(len(cs.wal)) && (!present[8] || !present[9]) {
-			t.Fatalf("intact WAL did not replay both tail frames: %v", present)
+		if k == int64(len(cs.log)) && (!present[8] || !present[9]) {
+			t.Fatalf("intact log did not recover both tail frames: %v", present)
 		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("wal[:%d]: close: %v", wk, err)
-		}
+		closeAsPlainStore(t, s, path, len(present), at)
 	}
 }
 
 func TestCrashRecoveryTornCommit(t *testing.T) {
-	// Power loss mid-commit: the commit sequence appends payloads, a
-	// footer, and a trailer strictly after the base image, and truncates
-	// the WAL only after the trailer is durable. Cutting the data file
-	// at every offset of that window — mid-frame, between frames,
-	// mid-footer, mid-trailer, and exactly complete (footer durable, WAL
-	// truncate lost) — with the WAL intact must always recover the full
-	// ten frames: either the new commit stands, or recovery falls back
-	// to the base commit and replays the WAL.
+	// Power loss mid-commit: the commit appends a footer and a trailer
+	// after the records, which were durable before it began. Cutting the
+	// file at every offset of that footer + trailer — and at the full
+	// length, the commit durable — must always recover the full ten
+	// frames: either the new commit stands, or recovery falls back to
+	// the base commit and keeps both records.
 	cs := buildCrashState(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "live.gbz")
-	for _, k := range cutPoints(int64(len(cs.store)), int64(len(cs.full)), cs.cuts) {
-		writeImage(t, path, cs.full[:k], cs.wal)
+	path := filepath.Join(t.TempDir(), "live.gbz")
+	for _, k := range cutPoints(int64(len(cs.log)), int64(len(cs.full)), cs.cuts) {
+		at := "commit cut " + strconv.FormatInt(k, 10)
+		writeImage(t, path, cs.full[:k])
 		s, err := Open(path, Options{})
 		if err != nil {
-			t.Fatalf("full[:%d]: open: %v", k, err)
+			t.Fatalf("%s: open: %v", at, err)
 		}
-		present := verifyAgainstControl(t, s, cs, "commit cut "+strconv.FormatInt(k, 10))
+		present := verifyAgainstControl(t, s, cs, at)
 		if len(present) != 10 {
-			t.Fatalf("full[:%d]: recovered %d frames, want 10", k, len(present))
+			t.Fatalf("%s: recovered %d frames, want 10", at, len(present))
 		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("full[:%d]: close: %v", k, err)
+		closeAsPlainStore(t, s, path, len(present), at)
+	}
+}
+
+func TestCrashRecoveryTrailerMagicInPayload(t *testing.T) {
+	// A logged payload that ends in the trailer magic — here a copy of
+	// the base commit's own trailer, whose footer CRC cannot match at
+	// that position — must not stop the backward scan: recovery still
+	// lands on the real commit and keeps every record after it.
+	cs := buildCrashState(t)
+	forged := walRecord{label: 10, payload: cs.log[cs.base-24 : cs.base]}
+	if string(forged.payload[20:]) != "GBZE" {
+		t.Fatalf("base commit does not end in the trailer magic: %q", forged.payload[20:])
+	}
+	path := filepath.Join(t.TempDir(), "live.gbz")
+	writeImage(t, path, appendWALRecord(append([]byte(nil), cs.log...), forged))
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if got := len(mustFrames(t, s)); got != 11 {
+		t.Fatalf("recovered %d frames, want the base 8, the two logged and the forged one", got)
+	}
+	for l := 0; l <= 10; l++ {
+		want := cs.payload[l]
+		if l == 10 {
+			want = forged.payload
 		}
+		if got, err := s.Payload(ctx, l); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d payload = %x, %v; want %x", l, got, err, want)
+		}
+	}
+	closeAsPlainStore(t, s, path, 11, "forged trailer")
+}
+
+func TestCrashRecoveryDropsDuplicateRecords(t *testing.T) {
+	// A logged record whose label is committed, or that repeats an
+	// earlier record, is no frame anyone was promised: recovery drops
+	// and counts it and keeps the first copy. With nothing left to keep,
+	// the file is cut back to its commit.
+	cs := buildCrashState(t)
+	rec8, _, err := parseWALRecord(cs.log[cs.base:])
+	if err != nil || rec8.label != 8 {
+		t.Fatalf("first logged record: label %d, %v", rec8.label, err)
+	}
+	committed := walRecord{label: 3, payload: rec8.payload}
+	path := filepath.Join(t.TempDir(), "live.gbz")
+	for _, tc := range []struct {
+		name   string
+		tail   []walRecord
+		frames int
+	}{
+		{"committed label", []walRecord{committed}, 8},
+		{"committed and repeated labels", []walRecord{committed, rec8, rec8}, 9},
+	} {
+		image := append([]byte(nil), cs.log[:cs.base]...)
+		for _, rec := range tc.tail {
+			image = appendWALRecord(image, rec)
+		}
+		writeImage(t, path, image)
+		discarded := discardedTotal.Value()
+		s, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("%s: open: %v", tc.name, err)
+		}
+		if present := verifyAgainstControl(t, s, cs, tc.name); len(present) != tc.frames {
+			t.Fatalf("%s: recovered %d frames, want %d", tc.name, len(present), tc.frames)
+		}
+		if got, want := discardedTotal.Value()-discarded, uint64(len(tc.tail)-(tc.frames-8)); got != want {
+			t.Fatalf("%s: %d records counted as discarded, want %d", tc.name, got, want)
+		}
+		closeAsPlainStore(t, s, path, tc.frames, tc.name)
 	}
 }
 

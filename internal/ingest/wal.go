@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"time"
+
+	"repro/internal/store"
 )
 
-// The write-ahead log sits next to the store file ("<store>.wal") and
-// holds every accepted-but-uncommitted frame as a self-delimiting
-// record:
+// The store file's tail is its write-ahead log: every accepted but
+// uncommitted frame is a self-delimiting record appended after the
+// last trailer,
 //
 //	length  uint32  // body length
 //	crc32   uint32  // CRC32 (IEEE) of body
@@ -22,16 +23,17 @@ import (
 //	  payload  bytes  // encoded (compressed) frame
 //
 // All integers are big-endian, matching the store format. Appends are
-// fsynced before the ingest call returns — the WAL is the durability
-// point of the 200 response. Replay accepts the longest prefix of
-// intact records: a record cut short by a crash, or whose CRC does not
-// match (a torn in-place write), ends the log, and everything after it
-// is discarded. Commit truncates the file to zero once the frames are
-// durable under a store footer.
+// fsynced before the ingest call returns — the log is the durability
+// point of the 200 response. A commit writes only a footer after the
+// records, whose entries point at the payloads inside them, so a frame
+// is written once. Recovery accepts the longest prefix of intact
+// records after the last commit: a record cut short by a crash, or
+// whose CRC does not match (a torn in-place write), ends the log, and
+// everything after it is discarded.
 
 const walHeaderSize = 4 + 4 // length + crc32
 
-// walRecord is one replayed or pending frame.
+// walRecord is one frame's log record.
 type walRecord struct {
 	label   int
 	spec    string // "" = commit under the store's assignment
@@ -41,6 +43,20 @@ type walRecord struct {
 // encodedLen returns the record's full on-disk length.
 func (r *walRecord) encodedLen() int {
 	return walHeaderSize + 8 + 2 + len(r.spec) + len(r.payload)
+}
+
+// frameAt returns the pending index entry of the record written at
+// file offset off: its payload is the record's last bytes.
+func (r *walRecord) frameAt(off int64) pendingFrame {
+	return pendingFrame{
+		FrameInfo: store.FrameInfo{
+			Label:  r.label,
+			Offset: off + int64(r.encodedLen()-len(r.payload)),
+			Length: int64(len(r.payload)),
+			CRC32:  crc32.ChecksumIEEE(r.payload),
+		},
+		spec: r.spec,
+	}
 }
 
 // appendWALRecord appends the record's on-disk encoding to buf.
@@ -58,8 +74,9 @@ func appendWALRecord(buf []byte, r walRecord) []byte {
 }
 
 // parseWALRecord decodes one record from the front of buf, returning
-// the record and the bytes consumed. An incomplete or corrupt record
-// returns an error — replay treats it as the end of the log.
+// the record, whose payload aliases buf, and the bytes consumed. An
+// incomplete or corrupt record returns an error — recovery treats it
+// as the end of the log.
 func parseWALRecord(buf []byte) (walRecord, int, error) {
 	if len(buf) < walHeaderSize {
 		return walRecord{}, 0, errTornRecord
@@ -81,107 +98,45 @@ func parseWALRecord(buf []byte) (walRecord, int, error) {
 	rec := walRecord{
 		label:   label,
 		spec:    string(blob[10 : 10+specLen]),
-		payload: append([]byte(nil), blob[10+specLen:]...),
+		payload: blob[10+specLen:],
 	}
 	return rec, walHeaderSize + body, nil
 }
 
 var errTornRecord = errors.New("ingest: torn WAL record")
 
-// replayWAL reads the log at path and returns its intact record prefix
-// plus that prefix's byte length. A missing file is an empty log. Torn
-// or corrupt trailing bytes are reported via the tornBytes count, not
-// an error — they are the expected residue of a crash mid-append.
-func replayWAL(path string) (recs []walRecord, validLen int64, tornBytes int64, err error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, 0, nil
-		}
-		return nil, 0, 0, fmt.Errorf("ingest: reading WAL %s: %w", path, err)
-	}
-	rest := blob
-	for len(rest) > 0 {
-		rec, n, err := parseWALRecord(rest)
+// parseLog returns the intact record prefix of tail, the bytes after
+// the last commit, which starts at file offset base, as pending frames
+// plus that prefix's byte length.
+func parseLog(tail []byte, base int64) (frames []pendingFrame, n int64) {
+	for {
+		rec, k, err := parseWALRecord(tail[n:])
 		if err != nil {
-			break
+			return frames, n
 		}
-		recs = append(recs, rec)
-		validLen += int64(n)
-		rest = rest[n:]
+		frames = append(frames, rec.frameAt(base+n))
+		n += int64(k)
 	}
-	return recs, validLen, int64(len(rest)), nil
 }
 
-// wal owns the log file handle and its append position.
-type wal struct {
-	f   *os.File
-	off int64
-}
-
-// openWAL opens (creating if needed) the log at path and truncates any
-// torn tail past validLen, so a later crash cannot resurrect records
-// this recovery already rejected.
-func openWAL(path string, validLen int64) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// retireWAL deals with the "<store>.wal" file older releases kept
+// beside the store. A clean Close left it empty: remove it. A non-empty
+// one holds acknowledged frames the store file does not, so refuse to
+// open rather than drop them.
+func retireWAL(path string) error {
+	st, err := os.Stat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("ingest: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
+	if st.Size() > 0 {
+		return fmt.Errorf("ingest: %s holds %d bytes of frames logged by an older release; "+
+			"open the store once with that release to commit them, then remove the file", path, st.Size())
 	}
-	if st.Size() > validLen {
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
-	return &wal{f: f, off: validLen}, nil
-}
-
-// append writes buf (one or more whole records) at the log's tail and
-// fsyncs, making the records durable before the caller acknowledges
-// them. The fsync latency lands in the WAL fsync histogram.
-func (w *wal) append(buf []byte) error {
-	if _, err := w.f.WriteAt(buf, w.off); err != nil {
-		return fmt.Errorf("ingest: appending WAL: %w", err)
-	}
-	if err := syncTimed(w.f); err != nil {
-		return fmt.Errorf("ingest: syncing WAL: %w", err)
-	}
-	w.off += int64(len(buf))
-	walBytesTotal.Add(uint64(len(buf)))
 	return nil
-}
-
-// reset empties the log after a commit made its frames durable in the
-// store, and fsyncs the truncation so a crash cannot replay frames the
-// footer already covers (replay dedups by label regardless — this just
-// keeps the window where that matters to one commit).
-func (w *wal) reset() error {
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("ingest: truncating WAL: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: syncing WAL truncate: %w", err)
-	}
-	w.off = 0
-	return nil
-}
-
-func (w *wal) Close() error { return w.f.Close() }
-
-// syncTimed fsyncs f and records the latency in the WAL fsync
-// histogram.
-func syncTimed(f interface{ Sync() error }) error {
-	start := time.Now()
-	err := f.Sync()
-	walFsyncSeconds.ObserveDuration(time.Since(start))
-	return err
 }

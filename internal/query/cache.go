@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -34,15 +33,12 @@ type Cache struct {
 	used    int64
 	entries map[cacheKey]*list.Element
 	lru     list.List // front = most recently used
-	hits    int64
-	misses  int64
 
 	// In-flight decode coalescing. A separate lock from mu: waiters
 	// block on a flight's done channel, never while holding either lock,
 	// and mu's hold times stay trivial.
-	fmu       sync.Mutex
-	flights   map[cacheKey]*flight
-	coalesced atomic.Int64
+	fmu     sync.Mutex
+	flights map[cacheKey]*flight
 }
 
 var errDecodePanicked = errors.New("query: the decode this request waited on panicked")
@@ -90,11 +86,9 @@ func (c *Cache) Get(ns uint64, key int) (*tensor.Tensor, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[cacheKey{ns, key}]
 	if !ok {
-		c.misses++
 		cacheMisses.Inc()
 		return nil, false
 	}
-	c.hits++
 	cacheHits.Inc()
 	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).t, true
@@ -165,7 +159,6 @@ func (c *Cache) Decode(ns uint64, key int, decode func() (*tensor.Tensor, error)
 	c.fmu.Lock()
 	if f, ok := c.flights[k]; ok {
 		c.fmu.Unlock()
-		c.coalesced.Add(1)
 		cacheCoalesced.Inc()
 		<-f.done
 		if f.err != nil {

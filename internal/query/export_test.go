@@ -4,13 +4,15 @@ package query
 type CacheStats struct {
 	Budget, Used int64
 	Frames       int
-	Hits, Misses int64
-	// Coalesced counts misses that waited on another caller's in-flight
-	// decode instead of decoding themselves.
-	Coalesced int64
+	// Hits, Misses and Coalesced (misses that waited on another caller's
+	// in-flight decode) read the package counters every Cache adds to,
+	// so a test compares deltas: no query test runs in parallel, so a
+	// delta is the test's own traffic.
+	Hits, Misses, Coalesced uint64
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache's occupancy and the package's
+// cache counters.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
@@ -21,9 +23,9 @@ func (c *Cache) Stats() CacheStats {
 		Budget:    c.budget,
 		Used:      c.used,
 		Frames:    c.lru.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Coalesced: c.coalesced.Load(),
+		Hits:      cacheHits.Value(),
+		Misses:    cacheMisses.Value(),
+		Coalesced: cacheCoalesced.Value(),
 	}
 }
 

@@ -108,6 +108,7 @@ func TestSingleflightHammer(t *testing.T) {
 // not retained — the next generation retries.
 func TestCacheDecodeCoalesces(t *testing.T) {
 	c := NewCache(1 << 20)
+	coalesced := c.Stats().Coalesced
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -129,11 +130,11 @@ func TestCacheDecodeCoalesces(t *testing.T) {
 	<-started
 	// All waiters must reach the flight before the leader finishes.
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Coalesced < 15 {
+	for c.Stats().Coalesced-coalesced < 15 {
 		if time.Now().After(deadline) {
 			close(release)
 			wg.Wait()
-			t.Fatalf("only %d of 15 callers coalesced", c.Stats().Coalesced)
+			t.Fatalf("only %d of 15 callers coalesced", c.Stats().Coalesced-coalesced)
 		}
 		time.Sleep(time.Millisecond)
 	}

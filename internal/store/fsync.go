@@ -11,7 +11,8 @@ import (
 // directory itself has been fsynced — on common filesystems a rename
 // can otherwise vanish on power loss even though the file's own bytes
 // were synced. Every commit-by-rename site (shard manifests and shard
-// stores, the ingest WAL and store files) calls this after the rename.
+// stores, ingest store creation and compaction) calls this after the
+// rename.
 //
 // Filesystems that do not support fsync on directories report EINVAL
 // or ENOTSUP; those are ignored — there is nothing more a process can
