@@ -327,6 +327,41 @@ func TestStoreCLIErrors(t *testing.T) {
 	}
 }
 
+func TestOpenErrorsNamePathAndCause(t *testing.T) {
+	// A store that cannot be opened is the user's to fix: the message
+	// must say which file and why, not the constant text a request's
+	// internal error gets over HTTP.
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.store")
+	_, notExist := os.Open(missing)
+	fixture, err := os.ReadFile("../../internal/store/testdata/v1.store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(dir, "prefix.store")
+	if err := os.WriteFile(prefix, fixture[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, truncated := store.Open(prefix)
+	if notExist == nil || truncated == nil {
+		t.Fatalf("open causes: %v, %v", notExist, truncated)
+	}
+	for _, c := range []struct {
+		name, path string
+		run        func([]string) error
+		cause      error
+	}{
+		{"inspect missing", missing, runInspect, notExist},
+		{"inspect prefix", prefix, runInspect, truncated},
+		{"query prefix", prefix, runQuery, truncated},
+	} {
+		err := c.run([]string{c.path})
+		if err == nil || !strings.Contains(err.Error(), c.path) || !strings.Contains(err.Error(), c.cause.Error()) {
+			t.Errorf("%s = %v, want it to name %s and %q", c.name, err, c.path, c.cause)
+		}
+	}
+}
+
 func TestServeHandler(t *testing.T) {
 	const rows, cols = 8, 8
 	dir := t.TempDir()

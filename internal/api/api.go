@@ -345,11 +345,11 @@ type IngestFrame struct {
 }
 
 // IngestResult reports the outcome of one ingest batch. Accepted
-// frames are durable (fsynced to the write-ahead log) the moment the
-// call returns; they become visible to queries at the next commit.
-// Committed reports whether this batch itself triggered a commit,
-// Pending how many accepted-but-uncommitted frames remain after it,
-// and Frames the store's total committed frame count.
+// frames are durable (fsynced to the log at the store file's tail) the
+// moment the call returns; they become visible to queries at the next
+// commit. Committed reports whether this batch itself triggered a
+// commit, Pending how many accepted-but-uncommitted frames remain after
+// it, and Frames the store's total committed frame count.
 type IngestResult struct {
 	Accepted  int  `json:"accepted"`
 	Pending   int  `json:"pending"`

@@ -2,8 +2,10 @@ package api
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 
 	"repro/internal/query"
@@ -55,23 +57,35 @@ func NewLocal(src Source, run func(context.Context, *query.Request) (*query.Resu
 // OpenLocal opens the store at path with a fresh engine, memory-mapped
 // where the platform supports it so payload serving is zero-copy (the
 // portable fallback is plain positioned reads). Close releases the
-// mapping or file handle.
+// mapping or file handle. An open failure is no request's error: it
+// comes back unclassified, naming path and its cause.
 func OpenLocal(path string, opts query.Options) (*Local, error) {
 	r, err := store.OpenReaderMmap(path)
 	if err != nil {
-		return nil, FromError(err)
+		return nil, openError(path, err)
 	}
 	return NewLocal(r, query.New(r, opts).Run), nil
 }
 
 // OpenSharded opens the dataset described by the manifest at path.
-// Close releases the shard file handles.
+// Close releases the shard file handles. Open failures come back as
+// OpenLocal's do.
 func OpenSharded(path string, opts query.Options) (*Local, error) {
 	ds, err := shard.Open(path, opts)
 	if err != nil {
-		return nil, FromError(err)
+		return nil, openError(path, err)
 	}
 	return NewLocal(ds, ds.Query), nil
+}
+
+// openError names path in an open failure, unless its cause (an
+// *fs.PathError) already names the file that failed.
+func openError(path string, err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		return err
+	}
+	return fmt.Errorf("%s: %w", path, err)
 }
 
 // Close releases the source's file handles when the Local owns them

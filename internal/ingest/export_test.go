@@ -1,5 +1,10 @@
 package ingest
 
+import (
+	"fmt"
+	"os"
+)
+
 // DeadBytes reports the bytes superseded footers and record framing
 // occupy — the compaction trigger's input.
 func (s *Store) DeadBytes() int64 {
@@ -35,4 +40,35 @@ func (s *Store) Abort() {
 	if old := s.cur.Swap(nil); old != nil {
 		old.release()
 	}
+}
+
+// FillSpecs interns n placeholder specs, as if that many earlier frames
+// had each named its own codec: the spec-limit tests' way to a full
+// table without ingesting 65 535 frames. The next commit writes them.
+func (s *Store) FillSpecs(n int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := 0; k < n; k++ {
+		if _, err := s.idx.SpecID(fmt.Sprintf("fill:k=%d", k)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// NumSpecs reports the spec table's size, the default included.
+func (s *Store) NumSpecs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idx.NumSpecs()
+}
+
+// SwapFile replaces the store's file handle and returns the old one: a
+// read-only handle makes the next commit's footer write fail.
+func (s *Store) SwapFile(f *os.File) *os.File {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.f
+	s.f = f
+	return old
 }

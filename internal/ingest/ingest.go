@@ -117,15 +117,15 @@ type Store struct {
 	defaultCanon string
 	cache        *query.Cache
 
-	mu           sync.Mutex
-	f            *os.File          // store file, positioned writes only
-	size         int64             // bytes in use: the last commit, then the log
-	footerOff    int64             // where the current footer starts
-	entries      []store.FrameInfo // committed index, commit order
-	extraSpecs   []string          // interned non-default specs, ids 1..n
-	specIDs      map[string]int    // canonical spec → id (0 = default)
+	mu        sync.Mutex
+	f         *os.File // store file, positioned writes only
+	size      int64    // bytes in use: the last commit, then the log
+	footerOff int64    // where the current footer starts
+	// idx holds the committed frames and the specs of every logged one,
+	// interned at accept so no logged frame's spec can fail a commit.
+	idx          store.Index
 	labels       map[int]struct{}  // committed + pending + reserved
-	pending      []pendingFrame    // logged, not yet under a footer
+	pending      []store.FrameInfo // logged, not yet under a footer
 	pendingBytes int64             // payload bytes in pending
 	deadBytes    int64             // data-region bytes that are not live payloads
 	closed       bool
@@ -133,13 +133,6 @@ type Store struct {
 	cur  atomic.Pointer[view]
 	stop chan struct{}
 	bg   sync.WaitGroup
-}
-
-// pendingFrame is a logged frame's index entry: the payload lies inside
-// its record in the store file, and the spec id is assigned at commit.
-type pendingFrame struct {
-	store.FrameInfo
-	spec string
 }
 
 // Create initializes an empty appendable store at path (failing if the
@@ -223,33 +216,9 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("ingest: %s is a version-%d store; rewrite it with `goblaz pack` before ingesting",
 			path, r.Version())
 	}
-	specs := r.Specs()
-	if opts.Spec != "" {
-		// Compare through constructed coders so a shorthand spec matches
-		// its fully parameterized expansion.
-		wantCoder, err := lookupCoder(opts.Spec)
-		if err != nil {
-			return nil, err
-		}
-		haveCoder, err := lookupCoder(specs[0])
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %s header spec: %w", path, err)
-		}
-		want, err := codec.Canonical(wantCoder.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %w", err)
-		}
-		have, err := codec.Canonical(haveCoder.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %s header spec: %w", path, err)
-		}
-		if want != have {
-			return nil, fmt.Errorf("ingest: %s stores %q, requested %q", path, specs[0], opts.Spec)
-		}
-	}
-	coder, err := lookupCoder(specs[0])
+	coder, err := lookupCoder(r.Spec())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: %s header spec: %w", path, err)
 	}
 	// Canonicalize from the constructed coder, not the header string:
 	// the coder's Spec() carries every parameter (defaults included), so
@@ -257,7 +226,18 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 	// under the default codec.
 	canon, err := codec.Canonical(coder.Spec())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: %s header spec: %w", path, err)
+	}
+	if opts.Spec != "" {
+		// Compare through constructed coders so a shorthand spec matches
+		// its fully parameterized expansion.
+		wantCoder, err := lookupCoder(opts.Spec)
+		if err != nil {
+			return nil, err
+		}
+		if want, err := codec.Canonical(wantCoder.Spec()); err != nil || want != canon {
+			return nil, fmt.Errorf("ingest: %s stores %q, requested %q", path, r.Spec(), opts.Spec)
+		}
 	}
 
 	s := &Store{
@@ -271,13 +251,7 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 		labels:       map[int]struct{}{},
 		stop:         make(chan struct{}),
 	}
-	if err := s.adoptIndexLocked(r); err != nil {
-		return nil, fmt.Errorf("ingest: %s %w", path, err)
-	}
-	for _, e := range s.entries {
-		s.labels[e.Label] = struct{}{}
-	}
-
+	s.adoptIndexLocked(r)
 	if err := s.recoverLogLocked(size); err != nil {
 		return nil, err
 	}
@@ -312,19 +286,30 @@ func (s *Store) recoverLogLocked(size int64) error {
 	if _, err := s.f.ReadAt(tail, s.size); err != nil {
 		return fmt.Errorf("ingest: reading %s's log: %w", s.path, err)
 	}
-	logged, n := parseLog(tail, s.size)
-	if n < int64(len(tail)) {
-		discardedTotal.Inc()
-	}
-	for _, p := range logged {
-		if _, dup := s.labels[p.Label]; dup {
+	var n int64
+	for {
+		rec, k, err := parseWALRecord(tail[n:])
+		if err != nil {
+			break
+		}
+		e := rec.frameAt(s.size + n)
+		n += int64(k)
+		if _, dup := s.labels[e.Label]; dup {
 			discardedTotal.Inc()
 			continue
 		}
-		s.labels[p.Label] = struct{}{}
-		s.pending = append(s.pending, p)
-		s.pendingBytes += p.Length
+		// The spec passed the limits when its batch was accepted; a
+		// record that still fails them is refused, never dropped.
+		if e.SpecID, err = s.idx.SpecID(rec.spec); err != nil {
+			return fmt.Errorf("ingest: %s: logged frame (label %d): %w", s.path, e.Label, err)
+		}
+		s.labels[e.Label] = struct{}{}
+		s.pending = append(s.pending, e)
+		s.pendingBytes += e.Length
 		replayedTotal.Inc()
+	}
+	if n < int64(len(tail)) {
+		discardedTotal.Inc()
 	}
 	if len(s.pending) > 0 {
 		s.size += n
@@ -358,32 +343,22 @@ func lookupCoder(spec string) (codec.Coder, error) {
 	return coder, nil
 }
 
-// adoptIndexLocked takes the store's index — frames, interned specs,
-// footer position, dead bytes — from a reader over the committed image.
-// Dead bytes are what the data region holds beyond live payloads:
-// footers superseded by earlier commits and the framing of the log
-// records payloads were committed in (none after a compaction).
-func (s *Store) adoptIndexLocked(r *store.Reader) error {
-	specs := r.Specs()
-	extraSpecs := specs[1:]
-	specIDs := map[string]int{s.defaultCanon: 0}
-	for i, spec := range extraSpecs {
-		canon, err := codec.Canonical(spec)
-		if err != nil {
-			return fmt.Errorf("spec table entry %d: %w", i+1, err)
-		}
-		specIDs[canon] = i + 1
-	}
-	entries := r.Frames()
+// adoptIndexLocked takes the store's index — frames, spec table,
+// footer position, dead bytes — from a reader over the committed image,
+// and holds its labels. The reader is discarded, so its index is ours
+// to grow. Dead bytes are what the data region holds beyond live
+// payloads: footers superseded by earlier commits and the framing of
+// the log records payloads were committed in (none after a compaction).
+func (s *Store) adoptIndexLocked(r *store.Reader) {
 	var live int64
-	for _, e := range entries {
+	for _, e := range r.Frames() {
 		live += e.Length
+		s.labels[e.Label] = struct{}{}
 	}
 	start, end := r.DataRegion()
-	s.entries, s.extraSpecs, s.specIDs = entries, extraSpecs, specIDs
+	s.idx = r.Index
 	s.footerOff = end
 	s.deadBytes = end - start - live
-	return nil
 }
 
 // background drives the commit timer and the compaction threshold.
@@ -479,13 +454,6 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 		s.labels[f.Label] = struct{}{}
 	}
 	s.mu.Unlock()
-	unreserve := func() {
-		s.mu.Lock()
-		for _, f := range frames {
-			delete(s.labels, f.Label)
-		}
-		s.mu.Unlock()
-	}
 
 	// Compress outside the lock: concurrent batches overlap here. Each
 	// frame fills its own slot, so the log keeps the batch's order.
@@ -505,7 +473,11 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 		err = errors.Join(errs...)
 	}
 	if err != nil {
-		unreserve()
+		s.mu.Lock()
+		for _, f := range frames {
+			delete(s.labels, f.Label)
+		}
+		s.mu.Unlock()
 		return nil, api.FromError(err)
 	}
 
@@ -522,28 +494,43 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		for _, f := range frames {
-			delete(s.labels, f.Label)
-		}
-		return nil, api.Errorf(api.CodeUnavailable, "ingest store is closed")
+		err = api.Errorf(api.CodeUnavailable, "ingest store is closed")
 	}
-	if _, err = s.f.WriteAt(buf, s.size); err == nil {
-		start := time.Now()
-		err = s.f.Sync()
-		walFsyncSeconds.ObserveDuration(time.Since(start))
+	// Intern the batch's specs before its records reach the log: a spec
+	// past the table's limits refuses the batch here, where it is the
+	// caller's error, instead of failing every later commit.
+	nspecs := s.idx.NumSpecs()
+	added := make([]store.FrameInfo, len(recs))
+	end := s.size
+	for i := 0; err == nil && i < len(recs); i++ {
+		added[i] = recs[i].frameAt(end)
+		end += int64(recs[i].encodedLen())
+		if added[i].SpecID, err = s.idx.SpecID(recs[i].spec); err != nil {
+			err = api.Errorf(api.CodeBadRequest, "frame %d (label %d): %v", i, frames[i].Label, err)
+		}
+	}
+	if err == nil {
+		if _, err = s.f.WriteAt(buf, s.size); err == nil {
+			start := time.Now()
+			err = s.f.Sync()
+			walFsyncSeconds.ObserveDuration(time.Since(start))
+		}
+		if err != nil {
+			err = api.FromError(fmt.Errorf("ingest: appending to the log: %w", err))
+		}
 	}
 	if err != nil {
+		s.idx.Truncate(s.idx.Len(), nspecs)
 		for _, f := range frames {
 			delete(s.labels, f.Label)
 		}
-		return nil, api.FromError(fmt.Errorf("ingest: appending to the log: %w", err))
+		return nil, err
 	}
 	walBytesTotal.Add(uint64(len(buf)))
-	for i := range recs {
-		p := recs[i].frameAt(s.size)
-		s.size += int64(recs[i].encodedLen())
-		s.pending = append(s.pending, p)
-		s.pendingBytes += p.Length
+	s.size = end
+	s.pending = append(s.pending, added...)
+	for _, e := range added {
+		s.pendingBytes += e.Length
 	}
 	framesTotal.Add(uint64(len(recs)))
 	batchesTotal.Inc()
@@ -553,17 +540,12 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 	res := &api.IngestResult{Accepted: len(recs)}
 	if (s.opts.CommitFrames > 0 && len(s.pending) >= s.opts.CommitFrames) ||
 		(s.opts.CommitBytes > 0 && s.pendingBytes >= s.opts.CommitBytes) {
-		if err := s.commitLocked(ctx); err != nil {
-			// The batch is durable in the log; the commit retries on the
-			// next trigger. Report it uncommitted rather than failing.
-			res.Pending = len(s.pending)
-			res.Frames = len(s.entries)
-			return res, nil
-		}
-		res.Committed = true
+		// The batch is durable in the log; a failed commit retries on
+		// the next trigger. Report it uncommitted rather than failing.
+		res.Committed = s.commitLocked(ctx) == nil
 	}
 	res.Pending = len(s.pending)
-	res.Frames = len(s.entries)
+	res.Frames = s.idx.Len()
 	return res, nil
 }
 
@@ -620,25 +602,23 @@ func (s *Store) commitLocked(ctx context.Context) error {
 	defer span.End()
 	span.SetDetail("%d frames, %d bytes", len(s.pending), s.pendingBytes)
 
-	// Failures before the trailer fsync leave the previous commit intact
-	// and the pending set untouched; the next trigger retries. They are
-	// invisible to callers of the timer path, so count them.
+	// Failures before the trailer fsync leave the previous commit intact,
+	// the index truncated back to it and the pending set untouched; the
+	// next trigger retries. They are invisible to callers of the timer
+	// path, so count them.
+	committed := s.idx.Len()
 	fail := func(err error) error {
+		s.idx.Truncate(committed, s.idx.NumSpecs())
 		commitFailures.Inc()
 		return err
 	}
-	newEntries := s.entries
-	for _, p := range s.pending {
-		id, err := s.internSpecLocked(p.spec)
-		if err != nil {
-			return fail(err)
+	for _, e := range s.pending {
+		if err := s.idx.Add(e); err != nil {
+			return fail(fmt.Errorf("ingest: %w", err))
 		}
-		e := p.FrameInfo
-		e.SpecID = id
-		newEntries = append(newEntries, e)
 	}
 	footerOff := s.size
-	footer := store.EncodeFooter(nil, s.extraSpecs, newEntries, footerOff)
+	footer := s.idx.AppendFooter(nil, footerOff)
 	end := footerOff + int64(len(footer))
 	if _, err := s.f.WriteAt(footer, footerOff); err != nil {
 		return fail(fmt.Errorf("ingest: writing footer: %w", err))
@@ -658,7 +638,6 @@ func (s *Store) commitLocked(ctx context.Context) error {
 	s.deadBytes += footerOff - s.footerOff - s.pendingBytes
 	s.size = end
 	s.footerOff = footerOff
-	s.entries = newEntries
 	s.pending = nil
 	s.pendingBytes = 0
 	commitsTotal.Inc()
@@ -675,25 +654,6 @@ func (s *Store) commitLocked(ctx context.Context) error {
 		cleanupFailures.Inc()
 	}
 	return nil
-}
-
-// internSpecLocked resolves a logged frame's spec to a footer spec id,
-// interning new specs into the table.
-func (s *Store) internSpecLocked(spec string) (int, error) {
-	if spec == "" {
-		return 0, nil
-	}
-	canon, err := codec.Canonical(spec)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: %w", err)
-	}
-	if id, ok := s.specIDs[canon]; ok {
-		return id, nil
-	}
-	s.extraSpecs = append(s.extraSpecs, spec)
-	id := len(s.extraSpecs)
-	s.specIDs[canon] = id
-	return id, nil
 }
 
 // swapViewLocked opens a fresh memory-mapped reader over the current
@@ -769,7 +729,7 @@ func (s *Store) compactLocked() error {
 		return fail(err)
 	}
 	payload := make([]byte, 0, 1<<16)
-	for i, e := range s.entries {
+	for i, e := range s.idx.Frames() {
 		if cap(payload) < int(e.Length) {
 			payload = make([]byte, e.Length)
 		}
@@ -783,7 +743,7 @@ func (s *Store) compactLocked() error {
 		}
 		spec := ""
 		if e.SpecID > 0 {
-			spec = s.extraSpecs[e.SpecID-1]
+			spec = s.idx.FrameSpec(i)
 		}
 		if err := w.WriteFrameWithSpec(e.Label, payload, spec); err != nil {
 			return fail(err)
@@ -827,9 +787,7 @@ func (s *Store) compactLocked() error {
 	s.f.Close()
 	s.f = nf
 	s.size = st.Size()
-	if err := s.adoptIndexLocked(r); err != nil {
-		return s.failLocked(err)
-	}
+	s.adoptIndexLocked(r)
 	compactionsTotal.Inc()
 	if err := s.swapViewLocked(); err != nil {
 		// The rewrite stands and s.f serves the new inode; queries stay

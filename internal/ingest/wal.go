@@ -19,7 +19,7 @@ import (
 //	body:
 //	  label    int64
 //	  spec len uint16
-//	  spec     bytes  // codec spec; empty = assigned at commit
+//	  spec     bytes  // codec spec; empty = the store's default
 //	  payload  bytes  // encoded (compressed) frame
 //
 // All integers are big-endian, matching the store format. Appends are
@@ -36,7 +36,7 @@ const walHeaderSize = 4 + 4 // length + crc32
 // walRecord is one frame's log record.
 type walRecord struct {
 	label   int
-	spec    string // "" = commit under the store's assignment
+	spec    string // "" = the store's default
 	payload []byte
 }
 
@@ -45,17 +45,14 @@ func (r *walRecord) encodedLen() int {
 	return walHeaderSize + 8 + 2 + len(r.spec) + len(r.payload)
 }
 
-// frameAt returns the pending index entry of the record written at
-// file offset off: its payload is the record's last bytes.
-func (r *walRecord) frameAt(off int64) pendingFrame {
-	return pendingFrame{
-		FrameInfo: store.FrameInfo{
-			Label:  r.label,
-			Offset: off + int64(r.encodedLen()-len(r.payload)),
-			Length: int64(len(r.payload)),
-			CRC32:  crc32.ChecksumIEEE(r.payload),
-		},
-		spec: r.spec,
+// frameAt returns the index entry of the record written at file offset
+// off, its spec id still 0: the payload is the record's last bytes.
+func (r *walRecord) frameAt(off int64) store.FrameInfo {
+	return store.FrameInfo{
+		Label:  r.label,
+		Offset: off + int64(r.encodedLen()-len(r.payload)),
+		Length: int64(len(r.payload)),
+		CRC32:  crc32.ChecksumIEEE(r.payload),
 	}
 }
 
@@ -103,21 +100,7 @@ func parseWALRecord(buf []byte) (walRecord, int, error) {
 	return rec, walHeaderSize + body, nil
 }
 
-var errTornRecord = errors.New("ingest: torn WAL record")
-
-// parseLog returns the intact record prefix of tail, the bytes after
-// the last commit, which starts at file offset base, as pending frames
-// plus that prefix's byte length.
-func parseLog(tail []byte, base int64) (frames []pendingFrame, n int64) {
-	for {
-		rec, k, err := parseWALRecord(tail[n:])
-		if err != nil {
-			return frames, n
-		}
-		frames = append(frames, rec.frameAt(base+n))
-		n += int64(k)
-	}
-}
+var errTornRecord = errors.New("ingest: torn or corrupt log record")
 
 // retireWAL deals with the "<store>.wal" file older releases kept
 // beside the store. A clean Close left it empty: remove it. A non-empty

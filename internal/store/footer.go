@@ -2,41 +2,14 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
-// EncodeFooter appends a version-2 footer (spec table + frame index)
-// and trailer to buf for a store whose data region ends at footerOff —
-// the byte image Writer.Close emits, exported so an appendable store
-// (internal/ingest) can commit a new footer after frames appended past
-// a previous one. extraSpecs is the interned spec table (ids 1..n; the
-// default spec lives in the header and is not repeated here), entries
-// the full frame index in commit order.
-func EncodeFooter(buf []byte, extraSpecs []string, entries []FrameInfo, footerOff int64) []byte {
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(extraSpecs)))
-	for _, spec := range extraSpecs {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(spec)))
-		buf = append(buf, spec...)
-	}
-	for _, e := range entries {
-		buf = appendEntry(buf, e)
-	}
-	footerCRC := crc32.ChecksumIEEE(buf[start:])
-	buf = binary.BigEndian.AppendUint64(buf, uint64(footerOff))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(entries)))
-	buf = binary.BigEndian.AppendUint32(buf, footerCRC)
-	buf = append(buf, trailerMagic...)
-	return buf
-}
-
 // RecoverCommittedSize finds the largest prefix of a possibly
 // crash-torn store image that parses as a complete store: the commit
-// procedure of an appendable store only ever appends (frames, then a
-// new footer and trailer) after the last durable commit, so a crash at
+// procedure of an appendable store only ever appends (log records, then
+// a new footer and trailer) after the last durable commit, so a crash at
 // any byte offset leaves the previous commit's bytes intact — just no
 // longer at EOF. The scan walks backward from size looking for trailer
 // magic and validates each candidate by fully parsing the prefix it

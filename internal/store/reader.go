@@ -35,12 +35,10 @@ type Reader struct {
 	closed    atomic.Bool
 	id        uint64 // process-unique reader identity (see FrameKey)
 	version   int
-	specs     []string // specs[0] = default (header), 1.. = footer table
 	footerCRC uint32
 	headerEnd int64 // first byte after the header
 	footerOff int64 // first byte of the footer
-	frames    []FrameInfo
-	index     map[int]int // label → frame position
+	Index           // parsed at open, read-only after
 
 	// verified is a bitmap of frames whose payload CRC has already been
 	// checked, so zero-copy serving (PayloadReader) pays the checksum
@@ -201,9 +199,8 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 		entries = footer[len(footer)-int(count)*int(entSize):]
 	}
 
-	frames := make([]FrameInfo, count)
-	index := make(map[int]int, count)
-	for i := range frames {
+	idx := Index{specs: specs, frames: make([]FrameInfo, 0, count), labels: make(map[int]int, count)}
+	for i := 0; i < int(count); i++ {
 		e := parseEntry(entries[int64(i)*entSize:], int(entSize))
 		// Compare by subtraction, not e.Offset+e.Length: a crafted length
 		// near 2^63 would wrap the sum negative and slip past the check,
@@ -212,20 +209,13 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 			return nil, fmt.Errorf("store: frame %d spans [%d, %d), outside the data region [%d, %d)",
 				i, e.Offset, e.Offset+e.Length, headerEnd, footerOff)
 		}
-		if e.SpecID >= len(specs) {
-			return nil, fmt.Errorf("store: frame %d names spec id %d, spec table has %d entries",
-				i, e.SpecID, len(specs)-1)
+		if err := idx.Add(e); err != nil {
+			return nil, err
 		}
-		if _, dup := index[e.Label]; dup {
-			return nil, fmt.Errorf("store: duplicate frame label %d", e.Label)
-		}
-		frames[i] = e
-		index[e.Label] = i
 	}
 	return &Reader{
-		r: r, id: readerID.Add(1), version: v, specs: specs, footerCRC: footerCRC,
-		headerEnd: headerEnd, footerOff: footerOff,
-		frames: frames, index: index,
+		r: r, id: readerID.Add(1), version: v, footerCRC: footerCRC,
+		headerEnd: headerEnd, footerOff: footerOff, Index: idx,
 		verified: make([]atomic.Uint32, (count+31)/32),
 		coders:   make([]coderCell, len(specs)),
 	}, nil
@@ -277,39 +267,6 @@ func (r *Reader) access(i int) (FrameInfo, error) {
 
 // Version returns the store's on-disk format version (1 or 2).
 func (r *Reader) Version() int { return r.version }
-
-// Spec returns the default codec spec string embedded in the header.
-func (r *Reader) Spec() string { return r.specs[0] }
-
-// Specs returns every codec spec the store uses: the default first,
-// then the footer table in id order. A codec-uniform store returns a
-// one-element slice.
-func (r *Reader) Specs() []string {
-	return append([]string(nil), r.specs...)
-}
-
-// FrameSpec returns the codec spec of frame i. For every frame of a
-// version-1 (or uniform version-2) store this is Spec().
-func (r *Reader) FrameSpec(i int) string {
-	return r.specs[r.frames[i].SpecID]
-}
-
-// Len returns the number of frames.
-func (r *Reader) Len() int { return len(r.frames) }
-
-// Info returns the index entry of frame i.
-func (r *Reader) Info(i int) FrameInfo { return r.frames[i] }
-
-// Frames returns a copy of the full frame index, in commit order.
-func (r *Reader) Frames() []FrameInfo {
-	return append([]FrameInfo(nil), r.frames...)
-}
-
-// IndexOf returns the position of the frame with the given label.
-func (r *Reader) IndexOf(label int) (int, bool) {
-	i, ok := r.index[label]
-	return i, ok
-}
 
 // FrameCoder returns the codec that wrote frame i, constructing it on
 // first use. Construction happens once per distinct spec, not per

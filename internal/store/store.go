@@ -21,6 +21,10 @@
 //	trailer  footer offset (uint64) | frame count (uint64) |
 //	         footer CRC32 (uint32) | "GBZE"          — 24 bytes, fixed
 //
+// An appendable store's file (internal/ingest) may end in log records
+// after its last trailer; NewReader refuses it until the next commit,
+// and RecoverCommittedSize finds the last commit.
+//
 // Version 1 files — the original single-spec format, identical except
 // that the footer has no spec table and 28-byte entries without the spec
 // id — remain readable forever; Reader handles both transparently and
@@ -32,10 +36,12 @@
 // empty spec table — their frames all use spec id 0 — while a
 // mixed-codec store (written by WriteFrameWithSpec, e.g. from the
 // adaptive assigner behind `goblaz tune`) interns each distinct spec
-// once however many frames share it. The index lives in a footer rather
-// than the header so a Writer never needs to seek — it can stream to a
-// pipe or socket — while a Reader finds the index from the fixed-size
-// trailer at the end of the file.
+// once however many frames share it. Index owns that interning, its
+// limits (65 535 extra specs, each at most 65 535 bytes) and the
+// footer's encoding. The index lives in a footer rather than the
+// header so a Writer never needs to seek — it can stream to a pipe or
+// socket — while a Reader finds the index from the fixed-size trailer
+// at the end of the file.
 package store
 
 import (
@@ -72,7 +78,7 @@ type FrameInfo struct {
 	CRC32  uint32
 	// SpecID names the frame's codec spec: 0 is the store's default
 	// (header) spec, k ≥ 1 the k-th interned footer spec. Resolve it
-	// with Reader.FrameSpec / Reader.SpecByID.
+	// with Index.FrameSpec.
 	SpecID int
 }
 

@@ -21,15 +21,11 @@ import (
 // committer goroutine provides the required serialization — frames then
 // compress in parallel but land in submission order.
 type Writer struct {
-	w       io.Writer
-	off     int64
-	spec    string         // default spec (header)
-	specs   []string       // interned extra specs, ids 1..len(specs)
-	specIDs map[string]int // canonical spec → id (0 = default)
-	entries []FrameInfo
-	labels  map[int]struct{}
-	err     error // sticky: first write failure poisons the Writer
-	closed  bool
+	w      io.Writer
+	off    int64
+	idx    Index
+	err    error // sticky: first write failure poisons the Writer
+	closed bool
 }
 
 // syncer is the subset of *os.File Close uses to make frame bytes
@@ -41,15 +37,9 @@ type syncer interface{ Sync() error }
 // codec.Coder.Spec() so a Reader can reconstruct the codec. Frames
 // whose spec differs from the default go through WriteFrameWithSpec.
 func NewWriter(w io.Writer, spec string) (*Writer, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("store: empty codec spec")
-	}
-	if len(spec) > maxSpecLen {
-		return nil, fmt.Errorf("store: codec spec %d bytes long, max %d", len(spec), maxSpecLen)
-	}
-	canon, err := codec.Canonical(spec)
+	idx, err := newIndex(spec)
 	if err != nil {
-		return nil, fmt.Errorf("store: default spec: %w", err)
+		return nil, err
 	}
 	hdr := make([]byte, 0, headerSize(spec))
 	hdr = append(hdr, headerMagic...)
@@ -59,13 +49,7 @@ func NewWriter(w io.Writer, spec string) (*Writer, error) {
 	if _, err := w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("store: writing header: %w", err)
 	}
-	return &Writer{
-		w:       w,
-		off:     int64(len(hdr)),
-		spec:    spec,
-		specIDs: map[string]int{canon: 0},
-		labels:  map[int]struct{}{},
-	}, nil
+	return &Writer{w: w, off: int64(len(hdr)), idx: idx}, nil
 }
 
 // Append streams one encoded frame payload under the store's default
@@ -89,42 +73,20 @@ func (w *Writer) WriteFrameWithSpec(label int, payload []byte, spec string) erro
 	if w.closed {
 		return fmt.Errorf("store: append after Close")
 	}
-	if _, dup := w.labels[label]; dup {
+	if _, dup := w.idx.IndexOf(label); dup {
 		return fmt.Errorf("store: duplicate frame label %d", label)
 	}
-	id := 0
-	if spec != "" {
-		canon, err := codec.Canonical(spec)
-		if err != nil {
-			return fmt.Errorf("store: frame %d (label %d) spec: %w", len(w.entries), label, err)
-		}
-		var ok bool
-		if id, ok = w.specIDs[canon]; !ok {
-			if len(spec) > maxSpecLen {
-				return fmt.Errorf("store: codec spec %d bytes long, max %d", len(spec), maxSpecLen)
-			}
-			if len(w.specs) >= maxSpecs {
-				return fmt.Errorf("store: too many distinct codec specs (max %d)", maxSpecs)
-			}
-			w.specs = append(w.specs, spec)
-			id = len(w.specs) // table ids are 1-based; 0 is the default
-			w.specIDs[canon] = id
-		}
+	id, err := w.idx.SpecID(spec)
+	if err != nil {
+		return fmt.Errorf("store: frame %d (label %d) spec: %w", w.idx.Len(), label, err)
 	}
+	e := FrameInfo{Label: label, Offset: w.off, Length: int64(len(payload)), CRC32: crc32.ChecksumIEEE(payload), SpecID: id}
 	if _, err := w.w.Write(payload); err != nil {
-		w.err = fmt.Errorf("store: writing frame %d (label %d): %w", len(w.entries), label, err)
+		w.err = fmt.Errorf("store: writing frame %d (label %d): %w", w.idx.Len(), label, err)
 		return w.err
 	}
-	w.labels[label] = struct{}{}
-	w.entries = append(w.entries, FrameInfo{
-		Label:  label,
-		Offset: w.off,
-		Length: int64(len(payload)),
-		CRC32:  crc32.ChecksumIEEE(payload),
-		SpecID: id,
-	})
-	w.off += int64(len(payload))
-	return nil
+	w.off += e.Length
+	return w.idx.Add(e) // the label is new: checked above
 }
 
 // Close writes the footer (spec table + frame index) and trailer. It
@@ -150,7 +112,7 @@ func (w *Writer) Close() error {
 			return w.err
 		}
 	}
-	buf := EncodeFooter(make([]byte, 0, 2+len(w.entries)*entrySize+trailerSize), w.specs, w.entries, w.off)
+	buf := w.idx.AppendFooter(make([]byte, 0, 2+w.idx.Len()*entrySize+trailerSize), w.off)
 	if _, err := w.w.Write(buf); err != nil {
 		w.err = fmt.Errorf("store: writing footer: %w", err)
 		return w.err
