@@ -258,19 +258,6 @@ func splitCodecFile(blob []byte) (spec string, payload []byte, ok bool, err erro
 	return string(rest[:n]), rest[n:], true, nil
 }
 
-// lookupCoder resolves a spec to a codec that supports byte serialization.
-func lookupCoder(spec string) (codec.Coder, error) {
-	cd, err := codec.Lookup(spec)
-	if err != nil {
-		return nil, err
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		return nil, fmt.Errorf("codec %q does not support file serialization", cd.Name())
-	}
-	return coder, nil
-}
-
 func runCompress(args []string) error {
 	o, rest, err := parseOptions("compress", args, nil)
 	if err != nil {
@@ -284,7 +271,7 @@ func runCompress(args []string) error {
 		return err
 	}
 	if o.codecSpec != "" {
-		coder, err := lookupCoder(o.codecSpec)
+		coder, err := codec.Lookup(o.codecSpec)
 		if err != nil {
 			return err
 		}
@@ -338,7 +325,7 @@ func runDecompress(args []string) error {
 	if spec, payload, ok, err := splitCodecFile(blob); err != nil {
 		return err
 	} else if ok {
-		coder, err := lookupCoder(spec)
+		coder, err := codec.Lookup(spec)
 		if err != nil {
 			return err
 		}

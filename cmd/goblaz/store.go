@@ -68,7 +68,7 @@ func packCoder(o *options) (codec.Coder, error) {
 			spec += fmt.Sprintf(",keep=%g", o.keep)
 		}
 	}
-	return lookupCoder(spec)
+	return codec.Lookup(spec)
 }
 
 func runPack(args []string) error {

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // Code is a stable, versioned error code. Codes are part of the v1
@@ -284,6 +285,23 @@ type FrameInfo struct {
 	// Spec is the frame's codec spec when it differs from the store
 	// default (mixed-codec stores); empty otherwise.
 	Spec string `json:"spec,omitempty"`
+}
+
+// FrameInfoAt converts the index entry at position i of a frame
+// inventory — a store.Inventory, or a source that embeds one — to its
+// wire form. Spec is set only where the frame's spec is not the
+// default.
+func FrameInfoAt(inv interface {
+	Spec() string
+	Info(i int) store.FrameInfo
+	FrameSpec(i int) string
+}, i int) FrameInfo {
+	e := inv.Info(i)
+	info := FrameInfo{Index: i, Label: e.Label, Offset: e.Offset, Length: e.Length, CRC32: fmt.Sprintf("%08x", e.CRC32)}
+	if spec := inv.FrameSpec(i); spec != inv.Spec() {
+		info.Spec = spec
+	}
+	return info
 }
 
 // Frame is a fully decompressed frame: GET /v1/frames/{label}.

@@ -21,13 +21,9 @@ import (
 // in a Local backend.
 func buildLocal(t testing.TB, spec string, n, rows, cols int) (*Local, []*tensor.Tensor) {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		t.Fatalf("codec %q is not a Coder", spec)
 	}
 	frames := make([]*tensor.Tensor, n)
 	var buf bytes.Buffer
@@ -197,7 +193,7 @@ func TestLocalFromBothConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(t.TempDir(), "ds.json")
-	man, err := shard.WriteDatasetAssigned(manifest, cd.(codec.Coder), nil, []int{0, 1, 2, 3, 4, 5}, 3, 1,
+	man, err := shard.WriteDatasetAssigned(manifest, cd, nil, []int{0, 1, 2, 3, 4, 5}, 3, 1,
 		func(i int) (*tensor.Tensor, error) { return tensor.New(8, 8), nil })
 	if err != nil {
 		t.Fatal(err)

@@ -28,11 +28,10 @@ const goblazSpec = "goblaz:block=4x4,float=float64,index=int16"
 
 func buildLocal(t testing.TB, spec string, n, rows, cols int) *api.Local {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coder := cd.(codec.Coder)
 	var buf bytes.Buffer
 	w, err := store.NewWriter(&buf, coder.Spec())
 	if err != nil {

@@ -180,13 +180,9 @@ func (fx *Fixture) BuildManifest(t testing.TB, dir string, nShards int) string {
 func (fx *Fixture) buildManifest(t testing.TB, dir string, nShards int) *shard.Manifest {
 	t.Helper()
 	mustCoder := func(spec string) codec.Coder {
-		cd, err := codec.Lookup(spec)
+		coder, err := codec.Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		coder, ok := cd.(codec.Coder)
-		if !ok {
-			t.Fatalf("codec %q does not serialize", spec)
 		}
 		return coder
 	}

@@ -31,11 +31,10 @@ func buildLocal(t testing.TB, n, rows, cols int) *api.Local {
 // buildLocalSpec serves n frames written with the codec spec names.
 func buildLocalSpec(t testing.TB, spec string, n, rows, cols int) *api.Local {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coder := cd.(codec.Coder)
 	var buf bytes.Buffer
 	w, err := store.NewWriter(&buf, coder.Spec())
 	if err != nil {

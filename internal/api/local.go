@@ -14,11 +14,13 @@ import (
 )
 
 // Source is the frame collection a Local serves: what the query engine
-// reads plus payload access. *store.Reader and *shard.Dataset both
-// satisfy it. A source that also offers Shards() int reports its shard
-// count in StoreInfo.
+// reads, the default spec, and payload access. *store.Reader and
+// *shard.Dataset both satisfy it through their store.Inventory. A
+// source that also offers Shards() int reports its shard count in
+// StoreInfo.
 type Source interface {
 	query.Source
+	Spec() string
 	Payload(i int) ([]byte, error)
 	PayloadReader(i int) (*io.SectionReader, error)
 	Close() error
@@ -40,14 +42,13 @@ var _ Backend = (*Local)(nil)
 type Local struct {
 	src    Source
 	run    func(context.Context, *query.Request) (*query.Result, error)
-	specs  []string // src.Specs(), default first
 	shards int
 }
 
 // NewLocal wraps an open source and the function that runs a request
 // over it. The caller keeps ownership of src (and closes it).
 func NewLocal(src Source, run func(context.Context, *query.Request) (*query.Result, error)) *Local {
-	l := &Local{src: src, run: run, specs: src.Specs()}
+	l := &Local{src: src, run: run}
 	if s, ok := src.(interface{ Shards() int }); ok {
 		l.shards = s.Shards()
 	}
@@ -96,9 +97,9 @@ func (l *Local) Spec(ctx context.Context) (StoreInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return StoreInfo{}, FromError(err)
 	}
-	info := StoreInfo{Spec: l.specs[0], Frames: l.src.Len(), Shards: l.shards}
-	if len(l.specs) > 1 {
-		info.Specs = append([]string(nil), l.specs...)
+	info := StoreInfo{Spec: l.src.Spec(), Frames: l.src.Len(), Shards: l.shards}
+	if specs := l.src.Specs(); len(specs) > 1 {
+		info.Specs = specs
 	}
 	return info, nil
 }
@@ -109,25 +110,9 @@ func (l *Local) Frames(ctx context.Context) ([]FrameInfo, error) {
 	}
 	infos := make([]FrameInfo, l.src.Len())
 	for i := range infos {
-		infos[i] = l.frameInfoAt(i)
+		infos[i] = FrameInfoAt(l.src, i)
 	}
 	return infos, nil
-}
-
-// frameInfoAt converts the index entry at source position i.
-func (l *Local) frameInfoAt(i int) FrameInfo {
-	e := l.src.Info(i)
-	info := FrameInfo{
-		Index:  i,
-		Label:  e.Label,
-		Offset: e.Offset,
-		Length: e.Length,
-		CRC32:  fmt.Sprintf("%08x", e.CRC32),
-	}
-	if spec := l.src.FrameSpec(i); spec != l.specs[0] {
-		info.Spec = spec
-	}
-	return info
 }
 
 // indexOf resolves a label to its source position.
@@ -148,7 +133,7 @@ func (l *Local) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
 	if err != nil {
 		return FrameInfo{}, err
 	}
-	return l.frameInfoAt(i), nil
+	return FrameInfoAt(l.src, i), nil
 }
 
 func (l *Local) Frame(ctx context.Context, label int) (*Frame, error) {

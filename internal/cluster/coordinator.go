@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -39,25 +38,22 @@ type Options struct {
 // Coordinator turns the shard servers of a Topology into one logical
 // dataset: an api.Backend that answers like a Local over the
 // concatenated data. At open it discovers every shard's frame inventory
-// over the wire and freezes the global frame order (topology order,
-// shard-local commit order within); queries compile against that view,
-// scatter to the owning shards concurrently, and gather by folding the
-// shards' partial results (scatter.go). A metric request that couples
-// frames on different shards runs whole here, on a query engine over the
-// frames' stored payloads. Every answer is bit-identical to a Local's
-// except a scattered reduction's sums: they fold per-shard moment
-// partials, which can move them by an ulp (query.Moments).
+// over the wire and freezes their concatenation (topology order,
+// shard-local commit order within) as one store.Inventory, as a
+// shard.Dataset does; queries compile against it, scatter to the owning
+// shards concurrently, and gather by folding the shards' partial
+// results (scatter.go). A metric request that couples frames on
+// different shards runs whole here, on a query engine over the frames'
+// stored payloads. Every answer is bit-identical to a Local's except a
+// scattered reduction's sums: they fold per-shard moment partials,
+// which can move them by an ulp (query.Moments).
 type Coordinator struct {
 	topo   *Topology
 	groups []*group
 
-	infos   []api.FrameInfo        // global commit order, Index remapped
-	crcs    []uint32               // global position → payload CRC32 at discovery
-	labels  map[int]int            // label → global position
-	owners  []int                  // global position → index into groups
-	coders  map[string]codec.Coder // every discovered spec → its codec
-	specs   []string               // every discovered spec, default first
-	scatter scatter                // holds the agreed spec(s) and each shard's base
+	inv     store.Inventory // frozen at discovery
+	coders  []codec.Coder   // spec id → its codec
+	scatter scatter         // holds the agreed spec(s) and each shard's base
 
 	probeHC  *http.Client
 	stop     chan struct{}
@@ -95,7 +91,6 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		topo:    topo,
-		labels:  map[int]int{},
 		probeHC: opts.HTTPClient,
 		stop:    make(chan struct{}),
 	}
@@ -168,8 +163,12 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		return api.FromError(err)
 	}
 
-	c.scatter = scatter{bases: make([]int, len(invs)), spec: invs[0].info.Spec, run: c.runPart}
-	specs := []string{c.scatter.spec}
+	// Each shard's spec table is interned whole, in order, before its frames.
+	idx, err := store.NewIndex(invs[0].info.Spec)
+	if err != nil {
+		return api.Errorf(api.CodeInternal, "shard %s: %v", c.groups[0].name, err)
+	}
+	c.scatter = scatter{bases: make([]int, len(invs)), spec: idx.Spec(), run: c.runPart}
 	for s, inv := range invs {
 		g := c.groups[s]
 		if inv.info.Spec != c.scatter.spec {
@@ -177,61 +176,37 @@ func (c *Coordinator) discover(ctx context.Context) error {
 				g.name, inv.info.Spec, c.groups[0].name, c.scatter.spec)
 		}
 		for _, spec := range inv.info.Specs {
-			if !slices.Contains(specs, spec) {
-				specs = append(specs, spec)
+			if _, err := idx.SpecID(spec); err != nil {
+				return api.Errorf(api.CodeInternal, "shard %s: %v", g.name, err)
 			}
 		}
-		c.scatter.bases[s] = len(c.infos)
+		c.scatter.bases[s] = idx.Len()
 		for _, e := range inv.index {
-			if prev, dup := c.labels[e.Label]; dup {
-				return api.Errorf(api.CodeInternal, "label %d on shard %s duplicates global frame %d",
-					e.Label, g.name, prev)
-			}
 			crc, err := strconv.ParseUint(e.CRC32, 16, 32)
 			if err != nil || len(e.CRC32) != 8 {
 				return api.Errorf(api.CodeInternal, "label %d on shard %s has malformed crc32 %q",
 					e.Label, g.name, e.CRC32)
 			}
-			e.Index = len(c.infos)
-			c.labels[e.Label] = e.Index
-			c.owners = append(c.owners, s)
-			c.crcs = append(c.crcs, uint32(crc))
-			c.infos = append(c.infos, e)
+			id, err := idx.SpecID(e.Spec)
+			if err == nil {
+				err = idx.Add(store.FrameInfo{Label: e.Label, Offset: e.Offset, Length: e.Length, CRC32: uint32(crc), SpecID: id})
+			}
+			if err != nil {
+				return api.Errorf(api.CodeInternal, "shard %s: %v", g.name, err)
+			}
 		}
 	}
-	c.coders = make(map[string]codec.Coder, len(specs))
-	for _, spec := range specs {
-		cd, err := codec.Lookup(spec)
-		if err != nil {
+	c.inv = idx.Inventory
+	c.coders = make([]codec.Coder, c.inv.NumSpecs())
+	for id, spec := range c.inv.Specs() {
+		if c.coders[id], err = codec.Lookup(spec); err != nil {
 			return api.Errorf(api.CodeInternal, "discovered spec %q: %v", spec, err)
 		}
-		coder, ok := cd.(codec.Coder)
-		if !ok {
-			return api.Errorf(api.CodeInternal, "discovered spec %q does not support byte serialization", spec)
-		}
-		c.coders[spec] = coder
 	}
-	c.specs = specs
-	if len(specs) > 1 {
-		c.scatter.specs = specs
+	if len(c.coders) > 1 {
+		c.scatter.specs = c.inv.Specs()
 	}
 	return nil
-}
-
-// ---- query.Index over the discovered inventory -----------------------
-
-// coordIndex is what query.Compile resolves selections against: frame
-// count, labels, and label lookup.
-type coordIndex struct{ c *Coordinator }
-
-func (s coordIndex) Len() int                      { return len(s.c.infos) }
-func (s coordIndex) IndexOf(label int) (int, bool) { i, ok := s.c.labels[label]; return i, ok }
-
-// Info carries the label only: selection and result labels are all
-// Compile and the engine read, and the byte-level fields belong to the
-// owning shard's file.
-func (s coordIndex) Info(i int) store.FrameInfo {
-	return store.FrameInfo{Label: s.c.infos[i].Label}
 }
 
 // fetched is the query.Source a cross-shard metric runs on: the
@@ -239,16 +214,15 @@ func (s coordIndex) Info(i int) store.FrameInfo {
 // coupled frames — the only frames its plan reads. frames covers the
 // selection's span of global positions, so a lookup is one index.
 type fetched struct {
-	coordIndex
+	*store.Inventory
+	coders []codec.Coder      // spec id → its codec
 	lo     int                // global position of frames[0], the selection's first
 	frames []codec.Compressed // selected frames at position − lo; nil between them
 	ref    int                // the reference's global position; −1 in pair mode
 	refC   codec.Compressed
 }
 
-func (s *fetched) FrameSpec(i int) string                { return s.c.frameSpec(i) }
-func (s *fetched) FrameCoder(i int) (codec.Coder, error) { return s.c.coders[s.c.frameSpec(i)], nil }
-func (s *fetched) Specs() []string                       { return s.c.specs }
+func (s *fetched) FrameCoder(i int) (codec.Coder, error) { return s.coders[s.Info(i).SpecID], nil }
 
 func (s *fetched) Frame(i int) (codec.Compressed, error) {
 	if i == s.ref {
@@ -257,7 +231,7 @@ func (s *fetched) Frame(i int) (codec.Compressed, error) {
 	if j := i - s.lo; j >= 0 && j < len(s.frames) && s.frames[j] != nil {
 		return s.frames[j], nil
 	}
-	return nil, api.Errorf(api.CodeInternal, "frame %d was not fetched", s.c.infos[i].Label)
+	return nil, api.Errorf(api.CodeInternal, "frame %d was not fetched", s.Info(i).Label)
 }
 
 func (s *fetched) Decompress(i int) (*tensor.Tensor, error) {
@@ -265,7 +239,7 @@ func (s *fetched) Decompress(i int) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.c.coders[s.c.frameSpec(i)].Decompress(fc)
+	return s.coders[s.Info(i).SpecID].Decompress(fc)
 }
 
 // ---- Backend ---------------------------------------------------------
@@ -276,7 +250,7 @@ func (c *Coordinator) Spec(ctx context.Context) (api.StoreInfo, error) {
 	}
 	return api.StoreInfo{
 		Spec: c.scatter.spec, Specs: append([]string(nil), c.scatter.specs...),
-		Frames: len(c.infos), Shards: len(c.groups),
+		Frames: c.inv.Len(), Shards: len(c.groups),
 	}, nil
 }
 
@@ -284,7 +258,11 @@ func (c *Coordinator) Frames(ctx context.Context) ([]api.FrameInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, api.FromError(err)
 	}
-	return append([]api.FrameInfo(nil), c.infos...), nil
+	infos := make([]api.FrameInfo, c.inv.Len())
+	for i := range infos {
+		infos[i] = api.FrameInfoAt(&c.inv, i)
+	}
+	return infos, nil
 }
 
 // owner resolves a label to its global position and owning shard.
@@ -292,11 +270,11 @@ func (c *Coordinator) owner(ctx context.Context, label int) (int, *group, error)
 	if err := ctx.Err(); err != nil {
 		return 0, nil, api.FromError(err)
 	}
-	i, ok := c.labels[label]
+	i, ok := c.inv.IndexOf(label)
 	if !ok {
 		return 0, nil, api.FromError(fmt.Errorf("no frame with label %d: %w", label, api.ErrNotFound))
 	}
-	return i, c.groups[c.owners[i]], nil
+	return i, c.groups[c.scatter.shardOf(i)], nil
 }
 
 // callOwner is group.call for a request that returns a value: fn runs
@@ -321,7 +299,7 @@ func (c *Coordinator) FrameInfo(ctx context.Context, label int) (api.FrameInfo, 
 	if err != nil {
 		return api.FrameInfo{}, err
 	}
-	return c.infos[i], nil
+	return api.FrameInfoAt(&c.inv, i), nil
 }
 
 func (c *Coordinator) Frame(ctx context.Context, label int) (*api.Frame, error) {
@@ -361,8 +339,9 @@ func (c *Coordinator) PayloadReader(ctx context.Context, label int) (io.ReadSeek
 // and the call fails over as from a corrupt store, and nothing is ever
 // computed from bytes of another frame generation or spec.
 func (c *Coordinator) payload(ctx context.Context, i int) ([]byte, error) {
-	label, want := c.infos[i].Label, c.crcs[i]
-	return callOwner(ctx, c.groups[c.owners[i]], affinity(label), func(cl *api.Client) ([]byte, error) {
+	e := c.inv.Info(i)
+	label, want := e.Label, e.CRC32
+	return callOwner(ctx, c.groups[c.scatter.shardOf(i)], affinity(label), func(cl *api.Client) ([]byte, error) {
 		data, err := cl.Payload(ctx, label)
 		if err != nil {
 			return nil, err
@@ -420,7 +399,7 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 	// Compile against the global view: validation errors surface
 	// identically to a single store's, whatever shard the frames live
 	// on — and the resolved selection is what the scatter routes.
-	p, err := query.Compile(coordIndex{c}, req)
+	p, err := query.Compile(&c.inv, req)
 	if err != nil {
 		return nil, api.FromError(err)
 	}
@@ -429,11 +408,11 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 	if req.Metric != nil {
 		// The selection ascends and shards own contiguous ranges, so its
 		// ends decide whether it spans shards.
-		owner, ref := c.owners[sel[0]], -1
+		owner, ref := c.scatter.shardOf(sel[0]), -1
 		if against := req.Metric.Against; against != nil {
-			ref = c.labels[*against] // existence validated by Compile
+			ref, _ = c.inv.IndexOf(*against) // existence validated by Compile
 		}
-		if c.owners[sel[len(sel)-1]] != owner || (ref >= 0 && c.owners[ref] != owner) {
+		if c.scatter.shardOf(sel[len(sel)-1]) != owner || (ref >= 0 && c.scatter.shardOf(ref) != owner) {
 			return c.metricQuery(ctx, p, sel, ref)
 		}
 	}
@@ -462,7 +441,7 @@ func (c *Coordinator) runPart(ctx context.Context, p part, sub *query.Request) (
 func (c *Coordinator) metricQuery(ctx context.Context, p *query.Plan, sel []int, refGlobal int) (*query.Result, error) {
 	// One fan-out fetches the reference (when any) as its last task,
 	// beside the frames, so the engine never waits on the wire.
-	src := &fetched{coordIndex: coordIndex{c}, lo: sel[0], ref: refGlobal,
+	src := &fetched{Inventory: &c.inv, coders: c.coders, lo: sel[0], ref: refGlobal,
 		frames: make([]codec.Compressed, sel[len(sel)-1]-sel[0]+1)}
 	tasks := len(sel)
 	if refGlobal >= 0 {
@@ -488,14 +467,6 @@ func (c *Coordinator) metricQuery(ctx context.Context, p *query.Plan, sel []int,
 	return res, nil
 }
 
-// frameSpec returns global frame i's codec spec.
-func (c *Coordinator) frameSpec(i int) string {
-	if spec := c.infos[i].Spec; spec != "" {
-		return spec
-	}
-	return c.scatter.spec
-}
-
 // fetchCompressed reads global frame i's payload through the checked
 // fetch and decodes it under the frame's spec. The payload buffer
 // belongs to this call alone and is never written, so the decode may
@@ -507,10 +478,10 @@ func (c *Coordinator) fetchCompressed(ctx context.Context, i int) (codec.Compres
 	}
 	clusterRemoteFrames.Inc()
 	clusterRemoteBytes.Add(uint64(len(data)))
-	spec := c.frameSpec(i)
-	comp, err := codec.TimedDecodeView(c.coders[spec], spec, data)
+	e := c.inv.Info(i)
+	comp, err := codec.TimedDecodeView(c.coders[e.SpecID], c.inv.FrameSpec(i), data)
 	if err != nil {
-		return nil, api.Errorf(api.CodeInternal, "decoding frame %d payload: %v", c.infos[i].Label, err)
+		return nil, api.Errorf(api.CodeInternal, "decoding frame %d payload: %v", e.Label, err)
 	}
 	return comp, nil
 }

@@ -134,13 +134,9 @@ func randomFrames(rng *rand.Rand, n, rows, cols int) []*tensor.Tensor {
 
 func mustCoder(t testing.TB, spec string) codec.Coder {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		t.Fatalf("codec %q does not serialize", spec)
 	}
 	return coder
 }
@@ -647,10 +643,11 @@ func payloadsFor(co *Coordinator, req *query.Request, want *query.Result) uint64
 		coupled = append(coupled, fr.Index)
 	}
 	if req.Metric.Against != nil {
-		coupled = append(coupled, co.labels[*req.Metric.Against])
+		ref, _ := co.inv.IndexOf(*req.Metric.Against)
+		coupled = append(coupled, ref)
 	}
 	for _, g := range coupled {
-		if co.owners[g] != co.owners[coupled[0]] {
+		if co.scatter.shardOf(g) != co.scatter.shardOf(coupled[0]) {
 			return uint64(len(coupled))
 		}
 	}
@@ -864,7 +861,8 @@ func TestCrossShardMetricStaleInventory(t *testing.T) {
 				urls = append(urls, reps[i].URL)
 			}
 			co := coordinatorOver(t, [][]string{urls, {serveStore(t, cur[1]).URL}})
-			recorded := co.crcs[co.labels[label]]
+			at, _ := co.inv.IndexOf(label)
+			recorded := co.inv.Info(at).CRC32
 
 			// The replica the label's calls try first goes stale.
 			first := int(affinity(label) % uint64(replicas))

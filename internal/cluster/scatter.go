@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -44,6 +45,12 @@ type scatter struct {
 	run func(ctx context.Context, p part, sub *query.Request) (*query.Result, error)
 }
 
+// shardOf returns the shard owning global position g: the last whose
+// base is at most g (an empty shard shares the next one's base).
+func (s *scatter) shardOf(g int) int {
+	return sort.SearchInts(s.bases, g+1) - 1
+}
+
 // route splits a compiled selection — the resolved global frame
 // positions, ascending — by shard. Shards cover contiguous global
 // ranges, so each shard with at least one match yields exactly one part
@@ -52,11 +59,8 @@ type scatter struct {
 // range that ends earlier) are skipped without a call.
 func (s *scatter) route(frames []int) []part {
 	var parts []part
-	shard := 0
 	for _, g := range frames {
-		for shard+1 < len(s.bases) && s.bases[shard+1] <= g {
-			shard++
-		}
+		shard := s.shardOf(g)
 		local := g - s.bases[shard]
 		if n := len(parts); n > 0 && parts[n-1].shard == shard {
 			parts[n-1].to = local + 1

@@ -21,7 +21,7 @@ func init() {
 // the query engine decodes it.
 type blazCodec struct{}
 
-func newBlaz(p Params) (Codec, error) {
+func newBlaz(p Params) (Coder, error) {
 	return blazCodec{}, nil
 }
 

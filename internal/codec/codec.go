@@ -149,8 +149,9 @@ type Shaper interface {
 	Shape(c Compressed) ([]int, error)
 }
 
-// Coder is the optional serialization sub-interface for backends whose
-// compressed form round-trips through bytes (all four built-ins).
+// Coder is a Codec whose compressed form round-trips through bytes.
+// Every registered codec is one: a Factory returns a Coder, so Lookup
+// hands back a codec a store can write and read without a check.
 type Coder interface {
 	Codec
 	// Encode serializes c.

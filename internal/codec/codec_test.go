@@ -69,15 +69,11 @@ func TestEncodedSizeMatchesEncodeLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coder, ok := cd.(Coder)
-		if !ok {
-			t.Fatalf("%s must be a Coder", spec)
-		}
 		c, err := cd.Compress(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := coder.Encode(c)
+		blob, err := cd.Encode(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +102,7 @@ func TestEncodedSizeMatchesEncodeLength(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					blob, err := cd.(Coder).Encode(c)
+					blob, err := cd.Encode(c)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,19 +143,15 @@ func TestEncodeDecodeAllCodecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coder, ok := cd.(Coder)
-			if !ok {
-				t.Skipf("codec %q is not a Coder", name)
-			}
 			c, err := cd.Compress(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			blob, err := coder.Encode(c)
+			blob, err := cd.Encode(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := coder.Decode(blob)
+			back, err := cd.Decode(blob)
 			if err != nil {
 				t.Fatal(err)
 			}

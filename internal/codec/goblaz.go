@@ -29,7 +29,7 @@ type goblazCodec struct {
 //	index=int16      int8|int16|int32|int64
 //	transform=dct    dct|haar|walsh-hadamard|identity
 //	keep=1           fraction of low-frequency coefficients kept, (0,1]
-func newGoblaz(p Params) (Codec, error) {
+func newGoblaz(p Params) (Coder, error) {
 	block, err := p.TakeInts("block", []int{4, 4})
 	if err != nil {
 		return nil, err

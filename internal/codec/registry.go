@@ -76,8 +76,9 @@ func (p Params) TakeInts(key string, def []int) ([]int, error) {
 }
 
 // Factory constructs a codec from spec parameters. It must consume every
-// parameter it supports via Take*; leftovers make Lookup fail.
-type Factory func(p Params) (Codec, error)
+// parameter it supports via Take*; leftovers make Lookup fail. Its codec
+// serializes (Coder): a registered codec is one a store can hold.
+type Factory func(p Params) (Coder, error)
 
 var (
 	registryMu sync.RWMutex
@@ -176,8 +177,9 @@ func Canonical(spec string) (string, error) {
 
 // Lookup constructs a codec from a spec string, e.g.
 // "goblaz:block=8x8,index=int8" or "zfp:rate=16". Unknown codec names and
-// unconsumed parameters are errors.
-func Lookup(spec string) (Codec, error) {
+// unconsumed parameters are errors. The codec serializes: every Factory
+// returns a Coder.
+func Lookup(spec string) (Coder, error) {
 	name, params, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err

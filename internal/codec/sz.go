@@ -21,7 +21,7 @@ type szCodec struct {
 	curveFit bool
 }
 
-func newSZ(p Params) (Codec, error) {
+func newSZ(p Params) (Coder, error) {
 	tol, err := p.TakeFloat("tol", 1e-4)
 	if err != nil {
 		return nil, err

@@ -19,7 +19,7 @@ type zfpCodec struct {
 	settings zfpsim.Settings
 }
 
-func newZFP(p Params) (Codec, error) {
+func newZFP(p Params) (Coder, error) {
 	rate, err := p.TakeInt("rate", 16)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/codec"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -24,9 +25,9 @@ const tooManySpecs = "too many distinct codec specs"
 // a store.Writer records it under.
 func encodeAlone(t *testing.T, f api.IngestFrame) (payload []byte, spec string) {
 	t.Helper()
-	coder, err := lookupCoder(testSpec)
+	coder, err := codec.Lookup(testSpec)
 	if f.Spec != "" {
-		coder, err = lookupCoder(f.Spec)
+		coder, err = codec.Lookup(f.Spec)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +235,7 @@ func TestCompactMatchesWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	def, err := lookupCoder(testSpec)
+	def, err := codec.Lookup(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

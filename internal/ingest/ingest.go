@@ -124,7 +124,7 @@ type Store struct {
 	// idx holds the committed frames and the specs of every logged one,
 	// interned at accept so no logged frame's spec can fail a commit.
 	idx          store.Index
-	labels       map[int]struct{}  // committed + pending + reserved
+	labels       map[int]struct{}  // pending + reserved; idx holds the committed
 	pending      []store.FrameInfo // logged, not yet under a footer
 	pendingBytes int64             // payload bytes in pending
 	deadBytes    int64             // data-region bytes that are not live payloads
@@ -141,9 +141,9 @@ func Create(path string, opts Options) (*Store, error) {
 	if opts.Spec == "" {
 		return nil, fmt.Errorf("ingest: Create needs a codec spec")
 	}
-	coder, err := lookupCoder(opts.Spec)
+	coder, err := codec.Lookup(opts.Spec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -216,7 +216,7 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("ingest: %s is a version-%d store; rewrite it with `goblaz pack` before ingesting",
 			path, r.Version())
 	}
-	coder, err := lookupCoder(r.Spec())
+	coder, err := codec.Lookup(r.Spec())
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %s header spec: %w", path, err)
 	}
@@ -231,9 +231,9 @@ func openLocked(f *os.File, path string, opts Options) (*Store, error) {
 	if opts.Spec != "" {
 		// Compare through constructed coders so a shorthand spec matches
 		// its fully parameterized expansion.
-		wantCoder, err := lookupCoder(opts.Spec)
+		wantCoder, err := codec.Lookup(opts.Spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ingest: %w", err)
 		}
 		if want, err := codec.Canonical(wantCoder.Spec()); err != nil || want != canon {
 			return nil, fmt.Errorf("ingest: %s stores %q, requested %q", path, r.Spec(), opts.Spec)
@@ -294,7 +294,8 @@ func (s *Store) recoverLogLocked(size int64) error {
 		}
 		e := rec.frameAt(s.size + n)
 		n += int64(k)
-		if _, dup := s.labels[e.Label]; dup {
+		_, logged := s.labels[e.Label]
+		if _, committed := s.idx.IndexOf(e.Label); logged || committed {
 			discardedTotal.Inc()
 			continue
 		}
@@ -331,32 +332,20 @@ func (s *Store) recoverLogLocked(size int64) error {
 	return s.commitLocked(context.Background())
 }
 
-func lookupCoder(spec string) (codec.Coder, error) {
-	cd, err := codec.Lookup(spec)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		return nil, fmt.Errorf("ingest: codec %q does not support byte serialization", cd.Name())
-	}
-	return coder, nil
-}
-
-// adoptIndexLocked takes the store's index — frames, spec table,
-// footer position, dead bytes — from a reader over the committed image,
-// and holds its labels. The reader is discarded, so its index is ours
-// to grow. Dead bytes are what the data region holds beyond live
-// payloads: footers superseded by earlier commits and the framing of
-// the log records payloads were committed in (none after a compaction).
+// adoptIndexLocked takes the store's frames, spec table, footer
+// position and dead bytes from a reader over the committed image. The
+// index is a Clone of the reader's Inventory: commits grow it, and the
+// reader never sees them. Dead bytes are what the data region holds
+// beyond live payloads: footers superseded by earlier commits and the
+// framing of the log records payloads were committed in (none after a
+// compaction).
 func (s *Store) adoptIndexLocked(r *store.Reader) {
 	var live int64
-	for _, e := range r.Frames() {
-		live += e.Length
-		s.labels[e.Label] = struct{}{}
+	for i := 0; i < r.Len(); i++ {
+		live += r.Info(i).Length
 	}
 	start, end := r.DataRegion()
-	s.idx = r.Index
+	s.idx = r.Inventory.Clone()
 	s.footerOff = end
 	s.deadBytes = end - start - live
 }
@@ -425,7 +414,7 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 				i, f.Label, f.Shape, n, len(f.Data))
 		}
 		if f.Spec != "" {
-			coder, err := lookupCoder(f.Spec)
+			coder, err := codec.Lookup(f.Spec)
 			if err != nil {
 				return nil, api.Errorf(api.CodeBadRequest, "frame %d (label %d): %v", i, f.Label, err)
 			}
@@ -444,7 +433,8 @@ func (s *Store) Ingest(ctx context.Context, frames []api.IngestFrame) (*api.Inge
 		return nil, api.Errorf(api.CodeUnavailable, "ingest store is closed")
 	}
 	for i, f := range frames {
-		if _, dup := s.labels[f.Label]; dup {
+		_, reserved := s.labels[f.Label]
+		if _, committed := s.idx.IndexOf(f.Label); reserved || committed {
 			for _, g := range frames[:i] {
 				delete(s.labels, g.Label)
 			}
@@ -638,6 +628,9 @@ func (s *Store) commitLocked(ctx context.Context) error {
 	s.deadBytes += footerOff - s.footerOff - s.pendingBytes
 	s.size = end
 	s.footerOff = footerOff
+	for _, e := range s.pending {
+		delete(s.labels, e.Label)
+	}
 	s.pending = nil
 	s.pendingBytes = 0
 	commitsTotal.Inc()

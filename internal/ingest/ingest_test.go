@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/api/conformance"
+	"repro/internal/codec"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -221,7 +222,7 @@ func TestIngestBadSpecIsBadRequest(t *testing.T) {
 	ctx := context.Background()
 	good, bad := testFrame(4, 8, 8), testFrame(5, 8, 8)
 	bad.Spec = "nosuchcodec"
-	_, lookupErr := lookupCoder(bad.Spec)
+	_, lookupErr := codec.Lookup(bad.Spec)
 	_, err = s.Ingest(ctx, []api.IngestFrame{good, bad})
 	want := "frame 1 (label 5): " + lookupErr.Error()
 	if e := api.FromError(err); e == nil || e.Code != api.CodeBadRequest || e.Message != want {
@@ -268,7 +269,7 @@ func TestIngestBatchMatchesCodecAlone(t *testing.T) {
 		if spec == "" {
 			spec = testSpec
 		}
-		coder, err := lookupCoder(spec)
+		coder, err := codec.Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

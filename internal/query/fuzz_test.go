@@ -22,11 +22,10 @@ import (
 // buildFuzzStore packs two tiny frames into an in-memory store.
 func buildFuzzStore(tb testing.TB) *store.Reader {
 	tb.Helper()
-	cd, err := codec.Lookup("goblaz:block=4x4,float=float64,index=int16")
+	coder, err := codec.Lookup("goblaz:block=4x4,float=float64,index=int16")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	coder := cd.(codec.Coder)
 	var buf bytes.Buffer
 	w, err := store.NewWriter(&buf, coder.Spec())
 	if err != nil {

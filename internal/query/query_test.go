@@ -33,13 +33,9 @@ func buildStore(t testing.TB, spec string, labels []int, frames []*tensor.Tensor
 // storeBytes packs frames into a store file's bytes.
 func storeBytes(t testing.TB, spec string, labels []int, frames []*tensor.Tensor) []byte {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		t.Fatalf("codec %q is not a Coder", spec)
 	}
 	var buf bytes.Buffer
 	w, err := store.NewWriter(&buf, coder.Spec())
@@ -694,11 +690,10 @@ func (c *cancelingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // post-open payload read cancels ctx.
 func buildCancelStore(t *testing.T, n int) (*store.Reader, *cancelingReaderAt, context.Context, context.CancelFunc) {
 	t.Helper()
-	cd, err := codec.Lookup("zfp:rate=32")
+	coder, err := codec.Lookup("zfp:rate=32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coder := cd.(codec.Coder)
 	var buf bytes.Buffer
 	w, err := store.NewWriter(&buf, coder.Spec())
 	if err != nil {

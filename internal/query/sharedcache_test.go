@@ -26,11 +26,10 @@ import (
 // same frame indices.
 func buildOffsetStore(tb testing.TB, n int, base float64) *store.Reader {
 	tb.Helper()
-	cd, err := codec.Lookup("goblaz:block=4x4,float=float64,index=int16")
+	coder, err := codec.Lookup("goblaz:block=4x4,float=float64,index=int16")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	coder := cd.(codec.Coder)
 	var buf bytes.Buffer
 	w, err := store.NewWriter(&buf, coder.Spec())
 	if err != nil {

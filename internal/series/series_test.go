@@ -116,7 +116,7 @@ func TestPipelinePreservesOrder(t *testing.T) {
 	}
 	var labels []int
 	var piped []*core.CompressedArray
-	p := NewCodecPipeline(cd.(codec.Coder), func(label int, c codec.Compressed) error {
+	p := NewCodecPipeline(cd, func(label int, c codec.Compressed) error {
 		labels = append(labels, label)
 		piped = append(piped, c.(*core.CompressedArray))
 		return nil
@@ -152,7 +152,7 @@ func TestCodecPipelineGeneric(t *testing.T) {
 		c     codec.Compressed
 	}
 	var got []stored
-	p := NewCodecPipeline(cd.(codec.Coder), func(label int, c codec.Compressed) error {
+	p := NewCodecPipeline(cd, func(label int, c codec.Compressed) error {
 		got = append(got, stored{label, c})
 		return nil
 	}, 3)

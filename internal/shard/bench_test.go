@@ -66,20 +66,41 @@ func TestDatasetQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestDatasetOneFrameAllocs: the allocation ceiling of a one-frame
+// mean through Dataset.Query, over two mmap'd shards. It measured 14 on
+// Go 1.24.0; the ceiling leaves one allocation for the toolchain CI
+// pins (Go 1.22), whose escape analysis may differ. A change that
+// lowers the count lowers the ceiling.
+func TestDatasetOneFrameAllocs(t *testing.T) {
+	const ceiling = 15
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	frames := randomFrames(rand.New(rand.NewSource(9)), 4, 32, 32)
+	ds, err := Open(buildDataset(t, t.TempDir(), benchSpec, frames, 2), query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	req := &query.Request{Select: query.Selector{Labels: "2"}, Aggregates: []string{query.AggMean}}
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := ds.Query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("a one-frame mean through Dataset.Query makes %.0f allocations, ceiling %d", got, ceiling)
+	}
+}
+
 func BenchmarkShardedQuery(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	dir := b.TempDir()
 	ds, single := benchDataset(b, dir)
 	singleEng := query.New(single, query.Options{})
 
-	man := ds.man
-	shardEngines := make([]*query.Engine, len(man.Shards))
-	for s, sh := range man.Shards {
-		r, err := store.OpenReaderMmap(filepath.Join(dir, sh.Path))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
+	shardEngines := make([]*query.Engine, len(ds.readers))
+	for s, r := range ds.readers {
 		shardEngines[s] = query.New(r, query.Options{})
 	}
 

@@ -21,21 +21,21 @@ type frameRef struct {
 	shard, local int
 }
 
-// Dataset is an open sharded dataset: one store.Reader per shard plus
-// the global index over all of them. It implements query.Source as the
-// concatenation of its shards in manifest order — global frame i lives
-// in the shard covering i, at position i minus that shard's base — and
-// answers every request through one query.Engine over that view, so it
-// behaves exactly like an engine over a single store holding the same
-// frames in the same order.
+// Dataset is an open sharded dataset: one store.Reader per shard and
+// their concatenation in manifest order as one store.Inventory, whose
+// Info keeps each frame's offsets in its shard's file and whose one
+// spec table (Specs) interns every shard's in shard order. It
+// implements query.Source as that view — global frame i lives in the
+// shard covering i, at position i minus that shard's base — and answers
+// every request through one query.Engine over it, so it behaves exactly
+// like an engine over a single store holding the same frames in order.
 //
 // A Dataset is safe for concurrent use: readers are concurrency-safe
-// and the index is immutable after Open.
+// and the Inventory has no mutating method.
 type Dataset struct {
-	man     *Manifest
+	store.Inventory
 	readers []*store.Reader
-	refs    []frameRef  // global position → shard location
-	labels  map[int]int // label → global position
+	refs    []frameRef // global position → shard location
 	engine  *query.Engine
 }
 
@@ -49,11 +49,12 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := filepath.Dir(path)
-	d := &Dataset{
-		man:    man,
-		labels: make(map[int]int),
+	idx, err := store.NewIndex(man.Spec)
+	if err != nil {
+		return nil, err
 	}
+	dir := filepath.Dir(path)
+	d := &Dataset{}
 	ok := false
 	defer func() {
 		if !ok {
@@ -100,10 +101,13 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 				return nil, fmt.Errorf("shard: %s frame %d has label %d, manifest says %d",
 					sh.Path, i, label, sh.Labels[i])
 			}
-			d.labels[label] = len(d.refs)
 			d.refs = append(d.refs, frameRef{shard: s, local: i})
 		}
+		if err := idx.Extend(&r.Inventory); err != nil {
+			return nil, fmt.Errorf("shard: %s: %w", sh.Path, err)
+		}
 	}
+	d.Inventory = idx.Inventory
 	d.engine = query.New(d, opts)
 	ok = true
 	return d, nil
@@ -131,53 +135,11 @@ func (d *Dataset) Close() error {
 // Shards returns the number of shards.
 func (d *Dataset) Shards() int { return len(d.readers) }
 
-// Len returns the dataset's total frame count.
-func (d *Dataset) Len() int { return len(d.refs) }
-
-// Info returns the index entry of global frame i. Offset and Length
-// are relative to the owning shard's file.
-func (d *Dataset) Info(i int) store.FrameInfo {
-	ref := d.refs[i]
-	return d.readers[ref.shard].Info(ref.local)
-}
-
-// IndexOf returns the global position of the frame with the given
-// label.
-func (d *Dataset) IndexOf(label int) (int, bool) {
-	i, ok := d.labels[label]
-	return i, ok
-}
-
 // FrameKey returns the stable identity of global frame i — the owning
 // shard reader's key (query.FrameKeyer).
 func (d *Dataset) FrameKey(i int) (source uint64, frame int) {
 	ref := d.refs[i]
 	return d.readers[ref.shard].FrameKey(ref.local)
-}
-
-// Specs returns every codec spec the dataset uses: the shared default
-// first, then each shard's interned extras in shard order, deduplicated
-// (query.FrameSpeccer). A codec-uniform dataset returns a one-element
-// slice.
-func (d *Dataset) Specs() []string {
-	specs := []string{d.man.Spec}
-	seen := map[string]bool{d.man.Spec: true}
-	for _, r := range d.readers {
-		for _, s := range r.Specs() {
-			if !seen[s] {
-				seen[s] = true
-				specs = append(specs, s)
-			}
-		}
-	}
-	return specs
-}
-
-// FrameSpec returns the codec spec of global frame i
-// (query.FrameSpeccer).
-func (d *Dataset) FrameSpec(i int) string {
-	ref := d.refs[i]
-	return d.readers[ref.shard].FrameSpec(ref.local)
 }
 
 // FrameCoder returns the codec that wrote global frame i

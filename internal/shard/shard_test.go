@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/codec"
@@ -40,13 +41,9 @@ func randomFrames(rng *rand.Rand, n, rows, cols int) []*tensor.Tensor {
 
 func mustCoder(t testing.TB, spec string) codec.Coder {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		t.Fatalf("codec %q does not serialize", spec)
 	}
 	return coder
 }
@@ -565,3 +562,17 @@ func TestDatasetQueryErrors(t *testing.T) {
 }
 
 func ptr(v int) *int { return &v }
+
+// TestInventoriesAreSealed: a Reader and a Dataset are safe for
+// concurrent use because the frame inventory they serve cannot change
+// under them: neither has a method that interns a spec, adds a frame or
+// truncates.
+func TestInventoriesAreSealed(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(&store.Reader{}), reflect.TypeOf(&Dataset{})} {
+		for _, name := range []string{"SpecID", "Add", "Truncate"} {
+			if _, ok := typ.MethodByName(name); ok {
+				t.Errorf("%v has a %s method", typ, name)
+			}
+		}
+	}
+}

@@ -22,11 +22,10 @@ import (
 // benchStorePath packs n synthetic rows×cols frames into a store file.
 func benchStorePath(b *testing.B, n, rows, cols int) string {
 	b.Helper()
-	cd, err := codec.Lookup("goblaz:block=8x8,float=float32,index=int16")
+	coder, err := codec.Lookup("goblaz:block=8x8,float=float32,index=int16")
 	if err != nil {
 		b.Fatal(err)
 	}
-	coder := cd.(codec.Coder)
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, coder.Spec())
 	if err != nil {

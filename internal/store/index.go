@@ -4,26 +4,38 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 
 	"repro/internal/codec"
 )
 
-// Index is a store's inventory: the spec table (the default spec
-// first), the frames in commit order and the label → position map. It
-// is the one place that interns specs under the format's limits,
-// refuses a duplicate label and encodes the footer. A Reader holds the
-// index it parsed (and only reads it), a Writer builds one, and an
-// appendable store (internal/ingest) grows the one it opened with.
-// Mutating methods are not safe for concurrent use.
-type Index struct {
-	specs   []string       // specs[0] = default (header), 1.. = footer table
-	specIDs map[string]int // canonical spec → id; built by the first SpecID
-	frames  []FrameInfo
-	labels  map[int]int // label → frame position
+// Inventory is the read side of a frame index: the spec table (the
+// default spec first), the frames in commit order and the label →
+// position map. Every tier that serves frames reads its frames through
+// one: a Reader holds the one it parsed, a shard.Dataset the
+// concatenation of its shards', and a cluster.Coordinator the one it
+// discovered over the wire. An Inventory has no mutating method, so it
+// is safe for concurrent use.
+type Inventory struct {
+	specs  []string // specs[0] = default (header), 1.. = footer table
+	frames []FrameInfo
+	labels map[int]int // label → frame position
 }
 
-// newIndex returns an empty index whose default spec is spec.
-func newIndex(spec string) (Index, error) {
+// Index is an Inventory that grows: the one place that interns specs
+// under the format's limits, refuses a duplicate label and encodes the
+// footer. A Writer builds one, an appendable store (internal/ingest)
+// grows a Clone of the committed one, and the dataset and coordinator
+// build one and then keep only its Inventory. Mutating methods are not
+// safe for concurrent use.
+type Index struct {
+	Inventory
+	specIDs map[string]int // canonical spec → id; built by the first SpecID
+}
+
+// NewIndex returns an empty index whose default spec is spec.
+func NewIndex(spec string) (Index, error) {
 	if spec == "" {
 		return Index{}, fmt.Errorf("store: empty codec spec")
 	}
@@ -34,7 +46,15 @@ func newIndex(spec string) (Index, error) {
 	if err != nil {
 		return Index{}, fmt.Errorf("store: default spec: %w", err)
 	}
-	return Index{specs: []string{spec}, specIDs: map[string]int{canon: 0}, labels: map[int]int{}}, nil
+	return Index{Inventory: Inventory{specs: []string{spec}, labels: map[int]int{}}, specIDs: map[string]int{canon: 0}}, nil
+}
+
+// Clone returns a growable copy of the inventory: the Index shares no
+// memory with it, so growing the copy never shows through the original.
+func (x *Inventory) Clone() Index {
+	return Index{Inventory: Inventory{
+		specs: slices.Clone(x.specs), frames: slices.Clone(x.frames), labels: maps.Clone(x.labels),
+	}}
 }
 
 // SpecID returns spec's id, interning it when the table lacks it. ""
@@ -89,6 +109,28 @@ func (x *Index) Add(e FrameInfo) error {
 	return nil
 }
 
+// Extend appends part's frames after x's, as if they had been added
+// one by one: part's whole spec table is interned first, in order, and
+// each frame keeps its offsets and CRC under the id its spec has in x.
+// On error x may already hold some of part's specs and frames.
+func (x *Index) Extend(part *Inventory) error {
+	ids := make([]int, len(part.specs))
+	for k, spec := range part.specs {
+		id, err := x.SpecID(spec)
+		if err != nil {
+			return err
+		}
+		ids[k] = id
+	}
+	for _, e := range part.frames {
+		e.SpecID = ids[e.SpecID]
+		if err := x.Add(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Truncate keeps the first frames frames and the first specs specs
 // (the default counts), undoing every Add and SpecID since Len and
 // NumSpecs returned those counts.
@@ -124,36 +166,36 @@ func (x *Index) AppendFooter(buf []byte, footerOff int64) []byte {
 }
 
 // Spec returns the default codec spec, the header's.
-func (x *Index) Spec() string { return x.specs[0] }
+func (x *Inventory) Spec() string { return x.specs[0] }
 
 // Specs returns every codec spec: the default first, then the footer
 // table in id order. A codec-uniform store returns a one-element slice.
-func (x *Index) Specs() []string {
+func (x *Inventory) Specs() []string {
 	return append([]string(nil), x.specs...)
 }
 
 // NumSpecs returns len(Specs()) without the copy.
-func (x *Index) NumSpecs() int { return len(x.specs) }
+func (x *Inventory) NumSpecs() int { return len(x.specs) }
 
 // FrameSpec returns the codec spec of frame i. For every frame of a
 // version-1 (or uniform version-2) store this is Spec().
-func (x *Index) FrameSpec(i int) string {
+func (x *Inventory) FrameSpec(i int) string {
 	return x.specs[x.frames[i].SpecID]
 }
 
 // Len returns the number of frames.
-func (x *Index) Len() int { return len(x.frames) }
+func (x *Inventory) Len() int { return len(x.frames) }
 
 // Info returns the index entry of frame i.
-func (x *Index) Info(i int) FrameInfo { return x.frames[i] }
+func (x *Inventory) Info(i int) FrameInfo { return x.frames[i] }
 
 // Frames returns a copy of the frame index, in commit order.
-func (x *Index) Frames() []FrameInfo {
+func (x *Inventory) Frames() []FrameInfo {
 	return append([]FrameInfo(nil), x.frames...)
 }
 
 // IndexOf returns the position of the frame with the given label.
-func (x *Index) IndexOf(label int) (int, bool) {
+func (x *Inventory) IndexOf(label int) (int, bool) {
 	i, ok := x.labels[label]
 	return i, ok
 }

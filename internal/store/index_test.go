@@ -16,7 +16,7 @@ func fillSpec(k int) string { return fmt.Sprintf("fill:k=%d", k) }
 func longSpec(n int) string { return "fill:k=" + strings.Repeat("a", n-len("fill:k=")) }
 
 func TestIndexSpecLimits(t *testing.T) {
-	x, err := newIndex("fill")
+	x, err := NewIndex("fill")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestIndexSpecLimits(t *testing.T) {
 		t.Fatalf("SpecID of an interned spec in a full table = %d, %v", id, err)
 	}
 
-	y, err := newIndex("fill")
+	y, err := NewIndex("fill")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		if _, err := NewWriter(&out, def); err != nil { // the header alone
 			t.Fatal(err)
 		}
-		x, err := newIndex(def)
+		x, err := NewIndex(def)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,8 @@ import (
 // default spec.
 //
 // A Reader is safe for concurrent use: ReadAt is positioned I/O (no
-// shared file cursor), the index is immutable after open, and registry
-// codecs are documented concurrency-safe. Close must not race with
+// shared file cursor), the Inventory has no mutating method, and
+// registry codecs are documented concurrency-safe. Close must not race with
 // in-flight accesses; accesses after Close fail with ErrClosed.
 type Reader struct {
 	r         io.ReaderAt
@@ -38,7 +38,7 @@ type Reader struct {
 	footerCRC uint32
 	headerEnd int64 // first byte after the header
 	footerOff int64 // first byte of the footer
-	Index           // parsed at open, read-only after
+	Inventory       // parsed at open; Clone it to grow a copy
 
 	// verified is a bitmap of frames whose payload CRC has already been
 	// checked, so zero-copy serving (PayloadReader) pays the checksum
@@ -199,7 +199,7 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 		entries = footer[len(footer)-int(count)*int(entSize):]
 	}
 
-	idx := Index{specs: specs, frames: make([]FrameInfo, 0, count), labels: make(map[int]int, count)}
+	idx := Index{Inventory: Inventory{specs: specs, frames: make([]FrameInfo, 0, count), labels: make(map[int]int, count)}}
 	for i := 0; i < int(count); i++ {
 		e := parseEntry(entries[int64(i)*entSize:], int(entSize))
 		// Compare by subtraction, not e.Offset+e.Length: a crafted length
@@ -215,7 +215,7 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	}
 	return &Reader{
 		r: r, id: readerID.Add(1), version: v, footerCRC: footerCRC,
-		headerEnd: headerEnd, footerOff: footerOff, Index: idx,
+		headerEnd: headerEnd, footerOff: footerOff, Inventory: idx.Inventory,
 		verified: make([]atomic.Uint32, (count+31)/32),
 		coders:   make([]coderCell, len(specs)),
 	}, nil
@@ -283,17 +283,7 @@ func (r *Reader) FrameCoder(i int) (codec.Coder, error) {
 func (r *Reader) coderAt(id int) (codec.Coder, error) {
 	cell := &r.coders[id]
 	cell.once.Do(func() {
-		cd, err := codec.Lookup(r.specs[id])
-		if err != nil {
-			cell.err = err
-			return
-		}
-		coder, ok := cd.(codec.Coder)
-		if !ok {
-			cell.err = fmt.Errorf("store: codec %q does not support byte serialization", cd.Name())
-			return
-		}
-		cell.coder = coder
+		cell.coder, cell.err = codec.Lookup(r.specs[id])
 	})
 	return cell.coder, cell.err
 }

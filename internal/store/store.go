@@ -38,10 +38,14 @@
 // adaptive assigner behind `goblaz tune`) interns each distinct spec
 // once however many frames share it. Index owns that interning, its
 // limits (65 535 extra specs, each at most 65 535 bytes) and the
-// footer's encoding. The index lives in a footer rather than the
-// header so a Writer never needs to seek — it can stream to a pipe or
-// socket — while a Reader finds the index from the fixed-size trailer
-// at the end of the file.
+// footer's encoding. Its read side, Inventory, is the frame inventory
+// of every tier that serves frames: a Reader holds the one it parsed, a
+// shard.Dataset the concatenation of its shards', and a
+// cluster.Coordinator the one it discovered over the wire.
+//
+// The index lives in a footer rather than the header so a Writer never
+// needs to seek — it can stream to a pipe or socket — while a Reader
+// finds the index from the fixed-size trailer at the end of the file.
 package store
 
 import (
@@ -78,7 +82,7 @@ type FrameInfo struct {
 	CRC32  uint32
 	// SpecID names the frame's codec spec: 0 is the store's default
 	// (header) spec, k ≥ 1 the k-th interned footer spec. Resolve it
-	// with Index.FrameSpec.
+	// with Inventory.FrameSpec.
 	SpecID int
 }
 

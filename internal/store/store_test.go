@@ -27,13 +27,9 @@ func testFrame(label int) *tensor.Tensor {
 
 func mustCoder(t *testing.T, spec string) codec.Coder {
 	t.Helper()
-	cd, err := codec.Lookup(spec)
+	coder, err := codec.Lookup(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	coder, ok := cd.(codec.Coder)
-	if !ok {
-		t.Fatalf("codec %q does not implement Coder", spec)
 	}
 	return coder
 }

@@ -37,7 +37,7 @@ type syncer interface{ Sync() error }
 // codec.Coder.Spec() so a Reader can reconstruct the codec. Frames
 // whose spec differs from the default go through WriteFrameWithSpec.
 func NewWriter(w io.Writer, spec string) (*Writer, error) {
-	idx, err := newIndex(spec)
+	idx, err := NewIndex(spec)
 	if err != nil {
 		return nil, err
 	}

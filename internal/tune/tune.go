@@ -157,13 +157,9 @@ func Run(ctx context.Context, labels []int, frame FrameFunc, opts Options) (*Rep
 	}
 	coders := make([]codec.Coder, len(opts.Candidates))
 	for i, spec := range opts.Candidates {
-		cd, err := codec.Lookup(spec)
+		coder, err := codec.Lookup(spec)
 		if err != nil {
 			return nil, fmt.Errorf("tune: candidate %q: %w", spec, err)
-		}
-		coder, ok := cd.(codec.Coder)
-		if !ok {
-			return nil, fmt.Errorf("tune: candidate %q does not support byte serialization", spec)
 		}
 		coders[i] = coder
 	}
@@ -328,13 +324,9 @@ func (r *Report) Coders(fallbackSpec string) (func(label int, t *tensor.Tensor) 
 		if coder, ok := bySpec[spec]; ok {
 			return coder, nil
 		}
-		cd, err := codec.Lookup(spec)
+		coder, err := codec.Lookup(spec)
 		if err != nil {
 			return nil, err
-		}
-		coder, ok := cd.(codec.Coder)
-		if !ok {
-			return nil, fmt.Errorf("tune: spec %q does not support byte serialization", spec)
 		}
 		bySpec[spec] = coder
 		return coder, nil
