@@ -1,10 +1,11 @@
 // Package httpapi binds the transport-agnostic v1 contract
 // (internal/api) to HTTP. It owns routing, the JSON error envelope,
-// conditional requests (ETag / If-None-Match), and the middleware
-// stack — panic recovery, access logging, request body limits, and
-// per-request deadlines. It holds no business logic: every route calls
-// an api.Backend, so the same handler serves a local store or proxies
-// another server.
+// conditional requests (ETag / If-None-Match), and the one request
+// wrapper, Handler.ServeHTTP — trace identity, per-request deadlines,
+// request body limits, panic recovery, route metrics labelled from the
+// mux patterns, and access logging. It holds no business logic: every
+// route calls an api.Backend, so the same handler serves a local store
+// or proxies another server.
 //
 // Routes (also mounted per named store under /v1/stores/{store}/...
 // and per named sharded dataset under /v1/datasets/{dataset}/...):
@@ -91,11 +92,8 @@ type Options struct {
 // Handler serves one default store plus any number of named stores and
 // named sharded datasets.
 type Handler struct {
-	def      api.Backend            // default store, "" name; may be nil
-	stores   map[string]api.Backend // named mounts under /v1/stores/{name}
-	datasets map[string]api.Backend // named mounts under /v1/datasets/{name}
-	opts     Options
-	mux      *http.ServeMux
+	opts Options
+	mux  *http.ServeMux // the one route table; see handle
 }
 
 // New builds the v1 HTTP handler. def serves the unprefixed routes
@@ -103,11 +101,11 @@ type Handler struct {
 // under /v1/stores/{name}/, and opts.Datasets under
 // /v1/datasets/{name}/. The same backend may appear in several places.
 func New(def api.Backend, stores map[string]api.Backend, opts Options) http.Handler {
-	h := &Handler{def: def, stores: stores, datasets: opts.Datasets, opts: opts, mux: http.NewServeMux()}
-	h.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
+	h := &Handler{opts: opts, mux: http.NewServeMux()}
+	h.handle("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	h.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
+	h.handle("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		if opts.Ready == nil || opts.Ready() {
 			fmt.Fprintln(w, "ready")
 			return
@@ -116,16 +114,17 @@ func New(def api.Backend, stores map[string]api.Backend, opts Options) http.Hand
 	})
 	// The exposition routes serve obs.Default, where every instrumented
 	// layer records.
-	h.mux.Handle("GET /v1/debug/metrics", MetricsJSON(obs.Default))
+	h.handle("GET /v1/debug/metrics", MetricsJSON(obs.Default).ServeHTTP)
 	if opts.ExposeMetrics {
-		h.mux.Handle("GET /metrics", MetricsProm(obs.Default))
+		h.handle("GET /metrics", MetricsProm(obs.Default).ServeHTTP)
 	}
-	h.mux.HandleFunc("GET /v1/stores", h.handleStoreList)
-	h.mux.HandleFunc("GET /v1/datasets", h.handleDatasetList)
+	h.handle("GET /v1/stores", listMounts("stores", stores))
+	h.handle("GET /v1/datasets", listMounts("datasets", opts.Datasets))
 
-	// Each resource registers three times: on the default mount and
-	// under the named-store and named-dataset prefixes, resolved per
-	// request.
+	// Each resource registers once per mount family, resolved per
+	// request by the {store} segment; the default mount has none, so it
+	// resolves under "".
+	defaultMount := map[string]api.Backend{"": def}
 	for _, m := range []struct {
 		method, path string
 		fn           resourceFunc
@@ -139,34 +138,25 @@ func New(def api.Backend, stores map[string]api.Backend, opts Options) http.Hand
 		{"POST", "/query", (*Handler).handleQuery},
 		{"POST", "/frames", (*Handler).handleIngest},
 	} {
-		h.mux.HandleFunc(m.method+" /v1"+m.path, h.resolve(m.fn, h.defaultMount))
-		h.mux.HandleFunc(m.method+" /v1/stores/{store}"+m.path, h.resolve(m.fn, h.storeMount))
-		h.mux.HandleFunc(m.method+" /v1/datasets/{store}"+m.path, h.resolve(m.fn, h.datasetMount))
+		h.handle(m.method+" /v1"+m.path, h.resolve(m.fn, defaultMount))
+		h.handle(m.method+" /v1/stores/{store}"+m.path, h.resolve(m.fn, stores))
+		h.handle(m.method+" /v1/datasets/{store}"+m.path, h.resolve(m.fn, opts.Datasets))
 	}
 	// The named roots double as their StoreInfo resources.
-	h.mux.HandleFunc("GET /v1/stores/{store}", h.resolve((*Handler).handleStore, h.storeMount))
-	h.mux.HandleFunc("GET /v1/datasets/{store}", h.resolve((*Handler).handleStore, h.datasetMount))
-	return withMiddleware(h.mux, opts)
+	h.handle("GET /v1/stores/{store}", h.resolve((*Handler).handleStore, stores))
+	h.handle("GET /v1/datasets/{store}", h.resolve((*Handler).handleStore, opts.Datasets))
+	return h
 }
 
 // resourceFunc is one v1 resource: it answers for the resolved backend
 // and returns an error to be rendered as the JSON envelope.
 type resourceFunc func(h *Handler, b api.Backend, w http.ResponseWriter, req *http.Request) error
 
-// The mount families a request can resolve through.
-func (h *Handler) defaultMount(req *http.Request) api.Backend { return h.def }
-func (h *Handler) storeMount(req *http.Request) api.Backend {
-	return h.stores[req.PathValue("store")]
-}
-func (h *Handler) datasetMount(req *http.Request) api.Backend {
-	return h.datasets[req.PathValue("store")]
-}
-
-// resolve picks the backend through the mount family and funnels the
-// resource's error into the envelope.
-func (h *Handler) resolve(fn resourceFunc, mount func(*http.Request) api.Backend) http.HandlerFunc {
+// resolve picks the backend named by the request's {store} segment
+// and funnels the resource's error into the envelope.
+func (h *Handler) resolve(fn resourceFunc, mounts map[string]api.Backend) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		b := mount(req)
+		b := mounts[req.PathValue("store")]
 		if b == nil {
 			writeError(w, api.Errorf(api.CodeNotFound, "no such store"))
 			return
@@ -177,21 +167,16 @@ func (h *Handler) resolve(fn resourceFunc, mount func(*http.Request) api.Backend
 	}
 }
 
-func (h *Handler) handleStoreList(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, map[string]any{"stores": mountNames(h.stores)})
-}
-
-func (h *Handler) handleDatasetList(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, map[string]any{"datasets": mountNames(h.datasets)})
-}
-
-func mountNames(mounts map[string]api.Backend) []string {
-	names := make([]string, 0, len(mounts))
-	for name := range mounts {
-		names = append(names, name)
+// listMounts answers a mount family's sorted name list.
+func listMounts(family string, mounts map[string]api.Backend) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		names := make([]string, 0, len(mounts))
+		for name := range mounts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		writeJSON(w, map[string]any{family: names})
 	}
-	sort.Strings(names)
-	return names
 }
 
 func (h *Handler) handleStore(b api.Backend, w http.ResponseWriter, req *http.Request) error {
@@ -367,11 +352,7 @@ func (h *Handler) handleRegion(b api.Backend, w http.ResponseWriter, req *http.R
 func (h *Handler) handleQuery(b api.Backend, w http.ResponseWriter, req *http.Request) error {
 	var qr query.Request
 	if err := query.DecodeJSON(req.Body, &qr); err != nil {
-		var maxBytes *http.MaxBytesError
-		if errors.As(err, &maxBytes) {
-			return err // writeError owns the body-limit classification
-		}
-		return api.Errorf(api.CodeBadRequest, "bad query JSON: %v", err)
+		return badBody(err, "bad query JSON")
 	}
 	res, err := b.Query(req.Context(), &qr)
 	if err != nil {
@@ -421,11 +402,7 @@ func readIngestBody(req *http.Request) ([]api.IngestFrame, error) {
 		body, err = io.ReadAll(req.Body) // the body limit still applies
 	}
 	if err != nil {
-		var maxBytes *http.MaxBytesError
-		if errors.As(err, &maxBytes) {
-			return nil, err // writeError owns the body-limit classification
-		}
-		return nil, api.Errorf(api.CodeBadRequest, "reading ingest body: %v", err)
+		return nil, badBody(err, "reading ingest body")
 	}
 	return api.ParseFrames(body)
 }
@@ -444,15 +421,22 @@ func readNDJSON(body io.Reader) ([]api.IngestFrame, error) {
 			break
 		}
 		if err != nil {
-			var maxBytes *http.MaxBytesError
-			if errors.As(err, &maxBytes) {
-				return nil, err // writeError owns the body-limit classification
-			}
-			return nil, api.Errorf(api.CodeBadRequest, "bad ingest frame JSON: %v", err)
+			return nil, badBody(err, "bad ingest frame JSON")
 		}
 		frames = append(frames, f)
 	}
 	return frames, nil
+}
+
+// badBody classifies a request body that failed to read or parse: an
+// overrun of the body limit passes through, since writeError owns that
+// classification, and anything else is a bad request.
+func badBody(err error, what string) error {
+	var maxBytes *http.MaxBytesError
+	if errors.As(err, &maxBytes) {
+		return err
+	}
+	return api.Errorf(api.CodeBadRequest, "%s: %v", what, err)
 }
 
 func parseInts(s string) ([]int, error) {

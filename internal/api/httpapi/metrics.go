@@ -1,97 +1,21 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
 
 // Registry families for the HTTP surface: request counts and latency
-// by route pattern × status class.
+// by route pattern × status class. The route label is the matched
+// pattern's path (see Handler.handle); anything unmatched is "other".
 var (
 	httpRequests = obs.NewCounterVec("goblaz_http_requests_total",
 		"HTTP requests served, by route pattern and status class.", "route", "class")
 	httpSeconds = obs.NewHistogramVec("goblaz_http_request_seconds",
 		"HTTP request latency in seconds, by route pattern and status class.", nil, "route", "class")
 )
-
-// routeLabel maps a request path to a bounded route label: path
-// parameters collapse to placeholders ({label}, {store}) so metric
-// cardinality stays fixed however many frames and mounts traffic
-// touches, and unrecognized paths collapse to "other". Hand-rolled
-// rather than read off the mux because the matched-pattern accessor
-// needs a newer net/http than the oldest toolchain this repo supports.
-func routeLabel(path string) string {
-	p := strings.Trim(path, "/")
-	if p == "" {
-		return "/"
-	}
-	parts := strings.Split(p, "/")
-	switch parts[0] {
-	case "healthz", "readyz", "metrics":
-		if len(parts) == 1 {
-			return "/" + parts[0]
-		}
-		return "other"
-	case "v1":
-	default:
-		return "other"
-	}
-	rest := parts[1:]
-	if len(rest) == 0 {
-		return "other"
-	}
-	switch rest[0] {
-	case "debug":
-		if len(rest) == 2 && rest[1] == "metrics" {
-			return "/v1/debug/metrics"
-		}
-	case "store", "query":
-		if len(rest) == 1 {
-			return "/v1/" + rest[0]
-		}
-	case "frames":
-		return frameRoute("/v1/frames", rest[1:])
-	case "stores", "datasets":
-		if len(rest) == 1 {
-			return "/v1/" + rest[0]
-		}
-		mount := "/v1/" + rest[0] + "/{store}"
-		if len(rest) == 2 {
-			return mount
-		}
-		sub := rest[2:]
-		switch sub[0] {
-		case "store", "query":
-			if len(sub) == 1 {
-				return mount + "/" + sub[0]
-			}
-		case "frames":
-			return frameRoute(mount+"/frames", sub[1:])
-		}
-	}
-	return "other"
-}
-
-// frameRoute labels the frame resource family under base.
-func frameRoute(base string, rest []string) string {
-	switch len(rest) {
-	case 0:
-		return base
-	case 1:
-		return base + "/{label}"
-	case 2:
-		switch rest[1] {
-		case "payload", "stats", "region":
-			return base + "/{label}/" + rest[1]
-		}
-	}
-	return "other"
-}
 
 // statusClass buckets an HTTP status for the class label.
 func statusClass(status int) string {
@@ -113,63 +37,6 @@ func statusClass(status int) string {
 // so a caller can quote it when filing a slow-query report. It is in
 // canonical form.
 const TraceIDHeader = "X-Goblaz-Trace-Id"
-
-// instrument is the outermost middleware: it establishes the request's
-// trace identity (adopting a W3C traceparent when the client sent one,
-// minting one otherwise), records the per-route × status-class metrics,
-// and emits the access log — key=value by default, one JSON object per
-// line with Options.LogJSON. It replaces the older plain access logger;
-// metrics and tracing run even when logging is disabled.
-func instrument(next http.Handler, opts Options) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var sc obs.SpanContext
-		// Canonical keys: a lowercase one is canonicalized into a fresh
-		// string on every request.
-		if parent, ok := obs.ParseTraceparent(req.Header.Get("Traceparent")); ok {
-			sc = parent.Child() // same trace, new span: the server's own unit of work
-		} else {
-			sc = obs.NewSpanContext()
-		}
-		w.Header()[TraceIDHeader] = []string{sc.TraceID.String()}
-		ctx, span := obs.DefaultTracer.StartRoot(req.Context(), "http.request", sc)
-		span.SetDetail("%s %s", req.Method, req.URL.Path)
-
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, req.WithContext(ctx))
-		dur := time.Since(start)
-
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		route, class := routeLabel(req.URL.Path), statusClass(status)
-		httpRequests.With(route, class).Inc()
-		httpSeconds.With(route, class).ObserveDuration(dur)
-		span.End()
-
-		if opts.Logf == nil {
-			return
-		}
-		if opts.LogJSON {
-			blob, err := json.Marshal(accessRecord{
-				Method:   req.Method,
-				Path:     req.URL.Path,
-				Status:   status,
-				Bytes:    sw.bytes,
-				Duration: dur.Round(time.Microsecond).String(),
-				Trace:    sc.TraceID.String(),
-			})
-			if err == nil {
-				opts.Logf("%s", blob)
-			}
-			return
-		}
-		opts.Logf("method=%s path=%s status=%d bytes=%d dur=%s trace=%s",
-			req.Method, req.URL.Path, status, sw.bytes,
-			dur.Round(time.Microsecond), sc.TraceID)
-	})
-}
 
 // accessRecord is the JSON access-log line (-log-json).
 type accessRecord struct {

@@ -2,32 +2,24 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/obs"
 )
 
-// withMiddleware stacks the transport concerns around the mux, from the
-// outside in: instrumentation (trace identity, route metrics, and the
-// access log — it sees the final status, including the 500 a panic
-// turned into), panic recovery, request deadline, body limit.
-func withMiddleware(next http.Handler, opts Options) http.Handler {
-	h := limitBody(next)
-	if opts.RequestTimeout > 0 {
-		h = withDeadline(h, opts.RequestTimeout)
-	}
-	h = recoverPanics(h, opts.Logf)
-	return instrument(h, opts)
-}
-
-// statusWriter records the status and body size for the access log and
-// lets the panic handler know whether headers already went out.
+// statusWriter records the status and body size for the access log,
+// lets the panic handler know whether headers already went out, and
+// carries the matched route's label for the metrics.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	route  string // the matched pattern's path; "" until a route runs
 }
 
 func (w *statusWriter) WriteHeader(status int) {
@@ -47,44 +39,104 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// recoverPanics converts a handler panic into a 500 envelope (when the
-// response has not started) instead of tearing down the connection, and
-// logs the stack — the envelope itself never carries it.
-func recoverPanics(next http.Handler, logf func(string, ...any)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if r := recover(); r != nil {
-				if logf != nil {
-					logf("panic serving %s %s: %v\n%s", req.Method, req.URL.Path, r, debug.Stack())
-				}
-				if sw.status == 0 {
-					writeError(sw, api.Errorf(api.CodeInternal, "internal error"))
-				}
-			}
-		}()
-		next.ServeHTTP(sw, req)
+// handle registers fn under pattern ("METHOD /path"). The pattern's
+// path becomes the request's route label, so metric cardinality stays
+// fixed however many frames and mounts traffic touches: the mux is the
+// one route table, and a request no pattern matches is labelled
+// "other".
+func (h *Handler) handle(pattern string, fn http.HandlerFunc) {
+	_, route, _ := strings.Cut(pattern, " ")
+	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
+		w.(*statusWriter).route = route // ServeHTTP is the mux's one caller
+		fn(w, req)
 	})
 }
 
-// withDeadline bounds each request's context, so abandoned or
-// oversized queries stop doing compressed-domain work at the deadline
-// (the engine re-checks the context between frames).
-func withDeadline(next http.Handler, d time.Duration) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		ctx, cancel := context.WithTimeout(req.Context(), d)
+// ServeHTTP wraps every route in the transport concerns, in order: the
+// request's trace identity (adopting a W3C traceparent when the client
+// sent one, minting one otherwise), the optional deadline (the engine
+// re-checks the context between frames, so an abandoned query stops
+// working at it), the request body limit (oversized reads surface as
+// *http.MaxBytesError, which writeError maps to bad_request), panic
+// recovery, then the per-route × status-class metrics and the access
+// log — key=value by default, one JSON object per line with
+// Options.LogJSON. The metrics and the log see the final status,
+// including the 500 a panic turned into.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	var sc obs.SpanContext
+	// Canonical keys: a lowercase one is canonicalized into a fresh
+	// string on every request.
+	if parent, ok := obs.ParseTraceparent(req.Header.Get("Traceparent")); ok {
+		sc = parent.Child() // same trace, new span: the server's own unit of work
+	} else {
+		sc = obs.NewSpanContext()
+	}
+	w.Header()[TraceIDHeader] = []string{sc.TraceID.String()}
+	ctx, span := obs.DefaultTracer.StartRoot(req.Context(), "http.request", sc)
+	span.SetDetail("%s %s", req.Method, req.URL.Path)
+	if h.opts.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, h.opts.RequestTimeout)
 		defer cancel()
-		next.ServeHTTP(w, req.WithContext(ctx))
-	})
+	}
+	sw := &statusWriter{ResponseWriter: w}
+	req = req.WithContext(ctx)
+	if req.Body != nil {
+		req.Body = http.MaxBytesReader(sw, req.Body, maxRequestBytes)
+	}
+
+	start := time.Now()
+	h.serveRecovering(sw, req)
+	dur := time.Since(start)
+
+	status := sw.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	route, class := sw.route, statusClass(status)
+	if route == "" {
+		route = "other"
+	}
+	httpRequests.With(route, class).Inc()
+	httpSeconds.With(route, class).ObserveDuration(dur)
+	span.End()
+
+	logf := h.opts.Logf
+	if logf == nil {
+		return
+	}
+	if h.opts.LogJSON {
+		blob, err := json.Marshal(accessRecord{
+			Method:   req.Method,
+			Path:     req.URL.Path,
+			Status:   status,
+			Bytes:    sw.bytes,
+			Duration: dur.Round(time.Microsecond).String(),
+			Trace:    sc.TraceID.String(),
+		})
+		if err == nil {
+			logf("%s", blob)
+		}
+		return
+	}
+	logf("method=%s path=%s status=%d bytes=%d dur=%s trace=%s",
+		req.Method, req.URL.Path, status, sw.bytes,
+		dur.Round(time.Microsecond), sc.TraceID)
 }
 
-// limitBody caps request bodies at maxRequestBytes; oversized reads
-// surface as *http.MaxBytesError, which writeError maps to bad_request.
-func limitBody(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Body != nil {
-			req.Body = http.MaxBytesReader(w, req.Body, maxRequestBytes)
+// serveRecovering runs the mux, converting a handler panic into a 500
+// envelope (when the response has not started) instead of tearing down
+// the connection, and logs the stack — the envelope never carries it.
+func (h *Handler) serveRecovering(sw *statusWriter, req *http.Request) {
+	defer func() {
+		if r := recover(); r != nil {
+			if h.opts.Logf != nil {
+				h.opts.Logf("panic serving %s %s: %v\n%s", req.Method, req.URL.Path, r, debug.Stack())
+			}
+			if sw.status == 0 {
+				writeError(sw, api.Errorf(api.CodeInternal, "internal error"))
+			}
 		}
-		next.ServeHTTP(w, req)
-	})
+	}()
+	h.mux.ServeHTTP(sw, req)
 }

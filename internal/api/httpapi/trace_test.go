@@ -2,6 +2,8 @@ package httpapi
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -78,32 +80,111 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 	}
 }
 
-func TestRouteLabel(t *testing.T) {
-	cases := map[string]string{
-		"/":                              "/",
-		"/healthz":                       "/healthz",
-		"/metrics":                       "/metrics",
-		"/v1/debug/metrics":              "/v1/debug/metrics",
-		"/v1/store":                      "/v1/store",
-		"/v1/frames":                     "/v1/frames",
-		"/v1/frames/17":                  "/v1/frames/{label}",
-		"/v1/frames/17/payload":          "/v1/frames/{label}/payload",
-		"/v1/frames/17/stats":            "/v1/frames/{label}/stats",
-		"/v1/frames/17/region":           "/v1/frames/{label}/region",
-		"/v1/query":                      "/v1/query",
-		"/v1/stores":                     "/v1/stores",
-		"/v1/stores/run":                 "/v1/stores/{store}",
-		"/v1/stores/run/frames/3":        "/v1/stores/{store}/frames/{label}",
-		"/v1/stores/run/query":           "/v1/stores/{store}/query",
-		"/v1/datasets/ds/frames":         "/v1/datasets/{store}/frames",
-		"/v1/datasets/ds/frames/1/stats": "/v1/datasets/{store}/frames/{label}/stats",
-		"/v1/bogus/deep/path":            "other",
-		"/favicon.ico":                   "other",
-		"/v1/frames/17/nope":             "other",
-	}
-	for path, want := range cases {
-		if got := routeLabel(path); got != want {
-			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
+// servedRoute sends one request through h and returns the route label
+// it added to goblaz_http_requests_total.
+func servedRoute(t testing.TB, h http.Handler, req *http.Request) string {
+	t.Helper()
+	before := routeCounts()
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	var routes []string
+	for route, n := range routeCounts() {
+		if n > before[route] {
+			routes = append(routes, route)
 		}
 	}
+	if len(routes) != 1 {
+		t.Fatalf("%s %s moved the request counter of routes %q, want one", req.Method, req.URL.Path, routes)
+	}
+	return routes[0]
+}
+
+// routeCounts sums goblaz_http_requests_total by route over the status
+// classes.
+func routeCounts() map[string]float64 {
+	counts := map[string]float64{}
+	for _, m := range obs.Default.Snapshot().Metrics {
+		if m.Name == "goblaz_http_requests_total" {
+			for _, s := range m.Samples {
+				counts[s.Labels["route"]] += s.Value
+			}
+		}
+	}
+	return counts
+}
+
+// routeHandler mounts one backend on every mount family.
+func routeHandler(t testing.TB, logf func(string, ...any)) *Handler {
+	b := buildLocal(t, 2, 8, 8)
+	opts := Options{Datasets: map[string]api.Backend{"ds": b}, ExposeMetrics: true, Logf: logf}
+	return New(b, map[string]api.Backend{"run": b}, opts).(*Handler)
+}
+
+// TestRouteLabel: a request is labelled with the path of the pattern
+// that served it, whatever its path parameters, and anything no pattern
+// matches is "other".
+func TestRouteLabel(t *testing.T) {
+	h := routeHandler(t, nil)
+	for _, c := range []struct{ method, path, want string }{
+		{"GET", "/healthz", "/healthz"},
+		{"GET", "/metrics", "/metrics"},
+		{"GET", "/v1/debug/metrics", "/v1/debug/metrics"},
+		{"GET", "/v1/store", "/v1/store"},
+		{"GET", "/v1/frames", "/v1/frames"},
+		{"GET", "/v1/frames/1", "/v1/frames/{label}"},
+		{"GET", "/v1/frames/1/payload", "/v1/frames/{label}/payload"},
+		{"GET", "/v1/frames/1/stats", "/v1/frames/{label}/stats"},
+		{"GET", "/v1/frames/17/region", "/v1/frames/{label}/region"},
+		{"POST", "/v1/query", "/v1/query"},
+		{"GET", "/v1/stores", "/v1/stores"},
+		{"GET", "/v1/stores/run", "/v1/stores/{store}"},
+		{"GET", "/v1/stores/run/frames/1", "/v1/stores/{store}/frames/{label}"},
+		{"POST", "/v1/stores/run/query", "/v1/stores/{store}/query"},
+		{"GET", "/v1/stores/nope/store", "/v1/stores/{store}/store"},
+		{"GET", "/v1/datasets/ds/frames", "/v1/datasets/{store}/frames"},
+		{"GET", "/v1/datasets/ds/frames/1/stats", "/v1/datasets/{store}/frames/{label}/stats"},
+		{"GET", "/", "other"},
+		{"GET", "/v1/query", "other"}, // 405: a known path, the wrong method
+		{"GET", "/v1/bogus/deep/path", "other"},
+		{"GET", "/favicon.ico", "other"},
+		{"GET", "/v1/frames/17/nope", "other"},
+	} {
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader("{}"))
+		if got := servedRoute(t, h, req); got != c.want {
+			t.Errorf("%s %s is labelled %q, want %q", c.method, c.path, got, c.want)
+		}
+	}
+}
+
+// FuzzRouteLabels: no method and path panics the handler, and every
+// label is the path of the pattern the mux matched, or "other" — so the
+// label set is bounded by the route table however hostile the traffic.
+func FuzzRouteLabels(f *testing.F) {
+	for _, seed := range []struct{ method, path string }{
+		{"GET", "/v1/frames/0/stats"},
+		{"POST", "/v1/query"},
+		{"GET", "/"},
+		{"GET", "/v1/query"},
+		{"DELETE", "/v1/stores/run"},
+		{"GET", "/v1//store"},
+		{"HEAD", "/healthz"},
+		{"CONNECT", "/v1/store"},
+		{"GET", "/v1/datasets/ds/frames/1/region"},
+		{"POST", "/v1/datasets/ds/frames"},
+	} {
+		f.Add(seed.method, seed.path)
+	}
+	h := routeHandler(f, func(format string, args ...any) {
+		if strings.HasPrefix(format, "panic") {
+			panic(fmt.Sprintf(format, args...))
+		}
+	})
+	f.Fuzz(func(t *testing.T, method, path string) {
+		req := httptest.NewRequest("GET", "/", nil)
+		req.Method, req.URL.Path = method, path
+		_, pattern := h.mux.Handler(req)
+		_, matched, _ := strings.Cut(pattern, " ")
+		if got := servedRoute(t, h, req); got != "other" && got != matched {
+			t.Fatalf("%q %q is labelled %q; the mux matched %q", method, path, got, pattern)
+		}
+	})
 }

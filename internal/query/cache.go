@@ -13,20 +13,22 @@ import (
 // queries over the same frames — a dashboard polling
 // /v1/frames/{label}/stats, a region scrubbed through interactively —
 // hit the cache instead. One Cache may back many engines (Options.Cache
-// shares one memory budget across every shard of a dataset), so keys
-// are (namespace, frame index) pairs: engines key by their source's
-// stable frame identity (FrameKeyer — the owning store reader) or by a
-// private per-engine namespace, so two engines over different stores
-// can never alias each other's frame 0, while two views of the same
-// store share entries. Cost accounting is 8 bytes per element.
+// shares one memory budget across every engine built over it, as an
+// ingest store does across its read generations), so keys are
+// (namespace, frame index) pairs: engines key by their source's frame
+// identity (FrameKeyer — the owning store.Reader instance) or by a
+// private per-engine namespace, so two engines over different readers
+// can never alias each other's frame 0, while engines over the same
+// reader share entries. A reader reopened over the same file is a new
+// namespace. Cost accounting is 8 bytes per element.
 //
 // A Cache is safe for concurrent use. Concurrent misses on the same
 // frame are coalesced through Decode: the first caller runs the decode,
 // the rest wait on it and share the result — a thundering herd on one
 // hot frame costs one decompression, not one per request. The flight
 // table is keyed like the cache itself, so coalescing follows cache
-// sharing: every engine over one shared Cache (all shards of a dataset)
-// coalesces together.
+// sharing: engines over one shared Cache and one reader coalesce
+// together.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64

@@ -22,9 +22,9 @@ type Options struct {
 	// Cache, when non-nil, is used instead of a private cache, sharing
 	// one byte budget across every engine built over it (an ingest store
 	// budgets all its generations' engines this way). Entries key by the
-	// source's stable frame identity (FrameKeyer), so sharing never
-	// aliases frames of different stores, while engines over the same
-	// store file share decodes.
+	// source's reader identity (FrameKeyer), so sharing never aliases
+	// frames of different readers, while engines over the same reader
+	// share decodes; engines over two readers of one file do not.
 	Cache *Cache
 	// ForceDecode disables the compressed-space and partial-decode
 	// paths, so every frame is answered decode-then-compute. For

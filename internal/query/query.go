@@ -61,13 +61,15 @@ type Index interface {
 	IndexOf(label int) (int, bool)
 }
 
-// FrameKeyer is an optional Source capability: a stable, process-wide
-// identity for frame i, shared by every view of the same underlying
-// frame. Engines use it to key the decoded-frame cache, so engines
-// sharing one Cache over the same store file hit each other's entries
-// instead of decoding (and holding) the frame twice. store.Reader and
-// shard.Dataset both implement it; sources without it (the coordinator's
-// fetched payloads) cache under a private per-engine namespace.
+// FrameKeyer is an optional Source capability: a process-wide identity
+// for frame i — the store.Reader instance that reads it plus the
+// frame's position there. Engines use it to key the decoded-frame
+// cache, so engines sharing one Cache over the same reader hit each
+// other's entries instead of decoding (and holding) the frame twice; a
+// second reader over the same file is a different identity and shares
+// nothing. store.Reader and shard.Dataset (its owning shard reader's
+// key) implement it; sources without it (the coordinator's fetched
+// payloads) cache under a private per-engine namespace.
 type FrameKeyer interface {
 	FrameKey(i int) (source uint64, frame int)
 }

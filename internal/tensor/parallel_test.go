@@ -112,7 +112,7 @@ func TestParallelForCoarseCtx(t *testing.T) {
 
 func TestChunkPanicSurfacesOnCaller(t *testing.T) {
 	// A panic in a chunk that runs on a spawned goroutine must reach the
-	// caller (where httpapi.recoverPanics can turn it into a 500) instead
+	// caller (where httpapi.Handler can turn it into a 500) instead
 	// of killing the process, after the other chunks have run.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 1024
