@@ -114,46 +114,45 @@ func (e *Error) HTTPStatus() int { return HTTPStatus(e.Code) }
 // standard code for it.
 const StatusClientClosedRequest = 499
 
+// codes is the v1 error table: each code with its HTTP status and the
+// sentinel error that stands for it, in the order FromError checks the
+// sentinels. CodeInternal is the fallback of all three lookups.
+var codes = []struct {
+	code     Code
+	status   int
+	sentinel error
+}{
+	{CodeBadRequest, http.StatusBadRequest, query.ErrBadRequest},
+	{CodeNotFound, http.StatusNotFound, ErrNotFound},
+	{CodeNotSupported, http.StatusNotImplemented, codec.ErrNotSupported},
+	{CodeConflict, http.StatusConflict, ErrConflict},
+	{CodeOverloaded, http.StatusTooManyRequests, ErrOverloaded},
+	{CodeUnavailable, http.StatusServiceUnavailable, ErrUnavailable},
+	{CodeCanceled, StatusClientClosedRequest, context.Canceled},
+}
+
 // HTTPStatus maps a Code to the HTTP status the v1 API serves it with.
 // Unknown codes map to 500, the safe default for a server that is
 // confused about its own failure.
 func HTTPStatus(code Code) int {
-	switch code {
-	case CodeBadRequest:
-		return http.StatusBadRequest
-	case CodeNotFound:
-		return http.StatusNotFound
-	case CodeNotSupported:
-		return http.StatusNotImplemented
-	case CodeCanceled:
-		return StatusClientClosedRequest
-	case CodeConflict:
-		return http.StatusConflict
-	case CodeOverloaded:
-		return http.StatusTooManyRequests
-	case CodeUnavailable:
-		return http.StatusServiceUnavailable
+	for _, c := range codes {
+		if c.code == code {
+			return c.status
+		}
 	}
 	return http.StatusInternalServerError
 }
 
 // codeOfStatus is the client-side inverse of HTTPStatus, for responses
-// (from proxies, load balancers) that carry no envelope.
+// (from proxies, load balancers) that carry no envelope: any other 4xx
+// is the caller's, anything else internal.
 func codeOfStatus(status int) Code {
-	switch {
-	case status == http.StatusNotFound:
-		return CodeNotFound
-	case status == http.StatusNotImplemented:
-		return CodeNotSupported
-	case status == StatusClientClosedRequest:
-		return CodeCanceled
-	case status == http.StatusConflict:
-		return CodeConflict
-	case status == http.StatusTooManyRequests:
-		return CodeOverloaded
-	case status == http.StatusServiceUnavailable:
-		return CodeUnavailable
-	case status >= 400 && status < 500:
+	for _, c := range codes {
+		if c.status == status {
+			return c.code
+		}
+	}
+	if status >= 400 && status < 500 {
 		return CodeBadRequest
 	}
 	return CodeInternal
@@ -197,24 +196,13 @@ func FromError(err error) *Error {
 	if errors.As(err, &e) {
 		return e
 	}
-	classify := func(code Code) *Error {
-		return &Error{Code: code, Message: err.Error(), err: err}
+	for _, c := range codes {
+		if errors.Is(err, c.sentinel) {
+			return &Error{Code: c.code, Message: err.Error(), err: err}
+		}
 	}
-	switch {
-	case errors.Is(err, query.ErrBadRequest):
-		return classify(CodeBadRequest)
-	case errors.Is(err, ErrNotFound):
-		return classify(CodeNotFound)
-	case errors.Is(err, codec.ErrNotSupported):
-		return classify(CodeNotSupported)
-	case errors.Is(err, ErrConflict):
-		return classify(CodeConflict)
-	case errors.Is(err, ErrOverloaded):
-		return classify(CodeOverloaded)
-	case errors.Is(err, ErrUnavailable):
-		return classify(CodeUnavailable)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return classify(CodeCanceled)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return &Error{Code: CodeCanceled, Message: err.Error(), err: err}
 	}
 	return &Error{Code: CodeInternal, Message: "internal error", err: err}
 }
@@ -222,21 +210,10 @@ func FromError(err error) *Error {
 // sentinelOf is FromError's inverse: the sentinel error a code stands
 // for, for re-attaching to errors that crossed a transport.
 func sentinelOf(code Code) error {
-	switch code {
-	case CodeBadRequest:
-		return query.ErrBadRequest
-	case CodeNotFound:
-		return ErrNotFound
-	case CodeNotSupported:
-		return codec.ErrNotSupported
-	case CodeCanceled:
-		return context.Canceled
-	case CodeConflict:
-		return ErrConflict
-	case CodeOverloaded:
-		return ErrOverloaded
-	case CodeUnavailable:
-		return ErrUnavailable
+	for _, c := range codes {
+		if c.code == code {
+			return c.sentinel
+		}
 	}
 	return nil
 }

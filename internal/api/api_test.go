@@ -78,6 +78,36 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
+// TestErrorTableRoundTrips: every code of the error table maps to a
+// status and a sentinel that both lead back to it, and the table names
+// every code but the internal fallback, which round-trips through 500
+// and has no sentinel.
+func TestErrorTableRoundTrips(t *testing.T) {
+	all := []Code{CodeBadRequest, CodeNotFound, CodeNotSupported, CodeCanceled,
+		CodeConflict, CodeOverloaded, CodeUnavailable}
+	listed := map[Code]bool{}
+	for _, c := range codes {
+		listed[c.code] = true
+		if got := codeOfStatus(HTTPStatus(c.code)); got != c.code {
+			t.Errorf("%s -> status %d -> %s", c.code, HTTPStatus(c.code), got)
+		}
+		if got := CodeOf(sentinelOf(c.code)); got != c.code {
+			t.Errorf("%s -> sentinel %v -> %s", c.code, sentinelOf(c.code), got)
+		}
+	}
+	for _, code := range all {
+		if !listed[code] {
+			t.Errorf("%s is not in the error table", code)
+		}
+	}
+	if len(codes) != len(all) {
+		t.Errorf("the error table has %d rows, want %d", len(codes), len(all))
+	}
+	if got := codeOfStatus(HTTPStatus(CodeInternal)); got != CodeInternal || sentinelOf(CodeInternal) != nil {
+		t.Errorf("internal -> status %d -> %s, sentinel %v", HTTPStatus(CodeInternal), got, sentinelOf(CodeInternal))
+	}
+}
+
 func TestFromErrorClassification(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -511,11 +511,18 @@ func writeError(w http.ResponseWriter, err error) {
 		// that (an overload minted elsewhere), one second.
 		w.Header().Set("Retry-After", retryAfterValue(apiErr.RetryAfterSeconds))
 	}
+	writeEnvelope(w, apiErr.HTTPStatus(), apiErr)
+}
+
+// writeEnvelope writes apiErr's JSON envelope at status and returns
+// the body bytes written.
+func writeEnvelope(w http.ResponseWriter, status int, apiErr *api.Error) int {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(apiErr.HTTPStatus())
+	w.WriteHeader(status)
 	blob, merr := json.Marshal(api.ErrorEnvelope{Error: apiErr})
 	if merr != nil { // unreachable: Error is plain strings
 		blob = []byte(`{"error":{"code":"internal","message":"internal error"}}`)
 	}
-	w.Write(append(blob, '\n'))
+	n, _ := w.Write(append(blob, '\n'))
+	return n
 }

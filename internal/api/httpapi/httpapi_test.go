@@ -101,6 +101,11 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"POST", "/v1/query", `{"reduce":["mean"]}{"aggregates":["bogus"]} trailing garbage`, 400, api.CodeBadRequest},
 		{"POST", "/v1/query", `{"reduce":["mean"]} x`, 400, api.CodeBadRequest},
 		{"GET", "/v1/stores/nope/frames", "", 404, api.CodeNotFound},
+		// No pattern matches: the mux's own refusals carry the envelope too.
+		{"GET", "/", "", 404, api.CodeNotFound},
+		{"GET", "/v1/frames/0/nope", "", 404, api.CodeNotFound},
+		{"GET", "/v1/query", "", 405, api.CodeBadRequest},
+		{"DELETE", "/v1/frames/0", "", 405, api.CodeBadRequest},
 	}
 	for _, cse := range cases {
 		req, _ := http.NewRequest(cse.method, srv.URL+cse.path, strings.NewReader(cse.body))
@@ -110,6 +115,9 @@ func TestErrorEnvelopes(t *testing.T) {
 		}
 		if resp.StatusCode != cse.status {
 			t.Errorf("%s %s = %d, want %d", cse.method, cse.path, resp.StatusCode, cse.status)
+		}
+		if allow := resp.Header.Get("Allow"); (cse.status == 405) != (allow != "") {
+			t.Errorf("%s %s = %d with Allow %q", cse.method, cse.path, resp.StatusCode, allow)
 		}
 		if e := decodeEnvelope(t, resp); e.Code != cse.code {
 			t.Errorf("%s %s code = %s, want %s", cse.method, cse.path, e.Code, cse.code)

@@ -17,20 +17,43 @@ import (
 // carries the matched route's label for the metrics.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
-	route  string // the matched pattern's path; "" until a route runs
+	status    int
+	bytes     int64
+	route     string // the matched pattern's path; "" until a route runs
+	enveloped bool   // the mux's own plain-text body was replaced
 }
 
+// WriteHeader sends the status once. A 404 or 405 before any route ran
+// is net/http's mux refusing a request no pattern matched: its
+// plain-text body is replaced by the v1 envelope, not_found or (for a
+// known path with the wrong method, which keeps its Allow header)
+// bad_request.
 func (w *statusWriter) WriteHeader(status int) {
 	if w.status != 0 {
 		return
 	}
+	var apiErr *api.Error
+	if w.route == "" {
+		switch status {
+		case http.StatusNotFound:
+			apiErr = api.Errorf(api.CodeNotFound, "no such route")
+		case http.StatusMethodNotAllowed:
+			apiErr = api.Errorf(api.CodeBadRequest, "method not allowed")
+		}
+	}
 	w.status = status
-	w.ResponseWriter.WriteHeader(status)
+	if apiErr == nil {
+		w.ResponseWriter.WriteHeader(status)
+		return
+	}
+	w.bytes += int64(writeEnvelope(w.ResponseWriter, status, apiErr))
+	w.enveloped = true
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.enveloped {
+		return len(p), nil
+	}
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}

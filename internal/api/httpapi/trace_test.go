@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -81,11 +82,12 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 }
 
 // servedRoute sends one request through h and returns the route label
-// it added to goblaz_http_requests_total.
-func servedRoute(t testing.TB, h http.Handler, req *http.Request) string {
+// it added to goblaz_http_requests_total, and the response.
+func servedRoute(t testing.TB, h http.Handler, req *http.Request) (string, *httptest.ResponseRecorder) {
 	t.Helper()
 	before := routeCounts()
-	h.ServeHTTP(httptest.NewRecorder(), req)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
 	var routes []string
 	for route, n := range routeCounts() {
 		if n > before[route] {
@@ -95,7 +97,7 @@ func servedRoute(t testing.TB, h http.Handler, req *http.Request) string {
 	if len(routes) != 1 {
 		t.Fatalf("%s %s moved the request counter of routes %q, want one", req.Method, req.URL.Path, routes)
 	}
-	return routes[0]
+	return routes[0], rec
 }
 
 // routeCounts sums goblaz_http_requests_total by route over the status
@@ -149,15 +151,23 @@ func TestRouteLabel(t *testing.T) {
 		{"GET", "/v1/frames/17/nope", "other"},
 	} {
 		req := httptest.NewRequest(c.method, c.path, strings.NewReader("{}"))
-		if got := servedRoute(t, h, req); got != c.want {
+		if got, _ := servedRoute(t, h, req); got != c.want {
 			t.Errorf("%s %s is labelled %q, want %q", c.method, c.path, got, c.want)
 		}
 	}
 }
 
-// FuzzRouteLabels: no method and path panics the handler, and every
-// label is the path of the pattern the mux matched, or "other" — so the
-// label set is bounded by the route table however hostile the traffic.
+// knownCodes is every api.Code of the v1 contract.
+var knownCodes = map[api.Code]bool{
+	api.CodeBadRequest: true, api.CodeNotFound: true, api.CodeNotSupported: true, api.CodeCanceled: true,
+	api.CodeConflict: true, api.CodeOverloaded: true, api.CodeUnavailable: true, api.CodeInternal: true,
+}
+
+// FuzzRouteLabels: no method and path panics the handler, every label
+// is the path of the pattern the mux matched, or "other" — so the label
+// set is bounded by the route table however hostile the traffic — and
+// every error response, routed or not, is the JSON envelope with a
+// known code.
 func FuzzRouteLabels(f *testing.F) {
 	for _, seed := range []struct{ method, path string }{
 		{"GET", "/v1/frames/0/stats"},
@@ -183,8 +193,15 @@ func FuzzRouteLabels(f *testing.F) {
 		req.Method, req.URL.Path = method, path
 		_, pattern := h.mux.Handler(req)
 		_, matched, _ := strings.Cut(pattern, " ")
-		if got := servedRoute(t, h, req); got != "other" && got != matched {
+		got, rec := servedRoute(t, h, req)
+		if got != "other" && got != matched {
 			t.Fatalf("%q %q is labelled %q; the mux matched %q", method, path, got, pattern)
+		}
+		if rec.Code >= 400 {
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil || !knownCodes[env.Error.Code] {
+				t.Fatalf("%q %q answered %d with %q, not an error envelope with a known code", method, path, rec.Code, rec.Body)
+			}
 		}
 	})
 }

@@ -30,9 +30,6 @@ type Options struct {
 	// ClientTimeout overrides the topology's per-attempt client timeout
 	// when > 0.
 	ClientTimeout time.Duration
-	// DisableProbes turns the background health prober off; tests drive
-	// the state machine deterministically with ProbeNow instead.
-	DisableProbes bool
 }
 
 // Coordinator turns the shard servers of a Topology into one logical
@@ -98,11 +95,7 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 		c.probeHC = http.DefaultClient
 	}
 	for _, sh := range topo.Shards {
-		g := &group{
-			name:      sh.Name,
-			cooldown:  topo.Probe.cooldown(),
-			downAfter: topo.Probe.downAfter(),
-		}
+		g := &group{name: sh.Name, cooldown: topo.Probe.cooldown()}
 		for _, rep := range sh.Replicas {
 			ep, err := newEndpoint(rep, topo.Client, timeout, opts.HTTPClient)
 			if err != nil {
@@ -115,10 +108,8 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	if err := c.discover(context.Background()); err != nil {
 		return nil, err
 	}
-	if !opts.DisableProbes {
-		c.probeWG.Add(1)
-		go c.probeLoop(topo.Probe.interval())
-	}
+	c.probeWG.Add(1)
+	go c.probeLoop(topo.Probe.interval())
 	return c, nil
 }
 
@@ -149,7 +140,7 @@ func (c *Coordinator) discover(ctx context.Context) error {
 		wg.Add(1)
 		go func(s int, g *group) {
 			defer wg.Done()
-			invs[s], errs[s] = callOwner(ctx, g, uint64(s), func(cl *api.Client) (inv inventory, err error) {
+			invs[s], errs[s] = call(ctx, g, uint64(s), func(cl *api.Client) (inv inventory, err error) {
 				if inv.info, err = cl.Spec(ctx); err != nil {
 					return inv, err
 				}
@@ -277,21 +268,6 @@ func (c *Coordinator) owner(ctx context.Context, label int) (int, *group, error)
 	return i, c.groups[c.scatter.shardOf(i)], nil
 }
 
-// callOwner is group.call for a request that returns a value: fn runs
-// against g's replicas in health order, and the first success is the
-// answer.
-func callOwner[T any](ctx context.Context, g *group, affinity uint64, fn func(*api.Client) (T, error)) (T, error) {
-	var out T
-	err := g.call(ctx, affinity, func(cl *api.Client) error {
-		v, err := fn(cl)
-		if err == nil {
-			out = v
-		}
-		return err
-	})
-	return out, err
-}
-
 // FrameInfo resolves one label from the discovered inventory, without
 // a network hop.
 func (c *Coordinator) FrameInfo(ctx context.Context, label int) (api.FrameInfo, error) {
@@ -307,7 +283,7 @@ func (c *Coordinator) Frame(ctx context.Context, label int) (*api.Frame, error) 
 	if err != nil {
 		return nil, err
 	}
-	return callOwner(ctx, g, affinity(label), func(cl *api.Client) (*api.Frame, error) {
+	return call(ctx, g, affinity(label), func(cl *api.Client) (*api.Frame, error) {
 		return cl.Frame(ctx, label)
 	})
 }
@@ -341,7 +317,7 @@ func (c *Coordinator) PayloadReader(ctx context.Context, label int) (io.ReadSeek
 func (c *Coordinator) payload(ctx context.Context, i int) ([]byte, error) {
 	e := c.inv.Info(i)
 	label, want := e.Label, e.CRC32
-	return callOwner(ctx, c.groups[c.scatter.shardOf(i)], affinity(label), func(cl *api.Client) ([]byte, error) {
+	return call(ctx, c.groups[c.scatter.shardOf(i)], affinity(label), func(cl *api.Client) ([]byte, error) {
 		data, err := cl.Payload(ctx, label)
 		if err != nil {
 			return nil, err
@@ -361,7 +337,7 @@ func (c *Coordinator) frameCall(ctx context.Context, label int, fn func(*api.Cli
 	if err != nil {
 		return nil, err
 	}
-	out, err := callOwner(ctx, g, affinity(label), fn)
+	out, err := call(ctx, g, affinity(label), fn)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +402,7 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 // runPart sends a sub-request to the shard it was routed to, with
 // replica failover.
 func (c *Coordinator) runPart(ctx context.Context, p part, sub *query.Request) (*query.Result, error) {
-	return callOwner(ctx, c.groups[p.shard], uint64(p.from), func(cl *api.Client) (*query.Result, error) {
+	return call(ctx, c.groups[p.shard], uint64(p.from), func(cl *api.Client) (*query.Result, error) {
 		return cl.Query(ctx, sub)
 	})
 }
@@ -504,9 +480,10 @@ func (c *Coordinator) probeLoop(interval time.Duration) {
 	}
 }
 
-// ProbeNow probes every endpoint once, concurrently, and applies the
-// outcomes to the state machine. The background prober calls it on its
-// interval; tests call it directly for deterministic transitions.
+// ProbeNow probes every endpoint once, concurrently: a healthy answer
+// restores the endpoint to up, anything else (re)starts its cooldown.
+// The background prober calls it on its interval; tests call it
+// directly for deterministic outcomes.
 func (c *Coordinator) ProbeNow() {
 	var wg sync.WaitGroup
 	for _, g := range c.groups {
@@ -514,13 +491,12 @@ func (c *Coordinator) ProbeNow() {
 			wg.Add(1)
 			go func(g *group, ep *endpoint) {
 				defer wg.Done()
-				ep.beginProbe()
 				if c.probeOnce(ep) {
 					clusterProbes.With("ok").Inc()
 					ep.markSuccess()
 				} else {
 					clusterProbes.With("fail").Inc()
-					ep.markFailure(g.cooldown, g.downAfter)
+					ep.markFailure(g.cooldown)
 				}
 			}(g, ep)
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -75,18 +76,18 @@ func clusterOf(t testing.TB, manifestPath string, replicas int) (*Coordinator, [
 }
 
 // coordinatorOver opens a coordinator over shards s0, s1, … with the
-// given replica URLs each, probes disabled and a long cooldown.
+// given replica URLs each, probes and cooldowns an hour long.
 func coordinatorOver(t testing.TB, replicas [][]string) *Coordinator {
 	t.Helper()
 	topo := &Topology{
 		Version: TopologyVersion,
-		Probe:   ProbeConfig{Cooldown: Duration(time.Hour)},
+		Probe:   ProbeConfig{Interval: Duration(time.Hour), Cooldown: Duration(time.Hour)},
 		Client:  ClientConfig{Retries: -1},
 	}
 	for s, reps := range replicas {
 		topo.Shards = append(topo.Shards, ShardSpec{Name: fmt.Sprintf("s%d", s), Replicas: reps})
 	}
-	co, err := New(topo, Options{DisableProbes: true})
+	co, err := New(topo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,20 +413,23 @@ func TestCoordinatorFailoverMidBattery(t *testing.T) {
 		t.Errorf("failover counter did not move: %d -> %d", before, after)
 	}
 	ep := co.groups[0].endpoints[0]
-	if ep.State() == StateUp {
+	if ep.rank(time.Now()) == 0 {
 		t.Error("killed replica still reports up")
 	}
 	if v := clusterEndpointUp.With(ep.url).Value(); v != 0 {
 		t.Errorf("killed replica health gauge = %d, want 0", v)
 	}
-	if live := co.groups[0].endpoints[1].State(); live != StateUp {
-		t.Errorf("surviving replica is %s, want up", live)
+	if live := co.groups[0].endpoints[1].rank(time.Now()); live != 0 {
+		t.Errorf("surviving replica has rank %d, want 0 (up)", live)
 	}
 }
 
-// TestProbeStateMachine walks one endpoint through the health states
-// with deterministic probes against a server whose readiness toggles.
-func TestProbeStateMachine(t *testing.T) {
+// TestProbeCooldown drives one shard's replicas through a failed probe
+// and a recovery, with deterministic probes against servers whose
+// readiness toggles: a failed endpoint is ordered after its healthy
+// sibling until its cooldown expires, then before a sibling still
+// cooling down, and a successful probe puts it first again.
+func TestProbeCooldown(t *testing.T) {
 	fx := conformance.NewFixture(t)
 	storePath := fx.BuildStore(t, t.TempDir())
 	l, err := api.OpenLocal(storePath, query.Options{})
@@ -433,66 +437,68 @@ func TestProbeStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	var healthy atomic.Bool
-	healthy.Store(true)
-	srv := httptest.NewServer(httpapi.New(l, nil, httpapi.Options{
-		Ready: func() bool { return healthy.Load() },
-	}))
-	t.Cleanup(srv.Close)
+	var healthy [3]atomic.Bool
+	var urls []string
+	for i := range healthy {
+		healthy[i].Store(true)
+		srv := httptest.NewServer(httpapi.New(l, nil, httpapi.Options{
+			Ready: func() bool { return healthy[i].Load() },
+		}))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
 
+	const cooldown = time.Minute
 	topo := &Topology{
 		Version: TopologyVersion,
-		Shards:  []ShardSpec{{Name: "s0", Replicas: []string{srv.URL}}},
-		Probe:   ProbeConfig{DownAfter: 2},
+		Shards:  []ShardSpec{{Name: "s0", Replicas: urls}},
+		Probe:   ProbeConfig{Interval: Duration(time.Hour), Cooldown: Duration(cooldown)},
 		Client:  ClientConfig{Retries: -1},
 	}
-	co, err := New(topo, Options{DisableProbes: true})
+	co, err := New(topo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Close() })
-	ep := co.groups[0].endpoints[0]
-
-	if s := ep.State(); s != StateUp {
-		t.Fatalf("fresh endpoint is %s, want up", s)
+	g := co.groups[0]
+	a, b, c := g.endpoints[0], g.endpoints[1], g.endpoints[2]
+	// inOrder reports whether a call with the given affinity at time
+	// now tries the endpoints in the order want.
+	inOrder := func(affinity uint64, now time.Time, want ...*endpoint) bool {
+		return slices.Equal(g.order(affinity, now), want)
 	}
+
 	co.ProbeNow()
-	if s := ep.State(); s != StateUp {
-		t.Fatalf("healthy probe left endpoint %s, want up", s)
+	if !inOrder(2, time.Now(), c, a, b) {
+		t.Fatal("healthy replicas are not tried in affinity order")
 	}
-
 	okBefore := clusterProbes.With("ok").Value()
 	failBefore := clusterProbes.With("fail").Value()
 
-	healthy.Store(false)
+	healthy[0].Store(false)
+	failedAt := time.Now()
 	co.ProbeNow()
-	if s := ep.State(); s != StateSuspect {
-		t.Fatalf("one failed probe left endpoint %s, want suspect", s)
+	if v := clusterEndpointUp.With(a.url).Value(); v != 0 {
+		t.Errorf("failed endpoint gauge = %d, want 0", v)
 	}
-	if v := clusterEndpointUp.With(ep.url).Value(); v != 0 {
-		t.Errorf("demoted endpoint gauge = %d, want 0", v)
+	c.markFailure(3 * cooldown) // still cooling when a's cooldown is over
+	if !inOrder(2, failedAt, b, c, a) {
+		t.Error("a cooling endpoint is not tried after its healthy sibling")
 	}
-	co.ProbeNow()
-	if s := ep.State(); s != StateDown {
-		t.Fatalf("downAfter consecutive failures left endpoint %s, want down", s)
+	if !inOrder(2, failedAt.Add(2*cooldown), b, a, c) {
+		t.Error("a cooled-down endpoint is not tried after its healthy sibling and before one still cooling down")
 	}
 
-	healthy.Store(true)
+	healthy[0].Store(true)
 	co.ProbeNow()
-	if s := ep.State(); s != StateUp {
-		t.Fatalf("recovered endpoint is %s, want up", s)
+	if !inOrder(0, failedAt, a, b, c) {
+		t.Error("a successful probe did not put the endpoint first again")
 	}
-	if v := clusterEndpointUp.With(ep.url).Value(); v != 1 {
+	if v := clusterEndpointUp.With(a.url).Value(); v != 1 {
 		t.Errorf("recovered endpoint gauge = %d, want 1", v)
 	}
 	if clusterProbes.With("ok").Value() <= okBefore || clusterProbes.With("fail").Value() <= failBefore {
 		t.Error("probe outcome counters did not move")
-	}
-
-	for s, want := range map[State]string{StateUp: "up", StateSuspect: "suspect", StateDown: "down", StateProbing: "probing"} {
-		if s.String() != want {
-			t.Errorf("State(%d).String() = %q, want %q", s, s.String(), want)
-		}
 	}
 }
 
@@ -619,7 +625,7 @@ func TestDiscoveryRejectsInconsistentShards(t *testing.T) {
 				{Name: "b", Replicas: []string{tc.replica}},
 			},
 		}
-		_, err := New(topo, Options{DisableProbes: true})
+		_, err := New(topo, Options{})
 		if api.CodeOf(err) != api.CodeInternal || !strings.Contains(err.Error(), "shard b") {
 			t.Errorf("%s must not open: got %v, want %s naming shard b", tc.why, err, api.CodeInternal)
 		}
@@ -882,7 +888,7 @@ func TestCrossShardMetricStaleInventory(t *testing.T) {
 				if clusterFailovers.Value() <= failovers {
 					t.Error("failover counter did not move")
 				}
-				if s := co.groups[0].endpoints[first].State(); s == StateUp {
+				if co.groups[0].endpoints[first].rank(time.Now()) == 0 {
 					t.Error("stale replica still reports up")
 				}
 				return

@@ -4,59 +4,25 @@ import (
 	"context"
 	"net/http"
 	"net/url"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/obs"
 )
 
-// State is an endpoint's position in the health state machine.
-//
-//	up ──failure──▶ suspect ──(downAfter consecutive failures)──▶ down
-//	 ▲                 │                                            │
-//	 └──── success ────┴──────────── probing ◀── cooldown expiry ───┘
-//
-// Up endpoints take traffic first. A failed request or probe demotes an
-// endpoint with a cooldown; while the cooldown runs, requests prefer
-// its healthy siblings. When the cooldown expires, the next probe (or
-// request, whichever comes first) moves it to probing and its outcome
-// settles the state: success restores up, failure re-arms the cooldown
-// and, after downAfter consecutive failures, parks the endpoint down.
-type State int32
-
-const (
-	StateUp State = iota
-	StateSuspect
-	StateDown
-	StateProbing
-)
-
-func (s State) String() string {
-	switch s {
-	case StateUp:
-		return "up"
-	case StateSuspect:
-		return "suspect"
-	case StateDown:
-		return "down"
-	case StateProbing:
-		return "probing"
-	}
-	return "unknown"
-}
-
 // endpoint is one replica URL of one shard, with its SDK client and
-// health state.
+// health: an endpoint is up, or cooling down after a failure. Up
+// endpoints take traffic first; a failed request or probe starts a
+// cooldown, during which requests prefer the endpoint's healthy
+// siblings; once it expires the endpoint is worth a try again, and the
+// next success — request or probe — restores it to up.
 type endpoint struct {
 	url    string
 	client *api.Client
 	gauge  *obs.Gauge
 
-	mu      sync.Mutex
-	state   State
-	fails   int       // consecutive failures since the last success
-	retryAt time.Time // cooldown expiry; zero while up
+	retryAt atomic.Int64 // cooldown expiry in Unix nanoseconds; 0 while up
 }
 
 func newEndpoint(rawURL string, cc ClientConfig, timeout time.Duration, hc *http.Client) (*endpoint, error) {
@@ -75,16 +41,13 @@ func newEndpoint(rawURL string, cc ClientConfig, timeout time.Duration, hc *http
 	return ep, nil
 }
 
-// rank orders candidates for a shard call: 0 = up, 1 = demoted but the
-// cooldown has expired (worth a try), 2 = still cooling down (last
-// resort).
+// rank orders candidates for a shard call: 0 = up, 1 = cooled down
+// (worth a try), 2 = still cooling down (last resort).
 func (e *endpoint) rank(now time.Time) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch {
-	case e.state == StateUp:
+	switch retryAt := e.retryAt.Load(); {
+	case retryAt == 0:
 		return 0
-	case !now.Before(e.retryAt):
+	case now.UnixNano() >= retryAt:
 		return 1
 	default:
 		return 2
@@ -94,38 +57,14 @@ func (e *endpoint) rank(now time.Time) int {
 // markSuccess restores the endpoint to up after a successful request
 // or probe.
 func (e *endpoint) markSuccess() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.state = StateUp
-	e.fails = 0
-	e.retryAt = time.Time{}
+	e.retryAt.Store(0)
 	e.gauge.Set(1)
 }
 
-// markFailure demotes the endpoint: suspect with a fresh cooldown, or
-// down once downAfter consecutive failures accumulate.
-func (e *endpoint) markFailure(cooldown time.Duration, downAfter int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.fails++
-	if e.fails >= downAfter {
-		e.state = StateDown
-	} else {
-		e.state = StateSuspect
-	}
-	e.retryAt = time.Now().Add(cooldown)
+// markFailure starts (or restarts) the endpoint's cooldown.
+func (e *endpoint) markFailure(cooldown time.Duration) {
+	e.retryAt.Store(time.Now().Add(cooldown).UnixNano())
 	e.gauge.Set(0)
-}
-
-// beginProbe marks a non-up endpoint as probing for the duration of a
-// health check. Up endpoints stay up — a probe of a healthy endpoint
-// is not an event.
-func (e *endpoint) beginProbe() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.state != StateUp {
-		e.state = StateProbing
-	}
 }
 
 // probeBase is the endpoint's server root: health endpoints live
@@ -144,7 +83,6 @@ type group struct {
 	name      string
 	endpoints []*endpoint
 	cooldown  time.Duration
-	downAfter int
 }
 
 // affinity hashes a label for replica rotation with the splitmix64
@@ -175,39 +113,41 @@ func (g *group) order(affinity uint64, now time.Time) []*endpoint {
 	return out
 }
 
-// call runs fn against the group's replicas in health order until one
-// succeeds. Authoritative answers (bad request, not found, not
-// supported, canceled) return immediately — a second replica would
-// only repeat them. Transport-level and server-side failures fail over
-// to the next replica, demoting the failed endpoint when the error
-// says the replica itself is unhealthy; overloaded replicas are
-// skipped for this call without demotion, since backpressure is a
-// healthy signal. With every replica exhausted, the shard is reported
-// unavailable with the last failure attached.
-func (g *group) call(ctx context.Context, affinity uint64, fn func(*api.Client) error) error {
+// call runs fn against g's replicas in health order until one
+// succeeds, and returns that answer. Authoritative answers (bad
+// request, not found, not supported, canceled) return immediately — a
+// second replica would only repeat them. Transport-level and
+// server-side failures fail over to the next replica, demoting the
+// failed endpoint when the error says the replica itself is unhealthy;
+// overloaded replicas are skipped for this call without demotion,
+// since backpressure is a healthy signal. With every replica
+// exhausted, the shard is reported unavailable with the last failure
+// attached.
+func call[T any](ctx context.Context, g *group, affinity uint64, fn func(*api.Client) (T, error)) (T, error) {
+	var zero T
 	order := g.order(affinity, time.Now())
 	var lastErr error
 	for i, ep := range order {
 		if err := ctx.Err(); err != nil {
-			return api.FromError(err)
+			return zero, api.FromError(err)
 		}
-		err := fn(ep.client)
+		v, err := fn(ep.client)
 		if err == nil {
 			ep.markSuccess()
-			return nil
+			return v, nil
 		}
 		if ctx.Err() != nil || !failsOver(err) {
-			return err
+			return zero, err
 		}
 		if demotes(err) {
-			ep.markFailure(g.cooldown, g.downAfter)
+			ep.markFailure(g.cooldown)
 		}
 		lastErr = err
 		if i < len(order)-1 {
 			clusterFailovers.Inc()
 		}
 	}
-	return api.Errorf(api.CodeUnavailable, "shard %s: all %d replicas failed: %v",
+	return zero, api.Errorf(api.CodeUnavailable, "shard %s: all %d replicas failed: %v",
 		g.name, len(order), lastErr)
 }
 

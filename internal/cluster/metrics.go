@@ -15,7 +15,7 @@ var (
 	clusterProbes = obs.NewCounterVec("goblaz_cluster_probes_total",
 		"Background endpoint health probes by outcome.", "result")
 	clusterEndpointUp = obs.NewGaugeVec("goblaz_cluster_endpoint_up",
-		"Per-endpoint health: 1 while the endpoint is up, 0 while suspect, probing, or down.", "endpoint")
+		"Per-endpoint health: 1 while the endpoint is up, 0 while it is cooling down (from a failure until its next success).", "endpoint")
 	clusterRemoteFrames = obs.NewCounter("goblaz_cluster_remote_frames_total",
 		"Compressed payloads fetched over the wire for cross-shard metric evaluation.")
 	clusterRemoteBytes = obs.NewCounter("goblaz_cluster_remote_bytes_total",

@@ -23,10 +23,12 @@
 // a single store's at most.
 //
 // Replicas make the tier degradable: each shard lists one or more
-// interchangeable endpoints, a failed call demotes its endpoint with a
-// cooldown and fails over to the next (goblaz_cluster_failover_total),
-// and background probes of /readyz (falling back to /healthz) drive the
-// endpoint state machine up → suspect → down → probing.
+// interchangeable endpoints, and an endpoint is either up or cooling
+// down. A failed call starts its endpoint's cooldown and fails over to
+// the next replica (goblaz_cluster_failover_total); calls try up
+// endpoints first, then cooled-down ones, then those still cooling.
+// Background probes of /readyz (falling back to /healthz) restore an
+// endpoint that answers and restart the cooldown of one that does not.
 package cluster
 
 import (
@@ -90,16 +92,17 @@ type ShardSpec struct {
 	Replicas []string `json:"replicas"`
 }
 
-// ProbeConfig tunes the background health probes and the endpoint
-// state machine. Zero values take the defaults documented per field.
+// ProbeConfig tunes the background health probes and the cooldown of
+// a failed endpoint. Zero values take the defaults documented per
+// field.
 type ProbeConfig struct {
 	// Interval is how often every endpoint is probed (default 2s).
 	Interval Duration `json:"interval,omitempty"`
-	// Cooldown is how long a demoted endpoint sits out before a request
+	// Cooldown is how long a failed endpoint sits out before a request
 	// may try it again (default 5s).
 	Cooldown Duration `json:"cooldown,omitempty"`
-	// DownAfter is how many consecutive failures turn a suspect
-	// endpoint down (default 3).
+	// DownAfter has no effect. It is still parsed, so topology files
+	// that set it keep loading.
 	DownAfter int `json:"downAfter,omitempty"`
 }
 
@@ -115,13 +118,6 @@ func (p ProbeConfig) cooldown() time.Duration {
 		return time.Duration(p.Cooldown)
 	}
 	return 5 * time.Second
-}
-
-func (p ProbeConfig) downAfter() int {
-	if p.DownAfter > 0 {
-		return p.DownAfter
-	}
-	return 3
 }
 
 // ClientConfig tunes the per-shard api.Client transports. Zero values

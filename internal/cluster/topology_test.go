@@ -65,11 +65,28 @@ func TestTopologyRoundTrip(t *testing.T) {
 	if got.Dataset != tp.Dataset || got.Placement != tp.Placement || len(got.Shards) != len(tp.Shards) {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
-	if got.Probe.interval() != time.Second || got.Probe.cooldown() != 250*time.Millisecond || got.Probe.downAfter() != 2 {
+	if got.Probe.interval() != time.Second || got.Probe.cooldown() != 250*time.Millisecond || got.Probe.DownAfter != 2 {
 		t.Errorf("probe config %+v did not survive", got.Probe)
 	}
 	if time.Duration(got.Client.Timeout) != 3*time.Second || got.Client.Retries != -1 {
 		t.Errorf("client config %+v did not survive", got.Client)
+	}
+}
+
+// TestDownAfterStillLoads: probe.downAfter no longer does anything,
+// but a topology file that sets it (as older ones do) still loads.
+func TestDownAfterStillLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	blob := `{"version":1,"shards":[{"name":"a","replicas":["http://x"]}],"probe":{"interval":"2s","cooldown":"5s","downAfter":3}}`
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tp, err := LoadTopology(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp.Probe.interval() != 2*time.Second || tp.Probe.cooldown() != 5*time.Second || tp.Probe.DownAfter != 3 {
+		t.Errorf("probe config %+v", tp.Probe)
 	}
 }
 
@@ -87,8 +104,8 @@ func TestDurationForms(t *testing.T) {
 	}
 	// Zero values fall back to the documented defaults.
 	var zero ProbeConfig
-	if zero.interval() != 2*time.Second || zero.cooldown() != 5*time.Second || zero.downAfter() != 3 {
-		t.Errorf("defaults %v %v %d", zero.interval(), zero.cooldown(), zero.downAfter())
+	if zero.interval() != 2*time.Second || zero.cooldown() != 5*time.Second {
+		t.Errorf("defaults %v %v", zero.interval(), zero.cooldown())
 	}
 }
 
@@ -164,7 +181,7 @@ func TestHashPlacementRejected(t *testing.T) {
 	if _, err := LoadTopology(path); err == nil || !strings.Contains(err.Error(), "discovers") {
 		t.Errorf("LoadTopology = %v, want an error naming discovery", err)
 	}
-	_, err = New(tp, Options{DisableProbes: true})
+	_, err = New(tp, Options{})
 	if api.CodeOf(err) != api.CodeBadRequest || !strings.Contains(err.Error(), "discovers") {
 		t.Errorf("New = %v, want a bad request naming discovery", err)
 	}
@@ -205,6 +222,8 @@ func FuzzLoadTopology(f *testing.F) {
 	f.Add([]byte(one + `{"version":1}`))
 	f.Add([]byte(one + " x"))
 	f.Add([]byte(`{"version":1,"shards":[{"name":"a","replicas":["https://h:1/v1/datasets/d"]}],"probe":{"interval":1500000000,"cooldown":"-2m"}}`))
+	// downAfter no longer does anything, but files that set it must load.
+	f.Add([]byte(`{"version":1,"shards":[{"name":"a","replicas":["http://x"]}],"probe":{"interval":"2s","cooldown":"5s","downAfter":3}}`))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "in.json")

@@ -28,9 +28,11 @@
 // memory-mapped reader over the grown store and swaps it in as the
 // current view; in-flight queries hold a reference to the view they
 // started on, and a view's reader closes only when the last reference
-// drops. All generations share one decoded-frame cache — readers have
-// distinct cache identities, so stale entries age out via LRU rather
-// than alias.
+// drops. All generations share one decoded-frame cache under one frame
+// identity, the first generation's reader id: a committed frame keeps
+// its position and bytes across commits, and compaction copies the
+// payloads in index order with a CRC check, so a frame decoded before
+// a commit or compaction is a cache hit after it.
 package ingest
 
 import (
@@ -77,6 +79,16 @@ type Options struct {
 	CacheBytes int64
 }
 
+// generation is one commit's reader under the store's frame identity
+// (Store.frameKey) instead of its own, so the query cache keys a frame
+// the same in every generation.
+type generation struct {
+	*store.Reader
+	key uint64
+}
+
+func (g generation) FrameKey(i int) (source uint64, frame int) { return g.key, i }
+
 // view is one read generation: a memory-mapped reader over a committed
 // store image plus its query stack. Refcounted — the store holds one
 // reference while the view is current, each in-flight query one more —
@@ -116,6 +128,7 @@ type Store struct {
 	defaultCoder codec.Coder
 	defaultCanon string
 	cache        *query.Cache
+	frameKey     uint64 // the first generation's reader id; 0 until then
 
 	mu        sync.Mutex
 	f         *os.File // store file, positioned writes only
@@ -652,13 +665,20 @@ func (s *Store) commitLocked(ctx context.Context) error {
 // swapViewLocked opens a fresh memory-mapped reader over the current
 // commit and publishes it as the read view, releasing the store's
 // reference on the previous generation (whose reader closes once its
-// last in-flight query finishes).
+// last in-flight query finishes). Every generation keys its frames by
+// the first one's reader id: reader ids are process-unique and never
+// reused, and a committed frame keeps its position and bytes across
+// commits and compactions, so cached decodes stay valid.
 func (s *Store) swapViewLocked() error {
 	r, err := store.OpenReaderMmap(s.path)
 	if err != nil {
 		return fmt.Errorf("ingest: reopening store after commit: %w", err)
 	}
-	v := &view{local: api.NewLocal(r, query.New(r, query.Options{Cache: s.cache}).Run)}
+	if s.frameKey == 0 {
+		s.frameKey, _ = r.FrameKey(0)
+	}
+	g := generation{Reader: r, key: s.frameKey}
+	v := &view{local: api.NewLocal(g, query.New(g, query.Options{Cache: s.cache}).Run)}
 	v.refs.Store(1)
 	if old := s.cur.Swap(v); old != nil {
 		old.release()

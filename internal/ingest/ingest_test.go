@@ -15,6 +15,8 @@ import (
 	"repro/internal/api"
 	"repro/internal/api/conformance"
 	"repro/internal/codec"
+	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -460,5 +462,65 @@ func TestOpenRefusesNonEmptyLegacyWAL(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path + ".wal"); err != nil || !bytes.Equal(got, rec) {
 		t.Fatalf("legacy WAL changed: %x, %v", got, err)
+	}
+}
+
+// cacheCounts reads the process-wide decoded-frame cache counters.
+func cacheCounts() (hits, misses float64) {
+	for _, m := range obs.Default.Snapshot().Metrics {
+		for _, smp := range m.Samples {
+			switch m.Name {
+			case "goblaz_query_cache_hits_total":
+				hits += smp.Value
+			case "goblaz_query_cache_misses_total":
+				misses += smp.Value
+			}
+		}
+	}
+	return hits, misses
+}
+
+// TestCacheHitsAcrossGenerations: every read generation keys its frames
+// alike, so a frame decoded before a commit or a compaction is a cache
+// hit after it. The codec has no compressed-space mean, so every Stats
+// decodes through the cache.
+func TestCacheHitsAcrossGenerations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.gbz")
+	s, err := Create(path, Options{Spec: "sz:mode=curvefit,tol=1e-4", CommitFrames: 1, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	var first float64
+	for step, next := range []func() error{
+		func() error { _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(0, 16, 16)}); return err },
+		func() error { _, err := s.Ingest(ctx, []api.IngestFrame{testFrame(1, 16, 16)}); return err },
+		s.Compact,
+	} {
+		if err := next(); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := cacheCounts()
+		for k := 0; k < 2; k++ {
+			res, err := s.Stats(ctx, 0, []string{query.AggMean})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean := float64(res.Aggregates[query.AggMean])
+			if step == 0 && k == 0 {
+				first = mean
+			} else if math.Float64bits(mean) != math.Float64bits(first) {
+				t.Fatalf("step %d: mean %v, first answer %v", step, mean, first)
+			}
+		}
+		h, m := cacheCounts()
+		wantHits, wantMisses := 2.0, 0.0
+		if step == 0 {
+			wantHits, wantMisses = 1, 1
+		}
+		if h-hits != wantHits || m-misses != wantMisses {
+			t.Errorf("step %d: cache hits +%v, misses +%v; want +%v, +%v", step, h-hits, m-misses, wantHits, wantMisses)
+		}
 	}
 }

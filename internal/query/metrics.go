@@ -2,10 +2,9 @@ package query
 
 import "repro/internal/obs"
 
-// Registry families for the query layer. Cache counters are kept in
-// both places on purpose: the cheap internal fields feed the tests'
-// per-instance CacheStats, while these registry counters aggregate
-// process-wide for /metrics.
+// Registry families for the query layer. The cache counters are the
+// only record of cache hits, misses and coalesced waits: they count
+// every Cache in the process together.
 var (
 	cacheHits = obs.NewCounter("goblaz_query_cache_hits_total",
 		"Decoded-frame cache hits.")
