@@ -1,8 +1,11 @@
 // Command goblaz is the compressor CLI: it compresses and decompresses
 // files of raw little-endian float64 arrays and reports compression
-// statistics. Backends are selected through the codec registry with
-// -codec; the default is the paper's compressor configured by the
-// individual flags.
+// statistics. Every codec comes from the registry: -codec names one by
+// spec, and the goblaz flags (-block, -float, -index, -transform,
+// -keep) are another way to write a goblaz spec. Every compressed file
+// is one self-describing container that embeds the spec — for goblaz,
+// around the paper's §IV-B stream — so decompress and info need no
+// flags; raw goblaz streams written before the container still read.
 //
 //	goblaz compress   -shape 200,400 -block 16,16 -float float32 -index int16 in.f64 out.blz
 //	goblaz compress   -shape 200,400 -codec zfp:rate=16 in.f64 out.zfp
@@ -23,9 +26,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/scalar"
 	"repro/internal/tensor"
-	"repro/internal/transform"
 )
 
 func main() {
@@ -73,14 +74,14 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  goblaz compress   -shape N,M[,K] [-codec SPEC | -block ... -float T -index T -transform T -keep F] IN OUT
+  goblaz compress   -shape N,M[,K] [CODEC] IN OUT    (OUT embeds the codec spec)
   goblaz decompress IN OUT
   goblaz info       IN
-  goblaz stats      -shape N,M[,K] [options] IN
+  goblaz stats      -shape N,M[,K] [CODEC] IN
   goblaz codecs
-  goblaz pack       -shape N,M[,K] [-codec SPEC] [-workers N] [-shards N]
+  goblaz pack       -shape N,M[,K] [CODEC] [-workers N] [-shards N]
                     [-auto [-candidates "SPEC;..."] [-max-err F] [-report JSON]] OUT FRAME...
-  goblaz tune       -shape N,M[,K] [-candidates "SPEC;..."] [-max-err F] [-sample K]
+  goblaz tune       -shape N,M[,K] [CODEC] [-candidates "SPEC;..."] [-max-err F] [-sample K]
                     [-w-ratio F] [-w-err F] [-w-lat F] [-report JSON] FRAME...
   goblaz unpack     [-frame LABEL] IN OUTPREFIX
   goblaz inspect    IN|MANIFEST|TOPOLOGY|URL
@@ -95,25 +96,24 @@ func usage() {
   goblaz metrics    [-json] [-timeout D] URL
   goblaz query      [-labels GLOB] [-from I] [-to I] [-aggs LIST] [-reduce LIST]
                     [-metric KIND [-against LABEL] [-peak P]] [-region OFF:SHAPE] [-point IDX]
-                    [-req JSON|@FILE|-] [-cache-bytes N] [-timeout D] IN|MANIFEST|TOPOLOGY|URL`)
+                    [-req JSON|@FILE|-] [-cache-bytes N] [-timeout D] IN|MANIFEST|TOPOLOGY|URL
+CODEC is -codec SPEC (e.g. zfp:rate=16), or a goblaz spec spelled as flags:
+  [-block B,B[,B]] [-float T] [-index T] [-transform T] [-keep F]`)
 	os.Exit(2)
 }
 
 type options struct {
-	shape, block []int
-	floatT       scalar.FloatType
-	indexT       scalar.IndexType
-	transformK   transform.Kind
-	keep         float64
-	codecSpec    string
-	workers      int
-	shards       int
+	shape   []int
+	spec    string // registry codec spec: -codec, or the goblaz flags
+	workers int
+	shards  int
 }
 
 // parseOptions parses the shared codec/shape flag set; extra (may be
-// nil) registers subcommand-specific flags on the same set.
+// nil) registers subcommand-specific flags on the same set. The goblaz
+// flags are written as one registry spec, which is resolved (and
+// validated) by codec.Lookup where the subcommand needs its codec.
 func parseOptions(name string, args []string, extra func(fs *flag.FlagSet)) (*options, []string, error) {
-	o := &options{}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	if extra != nil {
 		extra(fs)
@@ -124,61 +124,30 @@ func parseOptions(name string, args []string, extra func(fs *flag.FlagSet)) (*op
 	indexStr := fs.String("index", "int16", "index type: int8|int16|int32|int64")
 	trStr := fs.String("transform", "dct", "transform: dct|haar|identity")
 	keep := fs.Float64("keep", 1, "fraction of low-frequency coefficients to keep (0,1]")
-	codecSpec := fs.String("codec", "", `registry codec spec, e.g. "zfp:rate=16" or "sz:mode=curvefit,tol=1e-4" (overrides the goblaz flags)`)
+	spec := fs.String("codec", "", `registry codec spec, e.g. "zfp:rate=16" or "sz:mode=curvefit,tol=1e-4" (overrides the goblaz flags)`)
 	workers := fs.Int("workers", 0, "parallel compression workers for pack (default GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "pack into N shard stores plus a manifest instead of one store")
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err
 	}
-	o.codecSpec = *codecSpec
-	o.workers = *workers
-	o.shards = *shards
-	var err error
+	o := &options{spec: *spec, workers: *workers, shards: *shards}
 	if *shapeStr != "" {
-		o.shape, err = parseInts(*shapeStr)
-		if err != nil {
+		var err error
+		if o.shape, err = parseInts(*shapeStr); err != nil {
 			return nil, nil, err
 		}
 	}
-	if *blockStr != "" {
-		o.block, err = parseInts(*blockStr)
-		if err != nil {
-			return nil, nil, err
+	if o.spec == "" {
+		block := strings.TrimSuffix(strings.Repeat("4x", len(o.shape)), "x")
+		if *blockStr != "" {
+			block = strings.NewReplacer(",", "x", " ", "").Replace(*blockStr)
 		}
-	} else if o.shape != nil {
-		o.block = make([]int, len(o.shape))
-		for i := range o.block {
-			o.block[i] = 4
+		o.spec = fmt.Sprintf("goblaz:block=%s,float=%s,index=%s,transform=%s", block, *floatStr, *indexStr, *trStr)
+		if *keep != 1 {
+			o.spec += fmt.Sprintf(",keep=%g", *keep)
 		}
 	}
-	if o.floatT, err = scalar.ParseFloatType(*floatStr); err != nil {
-		return nil, nil, err
-	}
-	if o.indexT, err = scalar.ParseIndexType(*indexStr); err != nil {
-		return nil, nil, err
-	}
-	if o.transformK, err = transform.ParseKind(*trStr); err != nil {
-		return nil, nil, err
-	}
-	o.keep = *keep
 	return o, fs.Args(), nil
-}
-
-func (o *options) settings() (core.Settings, error) {
-	s := core.Settings{
-		BlockShape: o.block,
-		FloatType:  o.floatT,
-		IndexType:  o.indexT,
-		Transform:  o.transformK,
-	}
-	if o.keep < 1 {
-		mask, err := core.KeepLowFrequency(o.block, o.keep)
-		if err != nil {
-			return s, err
-		}
-		s.Mask = mask
-	}
-	return s, nil
 }
 
 func parseInts(s string) ([]int, error) {
@@ -218,32 +187,33 @@ func writeTensor(path string, t *tensor.Tensor) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// --- codec container: how non-default backends round-trip through files ---
+// --- codec container: every compressed file ---
 //
-// Files written with -codec are self-describing: a 4-byte magic, the
-// big-endian uint16 length of the canonical codec spec, the spec string,
-// then the codec's encoded payload. Decompression reconstructs the codec
-// from the embedded spec via the registry, so no flags are needed. The
-// default goblaz path keeps the paper's own serialization format (§IV-B),
-// which is already self-describing.
+// compress writes one self-describing container for every codec: a
+// 4-byte magic, the big-endian uint16 length of the canonical codec
+// spec, the spec string, then the codec's encoded payload — for goblaz,
+// the paper's own §IV-B stream. decompress and info rebuild the codec
+// from the embedded spec via the registry, so no flags are needed. A
+// file that does not start with the magic is read as a raw goblaz
+// stream, which is what compress wrote for the goblaz flags before the
+// container carried every codec.
 var codecMagic = []byte("GCDC")
 
-func writeCodecFile(path string, cd codec.Codec, payload []byte) error {
-	spec := cd.Spec()
+// appendCodecFile appends the container of spec and payload to dst.
+func appendCodecFile(dst []byte, spec string, payload []byte) ([]byte, error) {
 	if len(spec) > 0xFFFF {
-		return fmt.Errorf("codec spec %q too long", spec)
+		return nil, fmt.Errorf("codec spec %q too long", spec)
 	}
-	buf := make([]byte, 0, len(codecMagic)+2+len(spec)+len(payload))
-	buf = append(buf, codecMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(spec)))
-	buf = append(buf, spec...)
-	buf = append(buf, payload...)
-	return os.WriteFile(path, buf, 0o644)
+	dst = append(dst, codecMagic...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(spec)))
+	dst = append(dst, spec...)
+	return append(dst, payload...), nil
 }
 
-// splitCodecFile recognizes the codec container and returns the embedded
-// spec and payload; ok is false for legacy core-format files.
-func splitCodecFile(blob []byte) (spec string, payload []byte, ok bool, err error) {
+// parseCodecFile recognizes the codec container and returns the embedded
+// spec and payload (which aliases blob); ok is false for a blob without
+// the magic.
+func parseCodecFile(blob []byte) (spec string, payload []byte, ok bool, err error) {
 	if len(blob) < len(codecMagic) || string(blob[:len(codecMagic)]) != string(codecMagic) {
 		return "", nil, false, nil
 	}
@@ -258,6 +228,48 @@ func splitCodecFile(blob []byte) (spec string, payload []byte, ok bool, err erro
 	return string(rest[:n]), rest[n:], true, nil
 }
 
+// compressedFile is a compressed file read back: the container's spec
+// and payload (both empty for a raw goblaz stream), the decoded array,
+// and the inverse that decompresses it.
+type compressedFile struct {
+	spec       string
+	payload    []byte
+	c          codec.Compressed
+	decompress func() (*tensor.Tensor, error)
+}
+
+// readCompressedFile is the one reader behind decompress and info.
+func readCompressedFile(path string) (*compressedFile, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, payload, ok, err := parseCodecFile(blob)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		a, err := core.Decode(blob)
+		if err != nil {
+			return nil, err
+		}
+		c, err := core.NewCompressor(a.Settings)
+		if err != nil {
+			return nil, err
+		}
+		return &compressedFile{c: a, decompress: func() (*tensor.Tensor, error) { return c.Decompress(a) }}, nil
+	}
+	coder, err := codec.Lookup(spec)
+	if err != nil {
+		return nil, err
+	}
+	c, err := coder.Decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	return &compressedFile{spec: spec, payload: payload, c: c, decompress: func() (*tensor.Tensor, error) { return coder.Decompress(c) }}, nil
+}
+
 func runCompress(args []string) error {
 	o, rest, err := parseOptions("compress", args, nil)
 	if err != nil {
@@ -266,51 +278,31 @@ func runCompress(args []string) error {
 	if o.shape == nil || len(rest) != 2 {
 		return fmt.Errorf("compress needs -shape and IN OUT paths")
 	}
+	coder, err := codec.Lookup(o.spec)
+	if err != nil {
+		return err
+	}
 	t, err := readTensor(rest[0], o.shape)
 	if err != nil {
 		return err
 	}
-	if o.codecSpec != "" {
-		coder, err := codec.Lookup(o.codecSpec)
-		if err != nil {
-			return err
-		}
-		c, err := coder.Compress(t)
-		if err != nil {
-			return err
-		}
-		payload, err := coder.Encode(c)
-		if err != nil {
-			return err
-		}
-		if err := writeCodecFile(rest[1], coder, payload); err != nil {
-			return err
-		}
-		fmt.Printf("compressed %d → %d bytes with %s (ratio %.2f)\n",
-			t.Len()*8, len(payload), coder.Spec(), float64(t.Len()*8)/float64(len(payload)))
-		return nil
-	}
-	s, err := o.settings()
+	c, err := coder.Compress(t)
 	if err != nil {
 		return err
 	}
-	c, err := core.NewCompressor(s)
+	payload, err := coder.Encode(c)
 	if err != nil {
 		return err
 	}
-	a, err := c.Compress(t)
-	if err != nil {
-		return err
-	}
-	blob, err := core.Encode(a)
+	blob, err := appendCodecFile(nil, coder.Spec(), payload)
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(rest[1], blob, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("compressed %d → %d bytes (ratio %.2f)\n",
-		t.Len()*8, len(blob), float64(t.Len()*8)/float64(len(blob)))
+	fmt.Printf("compressed %d → %d bytes with %s (ratio %.2f)\n",
+		t.Len()*8, len(payload), coder.Spec(), float64(t.Len()*8)/float64(len(payload)))
 	return nil
 }
 
@@ -318,40 +310,11 @@ func runDecompress(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("decompress needs IN OUT paths")
 	}
-	blob, err := os.ReadFile(args[0])
+	f, err := readCompressedFile(args[0])
 	if err != nil {
 		return err
 	}
-	if spec, payload, ok, err := splitCodecFile(blob); err != nil {
-		return err
-	} else if ok {
-		coder, err := codec.Lookup(spec)
-		if err != nil {
-			return err
-		}
-		c, err := coder.Decode(payload)
-		if err != nil {
-			return err
-		}
-		t, err := coder.Decompress(c)
-		if err != nil {
-			return err
-		}
-		if err := writeTensor(args[1], t); err != nil {
-			return err
-		}
-		fmt.Printf("decompressed to %v with %s (%d bytes)\n", t.Shape(), spec, t.Len()*8)
-		return nil
-	}
-	a, err := core.Decode(blob)
-	if err != nil {
-		return err
-	}
-	c, err := core.NewCompressor(a.Settings)
-	if err != nil {
-		return err
-	}
-	t, err := c.Decompress(a)
+	t, err := f.decompress()
 	if err != nil {
 		return err
 	}
@@ -376,24 +339,23 @@ func runCodecs(args []string) error {
 	return nil
 }
 
+// runInfo prints a container's spec and payload size, then the §IV-C
+// description of a goblaz array.
 func runInfo(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("info needs one path")
 	}
-	blob, err := os.ReadFile(args[0])
+	f, err := readCompressedFile(args[0])
 	if err != nil {
 		return err
 	}
-	if spec, payload, ok, err := splitCodecFile(blob); err != nil {
-		return err
-	} else if ok {
-		fmt.Printf("codec:        %s\n", spec)
-		fmt.Printf("payload:      %d bytes\n", len(payload))
+	if f.spec != "" {
+		fmt.Printf("codec:        %s\n", f.spec)
+		fmt.Printf("payload:      %d bytes\n", len(f.payload))
+	}
+	a, ok := f.c.(*core.CompressedArray)
+	if !ok {
 		return nil
-	}
-	a, err := core.Decode(blob)
-	if err != nil {
-		return err
 	}
 	s := a.Settings
 	fmt.Printf("shape:        %v\n", a.Shape)
@@ -419,37 +381,7 @@ func runStats(args []string) error {
 	if o.shape == nil || len(rest) != 1 {
 		return fmt.Errorf("stats needs -shape and one IN path")
 	}
-	if o.codecSpec != "" {
-		cd, err := codec.Lookup(o.codecSpec)
-		if err != nil {
-			return err
-		}
-		t, err := readTensor(rest[0], o.shape)
-		if err != nil {
-			return err
-		}
-		c, err := cd.Compress(t)
-		if err != nil {
-			return err
-		}
-		back, err := cd.Decompress(c)
-		if err != nil {
-			return err
-		}
-		size := cd.EncodedSize(c)
-		fmt.Printf("codec:             %s\n", cd.Spec())
-		fmt.Printf("measured ratio:    %.2f (%d → %d bytes)\n",
-			float64(t.Len()*8)/float64(size), t.Len()*8, size)
-		fmt.Printf("L∞ error:          %.6g\n", t.MaxAbsDiff(back))
-		fmt.Printf("RMSE:              %.6g\n", t.RMSE(back))
-		fmt.Printf("value range:       [%.6g, %.6g]\n", t.Min(), t.Max())
-		return nil
-	}
-	s, err := o.settings()
-	if err != nil {
-		return err
-	}
-	c, err := core.NewCompressor(s)
+	cd, err := codec.Lookup(o.spec)
 	if err != nil {
 		return err
 	}
@@ -457,19 +389,18 @@ func runStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	a, err := c.Compress(t)
+	c, err := cd.Compress(t)
 	if err != nil {
 		return err
 	}
-	back, err := c.Decompress(a)
+	back, err := cd.Decompress(c)
 	if err != nil {
 		return err
 	}
-	ratio, err := core.CompressionRatio(s, o.shape, 64)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("asymptotic ratio:  %.2f\n", ratio)
+	size := cd.EncodedSize(c)
+	fmt.Printf("codec:             %s\n", cd.Spec())
+	fmt.Printf("measured ratio:    %.2f (%d → %d bytes)\n",
+		float64(t.Len()*8)/float64(size), t.Len()*8, size)
 	fmt.Printf("L∞ error:          %.6g\n", t.MaxAbsDiff(back))
 	fmt.Printf("RMSE:              %.6g\n", t.RMSE(back))
 	fmt.Printf("value range:       [%.6g, %.6g]\n", t.Min(), t.Max())

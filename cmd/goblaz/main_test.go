@@ -5,8 +5,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/tensor"
 )
 
@@ -99,6 +101,13 @@ func TestCLIErrors(t *testing.T) {
 	if err := runStats([]string{"-shape", "4,4"}); err == nil {
 		t.Error("stats without file should fail")
 	}
+	const keepErr = "goblaz keep fraction 1.5 out of (0, 1]"
+	if err := runCompress([]string{"-shape", "4,4", "-keep", "1.5", in, filepath.Join(dir, "o")}); err == nil || !strings.Contains(err.Error(), keepErr) {
+		t.Errorf("compress -keep 1.5: err = %v, want %q", err, keepErr)
+	}
+	if err := runPack([]string{"-shape", "4,4", "-keep", "1.5", filepath.Join(dir, "o.gbz"), in}); err == nil || !strings.Contains(err.Error(), keepErr) {
+		t.Errorf("pack -keep 1.5: err = %v, want %q", err, keepErr)
+	}
 }
 
 func TestCodecFlagRoundTripCLI(t *testing.T) {
@@ -188,16 +197,21 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if len(rest) != 2 || rest[0] != "a" {
 		t.Fatalf("rest = %v", rest)
 	}
-	if len(o.block) != 2 || o.block[0] != 4 {
-		t.Fatalf("default block = %v", o.block)
+	if want := "goblaz:block=4x4,float=float32,index=int16,transform=dct"; o.spec != want {
+		t.Fatalf("default spec = %q, want %q", o.spec, want)
 	}
-	if _, _, err := parseOptions("t", []string{"-shape", "8,8", "-float", "float128"}, nil); err == nil {
-		t.Error("bad float type should fail")
-	}
-	if _, _, err := parseOptions("t", []string{"-shape", "8,8", "-index", "uint8"}, nil); err == nil {
-		t.Error("bad index type should fail")
-	}
-	if _, _, err := parseOptions("t", []string{"-shape", "8,8", "-transform", "fft"}, nil); err == nil {
-		t.Error("bad transform should fail")
+	// The goblaz flags are checked where their spec is resolved.
+	for _, flags := range [][]string{
+		{"-float", "float128"},
+		{"-index", "uint8"},
+		{"-transform", "fft"},
+	} {
+		o, _, err := parseOptions("t", append([]string{"-shape", "8,8"}, flags...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := codec.Lookup(o.spec); err == nil {
+			t.Errorf("%v: spec %q should not resolve", flags, o.spec)
+		}
 	}
 }

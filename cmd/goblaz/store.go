@@ -33,7 +33,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -51,26 +50,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// packCoder resolves the -codec spec, or the goblaz flag set when no
-// spec was given, to a serializing codec. The flag path goes through the
-// registry too: the store header must embed a spec that reconstructs
-// the exact codec, keep= pruning fraction included.
-func packCoder(o *options) (codec.Coder, error) {
-	spec := o.codecSpec
-	if spec == "" {
-		block := make([]string, len(o.block))
-		for i, e := range o.block {
-			block[i] = strconv.Itoa(e)
-		}
-		spec = fmt.Sprintf("goblaz:block=%s,float=%v,index=%v,transform=%v",
-			strings.Join(block, "x"), o.floatT, o.indexT, o.transformK)
-		if o.keep < 1 {
-			spec += fmt.Sprintf(",keep=%g", o.keep)
-		}
-	}
-	return codec.Lookup(spec)
-}
-
 func runPack(args []string) error {
 	var tf tuneFlags
 	o, paths, err := parseOptions("pack", args, func(fs *flag.FlagSet) { tf.register(fs, true) })
@@ -81,7 +60,7 @@ func runPack(args []string) error {
 		return fmt.Errorf("pack needs -shape, an OUT path, and at least one frame file")
 	}
 	out, frames := paths[0], paths[1:]
-	coder, err := packCoder(o)
+	coder, err := codec.Lookup(o.spec)
 	if err != nil {
 		return err
 	}

@@ -101,7 +101,7 @@ func (tf *tuneFlags) run(o *options, frames []string) (*tune.Report, error) {
 	for i := range labels {
 		labels[i] = i
 	}
-	coder, err := packCoder(o)
+	coder, err := codec.Lookup(o.spec)
 	if err != nil {
 		return nil, err
 	}

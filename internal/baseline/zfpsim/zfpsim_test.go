@@ -221,9 +221,32 @@ func TestLiftingDecorrelatesConstant(t *testing.T) {
 	}
 }
 
+// errorBound16 is the worst-case round-trip error of a 16 bpv 4×4 block
+// of nonnegative values whose biggest magnitude m has 2^(e−1) ≤ m < 2^e,
+// derived from what the block budget keeps after the exponent:
+//
+//   - 16·16 = 256 bits less the 22-bit header leave 234 = 14·16 + 10 bits
+//     of bit planes, so coefficients 0–9 keep the top 15 planes and
+//     10–15 the top 14.
+//   - Values quantize to integers in [0, 2^44]; the lift along axis 0
+//     keeps them within ±2^44 and along axis 1 within ±2^45, whose
+//     negabinary fits 47 digits. So top ≤ 47, and with K = top−14 ≤ 33
+//     the last six coefficients lose K planes, the first ten K−1.
+//   - Dropping k negabinary digits changes a value by under (2/3)·2^k.
+//   - The inverse lift weighs the coefficients of one line by
+//     (1, ½, ½, 0) or (1, ½, 0, ½) per output, so an output's error is at
+//     most (2/3)·2^(K−1)·(4 + 1) = (5/3)·2^K: the 4 is the weights'
+//     product sum, the 1 the most weight that falls on the six
+//     coefficients losing a plane more.
+//   - Each floor in the lift adds at most ½ a unit, 3 units over both
+//     axes, and quantization ½ more.
+//
+// One integer unit is 2^(e−44) in value.
+func errorBound16(e int) float64 {
+	return (5.0/3*math.Ldexp(1, 33) + 3.5) * math.Ldexp(1, e-44)
+}
+
 func TestErrorBoundedByRateProperty(t *testing.T) {
-	// At 16 bpv the truncation error should stay below ~2^-12 of the
-	// block max for random smooth-ish data.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := tensor.New(16, 16)
@@ -239,7 +262,9 @@ func TestErrorBoundedByRateProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return x.MaxAbsDiff(y) <= amp*math.Pow(2, -11)
+		// Every block's exponent is at most the array maximum's.
+		_, e := math.Frexp(x.Max())
+		return x.MaxAbsDiff(y) <= errorBound16(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
